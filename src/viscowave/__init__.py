@@ -9,8 +9,6 @@ from .analysis import (
     energy,
     energy_residuals,
     infsup_constants,
-    stress_error_a,
-    velocity_error_c,
 )
 from .assembly import (
     AssembledSystem,
@@ -29,6 +27,7 @@ from .linalg import (
     build_schur,
 )
 from .material import (
+    VOIGT_DOT,
     IsotropicMaterial,
     VoigtTensor,
     apply_compliance,
@@ -38,7 +37,7 @@ from .material import (
 )
 from .mesh import ElementRect, StructuredMesh
 from .mms import ExactSolution, ResidualReport, exact_fields, verify_residuals
-from .quadrature import QuadratureRule, integrate, lumped_rect_rule, rect_rule, triangle_rule
-from .timestepper import RunResult, SimState, TimeGrid, cn_step, init_state, run
+from .quadrature import QuadratureRule, lumped_rect_rule, rect_rule, triangle_rule
+from .timestepper import CNStepper, RunResult, SimState, TimeGrid, init_state, resolve_time, run
 
 __version__ = "0.1.0"

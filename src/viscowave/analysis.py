@@ -21,29 +21,24 @@ from .assembly import (
     _quad_points,
 )
 from .fespace import StressSpace, VelocitySpace
-from .material import IsotropicMaterial
+from .material import VOIGT_DOT, IsotropicMaterial
 from .mesh import StructuredMesh
 
 __all__ = [
     "StressErrorEvaluator",
     "VelocityErrorEvaluator",
-    "stress_error_a",
-    "velocity_error_c",
     "convergence_orders",
     "energy",
     "energy_residuals",
     "infsup_constants",
 ]
 
-_DOT = np.diag([1.0, 1.0, 2.0])
-
-
 class StressErrorEvaluator:
     """a-norm distance between a coefficient field and a reference tensor field."""
 
     def __init__(self, space: StressSpace, material: IsotropicMaterial):
         self.space = space
-        self.weight3 = _DOT @ material.compliance_matrix()
+        self.weight3 = VOIGT_DOT @ material.compliance_matrix()
         w, xi, eta = _local_rule(space.mesh)
         self.qweights = w
         self.basis = space.local_values(xi, eta)
@@ -76,16 +71,6 @@ class VelocityErrorEvaluator:
         diff = v_h - np.asarray(field(self.points[..., 0], self.points[..., 1], t), float)
         val = self.rho * np.einsum("eqd,eqd,q->", diff, diff, self.qweights)
         return float(np.sqrt(max(val, 0.0)))
-
-
-def stress_error_a(space, material, coeffs, field, t) -> float:
-    """One-shot form of ``StressErrorEvaluator``."""
-    return StressErrorEvaluator(space, material)(coeffs, field, t)
-
-
-def velocity_error_c(space, material, coeffs, field, t) -> float:
-    """One-shot form of ``VelocityErrorEvaluator``."""
-    return VelocityErrorEvaluator(space, material)(coeffs, field, t)
 
 
 def convergence_orders(pairs) -> list[float]:

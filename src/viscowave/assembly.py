@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fespace import HMZ, NEDELEC, StressSpace, VelocitySpace
-from .material import IsotropicMaterial
+from .material import VOIGT_DOT, IsotropicMaterial
 from .quadrature import lumped_rect_rule, rect_rule
 
 __all__ = [
@@ -28,10 +28,6 @@ __all__ = [
     "assemble_load",
     "assemble_system",
 ]
-
-# Tensor dot product weight for Voigt triples.
-_DOT = np.diag([1.0, 1.0, 2.0])
-
 
 def _local_rule(mesh, lumped=False):
     """Quadrature on the first element plus its local coordinates."""
@@ -80,7 +76,7 @@ def _check_pair(stress_space, velocity_space):
 def _stress_gram(space, weight3, lumped):
     w, xi, eta = _local_rule(space.mesh, lumped)
     vals = space.local_values(xi, eta)
-    local = np.einsum("qia,ab,qjb,q->ij", vals, _DOT @ weight3, vals, w)
+    local = np.einsum("qia,ab,qjb,q->ij", vals, VOIGT_DOT @ weight3, vals, w)
     n = space.dim
     return _scatter(local, space.eldof, space.eldof, (n, n))
 

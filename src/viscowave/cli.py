@@ -10,8 +10,10 @@ temporal-convergence  time refinement with the mesh coupled as N = M^2/4.
 stability             energy trace of one example for each requested dt.
 infsup                discrete pairing constants on small n-by-n meshes.
 
-Settings come from flags, overriding an optional ``key=value`` config file
-(``--config``); a ``--preset`` fills in the published study configurations.
+Each setting is one row of ``SETTINGS``: a ``--flag`` and a config-file key
+of the same name, with the default of the ``RunConfig`` field of that name.
+Flags override a ``--preset``, which overrides the optional ``key=value``
+config file (``--config``).
 Study CSV columns are ``N,M,dt,E_a_sigma,order_sigma,E_c_v,order_v``.
 """
 
@@ -21,17 +23,27 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .analysis import convergence_orders, infsup_constants
 from .fespace import FAMILIES, NEDELEC, StressSpace, VelocitySpace
 from .linalg import ConvergenceError, SingularBlockError
+from .material import IsotropicMaterial
 from .mesh import StructuredMesh
-from .timestepper import run
+from .timestepper import resolve_time, run
 
-__all__ = ["RunConfig", "PRESETS", "main", "convergence_study", "temporal_study"]
+__all__ = [
+    "RunConfig",
+    "SETTINGS",
+    "PRESETS",
+    "main",
+    "convergence_study",
+    "temporal_study",
+    "resolve_time",
+]
 
 CSV_HEADER = ["N", "M", "dt", "E_a_sigma", "order_sigma", "E_c_v", "order_v"]
 
@@ -44,42 +56,27 @@ PRESETS = {
     "table9": dict(mode="temporal-convergence", example=3, nt="4,8,12,16", t_final=1.0),
 }
 
-_DEFAULTS = dict(
-    mode="solve",
-    element=NEDELEC,
-    example=None,
-    nx="8",
-    nt=None,
-    dt=None,
-    t_final=1.0,
-    rho=1.0,
-    mu=1.0,
-    lam=1.0,
-    solver="direct",
-    solver_tol=1e-12,
-    preset=None,
-    snapshot_every=None,
-    out=None,
-    force=False,
-)
-
 _MODES = ("solve", "convergence", "temporal-convergence", "stability", "infsup")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration of a single simulation."""
+    """Configuration of a single simulation, the one record every mode resolves.
+
+    Its field defaults are also the defaults of the command-line settings.
+    ``n_steps`` or ``dt`` left ``None`` is filled in by ``resolve_time``.
+    """
 
     mode: str = "solve"
     element: str = NEDELEC
     example: int | None = None
     nx: int = 8
-    n_steps: int = 200
+    n_steps: int | None = None
     dt: float | None = None
     t_final: float = 1.0
-    rho: float = 1.0
-    mu: float = 1.0
-    lam: float = 1.0
+    rho: float = IsotropicMaterial.rho
+    mu: float = IsotropicMaterial.mu
+    lam: float = IsotropicMaterial.lam
     solver: str = "direct"
     solver_tol: float = 1e-12
     snapshot_every: int | None = None
@@ -87,131 +84,47 @@ class RunConfig:
     force: bool = False
 
 
-def resolve_time(t_final, dt, n_steps):
-    """Fill in the missing one of (dt, n_steps) and check dt * M = T."""
-    if not t_final > 0.0:
-        raise ValueError(f"final time must be positive, got {t_final}")
-    if dt is None and n_steps is None:
-        n_steps = 200
-    if dt is None:
-        dt = t_final / n_steps
-    elif n_steps is None:
-        n_steps = round(t_final / dt)
-    if n_steps < 1 or abs(dt * n_steps - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError(
-            f"dt = {dt} and M = {n_steps} do not partition [0, {t_final}]"
-        )
-    return float(t_final), float(dt), int(n_steps)
+def _with_time(cfg: RunConfig, dt=None, n_steps=None) -> RunConfig:
+    """``cfg`` with (dt, n_steps) resolved against its final time."""
+    t_final, dt, n_steps = resolve_time(cfg.t_final, dt, n_steps)
+    return replace(cfg, t_final=t_final, dt=dt, n_steps=n_steps)
 
 
-def _base_config(s, **overrides) -> RunConfig:
-    cfg = RunConfig(
-        mode=s["mode"],
-        element=s["element"],
-        example=s["example"],
-        t_final=s["t_final"],
-        rho=s["rho"],
-        mu=s["mu"],
-        lam=s["lam"],
-        solver=s["solver"],
-        solver_tol=s["solver_tol"],
-        snapshot_every=s["snapshot_every"],
-        out=s["out"],
-        force=s["force"],
-    )
-    for key, val in overrides.items():
-        setattr(cfg, key, val)
-    return cfg
-
-
-def convergence_study(
-    element,
-    example,
-    ns,
-    *,
-    dt=None,
-    n_steps=None,
-    t_final=1.0,
-    rho=1.0,
-    mu=1.0,
-    lam=1.0,
-    solver="direct",
-    solver_tol=1e-12,
-    force=False,
-):
+def convergence_study(element, example, ns, *, dt=None, n_steps=None, **settings):
     """Run one example on a list of N-by-N meshes at a fixed time step.
 
-    Returns (rows, results); rows are dicts keyed by the CSV columns.
+    ``settings`` are further ``RunConfig`` fields.  Returns (rows, results);
+    rows are dicts keyed by the CSV columns.
     """
-    t_final, dt, n_steps = resolve_time(t_final, dt, n_steps)
-    results = []
-    for n in ns:
-        cfg = RunConfig(
-            mode="convergence",
-            element=element,
-            example=example,
-            nx=int(n),
-            n_steps=n_steps,
-            dt=dt,
-            t_final=t_final,
-            rho=rho,
-            mu=mu,
-            lam=lam,
-            solver=solver,
-            solver_tol=solver_tol,
-            force=force,
-        )
-        results.append(run(cfg))
-    return _study_rows(list(ns), results), results
+    base = RunConfig(mode="convergence", element=element, example=example, **settings)
+    base = _with_time(base, dt, n_steps)
+    ns = [int(n) for n in ns]
+    results = [run(replace(base, nx=n)) for n in ns]
+    return _study_rows(ns, results), results
 
 
-def temporal_study(
-    element,
-    example,
-    ms,
-    *,
-    t_final=1.0,
-    rho=1.0,
-    mu=1.0,
-    lam=1.0,
-    solver="direct",
-    solver_tol=1e-12,
-    force=False,
-):
+def temporal_study(element, example, ms, **settings):
     """Refine the time step with the mesh coupled as N = M^2/4.
 
-    Every M must be even so that M^2/4 is an integer.
+    Every M must be even so that M^2/4 is an integer.  ``settings`` are
+    further ``RunConfig`` fields.
     """
-    results = []
+    ms = [int(m) for m in ms]
     for m in ms:
-        m = int(m)
         if m % 2:
             raise ValueError(f"step count {m} must be even to couple N = M^2/4")
-        cfg = RunConfig(
-            mode="temporal-convergence",
-            element=element,
-            example=example,
-            nx=m * m // 4,
-            n_steps=m,
-            dt=t_final / m,
-            t_final=t_final,
-            rho=rho,
-            mu=mu,
-            lam=lam,
-            solver=solver,
-            solver_tol=solver_tol,
-            force=force,
-        )
-        results.append(run(cfg))
-    return _study_rows([int(m) for m in ms], results, param="M"), results
+    base = RunConfig(
+        mode="temporal-convergence", element=element, example=example, **settings
+    )
+    results = [run(_with_time(replace(base, nx=m * m // 4), None, m)) for m in ms]
+    return _study_rows(ms, results), results
 
 
-def _study_rows(params, results, param="N"):
+def _study_rows(params, results):
     e_sigma = [r.E_a_sigma for r in results]
     e_v = [r.E_c_v for r in results]
     orders_sigma = [None] + convergence_orders(list(zip(params, e_sigma)))
     orders_v = [None] + convergence_orders(list(zip(params, e_v)))
-    del param
     rows = []
     for r, os_, ov in zip(results, orders_sigma, orders_v):
         rows.append(
@@ -257,38 +170,90 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _parse_int_list(s):
+def _int_list(text):
     try:
-        vals = [int(tok) for tok in str(s).split(",") if tok.strip()]
+        vals = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as err:
-        raise ValueError(f"expected comma-separated integers, got {s!r}") from err
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from err
     if not vals:
-        raise ValueError(f"empty integer list {s!r}")
+        raise ValueError(f"empty integer list {text!r}")
     return vals
 
 
-def _parse_float_list(s):
+def _float_list(text):
     try:
-        vals = [float(tok) for tok in str(s).split(",") if tok.strip()]
+        vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as err:
-        raise ValueError(f"expected comma-separated numbers, got {s!r}") from err
+        raise ValueError(f"expected comma-separated numbers, got {text!r}") from err
     if not vals:
-        raise ValueError(f"empty number list {s!r}")
+        raise ValueError(f"empty number list {text!r}")
     return vals
 
+
+def _flag(text):
+    return text.lower() in ("1", "true", "yes")
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One run setting: a ``--flag`` and a config-file key of the same name."""
+
+    name: str
+    parser: Callable[[str], object]
+    help: str
+    choices: tuple = ()
+    flag: str = ""
+
+    @property
+    def default(self):
+        """The default of the ``RunConfig`` field of the same name, else ``None``."""
+        return getattr(RunConfig, self.name, None)
+
+    @property
+    def option(self) -> str:
+        return self.flag or "--" + self.name.replace("_", "-")
+
+    def parse(self, value):
+        """Parse a flag or config-file string, or a default or preset value."""
+        out = self.parser(str(value))
+        if self.choices and out not in self.choices:
+            raise ValueError(f"{self.name} must be one of {self.choices}, got {out!r}")
+        return out
+
+
+SETTINGS = {
+    s.name: s
+    for s in (
+        Setting("mode", str, "what to run", _MODES),
+        Setting("element", str, "element family", FAMILIES),
+        Setting("example", int, "built-in solution id (1, 2, or 3)"),
+        Setting("nx", _int_list, "mesh size N, or comma list for study modes"),
+        Setting("nt", _int_list, "time steps M, or comma list for temporal mode"),
+        Setting("dt", _float_list, "time step, or comma list for stability mode"),
+        Setting("t_final", float, "final time"),
+        Setting("rho", float, "density"),
+        Setting("mu", float, "shear modulus"),
+        Setting("lam", float, "first Lame parameter", flag="--lambda"),
+        Setting("solver", str, "reduced-system solver", ("direct", "cg")),
+        Setting("solver_tol", float, "relative residual bound"),
+        Setting("preset", str, "published study configuration", tuple(sorted(PRESETS))),
+        Setting("snapshot_every", int, "write field snapshots every k steps (solve mode)"),
+        Setting("out", str, "output CSV path (default: stdout)"),
+        Setting("force", _flag, "accept non-unit materials with the built-in solutions"),
+    )
+}
 
 def _single(vals, what):
+    if vals is None:
+        return None
     if len(vals) != 1:
         raise ValueError(f"{what} takes a single value here, got {vals}")
     return vals[0]
 
 
-def _run_solve(s) -> int:
-    nx = _single(_parse_int_list(s["nx"]), "--nx")
-    dt = None if s["dt"] is None else _single(_parse_float_list(s["dt"]), "--dt")
-    n_steps = None if s["nt"] is None else _single(_parse_int_list(s["nt"]), "--nt")
-    t_final, dt, n_steps = resolve_time(s["t_final"], dt, n_steps)
-    cfg = _base_config(s, nx=nx, dt=dt, n_steps=n_steps, t_final=t_final)
+def _run_solve(s, nx, nt, dt) -> int:
+    cfg = RunConfig(mode="solve", nx=_single(nx, "--nx"), **s)
+    cfg = _with_time(cfg, _single(dt, "--dt"), _single(nt, "--nt"))
     result = run(cfg)
     print(
         f"element={cfg.element} N={cfg.nx} M={cfg.n_steps} dt={cfg.dt:.10g} "
@@ -325,83 +290,58 @@ def _write_snapshots(cfg, result):
         print(f"wrote {path}")
 
 
-def _run_convergence(s) -> int:
+def _study_settings(s, mode):
+    """Settings of a multi-run mode; only solve mode writes snapshots."""
     if s["example"] is None:
-        raise ValueError("convergence mode needs --example")
-    ns = _parse_int_list(s["nx"])
-    dt = None if s["dt"] is None else _single(_parse_float_list(s["dt"]), "--dt")
-    n_steps = None if s["nt"] is None else _single(_parse_int_list(s["nt"]), "--nt")
+        raise ValueError(f"{mode} mode needs --example")
+    return dict(s, snapshot_every=None)
+
+
+def _run_convergence(s, nx, nt, dt) -> int:
+    s = _study_settings(s, "convergence")
     rows, _ = convergence_study(
-        s["element"],
-        s["example"],
-        ns,
-        dt=dt,
-        n_steps=n_steps,
-        t_final=s["t_final"],
-        rho=s["rho"],
-        mu=s["mu"],
-        lam=s["lam"],
-        solver=s["solver"],
-        solver_tol=s["solver_tol"],
-        force=s["force"],
+        ns=nx, dt=_single(dt, "--dt"), n_steps=_single(nt, "--nt"), **s
     )
     _emit(format_study_csv(rows), s["out"])
     return 0
 
 
-def _run_temporal(s) -> int:
-    if s["example"] is None:
-        raise ValueError("temporal-convergence mode needs --example")
-    if s["nt"] is None:
+def _run_temporal(s, nx, nt, dt) -> int:
+    s = _study_settings(s, "temporal-convergence")
+    if nt is None:
         raise ValueError("temporal-convergence mode needs --nt")
-    ms = _parse_int_list(s["nt"])
-    rows, _ = temporal_study(
-        s["element"],
-        s["example"],
-        ms,
-        t_final=s["t_final"],
-        rho=s["rho"],
-        mu=s["mu"],
-        lam=s["lam"],
-        solver=s["solver"],
-        solver_tol=s["solver_tol"],
-        force=s["force"],
-    )
+    rows, _ = temporal_study(ms=nt, **s)
     _emit(format_study_csv(rows), s["out"])
     return 0
 
 
-def _run_stability(s) -> int:
-    if s["example"] is None:
-        raise ValueError("stability mode needs --example")
-    if s["dt"] is None:
+def _run_stability(s, nx, nt, dt) -> int:
+    s = _study_settings(s, "stability")
+    if dt is None:
         raise ValueError("stability mode needs --dt (one or more values)")
-    nx = _single(_parse_int_list(s["nx"]), "--nx")
-    dts = _parse_float_list(s["dt"])
+    base = RunConfig(mode="stability", nx=_single(nx, "--nx"), **s)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["dt", "n", "t", "energy"])
     finals = []
-    for dt in dts:
-        t_final, dt, n_steps = resolve_time(s["t_final"], dt, None)
-        cfg = _base_config(s, nx=nx, dt=dt, n_steps=n_steps, t_final=t_final)
+    for step in dt:
+        cfg = _with_time(base, step)
         result = run(cfg)
         for n, (t, e) in enumerate(zip(result.times, result.energy)):
-            writer.writerow([f"{dt:.10g}", n, f"{t:.10g}", f"{e:.10e}"])
-        finals.append((dt, result.energy[-1]))
-    for dt, e in finals:
-        print(f"dt={dt:.10g} final energy = {e:.12e}")
+            writer.writerow([f"{cfg.dt:.10g}", n, f"{t:.10g}", f"{e:.10e}"])
+        finals.append((cfg.dt, result.energy[-1]))
+    for step, e in finals:
+        print(f"dt={step:.10g} final energy = {e:.12e}")
     _emit(buf.getvalue(), s["out"])
     return 0
 
 
-def _run_infsup(s) -> int:
-    ns = _parse_int_list(s["nx"])
-    consts = infsup_constants(s["element"], ns)
+def _run_infsup(s, nx, nt, dt) -> int:
+    consts = infsup_constants(s["element"], nx)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["N", "beta_h"])
-    for n, b in zip(ns, consts):
+    for n, b in zip(nx, consts):
         writer.writerow([n, f"{b:.10e}"])
     _emit(buf.getvalue(), s["out"])
     return 0
@@ -415,27 +355,9 @@ _RUNNERS = {
     "infsup": _run_infsup,
 }
 
-_FILE_PARSERS = {
-    "mode": str,
-    "element": str,
-    "example": int,
-    "nx": str,
-    "nt": str,
-    "dt": str,
-    "t_final": float,
-    "rho": float,
-    "mu": float,
-    "lam": float,
-    "solver": str,
-    "solver_tol": float,
-    "preset": str,
-    "snapshot_every": int,
-    "out": str,
-    "force": lambda v: v.lower() in ("1", "true", "yes"),
-}
-
 
 def _read_config_file(path):
+    """Unparsed ``key = value`` settings of a config file."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -446,9 +368,9 @@ def _read_config_file(path):
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, val = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _FILE_PARSERS:
+            if key not in SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-            out[key] = _FILE_PARSERS[key](val)
+            out[key] = val
     return out
 
 
@@ -457,53 +379,40 @@ def _build_parser():
         prog="viscowave",
         description="Mixed-element velocity-stress wave solver on the unit square.",
     )
-    p.add_argument("--mode", choices=_MODES, help="what to run (default: solve)")
-    p.add_argument("--element", choices=list(FAMILIES), help="element family")
-    p.add_argument("--example", type=int, help="built-in solution id (1, 2, or 3)")
-    p.add_argument("--nx", help="mesh size N, or comma list for study modes")
-    p.add_argument("--nt", help="time steps M, or comma list for temporal mode")
-    p.add_argument("--dt", help="time step, or comma list for stability mode")
-    p.add_argument("--t-final", dest="t_final", type=float, help="final time (default 1.0)")
-    p.add_argument("--rho", type=float, help="density (default 1.0)")
-    p.add_argument("--mu", type=float, help="shear modulus (default 1.0)")
-    p.add_argument("--lambda", dest="lam", type=float, help="first Lame parameter (default 1.0)")
-    p.add_argument("--solver", choices=["direct", "cg"], help="reduced-system solver")
-    p.add_argument("--solver-tol", dest="solver_tol", type=float, help="relative residual bound")
-    p.add_argument("--preset", choices=sorted(PRESETS), help="published study configuration")
-    p.add_argument(
-        "--snapshot-every",
-        dest="snapshot_every",
-        type=int,
-        help="write field snapshots every k steps (solve mode)",
-    )
-    p.add_argument("--out", help="output CSV path (default: stdout)")
+    for s in SETTINGS.values():
+        if s.parser is _flag:
+            p.add_argument(s.option, dest=s.name, action="store_true", default=None, help=s.help)
+            continue
+        help_ = s.help if s.default is None else f"{s.help} (default: {s.default})"
+        p.add_argument(s.option, dest=s.name, choices=s.choices or None, help=help_)
     p.add_argument("--config", help="key=value settings file; flags win")
-    p.add_argument(
-        "--force",
-        action="store_true",
-        default=None,
-        help="accept non-unit materials with the built-in solutions",
-    )
     return p
 
 
+def _settings(args) -> dict:
+    """Every setting, parsed: defaults < config file < preset < flags."""
+    merged = {name: s.default for name, s in SETTINGS.items()}
+    if args.config:
+        merged.update(_read_config_file(args.config))
+    flags = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
+    preset = flags.get("preset", merged["preset"])
+    if preset:
+        merged.update(PRESETS[SETTINGS["preset"].parse(preset)])
+    merged.update(flags)
+    return {
+        name: None if merged[name] is None else s.parse(merged[name])
+        for name, s in SETTINGS.items()
+    }
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        settings = dict(_DEFAULTS)
-        if args.config:
-            settings.update(_read_config_file(args.config))
-        cli_given = {
-            k: v for k, v in vars(args).items() if k != "config" and v is not None
-        }
-        preset = cli_given.get("preset", settings.get("preset"))
-        if preset:
-            if preset not in PRESETS:
-                raise ValueError(f"unknown preset {preset!r}")
-            settings.update(PRESETS[preset])
-        settings.update(cli_given)
-        return _RUNNERS[settings["mode"]](settings)
+        s = _settings(args)
+        del s["preset"]
+        runner = _RUNNERS[s.pop("mode")]
+        nx, nt, dt = (s.pop(key) for key in ("nx", "nt", "dt"))
+        return runner(s, nx, nt, dt)
     except (ValueError, ConvergenceError, SingularBlockError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

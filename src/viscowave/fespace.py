@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .material import VoigtTensor
 from .mesh import StructuredMesh
 from .quadrature import rect_rule
 
@@ -35,12 +34,6 @@ __all__ = [
     "FAMILIES",
     "StressSpace",
     "VelocitySpace",
-    "local_coords",
-    "eval_stress",
-    "eval_velocity",
-    "stress_basis_value",
-    "stress_basis_divergence",
-    "velocity_basis_value",
 ]
 
 NEDELEC = "nedelec-q1q0"
@@ -77,15 +70,6 @@ def _hats_deta(xi, eta):
     del eta
     return 0.25 * np.stack(
         [-(1.0 - xi), -(1.0 + xi), (1.0 + xi), (1.0 - xi)], axis=-1
-    )
-
-
-def local_coords(mesh: StructuredMesh, elem, x, y):
-    """Map physical coordinates to (xi, eta) in [-1, 1]^2 on element ``elem``."""
-    rect = mesh.element_rect(elem)
-    cx, cy = rect.center
-    return (np.asarray(x, float) - cx) / (0.5 * rect.hx), (np.asarray(y, float) - cy) / (
-        0.5 * rect.hy
     )
 
 
@@ -315,46 +299,3 @@ class VelocitySpace:
         lin1 = 3.0 * np.einsum("q,eq->e", rule.weights * xi, fv[..., 0]) / area
         lin2 = 3.0 * np.einsum("q,eq->e", rule.weights * eta, fv[..., 1]) / area
         return np.column_stack([mean[:, 0], lin1, mean[:, 1], lin2]).ravel()
-
-
-def eval_stress(space: StressSpace, coeffs, elem, xi, eta) -> np.ndarray:
-    """Stress field of a coefficient vector on element ``elem`` at local coords."""
-    vals = space.local_values(xi, eta)
-    c = np.asarray(coeffs, float)[space.eldof[elem]]
-    return np.einsum("...la,l->...a", vals, c)
-
-
-def eval_velocity(space: VelocitySpace, coeffs, elem, xi, eta) -> np.ndarray:
-    """Velocity field of a coefficient vector on element ``elem`` at local coords."""
-    vals = space.local_values(xi, eta)
-    c = np.asarray(coeffs, float)[space.eldof[elem]]
-    return np.einsum("...ld,l->...d", vals, c)
-
-
-def _local_point(space, elem, ldof, x, y):
-    if not 0 <= elem < space.mesh.n_elements:
-        raise ValueError(f"element id {elem} out of range")
-    if not 0 <= ldof < space.n_local:
-        raise ValueError(f"local dof {ldof} out of range for {space.family}")
-    xi, eta = local_coords(space.mesh, elem, x, y)
-    if abs(xi) > 1.0 + 1e-12 or abs(eta) > 1.0 + 1e-12:
-        raise ValueError(f"point ({x}, {y}) lies outside element {elem}")
-    return xi, eta
-
-
-def stress_basis_value(space: StressSpace, elem, ldof, x, y) -> VoigtTensor:
-    """Value of one local stress basis function at a physical point of its element."""
-    xi, eta = _local_point(space, elem, ldof, x, y)
-    return VoigtTensor(*space.local_values(xi, eta)[ldof])
-
-
-def stress_basis_divergence(space: StressSpace, elem, ldof, x, y) -> np.ndarray:
-    """Divergence of one local stress basis function at a physical point."""
-    xi, eta = _local_point(space, elem, ldof, x, y)
-    return space.local_divergence(xi, eta)[ldof]
-
-
-def velocity_basis_value(space: VelocitySpace, elem, ldof, x, y) -> np.ndarray:
-    """Value of one local velocity basis function at a physical point."""
-    xi, eta = _local_point(space, elem, ldof, x, y)
-    return space.local_values(xi, eta)[ldof]

@@ -23,7 +23,6 @@ __all__ = [
     "block_diag_inverse",
     "build_schur",
     "SchurSolver",
-    "solve",
 ]
 
 
@@ -73,13 +72,16 @@ class SchurSolver:
     def __init__(self, S: sp.csr_matrix, method: str, tol: float):
         if method not in ("direct", "cg"):
             raise ValueError(f"unknown solve method {method!r}")
-        if not tol > 0.0:
-            raise ValueError(f"tolerance must be positive, got {tol}")
+        if not 0.0 < tol < 1.0:
+            raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
         self.S = S
         self.method = method
         self.tol = tol
         if method == "direct":
-            self._lu = spla.splu(S.tocsc(), permc_spec="COLAMD")
+            try:
+                self._lu = spla.splu(S.tocsc(), permc_spec="COLAMD")
+            except RuntimeError as err:
+                raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
             self._precond = None
         else:
             d = S.diagonal()
@@ -124,8 +126,8 @@ def build_schur(
     B: sp.spmatrix,
     Cinv: sp.spmatrix,
     dt: float,
-    method: str = "direct",
-    tol: float = 1e-12,
+    method: str,
+    tol: float,
 ) -> SchurSolver:
     """Form S = (1/dt + 1/2) A + (dt/4) B^T Cinv B and prepare its solver."""
     if not dt > 0.0:
@@ -137,8 +139,3 @@ def build_schur(
         )
     S = (1.0 / dt + 0.5) * A + (0.25 * dt) * (B.T @ Cinv @ B)
     return SchurSolver(sp.csr_matrix(S), method, tol)
-
-
-def solve(solver: SchurSolver, rhs: np.ndarray) -> np.ndarray:
-    """Function form of ``SchurSolver.solve``."""
-    return solver.solve(rhs)

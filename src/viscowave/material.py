@@ -15,12 +15,14 @@ compliance, so M0 ||t||^2 <= Cinv t : t <= M1 ||t||^2 pointwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "VOIGT_DOT",
     "VoigtTensor",
     "IsotropicMaterial",
     "voigt_inner",
@@ -28,6 +30,10 @@ __all__ = [
     "apply_compliance",
     "compliance_bounds",
 ]
+
+
+# Weight of the tensor dot product on Voigt triples: s : t = s @ VOIGT_DOT @ t.
+VOIGT_DOT = np.diag([1.0, 1.0, 2.0])
 
 
 class VoigtTensor(NamedTuple):
@@ -47,6 +53,9 @@ class IsotropicMaterial:
     lam: float = 1.0
 
     def __post_init__(self):
+        for name in ("rho", "mu", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.rho > 0.0):
             raise ValueError(f"density must be positive, got {self.rho}")
         if not (self.mu > 0.0):
@@ -90,9 +99,7 @@ def _apply(matrix: np.ndarray, tensor):
 
 def voigt_inner(a, b):
     """Tensor dot product of Voigt triples; broadcasts over leading axes."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + 2.0 * a[..., 2] * b[..., 2]
+    return (np.asarray(a, dtype=float) * np.asarray(b, dtype=float)) @ VOIGT_DOT.diagonal()
 
 
 def apply_stiffness(material: IsotropicMaterial, strain):

@@ -20,7 +20,6 @@ __all__ = [
     "triangle_rule",
     "rect_rule",
     "lumped_rect_rule",
-    "integrate",
 ]
 
 _SQRT15 = math.sqrt(15.0)
@@ -106,11 +105,3 @@ def lumped_rect_rule(rect) -> QuadratureRule:
     if area <= 0.0:
         raise ValueError("degenerate rectangle")
     return QuadratureRule(c, np.full(4, 0.25 * area))
-
-
-def integrate(rule: QuadratureRule, f) -> float:
-    """Apply the rule to ``f(x, y)``; ``f`` must vectorize over coordinate arrays."""
-    vals = np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-    if vals.shape != rule.weights.shape:
-        raise ValueError(f"integrand returned shape {vals.shape}, expected {rule.weights.shape}")
-    return float(rule.weights @ vals)

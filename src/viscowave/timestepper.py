@@ -14,6 +14,7 @@ solver precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .material import IsotropicMaterial
 from .mesh import StructuredMesh
 from .mms import exact_fields
 
-__all__ = ["SimState", "TimeGrid", "RunResult", "init_state", "cn_step", "CNStepper", "run"]
+__all__ = ["SimState", "resolve_time", "TimeGrid", "RunResult", "init_state", "CNStepper", "run"]
 
 
 @dataclass
@@ -41,6 +42,31 @@ class SimState:
         return SimState(self.alpha.copy(), self.beta.copy(), self.t)
 
 
+def resolve_time(t_final, dt=None, n_steps=None):
+    """Fill in the missing one of (dt, n_steps) and check dt * M = T.
+
+    ``t_final`` and a given ``dt`` must be finite and positive and a given
+    ``n_steps`` a positive integer; with neither given, M = 200.  Returns
+    ``(t_final, dt, n_steps)`` as (float, float, int).
+    """
+    if not (math.isfinite(t_final) and t_final > 0.0):
+        raise ValueError(f"final time must be finite and positive, got {t_final}")
+    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"time step must be finite and positive, got {dt}")
+    if n_steps is not None and not (n_steps >= 1 and float(n_steps).is_integer()):
+        raise ValueError(f"step count must be a positive integer, got {n_steps}")
+    if dt is None:
+        n_steps = 200 if n_steps is None else n_steps
+        dt = t_final / n_steps
+    elif n_steps is None:
+        if not math.isfinite(t_final / dt):
+            raise ValueError(f"time step {dt} is too small for final time {t_final}")
+        n_steps = round(t_final / dt)
+    if n_steps < 1 or abs(dt * n_steps - t_final) > 1e-9 * max(1.0, t_final):
+        raise ValueError(f"dt = {dt} and M = {n_steps} do not partition [0, {t_final}]")
+    return float(t_final), float(dt), int(n_steps)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform partition of [0, t_final] into n_steps steps."""
@@ -49,10 +75,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.t_final > 0.0:
-            raise ValueError(f"final time must be positive, got {self.t_final}")
-        if self.n_steps < 1 or int(self.n_steps) != self.n_steps:
-            raise ValueError(f"step count must be a positive integer, got {self.n_steps}")
+        resolve_time(self.t_final, None, self.n_steps)
 
     @property
     def dt(self) -> float:
@@ -117,15 +140,6 @@ class CNStepper:
         return SimState(a_new, b_new, state.t + dt)
 
 
-def cn_step(
-    system: AssembledSystem, solver: SchurSolver, state: SimState, f, dt: float
-) -> SimState:
-    """Advance one step; ``f(x, y, t) -> (..., 2)`` or ``None`` for no forcing."""
-    stepper = CNStepper(system, solver)
-    load = stepper.midpoint_load(f, state.t, dt)
-    return stepper.advance(state, load, dt)
-
-
 @dataclass
 class RunResult:
     """Trajectory diagnostics of one run."""
@@ -149,19 +163,20 @@ def run(config) -> RunResult:
     The configuration must carry ``element``, ``nx``, ``dt``, ``n_steps``,
     ``t_final``, ``rho``, ``mu``, ``lam``, ``solver``, ``solver_tol``,
     ``example`` (``None`` for an unforced zero-data run), ``force``, and
-    ``snapshot_every``.  Mass lumping is applied exactly when the element
-    family is ``nedelec-q1q0``.
+    ``snapshot_every``.  Either of ``dt`` and ``n_steps`` may be ``None``
+    (see ``resolve_time``); the steps are ``t_final / n_steps`` long.  Mass
+    lumping is applied exactly when the element family is ``nedelec-q1q0``.
     """
-    grid = TimeGrid(config.t_final, config.n_steps)
+    t_final, _, n_steps = resolve_time(config.t_final, config.dt, config.n_steps)
+    grid = TimeGrid(t_final, n_steps)
     dt = grid.dt
-    if config.dt is not None and abs(config.dt * config.n_steps - config.t_final) > 1e-9 * max(
-        1.0, config.t_final
-    ):
-        raise ValueError(
-            f"dt * n_steps = {config.dt * config.n_steps} does not match "
-            f"t_final = {config.t_final}"
-        )
+    every = getattr(config, "snapshot_every", None)
+    if every is not None and not every >= 1:
+        raise ValueError(f"snapshot interval must be at least 1, got {every}")
     material = IsotropicMaterial(rho=config.rho, mu=config.mu, lam=config.lam)
+    solution = None
+    if config.example is not None:
+        solution = exact_fields(config.example, material, force=getattr(config, "force", False))
     mesh = StructuredMesh(config.nx, config.nx)
     stress_space = StressSpace(mesh, config.element)
     velocity_space = VelocitySpace(mesh, config.element)
@@ -179,9 +194,7 @@ def run(config) -> RunResult:
         ),
     )
 
-    solution = None
-    if config.example is not None:
-        solution = exact_fields(config.example, material, force=getattr(config, "force", False))
+    if solution:
         state = init_state(
             stress_space,
             velocity_space,
@@ -200,7 +213,6 @@ def run(config) -> RunResult:
         stress_err = analysis.StressErrorEvaluator(stress_space, material)
         vel_err = analysis.VelocityErrorEvaluator(velocity_space, material)
 
-    every = getattr(config, "snapshot_every", None)
     snapshots = []
 
     def record(n, st):

@@ -31,15 +31,14 @@ from viscowave.fespace import (
     NEDELEC,
     StressSpace,
     VelocitySpace,
-    eval_stress,
-    eval_velocity,
-    local_coords,
 )
 from viscowave.linalg import block_diag_inverse, build_schur
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields, verify_residuals
 from viscowave.timestepper import CNStepper, SimState, run
+
+from fehelpers import eval_stress, eval_velocity, local_coords
 
 UNIT = IsotropicMaterial()
 
@@ -214,6 +213,8 @@ def test_criterion_5_discrete_energy_identity(capsys):
                 system.B,
                 block_diag_inverse(system.C, vs.n_local),
                 dt,
+                "direct",
+                1e-12,
             ),
         )
         rng = np.random.default_rng(42)

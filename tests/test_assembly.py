@@ -20,12 +20,12 @@ from viscowave.fespace import (
     NEDELEC,
     StressSpace,
     VelocitySpace,
-    eval_stress,
-    eval_velocity,
 )
 from viscowave.material import IsotropicMaterial, compliance_bounds
 from viscowave.mesh import StructuredMesh
 from viscowave.quadrature import rect_rule
+
+from fehelpers import eval_velocity
 
 UNIT = IsotropicMaterial()
 

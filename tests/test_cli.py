@@ -8,9 +8,13 @@ import sys
 import numpy as np
 import pytest
 
+from viscowave import timestepper
 from viscowave.cli import (
     CSV_HEADER,
     PRESETS,
+    SETTINGS,
+    _build_parser,
+    _settings,
     convergence_study,
     format_study_csv,
     main,
@@ -50,6 +54,18 @@ def test_resolve_time_rejects_mismatch():
         resolve_time(1.0, 0.3, 4)
     with pytest.raises(ValueError):
         resolve_time(-1.0, None, None)
+    for args in [
+        (float("inf"), None, 4),
+        (float("nan"), None, 4),
+        (1.0, 0.0, None),
+        (1.0, float("inf"), None),
+        (1.0, 1e-320, None),  # T / dt overflows
+        (1.0, None, 0),
+        (1.0, None, 2.5),
+        (1.0, 2.0, None),
+    ]:
+        with pytest.raises(ValueError):
+            resolve_time(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +364,97 @@ def test_argparse_rejects_unknown_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--mode", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--nx", "2", "--nt", "0"],
+        ["--mode", "temporal-convergence", "--example", "1", "--nt", "0"],
+        ["--mode", "stability", "--example", "1", "--dt", "0", "--nx", "2"],
+        ["--nx", "2", "--nt", "2", "--t-final", "inf"],
+        ["--nx", "2", "--nt", "2", "--snapshot-every", "0"],
+    ],
+    ids=["nt-zero", "temporal-nt-zero", "stability-dt-zero", "t-final-inf", "snapshot-every-zero"],
+)
+def test_bad_time_and_count_inputs_error_exit(argv, capsys):
+    code, _, err = run_main(argv, capsys)
+    assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--lambda", "inf", "--nx", "2", "--nt", "2"], "lam must be finite"),
+        (["--mu", "1e-300", "--example", "1", "--nx", "2", "--nt", "2"], "unit material"),
+        (["--mu", "1e-300", "--nx", "2", "--nt", "2"], "cannot be factored"),
+        (["--solver", "cg", "--solver-tol", "inf", "--nx", "2", "--nt", "2"], "tolerance"),
+    ],
+    ids=["lambda-inf", "mu-tiny-unforced", "mu-tiny-singular-factor", "solver-tol-inf"],
+)
+def test_bad_material_and_solver_inputs_error_exit(argv, message, capsys):
+    code, _, err = run_main(argv, capsys)
+    assert code == 1 and err.startswith("error:") and message in err
+
+
+def test_unit_material_check_precedes_assembly(monkeypatch, capsys):
+    def assemble_system(*args, **kwargs):
+        raise AssertionError("assembled before the material check")
+
+    monkeypatch.setattr(timestepper, "assemble_system", assemble_system)
+    code, _, err = run_main(["--mu", "2", "--example", "1", "--nx", "2", "--nt", "2"], capsys)
+    assert code == 1 and "unit material" in err
+
+
+# one non-default value per setting, as it is written after the flag or the '='
+_SETTING_SAMPLES = {
+    "mode": "stability",
+    "element": "hmz",
+    "example": "2",
+    "nx": "2,4",
+    "nt": "3",
+    "dt": "0.25,0.5",
+    "t_final": "0.5",
+    "rho": "2.5",
+    "mu": "0.75",
+    "lam": "3",
+    "solver": "cg",
+    "solver_tol": "1e-9",
+    "preset": "table7",
+    "snapshot_every": "3",
+    "out": "x.csv",
+    "force": "true",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_setting_flag_and_config_file_agree(name, tmp_path):
+    assert set(_SETTING_SAMPLES) == set(SETTINGS)
+    parser = _build_parser()
+    value = _SETTING_SAMPLES[name]
+    setting = SETTINGS[name]
+    flag_argv = [setting.option] if name == "force" else [setting.option, value]
+    from_flag = _settings(parser.parse_args(flag_argv))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+    from_file = _settings(parser.parse_args(["--config", str(cfg)]))
+    assert from_flag[name] == from_file[name]
+    assert from_flag[name] != _settings(parser.parse_args([]))[name]
+
+
+def test_config_file_rejects_flag_only_names(tmp_path, capsys):
+    for line in ("config = other.cfg\n", "lambda = 2\n"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line)
+        code, _, err = run_main(["--config", str(cfg)], capsys)
+        assert code == 1 and "unknown setting" in err
+
+
+def test_config_file_value_outside_choices_errors(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("mode = bogus\n")
+    code, _, err = run_main(["--config", str(cfg)], capsys)
+    assert code == 1 and err.startswith("error:") and "mode" in err
 
 
 def test_console_script_installed():

@@ -9,6 +9,10 @@ from viscowave.fespace import (
     NEDELEC,
     StressSpace,
     VelocitySpace,
+)
+from viscowave.mesh import StructuredMesh
+
+from fehelpers import (
     eval_stress,
     eval_velocity,
     local_coords,
@@ -16,7 +20,6 @@ from viscowave.fespace import (
     stress_basis_value,
     velocity_basis_value,
 )
-from viscowave.mesh import StructuredMesh
 
 
 def hmz_dim(nx, ny):

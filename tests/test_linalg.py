@@ -12,10 +12,11 @@ from viscowave.linalg import (
     SingularBlockError,
     block_diag_inverse,
     build_schur,
-    solve,
 )
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
+
+TOL = 1e-12
 
 
 def random_block_diag(rng, nb, b, spd=True):
@@ -74,7 +75,7 @@ def test_build_schur_formula():
     system = hmz_system()
     dt = 0.1
     Cinv = block_diag_inverse(system.C, 4)
-    solver = build_schur(system.A, system.B, Cinv, dt)
+    solver = build_schur(system.A, system.B, Cinv, dt, "direct", TOL)
     S = (1.0 / dt + 0.5) * system.A + 0.25 * dt * (
         system.B.T @ Cinv @ system.B
     )
@@ -85,18 +86,18 @@ def test_build_schur_validation():
     system = hmz_system()
     Cinv = block_diag_inverse(system.C, 4)
     with pytest.raises(ValueError):
-        build_schur(system.A, system.B, Cinv, 0.0)
+        build_schur(system.A, system.B, Cinv, 0.0, "direct", TOL)
     with pytest.raises(ValueError):
-        build_schur(system.A, system.B.T, Cinv, 0.1)  # wrong orientation
+        build_schur(system.A, system.B.T, Cinv, 0.1, "direct", TOL)  # wrong orientation
     with pytest.raises(ValueError):
-        build_schur(system.A, system.B, Cinv, 0.1, method="gmres")
+        build_schur(system.A, system.B, Cinv, 0.1, "gmres", TOL)
 
 
 @pytest.mark.parametrize("method", ["direct", "cg"])
 def test_solve_matches_dense(method):
     system = hmz_system()
     Cinv = block_diag_inverse(system.C, 4)
-    solver = build_schur(system.A, system.B, Cinv, 0.05, method=method)
+    solver = build_schur(system.A, system.B, Cinv, 0.05, method, TOL)
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(system.A.shape[0])
     x = solver.solve(rhs)
@@ -109,8 +110,8 @@ def test_solve_matches_dense(method):
 def test_direct_and_cg_agree():
     system = hmz_system(3)
     Cinv = block_diag_inverse(system.C, 4)
-    d = build_schur(system.A, system.B, Cinv, 0.01, method="direct")
-    c = build_schur(system.A, system.B, Cinv, 0.01, method="cg")
+    d = build_schur(system.A, system.B, Cinv, 0.01, "direct", TOL)
+    c = build_schur(system.A, system.B, Cinv, 0.01, "cg", TOL)
     rhs = np.sin(np.arange(system.A.shape[0], dtype=float))
     np.testing.assert_allclose(d.solve(rhs), c.solve(rhs), rtol=1e-7, atol=1e-13)
 
@@ -118,17 +119,9 @@ def test_direct_and_cg_agree():
 def test_zero_rhs_shortcut():
     system = hmz_system()
     Cinv = block_diag_inverse(system.C, 4)
-    solver = build_schur(system.A, system.B, Cinv, 0.1)
+    solver = build_schur(system.A, system.B, Cinv, 0.1, "direct", TOL)
     x = solver.solve(np.zeros(system.A.shape[0]))
     assert np.all(x == 0.0)
-
-
-def test_module_level_solve():
-    system = hmz_system()
-    Cinv = block_diag_inverse(system.C, 4)
-    solver = build_schur(system.A, system.B, Cinv, 0.1)
-    rhs = np.ones(system.A.shape[0])
-    np.testing.assert_allclose(solve(solver, rhs), solver.solve(rhs), atol=0)
 
 
 def test_unreachable_tolerance_raises():
@@ -152,6 +145,10 @@ def test_solver_constructor_validation():
     ind = sp.diags([1.0, -1.0, 1.0, 1.0]).tocsr()
     with pytest.raises(SingularBlockError):
         SchurSolver(ind, "cg", 1e-12)  # Jacobi preconditioner needs positive diagonal
+    with pytest.raises(SingularBlockError, match="cannot be factored"):
+        SchurSolver(sp.diags([1.0, 0.0, 1.0]).tocsr(), "direct", 1e-12)
+    with pytest.raises(ValueError):
+        SchurSolver(S, "cg", np.inf)  # a relative residual bound of 1 or more certifies nothing
 
 
 def test_schur_spd_for_nedelec_lumped():
@@ -160,7 +157,7 @@ def test_schur_spd_for_nedelec_lumped():
     vs = VelocitySpace(mesh, NEDELEC)
     system = assemble_system(ss, vs, IsotropicMaterial(), lumped=True)
     Cinv = block_diag_inverse(system.C, 2)
-    solver = build_schur(system.A, system.B, Cinv, 0.005)
+    solver = build_schur(system.A, system.B, Cinv, 0.005, "direct", TOL)
     dense = solver.S.toarray()
     np.testing.assert_allclose(dense, dense.T, atol=1e-13)
     assert np.linalg.eigvalsh(dense).min() > 0.0

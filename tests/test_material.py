@@ -100,7 +100,16 @@ def test_voigt_tensor_passthrough():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [dict(rho=0.0), dict(rho=-1.0), dict(mu=0.0), dict(lam=-0.5)]
+    "kwargs",
+    [
+        dict(rho=0.0),
+        dict(rho=-1.0),
+        dict(mu=0.0),
+        dict(lam=-0.5),
+        dict(rho=np.inf),
+        dict(mu=np.nan),
+        dict(lam=np.inf),
+    ],
 )
 def test_invalid_parameters_rejected(kwargs):
     with pytest.raises(ValueError):

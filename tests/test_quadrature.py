@@ -8,11 +8,12 @@ import pytest
 from viscowave.mesh import ElementRect
 from viscowave.quadrature import (
     QuadratureRule,
-    integrate,
     lumped_rect_rule,
     rect_rule,
     triangle_rule,
 )
+
+from fehelpers import integrate
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_RECT = ElementRect(0.0, 0.0, 1.0, 1.0)

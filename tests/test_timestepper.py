@@ -16,7 +16,6 @@ from viscowave.timestepper import (
     CNStepper,
     SimState,
     TimeGrid,
-    cn_step,
     init_state,
     run,
 )
@@ -40,7 +39,17 @@ def make_solver(system, dt, method="direct"):
         block_diag_inverse(system.C, system.velocity_space.n_local),
         dt,
         method=method,
+        tol=1e-12,
     )
+
+
+def make_stepper(system, dt, method="direct"):
+    return CNStepper(system, make_solver(system, dt, method))
+
+
+def step(stepper, state, f, dt):
+    """One Crank-Nicolson step from ``state`` with body force ``f``."""
+    return stepper.advance(state, stepper.midpoint_load(f, state.t, dt), dt)
 
 
 def run_config(**kw):
@@ -119,7 +128,7 @@ def test_step_satisfies_midpoint_equations(family):
     # residuals of both coupled update equations vanish after elimination
     system = make_system(3, family)
     dt = 0.05
-    solver = make_solver(system, dt)
+    stepper = make_stepper(system, dt)
     rng = np.random.default_rng(42)
     state = SimState(
         alpha=rng.standard_normal(system.A.shape[0]),
@@ -131,7 +140,7 @@ def test_step_satisfies_midpoint_equations(family):
         x = np.asarray(x)
         return np.stack([np.sin(x + t), np.cos(3 * np.asarray(y) - t)], axis=-1)
 
-    new = cn_step(system, solver, state, f, dt)
+    new = step(stepper, state, f, dt)
     F = 0.5 * (
         assemble_load(system.velocity_space, f, 0.0)
         + assemble_load(system.velocity_space, f, dt)
@@ -154,14 +163,14 @@ def test_step_matches_dense_block_solve():
     # one element keeps the monolithic system small enough to solve directly
     system = make_system(1, HMZ)
     dt = 0.2
-    solver = make_solver(system, dt)
+    stepper = make_stepper(system, dt)
     rng = np.random.default_rng(3)
     state = SimState(
         alpha=rng.standard_normal(system.A.shape[0]),
         beta=rng.standard_normal(system.C.shape[0]),
         t=0.0,
     )
-    new = cn_step(system, solver, state, None, dt)
+    new = step(stepper, state, None, dt)
 
     A = system.A.toarray()
     B = system.B.toarray()
@@ -185,9 +194,9 @@ def test_step_matches_dense_block_solve():
 
 def test_zero_state_stays_zero():
     system = make_system(2, NEDELEC)
-    solver = make_solver(system, 0.1)
+    stepper = make_stepper(system, 0.1)
     state = init_state(system.stress_space, system.velocity_space)
-    new = cn_step(system, solver, state, None, 0.1)
+    new = step(stepper, state, None, 0.1)
     assert np.all(new.alpha == 0.0) and np.all(new.beta == 0.0)
 
 
@@ -202,10 +211,10 @@ def test_cg_and_direct_trajectories_agree():
     )
     outs = {}
     for method in ("direct", "cg"):
-        solver = make_solver(system, dt, method)
+        stepper = make_stepper(system, dt, method)
         st = init.copy()
         for _ in range(5):
-            st = cn_step(system, solver, st, None, dt)
+            st = step(stepper, st, None, dt)
         outs[method] = st
     np.testing.assert_allclose(outs["direct"].alpha, outs["cg"].alpha, atol=1e-9)
     np.testing.assert_allclose(outs["direct"].beta, outs["cg"].beta, atol=1e-9)
@@ -227,7 +236,7 @@ def test_energy_identity_unforced(family):
     # E^J + 2 dt sum ||alpha at midpoints||_A^2 telescopes exactly to E^0
     system = make_system(4, family)
     dt = 0.05
-    solver = make_solver(system, dt)
+    stepper = make_stepper(system, dt)
     rng = np.random.default_rng(7)
     state = SimState(
         alpha=rng.standard_normal(system.A.shape[0]),
@@ -236,7 +245,7 @@ def test_energy_identity_unforced(family):
     )
     states = [state]
     for _ in range(12):
-        states.append(cn_step(system, solver, states[-1], None, dt))
+        states.append(step(stepper, states[-1], None, dt))
     defects = energy_residuals(system, states, dt)
     assert np.abs(defects).max() <= 1e-10
 
@@ -245,7 +254,7 @@ def test_energy_identity_unforced(family):
 def test_energy_monotone_decay_unforced(family):
     system = make_system(3, family)
     dt = 0.25  # deliberately coarse: decay must not depend on dt
-    solver = make_solver(system, dt)
+    stepper = make_stepper(system, dt)
     rng = np.random.default_rng(19)
     state = SimState(
         alpha=rng.standard_normal(system.A.shape[0]),
@@ -254,7 +263,7 @@ def test_energy_monotone_decay_unforced(family):
     )
     es = [energy(system, state)]
     for _ in range(10):
-        state = cn_step(system, solver, state, None, dt)
+        state = step(stepper, state, None, dt)
         es.append(energy(system, state))
     es = np.array(es)
     assert np.all(np.diff(es) <= 1e-14 * es[0])
@@ -307,7 +316,7 @@ def test_run_matches_manual_stepping():
     res = run(cfg)
     system = make_system(3, HMZ)
     dt = 0.2
-    solver = make_solver(system, dt)
+    stepper = make_stepper(system, dt)
     sol = exact_fields(2)
     state = init_state(
         system.stress_space,
@@ -316,6 +325,6 @@ def test_run_matches_manual_stepping():
         v0=lambda x, y: sol.v(x, y, 0.0),
     )
     for k in range(5):
-        state = cn_step(system, solver, state, sol.f, dt)
+        state = step(stepper, state, sol.f, dt)
     np.testing.assert_allclose(res.final_state.alpha, state.alpha, atol=1e-12)
     np.testing.assert_allclose(res.final_state.beta, state.beta, atol=1e-12)
