@@ -17,8 +17,6 @@ from .assembly import (
     assemble_div_gram,
     assemble_stress_gram,
     assemble_velocity_gram,
-    _local_rule,
-    _quad_points,
 )
 from .fespace import StressSpace, VelocitySpace
 from .material import VOIGT_DOT, IsotropicMaterial
@@ -33,44 +31,38 @@ __all__ = [
     "infsup_constants",
 ]
 
-class StressErrorEvaluator:
+class _ErrorEvaluator:
+    """Weighted L2 distance between a coefficient field and a reference field.
+
+    ``weight`` is the (d, d) pointwise weight of the norm; it is tiled with
+    the quadrature weights into one (nq * d, nq * d) matrix per element.
+    """
+
+    def __init__(self, space, weight):
+        self.space = space
+        self.quad = space.quad
+        self.weight = np.kron(np.diag(self.quad.weights), weight)
+
+    def __call__(self, coeffs, field, t: float) -> float:
+        q = self.quad
+        diff = np.asarray(coeffs, float)[self.space.eldof] @ q.basis
+        diff -= np.asarray(field(q.x, q.y, t), float).reshape(diff.shape)
+        val = np.vdot(diff @ self.weight, diff)
+        return float(np.sqrt(max(val, 0.0)))
+
+
+class StressErrorEvaluator(_ErrorEvaluator):
     """a-norm distance between a coefficient field and a reference tensor field."""
 
     def __init__(self, space: StressSpace, material: IsotropicMaterial):
-        self.space = space
-        self.weight3 = VOIGT_DOT @ material.compliance_matrix()
-        w, xi, eta = _local_rule(space.mesh)
-        self.qweights = w
-        self.basis = space.local_values(xi, eta)
-        self.points, _ = _quad_points(space.mesh)
-
-    def __call__(self, coeffs, field, t: float) -> float:
-        sig_h = np.einsum(
-            "qla,el->eqa", self.basis, np.asarray(coeffs, float)[self.space.eldof]
-        )
-        diff = sig_h - np.asarray(field(self.points[..., 0], self.points[..., 1], t), float)
-        val = np.einsum("eqa,ab,eqb,q->", diff, self.weight3, diff, self.qweights)
-        return float(np.sqrt(max(val, 0.0)))
+        super().__init__(space, VOIGT_DOT @ material.compliance_matrix())
 
 
-class VelocityErrorEvaluator:
+class VelocityErrorEvaluator(_ErrorEvaluator):
     """c-norm distance between a coefficient field and a reference vector field."""
 
     def __init__(self, space: VelocitySpace, material: IsotropicMaterial):
-        self.space = space
-        self.rho = material.rho
-        w, xi, eta = _local_rule(space.mesh)
-        self.qweights = w
-        self.basis = space.local_values(xi, eta)
-        self.points, _ = _quad_points(space.mesh)
-
-    def __call__(self, coeffs, field, t: float) -> float:
-        v_h = np.einsum(
-            "qld,el->eqd", self.basis, np.asarray(coeffs, float)[self.space.eldof]
-        )
-        diff = v_h - np.asarray(field(self.points[..., 0], self.points[..., 1], t), float)
-        val = self.rho * np.einsum("eqd,eqd,q->", diff, diff, self.qweights)
-        return float(np.sqrt(max(val, 0.0)))
+        super().__init__(space, material.rho * np.eye(2))
 
 
 def convergence_orders(pairs) -> list[float]:

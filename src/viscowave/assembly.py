@@ -39,14 +39,6 @@ def _local_rule(mesh, lumped=False):
     return rule.weights, xi, eta
 
 
-def _quad_points(mesh):
-    """Physical composite-rule points of every element, shape (n_elements, nq, 2)."""
-    rect = mesh.element_rect(0)
-    rule = rect_rule(rect)
-    offsets = rule.points - np.asarray(rect.center)
-    return mesh.element_centers()[:, None, :] + offsets, rule.weights
-
-
 def _scatter(local, row_dofs, col_dofs, shape):
     ne, nr = row_dofs.shape
     nc = col_dofs.shape[1]
@@ -150,13 +142,12 @@ def assemble_load(space: VelocitySpace, f, t: float) -> np.ndarray:
     ``f`` must vectorize over coordinate arrays and return vectors in the
     last axis.
     """
-    pts, w = _quad_points(space.mesh)
-    fv = np.asarray(f(pts[..., 0], pts[..., 1], t), float)
-    if fv.shape != pts.shape:
-        raise ValueError(f"body force returned shape {fv.shape}, expected {pts.shape}")
-    _, xi, eta = _local_rule(space.mesh)
-    vals = space.local_values(xi, eta)
-    local = np.einsum("eqd,qld,q->el", fv, vals, w)
+    q = space.quad
+    fv = np.asarray(f(q.x, q.y, t), float)
+    expected = q.x.shape + (2,)
+    if fv.shape != expected:
+        raise ValueError(f"body force returned shape {fv.shape}, expected {expected}")
+    local = fv.reshape(len(fv), -1) @ q.weighted
     return np.bincount(
         space.eldof.ravel(), weights=local.ravel(), minlength=space.dim
     )

@@ -413,7 +413,7 @@ def main(argv=None) -> int:
         runner = _RUNNERS[s.pop("mode")]
         nx, nt, dt = (s.pop(key) for key in ("nx", "nt", "dt"))
         return runner(s, nx, nt, dt)
-    except (ValueError, ConvergenceError, SingularBlockError, OSError) as err:
+    except (ValueError, ConvergenceError, SingularBlockError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

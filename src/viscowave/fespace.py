@@ -23,6 +23,9 @@ functionals; velocity coefficients come from element-local L2 projection.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .mesh import StructuredMesh
@@ -32,6 +35,8 @@ __all__ = [
     "NEDELEC",
     "HMZ",
     "FAMILIES",
+    "QuadKernel",
+    "quad_kernel",
     "StressSpace",
     "VelocitySpace",
 ]
@@ -73,7 +78,57 @@ def _hats_deta(xi, eta):
     )
 
 
-class StressSpace:
+@dataclass(frozen=True)
+class QuadKernel:
+    """The composite degree-5 rule on every element, with the local basis there.
+
+    ``x`` and ``y`` are the physical points, shape (n_elements, nq);
+    ``weights`` (nq,) are the rule weights, the same on every element.
+    ``basis`` has shape (n_local, nq * d), with ``basis[l, q * d + c]``
+    component c of local function l at point q, so ``coeffs[eldof] @ basis``
+    is a discrete field at every point, shape (n_elements, nq * d).
+    ``weighted`` (nq * d, n_local) is ``basis`` times the weights, transposed,
+    so ``values.reshape(n_elements, -1) @ weighted`` integrates a field
+    against every local function.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    weights: np.ndarray
+    basis: np.ndarray
+    weighted: np.ndarray
+
+
+def quad_kernel(space) -> QuadKernel:
+    """Build the composite-rule kernel of a stress or velocity space."""
+    mesh = space.mesh
+    rect = mesh.element_rect(0)
+    rule = rect_rule(rect)
+    offsets = rule.points - np.asarray(rect.center)
+    centers = mesh.element_centers()
+    xi = offsets[:, 0] / (0.5 * rect.hx)
+    eta = offsets[:, 1] / (0.5 * rect.hy)
+    vals = space.local_values(xi, eta)
+    nq, n_local, d = vals.shape
+    basis = np.ascontiguousarray(vals.transpose(1, 0, 2).reshape(n_local, nq * d))
+    return QuadKernel(
+        x=centers[:, 0, None] + offsets[:, 0],
+        y=centers[:, 1, None] + offsets[:, 1],
+        weights=rule.weights,
+        basis=basis,
+        weighted=np.ascontiguousarray((basis * np.repeat(rule.weights, d)).T),
+    )
+
+
+class _Space:
+    """What both spaces share: the quadrature kernel, built on first use."""
+
+    @cached_property
+    def quad(self) -> QuadKernel:
+        return quad_kernel(self)
+
+
+class StressSpace(_Space):
     """Global tensor-valued stress space of one element family.
 
     Attributes
@@ -91,6 +146,8 @@ class StressSpace:
         ``vertex``, ``edge``, or ``interior``.
     dof_point : ndarray, shape (dim, 2)
         Collocation point of each degree-of-freedom functional.
+    quad : QuadKernel
+        The composite-rule kernel, built on first use and kept with the space.
     """
 
     def __init__(self, mesh: StructuredMesh, family: str):
@@ -245,7 +302,7 @@ class StressSpace:
         return np.concatenate([f_vm[:, 0], bub11, f_hm[:, 1], bub22, vv[:, 2]])
 
 
-class VelocitySpace:
+class VelocitySpace(_Space):
     """Element-wise vector velocity space partnered with one stress family."""
 
     def __init__(self, mesh: StructuredMesh, family: str):
@@ -278,24 +335,14 @@ class VelocitySpace:
         return out
 
     def project(self, field) -> np.ndarray:
-        """Element-local L2 projection of ``field(x, y) -> (..., 2)``."""
-        m = self.mesh
-        rule = rect_rule(m.element_rect(0))
-        rect0 = m.element_rect(0)
-        cx, cy = rect0.center
-        offsets = rule.points - np.array([cx, cy])
-        pts = m.element_centers()[:, None, :] + offsets
-        fv = np.asarray(field(pts[..., 0], pts[..., 1]), float)
-        if fv.shape != (m.n_elements, rule.weights.size, 2):
+        """Element-local L2 projection of ``field(x, y) -> (..., 2)``.
+
+        The local basis is L2-orthogonal on every element, so the projection
+        is the load of the field divided by the diagonal of the local mass.
+        """
+        q = self.quad
+        fv = np.asarray(field(q.x, q.y), float)
+        if fv.shape != q.x.shape + (2,):
             raise ValueError(f"velocity field returned shape {fv.shape}")
-        area = m.hx * m.hy
-        mean = np.einsum("q,eqd->ed", rule.weights, fv) / area
-        if self.family == NEDELEC:
-            return mean.ravel()
-        # The {1, xi} pair is L2-orthogonal on the element, and the integral
-        # of xi^2 is area/3.
-        xi = offsets[:, 0] / (0.5 * m.hx)
-        eta = offsets[:, 1] / (0.5 * m.hy)
-        lin1 = 3.0 * np.einsum("q,eq->e", rule.weights * xi, fv[..., 0]) / area
-        lin2 = 3.0 * np.einsum("q,eq->e", rule.weights * eta, fv[..., 1]) / area
-        return np.column_stack([mean[:, 0], lin1, mean[:, 1], lin2]).ravel()
+        mass = np.einsum("lk,kl->l", q.basis, q.weighted)
+        return (fv.reshape(len(fv), -1) @ q.weighted / mass).ravel()

@@ -8,7 +8,10 @@ leaves a symmetric positive definite system
 for the new stress coefficients.  The velocity mass matrix is block
 diagonal by element, so Cinv is exact.  ``S`` can be solved either by a
 factor-once sparse LU (default) or by Jacobi-preconditioned conjugate
-gradients; both must end with relative residual at most ``tol``.
+gradients; both must end with relative residual at most ``tol``.  The LU
+orders S by minimum degree on its symmetric pattern and keeps every pivot
+on the diagonal, which an SPD matrix allows; letting SuperLU pivot off the
+diagonal instead can multiply the fill when dt is large.
 """
 
 from __future__ import annotations
@@ -79,7 +82,12 @@ class SchurSolver:
         self.tol = tol
         if method == "direct":
             try:
-                self._lu = spla.splu(S.tocsc(), permc_spec="COLAMD")
+                self._lu = spla.splu(
+                    S.tocsc(),
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True),
+                )
             except RuntimeError as err:
                 raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
             self._precond = None

@@ -250,7 +250,8 @@ def exact_fields(
         raise ValueError(
             "built-in solutions require the unit material "
             f"(got rho={material.rho}, mu={material.mu}, lam={material.lam}); "
-            "pass force=True to accept an inconsistent constitutive relation"
+            "pass force=True (--force on the command line) to accept an "
+            "inconsistent constitutive relation"
         )
     fields = _BUILDERS[example](material.rho)
     return ExactSolution(

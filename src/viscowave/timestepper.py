@@ -177,6 +177,13 @@ def run(config) -> RunResult:
     solution = None
     if config.example is not None:
         solution = exact_fields(config.example, material, force=getattr(config, "force", False))
+    # The per-node arrays come first, so a step count too large to record
+    # fails with MemoryError before any assembly or factorization.
+    nodes = grid.nodes()
+    n_nodes = nodes.size
+    energy = np.empty(n_nodes)
+    err_sigma = np.empty(n_nodes) if solution else None
+    err_v = np.empty(n_nodes) if solution else None
     mesh = StructuredMesh(config.nx, config.nx)
     stress_space = StressSpace(mesh, config.element)
     velocity_space = VelocitySpace(mesh, config.element)
@@ -204,11 +211,6 @@ def run(config) -> RunResult:
     else:
         state = init_state(stress_space, velocity_space)
 
-    nodes = grid.nodes()
-    n_nodes = nodes.size
-    energy = np.empty(n_nodes)
-    err_sigma = np.empty(n_nodes) if solution else None
-    err_v = np.empty(n_nodes) if solution else None
     if solution:
         stress_err = analysis.StressErrorEvaluator(stress_space, material)
         vel_err = analysis.VelocityErrorEvaluator(velocity_space, material)

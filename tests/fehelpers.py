@@ -1,7 +1,10 @@
-"""Pointwise field and basis evaluation and rule application, used by the tests.
+"""Pointwise field and basis evaluation, rule application and einsum references.
 
 The solver itself works with whole-mesh basis tables; these helpers evaluate
 one element at a time so the tests can check the tables point by point.
+``einsum_load`` and ``einsum_error`` are the load and error-norm formulas
+written as single einsums over all elements, the references the solver's
+matrix-product kernels are checked against.
 """
 
 import numpy as np
@@ -9,7 +12,7 @@ import numpy as np
 from viscowave.fespace import StressSpace, VelocitySpace
 from viscowave.material import VoigtTensor
 from viscowave.mesh import StructuredMesh
-from viscowave.quadrature import QuadratureRule
+from viscowave.quadrature import QuadratureRule, rect_rule
 
 
 def local_coords(mesh: StructuredMesh, elem, x, y):
@@ -70,3 +73,36 @@ def integrate(rule: QuadratureRule, f) -> float:
     if vals.shape != rule.weights.shape:
         raise ValueError(f"integrand returned shape {vals.shape}, expected {rule.weights.shape}")
     return float(rule.weights @ vals)
+
+
+def _element_rule(space):
+    """Composite-rule weights, local basis values and physical points of every element."""
+    mesh = space.mesh
+    rect = mesh.element_rect(0)
+    rule = rect_rule(rect)
+    cx, cy = rect.center
+    xi = (rule.points[:, 0] - cx) / (0.5 * rect.hx)
+    eta = (rule.points[:, 1] - cy) / (0.5 * rect.hy)
+    points = mesh.element_centers()[:, None, :] + (rule.points - np.asarray(rect.center))
+    return rule.weights, space.local_values(xi, eta), points
+
+
+def einsum_load(space: VelocitySpace, f, t) -> np.ndarray:
+    """Reference load vector F[i] = int f . w_i, by one einsum over all elements."""
+    w, vals, pts = _element_rule(space)
+    fv = np.asarray(f(pts[..., 0], pts[..., 1], t), float)
+    local = np.einsum("eqd,qld,q->el", fv, vals, w)
+    return np.bincount(space.eldof.ravel(), weights=local.ravel(), minlength=space.dim)
+
+
+def einsum_error(space, weight, coeffs, field, t) -> float:
+    """Reference weighted L2 distance between a coefficient field and ``field``.
+
+    ``weight`` is the pointwise (d, d) weight: the Voigt-dot compliance for
+    the stress a-norm, ``rho * I`` for the velocity c-norm.
+    """
+    w, vals, pts = _element_rule(space)
+    field_h = np.einsum("qla,el->eqa", vals, np.asarray(coeffs, float)[space.eldof])
+    diff = field_h - np.asarray(field(pts[..., 0], pts[..., 1], t), float)
+    val = np.einsum("eqa,ab,eqb,q->", diff, weight, diff, w)
+    return float(np.sqrt(max(val, 0.0)))

@@ -25,11 +25,12 @@ from viscowave.fespace import (
     StressSpace,
     VelocitySpace,
 )
-from viscowave.material import IsotropicMaterial
+from viscowave.material import VOIGT_DOT, IsotropicMaterial
 from viscowave.mesh import StructuredMesh
+from viscowave.mms import exact_fields
 from viscowave.timestepper import SimState
 
-from fehelpers import eval_stress, eval_velocity, local_coords
+from fehelpers import einsum_error, eval_stress, eval_velocity, local_coords
 
 UNIT = IsotropicMaterial()
 
@@ -116,6 +117,24 @@ def test_evaluators_against_zero_field_give_coefficient_norms():
     assert vel_err(b, vfield, 0.0) == pytest.approx(np.sqrt(b @ (C @ b)), rel=1e-12)
     assert stress_err(a, sfield, 0.0) == stress_err(a, sfield, 0.0)
     assert vel_err(b, vfield, 0.0) == vel_err(b, vfield, 0.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_evaluators_match_einsum_reference(family):
+    mesh = StructuredMesh(8, 8)
+    ss, vs = StressSpace(mesh, family), VelocitySpace(mesh, family)
+    mat = IsotropicMaterial(rho=2.5, mu=0.7, lam=1.3)
+    solution = exact_fields(1)
+    stress_err = StressErrorEvaluator(ss, mat)
+    vel_err = VelocityErrorEvaluator(vs, mat)
+    rng = np.random.default_rng(11)
+    for t in (0.0, 0.37, 1.0):
+        a = rng.standard_normal(ss.dim)
+        b = rng.standard_normal(vs.dim)
+        want = einsum_error(ss, VOIGT_DOT @ mat.compliance_matrix(), a, solution.sigma, t)
+        assert stress_err(a, solution.sigma, t) == pytest.approx(want, rel=1e-13)
+        want = einsum_error(vs, mat.rho * np.eye(2), b, solution.v, t)
+        assert vel_err(b, solution.v, t) == pytest.approx(want, rel=1e-13)
 
 
 def test_error_zero_for_exact_member():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from viscowave import fespace
 from viscowave.assembly import (
     assemble_coupling,
     assemble_div_gram,
@@ -23,9 +24,10 @@ from viscowave.fespace import (
 )
 from viscowave.material import IsotropicMaterial, compliance_bounds
 from viscowave.mesh import StructuredMesh
+from viscowave.mms import exact_fields
 from viscowave.quadrature import rect_rule
 
-from fehelpers import eval_velocity
+from fehelpers import einsum_load, eval_velocity
 
 UNIT = IsotropicMaterial()
 
@@ -293,6 +295,43 @@ def test_load_against_quadrature_oracle():
             v = eval_velocity(vs, beta, e, xi, eta)
             total += w * float(v @ f(x, y, 0.0))
     assert beta @ F == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("example", [1, 3])
+def test_load_matches_einsum_reference(family, example):
+    _, vs = spaces(8, family)
+    f = exact_fields(example).f
+    for t in (0.0, 0.37, 1.0):
+        want = einsum_load(vs, f, t)
+        got = assemble_load(vs, f, t)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_load_builds_quadrature_kernel_once(monkeypatch):
+    builds = []
+
+    def counting(space):
+        builds.append(space)
+        return real(space)
+
+    real = fespace.quad_kernel
+    monkeypatch.setattr(fespace, "quad_kernel", counting)
+    _, vs = spaces(4, HMZ)
+    f = exact_fields(1).f
+    for t in (0.0, 0.5, 1.0):
+        assemble_load(vs, f, t)
+    assert builds == [vs]
+    # A new space gets a kernel of its own.
+    _, other = spaces(4, HMZ)
+    assemble_load(other, f, 0.0)
+    assert builds == [vs, other]
+
+
+def test_load_rejects_wrong_field_shape():
+    _, vs = spaces(2, HMZ)
+    with pytest.raises(ValueError, match="body force returned shape"):
+        assemble_load(vs, lambda x, y, t: np.zeros(np.shape(x) + (3,)), 0.0)
 
 
 # ------------------------------------------------------------------- system

@@ -1,6 +1,7 @@
 """Command-line driver: argument handling, CSV output, and determinism."""
 
 import csv
+import os
 import shutil
 import subprocess
 import sys
@@ -386,7 +387,7 @@ def test_bad_time_and_count_inputs_error_exit(argv, capsys):
     "argv, message",
     [
         (["--lambda", "inf", "--nx", "2", "--nt", "2"], "lam must be finite"),
-        (["--mu", "1e-300", "--example", "1", "--nx", "2", "--nt", "2"], "unit material"),
+        (["--mu", "1e-300", "--example", "1", "--nx", "2", "--nt", "2"], "--force"),
         (["--mu", "1e-300", "--nx", "2", "--nt", "2"], "cannot be factored"),
         (["--solver", "cg", "--solver-tol", "inf", "--nx", "2", "--nt", "2"], "tolerance"),
     ],
@@ -395,6 +396,30 @@ def test_bad_time_and_count_inputs_error_exit(argv, capsys):
 def test_bad_material_and_solver_inputs_error_exit(argv, message, capsys):
     code, _, err = run_main(argv, capsys)
     assert code == 1 and err.startswith("error:") and message in err
+
+
+def test_huge_step_count_error_exit():
+    """--dt 1e-9 resolves to M = 10^9; the per-node arrays cannot be allocated.
+
+    The child caps its own address space at 3 GB before numpy is imported,
+    so the 8 GB arrays fail at once, before any assembly.
+    """
+    script = (
+        "import resource, sys\n"
+        "cap = 3 << 30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from viscowave.cli import main\n"
+        "sys.exit(main(['--dt', '1e-9', '--nx', '2']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_unit_material_check_precedes_assembly(monkeypatch, capsys):
