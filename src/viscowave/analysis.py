@@ -25,6 +25,7 @@ from .mesh import StructuredMesh
 __all__ = [
     "StressErrorEvaluator",
     "VelocityErrorEvaluator",
+    "check_study_parameters",
     "convergence_orders",
     "energy",
     "energy_residuals",
@@ -65,15 +66,24 @@ class VelocityErrorEvaluator(_ErrorEvaluator):
         super().__init__(space, material.rho * np.eye(2))
 
 
+def check_study_parameters(params) -> list[float]:
+    """A refinement study's parameters: at least two, positive, strictly increasing."""
+    params = [float(p) for p in params]
+    if len(params) < 2 or not (
+        params[0] > 0.0 and all(b > a for a, b in zip(params, params[1:]))
+    ):
+        raise ValueError(
+            "a refinement study needs at least two positive, strictly increasing "
+            f"parameters, got {params}"
+        )
+    return params
+
+
 def convergence_orders(pairs) -> list[float]:
     """Observed orders log(e_i/e_{i+1}) / log(p_{i+1}/p_i) for (param, error) pairs."""
     pairs = list(pairs)
-    if len(pairs) < 2:
-        raise ValueError("need at least two (parameter, error) pairs")
-    params = np.array([float(p) for p, _ in pairs])
+    params = np.array(check_study_parameters(p for p, _ in pairs))
     errors = np.array([float(e) for _, e in pairs])
-    if np.any(params <= 0.0) or np.any(np.diff(params) <= 0.0):
-        raise ValueError("parameters must be positive and strictly increasing")
     if np.any(errors <= 0.0):
         raise ValueError("errors must be positive")
     return list(np.log(errors[:-1] / errors[1:]) / np.log(params[1:] / params[:-1]))

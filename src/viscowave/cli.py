@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import convergence_orders, infsup_constants
+from .analysis import check_study_parameters, convergence_orders, infsup_constants
 from .fespace import FAMILIES, NEDELEC, StressSpace, VelocitySpace
 from .linalg import ConvergenceError, SingularBlockError
 from .material import IsotropicMaterial
@@ -93,12 +93,14 @@ def _with_time(cfg: RunConfig, dt=None, n_steps=None) -> RunConfig:
 def convergence_study(element, example, ns, *, dt=None, n_steps=None, **settings):
     """Run one example on a list of N-by-N meshes at a fixed time step.
 
-    ``settings`` are further ``RunConfig`` fields.  Returns (rows, results);
-    rows are dicts keyed by the CSV columns.
+    The sizes must pass ``check_study_parameters``, which is checked before
+    the first run.  ``settings`` are further ``RunConfig`` fields.  Returns
+    (rows, results); rows are dicts keyed by the CSV columns.
     """
     base = RunConfig(mode="convergence", element=element, example=example, **settings)
     base = _with_time(base, dt, n_steps)
     ns = [int(n) for n in ns]
+    check_study_parameters(ns)
     results = [run(replace(base, nx=n)) for n in ns]
     return _study_rows(ns, results), results
 
@@ -106,13 +108,15 @@ def convergence_study(element, example, ns, *, dt=None, n_steps=None, **settings
 def temporal_study(element, example, ms, **settings):
     """Refine the time step with the mesh coupled as N = M^2/4.
 
-    Every M must be even so that M^2/4 is an integer.  ``settings`` are
-    further ``RunConfig`` fields.
+    Every M must be even so that M^2/4 is an integer, and the list must pass
+    ``check_study_parameters``; both are checked before the first run.
+    ``settings`` are further ``RunConfig`` fields.
     """
     ms = [int(m) for m in ms]
     for m in ms:
         if m % 2:
             raise ValueError(f"step count {m} must be even to couple N = M^2/4")
+    check_study_parameters(ms)
     base = RunConfig(
         mode="temporal-convergence", element=element, example=example, **settings
     )

@@ -82,7 +82,8 @@ def _hats_deta(xi, eta):
 class QuadKernel:
     """The composite degree-5 rule on every element, with the local basis there.
 
-    ``x`` and ``y`` are the physical points, shape (n_elements, nq);
+    ``x`` and ``y`` are the physical points, shape (n_elements, nq), read-only
+    so that field evaluators may keep values computed on them;
     ``weights`` (nq,) are the rule weights, the same on every element.
     ``basis`` has shape (n_local, nq * d), with ``basis[l, q * d + c]``
     component c of local function l at point q, so ``coeffs[eldof] @ basis``
@@ -111,9 +112,12 @@ def quad_kernel(space) -> QuadKernel:
     vals = space.local_values(xi, eta)
     nq, n_local, d = vals.shape
     basis = np.ascontiguousarray(vals.transpose(1, 0, 2).reshape(n_local, nq * d))
+    x = centers[:, 0, None] + offsets[:, 0]
+    y = centers[:, 1, None] + offsets[:, 1]
+    x.flags.writeable = y.flags.writeable = False
     return QuadKernel(
-        x=centers[:, 0, None] + offsets[:, 0],
-        y=centers[:, 1, None] + offsets[:, 1],
+        x=x,
+        y=y,
         weights=rule.weights,
         basis=basis,
         weighted=np.ascontiguousarray((basis * np.repeat(rule.weights, d)).T),

@@ -12,7 +12,9 @@ relation ``sigma + sigma_t = C eps(v)`` exactly for the unit material
    stress is nonzero at t = 0.
 
 The body force is ``f = rho v_t - div sigma``, so the momentum equation
-holds by construction; ``verify_residuals`` cross-checks every hand-coded
+holds by construction.  Every field is time-separable, one or two time
+coefficients times fixed spatial factors (``Separable``), so on a fixed
+quadrature point set each spatial factor is evaluated once.  ``verify_residuals`` cross-checks every hand-coded
 derivative field against fourth-order central differences of the primary
 fields and evaluates both model equations.
 """
@@ -27,7 +29,7 @@ from scipy.stats import qmc
 
 from .material import IsotropicMaterial, apply_stiffness
 
-__all__ = ["ExactSolution", "ResidualReport", "exact_fields", "verify_residuals"]
+__all__ = ["ExactSolution", "Separable", "ResidualReport", "exact_fields", "verify_residuals"]
 
 Field = Callable[..., np.ndarray]
 
@@ -58,18 +60,65 @@ class ResidualReport(NamedTuple):
     constitutive: float
 
 
-def _bcast(x, y, t):
-    return np.broadcast_arrays(
-        np.asarray(x, float), np.asarray(y, float), np.asarray(t, float)
+def _stack(*components):
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
+def _frozen(a) -> bool:
+    """True for a read-only array that owns its data: nothing can change it in place."""
+    return isinstance(a, np.ndarray) and not a.flags.writeable and a.base is None
+
+
+class Separable:
+    """A time-separable field ``(x, y, t) -> sum_k c_k(t)[..., None] * F_k(x, y)``.
+
+    ``terms`` are ``(c_k, F_k)`` pairs: a time coefficient and a spatial
+    factor returning ``broadcast(x, y) + (d,)``.  The factor values of the
+    last point set are kept when both ``x`` and ``y`` are read-only arrays
+    owning their data (matched by identity), so a fixed quadrature point set
+    costs one spatial evaluation per field; any other points are evaluated
+    on every call.
+    """
+
+    def __init__(self, *terms):
+        self.terms = terms
+        self._memo = (None, None, None)
+
+    def _factors(self, x, y):
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        frozen = _frozen(x) and _frozen(y)
+        mx, my, values = self._memo
+        if frozen and x is mx and y is my:
+            return values
+        values = [factor(x, y) for _, factor in self.terms]
+        if frozen:
+            self._memo = (x, y, values)
+        return values
+
+    def __call__(self, x, y, t):
+        t = np.asarray(t, float)
+        out = None
+        for (coef, _), value in zip(self.terms, self._factors(x, y)):
+            term = coef(t)[..., None] * value
+            out = term if out is None else out + term
+        return out
+
+
+def _decaying(rho, V, S, D):
+    """Examples 1-2: velocity e^-t V, stress t e^-t S with divergence t e^-t D."""
+
+    def te(t):
+        return t * np.exp(-t)
+
+    return dict(
+        u=Separable((lambda t: -np.exp(-t), V)),
+        v=Separable((lambda t: np.exp(-t), V)),
+        v_t=Separable((lambda t: -np.exp(-t), V)),
+        sigma=Separable((te, S)),
+        sigma_t=Separable((lambda t: (1.0 - t) * np.exp(-t), S)),
+        div_sigma=Separable((te, D)),
+        f=Separable((lambda t: -rho * np.exp(-t), V), (lambda t: -te(t), D)),
     )
-
-
-def _vec(a, b):
-    return np.stack(np.broadcast_arrays(a, b), axis=-1)
-
-
-def _voigt(a, b, c):
-    return np.stack(np.broadcast_arrays(a, b, c), axis=-1)
 
 
 def _example1(rho):
@@ -85,101 +134,44 @@ def _example1(rho):
     def gppp(z):
         return 24.0 * z - 12.0
 
-    def u(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        e = -np.exp(-t)
-        return _vec(e * g(x) * gp(y), e * g(y) * gp(x))
+    def V(x, y):
+        return _stack(g(x) * gp(y), g(y) * gp(x))
 
-    def v(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        e = np.exp(-t)
-        return _vec(e * g(x) * gp(y), e * g(y) * gp(x))
-
-    def v_t(x, y, t):
-        return -v(x, y, t)
-
-    def _sigma_spatial(x, y):
+    def S(x, y):
         s11 = 4.0 * gp(x) * gp(y)
-        s12 = g(x) * gpp(y) + g(y) * gpp(x)
-        return s11, s11, s12
+        return _stack(s11, s11, g(x) * gpp(y) + g(y) * gpp(x))
 
-    def sigma(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        te = t * np.exp(-t)
-        s11, s22, s12 = _sigma_spatial(x, y)
-        return _voigt(te * s11, te * s22, te * s12)
+    def D(x, y):
+        return _stack(
+            5.0 * gpp(x) * gp(y) + g(x) * gppp(y), 5.0 * gp(x) * gpp(y) + g(y) * gppp(x)
+        )
 
-    def sigma_t(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        te = (1.0 - t) * np.exp(-t)
-        s11, s22, s12 = _sigma_spatial(x, y)
-        return _voigt(te * s11, te * s22, te * s12)
-
-    def div_sigma(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        te = t * np.exp(-t)
-        d1 = te * (5.0 * gpp(x) * gp(y) + g(x) * gppp(y))
-        d2 = te * (5.0 * gp(x) * gpp(y) + g(y) * gppp(x))
-        return _vec(d1, d2)
-
-    def f(x, y, t):
-        return rho * v_t(x, y, t) - div_sigma(x, y, t)
-
-    return dict(u=u, v=v, v_t=v_t, sigma=sigma, sigma_t=sigma_t, div_sigma=div_sigma, f=f)
+    return _decaying(rho, V, S, D)
 
 
 def _example2(rho):
     pi = np.pi
 
-    def u(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        e = -np.exp(-t) * np.sin(pi * x) * np.sin(pi * y)
-        return _vec(e, e.copy())
+    def V(x, y):
+        s = np.sin(pi * x) * np.sin(pi * y)
+        return _stack(s, s)
 
-    def v(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        e = np.exp(-t) * np.sin(pi * x) * np.sin(pi * y)
-        return _vec(e, e.copy())
-
-    def v_t(x, y, t):
-        return -v(x, y, t)
-
-    def _sigma_spatial(x, y):
+    def S(x, y):
         sx, cx = np.sin(pi * x), np.cos(pi * x)
         sy, cy = np.sin(pi * y), np.cos(pi * y)
-        s11 = pi * (3.0 * cx * sy + sx * cy)
-        s22 = pi * (3.0 * sx * cy + cx * sy)
-        s12 = pi * (sx * cy + cx * sy)
-        return s11, s22, s12
+        return pi * _stack(3.0 * cx * sy + sx * cy, 3.0 * sx * cy + cx * sy, sx * cy + cx * sy)
 
-    def sigma(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        te = t * np.exp(-t)
-        s11, s22, s12 = _sigma_spatial(x, y)
-        return _voigt(te * s11, te * s22, te * s12)
-
-    def sigma_t(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        te = (1.0 - t) * np.exp(-t)
-        s11, s22, s12 = _sigma_spatial(x, y)
-        return _voigt(te * s11, te * s22, te * s12)
-
-    def div_sigma(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        te = t * np.exp(-t)
-        d = pi * pi * te * (
-            2.0 * np.cos(pi * x) * np.cos(pi * y)
-            - 4.0 * np.sin(pi * x) * np.sin(pi * y)
+    def D(x, y):
+        d = pi * pi * (
+            2.0 * np.cos(pi * x) * np.cos(pi * y) - 4.0 * np.sin(pi * x) * np.sin(pi * y)
         )
-        return _vec(d, d.copy())
+        return _stack(d, d)
 
-    def f(x, y, t):
-        return rho * v_t(x, y, t) - div_sigma(x, y, t)
-
-    return dict(u=u, v=v, v_t=v_t, sigma=sigma, sigma_t=sigma_t, div_sigma=div_sigma, f=f)
+    return _decaying(rho, V, S, D)
 
 
 def _example3(rho):
+    """Velocity e^t U = u = v_t, stress e^t S = sigma_t with divergence e^t D."""
     pi = np.pi
 
     def p(z):
@@ -191,43 +183,35 @@ def _example3(rho):
     def ppp(z):
         return 0.75 / np.sqrt(z) - 3.75 * np.sqrt(z)
 
-    def u(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        e = np.exp(t)
-        return _vec(e * np.sin(pi * x) * p(y), e * np.sin(pi * y) * p(x))
+    def U(x, y):
+        return _stack(np.sin(pi * x) * p(y), np.sin(pi * y) * p(x))
 
-    v = u
-    v_t = u
-
-    def sigma(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        e = np.exp(t)
-        s11 = pi * e * (1.5 * np.cos(pi * x) * p(y) + 0.5 * np.cos(pi * y) * p(x))
-        s22 = pi * e * (1.5 * np.cos(pi * y) * p(x) + 0.5 * np.cos(pi * x) * p(y))
-        s12 = 0.5 * e * (np.sin(pi * x) * pp(y) + np.sin(pi * y) * pp(x))
-        return _voigt(s11, s22, s12)
-
-    sigma_t = sigma
-
-    def div_sigma(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        e = np.exp(t)
-        d1 = e * (
-            -1.5 * pi * pi * np.sin(pi * x) * p(y)
-            + pi * np.cos(pi * y) * pp(x)
-            + 0.5 * np.sin(pi * x) * ppp(y)
+    def S(x, y):
+        cx, cy = np.cos(pi * x), np.cos(pi * y)
+        return _stack(
+            pi * (1.5 * cx * p(y) + 0.5 * cy * p(x)),
+            pi * (1.5 * cy * p(x) + 0.5 * cx * p(y)),
+            0.5 * (np.sin(pi * x) * pp(y) + np.sin(pi * y) * pp(x)),
         )
-        d2 = e * (
-            -1.5 * pi * pi * np.sin(pi * y) * p(x)
-            + pi * np.cos(pi * x) * pp(y)
-            + 0.5 * np.sin(pi * y) * ppp(x)
+
+    def D(x, y):
+        sx, sy = np.sin(pi * x), np.sin(pi * y)
+        return _stack(
+            -1.5 * pi * pi * sx * p(y) + pi * np.cos(pi * y) * pp(x) + 0.5 * sx * ppp(y),
+            -1.5 * pi * pi * sy * p(x) + pi * np.cos(pi * x) * pp(y) + 0.5 * sy * ppp(x),
         )
-        return _vec(d1, d2)
 
-    def f(x, y, t):
-        return rho * v_t(x, y, t) - div_sigma(x, y, t)
-
-    return dict(u=u, v=v, v_t=v_t, sigma=sigma, sigma_t=sigma_t, div_sigma=div_sigma, f=f)
+    u = Separable((np.exp, U))
+    sigma = Separable((np.exp, S))
+    return dict(
+        u=u,
+        v=u,
+        v_t=u,
+        sigma=sigma,
+        sigma_t=sigma,
+        div_sigma=Separable((np.exp, D)),
+        f=Separable((lambda t: rho * np.exp(t), U), (lambda t: -np.exp(t), D)),
+    )
 
 
 _BUILDERS = {1: _example1, 2: _example2, 3: _example3}

@@ -1,10 +1,13 @@
-"""Pointwise field and basis evaluation, rule application and einsum references.
+"""Pointwise field and basis evaluation, rule application and reference formulas.
 
 The solver itself works with whole-mesh basis tables; these helpers evaluate
 one element at a time so the tests can check the tables point by point.
 ``einsum_load`` and ``einsum_error`` are the load and error-norm formulas
 written as single einsums over all elements, the references the solver's
-matrix-product kernels are checked against.
+matrix-product kernels are checked against.  ``reference_fields`` gives the
+manufactured solutions as one closure per field and component, each
+evaluating its time and space parts on every call: the reference the
+time-separable fields of ``viscowave.mms`` are checked against.
 """
 
 import numpy as np
@@ -106,3 +109,184 @@ def einsum_error(space, weight, coeffs, field, t) -> float:
     diff = field_h - np.asarray(field(pts[..., 0], pts[..., 1], t), float)
     val = np.einsum("eqa,ab,eqb,q->", diff, weight, diff, w)
     return float(np.sqrt(max(val, 0.0)))
+
+
+# ------------------------------------------------- manufactured-field references
+
+
+def _bcast(x, y, t):
+    return np.broadcast_arrays(
+        np.asarray(x, float), np.asarray(y, float), np.asarray(t, float)
+    )
+
+
+def _vec(a, b):
+    return np.stack(np.broadcast_arrays(a, b), axis=-1)
+
+
+def _voigt(a, b, c):
+    return np.stack(np.broadcast_arrays(a, b, c), axis=-1)
+
+
+def _reference_example1(rho):
+    def g(z):
+        return z * z * (z - 1.0) ** 2
+
+    def gp(z):
+        return 2.0 * z * (z - 1.0) * (2.0 * z - 1.0)
+
+    def gpp(z):
+        return 12.0 * z * z - 12.0 * z + 2.0
+
+    def gppp(z):
+        return 24.0 * z - 12.0
+
+    def u(x, y, t):
+        x, y, t = _bcast(x, y, t)
+        e = -np.exp(-t)
+        return _vec(e * g(x) * gp(y), e * g(y) * gp(x))
+
+    def v(x, y, t):
+        x, y, t = _bcast(x, y, t)
+        e = np.exp(-t)
+        return _vec(e * g(x) * gp(y), e * g(y) * gp(x))
+
+    def v_t(x, y, t):
+        return -v(x, y, t)
+
+    def _sigma_spatial(x, y):
+        s11 = 4.0 * gp(x) * gp(y)
+        s12 = g(x) * gpp(y) + g(y) * gpp(x)
+        return s11, s11, s12
+
+    def sigma(x, y, t):
+        x, y, t = _bcast(x, y, t)
+        te = t * np.exp(-t)
+        s11, s22, s12 = _sigma_spatial(x, y)
+        return _voigt(te * s11, te * s22, te * s12)
+
+    def sigma_t(x, y, t):
+        x, y, t = _bcast(x, y, t)
+        te = (1.0 - t) * np.exp(-t)
+        s11, s22, s12 = _sigma_spatial(x, y)
+        return _voigt(te * s11, te * s22, te * s12)
+
+    def div_sigma(x, y, t):
+        x, y, t = _bcast(x, y, t)
+        te = t * np.exp(-t)
+        d1 = te * (5.0 * gpp(x) * gp(y) + g(x) * gppp(y))
+        d2 = te * (5.0 * gp(x) * gpp(y) + g(y) * gppp(x))
+        return _vec(d1, d2)
+
+    def f(x, y, t):
+        return rho * v_t(x, y, t) - div_sigma(x, y, t)
+
+    return dict(u=u, v=v, v_t=v_t, sigma=sigma, sigma_t=sigma_t, div_sigma=div_sigma, f=f)
+
+
+def _reference_example2(rho):
+    pi = np.pi
+
+    def u(x, y, t):
+        x, y, t = _bcast(x, y, t)
+        e = -np.exp(-t) * np.sin(pi * x) * np.sin(pi * y)
+        return _vec(e, e.copy())
+
+    def v(x, y, t):
+        x, y, t = _bcast(x, y, t)
+        e = np.exp(-t) * np.sin(pi * x) * np.sin(pi * y)
+        return _vec(e, e.copy())
+
+    def v_t(x, y, t):
+        return -v(x, y, t)
+
+    def _sigma_spatial(x, y):
+        sx, cx = np.sin(pi * x), np.cos(pi * x)
+        sy, cy = np.sin(pi * y), np.cos(pi * y)
+        s11 = pi * (3.0 * cx * sy + sx * cy)
+        s22 = pi * (3.0 * sx * cy + cx * sy)
+        s12 = pi * (sx * cy + cx * sy)
+        return s11, s22, s12
+
+    def sigma(x, y, t):
+        x, y, t = _bcast(x, y, t)
+        te = t * np.exp(-t)
+        s11, s22, s12 = _sigma_spatial(x, y)
+        return _voigt(te * s11, te * s22, te * s12)
+
+    def sigma_t(x, y, t):
+        x, y, t = _bcast(x, y, t)
+        te = (1.0 - t) * np.exp(-t)
+        s11, s22, s12 = _sigma_spatial(x, y)
+        return _voigt(te * s11, te * s22, te * s12)
+
+    def div_sigma(x, y, t):
+        x, y, t = _bcast(x, y, t)
+        te = t * np.exp(-t)
+        d = pi * pi * te * (
+            2.0 * np.cos(pi * x) * np.cos(pi * y)
+            - 4.0 * np.sin(pi * x) * np.sin(pi * y)
+        )
+        return _vec(d, d.copy())
+
+    def f(x, y, t):
+        return rho * v_t(x, y, t) - div_sigma(x, y, t)
+
+    return dict(u=u, v=v, v_t=v_t, sigma=sigma, sigma_t=sigma_t, div_sigma=div_sigma, f=f)
+
+
+def _reference_example3(rho):
+    pi = np.pi
+
+    def p(z):
+        return z**1.5 - z**2.5
+
+    def pp(z):
+        return 1.5 * z**0.5 - 2.5 * z**1.5
+
+    def ppp(z):
+        return 0.75 / np.sqrt(z) - 3.75 * np.sqrt(z)
+
+    def u(x, y, t):
+        x, y, t = _bcast(x, y, t)
+        e = np.exp(t)
+        return _vec(e * np.sin(pi * x) * p(y), e * np.sin(pi * y) * p(x))
+
+    v = u
+    v_t = u
+
+    def sigma(x, y, t):
+        x, y, t = _bcast(x, y, t)
+        e = np.exp(t)
+        s11 = pi * e * (1.5 * np.cos(pi * x) * p(y) + 0.5 * np.cos(pi * y) * p(x))
+        s22 = pi * e * (1.5 * np.cos(pi * y) * p(x) + 0.5 * np.cos(pi * x) * p(y))
+        s12 = 0.5 * e * (np.sin(pi * x) * pp(y) + np.sin(pi * y) * pp(x))
+        return _voigt(s11, s22, s12)
+
+    sigma_t = sigma
+
+    def div_sigma(x, y, t):
+        x, y, t = _bcast(x, y, t)
+        e = np.exp(t)
+        d1 = e * (
+            -1.5 * pi * pi * np.sin(pi * x) * p(y)
+            + pi * np.cos(pi * y) * pp(x)
+            + 0.5 * np.sin(pi * x) * ppp(y)
+        )
+        d2 = e * (
+            -1.5 * pi * pi * np.sin(pi * y) * p(x)
+            + pi * np.cos(pi * x) * pp(y)
+            + 0.5 * np.sin(pi * y) * ppp(x)
+        )
+        return _vec(d1, d2)
+
+    def f(x, y, t):
+        return rho * v_t(x, y, t) - div_sigma(x, y, t)
+
+    return dict(u=u, v=v, v_t=v_t, sigma=sigma, sigma_t=sigma_t, div_sigma=div_sigma, f=f)
+
+
+def reference_fields(example, rho=1.0) -> dict:
+    """The seven fields (u, v, v_t, sigma, sigma_t, div_sigma, f) of a built-in example."""
+    builders = {1: _reference_example1, 2: _reference_example2, 3: _reference_example3}
+    return builders[example](rho)

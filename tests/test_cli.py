@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from viscowave import timestepper
+from viscowave import cli, timestepper
 from viscowave.cli import (
     CSV_HEADER,
     PRESETS,
@@ -505,3 +505,24 @@ def test_module_runs_under_fresh_interpreter():
         timeout=120,
     )
     assert proc.returncode == 0 and "final energy" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "convergence", "--nx", "32,16", "--nt", "4"],
+        ["--mode", "convergence", "--nx", "8,8", "--nt", "4"],
+        ["--mode", "convergence", "--nx", "4", "--nt", "4"],
+        ["--mode", "temporal-convergence", "--nt", "8,4"],
+        ["--mode", "temporal-convergence", "--nt", "4,4"],
+        ["--mode", "temporal-convergence", "--nt", "4"],
+    ],
+    ids=["nx-decreasing", "nx-repeated", "nx-single", "nt-decreasing", "nt-repeated", "nt-single"],
+)
+def test_study_parameters_checked_before_any_run(argv, monkeypatch, capsys):
+    def no_run(cfg):
+        raise AssertionError("a study ran before its parameter list was checked")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    code, _, err = run_main(argv + ["--example", "1", "--element", "hmz"], capsys)
+    assert code == 1 and err.startswith("error:") and "strictly increasing" in err

@@ -10,9 +10,12 @@ two governing equations are verified to vanish identically.
 import numpy as np
 import pytest
 import sympy as sym
+from fehelpers import reference_fields
 
+from viscowave.fespace import StressSpace, VelocitySpace
 from viscowave.material import IsotropicMaterial
-from viscowave.mms import ResidualReport, exact_fields, verify_residuals
+from viscowave.mesh import StructuredMesh
+from viscowave.mms import ResidualReport, Separable, exact_fields, verify_residuals
 
 X, Y, T = sym.symbols("x y t", positive=False)
 
@@ -204,3 +207,101 @@ def test_nonunit_material_requires_force():
         exact_fields(1, material=IsotropicMaterial(mu=2.0))
     # unit material explicitly is fine
     exact_fields(1, material=IsotropicMaterial())
+
+
+# ------------------------------------------------ time-separable field storage
+
+FIELDS = ("u", "v", "v_t", "sigma", "sigma_t", "div_sigma", "f")
+
+
+def _interior_points(example, n, seed):
+    rng = np.random.default_rng(seed)
+    lo = 0.05 if example == 3 else 0.0
+    return rng.uniform(lo, 1.0, size=n), rng.uniform(lo, 1.0, size=n), rng.uniform(0.0, 1.0, n)
+
+
+def _assert_fields_match(sol, ref, x, y, t):
+    for name in FIELDS:
+        got, want = getattr(sol, name)(x, y, t), ref[name](x, y, t)
+        assert got.shape == want.shape, name
+        err = np.abs(got - want).max()
+        assert err <= 1e-14 * np.abs(want).max(), (sol.example, name, err)
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+@pytest.mark.parametrize("rho", [1.0, 2.5])
+def test_separable_fields_match_reference_closures(example, rho):
+    mat = IsotropicMaterial(rho=rho)
+    sol = exact_fields(example, mat, force=rho != 1.0)
+    ref = reference_fields(example, rho)
+    x, y, t = _interior_points(example, 200, seed=example)
+    _assert_fields_match(sol, ref, x, y, t)  # array t, same shape as the points
+    _assert_fields_match(sol, ref, x, y, 0.37)  # scalar t
+    _assert_fields_match(sol, ref, x[0], y[0], t)  # scalar point, array t
+    _assert_fields_match(sol, ref, x[0], y[0], 0.81)  # all scalars
+
+
+def _counted(factor, calls):
+    def wrapped(x, y):
+        calls.append(factor)
+        return factor(x, y)
+
+    return wrapped
+
+
+def _read_only(a):
+    a = np.array(a, float)
+    a.flags.writeable = False
+    return a
+
+
+def test_read_only_points_evaluate_each_factor_once():
+    sol = exact_fields(1)
+    calls = []
+    for field in (sol.f, sol.sigma):
+        field.terms = tuple((c, _counted(factor, calls)) for c, factor in field.terms)
+    x, y, _ = _interior_points(1, 30, seed=5)
+    x, y = _read_only(x), _read_only(y)
+    ref = reference_fields(1)
+    for t in (0.0, 0.25, 0.5, 1.0):
+        np.testing.assert_allclose(sol.f(x, y, t), ref["f"](x, y, t), rtol=1e-14, atol=1e-16)
+        sol.sigma(x, y, t)
+    assert len(calls) == 3  # V and D for f, S for sigma
+    # a new point set is evaluated, and then kept in turn
+    x2 = _read_only(x[::-1])
+    for t in (0.5, 0.75):
+        np.testing.assert_allclose(
+            sol.f(x2, y, t), ref["f"](x2, y, t), rtol=1e-14, atol=1e-16
+        )
+    assert len(calls) == 5
+
+
+def test_writable_points_are_evaluated_on_every_call():
+    calls = []
+    field = Separable((np.exp, _counted(lambda x, y: np.stack([x * y, x + y], -1), calls)))
+    x = np.linspace(0.1, 0.9, 7)
+    y = np.linspace(0.2, 0.8, 7)
+    first = field(x, y, 0.3)
+    x *= 2.0  # in place: same object, new values
+    np.testing.assert_array_equal(
+        field(x, y, 0.3), np.exp(0.3) * np.stack([x * y, x + y], -1)
+    )
+    assert not np.array_equal(first, field(x, y, 0.3))
+    # a read-only view sees writes to its writable base, so it is not kept either
+    base = np.linspace(0.1, 0.9, 7)
+    view = base[:]
+    view.flags.writeable = False
+    field(view, y, 0.3)
+    base += 1.0
+    np.testing.assert_array_equal(
+        field(view, y, 0.3), np.exp(0.3) * np.stack([view * y, view + y], -1)
+    )
+    assert len(calls) == 5
+
+
+def test_quadrature_points_refuse_writes():
+    mesh = StructuredMesh(2, 2)
+    for space in (StressSpace(mesh, "hmz"), VelocitySpace(mesh, "nedelec-q1q0")):
+        for points in (space.quad.x, space.quad.y):
+            with pytest.raises(ValueError):
+                points[0, 0] = 0.5

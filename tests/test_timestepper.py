@@ -328,3 +328,16 @@ def test_run_matches_manual_stepping():
         state = step(stepper, state, sol.f, dt)
     np.testing.assert_allclose(res.final_state.alpha, state.alpha, atol=1e-12)
     np.testing.assert_allclose(res.final_state.beta, state.beta, atol=1e-12)
+
+
+@pytest.mark.parametrize("example", [1, 3])
+def test_repeated_runs_are_bit_identical(example):
+    # each run builds its own exact solution, so no field values kept from
+    # one run (or a run of another example in between) reach the next
+    cfg = run_config(element=HMZ, example=example, nx=8, n_steps=4)
+    first = run(cfg)
+    run(run_config(element=HMZ, example=2, nx=8, n_steps=4))
+    second = run(cfg)
+    assert (second.E_a_sigma, second.E_c_v) == (first.E_a_sigma, first.E_c_v)
+    np.testing.assert_array_equal(second.err_sigma, first.err_sigma)
+    np.testing.assert_array_equal(second.err_v, first.err_v)
