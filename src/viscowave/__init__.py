@@ -26,15 +26,7 @@ from .linalg import (
     block_diag_inverse,
     build_schur,
 )
-from .material import (
-    VOIGT_DOT,
-    IsotropicMaterial,
-    VoigtTensor,
-    apply_compliance,
-    apply_stiffness,
-    compliance_bounds,
-    voigt_inner,
-)
+from .material import VOIGT_DOT, IsotropicMaterial, apply_stiffness
 from .mesh import ElementRect, StructuredMesh
 from .mms import ExactSolution, ResidualReport, exact_fields, verify_residuals
 from .quadrature import QuadratureRule, lumped_rect_rule, rect_rule, triangle_rule

@@ -8,10 +8,18 @@ leaves a symmetric positive definite system
 for the new stress coefficients.  The velocity mass matrix is block
 diagonal by element, so Cinv is exact.  ``S`` can be solved either by a
 factor-once sparse LU (default) or by Jacobi-preconditioned conjugate
-gradients; both must end with relative residual at most ``tol``.  The LU
-orders S by minimum degree on its symmetric pattern and keeps every pivot
-on the diagonal, which an SPD matrix allows; letting SuperLU pivot off the
-diagonal instead can multiply the fill when dt is large.
+gradients on the full S; both must end with relative residual at most
+``tol``.
+
+The LU first condenses the element-interior stress dofs (the two ``hmz``
+bubbles of each element; ``nedelec-q1q0`` has none).  They couple only
+within their element, in A and in B^T Cinv B, so numbered element by
+element their block S_ii is block diagonal and inverted exactly, and only
+the Schur complement S_c = S_oo - S_oi S_ii^-1 S_io of the remaining dofs
+is factored.  Those are ordered by geometric nested dissection at mesh
+lines and factored in that order with diagonal pivots, which an SPD
+matrix allows; letting SuperLU pivot off the diagonal instead can
+multiply the fill when dt is large.
 """
 
 from __future__ import annotations
@@ -24,9 +32,15 @@ __all__ = [
     "ConvergenceError",
     "SingularBlockError",
     "block_diag_inverse",
-    "build_schur",
+    "nested_dissection",
+    "CondensedLU",
     "SchurSolver",
+    "build_schur",
 ]
+
+# Largest box that nested dissection leaves unsplit.  With 64 the fill on
+# meshes of N <= 16 exceeds that of minimum degree on the full S.
+ND_LEAF = 16
 
 
 class ConvergenceError(RuntimeError):
@@ -69,10 +83,134 @@ def block_diag_inverse(C: sp.spmatrix, block_size: int) -> sp.csr_matrix:
     return sp.bsr_matrix((inv, np.arange(nb), indptr), shape=(n, n)).tocsr()
 
 
-class SchurSolver:
-    """Prepared solver for the reduced stress system."""
+def nested_dissection(grid: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of dofs from their points on the half-step grid.
 
-    def __init__(self, S: sp.csr_matrix, method: str, tol: float):
+    ``grid`` (n, 2) holds the integer coordinates 2 (x - x0) / h of each
+    dof's point, so the mesh lines are the even coordinates.  Each box of
+    more than ``ND_LEAF`` dofs is split along its longer side (the other one
+    if the longer has no interior mesh line) at the even coordinate nearest
+    its middle.  Elements on either side share only the dofs on that line,
+    the separator, so the order is left box, right box, separator.  Dofs of
+    a leaf, and of a separator, keep their relative order.  Returns the
+    permutation ``p`` with ``p[k]`` the dof placed k-th.
+
+    The tree is walked one level at a time: each dof's path from the root
+    is kept as base-3 digits (left 0, right 1, separator 2) of an integer
+    key, and a dof that stops descending is padded with zeros.  The paths
+    of finished dofs are prefixes of no other path, so sorting the keys
+    lists every left subtree before its right subtree and its separator.
+    """
+    grid = np.asarray(grid, dtype=np.int64)
+    # One base-3 digit per level: 39 levels fit, far more than any mesh
+    # that fits in memory needs.
+    key = np.zeros(len(grid), dtype=np.int64)
+    live = np.arange(len(grid))  # dofs still being split
+    box = np.zeros(len(grid), dtype=np.intp)  # the box of each live dof
+    lo = grid.min(axis=0, keepdims=True)  # inclusive bounds of each box
+    hi = grid.max(axis=0, keepdims=True)
+    while live.size:
+        rows = np.arange(len(lo))
+        mid = 2 * ((lo + hi + 2) // 4)
+        can = (lo < mid) & (mid < hi)
+        # The longer side if it can be cut, else the other one.
+        longer_y = (hi - lo)[:, 1] > (hi - lo)[:, 0]
+        axis = ((longer_y & can[:, 1]) | ~can[:, 0]).astype(np.intp)
+        cut = mid[rows, axis]
+        split = can[rows, axis] & (np.bincount(box, minlength=len(lo)) > ND_LEAF)
+        coord = grid[live, axis[box]]
+        side = np.where(coord < cut[box], 0, np.where(coord > cut[box], 1, 2))
+        side[~split[box]] = 0
+        key *= 3
+        key[live] += side
+        # Children of split box s are boxes 2 r and 2 r + 1, r its rank.
+        s = np.flatnonzero(split)
+        lo = np.repeat(lo[s], 2, axis=0)
+        hi = np.repeat(hi[s], 2, axis=0)
+        hi[0::2][np.arange(s.size), axis[s]] = cut[s] - 1
+        lo[1::2][np.arange(s.size), axis[s]] = cut[s] + 1
+        go = split[box] & (side < 2)
+        live = live[go]
+        box = 2 * (np.cumsum(split) - 1)[box[go]] + side[go]
+    return np.argsort(key, kind="stable")
+
+
+class CondensedLU:
+    """LU factors of S after static condensation of the element-interior dofs.
+
+    ``interior`` (n_elements, k) lists each element's interior dofs, which
+    must couple in S with no other element's; ``block_diag_inverse`` raises
+    ``ValueError`` if they do.  ``grid`` (n, 2) is the half-step grid point
+    of every dof (see ``nested_dissection``).  ``solve`` takes and returns
+    full-length vectors: it condenses the right-hand side, solves with S_c,
+    then back-substitutes the interior dofs.  ``L`` and ``U`` are the
+    factors of S_c in nested-dissection order, built anew on each access.
+    """
+
+    def __init__(self, S: sp.csr_matrix, interior: np.ndarray, grid: np.ndarray):
+        interior = np.asarray(interior)
+        self.inner = interior.ravel()
+        keep = np.ones(S.shape[0], dtype=bool)
+        keep[self.inner] = False
+        outer = np.flatnonzero(keep)
+        self.outer = outer[nested_dissection(np.asarray(grid)[outer])]
+        S_c = self._condense(S, interior.shape[1])
+        try:
+            self._lu = spla.splu(
+                S_c,
+                permc_spec="NATURAL",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
+        except RuntimeError as err:
+            raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
+
+    def _condense(self, S, k):
+        """Keep S_ii^-1, S_oi and W = S_ii^-1 S_io; return S_c = S_oo - S_oi W.
+
+        The row slices of S die on return, before the factorization, which
+        sets the peak memory.
+        """
+        rows_o, rows_i = S[self.outer], S[self.inner]
+        S_ii = rows_i[:, self.inner]
+        self._Sii_inv = block_diag_inverse(S_ii, k) if k else S_ii
+        self._S_oi = rows_o[:, self.inner]
+        self._W = self._Sii_inv @ rows_i[:, self.outer]
+        return (rows_o[:, self.outer] - self._S_oi @ self._W).tocsc()
+
+    @property
+    def L(self) -> sp.csc_matrix:
+        return self._lu.L
+
+    @property
+    def U(self) -> sp.csc_matrix:
+        return self._lu.U
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y = self._Sii_inv @ b[self.inner]
+        x = np.empty_like(b)
+        x_o = self._lu.solve(b[self.outer] - self._S_oi @ y)
+        x[self.outer] = x_o
+        x[self.inner] = y - self._W @ x_o
+        return x
+
+
+class SchurSolver:
+    """Prepared solver for the reduced stress system.
+
+    The direct path factors S as a ``CondensedLU`` with the element-interior
+    dofs ``interior`` and the half-step grid points ``grid``; conjugate
+    gradients work on the full S and do not use them.
+    """
+
+    def __init__(
+        self,
+        S: sp.csr_matrix,
+        method: str,
+        tol: float,
+        interior: np.ndarray,
+        grid: np.ndarray,
+    ):
         if method not in ("direct", "cg"):
             raise ValueError(f"unknown solve method {method!r}")
         if not 0.0 < tol < 1.0:
@@ -81,16 +219,15 @@ class SchurSolver:
         self.method = method
         self.tol = tol
         if method == "direct":
-            try:
-                self._lu = spla.splu(
-                    S.tocsc(),
-                    permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True),
-                )
-            except RuntimeError as err:
-                raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
+            self._lu = CondensedLU(S, interior, grid)
             self._precond = None
+            # A matrix singular to working precision can factor without an
+            # exactly zero pivot; its factor then solves no generic
+            # right-hand side to ``tol``, which one solve here checks.
+            try:
+                self.solve(np.random.default_rng(0).standard_normal(S.shape[0]))
+            except ConvergenceError as err:
+                raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
         else:
             d = S.diagonal()
             if np.any(d <= 0.0):
@@ -124,7 +261,7 @@ class SchurSolver:
                     f"conjugate gradients did not converge in {maxiter} iterations", res
                 )
         res = np.linalg.norm(rhs - self.S @ x) / norm_rhs
-        if res > self.tol:
+        if not res <= self.tol:  # a NaN residual fails too
             raise ConvergenceError("solve finished above tolerance", res)
         return x
 
@@ -136,8 +273,13 @@ def build_schur(
     dt: float,
     method: str,
     tol: float,
+    space,
 ) -> SchurSolver:
-    """Form S = (1/dt + 1/2) A + (dt/4) B^T Cinv B and prepare its solver."""
+    """Form S = (1/dt + 1/2) A + (dt/4) B^T Cinv B and prepare its solver.
+
+    ``space`` is the ``StressSpace`` of A: it gives the element-interior
+    dofs, element by element, and the point of every dof.
+    """
     if not dt > 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
     r = A.shape[0]
@@ -145,5 +287,10 @@ def build_schur(
         raise ValueError(
             f"inconsistent shapes A{A.shape}, B{B.shape}, Cinv{Cinv.shape}"
         )
+    if space.dim != r:
+        raise ValueError(f"stress space of dimension {space.dim} does not match A{A.shape}")
     S = (1.0 / dt + 0.5) * A + (0.25 * dt) * (B.T @ Cinv @ B)
-    return SchurSolver(sp.csr_matrix(S), method, tol)
+    interior = space.eldof[:, space.dof_kind[space.eldof[0]] == "interior"]
+    m = space.mesh
+    grid = np.rint(2.0 * (space.dof_point - m.bounds[:2]) / (m.hx, m.hy)).astype(np.int64)
+    return SchurSolver(sp.csr_matrix(S), method, tol, interior, grid)

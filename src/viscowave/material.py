@@ -1,4 +1,4 @@
-"""Isotropic material data and symmetric-tensor algebra in Voigt storage.
+"""Isotropic material data in Voigt storage.
 
 A symmetric 2x2 tensor is stored as the triple ``(t11, t22, t12)``.  The
 tensor dot product counts the off-diagonal entry twice:
@@ -17,31 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "VOIGT_DOT",
-    "VoigtTensor",
-    "IsotropicMaterial",
-    "voigt_inner",
-    "apply_stiffness",
-    "apply_compliance",
-    "compliance_bounds",
-]
+__all__ = ["VOIGT_DOT", "IsotropicMaterial", "apply_stiffness"]
 
 
 # Weight of the tensor dot product on Voigt triples: s : t = s @ VOIGT_DOT @ t.
 VOIGT_DOT = np.diag([1.0, 1.0, 2.0])
-
-
-class VoigtTensor(NamedTuple):
-    """Symmetric 2x2 tensor stored as (t11, t22, t12)."""
-
-    t11: float
-    t22: float
-    t12: float
 
 
 @dataclass(frozen=True)
@@ -87,34 +70,9 @@ class IsotropicMaterial:
         )
 
 
-def _apply(matrix: np.ndarray, tensor):
-    arr = np.asarray(tensor, dtype=float)
+def apply_stiffness(material: IsotropicMaterial, strain) -> np.ndarray:
+    """Stress produced by a strain given as (..., 3) Voigt triples."""
+    arr = np.asarray(strain, dtype=float)
     if arr.shape[-1] != 3:
         raise ValueError(f"expected Voigt triples in the last axis, got shape {arr.shape}")
-    out = arr @ matrix.T
-    if isinstance(tensor, VoigtTensor):
-        return VoigtTensor(*out)
-    return out
-
-
-def voigt_inner(a, b):
-    """Tensor dot product of Voigt triples; broadcasts over leading axes."""
-    return (np.asarray(a, dtype=float) * np.asarray(b, dtype=float)) @ VOIGT_DOT.diagonal()
-
-
-def apply_stiffness(material: IsotropicMaterial, strain):
-    """Stress produced by a strain; accepts a VoigtTensor or an (..., 3) array."""
-    return _apply(material.stiffness_matrix(), strain)
-
-
-def apply_compliance(material: IsotropicMaterial, stress):
-    """Strain produced by a stress; accepts a VoigtTensor or an (..., 3) array."""
-    return _apply(material.compliance_matrix(), stress)
-
-
-def compliance_bounds(material: IsotropicMaterial) -> tuple[float, float]:
-    """Spectral bounds (M0, M1) of the compliance under the tensor dot product."""
-    return (
-        1.0 / (2.0 * material.mu + 2.0 * material.lam),
-        1.0 / (2.0 * material.mu),
-    )
+    return arr @ material.stiffness_matrix().T

@@ -135,14 +135,6 @@ class StructuredMesh:
             ]
         )
 
-    def vertex_index(self, i, j):
-        """Global id of vertex (i, j), 0 <= i <= nx, 0 <= j <= ny."""
-        return j * (self.nx + 1) + i
-
-    def element_index(self, i, j):
-        """Global id of element (i, j), 0 <= i < nx, 0 <= j < ny."""
-        return j * self.nx + i
-
     def element_rect(self, e) -> ElementRect:
         """Extent of element ``e``; corners come out counterclockwise from lower left."""
         if not 0 <= e < self.n_elements:

@@ -129,14 +129,12 @@ class CNStepper:
             raise ValueError(f"time step must be positive, got {dt}")
         A, B, Bt, Cinv = self.system.A, self.system.B, self.Bt, self.Cinv
         a, b = state.alpha, state.beta
-        rhs = (
-            (1.0 / dt - 0.5) * (A @ a)
-            - Bt @ b
-            - 0.25 * dt * (Bt @ (Cinv @ (B @ a)))
-            - 0.5 * dt * (Bt @ (Cinv @ load_mid))
+        g = Cinv @ load_mid
+        rhs = (1.0 / dt - 0.5) * (A @ a) - Bt @ (
+            b + 0.25 * dt * (Cinv @ (B @ a)) + 0.5 * dt * g
         )
         a_new = self.solver.solve(rhs)
-        b_new = b + dt * (Cinv @ (0.5 * (B @ (a + a_new)) + load_mid))
+        b_new = b + dt * (0.5 * (Cinv @ (B @ (a + a_new))) + g)
         return SimState(a_new, b_new, state.t + dt)
 
 
@@ -198,6 +196,7 @@ def run(config) -> RunResult:
             dt,
             method=config.solver,
             tol=config.solver_tol,
+            space=stress_space,
         ),
     )
 

@@ -1,5 +1,9 @@
 """Pointwise field and basis evaluation, rule application and reference formulas.
 
+Voigt-triple algebra (``VoigtTensor``, ``voigt_inner``, ``apply_compliance``,
+``compliance_bounds``) and mesh index helpers (``vertex_index``,
+``element_index``) are used only here and by the tests.
+
 The solver itself works with whole-mesh basis tables; these helpers evaluate
 one element at a time so the tests can check the tables point by point.
 ``einsum_load`` and ``einsum_error`` are the load and error-norm formulas
@@ -10,12 +14,50 @@ evaluating its time and space parts on every call: the reference the
 time-separable fields of ``viscowave.mms`` are checked against.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from viscowave.fespace import StressSpace, VelocitySpace
-from viscowave.material import VoigtTensor
+from viscowave.material import VOIGT_DOT, IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.quadrature import QuadratureRule, rect_rule
+
+
+class VoigtTensor(NamedTuple):
+    """Symmetric 2x2 tensor stored as (t11, t22, t12)."""
+
+    t11: float
+    t22: float
+    t12: float
+
+
+def voigt_inner(a, b):
+    """Tensor dot product of Voigt triples; broadcasts over leading axes."""
+    return (np.asarray(a, dtype=float) * np.asarray(b, dtype=float)) @ VOIGT_DOT.diagonal()
+
+
+def apply_compliance(material: IsotropicMaterial, stress) -> np.ndarray:
+    """Strain produced by a stress given as (..., 3) Voigt triples."""
+    return np.asarray(stress, dtype=float) @ material.compliance_matrix().T
+
+
+def compliance_bounds(material: IsotropicMaterial) -> tuple[float, float]:
+    """Spectral bounds (M0, M1) of the compliance under the tensor dot product."""
+    return (
+        1.0 / (2.0 * material.mu + 2.0 * material.lam),
+        1.0 / (2.0 * material.mu),
+    )
+
+
+def vertex_index(mesh: StructuredMesh, i, j):
+    """Global id of vertex (i, j), 0 <= i <= nx, 0 <= j <= ny."""
+    return j * (mesh.nx + 1) + i
+
+
+def element_index(mesh: StructuredMesh, i, j):
+    """Global id of element (i, j), 0 <= i < nx, 0 <= j < ny."""
+    return j * mesh.nx + i
 
 
 def local_coords(mesh: StructuredMesh, elem, x, y):

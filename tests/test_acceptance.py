@@ -215,6 +215,7 @@ def test_criterion_5_discrete_energy_identity(capsys):
                 dt,
                 "direct",
                 1e-12,
+                ss,
             ),
         )
         rng = np.random.default_rng(42)

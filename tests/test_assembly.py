@@ -22,12 +22,12 @@ from viscowave.fespace import (
     StressSpace,
     VelocitySpace,
 )
-from viscowave.material import IsotropicMaterial, compliance_bounds
+from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
 from viscowave.quadrature import rect_rule
 
-from fehelpers import einsum_load, eval_velocity
+from fehelpers import compliance_bounds, einsum_load, eval_velocity, vertex_index
 
 UNIT = IsotropicMaterial()
 
@@ -64,9 +64,9 @@ def test_lumped_weights_scale_with_vertex_valence():
     A = assemble_mass_stress(ss, UNIT, lumped=True)
     h2 = mesh.hx * mesh.hy
     w00 = 0.375  # (C^{-1} e11) : e11 at mu=lam=1
-    corner = ss.mesh.vertex_index(0, 0)
-    edge = ss.mesh.vertex_index(1, 0)
-    interior = ss.mesh.vertex_index(1, 1)
+    corner = vertex_index(ss.mesh, 0, 0)
+    edge = vertex_index(ss.mesh, 1, 0)
+    interior = vertex_index(ss.mesh, 1, 1)
     assert A[corner, corner] == pytest.approx(h2 / 4 * w00, rel=1e-13)
     assert A[edge, edge] == pytest.approx(h2 / 2 * w00, rel=1e-13)
     assert A[interior, interior] == pytest.approx(h2 * w00, rel=1e-13)

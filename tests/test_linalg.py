@@ -9,15 +9,22 @@ from viscowave.assembly import assemble_system
 from viscowave.fespace import HMZ, NEDELEC, StressSpace, VelocitySpace
 from viscowave.linalg import (
     ConvergenceError,
+    CondensedLU,
     SchurSolver,
     SingularBlockError,
     block_diag_inverse,
     build_schur,
+    nested_dissection,
 )
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 
 TOL = 1e-12
+
+
+def no_interior(n):
+    """Layout of an n-dof matrix with no interior dofs, points along a line."""
+    return np.zeros((0, 0), dtype=int), np.column_stack([2 * np.arange(n), np.zeros(n, int)])
 
 
 def random_block_diag(rng, nb, b, spd=True):
@@ -76,7 +83,7 @@ def test_build_schur_formula():
     system = hmz_system()
     dt = 0.1
     Cinv = block_diag_inverse(system.C, 4)
-    solver = build_schur(system.A, system.B, Cinv, dt, "direct", TOL)
+    solver = build_schur(system.A, system.B, Cinv, dt, "direct", TOL, system.stress_space)
     S = (1.0 / dt + 0.5) * system.A + 0.25 * dt * (
         system.B.T @ Cinv @ system.B
     )
@@ -87,18 +94,18 @@ def test_build_schur_validation():
     system = hmz_system()
     Cinv = block_diag_inverse(system.C, 4)
     with pytest.raises(ValueError):
-        build_schur(system.A, system.B, Cinv, 0.0, "direct", TOL)
+        build_schur(system.A, system.B, Cinv, 0.0, "direct", TOL, system.stress_space)
     with pytest.raises(ValueError):
-        build_schur(system.A, system.B.T, Cinv, 0.1, "direct", TOL)  # wrong orientation
+        build_schur(system.A, system.B.T, Cinv, 0.1, "direct", TOL, system.stress_space)  # wrong orientation
     with pytest.raises(ValueError):
-        build_schur(system.A, system.B, Cinv, 0.1, "gmres", TOL)
+        build_schur(system.A, system.B, Cinv, 0.1, "gmres", TOL, system.stress_space)
 
 
 @pytest.mark.parametrize("method", ["direct", "cg"])
 def test_solve_matches_dense(method):
     system = hmz_system()
     Cinv = block_diag_inverse(system.C, 4)
-    solver = build_schur(system.A, system.B, Cinv, 0.05, method, TOL)
+    solver = build_schur(system.A, system.B, Cinv, 0.05, method, TOL, system.stress_space)
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(system.A.shape[0])
     x = solver.solve(rhs)
@@ -111,8 +118,8 @@ def test_solve_matches_dense(method):
 def test_direct_and_cg_agree():
     system = hmz_system(3)
     Cinv = block_diag_inverse(system.C, 4)
-    d = build_schur(system.A, system.B, Cinv, 0.01, "direct", TOL)
-    c = build_schur(system.A, system.B, Cinv, 0.01, "cg", TOL)
+    d = build_schur(system.A, system.B, Cinv, 0.01, "direct", TOL, system.stress_space)
+    c = build_schur(system.A, system.B, Cinv, 0.01, "cg", TOL, system.stress_space)
     rhs = np.sin(np.arange(system.A.shape[0], dtype=float))
     np.testing.assert_allclose(d.solve(rhs), c.solve(rhs), rtol=1e-7, atol=1e-13)
 
@@ -120,7 +127,7 @@ def test_direct_and_cg_agree():
 def test_zero_rhs_shortcut():
     system = hmz_system()
     Cinv = block_diag_inverse(system.C, 4)
-    solver = build_schur(system.A, system.B, Cinv, 0.1, "direct", TOL)
+    solver = build_schur(system.A, system.B, Cinv, 0.1, "direct", TOL, system.stress_space)
     x = solver.solve(np.zeros(system.A.shape[0]))
     assert np.all(x == 0.0)
 
@@ -131,7 +138,7 @@ def test_unreachable_tolerance_raises():
     rng = np.random.default_rng(2)
     M = rng.standard_normal((n, n))
     S = sp.csr_matrix(M @ M.T + n * np.eye(n))
-    solver = SchurSolver(S, "cg", 1e-30)
+    solver = SchurSolver(S, "cg", 1e-30, *no_interior(n))
     with pytest.raises(ConvergenceError) as err:
         solver.solve(rng.standard_normal(n))
     assert err.value.residual > 1e-30
@@ -139,17 +146,22 @@ def test_unreachable_tolerance_raises():
 
 def test_solver_constructor_validation():
     S = sp.identity(4, format="csr")
+    layout = no_interior(4)
     with pytest.raises(ValueError):
-        SchurSolver(S, "direct", 0.0)
+        SchurSolver(S, "direct", 0.0, *layout)
     with pytest.raises(ValueError):
-        SchurSolver(S, "lu", 1e-12)
+        SchurSolver(S, "lu", 1e-12, *layout)
     ind = sp.diags([1.0, -1.0, 1.0, 1.0]).tocsr()
     with pytest.raises(SingularBlockError):
-        SchurSolver(ind, "cg", 1e-12)  # Jacobi preconditioner needs positive diagonal
+        SchurSolver(ind, "cg", 1e-12, *layout)  # Jacobi preconditioner needs positive diagonal
     with pytest.raises(SingularBlockError, match="cannot be factored"):
-        SchurSolver(sp.diags([1.0, 0.0, 1.0]).tocsr(), "direct", 1e-12)
+        SchurSolver(sp.diags([1.0, 0.0, 1.0]).tocsr(), "direct", 1e-12, *no_interior(3))
     with pytest.raises(ValueError):
-        SchurSolver(S, "cg", np.inf)  # a relative residual bound of 1 or more certifies nothing
+        SchurSolver(S, "cg", np.inf, *layout)  # a relative residual bound of 1 or more certifies nothing
+    system = hmz_system()
+    with pytest.raises(ValueError, match="does not match"):
+        build_schur(system.A, system.B, block_diag_inverse(system.C, 4), 0.1, "direct", TOL,
+                    StressSpace(StructuredMesh(3, 2), HMZ))
 
 
 def test_schur_spd_for_nedelec_lumped():
@@ -158,7 +170,7 @@ def test_schur_spd_for_nedelec_lumped():
     vs = VelocitySpace(mesh, NEDELEC)
     system = assemble_system(ss, vs, IsotropicMaterial(), lumped=True)
     Cinv = block_diag_inverse(system.C, 2)
-    solver = build_schur(system.A, system.B, Cinv, 0.005, "direct", TOL)
+    solver = build_schur(system.A, system.B, Cinv, 0.005, "direct", TOL, system.stress_space)
     dense = solver.S.toarray()
     np.testing.assert_allclose(dense, dense.T, atol=1e-13)
     assert np.linalg.eigvalsh(dense).min() > 0.0
@@ -168,18 +180,94 @@ def test_schur_spd_for_nedelec_lumped():
     "family, dt", [(HMZ, 0.25), (HMZ, 1.0 / 200), (NEDELEC, 0.25)]
 )
 def test_direct_fill_below_colamd(family, dt):
-    # The SPD reduced matrix is factored with a symmetric minimum-degree
-    # ordering and diagonal pivots; COLAMD, or pivoting off the diagonal,
-    # fills more (on the lumped nedelec-q1q0 matrix at dt = 0.25 pivoting
-    # gives about 1.6 times the COLAMD fill).
+    # The SPD reduced matrix is condensed, ordered by nested dissection and
+    # factored with diagonal pivots; COLAMD on the full matrix, or pivoting
+    # off the diagonal, fills more (on the lumped nedelec-q1q0 matrix at
+    # dt = 0.25 pivoting gives about 1.6 times the COLAMD fill).
     mesh = StructuredMesh(16, 16)
     ss = StressSpace(mesh, family)
     vs = VelocitySpace(mesh, family)
     system = assemble_system(ss, vs, IsotropicMaterial(), lumped=family == NEDELEC)
     Cinv = block_diag_inverse(system.C, vs.n_local)
-    solver = build_schur(system.A, system.B, Cinv, dt, "direct", TOL)
+    solver = build_schur(system.A, system.B, Cinv, dt, "direct", TOL, system.stress_space)
     colamd = spla.splu(solver.S.tocsc(), permc_spec="COLAMD")
     assert solver._lu.L.nnz + solver._lu.U.nnz < colamd.L.nnz + colamd.U.nnz
     rhs = np.cos(np.arange(solver.S.shape[0], dtype=float))
     x = solver.solve(rhs)
     assert np.linalg.norm(rhs - solver.S @ x) <= TOL * np.linalg.norm(rhs)
+
+
+def make_system(nx, ny, family):
+    mesh = StructuredMesh(nx, ny)
+    ss = StressSpace(mesh, family)
+    vs = VelocitySpace(mesh, family)
+    return assemble_system(ss, vs, IsotropicMaterial(), lumped=family == NEDELEC)
+
+
+def make_direct(system, dt):
+    Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
+    return build_schur(system.A, system.B, Cinv, dt, "direct", TOL, system.stress_space)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("nx, ny", [(6, 3), (8, 8)])
+@pytest.mark.parametrize("dt", [1.0 / 200, 0.25])
+def test_condensed_solve_matches_dense(family, nx, ny, dt):
+    solver = make_direct(make_system(nx, ny, family), dt)
+    n_inner = (nx * ny * 2) if family == HMZ else 0
+    assert solver._lu.inner.size == n_inner
+    rhs = np.random.default_rng(nx + ny).standard_normal(solver.S.shape[0])
+    want = np.linalg.solve(solver.S.toarray(), rhs)
+    x = solver._lu.solve(rhs)  # one condensed solve, no refinement
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_condensed_fill_at_most_minimum_degree(family, n):
+    # The reference: minimum degree on the full S + S^T with diagonal pivots.
+    solver = make_direct(make_system(n, n, family), 0.25)
+    mmd = spla.splu(
+        solver.S.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    assert solver._lu.L.nnz + solver._lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_nested_dissection_order(family):
+    ss = StressSpace(StructuredMesh(8, 8), family)
+    m = ss.mesh
+    grid = np.rint(2.0 * ss.dof_point / (m.hx, m.hy)).astype(int)
+    p = nested_dissection(grid)
+    assert np.array_equal(np.sort(p), np.arange(ss.dim))
+    assert np.array_equal(p, nested_dissection(grid.copy()))
+    # The first cut is the mesh line x = 1/2: left half, right half, then the line.
+    x = grid[p, 0]
+    n_sep = np.count_nonzero(x == 8)
+    assert np.all(x[-n_sep:] == 8)
+    n_left = np.count_nonzero(x < 8)
+    assert np.all(x[:n_left] < 8) and np.all(x[n_left:-n_sep] > 8)
+
+
+def test_nested_dissection_leaves_small_boxes_in_place():
+    grid = np.array([[0, 0], [4, 2], [2, 2], [2, 0]])
+    assert np.array_equal(nested_dissection(grid), np.arange(4))
+
+
+def test_wrongly_numbered_bubbles_raise():
+    system = make_system(4, 4, HMZ)
+    ss = system.stress_space
+    solver = make_direct(system, 0.25)
+    S = solver.S
+    grid = np.rint(2.0 * ss.dof_point / (ss.mesh.hx, ss.mesh.hy)).astype(int)
+    by_component = np.flatnonzero(ss.dof_kind == "interior").reshape(-1, 2)
+    with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
+        CondensedLU(S, by_component, grid)
+    by_element = ss.eldof[:, [2, 5]]
+    shifted = np.column_stack([by_element[:, 0], np.roll(by_element[:, 1], 1)])
+    with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
+        CondensedLU(S, shifted, grid)
+    assert np.array_equal(solver._lu.inner, by_element.ravel())

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from viscowave.material import (
-    IsotropicMaterial,
-    VoigtTensor,
-    apply_compliance,
-    apply_stiffness,
-    compliance_bounds,
-    voigt_inner,
-)
+from viscowave.material import IsotropicMaterial, apply_stiffness
+
+from fehelpers import VoigtTensor, apply_compliance, compliance_bounds, voigt_inner
 
 
 def test_stiffness_matrix_unit_material():

@@ -5,6 +5,8 @@ import pytest
 
 from viscowave.mesh import ElementRect, StructuredMesh
 
+from fehelpers import element_index, vertex_index
+
 
 def test_counts_4x4():
     mesh = StructuredMesh(4, 4)
@@ -42,7 +44,7 @@ def test_vertex_index_roundtrip():
     mesh = StructuredMesh(5, 3)
     for j in range(4):
         for i in range(6):
-            v = mesh.vertex_index(i, j)
+            v = vertex_index(mesh, i, j)
             np.testing.assert_allclose(
                 mesh.vertex_coords[v], [i * mesh.hx, j * mesh.hy]
             )
@@ -50,7 +52,7 @@ def test_vertex_index_roundtrip():
 
 def test_elem_vertices_ccw_from_lower_left():
     mesh = StructuredMesh(3, 2)
-    e = mesh.element_index(1, 1)
+    e = element_index(mesh, 1, 1)
     ll, lr, ur, ul = mesh.elem_vertices[e]
     xy = mesh.vertex_coords
     np.testing.assert_allclose(xy[lr] - xy[ll], [mesh.hx, 0.0])
@@ -73,10 +75,10 @@ def test_elem_edges_incidence():
     # elem_edges rows are [left, right, bottom, top]; shared edge between
     # horizontal neighbours is right-of-left == left-of-right
     mesh = StructuredMesh(4, 4)
-    e0 = mesh.element_index(1, 2)
-    e1 = mesh.element_index(2, 2)
+    e0 = element_index(mesh, 1, 2)
+    e1 = element_index(mesh, 2, 2)
     assert mesh.elem_edges[e0][1] == mesh.elem_edges[e1][0]
-    e2 = mesh.element_index(1, 3)
+    e2 = element_index(mesh, 1, 3)
     assert mesh.elem_edges[e0][3] == mesh.elem_edges[e2][2]
 
 

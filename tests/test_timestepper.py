@@ -40,6 +40,7 @@ def make_solver(system, dt, method="direct"):
         dt,
         method=method,
         tol=1e-12,
+        space=system.stress_space,
     )
 
 
@@ -341,3 +342,18 @@ def test_repeated_runs_are_bit_identical(example):
     assert (second.E_a_sigma, second.E_c_v) == (first.E_a_sigma, first.E_c_v)
     np.testing.assert_array_equal(second.err_sigma, first.err_sigma)
     np.testing.assert_array_equal(second.err_v, first.err_v)
+
+
+@pytest.mark.parametrize(
+    "element, e_a_sigma, e_c_v",
+    [
+        (NEDELEC, 0.0013972334172632772, 0.0010174671611844054),
+        (HMZ, 0.0028084491259771104, 0.0008979808792086288),
+    ],
+)
+def test_direct_run_keeps_recorded_errors(element, e_a_sigma, e_c_v):
+    # Recorded with the factorization of the full S under a minimum-degree
+    # ordering; condensing and reordering S moves only rounding.
+    res = run(run_config(element=element, example=1, nx=16, n_steps=200))
+    assert res.E_a_sigma == pytest.approx(e_a_sigma, rel=1e-12, abs=0.0)
+    assert res.E_c_v == pytest.approx(e_c_v, rel=1e-12, abs=0.0)
