@@ -7,7 +7,6 @@ from .analysis import (
     VelocityErrorEvaluator,
     convergence_orders,
     energy,
-    energy_residuals,
     infsup_constants,
 )
 from .assembly import (
@@ -26,10 +25,10 @@ from .linalg import (
     block_diag_inverse,
     build_schur,
 )
-from .material import VOIGT_DOT, IsotropicMaterial, apply_stiffness
+from .material import VOIGT_DOT, IsotropicMaterial
 from .mesh import ElementRect, StructuredMesh
-from .mms import ExactSolution, ResidualReport, exact_fields, verify_residuals
+from .mms import ExactSolution, exact_fields
 from .quadrature import QuadratureRule, lumped_rect_rule, rect_rule, triangle_rule
-from .timestepper import CNStepper, RunResult, SimState, TimeGrid, init_state, resolve_time, run
+from .timestepper import CNStepper, RunResult, SimState, init_state, resolve_time, run
 
 __version__ = "0.1.0"

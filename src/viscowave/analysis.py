@@ -28,7 +28,6 @@ __all__ = [
     "check_study_parameters",
     "convergence_orders",
     "energy",
-    "energy_residuals",
     "infsup_constants",
 ]
 
@@ -93,27 +92,6 @@ def energy(system, state) -> float:
     """Discrete energy ||sigma_h||_a^2 + ||v_h||_c^2 using the scheme's matrices."""
     a, b = state.alpha, state.beta
     return float(a @ (system.A @ a) + b @ (system.C @ b))
-
-
-def energy_residuals(system, states, dt: float) -> np.ndarray:
-    """Relative defect of the unforced energy identity along a trajectory.
-
-    For states produced with zero body force, the energy at node J plus
-    twice the accumulated midpoint dissipation must equal the initial
-    energy; returns |defect| / E_0 for J = 1..M.
-    """
-    if len(states) < 2:
-        raise ValueError("need at least two states")
-    e0 = energy(system, states[0])
-    if e0 <= 0.0:
-        raise ValueError("initial energy must be positive")
-    out = np.empty(len(states) - 1)
-    dissipated = 0.0
-    for j in range(1, len(states)):
-        mid = 0.5 * (states[j - 1].alpha + states[j].alpha)
-        dissipated += 2.0 * dt * float(mid @ (system.A @ mid))
-        out[j - 1] = abs(energy(system, states[j]) + dissipated - e0) / e0
-    return out
 
 
 def _infsup_constant(stress_space, velocity_space, B=None) -> float:

@@ -144,8 +144,6 @@ class StressSpace(_Space):
         Degrees of freedom per element (12 for ``nedelec-q1q0``, 10 for ``hmz``).
     eldof : ndarray, shape (n_elements, n_local)
         Local-to-global index map.
-    dof_component : ndarray, shape (dim,)
-        0, 1, 2 for the t11, t22, t12 components.
     dof_kind : ndarray of str, shape (dim,)
         ``vertex``, ``edge``, or ``interior``.
     dof_point : ndarray, shape (dim, 2)
@@ -166,7 +164,6 @@ class StressSpace(_Space):
             self.eldof = np.concatenate(
                 [mesh.elem_vertices + c * nv for c in range(3)], axis=1
             )
-            self.dof_component = np.repeat(np.arange(3), nv)
             self.dof_kind = np.full(self.dim, "vertex")
             self.dof_point = np.tile(mesh.vertex_coords, (3, 1))
         else:
@@ -191,13 +188,6 @@ class StressSpace(_Space):
                     off_edge22 + hedge[:, 1],
                     off_bub22 + eid,
                     off_shear + mesh.elem_vertices,
-                ]
-            )
-            self.dof_component = np.concatenate(
-                [
-                    np.zeros(nve + ne, dtype=int),
-                    np.ones(nhe + ne, dtype=int),
-                    np.full(nv, 2),
                 ]
             )
             self.dof_kind = np.concatenate(
@@ -317,12 +307,6 @@ class VelocitySpace(_Space):
         self.n_local = 2 if family == NEDELEC else 4
         self.dim = self.n_local * ne
         self.eldof = self.n_local * np.arange(ne)[:, None] + np.arange(self.n_local)
-        if family == NEDELEC:
-            self.dof_component = np.tile([0, 1], ne)
-        else:
-            self.dof_component = np.tile([0, 0, 1, 1], ne)
-        self.dof_kind = np.full(self.dim, "interior")
-        self.dof_point = np.repeat(mesh.element_centers(), self.n_local, axis=0)
 
     def local_values(self, xi, eta) -> np.ndarray:
         """Local basis values at (xi, eta); shape broadcast(xi, eta) + (n_local, 2)."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["VOIGT_DOT", "IsotropicMaterial", "apply_stiffness"]
+__all__ = ["VOIGT_DOT", "IsotropicMaterial"]
 
 
 # Weight of the tensor dot product on Voigt triples: s : t = s @ VOIGT_DOT @ t.
@@ -45,6 +45,12 @@ class IsotropicMaterial:
             raise ValueError(f"shear modulus must be positive, got {self.mu}")
         if self.lam < 0.0:
             raise ValueError(f"first Lame parameter must be nonnegative, got {self.lam}")
+        if 2.0 * self.mu + 2.0 * self.lam == 2.0 * self.lam:
+            # c = lam / (2 mu + 2 lam) is then exactly 1/2: singular compliance
+            raise ValueError(
+                f"shear modulus mu={self.mu} is lost against lam={self.lam} "
+                "(2 mu + 2 lam rounds to 2 lam), so the compliance is singular"
+            )
 
     def stiffness_matrix(self) -> np.ndarray:
         """Matrix of the stiffness map acting on (t11, t22, t12)."""
@@ -69,10 +75,3 @@ class IsotropicMaterial:
             ]
         )
 
-
-def apply_stiffness(material: IsotropicMaterial, strain) -> np.ndarray:
-    """Stress produced by a strain given as (..., 3) Voigt triples."""
-    arr = np.asarray(strain, dtype=float)
-    if arr.shape[-1] != 3:
-        raise ValueError(f"expected Voigt triples in the last axis, got shape {arr.shape}")
-    return arr @ material.stiffness_matrix().T

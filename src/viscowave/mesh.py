@@ -70,10 +70,6 @@ class StructuredMesh:
         Vertex ids, counterclockwise from the lower-left corner.
     elem_edges : ndarray, shape (n_elements, 4)
         Edge ids in the order (left, right, bottom, top).
-    edge_vertices : ndarray, shape (n_edges, 2)
-    edge_normal_axis : ndarray, shape (n_edges,)
-        0 where the fixed unit normal is +x, 1 where it is +y.
-    boundary_vertex, boundary_edge : ndarray of bool
     """
 
     def __init__(self, nx, ny, bounds=(0.0, 0.0, 1.0, 1.0)):
@@ -105,35 +101,6 @@ class StructuredMesh:
         left = je * (nx + 1) + ie
         bottom = self.n_vertical_edges + je * nx + ie
         self.elem_edges = np.column_stack([left, left + 1, bottom, bottom + nx])
-
-        iv, jv = np.meshgrid(np.arange(nx + 1), np.arange(ny))
-        iv, jv = iv.ravel(), jv.ravel()
-        vlow = jv * (nx + 1) + iv
-        ih, jh = np.meshgrid(np.arange(nx), np.arange(ny + 1))
-        ih, jh = ih.ravel(), jh.ravel()
-        hlow = jh * (nx + 1) + ih
-        self.edge_vertices = np.vstack(
-            [
-                np.column_stack([vlow, vlow + nx + 1]),
-                np.column_stack([hlow, hlow + 1]),
-            ]
-        )
-        self.edge_normal_axis = np.concatenate(
-            [
-                np.zeros(self.n_vertical_edges, dtype=int),
-                np.ones(self.n_horizontal_edges, dtype=int),
-            ]
-        )
-
-        gx = np.rint((self.vertex_coords[:, 0] - x0) / self.hx).astype(int)
-        gy = np.rint((self.vertex_coords[:, 1] - y0) / self.hy).astype(int)
-        self.boundary_vertex = (gx == 0) | (gx == nx) | (gy == 0) | (gy == ny)
-        self.boundary_edge = np.concatenate(
-            [
-                (iv == 0) | (iv == nx),
-                (jh == 0) | (jh == ny),
-            ]
-        )
 
     def element_rect(self, e) -> ElementRect:
         """Extent of element ``e``; corners come out counterclockwise from lower left."""

@@ -14,50 +14,35 @@ relation ``sigma + sigma_t = C eps(v)`` exactly for the unit material
 The body force is ``f = rho v_t - div sigma``, so the momentum equation
 holds by construction.  Every field is time-separable, one or two time
 coefficients times fixed spatial factors (``Separable``), so on a fixed
-quadrature point set each spatial factor is evaluated once.  ``verify_residuals`` cross-checks every hand-coded
-derivative field against fourth-order central differences of the primary
-fields and evaluates both model equations.
+quadrature point set each spatial factor is evaluated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
-from .material import IsotropicMaterial, apply_stiffness
+from .material import IsotropicMaterial
 
-__all__ = ["ExactSolution", "Separable", "ResidualReport", "exact_fields", "verify_residuals"]
+__all__ = ["ExactSolution", "Separable", "exact_fields"]
 
 Field = Callable[..., np.ndarray]
 
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Bundle of evaluators ``(x, y, t) -> array`` for one solution family.
+    """Velocity, stress and body force ``(x, y, t) -> array`` of one solution family.
 
-    Vector fields return shape ``broadcast + (2,)``, tensor fields
+    ``v`` and ``f`` return shape ``broadcast + (2,)``, ``sigma``
     ``broadcast + (3,)`` in Voigt storage.
     """
 
     example: int
-    reduced_regularity: bool
-    u: Field
     v: Field
-    v_t: Field
     sigma: Field
-    sigma_t: Field
-    div_sigma: Field
     f: Field
-
-
-class ResidualReport(NamedTuple):
-    """Maximum absolute momentum and constitutive residuals over the sample."""
-
-    momentum: float
-    constitutive: float
 
 
 def _stack(*components):
@@ -111,12 +96,8 @@ def _decaying(rho, V, S, D):
         return t * np.exp(-t)
 
     return dict(
-        u=Separable((lambda t: -np.exp(-t), V)),
         v=Separable((lambda t: np.exp(-t), V)),
-        v_t=Separable((lambda t: -np.exp(-t), V)),
         sigma=Separable((te, S)),
-        sigma_t=Separable((lambda t: (1.0 - t) * np.exp(-t), S)),
-        div_sigma=Separable((te, D)),
         f=Separable((lambda t: -rho * np.exp(-t), V), (lambda t: -te(t), D)),
     )
 
@@ -201,15 +182,9 @@ def _example3(rho):
             -1.5 * pi * pi * sy * p(x) + pi * np.cos(pi * x) * pp(y) + 0.5 * sy * ppp(x),
         )
 
-    u = Separable((np.exp, U))
-    sigma = Separable((np.exp, S))
     return dict(
-        u=u,
-        v=u,
-        v_t=u,
-        sigma=sigma,
-        sigma_t=sigma,
-        div_sigma=Separable((np.exp, D)),
+        v=Separable((np.exp, U)),
+        sigma=Separable((np.exp, S)),
         f=Separable((lambda t: rho * np.exp(t), U), (lambda t: -np.exp(t), D)),
     )
 
@@ -237,90 +212,5 @@ def exact_fields(
             "pass force=True (--force on the command line) to accept an "
             "inconsistent constitutive relation"
         )
-    fields = _BUILDERS[example](material.rho)
-    return ExactSolution(
-        example=example, reduced_regularity=(example == 3), **fields
-    )
+    return ExactSolution(example=example, **_BUILDERS[example](material.rho))
 
-
-def _fd_scale(num, h):
-    h = np.asarray(h, float)
-    if h.ndim:
-        h = h.reshape(h.shape + (1,) * (num.ndim - h.ndim))
-    return num / (12.0 * h)
-
-
-def _fd_t(fn, x, y, t, h):
-    num = (
-        -fn(x, y, t + 2 * h) + 8 * fn(x, y, t + h) - 8 * fn(x, y, t - h) + fn(x, y, t - 2 * h)
-    )
-    return _fd_scale(num, h)
-
-
-def _fd_x(fn, x, y, t, h):
-    num = (
-        -fn(x + 2 * h, y, t) + 8 * fn(x + h, y, t) - 8 * fn(x - h, y, t) + fn(x - 2 * h, y, t)
-    )
-    return _fd_scale(num, h)
-
-
-def _fd_y(fn, x, y, t, h):
-    num = (
-        -fn(x, y + 2 * h, t) + 8 * fn(x, y + h, t) - 8 * fn(x, y - h, t) + fn(x, y - 2 * h, t)
-    )
-    return _fd_scale(num, h)
-
-
-def verify_residuals(
-    solution: ExactSolution,
-    material: IsotropicMaterial | None = None,
-    n_samples: int = 1000,
-    t_final: float = 1.0,
-    margin: float | None = None,
-    seed: int = 7,
-) -> ResidualReport:
-    """Check both model equations at quasi-random interior sample points.
-
-    Time derivatives of ``v`` and ``sigma`` and space derivatives for
-    ``div sigma`` and ``eps(v)`` are formed by fourth-order central
-    differences of the primary evaluators (step 1e-4); for
-    reduced-regularity solutions the space step shrinks linearly with the
-    distance to the singular edges and a boundary margin (default 1e-3)
-    is excluded from the sample.
-    """
-    material = material or IsotropicMaterial()
-    if margin is None:
-        margin = 1e-3 if solution.reduced_regularity else 0.0
-    sampler = qmc.Halton(d=3, scramble=True, seed=seed)
-    pts = sampler.random(n_samples)
-    x = margin + (1.0 - 2.0 * margin) * pts[:, 0]
-    y = margin + (1.0 - 2.0 * margin) * pts[:, 1]
-    t = t_final * pts[:, 2]
-
-    ht = 1e-4
-    if solution.reduced_regularity:
-        hx = np.minimum(1e-4, x / 300.0)
-        hy = np.minimum(1e-4, y / 300.0)
-    else:
-        hx = hy = 1e-4
-
-    sig, vel = solution.sigma, solution.v
-    dsx = _fd_x(sig, x, y, t, hx)
-    dsy = _fd_y(sig, x, y, t, hy)
-    div_fd = np.stack([dsx[:, 0] + dsy[:, 2], dsx[:, 2] + dsy[:, 1]], axis=-1)
-    momentum = (
-        material.rho * _fd_t(vel, x, y, t, ht) - div_fd - solution.f(x, y, t)
-    )
-
-    dvx = _fd_x(vel, x, y, t, hx)
-    dvy = _fd_y(vel, x, y, t, hy)
-    strain_fd = np.stack(
-        [dvx[:, 0], dvy[:, 1], 0.5 * (dvy[:, 0] + dvx[:, 1])], axis=-1
-    )
-    constitutive = (
-        sig(x, y, t) + _fd_t(sig, x, y, t, ht) - apply_stiffness(material, strain_fd)
-    )
-    return ResidualReport(
-        momentum=float(np.abs(momentum).max()),
-        constitutive=float(np.abs(constitutive).max()),
-    )

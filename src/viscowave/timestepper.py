@@ -27,7 +27,7 @@ from .material import IsotropicMaterial
 from .mesh import StructuredMesh
 from .mms import exact_fields
 
-__all__ = ["SimState", "resolve_time", "TimeGrid", "RunResult", "init_state", "CNStepper", "run"]
+__all__ = ["SimState", "resolve_time", "RunResult", "init_state", "CNStepper", "run"]
 
 
 @dataclass
@@ -65,24 +65,6 @@ def resolve_time(t_final, dt=None, n_steps=None):
     if n_steps < 1 or abs(dt * n_steps - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(f"dt = {dt} and M = {n_steps} do not partition [0, {t_final}]")
     return float(t_final), float(dt), int(n_steps)
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform partition of [0, t_final] into n_steps steps."""
-
-    t_final: float
-    n_steps: int
-
-    def __post_init__(self):
-        resolve_time(self.t_final, None, self.n_steps)
-
-    @property
-    def dt(self) -> float:
-        return self.t_final / self.n_steps
-
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_final, self.n_steps + 1)
 
 
 def init_state(
@@ -166,8 +148,7 @@ def run(config) -> RunResult:
     lumping is applied exactly when the element family is ``nedelec-q1q0``.
     """
     t_final, _, n_steps = resolve_time(config.t_final, config.dt, config.n_steps)
-    grid = TimeGrid(t_final, n_steps)
-    dt = grid.dt
+    dt = t_final / n_steps
     every = getattr(config, "snapshot_every", None)
     if every is not None and not every >= 1:
         raise ValueError(f"snapshot interval must be at least 1, got {every}")
@@ -177,7 +158,7 @@ def run(config) -> RunResult:
         solution = exact_fields(config.example, material, force=getattr(config, "force", False))
     # The per-node arrays come first, so a step count too large to record
     # fails with MemoryError before any assembly or factorization.
-    nodes = grid.nodes()
+    nodes = np.linspace(0.0, t_final, n_steps + 1)
     n_nodes = nodes.size
     energy = np.empty(n_nodes)
     err_sigma = np.empty(n_nodes) if solution else None
@@ -226,7 +207,7 @@ def run(config) -> RunResult:
 
     record(0, state)
     f = solution.f if solution else None
-    for n in range(grid.n_steps):
+    for n in range(n_steps):
         load = stepper.midpoint_load(f, float(nodes[n]), dt)
         state = stepper.advance(state, load, dt)
         state.t = float(nodes[n + 1])

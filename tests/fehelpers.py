@@ -1,8 +1,11 @@
 """Pointwise field and basis evaluation, rule application and reference formulas.
 
 Voigt-triple algebra (``VoigtTensor``, ``voigt_inner``, ``apply_compliance``,
-``compliance_bounds``) and mesh index helpers (``vertex_index``,
-``element_index``) are used only here and by the tests.
+``apply_stiffness``, ``compliance_bounds``), mesh index and edge tables
+(``vertex_index``, ``element_index``, ``edge_vertices``,
+``edge_normal_axis``, ``boundary_vertex``, ``boundary_edge``), the dof
+component map ``dof_component`` and the unforced energy-identity defects
+``energy_residuals`` are used only here and by the tests.
 
 The solver itself works with whole-mesh basis tables; these helpers evaluate
 one element at a time so the tests can check the tables point by point.
@@ -12,15 +15,21 @@ matrix-product kernels are checked against.  ``reference_fields`` gives the
 manufactured solutions as one closure per field and component, each
 evaluating its time and space parts on every call: the reference the
 time-separable fields of ``viscowave.mms`` are checked against.
+``verify_residuals`` checks that a manufactured solution's ``f``, ``sigma``
+and ``v`` satisfy the momentum and constitutive equations, by finite
+differences at quasi-random points.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+from scipy.stats import qmc
 
-from viscowave.fespace import StressSpace, VelocitySpace
+from viscowave.analysis import energy
+from viscowave.fespace import NEDELEC, StressSpace, VelocitySpace
 from viscowave.material import VOIGT_DOT, IsotropicMaterial
 from viscowave.mesh import StructuredMesh
+from viscowave.mms import ExactSolution
 from viscowave.quadrature import QuadratureRule, rect_rule
 
 
@@ -42,6 +51,14 @@ def apply_compliance(material: IsotropicMaterial, stress) -> np.ndarray:
     return np.asarray(stress, dtype=float) @ material.compliance_matrix().T
 
 
+def apply_stiffness(material: IsotropicMaterial, strain) -> np.ndarray:
+    """Stress produced by a strain given as (..., 3) Voigt triples."""
+    arr = np.asarray(strain, dtype=float)
+    if arr.shape[-1] != 3:
+        raise ValueError(f"expected Voigt triples in the last axis, got shape {arr.shape}")
+    return arr @ material.stiffness_matrix().T
+
+
 def compliance_bounds(material: IsotropicMaterial) -> tuple[float, float]:
     """Spectral bounds (M0, M1) of the compliance under the tensor dot product."""
     return (
@@ -58,6 +75,59 @@ def vertex_index(mesh: StructuredMesh, i, j):
 def element_index(mesh: StructuredMesh, i, j):
     """Global id of element (i, j), 0 <= i < nx, 0 <= j < ny."""
     return j * mesh.nx + i
+
+
+def edge_vertices(mesh: StructuredMesh) -> np.ndarray:
+    """End vertices of every edge, shape (n_edges, 2): vertical edges first, then horizontal."""
+    nx, ny = mesh.nx, mesh.ny
+    iv, jv = np.meshgrid(np.arange(nx + 1), np.arange(ny))
+    vlow = (jv * (nx + 1) + iv).ravel()
+    ih, jh = np.meshgrid(np.arange(nx), np.arange(ny + 1))
+    hlow = (jh * (nx + 1) + ih).ravel()
+    return np.vstack(
+        [np.column_stack([vlow, vlow + nx + 1]), np.column_stack([hlow, hlow + 1])]
+    )
+
+
+def edge_normal_axis(mesh: StructuredMesh) -> np.ndarray:
+    """0 where an edge's fixed unit normal is +x (vertical edges), 1 where it is +y."""
+    return np.concatenate(
+        [
+            np.zeros(mesh.n_vertical_edges, dtype=int),
+            np.ones(mesh.n_horizontal_edges, dtype=int),
+        ]
+    )
+
+
+def boundary_vertex(mesh: StructuredMesh) -> np.ndarray:
+    """True for the vertices on the domain boundary."""
+    x0, y0 = mesh.bounds[:2]
+    gx = np.rint((mesh.vertex_coords[:, 0] - x0) / mesh.hx).astype(int)
+    gy = np.rint((mesh.vertex_coords[:, 1] - y0) / mesh.hy).astype(int)
+    return (gx == 0) | (gx == mesh.nx) | (gy == 0) | (gy == mesh.ny)
+
+
+def boundary_edge(mesh: StructuredMesh) -> np.ndarray:
+    """True for the edges on the domain boundary."""
+    nx, ny = mesh.nx, mesh.ny
+    iv = np.tile(np.arange(nx + 1), ny)
+    jh = np.repeat(np.arange(ny + 1), nx)
+    return np.concatenate([(iv == 0) | (iv == nx), (jh == 0) | (jh == ny)])
+
+
+def dof_component(space: StressSpace) -> np.ndarray:
+    """Voigt component of every stress dof: 0, 1, 2 for t11, t22, t12."""
+    mesh = space.mesh
+    if space.family == NEDELEC:
+        return np.repeat(np.arange(3), mesh.n_vertices)
+    ne = mesh.n_elements
+    return np.concatenate(
+        [
+            np.zeros(mesh.n_vertical_edges + ne, dtype=int),
+            np.ones(mesh.n_horizontal_edges + ne, dtype=int),
+            np.full(mesh.n_vertices, 2),
+        ]
+    )
 
 
 def local_coords(mesh: StructuredMesh, elem, x, y):
@@ -183,11 +253,6 @@ def _reference_example1(rho):
     def gppp(z):
         return 24.0 * z - 12.0
 
-    def u(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        e = -np.exp(-t)
-        return _vec(e * g(x) * gp(y), e * g(y) * gp(x))
-
     def v(x, y, t):
         x, y, t = _bcast(x, y, t)
         e = np.exp(-t)
@@ -207,12 +272,6 @@ def _reference_example1(rho):
         s11, s22, s12 = _sigma_spatial(x, y)
         return _voigt(te * s11, te * s22, te * s12)
 
-    def sigma_t(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        te = (1.0 - t) * np.exp(-t)
-        s11, s22, s12 = _sigma_spatial(x, y)
-        return _voigt(te * s11, te * s22, te * s12)
-
     def div_sigma(x, y, t):
         x, y, t = _bcast(x, y, t)
         te = t * np.exp(-t)
@@ -223,16 +282,11 @@ def _reference_example1(rho):
     def f(x, y, t):
         return rho * v_t(x, y, t) - div_sigma(x, y, t)
 
-    return dict(u=u, v=v, v_t=v_t, sigma=sigma, sigma_t=sigma_t, div_sigma=div_sigma, f=f)
+    return dict(v=v, sigma=sigma, f=f)
 
 
 def _reference_example2(rho):
     pi = np.pi
-
-    def u(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        e = -np.exp(-t) * np.sin(pi * x) * np.sin(pi * y)
-        return _vec(e, e.copy())
 
     def v(x, y, t):
         x, y, t = _bcast(x, y, t)
@@ -256,12 +310,6 @@ def _reference_example2(rho):
         s11, s22, s12 = _sigma_spatial(x, y)
         return _voigt(te * s11, te * s22, te * s12)
 
-    def sigma_t(x, y, t):
-        x, y, t = _bcast(x, y, t)
-        te = (1.0 - t) * np.exp(-t)
-        s11, s22, s12 = _sigma_spatial(x, y)
-        return _voigt(te * s11, te * s22, te * s12)
-
     def div_sigma(x, y, t):
         x, y, t = _bcast(x, y, t)
         te = t * np.exp(-t)
@@ -274,7 +322,7 @@ def _reference_example2(rho):
     def f(x, y, t):
         return rho * v_t(x, y, t) - div_sigma(x, y, t)
 
-    return dict(u=u, v=v, v_t=v_t, sigma=sigma, sigma_t=sigma_t, div_sigma=div_sigma, f=f)
+    return dict(v=v, sigma=sigma, f=f)
 
 
 def _reference_example3(rho):
@@ -289,13 +337,12 @@ def _reference_example3(rho):
     def ppp(z):
         return 0.75 / np.sqrt(z) - 3.75 * np.sqrt(z)
 
-    def u(x, y, t):
+    def v(x, y, t):
         x, y, t = _bcast(x, y, t)
         e = np.exp(t)
         return _vec(e * np.sin(pi * x) * p(y), e * np.sin(pi * y) * p(x))
 
-    v = u
-    v_t = u
+    v_t = v
 
     def sigma(x, y, t):
         x, y, t = _bcast(x, y, t)
@@ -304,8 +351,6 @@ def _reference_example3(rho):
         s22 = pi * e * (1.5 * np.cos(pi * y) * p(x) + 0.5 * np.cos(pi * x) * p(y))
         s12 = 0.5 * e * (np.sin(pi * x) * pp(y) + np.sin(pi * y) * pp(x))
         return _voigt(s11, s22, s12)
-
-    sigma_t = sigma
 
     def div_sigma(x, y, t):
         x, y, t = _bcast(x, y, t)
@@ -325,10 +370,128 @@ def _reference_example3(rho):
     def f(x, y, t):
         return rho * v_t(x, y, t) - div_sigma(x, y, t)
 
-    return dict(u=u, v=v, v_t=v_t, sigma=sigma, sigma_t=sigma_t, div_sigma=div_sigma, f=f)
+    return dict(v=v, sigma=sigma, f=f)
 
 
 def reference_fields(example, rho=1.0) -> dict:
-    """The seven fields (u, v, v_t, sigma, sigma_t, div_sigma, f) of a built-in example."""
+    """The fields (v, sigma, f) of a built-in example, as in ``viscowave.mms.ExactSolution``."""
     builders = {1: _reference_example1, 2: _reference_example2, 3: _reference_example3}
     return builders[example](rho)
+
+
+# --------------------------------------------- manufactured-solution residual check
+
+
+class ResidualReport(NamedTuple):
+    """Maximum absolute momentum and constitutive residuals over the sample."""
+
+    momentum: float
+    constitutive: float
+
+
+def _fd_scale(num, h):
+    h = np.asarray(h, float)
+    if h.ndim:
+        h = h.reshape(h.shape + (1,) * (num.ndim - h.ndim))
+    return num / (12.0 * h)
+
+
+def _fd_t(fn, x, y, t, h):
+    num = (
+        -fn(x, y, t + 2 * h) + 8 * fn(x, y, t + h) - 8 * fn(x, y, t - h) + fn(x, y, t - 2 * h)
+    )
+    return _fd_scale(num, h)
+
+
+def _fd_x(fn, x, y, t, h):
+    num = (
+        -fn(x + 2 * h, y, t) + 8 * fn(x + h, y, t) - 8 * fn(x - h, y, t) + fn(x - 2 * h, y, t)
+    )
+    return _fd_scale(num, h)
+
+
+def _fd_y(fn, x, y, t, h):
+    num = (
+        -fn(x, y + 2 * h, t) + 8 * fn(x, y + h, t) - 8 * fn(x, y - h, t) + fn(x, y - 2 * h, t)
+    )
+    return _fd_scale(num, h)
+
+
+def verify_residuals(
+    solution: ExactSolution,
+    material: IsotropicMaterial | None = None,
+    n_samples: int = 1000,
+    t_final: float = 1.0,
+    margin: float | None = None,
+    seed: int = 7,
+) -> ResidualReport:
+    """Check both model equations at quasi-random interior sample points.
+
+    The momentum residual ``rho v_t - div sigma - f`` and the constitutive
+    residual ``sigma + sigma_t - C eps(v)`` are formed from ``f``, ``sigma``
+    and ``v`` alone: time derivatives of ``v`` and ``sigma`` and space
+    derivatives for ``div sigma`` and ``eps(v)`` are fourth-order central
+    differences (step 1e-4).  For the reduced-regularity example 3 the
+    space step shrinks linearly with the distance to the singular edges and
+    a boundary margin (default 1e-3) is excluded from the sample.
+    """
+    material = material or IsotropicMaterial()
+    if margin is None:
+        margin = 1e-3 if solution.example == 3 else 0.0
+    sampler = qmc.Halton(d=3, scramble=True, seed=seed)
+    pts = sampler.random(n_samples)
+    x = margin + (1.0 - 2.0 * margin) * pts[:, 0]
+    y = margin + (1.0 - 2.0 * margin) * pts[:, 1]
+    t = t_final * pts[:, 2]
+
+    ht = 1e-4
+    if solution.example == 3:
+        hx = np.minimum(1e-4, x / 300.0)
+        hy = np.minimum(1e-4, y / 300.0)
+    else:
+        hx = hy = 1e-4
+
+    sig, vel = solution.sigma, solution.v
+    dsx = _fd_x(sig, x, y, t, hx)
+    dsy = _fd_y(sig, x, y, t, hy)
+    div_fd = np.stack([dsx[:, 0] + dsy[:, 2], dsx[:, 2] + dsy[:, 1]], axis=-1)
+    momentum = (
+        material.rho * _fd_t(vel, x, y, t, ht) - div_fd - solution.f(x, y, t)
+    )
+
+    dvx = _fd_x(vel, x, y, t, hx)
+    dvy = _fd_y(vel, x, y, t, hy)
+    strain_fd = np.stack(
+        [dvx[:, 0], dvy[:, 1], 0.5 * (dvy[:, 0] + dvx[:, 1])], axis=-1
+    )
+    constitutive = (
+        sig(x, y, t) + _fd_t(sig, x, y, t, ht) - apply_stiffness(material, strain_fd)
+    )
+    return ResidualReport(
+        momentum=float(np.abs(momentum).max()),
+        constitutive=float(np.abs(constitutive).max()),
+    )
+
+
+# ------------------------------------------------------------- energy identity
+
+
+def energy_residuals(system, states, dt: float) -> np.ndarray:
+    """Relative defect of the unforced energy identity along a trajectory.
+
+    For states produced with zero body force, the energy at node J plus
+    twice the accumulated midpoint dissipation must equal the initial
+    energy; returns |defect| / E_0 for J = 1..M.
+    """
+    if len(states) < 2:
+        raise ValueError("need at least two states")
+    e0 = energy(system, states[0])
+    if e0 <= 0.0:
+        raise ValueError("initial energy must be positive")
+    out = np.empty(len(states) - 1)
+    dissipated = 0.0
+    for j in range(1, len(states)):
+        mid = 0.5 * (states[j - 1].alpha + states[j].alpha)
+        dissipated += 2.0 * dt * float(mid @ (system.A @ mid))
+        out[j - 1] = abs(energy(system, states[j]) + dissipated - e0) / e0
+    return out

@@ -18,7 +18,6 @@ import time
 import numpy as np
 import pytest
 
-from viscowave.analysis import energy_residuals
 from viscowave.assembly import (
     assemble_mass_stress,
     assemble_stress_gram,
@@ -35,10 +34,18 @@ from viscowave.fespace import (
 from viscowave.linalg import block_diag_inverse, build_schur
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
-from viscowave.mms import exact_fields, verify_residuals
+from viscowave.mms import exact_fields
 from viscowave.timestepper import CNStepper, SimState, run
 
-from fehelpers import eval_stress, eval_velocity, local_coords
+from fehelpers import (
+    edge_normal_axis,
+    edge_vertices,
+    energy_residuals,
+    eval_stress,
+    eval_velocity,
+    local_coords,
+    verify_residuals,
+)
 
 UNIT = IsotropicMaterial()
 
@@ -316,15 +323,16 @@ def _max_trace_jump(mesh, space, coeffs, pts_per_edge=5):
         for k in mesh.elem_edges[e]:
             touch.setdefault(int(k), []).append(e)
     frac = np.linspace(0.1, 0.9, pts_per_edge)
+    ends, normal_axis = edge_vertices(mesh), edge_normal_axis(mesh)
     worst, checked = 0.0, 0
     for k, elems in touch.items():
         if len(elems) != 2:
             continue
-        a, b = mesh.edge_vertices[k]
+        a, b = ends[k]
         pts = mesh.vertex_coords[a] + frac[:, None] * (
             mesh.vertex_coords[b] - mesh.vertex_coords[a]
         )
-        axis = mesh.edge_normal_axis[k]
+        axis = normal_axis[k]
         for x, y in pts:
             traces = []
             for e in elems:

@@ -10,7 +10,6 @@ from viscowave.analysis import (
     _infsup_constant,
     convergence_orders,
     energy,
-    energy_residuals,
     infsup_constants,
 )
 from viscowave.assembly import (
@@ -30,7 +29,7 @@ from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
 from viscowave.timestepper import SimState
 
-from fehelpers import einsum_error, eval_stress, eval_velocity, local_coords
+from fehelpers import einsum_error, energy_residuals, eval_stress, eval_velocity, local_coords
 
 UNIT = IsotropicMaterial()
 

@@ -62,6 +62,7 @@ def test_resolve_time_rejects_mismatch():
         (1.0, float("inf"), None),
         (1.0, 1e-320, None),  # T / dt overflows
         (1.0, None, 0),
+        (-1.0, None, 4),
         (1.0, None, 2.5),
         (1.0, 2.0, None),
     ]:
@@ -387,11 +388,11 @@ def test_bad_time_and_count_inputs_error_exit(argv, capsys):
     "argv, message",
     [
         (["--lambda", "inf", "--nx", "2", "--nt", "2"], "lam must be finite"),
-        (["--mu", "1e-300", "--example", "1", "--nx", "2", "--nt", "2"], "--force"),
-        (["--mu", "1e-300", "--nx", "2", "--nt", "2"], "cannot be factored"),
+        (["--mu", "2", "--example", "1", "--nx", "2", "--nt", "2"], "--force"),
+        (["--mu", "1e-300", "--nx", "2", "--nt", "2"], "mu=1e-300 is lost against lam=1.0"),
         (["--solver", "cg", "--solver-tol", "inf", "--nx", "2", "--nt", "2"], "tolerance"),
     ],
-    ids=["lambda-inf", "mu-tiny-unforced", "mu-tiny-singular-factor", "solver-tol-inf"],
+    ids=["lambda-inf", "nonunit-unforced", "mu-tiny-singular-compliance", "solver-tol-inf"],
 )
 def test_bad_material_and_solver_inputs_error_exit(argv, message, capsys):
     code, _, err = run_main(argv, capsys)
@@ -493,6 +494,20 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "N,beta_h"
+
+
+def test_import_leaves_out_scipy_stats():
+    """Importing the package and its CLI loads no statistics module."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, viscowave, viscowave.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_runs_under_fresh_interpreter():

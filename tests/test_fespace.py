@@ -13,6 +13,10 @@ from viscowave.fespace import (
 from viscowave.mesh import StructuredMesh
 
 from fehelpers import (
+    boundary_edge,
+    dof_component,
+    edge_normal_axis,
+    edge_vertices,
     eval_stress,
     eval_velocity,
     local_coords,
@@ -255,16 +259,18 @@ def test_normal_trace_continuity(family, n):
     rng = np.random.default_rng(n)
     coeffs = rng.standard_normal(ss.dim)
     frac = np.linspace(0.1, 0.9, 5)
+    on_boundary, ends = boundary_edge(mesh), edge_vertices(mesh)
+    normal_axis = edge_normal_axis(mesh)
     checked = 0
     for k, elems in touch.items():
         if len(elems) != 2:
-            assert mesh.boundary_edge[k]
+            assert on_boundary[k]
             continue
-        a, b = mesh.edge_vertices[k]
+        a, b = ends[k]
         pts = mesh.vertex_coords[a] + frac[:, None] * (
             mesh.vertex_coords[b] - mesh.vertex_coords[a]
         )
-        axis = mesh.edge_normal_axis[k]
+        axis = normal_axis[k]
         for x, y in pts:
             traces = []
             for e in elems:
@@ -327,7 +333,7 @@ def test_dof_metadata():
     assert (ss.dof_kind == "vertex").sum() == 9
     assert (ss.dof_kind == "interior").sum() == 8
     assert (ss.dof_kind == "edge").sum() == 12
-    assert set(np.unique(ss.dof_component)) == {0, 1, 2}
+    assert set(np.unique(dof_component(ss))) == {0, 1, 2}
     ns = StressSpace(StructuredMesh(2, 2), NEDELEC)
     assert np.all(ns.dof_kind == "vertex")
-    assert np.all(np.bincount(ns.dof_component) == 9)
+    assert np.all(np.bincount(dof_component(ns)) == 9)

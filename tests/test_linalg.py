@@ -1,11 +1,18 @@
 """Block inversion and the reduced stress solve."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from viscowave.assembly import assemble_system
+from viscowave.assembly import (
+    assemble_coupling,
+    assemble_mass_stress,
+    assemble_mass_velocity,
+    assemble_system,
+)
 from viscowave.fespace import HMZ, NEDELEC, StressSpace, VelocitySpace
 from viscowave.linalg import (
     ConvergenceError,
@@ -162,6 +169,24 @@ def test_solver_constructor_validation():
     with pytest.raises(ValueError, match="does not match"):
         build_schur(system.A, system.B, block_diag_inverse(system.C, 4), 0.1, "direct", TOL,
                     StressSpace(StructuredMesh(3, 2), HMZ))
+
+
+def test_setup_solve_rejects_matrix_singular_to_working_precision():
+    # The compliance of mu = 1e-300, lam = 1 (which IsotropicMaterial
+    # refuses) is exactly singular; the hmz S built from it factors with a
+    # tiny pivot rather than a zero one, and only the set-up solve sees it.
+    mu, lam = 1e-300, 1.0
+    c = lam / (2.0 * mu + 2.0 * lam)
+    assert c == 0.5
+    compliance = np.array([[1.0 - c, -c, 0.0], [-c, 1.0 - c, 0.0], [0.0, 0.0, 1.0]]) / (2.0 * mu)
+    mesh = StructuredMesh(2, 2)
+    ss, vs = StressSpace(mesh, HMZ), VelocitySpace(mesh, HMZ)
+    A = assemble_mass_stress(ss, SimpleNamespace(compliance_matrix=lambda: compliance))
+    B = assemble_coupling(ss, vs)
+    Cinv = block_diag_inverse(assemble_mass_velocity(vs, IsotropicMaterial()), vs.n_local)
+    with pytest.raises(SingularBlockError, match="cannot be factored") as err:
+        build_schur(A, B, Cinv, 0.5, "direct", TOL, ss)
+    assert isinstance(err.value.__cause__, ConvergenceError)
 
 
 def test_schur_spd_for_nedelec_lumped():

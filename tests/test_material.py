@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from viscowave.material import IsotropicMaterial, apply_stiffness
+from viscowave.material import IsotropicMaterial
 
-from fehelpers import VoigtTensor, apply_compliance, compliance_bounds, voigt_inner
+from fehelpers import (
+    VoigtTensor,
+    apply_compliance,
+    apply_stiffness,
+    compliance_bounds,
+    voigt_inner,
+)
 
 
 def test_stiffness_matrix_unit_material():
@@ -104,8 +110,10 @@ def test_voigt_tensor_passthrough():
         dict(rho=np.inf),
         dict(mu=np.nan),
         dict(lam=np.inf),
+        dict(mu=1e-300),  # 2 mu + 2 lam rounds to 2 lam: singular compliance
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
     with pytest.raises(ValueError):
         IsotropicMaterial(**kwargs)
+

@@ -5,7 +5,14 @@ import pytest
 
 from viscowave.mesh import ElementRect, StructuredMesh
 
-from fehelpers import element_index, vertex_index
+from fehelpers import (
+    boundary_edge,
+    boundary_vertex,
+    edge_normal_axis,
+    edge_vertices,
+    element_index,
+    vertex_index,
+)
 
 
 def test_counts_4x4():
@@ -84,7 +91,7 @@ def test_elem_edges_incidence():
 
 def test_edge_normal_axis():
     mesh = StructuredMesh(3, 3)
-    axis = mesh.edge_normal_axis
+    axis = edge_normal_axis(mesh)
     assert np.all(axis[: mesh.n_vertical_edges] == 0)
     assert np.all(axis[mesh.n_vertical_edges :] == 1)
 
@@ -92,10 +99,12 @@ def test_edge_normal_axis():
 def test_edge_vertices_geometry():
     mesh = StructuredMesh(3, 4)
     xy = mesh.vertex_coords
+    ends, axis = edge_vertices(mesh), edge_normal_axis(mesh)
+    assert ends.shape == (mesh.n_edges, 2)
     for k in range(mesh.n_edges):
-        a, b = mesh.edge_vertices[k]
+        a, b = ends[k]
         d = xy[b] - xy[a]
-        if mesh.edge_normal_axis[k] == 0:  # vertical edge: runs in y
+        if axis[k] == 0:  # vertical edge: runs in y
             np.testing.assert_allclose(d, [0.0, mesh.hy])
         else:
             np.testing.assert_allclose(d, [mesh.hx, 0.0])
@@ -107,18 +116,18 @@ def test_boundary_masks():
     on_bd = (
         (xy[:, 0] == 0.0) | (xy[:, 0] == 1.0) | (xy[:, 1] == 0.0) | (xy[:, 1] == 1.0)
     )
-    np.testing.assert_array_equal(mesh.boundary_vertex, on_bd)
-    assert mesh.boundary_vertex.sum() == 16
+    np.testing.assert_array_equal(boundary_vertex(mesh), on_bd)
+    assert boundary_vertex(mesh).sum() == 16
     # boundary edges: 2*(nx+ny)
-    assert mesh.boundary_edge.sum() == 16
-    mids = xy[mesh.edge_vertices].mean(axis=1)
+    assert boundary_edge(mesh).sum() == 16
+    mids = xy[edge_vertices(mesh)].mean(axis=1)
     edge_on_bd = (
         (mids[:, 0] == 0.0)
         | (mids[:, 0] == 1.0)
         | (mids[:, 1] == 0.0)
         | (mids[:, 1] == 1.0)
     )
-    np.testing.assert_array_equal(mesh.boundary_edge, edge_on_bd)
+    np.testing.assert_array_equal(boundary_edge(mesh), edge_on_bd)
 
 
 def test_element_centers():

@@ -10,12 +10,12 @@ two governing equations are verified to vanish identically.
 import numpy as np
 import pytest
 import sympy as sym
-from fehelpers import reference_fields
+from fehelpers import ResidualReport, reference_fields, verify_residuals
 
 from viscowave.fespace import StressSpace, VelocitySpace
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
-from viscowave.mms import ResidualReport, Separable, exact_fields, verify_residuals
+from viscowave.mms import Separable, exact_fields
 
 X, Y, T = sym.symbols("x y t", positive=False)
 
@@ -82,23 +82,16 @@ def test_symbolic_pde_identities(example):
 
 @pytest.mark.parametrize("example", [1, 2, 3])
 def test_fields_match_symbolic_oracle(example):
-    (u1, u2), (v1, v2), sigma, (f1, f2) = symbolic_solution(example)
+    _, (v1, v2), sigma, (f1, f2) = symbolic_solution(example)
     lam = lambda e: sym.lambdify((X, Y, T), e, "numpy")
-    fu = (lam(u1), lam(u2))
     fv = (lam(v1), lam(v2))
-    fvt = (lam(sym.diff(v1, T)), lam(sym.diff(v2, T)))
     fs = tuple(lam(c) for c in sigma)
-    fst = tuple(lam(sym.diff(c, T)) for c in sigma)
-    fd = (
-        lam(sym.diff(sigma[0], X) + sym.diff(sigma[2], Y)),
-        lam(sym.diff(sigma[2], X) + sym.diff(sigma[1], Y)),
-    )
     ff = (lam(f1), lam(f2))
 
     sol = exact_fields(example)
     rng = np.random.default_rng(example)
     # keep away from the singular edges of the reduced-regularity example
-    lo = 0.05 if sol.reduced_regularity else 0.0
+    lo = 0.05 if example == 3 else 0.0
     x = rng.uniform(lo, 1.0, size=200)
     y = rng.uniform(lo, 1.0, size=200)
     t = rng.uniform(0.0, 1.0, size=200)
@@ -109,17 +102,20 @@ def test_fields_match_symbolic_oracle(example):
         assert got.shape == (200, n)
         np.testing.assert_allclose(got, want, atol=5e-13, err_msg=f"{example}:{what}")
 
-    cmp(sol.u, fu, "u", 2)
     cmp(sol.v, fv, "v", 2)
-    cmp(sol.v_t, fvt, "v_t", 2)
     cmp(sol.sigma, fs, "sigma", 3)
-    cmp(sol.sigma_t, fst, "sigma_t", 3)
-    cmp(sol.div_sigma, fd, "div_sigma", 2)
     cmp(sol.f, ff, "f", 2)
 
 
 @pytest.mark.parametrize("example", [1, 2, 3])
 def test_homogeneous_displacement_boundary(example):
+    # the displacement is the oracle's, from which v, sigma and f are derived
+    u1, u2 = displacement(example)
+    fu = [sym.lambdify((X, Y, T), c, "numpy") for c in (u1, u2)]
+
+    def u(x, y, t):
+        return np.stack([np.broadcast_to(c(x, y, t), x.shape) for c in fu], axis=-1)
+
     sol = exact_fields(example)
     t = np.linspace(0.0, 1.0, 7)
     s = np.linspace(0.0, 1.0, 23)
@@ -130,7 +126,7 @@ def test_homogeneous_displacement_boundary(example):
             (np.zeros_like(s), s),
             (np.ones_like(s), s),
         ]:
-            np.testing.assert_allclose(sol.u(xb, yb, tt), 0.0, atol=1e-14)
+            np.testing.assert_allclose(u(xb, yb, tt), 0.0, atol=1e-14)
             np.testing.assert_allclose(sol.v(xb, yb, tt), 0.0, atol=1e-14)
 
 
@@ -211,7 +207,7 @@ def test_nonunit_material_requires_force():
 
 # ------------------------------------------------ time-separable field storage
 
-FIELDS = ("u", "v", "v_t", "sigma", "sigma_t", "div_sigma", "f")
+FIELDS = ("v", "sigma", "f")
 
 
 def _interior_points(example, n, seed):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from viscowave.analysis import energy, energy_residuals
+from viscowave.analysis import energy
 from viscowave.assembly import assemble_load, assemble_system
 from viscowave.fespace import FAMILIES, HMZ, NEDELEC, StressSpace, VelocitySpace
 from viscowave.linalg import block_diag_inverse, build_schur
@@ -15,10 +15,11 @@ from viscowave.mms import exact_fields
 from viscowave.timestepper import (
     CNStepper,
     SimState,
-    TimeGrid,
     init_state,
     run,
 )
+
+from fehelpers import energy_residuals
 
 UNIT = IsotropicMaterial()
 
@@ -74,16 +75,6 @@ def run_config(**kw):
 
 
 # ------------------------------------------------------------------ plumbing
-
-
-def test_time_grid():
-    grid = TimeGrid(1.0, 4)
-    assert grid.dt == pytest.approx(0.25)
-    np.testing.assert_allclose(grid.nodes(), [0.0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(ValueError):
-        TimeGrid(1.0, 0)
-    with pytest.raises(ValueError):
-        TimeGrid(-1.0, 4)
 
 
 def test_init_state_defaults_to_zero():
