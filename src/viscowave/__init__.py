@@ -26,9 +26,8 @@ from .linalg import (
     build_schur,
 )
 from .material import VOIGT_DOT, IsotropicMaterial
-from .mesh import ElementRect, StructuredMesh
+from .mesh import StructuredMesh
 from .mms import ExactSolution, exact_fields
-from .quadrature import QuadratureRule, lumped_rect_rule, rect_rule, triangle_rule
 from .timestepper import CNStepper, RunResult, SimState, init_state, resolve_time, run
 
 __version__ = "0.1.0"

@@ -94,10 +94,9 @@ def energy(system, state) -> float:
     return float(a @ (system.A @ a) + b @ (system.C @ b))
 
 
-def _infsup_constant(stress_space, velocity_space, B=None) -> float:
+def _infsup_constant(stress_space, velocity_space) -> float:
     """Smallest generalized singular value of the pairing, dense computation."""
-    if B is None:
-        B = assemble_coupling(stress_space, velocity_space)
+    B = assemble_coupling(stress_space, velocity_space)
     X = (assemble_stress_gram(stress_space) + assemble_div_gram(stress_space)).toarray()
     Gv = assemble_velocity_gram(velocity_space).toarray()
     Bd = B.toarray()

@@ -1,9 +1,10 @@
 """Sparse assembly of the bilinear forms on uniform meshes.
 
 Every element of a uniform mesh is congruent, so each form is integrated
-once on the first element and the local matrix is scattered with
-duplicate accumulation.  Matrices come back in CSR format with sorted,
-deduplicated indices; assembly order is deterministic.
+once with a reference-square rule scaled to the element area, and the
+local matrix is scattered with duplicate accumulation.  Matrices come
+back in CSR format with sorted, deduplicated indices; assembly order is
+deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import scipy.sparse as sp
 
 from .fespace import HMZ, NEDELEC, StressSpace, VelocitySpace
 from .material import VOIGT_DOT, IsotropicMaterial
-from .quadrature import lumped_rect_rule, rect_rule
+from .quadrature import COMPOSITE, CORNERS
 
 __all__ = [
     "AssembledSystem",
@@ -30,13 +31,9 @@ __all__ = [
 ]
 
 def _local_rule(mesh, lumped=False):
-    """Quadrature on the first element plus its local coordinates."""
-    rect = mesh.element_rect(0)
-    rule = lumped_rect_rule(rect) if lumped else rect_rule(rect)
-    cx, cy = rect.center
-    xi = (rule.points[:, 0] - cx) / (0.5 * rect.hx)
-    eta = (rule.points[:, 1] - cy) / (0.5 * rect.hy)
-    return rule.weights, xi, eta
+    """Element weights and local coordinates of the composite or corner rule."""
+    points, weights = CORNERS if lumped else COMPOSITE
+    return mesh.hx * mesh.hy * weights, points[:, 0], points[:, 1]
 
 
 def _scatter(local, row_dofs, col_dofs, shape):

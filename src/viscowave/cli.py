@@ -174,24 +174,19 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _int_list(text):
-    try:
-        vals = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as err:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from err
-    if not vals:
-        raise ValueError(f"empty integer list {text!r}")
-    return vals
+def _list_of(convert, noun):
+    """Parser of a comma-separated list of ``convert`` values, named ``noun``."""
 
+    def parse(text):
+        try:
+            vals = [convert(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as err:
+            raise ValueError(f"expected comma-separated {noun}, got {text!r}") from err
+        if not vals:
+            raise ValueError(f"empty list of {noun} {text!r}")
+        return vals
 
-def _float_list(text):
-    try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as err:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from err
-    if not vals:
-        raise ValueError(f"empty number list {text!r}")
-    return vals
+    return parse
 
 
 def _flag(text):
@@ -231,9 +226,9 @@ SETTINGS = {
         Setting("mode", str, "what to run", _MODES),
         Setting("element", str, "element family", FAMILIES),
         Setting("example", int, "built-in solution id (1, 2, or 3)"),
-        Setting("nx", _int_list, "mesh size N, or comma list for study modes"),
-        Setting("nt", _int_list, "time steps M, or comma list for temporal mode"),
-        Setting("dt", _float_list, "time step, or comma list for stability mode"),
+        Setting("nx", _list_of(int, "integers"), "mesh size N, or comma list for study modes"),
+        Setting("nt", _list_of(int, "integers"), "time steps M, or comma list for temporal mode"),
+        Setting("dt", _list_of(float, "numbers"), "time step, or comma list for stability mode"),
         Setting("t_final", float, "final time"),
         Setting("rho", float, "density"),
         Setting("mu", float, "shear modulus"),

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .mesh import StructuredMesh
-from .quadrature import rect_rule
+from .quadrature import COMPOSITE
 
 __all__ = [
     "NEDELEC",
@@ -103,24 +103,21 @@ class QuadKernel:
 def quad_kernel(space) -> QuadKernel:
     """Build the composite-rule kernel of a stress or velocity space."""
     mesh = space.mesh
-    rect = mesh.element_rect(0)
-    rule = rect_rule(rect)
-    offsets = rule.points - np.asarray(rect.center)
-    centers = mesh.element_centers()
-    xi = offsets[:, 0] / (0.5 * rect.hx)
-    eta = offsets[:, 1] / (0.5 * rect.hy)
-    vals = space.local_values(xi, eta)
+    points, fractions = COMPOSITE
+    weights = mesh.hx * mesh.hy * fractions
+    vals = space.local_values(points[:, 0], points[:, 1])
     nq, n_local, d = vals.shape
     basis = np.ascontiguousarray(vals.transpose(1, 0, 2).reshape(n_local, nq * d))
-    x = centers[:, 0, None] + offsets[:, 0]
-    y = centers[:, 1, None] + offsets[:, 1]
+    centers = mesh.element_centers()
+    x = centers[:, 0, None] + (0.5 * mesh.hx) * points[:, 0]
+    y = centers[:, 1, None] + (0.5 * mesh.hy) * points[:, 1]
     x.flags.writeable = y.flags.writeable = False
     return QuadKernel(
         x=x,
         y=y,
-        weights=rule.weights,
+        weights=weights,
         basis=basis,
-        weighted=np.ascontiguousarray((basis * np.repeat(rule.weights, d)).T),
+        weighted=np.ascontiguousarray((basis * np.repeat(weights, d)).T),
     )
 
 

@@ -289,8 +289,25 @@ def build_schur(
         )
     if space.dim != r:
         raise ValueError(f"stress space of dimension {space.dim} does not match A{A.shape}")
-    S = (1.0 / dt + 0.5) * A + (0.25 * dt) * (B.T @ Cinv @ B)
+    mass = (1.0 / dt + 0.5) * A
+    coupling = (0.25 * dt) * (B.T @ Cinv @ B)
+    S = mass + coupling
+    # With A SPD, S is SPD in exact arithmetic and fails to factor only when
+    # the stress-mass term is lost in rounding, which the ratio of the
+    # largest diagonals shows.  The terms die before the factorization,
+    # which sets the peak memory.
+    ratio = mass.diagonal().max() / coupling.diagonal().max()
+    del mass, coupling
     interior = space.eldof[:, space.dof_kind[space.eldof[0]] == "interior"]
     m = space.mesh
     grid = np.rint(2.0 * (space.dof_point - m.bounds[:2]) / (m.hx, m.hy)).astype(np.int64)
-    return SchurSolver(sp.csr_matrix(S), method, tol, interior, grid)
+    try:
+        return SchurSolver(sp.csr_matrix(S), method, tol, interior, grid)
+    except SingularBlockError as err:
+        if not ratio < 1.0:
+            raise
+        raise SingularBlockError(
+            f"{err}; the largest diagonal of the stress-mass term (1/dt + 1/2) A is "
+            f"{ratio:.3g} times that of (dt/4) B^T Cinv B, so the stress-mass term "
+            "is lost in rounding: take a smaller dt or a less stiff material"
+        ) from err.__cause__

@@ -52,17 +52,6 @@ class IsotropicMaterial:
                 "(2 mu + 2 lam rounds to 2 lam), so the compliance is singular"
             )
 
-    def stiffness_matrix(self) -> np.ndarray:
-        """Matrix of the stiffness map acting on (t11, t22, t12)."""
-        two_mu, lam = 2.0 * self.mu, self.lam
-        return np.array(
-            [
-                [two_mu + lam, lam, 0.0],
-                [lam, two_mu + lam, 0.0],
-                [0.0, 0.0, two_mu],
-            ]
-        )
-
     def compliance_matrix(self) -> np.ndarray:
         """Matrix of the inverse stiffness map acting on (t11, t22, t12)."""
         inv_two_mu = 1.0 / (2.0 * self.mu)

@@ -7,45 +7,9 @@ normal fixed as +x), then all horizontal edges (unit normal +y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["ElementRect", "StructuredMesh"]
-
-
-@dataclass(frozen=True)
-class ElementRect:
-    """Axis-aligned extent of a single element."""
-
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-
-    @property
-    def hx(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def hy(self) -> float:
-        return self.y1 - self.y0
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return 0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1)
-
-    @property
-    def corners(self) -> np.ndarray:
-        """Corner coordinates, counterclockwise from lower left, shape (4, 2)."""
-        return np.array(
-            [
-                [self.x0, self.y0],
-                [self.x1, self.y0],
-                [self.x1, self.y1],
-                [self.x0, self.y1],
-            ]
-        )
+__all__ = ["StructuredMesh"]
 
 
 class StructuredMesh:
@@ -101,19 +65,6 @@ class StructuredMesh:
         left = je * (nx + 1) + ie
         bottom = self.n_vertical_edges + je * nx + ie
         self.elem_edges = np.column_stack([left, left + 1, bottom, bottom + nx])
-
-    def element_rect(self, e) -> ElementRect:
-        """Extent of element ``e``; corners come out counterclockwise from lower left."""
-        if not 0 <= e < self.n_elements:
-            raise ValueError(f"element id {e} out of range")
-        ie, je = e % self.nx, e // self.nx
-        x0, y0 = self.bounds[0], self.bounds[1]
-        return ElementRect(
-            x0 + ie * self.hx,
-            y0 + je * self.hy,
-            x0 + (ie + 1) * self.hx,
-            y0 + (je + 1) * self.hy,
-        )
 
     def element_centers(self) -> np.ndarray:
         """Centers of all elements, shape (n_elements, 2)."""

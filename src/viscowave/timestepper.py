@@ -158,11 +158,14 @@ def run(config) -> RunResult:
         solution = exact_fields(config.example, material, force=getattr(config, "force", False))
     # The per-node arrays come first, so a step count too large to record
     # fails with MemoryError before any assembly or factorization.
-    nodes = np.linspace(0.0, t_final, n_steps + 1)
-    n_nodes = nodes.size
-    energy = np.empty(n_nodes)
-    err_sigma = np.empty(n_nodes) if solution else None
-    err_v = np.empty(n_nodes) if solution else None
+    try:
+        nodes = np.linspace(0.0, t_final, n_steps + 1)
+        n_nodes = nodes.size
+        energy = np.empty(n_nodes)
+        err_sigma = np.empty(n_nodes) if solution else None
+        err_v = np.empty(n_nodes) if solution else None
+    except (ValueError, MemoryError) as err:
+        raise MemoryError(f"cannot record {n_steps + 1:.3g} time nodes: {err}") from err
     mesh = StructuredMesh(config.nx, config.nx)
     stress_space = StressSpace(mesh, config.element)
     velocity_space = VelocitySpace(mesh, config.element)

@@ -1,8 +1,8 @@
 """Pointwise field and basis evaluation, rule application and reference formulas.
 
-Voigt-triple algebra (``VoigtTensor``, ``voigt_inner``, ``apply_compliance``,
-``apply_stiffness``, ``compliance_bounds``), mesh index and edge tables
-(``vertex_index``, ``element_index``, ``edge_vertices``,
+Voigt-triple algebra (``VoigtTensor``, ``voigt_inner``, ``stiffness_matrix``,
+``apply_compliance``, ``apply_stiffness``, ``compliance_bounds``), mesh
+index and edge tables (``vertex_index``, ``element_index``, ``edge_vertices``,
 ``edge_normal_axis``, ``boundary_vertex``, ``boundary_edge``), the dof
 component map ``dof_component`` and the unforced energy-identity defects
 ``energy_residuals`` are used only here and by the tests.
@@ -30,7 +30,7 @@ from viscowave.fespace import NEDELEC, StressSpace, VelocitySpace
 from viscowave.material import VOIGT_DOT, IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import ExactSolution
-from viscowave.quadrature import QuadratureRule, rect_rule
+from viscowave.quadrature import COMPOSITE
 
 
 class VoigtTensor(NamedTuple):
@@ -46,6 +46,18 @@ def voigt_inner(a, b):
     return (np.asarray(a, dtype=float) * np.asarray(b, dtype=float)) @ VOIGT_DOT.diagonal()
 
 
+def stiffness_matrix(material: IsotropicMaterial) -> np.ndarray:
+    """Matrix of the stiffness map C e = 2 mu e + lam tr(e) I on (t11, t22, t12)."""
+    two_mu, lam = 2.0 * material.mu, material.lam
+    return np.array(
+        [
+            [two_mu + lam, lam, 0.0],
+            [lam, two_mu + lam, 0.0],
+            [0.0, 0.0, two_mu],
+        ]
+    )
+
+
 def apply_compliance(material: IsotropicMaterial, stress) -> np.ndarray:
     """Strain produced by a stress given as (..., 3) Voigt triples."""
     return np.asarray(stress, dtype=float) @ material.compliance_matrix().T
@@ -56,7 +68,7 @@ def apply_stiffness(material: IsotropicMaterial, strain) -> np.ndarray:
     arr = np.asarray(strain, dtype=float)
     if arr.shape[-1] != 3:
         raise ValueError(f"expected Voigt triples in the last axis, got shape {arr.shape}")
-    return arr @ material.stiffness_matrix().T
+    return arr @ stiffness_matrix(material).T
 
 
 def compliance_bounds(material: IsotropicMaterial) -> tuple[float, float]:
@@ -131,12 +143,16 @@ def dof_component(space: StressSpace) -> np.ndarray:
 
 
 def local_coords(mesh: StructuredMesh, elem, x, y):
-    """Map physical coordinates to (xi, eta) in [-1, 1]^2 on element ``elem``."""
-    rect = mesh.element_rect(elem)
-    cx, cy = rect.center
-    return (np.asarray(x, float) - cx) / (0.5 * rect.hx), (np.asarray(y, float) - cy) / (
-        0.5 * rect.hy
-    )
+    """Map physical coordinates to (xi, eta) in [-1, 1]^2 on element ``elem``.
+
+    The extent is taken from the element's lower-left and upper-right
+    vertices; the printed margins of acceptance criterion 8 depend on that
+    rounding.
+    """
+    lower, upper = mesh.vertex_coords[mesh.elem_vertices[elem, [0, 2]]]
+    center, half = 0.5 * (lower + upper), 0.5 * (upper - lower)
+    xi = (np.asarray(x, float) - center[0]) / half[0]
+    return xi, (np.asarray(y, float) - center[1]) / half[1]
 
 
 def eval_stress(space: StressSpace, coeffs, elem, xi, eta) -> np.ndarray:
@@ -182,24 +198,22 @@ def velocity_basis_value(space: VelocitySpace, elem, ldof, x, y) -> np.ndarray:
     return space.local_values(xi, eta)[ldof]
 
 
-def integrate(rule: QuadratureRule, f) -> float:
-    """Apply the rule to ``f(x, y)``; ``f`` must vectorize over coordinate arrays."""
-    vals = np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-    if vals.shape != rule.weights.shape:
-        raise ValueError(f"integrand returned shape {vals.shape}, expected {rule.weights.shape}")
-    return float(rule.weights @ vals)
+def integrate(rule, f) -> float:
+    """Apply a ``(points, weights)`` rule to ``f(x, y)``, one vectorized call."""
+    points, weights = rule
+    vals = np.asarray(f(points[:, 0], points[:, 1]), dtype=float)
+    if vals.shape != weights.shape:
+        raise ValueError(f"integrand returned shape {vals.shape}, expected {weights.shape}")
+    return float(weights @ vals)
 
 
 def _element_rule(space):
     """Composite-rule weights, local basis values and physical points of every element."""
     mesh = space.mesh
-    rect = mesh.element_rect(0)
-    rule = rect_rule(rect)
-    cx, cy = rect.center
-    xi = (rule.points[:, 0] - cx) / (0.5 * rect.hx)
-    eta = (rule.points[:, 1] - cy) / (0.5 * rect.hy)
-    points = mesh.element_centers()[:, None, :] + (rule.points - np.asarray(rect.center))
-    return rule.weights, space.local_values(xi, eta), points
+    points, fractions = COMPOSITE
+    half = 0.5 * np.array([mesh.hx, mesh.hy])
+    physical = mesh.element_centers()[:, None, :] + half * points
+    return mesh.hx * mesh.hy * fractions, space.local_values(points[:, 0], points[:, 1]), physical
 
 
 def einsum_load(space: VelocitySpace, f, t) -> np.ndarray:

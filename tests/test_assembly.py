@@ -25,7 +25,6 @@ from viscowave.fespace import (
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
-from viscowave.quadrature import rect_rule
 
 from fehelpers import compliance_bounds, einsum_load, eval_velocity, vertex_index
 
@@ -35,6 +34,20 @@ UNIT = IsotropicMaterial()
 def spaces(n, family):
     mesh = StructuredMesh(n, n)
     return StressSpace(mesh, family), VelocitySpace(mesh, family)
+
+
+def gauss_points(mesh, e):
+    """(x, y, xi, eta, weight) of each point of a tensor 3x3 Gauss rule on element e.
+
+    Independent of the production rule: it is exact for degree 5 in each
+    variable, so it agrees with the composite rule on polynomial integrands
+    of total degree at most 5.
+    """
+    g, gw = np.polynomial.legendre.leggauss(3)
+    xi, eta = (a.ravel() for a in np.meshgrid(g, g))
+    w = 0.25 * mesh.hx * mesh.hy * np.outer(gw, gw).ravel()
+    cx, cy = mesh.element_centers()[e]
+    return zip(cx + 0.5 * mesh.hx * xi, cy + 0.5 * mesh.hy * eta, xi, eta, w)
 
 
 # -------------------------------------------------------------- stress mass A
@@ -153,7 +166,7 @@ def test_coupling_kills_constant_stress():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_coupling_against_quadrature_oracle(family):
     # beta' B alpha == sum_K int w_h . div sigma_h, integrated rectangle by
-    # rectangle with an independently driven rule
+    # rectangle with an independent rule
     ss, vs = spaces(2, family)
     mesh = ss.mesh
     B = assemble_coupling(ss, vs)
@@ -162,11 +175,7 @@ def test_coupling_against_quadrature_oracle(family):
     beta = rng.standard_normal(vs.dim)
     total = 0.0
     for e in range(mesh.n_elements):
-        rect = mesh.element_rect(e)
-        rule = rect_rule(rect)
-        for (x, y), w in zip(rule.points, rule.weights):
-            xi = (x - rect.center[0]) / (0.5 * rect.hx)
-            eta = (y - rect.center[1]) / (0.5 * rect.hy)
+        for x, y, xi, eta, w in gauss_points(mesh, e):
             div = ss.local_divergence(np.array([xi]), np.array([eta]))[0]
             dv = alpha[ss.eldof[e]] @ div
             v = eval_velocity(vs, beta, e, xi, eta)
@@ -278,20 +287,17 @@ def test_load_against_quadrature_oracle():
     _, vs = spaces(2, HMZ)
     mesh = vs.mesh
 
+    # total degree 4, so both rules integrate f times a linear basis function exactly
     def f(x, y, t):
         x = np.asarray(x); y = np.asarray(y)
-        return np.stack([np.sin(3 * x) * y, np.cos(x + y)], axis=-1)
+        return np.stack([x**3 * y - 2 * x * y**2 + 1, x**2 * y**2 - 3 * x * y + y**4], axis=-1)
 
     F = assemble_load(vs, f, 0.0)
     rng = np.random.default_rng(5)
     beta = rng.standard_normal(vs.dim)
     total = 0.0
     for e in range(mesh.n_elements):
-        rect = mesh.element_rect(e)
-        rule = rect_rule(rect)
-        for (x, y), w in zip(rule.points, rule.weights):
-            xi = (x - rect.center[0]) / (0.5 * rect.hx)
-            eta = (y - rect.center[1]) / (0.5 * rect.hy)
+        for x, y, xi, eta, w in gauss_points(mesh, e):
             v = eval_velocity(vs, beta, e, xi, eta)
             total += w * float(v @ f(x, y, 0.0))
     assert beta @ F == pytest.approx(total, rel=1e-12)
@@ -363,11 +369,7 @@ def test_div_gram_against_quadrature_oracle(family):
     a = rng.standard_normal(ss.dim)
     total = 0.0
     for e in range(mesh.n_elements):
-        rect = mesh.element_rect(e)
-        rule = rect_rule(rect)
-        for (x, y), w in zip(rule.points, rule.weights):
-            xi = (x - rect.center[0]) / (0.5 * rect.hx)
-            eta = (y - rect.center[1]) / (0.5 * rect.hy)
+        for x, y, xi, eta, w in gauss_points(mesh, e):
             div = ss.local_divergence(np.array([xi]), np.array([eta]))[0]
             dv = a[ss.eldof[e]] @ div
             total += w * float(dv @ dv)

@@ -369,19 +369,28 @@ def test_argparse_rejects_unknown_mode(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["--nx", "2", "--nt", "0"],
-        ["--mode", "temporal-convergence", "--example", "1", "--nt", "0"],
-        ["--mode", "stability", "--example", "1", "--dt", "0", "--nx", "2"],
-        ["--nx", "2", "--nt", "2", "--t-final", "inf"],
-        ["--nx", "2", "--nt", "2", "--snapshot-every", "0"],
+        (["--nx", "2", "--nt", "0"], "step count"),
+        (["--mode", "temporal-convergence", "--example", "1", "--nt", "0"], "refinement study"),
+        (["--mode", "stability", "--example", "1", "--dt", "0", "--nx", "2"], "time step"),
+        (["--nx", "2", "--nt", "2", "--t-final", "inf"], "final time"),
+        (["--nx", "2", "--nt", "2", "--snapshot-every", "0"], "snapshot interval"),
+        (["--nx", "2", "--dt", "1e-300"], "cannot record 1e+300 time nodes"),
     ],
-    ids=["nt-zero", "temporal-nt-zero", "stability-dt-zero", "t-final-inf", "snapshot-every-zero"],
+    ids=[
+        "nt-zero",
+        "temporal-nt-zero",
+        "stability-dt-zero",
+        "t-final-inf",
+        "snapshot-every-zero",
+        "dt-tiny-too-many-nodes",
+    ],
 )
-def test_bad_time_and_count_inputs_error_exit(argv, capsys):
+def test_bad_time_and_count_inputs_error_exit(argv, message, capsys):
     code, _, err = run_main(argv, capsys)
-    assert code == 1 and err.startswith("error:")
+    assert code == 1 and err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -391,12 +400,25 @@ def test_bad_time_and_count_inputs_error_exit(argv, capsys):
         (["--mu", "2", "--example", "1", "--nx", "2", "--nt", "2"], "--force"),
         (["--mu", "1e-300", "--nx", "2", "--nt", "2"], "mu=1e-300 is lost against lam=1.0"),
         (["--solver", "cg", "--solver-tol", "inf", "--nx", "2", "--nt", "2"], "tolerance"),
+        (["--mu", "1e200", "--nx", "2", "--nt", "2"], "stress-mass term is lost in rounding"),
+        (
+            ["--element", "hmz", "--rho", "1e-300", "--nx", "2", "--nt", "2"],
+            "stress-mass term is lost in rounding",
+        ),
     ],
-    ids=["lambda-inf", "nonunit-unforced", "mu-tiny-singular-compliance", "solver-tol-inf"],
+    ids=[
+        "lambda-inf",
+        "nonunit-unforced",
+        "mu-tiny-singular-compliance",
+        "solver-tol-inf",
+        "mu-huge-stress-mass-lost",
+        "rho-tiny-stress-mass-lost",
+    ],
 )
 def test_bad_material_and_solver_inputs_error_exit(argv, message, capsys):
     code, _, err = run_main(argv, capsys)
     assert code == 1 and err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_huge_step_count_error_exit():

@@ -198,8 +198,9 @@ def test_nedelec_bilinear_reproduction():
     rng = np.random.default_rng(1)
     for _ in range(20):
         e = int(rng.integers(mesh.n_elements))
-        x = rng.uniform(*sorted(mesh.element_rect(e).corners[[0, 2], 0]))
-        y = rng.uniform(*sorted(mesh.element_rect(e).corners[[0, 2], 1]))
+        cx, cy = mesh.element_centers()[e]
+        x = rng.uniform(cx - 0.5 * mesh.hx, cx + 0.5 * mesh.hx)
+        y = rng.uniform(cy - 0.5 * mesh.hy, cy + 0.5 * mesh.hy)
         xi, eta = local_coords(mesh, e, x, y)
         np.testing.assert_allclose(
             eval_stress(ss, coeffs, e, xi, eta), field(x, y), atol=1e-13
@@ -291,9 +292,9 @@ def test_divergence_matches_finite_differences(family):
     h = 1e-6
     for _ in range(40):
         e = int(rng.integers(mesh.n_elements))
-        rect = mesh.element_rect(e)
-        x = rng.uniform(rect.x0 + 2 * h, rect.x1 - 2 * h)
-        y = rng.uniform(rect.y0 + 2 * h, rect.y1 - 2 * h)
+        cx, cy = mesh.element_centers()[e]
+        x = rng.uniform(cx - 0.5 * mesh.hx + 2 * h, cx + 0.5 * mesh.hx - 2 * h)
+        y = rng.uniform(cy - 0.5 * mesh.hy + 2 * h, cy + 0.5 * mesh.hy - 2 * h)
         ldof = int(rng.integers(ss.n_local))
         div = np.asarray(stress_basis_divergence(ss, e, ldof, x, y))
 
@@ -314,10 +315,10 @@ def test_local_divergence_consistent_with_pointwise(family):
     eta = np.array([0.44, -0.13, 0.99])
     loc = ss.local_divergence(xi, eta)  # (3, n_local, 2)
     e = 4
-    rect = mesh.element_rect(e)
+    cx, cy = mesh.element_centers()[e]
     for q in range(3):
-        x = rect.center[0] + 0.5 * xi[q] * rect.hx
-        y = rect.center[1] + 0.5 * eta[q] * rect.hy
+        x = cx + 0.5 * xi[q] * mesh.hx
+        y = cy + 0.5 * eta[q] * mesh.hy
         for l in range(ss.n_local):
             np.testing.assert_allclose(
                 loc[q, l], np.asarray(stress_basis_divergence(ss, e, l, x, y)),

@@ -10,6 +10,7 @@ from fehelpers import (
     apply_compliance,
     apply_stiffness,
     compliance_bounds,
+    stiffness_matrix,
     voigt_inner,
 )
 
@@ -17,7 +18,7 @@ from fehelpers import (
 def test_stiffness_matrix_unit_material():
     m = IsotropicMaterial()
     np.testing.assert_allclose(
-        m.stiffness_matrix(), [[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]]
+        stiffness_matrix(m), [[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]]
     )
 
 
@@ -29,7 +30,7 @@ def test_compliance_is_stiffness_inverse():
         mu, lam = rng.uniform(0.2, 5.0), rng.uniform(0.0, 5.0)
         m = IsotropicMaterial(mu=mu, lam=lam)
         eps = rng.standard_normal(3)
-        back = m.compliance_matrix() @ (m.stiffness_matrix() @ eps)
+        back = m.compliance_matrix() @ (stiffness_matrix(m) @ eps)
         np.testing.assert_allclose(back, eps, atol=1e-13)
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from viscowave.mesh import ElementRect, StructuredMesh
+from viscowave.mesh import StructuredMesh
+from viscowave.quadrature import CORNERS
 
 from fehelpers import (
     boundary_edge,
@@ -67,15 +68,15 @@ def test_elem_vertices_ccw_from_lower_left():
     np.testing.assert_allclose(xy[ul] - xy[ll], [0.0, mesh.hy])
 
 
-def test_element_rect_matches_vertices():
+def test_element_centers_match_vertices():
+    # centre plus half-sides times the reference corners gives each
+    # element's vertices in ``elem_vertices`` order
     mesh = StructuredMesh(4, 3)
-    for e in range(mesh.n_elements):
-        rect = mesh.element_rect(e)
-        corners = mesh.vertex_coords[mesh.elem_vertices[e]]
-        np.testing.assert_allclose(rect.corners, corners)
-        np.testing.assert_allclose(
-            rect.center, corners.mean(axis=0), atol=1e-15
-        )
+    corners = mesh.vertex_coords[mesh.elem_vertices]
+    centers = mesh.element_centers()
+    np.testing.assert_allclose(centers, corners.mean(axis=1), atol=1e-15)
+    half = 0.5 * np.array([mesh.hx, mesh.hy])
+    np.testing.assert_allclose(centers[:, None, :] + half * CORNERS[0], corners, atol=1e-15)
 
 
 def test_elem_edges_incidence():
@@ -143,17 +144,6 @@ def test_custom_bounds():
     assert mesh.hy == pytest.approx(0.5)
     np.testing.assert_allclose(mesh.vertex_coords[0], [1.0, -1.0])
     np.testing.assert_allclose(mesh.vertex_coords[-1], [3.0, 0.0])
-
-
-def test_element_rect_dataclass():
-    rect = ElementRect(0.0, 0.0, 0.5, 0.25)
-    assert rect.hx == pytest.approx(0.5)
-    assert rect.hy == pytest.approx(0.25)
-    np.testing.assert_allclose(rect.center, [0.25, 0.125])
-    # corners CCW from lower-left
-    np.testing.assert_allclose(
-        rect.corners, [[0, 0], [0.5, 0], [0.5, 0.25], [0, 0.25]]
-    )
 
 
 @pytest.mark.parametrize("nx,ny", [(0, 4), (4, 0), (-1, 2)])
