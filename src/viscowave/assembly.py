@@ -63,6 +63,8 @@ def _check_pair(stress_space, velocity_space):
 
 
 def _stress_gram(space, weight3, lumped):
+    if lumped and space.family != NEDELEC:
+        raise ValueError(f"mass lumping is only available for {NEDELEC!r}")
     w, xi, eta = _local_rule(space.mesh, lumped)
     vals = space.local_values(xi, eta)
     local = np.einsum("qia,ab,qjb,q->ij", vals, VOIGT_DOT @ weight3, vals, w)
@@ -79,15 +81,11 @@ def assemble_mass_stress(
     where it produces 3x3 blocks per vertex; requesting it for ``hmz`` is an
     error.
     """
-    if lumped and space.family != NEDELEC:
-        raise ValueError(f"mass lumping is only available for {NEDELEC!r}")
     return _stress_gram(space, material.compliance_matrix(), lumped)
 
 
 def assemble_stress_gram(space: StressSpace, lumped: bool = False) -> sp.csr_matrix:
     """Plain L2 Gram matrix of the stress space under the tensor dot product."""
-    if lumped and space.family != NEDELEC:
-        raise ValueError(f"mass lumping is only available for {NEDELEC!r}")
     return _stress_gram(space, np.eye(3), lumped)
 
 

@@ -309,6 +309,8 @@ def _run_temporal(s, nx, nt, dt) -> int:
     s = _study_settings(s, "temporal-convergence")
     if nt is None:
         raise ValueError("temporal-convergence mode needs --nt")
+    if dt is not None:
+        raise ValueError("temporal-convergence mode sets dt = T/M; drop --dt")
     rows, _ = temporal_study(ms=nt, **s)
     _emit(format_study_csv(rows), s["out"])
     return 0
@@ -319,12 +321,13 @@ def _run_stability(s, nx, nt, dt) -> int:
     if dt is None:
         raise ValueError("stability mode needs --dt (one or more values)")
     base = RunConfig(mode="stability", nx=_single(nx, "--nx"), **s)
+    n_steps = _single(nt, "--nt")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["dt", "n", "t", "energy"])
     finals = []
     for step in dt:
-        cfg = _with_time(base, step)
+        cfg = _with_time(base, step, n_steps)
         result = run(cfg)
         for n, (t, e) in enumerate(zip(result.times, result.energy)):
             writer.writerow([f"{cfg.dt:.10g}", n, f"{t:.10g}", f"{e:.10e}"])

@@ -14,11 +14,19 @@ Both pairs give stress fields whose normal trace is continuous across
 interior edges, hence a square-integrable divergence.  Local coordinates
 ``(xi, eta)`` live on [-1, 1]^2 with ``x = xc + (hx/2) xi``.
 
-Degrees of freedom are collocation values: vertex values, edge-midpoint
-values, and for the ``hmz`` interior degree of freedom the center value
-minus the mean of the two edge values (the coefficient of the quadratic
-bubble ``1 - xi^2``).  Stress coefficients follow these collocation
-functionals; velocity coefficients come from element-local L2 projection.
+A stress family is one table, ``LOCAL_DOFS``, from which everything else
+is read.  Each local dof is a Voigt component and the offset ``(dx, dy)``
+of its point from the element centre in half-steps, so on element
+``(i, j)`` its point is ``(2i + 1 + dx, 2j + 1 + dy)`` on the half-step
+grid ``x = x0 + (hx/2) gx``.  Its local function has one factor per axis:
+the hat ``(1 + d s)/2`` at offset ``d = +-1``, the bubble ``1 - s^2`` at
+offset 0 on the component's own axis (``xi`` for t11, ``eta`` for t22),
+and 1 otherwise.  The global dofs come in blocks of one component on one
+sublattice ``(2i + ox, 2j + oy)``, in the order the table first reaches
+them, each numbered with x running fastest.  A stress dof is the value at
+its point, except that a centre dof (the ``hmz`` bubble) is the value
+there less what the element's other functions give; velocity
+coefficients come from element-local L2 projection.
 """
 
 from __future__ import annotations
@@ -29,12 +37,13 @@ from functools import cached_property
 import numpy as np
 
 from .mesh import StructuredMesh
-from .quadrature import COMPOSITE
+from .quadrature import COMPOSITE, CORNERS
 
 __all__ = [
     "NEDELEC",
     "HMZ",
     "FAMILIES",
+    "LOCAL_DOFS",
     "QuadKernel",
     "quad_kernel",
     "StressSpace",
@@ -43,7 +52,17 @@ __all__ = [
 
 NEDELEC = "nedelec-q1q0"
 HMZ = "hmz"
-FAMILIES = (NEDELEC, HMZ)
+
+# The reference corners, counterclockwise from lower left, in half-steps.
+_CORNERS = tuple((int(a), int(b)) for a, b in CORNERS[0])
+LOCAL_DOFS = {
+    NEDELEC: tuple((c, d) for c in range(3) for d in _CORNERS),
+    HMZ: ((0, (-1, 0)), (0, (1, 0)), (0, (0, 0)), (1, (0, -1)), (1, (0, 1)), (1, (0, 0)))
+    + tuple((2, d) for d in _CORNERS),
+}
+FAMILIES = tuple(LOCAL_DOFS)
+# Local velocity functions: a component and the power of its own coordinate.
+_VELOCITY_DOFS = {NEDELEC: ((0, 0), (1, 0)), HMZ: ((0, 0), (0, 1), (1, 0), (1, 1))}
 
 
 def _check_family(family):
@@ -51,31 +70,13 @@ def _check_family(family):
         raise ValueError(f"unknown element family {family!r}; expected one of {FAMILIES}")
 
 
-def _hats(xi, eta):
-    """Bilinear hats at the four corners, counterclockwise from lower left."""
-    return 0.25 * np.stack(
-        [
-            (1.0 - xi) * (1.0 - eta),
-            (1.0 + xi) * (1.0 - eta),
-            (1.0 + xi) * (1.0 + eta),
-            (1.0 - xi) * (1.0 + eta),
-        ],
-        axis=-1,
-    )
-
-
-def _hats_dxi(xi, eta):
-    del xi
-    return 0.25 * np.stack(
-        [-(1.0 - eta), (1.0 - eta), (1.0 + eta), -(1.0 + eta)], axis=-1
-    )
-
-
-def _hats_deta(xi, eta):
-    del eta
-    return 0.25 * np.stack(
-        [-(1.0 - xi), -(1.0 + xi), (1.0 + xi), (1.0 - xi)], axis=-1
-    )
+def _factor(s, offset, own_axis):
+    """One axis's factor of a local stress function and its derivative in ``s``."""
+    if offset:
+        return 0.5 * (1.0 + offset * s), 0.5 * offset
+    if own_axis:
+        return 1.0 - s * s, -2.0 * s
+    return 1.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -135,14 +136,20 @@ class StressSpace(_Space):
     Attributes
     ----------
     mesh, family
+    table : tuple
+        The family's ``LOCAL_DOFS`` entries ``(component, (dx, dy))``.
     dim : int
         Number of global degrees of freedom.
     n_local : int
         Degrees of freedom per element (12 for ``nedelec-q1q0``, 10 for ``hmz``).
     eldof : ndarray, shape (n_elements, n_local)
         Local-to-global index map.
-    dof_kind : ndarray of str, shape (dim,)
-        ``vertex``, ``edge``, or ``interior``.
+    grid : ndarray of int, shape (dim, 2)
+        Point of every dof on the half-step grid, ``2 (x - x0) / h``.
+    component : ndarray of int, shape (dim,)
+        Voigt component of every dof: 0, 1, 2 for t11, t22, t12.
+    interior : ndarray, shape (n_elements, k)
+        The dofs at each element's centre, which no other element shares.
     dof_point : ndarray, shape (dim, 2)
         Collocation point of each degree-of-freedom functional.
     quad : QuadKernel
@@ -153,144 +160,88 @@ class StressSpace(_Space):
         _check_family(family)
         self.mesh = mesh
         self.family = family
+        self.table = LOCAL_DOFS[family]
+        self.n_local = len(self.table)
         nx, ny = mesh.nx, mesh.ny
-        nv = mesh.n_vertices
-        if family == NEDELEC:
-            self.n_local = 12
-            self.dim = 3 * nv
-            self.eldof = np.concatenate(
-                [mesh.elem_vertices + c * nv for c in range(3)], axis=1
-            )
-            self.dof_kind = np.full(self.dim, "vertex")
-            self.dof_point = np.tile(mesh.vertex_coords, (3, 1))
-        else:
-            nve = mesh.n_vertical_edges
-            nhe = mesh.n_horizontal_edges
-            ne = mesh.n_elements
-            off_bub11 = nve
-            off_edge22 = off_bub11 + ne
-            off_bub22 = off_edge22 + nhe
-            off_shear = off_bub22 + ne
-            self.n_local = 10
-            self.dim = off_shear + nv
-            eid = np.arange(ne)
-            vedge = mesh.elem_edges[:, :2]
-            hedge = mesh.elem_edges[:, 2:] - nve
-            self.eldof = np.column_stack(
-                [
-                    vedge[:, 0],
-                    vedge[:, 1],
-                    off_bub11 + eid,
-                    off_edge22 + hedge[:, 0],
-                    off_edge22 + hedge[:, 1],
-                    off_bub22 + eid,
-                    off_shear + mesh.elem_vertices,
-                ]
-            )
-            self.dof_kind = np.concatenate(
-                [
-                    np.full(nve, "edge"),
-                    np.full(ne, "interior"),
-                    np.full(nhe, "edge"),
-                    np.full(ne, "interior"),
-                    np.full(nv, "vertex"),
-                ]
-            )
-            centers = mesh.element_centers()
-            self.dof_point = np.vstack(
-                [
-                    self._vertical_midpoints(),
-                    centers,
-                    self._horizontal_midpoints(),
-                    centers,
-                    mesh.vertex_coords,
-                ]
-            )
+        # A dof's block is its component and its sublattice (2i + ox, 2j + oy).
+        blocks = [(c, (1 + dx) % 2, (1 + dy) % 2) for c, (dx, dy) in self.table]
+        order = list(dict.fromkeys(blocks))
+        width = {b: nx + 1 - b[1] for b in order}
+        size = [width[b] * (ny + 1 - b[2]) for b in order]
+        start = dict(zip(order, np.cumsum([0] + size).tolist()))
+        self.dim = sum(size)
+        self.component = np.repeat([b[0] for b in order], size)
+        self.grid = np.concatenate(
+            [2 * np.indices((ny + 1 - oy, nx + 1 - ox))[::-1].reshape(2, -1) + [[ox], [oy]]
+             for _, ox, oy in order],
+            axis=1,
+        ).T.copy()
+        # Element e = j nx + i lies at j w + i = e + j (w - nx) in a block of
+        # width w; its dof at offset (dx, dy) is one column right for dx > 0
+        # and one row up for dy > 0.  In place, to spare the temporaries.
+        e = np.arange(mesh.n_elements)
+        self.eldof = (e // nx)[:, None] * np.array([width[b] - nx for b in blocks])
+        self.eldof += e[:, None]
+        self.eldof += [
+            start[b] + (dx > 0) + (dy > 0) * width[b]
+            for b, (_, (dx, dy)) in zip(blocks, self.table)
+        ]
+        self._centre = [l for l, (_, d) in enumerate(self.table) if d == (0, 0)]
+        self.interior = self.eldof[:, self._centre]
 
-    def _vertical_midpoints(self):
+    @property
+    def dof_point(self) -> np.ndarray:
+        """Physical point of every dof, ``x0 + (h/2) grid``."""
         m = self.mesh
-        iv, jv = np.meshgrid(np.arange(m.nx + 1), np.arange(m.ny))
-        return np.column_stack(
-            [
-                m.bounds[0] + m.hx * iv.ravel(),
-                m.bounds[1] + m.hy * (jv.ravel() + 0.5),
-            ]
-        )
+        return np.asarray(m.bounds[:2]) + (0.5 * np.array([m.hx, m.hy])) * self.grid
 
-    def _horizontal_midpoints(self):
-        m = self.mesh
-        ih, jh = np.meshgrid(np.arange(m.nx), np.arange(m.ny + 1))
-        return np.column_stack(
-            [
-                m.bounds[0] + m.hx * (ih.ravel() + 0.5),
-                m.bounds[1] + m.hy * jh.ravel(),
-            ]
-        )
+    def _basis(self, xi, eta):
+        """Each local function's component, its value and its (xi, eta) derivatives."""
+        for c, (dx, dy) in self.table:
+            fx, dfx = _factor(xi, dx, c == 0)
+            fy, dfy = _factor(eta, dy, c == 1)
+            yield c, fx * fy, dfx * fy, fx * dfy
 
     def local_values(self, xi, eta) -> np.ndarray:
         """Local basis values at (xi, eta); shape broadcast(xi, eta) + (n_local, 3)."""
         xi, eta = np.broadcast_arrays(np.asarray(xi, float), np.asarray(eta, float))
         out = np.zeros(xi.shape + (self.n_local, 3))
-        hats = _hats(xi, eta)
-        if self.family == NEDELEC:
-            out[..., 0:4, 0] = hats
-            out[..., 4:8, 1] = hats
-            out[..., 8:12, 2] = hats
-        else:
-            out[..., 0, 0] = 0.5 * (1.0 - xi)
-            out[..., 1, 0] = 0.5 * (1.0 + xi)
-            out[..., 2, 0] = 1.0 - xi * xi
-            out[..., 3, 1] = 0.5 * (1.0 - eta)
-            out[..., 4, 1] = 0.5 * (1.0 + eta)
-            out[..., 5, 1] = 1.0 - eta * eta
-            out[..., 6:10, 2] = hats
+        for l, (c, value, _, _) in enumerate(self._basis(xi, eta)):
+            out[..., l, c] = value
         return out
 
     def local_divergence(self, xi, eta) -> np.ndarray:
-        """Physical divergence of the local basis; shape broadcast + (n_local, 2)."""
+        """Physical divergence of the local basis; shape broadcast + (n_local, 2).
+
+        A normal stress t_cc contributes its derivative along axis c to row c
+        of the divergence; the shear contributes d/dy to row 0 and d/dx to row 1.
+        """
         xi, eta = np.broadcast_arrays(np.asarray(xi, float), np.asarray(eta, float))
-        sx = 2.0 / self.mesh.hx
-        sy = 2.0 / self.mesh.hy
+        sx, sy = 2.0 / self.mesh.hx, 2.0 / self.mesh.hy
         out = np.zeros(xi.shape + (self.n_local, 2))
-        dx = sx * _hats_dxi(xi, eta)
-        dy = sy * _hats_deta(xi, eta)
-        if self.family == NEDELEC:
-            out[..., 0:4, 0] = dx
-            out[..., 4:8, 1] = dy
-            out[..., 8:12, 0] = dy
-            out[..., 8:12, 1] = dx
-        else:
-            out[..., 0, 0] = -0.5 * sx
-            out[..., 1, 0] = 0.5 * sx
-            out[..., 2, 0] = -2.0 * xi * sx
-            out[..., 3, 1] = -0.5 * sy
-            out[..., 4, 1] = 0.5 * sy
-            out[..., 5, 1] = -2.0 * eta * sy
-            out[..., 6:10, 0] = dy
-            out[..., 6:10, 1] = dx
+        for l, (c, _, d_xi, d_eta) in enumerate(self._basis(xi, eta)):
+            grad = (sx * d_xi, sy * d_eta)
+            if c == 2:
+                out[..., l, 0], out[..., l, 1] = grad[1], grad[0]
+            else:
+                out[..., l, c] = grad[c]
         return out
 
     def interpolate(self, field) -> np.ndarray:
         """Coefficients of the collocation interpolant of ``field(x, y) -> (..., 3)``."""
-        m = self.mesh
-        vv = np.asarray(field(m.vertex_coords[:, 0], m.vertex_coords[:, 1]), float)
-        if vv.shape != (m.n_vertices, 3):
-            raise ValueError(f"stress field returned shape {vv.shape}")
-        if self.family == NEDELEC:
-            return np.concatenate([vv[:, 0], vv[:, 1], vv[:, 2]])
-        vm = self._vertical_midpoints()
-        hm = self._horizontal_midpoints()
-        cc = m.element_centers()
-        f_vm = np.asarray(field(vm[:, 0], vm[:, 1]), float)
-        f_hm = np.asarray(field(hm[:, 0], hm[:, 1]), float)
-        f_cc = np.asarray(field(cc[:, 0], cc[:, 1]), float)
-        left = self.mesh.elem_edges[:, 0]
-        right = self.mesh.elem_edges[:, 1]
-        bottom = self.mesh.elem_edges[:, 2] - m.n_vertical_edges
-        top = self.mesh.elem_edges[:, 3] - m.n_vertical_edges
-        bub11 = f_cc[:, 0] - 0.5 * (f_vm[left, 0] + f_vm[right, 0])
-        bub22 = f_cc[:, 1] - 0.5 * (f_hm[bottom, 1] + f_hm[top, 1])
-        return np.concatenate([f_vm[:, 0], bub11, f_hm[:, 1], bub22, vv[:, 2]])
+        points = self.dof_point
+        values = np.asarray(field(points[:, 0], points[:, 1]), float)
+        if values.shape != (self.dim, 3):
+            raise ValueError(f"stress field returned shape {values.shape}")
+        coeffs = values[np.arange(self.dim), self.component]
+        # A centre function is 1 at the centre, so its coefficient is the
+        # field there less what the element's other functions give there.
+        at_centre = self.local_values(0.0, 0.0)
+        for l in self._centre:
+            share = at_centre[:, self.table[l][0]]
+            terms = [share[k] * coeffs[self.eldof[:, k]] for k in np.flatnonzero(share) if k != l]
+            coeffs[self.eldof[:, l]] -= sum(terms[1:], terms[0])
+        return coeffs
 
 
 class VelocitySpace(_Space):
@@ -301,7 +252,8 @@ class VelocitySpace(_Space):
         self.mesh = mesh
         self.family = family
         ne = mesh.n_elements
-        self.n_local = 2 if family == NEDELEC else 4
+        self.table = _VELOCITY_DOFS[family]
+        self.n_local = len(self.table)
         self.dim = self.n_local * ne
         self.eldof = self.n_local * np.arange(ne)[:, None] + np.arange(self.n_local)
 
@@ -309,14 +261,8 @@ class VelocitySpace(_Space):
         """Local basis values at (xi, eta); shape broadcast(xi, eta) + (n_local, 2)."""
         xi, eta = np.broadcast_arrays(np.asarray(xi, float), np.asarray(eta, float))
         out = np.zeros(xi.shape + (self.n_local, 2))
-        if self.family == NEDELEC:
-            out[..., 0, 0] = 1.0
-            out[..., 1, 1] = 1.0
-        else:
-            out[..., 0, 0] = 1.0
-            out[..., 1, 0] = xi
-            out[..., 2, 1] = 1.0
-            out[..., 3, 1] = eta
+        for l, (c, power) in enumerate(self.table):
+            out[..., l, c] = (xi, eta)[c] ** power
         return out
 
     def project(self, field) -> np.ndarray:

@@ -278,7 +278,7 @@ def build_schur(
     """Form S = (1/dt + 1/2) A + (dt/4) B^T Cinv B and prepare its solver.
 
     ``space`` is the ``StressSpace`` of A: it gives the element-interior
-    dofs, element by element, and the point of every dof.
+    dofs, element by element, and the half-step grid point of every dof.
     """
     if not dt > 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
@@ -294,20 +294,18 @@ def build_schur(
     S = mass + coupling
     # With A SPD, S is SPD in exact arithmetic and fails to factor only when
     # the stress-mass term is lost in rounding, which the ratio of the
-    # largest diagonals shows.  The terms die before the factorization,
-    # which sets the peak memory.
-    ratio = mass.diagonal().max() / coupling.diagonal().max()
+    # largest diagonals shows; it is formed only then, below 1, so it cannot
+    # overflow.  The terms die before the factorization, which sets the
+    # peak memory.
+    mass_max, coupling_max = mass.diagonal().max(), coupling.diagonal().max()
     del mass, coupling
-    interior = space.eldof[:, space.dof_kind[space.eldof[0]] == "interior"]
-    m = space.mesh
-    grid = np.rint(2.0 * (space.dof_point - m.bounds[:2]) / (m.hx, m.hy)).astype(np.int64)
     try:
-        return SchurSolver(sp.csr_matrix(S), method, tol, interior, grid)
+        return SchurSolver(sp.csr_matrix(S), method, tol, space.interior, space.grid)
     except SingularBlockError as err:
-        if not ratio < 1.0:
+        if not mass_max < coupling_max:
             raise
         raise SingularBlockError(
             f"{err}; the largest diagonal of the stress-mass term (1/dt + 1/2) A is "
-            f"{ratio:.3g} times that of (dt/4) B^T Cinv B, so the stress-mass term "
-            "is lost in rounding: take a smaller dt or a less stiff material"
+            f"{mass_max / coupling_max:.3g} times that of (dt/4) B^T Cinv B, so the "
+            "stress-mass term is lost in rounding: take a smaller dt or a less stiff material"
         ) from err.__cause__

@@ -9,8 +9,9 @@ yc + (hy/2) eta)`` and the weights ``hx * hy * w``.
 ``COMPOSITE`` splits the square along the lower-left to upper-right
 diagonal and puts a seven-point degree-5 triangle rule on each half
 (14 points, exact for total degree <= 5).  ``CORNERS`` puts a quarter of
-the area on each corner, counterclockwise from lower left; it is exact on
-bilinears and gives the diagonal vertex blocks of a lumped mass matrix.
+the area on each corner, counterclockwise from lower left, the order of
+the corner dofs in ``fespace.LOCAL_DOFS``; it is exact on bilinears and
+gives the diagonal vertex blocks of a lumped mass matrix.
 """
 
 from __future__ import annotations

@@ -53,8 +53,13 @@ def resolve_time(t_final, dt=None, n_steps=None):
         raise ValueError(f"final time must be finite and positive, got {t_final}")
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"time step must be finite and positive, got {dt}")
-    if n_steps is not None and not (n_steps >= 1 and float(n_steps).is_integer()):
-        raise ValueError(f"step count must be a positive integer, got {n_steps}")
+    if n_steps is not None:
+        try:
+            whole = float(n_steps).is_integer()
+        except OverflowError:
+            raise ValueError("step count is beyond the floating-point range") from None
+        if not (n_steps >= 1 and whole):
+            raise ValueError(f"step count must be a positive integer, got {n_steps}")
     if dt is None:
         n_steps = 200 if n_steps is None else n_steps
         dt = t_final / n_steps

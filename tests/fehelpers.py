@@ -1,11 +1,15 @@
 """Pointwise field and basis evaluation, rule application and reference formulas.
 
 Voigt-triple algebra (``VoigtTensor``, ``voigt_inner``, ``stiffness_matrix``,
-``apply_compliance``, ``apply_stiffness``, ``compliance_bounds``), mesh
-index and edge tables (``vertex_index``, ``element_index``, ``edge_vertices``,
-``edge_normal_axis``, ``boundary_vertex``, ``boundary_edge``), the dof
-component map ``dof_component`` and the unforced energy-identity defects
-``energy_residuals`` are used only here and by the tests.
+``apply_compliance``, ``apply_stiffness``, ``compliance_bounds``), the mesh's
+vertex, element and edge tables (``vertex_index``, ``element_index``,
+``vertex_coords``, ``elem_vertices``, ``edge_counts``, ``elem_edges``,
+``edge_elements``, ``edge_vertices``, ``edge_normal_axis``,
+``boundary_vertex``, ``boundary_edge``) and the unforced energy-identity
+defects ``energy_residuals`` are used only here and by the tests.  Vertices,
+elements and edges are numbered lexicographically with x running fastest;
+the vertical edges (unit normal +x) come first, then the horizontal ones
+(unit normal +y).
 
 The solver itself works with whole-mesh basis tables; these helpers evaluate
 one element at a time so the tests can check the tables point by point.
@@ -26,7 +30,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from viscowave.analysis import energy
-from viscowave.fespace import NEDELEC, StressSpace, VelocitySpace
+from viscowave.fespace import StressSpace, VelocitySpace
 from viscowave.material import VOIGT_DOT, IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import ExactSolution
@@ -89,6 +93,44 @@ def element_index(mesh: StructuredMesh, i, j):
     return j * mesh.nx + i
 
 
+def vertex_coords(mesh: StructuredMesh) -> np.ndarray:
+    """Coordinates of every vertex, shape (n_vertices, 2)."""
+    x0, y0 = mesh.bounds[:2]
+    X, Y = np.meshgrid(
+        x0 + mesh.hx * np.arange(mesh.nx + 1), y0 + mesh.hy * np.arange(mesh.ny + 1)
+    )
+    return np.column_stack([X.ravel(), Y.ravel()])
+
+
+def elem_vertices(mesh: StructuredMesh) -> np.ndarray:
+    """Vertex ids of every element, counterclockwise from the lower-left corner."""
+    e = np.arange(mesh.n_elements)
+    ll = e + e // mesh.nx
+    return np.column_stack([ll, ll + 1, ll + mesh.nx + 2, ll + mesh.nx + 1])
+
+
+def edge_counts(mesh: StructuredMesh) -> tuple[int, int]:
+    """Numbers of vertical and of horizontal edges."""
+    return (mesh.nx + 1) * mesh.ny, mesh.nx * (mesh.ny + 1)
+
+
+def elem_edges(mesh: StructuredMesh) -> np.ndarray:
+    """Edge ids of every element in the order (left, right, bottom, top)."""
+    e = np.arange(mesh.n_elements)
+    left = e + e // mesh.nx
+    bottom = edge_counts(mesh)[0] + e
+    return np.column_stack([left, left + 1, bottom, bottom + mesh.nx])
+
+
+def edge_elements(mesh: StructuredMesh) -> dict:
+    """Map edge id -> the ids of the one or two elements that touch it."""
+    touch = {}
+    for e, edges in enumerate(elem_edges(mesh)):
+        for k in edges:
+            touch.setdefault(int(k), []).append(e)
+    return touch
+
+
 def edge_vertices(mesh: StructuredMesh) -> np.ndarray:
     """End vertices of every edge, shape (n_edges, 2): vertical edges first, then horizontal."""
     nx, ny = mesh.nx, mesh.ny
@@ -103,19 +145,15 @@ def edge_vertices(mesh: StructuredMesh) -> np.ndarray:
 
 def edge_normal_axis(mesh: StructuredMesh) -> np.ndarray:
     """0 where an edge's fixed unit normal is +x (vertical edges), 1 where it is +y."""
-    return np.concatenate(
-        [
-            np.zeros(mesh.n_vertical_edges, dtype=int),
-            np.ones(mesh.n_horizontal_edges, dtype=int),
-        ]
-    )
+    return np.repeat([0, 1], edge_counts(mesh))
 
 
 def boundary_vertex(mesh: StructuredMesh) -> np.ndarray:
     """True for the vertices on the domain boundary."""
     x0, y0 = mesh.bounds[:2]
-    gx = np.rint((mesh.vertex_coords[:, 0] - x0) / mesh.hx).astype(int)
-    gy = np.rint((mesh.vertex_coords[:, 1] - y0) / mesh.hy).astype(int)
+    xy = vertex_coords(mesh)
+    gx = np.rint((xy[:, 0] - x0) / mesh.hx).astype(int)
+    gy = np.rint((xy[:, 1] - y0) / mesh.hy).astype(int)
     return (gx == 0) | (gx == mesh.nx) | (gy == 0) | (gy == mesh.ny)
 
 
@@ -127,21 +165,6 @@ def boundary_edge(mesh: StructuredMesh) -> np.ndarray:
     return np.concatenate([(iv == 0) | (iv == nx), (jh == 0) | (jh == ny)])
 
 
-def dof_component(space: StressSpace) -> np.ndarray:
-    """Voigt component of every stress dof: 0, 1, 2 for t11, t22, t12."""
-    mesh = space.mesh
-    if space.family == NEDELEC:
-        return np.repeat(np.arange(3), mesh.n_vertices)
-    ne = mesh.n_elements
-    return np.concatenate(
-        [
-            np.zeros(mesh.n_vertical_edges + ne, dtype=int),
-            np.ones(mesh.n_horizontal_edges + ne, dtype=int),
-            np.full(mesh.n_vertices, 2),
-        ]
-    )
-
-
 def local_coords(mesh: StructuredMesh, elem, x, y):
     """Map physical coordinates to (xi, eta) in [-1, 1]^2 on element ``elem``.
 
@@ -149,7 +172,10 @@ def local_coords(mesh: StructuredMesh, elem, x, y):
     vertices; the printed margins of acceptance criterion 8 depend on that
     rounding.
     """
-    lower, upper = mesh.vertex_coords[mesh.elem_vertices[elem, [0, 2]]]
+    i, j = elem % mesh.nx, elem // mesh.nx
+    x0, y0 = mesh.bounds[:2]
+    lower = np.array([x0 + mesh.hx * i, y0 + mesh.hy * j])
+    upper = np.array([x0 + mesh.hx * (i + 1), y0 + mesh.hy * (j + 1)])
     center, half = 0.5 * (lower + upper), 0.5 * (upper - lower)
     xi = (np.asarray(x, float) - center[0]) / half[0]
     return xi, (np.asarray(y, float) - center[1]) / half[1]

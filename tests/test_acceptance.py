@@ -38,6 +38,7 @@ from viscowave.mms import exact_fields
 from viscowave.timestepper import CNStepper, SimState, run
 
 from fehelpers import (
+    edge_elements,
     edge_normal_axis,
     edge_vertices,
     energy_residuals,
@@ -45,6 +46,7 @@ from fehelpers import (
     eval_velocity,
     local_coords,
     verify_residuals,
+    vertex_coords,
 )
 
 UNIT = IsotropicMaterial()
@@ -318,20 +320,14 @@ def _velocity_member(mesh, space, coeffs):
 
 def _max_trace_jump(mesh, space, coeffs, pts_per_edge=5):
     """Largest jump of sigma.n across interior edges; also returns the count."""
-    touch = {}
-    for e in range(mesh.n_elements):
-        for k in mesh.elem_edges[e]:
-            touch.setdefault(int(k), []).append(e)
     frac = np.linspace(0.1, 0.9, pts_per_edge)
-    ends, normal_axis = edge_vertices(mesh), edge_normal_axis(mesh)
+    ends, normal_axis, xy = edge_vertices(mesh), edge_normal_axis(mesh), vertex_coords(mesh)
     worst, checked = 0.0, 0
-    for k, elems in touch.items():
+    for k, elems in edge_elements(mesh).items():
         if len(elems) != 2:
             continue
         a, b = ends[k]
-        pts = mesh.vertex_coords[a] + frac[:, None] * (
-            mesh.vertex_coords[b] - mesh.vertex_coords[a]
-        )
+        pts = xy[a] + frac[:, None] * (xy[b] - xy[a])
         axis = normal_axis[k]
         for x, y in pts:
             traces = []

@@ -65,6 +65,7 @@ def test_resolve_time_rejects_mismatch():
         (-1.0, None, 4),
         (1.0, None, 2.5),
         (1.0, 2.0, None),
+        (1.0, None, 10**400),  # beyond the floating-point range
     ]:
         with pytest.raises(ValueError):
             resolve_time(*args)
@@ -377,6 +378,16 @@ def test_argparse_rejects_unknown_mode(capsys):
         (["--nx", "2", "--nt", "2", "--t-final", "inf"], "final time"),
         (["--nx", "2", "--nt", "2", "--snapshot-every", "0"], "snapshot interval"),
         (["--nx", "2", "--dt", "1e-300"], "cannot record 1e+300 time nodes"),
+        (["--nx", "2", "--nt", "1" + "0" * 400], "step count is beyond the floating-point range"),
+        (
+            ["--mode", "stability", "--example", "1", "--nx", "2",
+             "--dt", "0.5,0.25", "--nt", "3"],
+            "dt = 0.5 and M = 3 do not partition",
+        ),
+        (
+            ["--mode", "temporal-convergence", "--example", "1", "--nt", "2,4", "--dt", "0.1"],
+            "drop --dt",
+        ),
     ],
     ids=[
         "nt-zero",
@@ -385,6 +396,9 @@ def test_argparse_rejects_unknown_mode(capsys):
         "t-final-inf",
         "snapshot-every-zero",
         "dt-tiny-too-many-nodes",
+        "nt-beyond-float",
+        "stability-nt-mismatch",
+        "temporal-dt-given",
     ],
 )
 def test_bad_time_and_count_inputs_error_exit(argv, message, capsys):

@@ -6,23 +6,30 @@ import pytest
 from viscowave.fespace import (
     FAMILIES,
     HMZ,
+    LOCAL_DOFS,
     NEDELEC,
     StressSpace,
     VelocitySpace,
 )
 from viscowave.mesh import StructuredMesh
+from viscowave.mms import exact_fields
+from viscowave.quadrature import COMPOSITE, CORNERS
 
 from fehelpers import (
     boundary_edge,
-    dof_component,
+    edge_counts,
+    edge_elements,
     edge_normal_axis,
     edge_vertices,
+    elem_edges,
+    elem_vertices,
     eval_stress,
     eval_velocity,
     local_coords,
     stress_basis_divergence,
     stress_basis_value,
     velocity_basis_value,
+    vertex_coords,
 )
 
 
@@ -241,15 +248,6 @@ def test_q0_projection_is_cell_mean():
 # ----------------------------------------------------------- H(div) conformity
 
 
-def edge_elements(mesh):
-    """Map edge index -> element indices touching it."""
-    touch = {}
-    for e in range(mesh.n_elements):
-        for k in mesh.elem_edges[e]:
-            touch.setdefault(int(k), []).append(e)
-    return touch
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [2, 3])
 def test_normal_trace_continuity(family, n):
@@ -261,16 +259,14 @@ def test_normal_trace_continuity(family, n):
     coeffs = rng.standard_normal(ss.dim)
     frac = np.linspace(0.1, 0.9, 5)
     on_boundary, ends = boundary_edge(mesh), edge_vertices(mesh)
-    normal_axis = edge_normal_axis(mesh)
+    normal_axis, xy = edge_normal_axis(mesh), vertex_coords(mesh)
     checked = 0
     for k, elems in touch.items():
         if len(elems) != 2:
             assert on_boundary[k]
             continue
         a, b = ends[k]
-        pts = mesh.vertex_coords[a] + frac[:, None] * (
-            mesh.vertex_coords[b] - mesh.vertex_coords[a]
-        )
+        pts = xy[a] + frac[:, None] * (xy[b] - xy[a])
         axis = normal_axis[k]
         for x, y in pts:
             traces = []
@@ -328,13 +324,157 @@ def test_local_divergence_consistent_with_pointwise(family):
 
 def test_dof_metadata():
     ss = StressSpace(StructuredMesh(2, 2), HMZ)
-    assert ss.dof_point.shape == (29, 2)
-    assert set(np.unique(ss.dof_kind)) == {"edge", "interior", "vertex"}
-    # one vertex dof per mesh vertex (the shear), edge dofs on edge midpoints
-    assert (ss.dof_kind == "vertex").sum() == 9
-    assert (ss.dof_kind == "interior").sum() == 8
-    assert (ss.dof_kind == "edge").sum() == 12
-    assert set(np.unique(dof_component(ss))) == {0, 1, 2}
+    assert ss.grid.shape == ss.dof_point.shape == (29, 2)
+    odd = ss.grid % 2
+    # one shear dof per vertex (both coordinates even), one normal stress per
+    # edge midpoint (one odd) and two bubbles per element centre (both odd)
+    np.testing.assert_array_equal(np.bincount(odd.sum(axis=1)), [9, 12, 8])
+    assert np.all(ss.component[odd.sum(axis=1) == 0] == 2)
+    # t11 on the vertical edges (x even), t22 on the horizontal ones
+    edge = odd.sum(axis=1) == 1
+    np.testing.assert_array_equal(ss.component[edge], odd[edge, 0])
+    assert ss.interior.shape == (4, 2)
+    np.testing.assert_array_equal(np.sort(ss.interior, axis=None), np.flatnonzero(odd.all(axis=1)))
+    np.testing.assert_array_equal(ss.component[ss.interior], [[0, 1]] * 4)
+    centres = 2 * np.column_stack([np.arange(4) % 2, np.arange(4) // 2]) + 1
+    for k in range(2):
+        np.testing.assert_array_equal(ss.grid[ss.interior[:, k]], centres)
     ns = StressSpace(StructuredMesh(2, 2), NEDELEC)
-    assert np.all(ns.dof_kind == "vertex")
-    assert np.all(np.bincount(dof_component(ns)) == 9)
+    assert np.all(ns.grid % 2 == 0) and ns.interior.shape == (4, 0)
+    assert np.all(np.bincount(ns.component) == 9)
+
+
+# ------------------------------------------- the tables against their old forms
+#
+# Before each family was one table of local dofs, its numbering and local
+# basis were written out per family; these are those constructions, which
+# the tables must reproduce bit for bit.
+
+
+def _hats(xi, eta):
+    return 0.25 * np.stack(
+        [(1 - xi) * (1 - eta), (1 + xi) * (1 - eta), (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)],
+        axis=-1,
+    )
+
+
+def _hats_dxi(xi, eta):
+    return 0.25 * np.stack([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)], axis=-1)
+
+
+def _hats_deta(xi, eta):
+    return 0.25 * np.stack([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)], axis=-1)
+
+
+def _old_eldof(mesh, family):
+    nv, ne = len(vertex_coords(mesh)), mesh.n_elements
+    verts = elem_vertices(mesh)
+    if family == NEDELEC:
+        return np.concatenate([verts + c * nv for c in range(3)], axis=1)
+    nve, nhe = edge_counts(mesh)
+    edges, eid = elem_edges(mesh), np.arange(ne)
+    return np.column_stack(
+        [edges[:, :2], nve + eid, nve + ne + edges[:, 2:] - nve, nve + ne + nhe + eid,
+         nve + 2 * ne + nhe + verts]
+    )
+
+
+def _old_midpoints(mesh):
+    """Midpoints of the vertical and of the horizontal edges."""
+    x0, y0 = mesh.bounds[:2]
+    iv, jv = np.meshgrid(np.arange(mesh.nx + 1), np.arange(mesh.ny))
+    ih, jh = np.meshgrid(np.arange(mesh.nx), np.arange(mesh.ny + 1))
+    return (
+        np.column_stack([x0 + mesh.hx * iv.ravel(), y0 + mesh.hy * (jv.ravel() + 0.5)]),
+        np.column_stack([x0 + mesh.hx * (ih.ravel() + 0.5), y0 + mesh.hy * jh.ravel()]),
+    )
+
+
+def _old_dof_point(mesh, family):
+    xy = vertex_coords(mesh)
+    if family == NEDELEC:
+        return np.tile(xy, (3, 1))
+    vertical, horizontal = _old_midpoints(mesh)
+    centres = mesh.element_centers()
+    return np.vstack([vertical, centres, horizontal, centres, xy])
+
+
+def _old_local_values(family, xi, eta):
+    out = np.zeros(xi.shape + (len(LOCAL_DOFS[family]), 3))
+    hats = _hats(xi, eta)
+    if family == NEDELEC:
+        for c in range(3):
+            out[..., 4 * c : 4 * c + 4, c] = hats
+        return out
+    out[..., 0:3, 0] = np.stack([0.5 * (1.0 - xi), 0.5 * (1.0 + xi), 1.0 - xi * xi], axis=-1)
+    out[..., 3:6, 1] = np.stack([0.5 * (1.0 - eta), 0.5 * (1.0 + eta), 1.0 - eta * eta], axis=-1)
+    out[..., 6:10, 2] = hats
+    return out
+
+
+def _old_local_divergence(family, mesh, xi, eta):
+    sx, sy = 2.0 / mesh.hx, 2.0 / mesh.hy
+    out = np.zeros(xi.shape + (len(LOCAL_DOFS[family]), 2))
+    dx, dy = sx * _hats_dxi(xi, eta), sy * _hats_deta(xi, eta)
+    if family == NEDELEC:
+        out[..., 0:4, 0], out[..., 4:8, 1] = dx, dy
+        out[..., 8:12, 0], out[..., 8:12, 1] = dy, dx
+        return out
+    out[..., 0, 0], out[..., 1, 0], out[..., 2, 0] = -0.5 * sx, 0.5 * sx, -2.0 * xi * sx
+    out[..., 3, 1], out[..., 4, 1], out[..., 5, 1] = -0.5 * sy, 0.5 * sy, -2.0 * eta * sy
+    out[..., 6:10, 0], out[..., 6:10, 1] = dy, dx
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize(
+    "nx, ny, bounds",
+    [(3, 3, (0, 0, 1, 1)), (64, 64, (0, 0, 1, 1)), (256, 256, (0, 0, 1, 1)),
+     (5, 3, (0.3, -1.1, 2.0, 0.7))],
+)
+def test_table_matches_old_construction(family, nx, ny, bounds):
+    mesh = StructuredMesh(nx, ny, bounds)
+    ss = StressSpace(mesh, family)
+    np.testing.assert_array_equal(ss.eldof, _old_eldof(mesh, family))
+    np.testing.assert_array_equal(_bits(ss.dof_point), _bits(_old_dof_point(mesh, family)))
+    rng = np.random.default_rng(nx)
+    points = [COMPOSITE[0], CORNERS[0], rng.uniform(-1.0, 1.0, (1000, 2)), np.zeros((1, 2))]
+    for xi, eta in (p.T for p in points):
+        np.testing.assert_array_equal(
+            _bits(ss.local_values(xi, eta)), _bits(_old_local_values(family, xi, eta))
+        )
+        np.testing.assert_array_equal(
+            _bits(ss.local_divergence(xi, eta)),
+            _bits(_old_local_divergence(family, mesh, xi, eta)),
+        )
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3])
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_hmz_interpolant_matches_old_construction(example, t):
+    # the old form: edge and vertex values, and each bubble the centre value
+    # less the mean of its two edge values; at t = 0 the stress of examples
+    # 1 and 2 is zero, where the bits still tell -0.0 from 0.0
+    mesh = StructuredMesh(6, 4)
+    ss = StressSpace(mesh, HMZ)
+    sigma = exact_fields(example).sigma
+    vertical, horizontal = _old_midpoints(mesh)
+    f_vm, f_hm = sigma(*vertical.T, t)[:, 0], sigma(*horizontal.T, t)[:, 1]
+    f_cc = sigma(*mesh.element_centers().T, t)
+    nve = len(vertical)
+    left, right, bottom, top = elem_edges(mesh).T
+    want = np.concatenate(
+        [
+            f_vm,
+            f_cc[:, 0] - 0.5 * (f_vm[left] + f_vm[right]),
+            f_hm,
+            f_cc[:, 1] - 0.5 * (f_hm[bottom - nve] + f_hm[top - nve]),
+            sigma(*vertex_coords(mesh).T, t)[:, 2],
+        ]
+    )
+    got = ss.interpolate(lambda x, y: sigma(x, y, t))
+    np.testing.assert_array_equal(_bits(got), _bits(want))

@@ -1,5 +1,6 @@
 """Block inversion and the reduced stress solve."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -264,8 +265,7 @@ def test_condensed_fill_at_most_minimum_degree(family, n):
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
 def test_nested_dissection_order(family):
     ss = StressSpace(StructuredMesh(8, 8), family)
-    m = ss.mesh
-    grid = np.rint(2.0 * ss.dof_point / (m.hx, m.hy)).astype(int)
+    grid = ss.grid
     p = nested_dissection(grid)
     assert np.array_equal(np.sort(p), np.arange(ss.dim))
     assert np.array_equal(p, nested_dissection(grid.copy()))
@@ -287,12 +287,30 @@ def test_wrongly_numbered_bubbles_raise():
     ss = system.stress_space
     solver = make_direct(system, 0.25)
     S = solver.S
-    grid = np.rint(2.0 * ss.dof_point / (ss.mesh.hx, ss.mesh.hy)).astype(int)
-    by_component = np.flatnonzero(ss.dof_kind == "interior").reshape(-1, 2)
+    # the global order lists all t11 bubbles, then all t22 bubbles
+    by_component = np.sort(ss.interior, axis=None).reshape(-1, 2)
     with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
-        CondensedLU(S, by_component, grid)
-    by_element = ss.eldof[:, [2, 5]]
+        CondensedLU(S, by_component, ss.grid)
+    by_element = ss.interior
     shifted = np.column_stack([by_element[:, 0], np.roll(by_element[:, 1], 1)])
     with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
-        CondensedLU(S, shifted, grid)
+        CondensedLU(S, shifted, ss.grid)
     assert np.array_equal(solver._lu.inner, by_element.ravel())
+
+
+def test_diagonal_ratio_formed_only_when_factoring_fails():
+    # At dt = 5e-301 the largest diagonal of (1/dt + 1/2) A over that of
+    # (dt/4) B^T Cinv B overflows; a set-up that succeeds forms no ratio, so
+    # it warns of nothing.  A stiff material still fails with the ratio.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solver = make_direct(make_system(2, 2, NEDELEC), 5e-301)
+        rhs = np.ones(solver.S.shape[0])
+        assert np.linalg.norm(rhs - solver.S @ solver.solve(rhs)) <= TOL * np.linalg.norm(rhs)
+        mesh = StructuredMesh(2, 2)
+        stiff = assemble_system(
+            StressSpace(mesh, NEDELEC), VelocitySpace(mesh, NEDELEC),
+            IsotropicMaterial(mu=1e200), lumped=True,
+        )
+        with pytest.raises(SingularBlockError, match="is 2.5e-200 times that of"):
+            make_direct(stiff, 0.5)

@@ -1,4 +1,4 @@
-"""Structured rectangular mesh: counts, numbering, incidence, geometry."""
+"""Structured rectangular mesh and the test tables of its vertices, elements and edges."""
 
 import numpy as np
 import pytest
@@ -9,28 +9,30 @@ from viscowave.quadrature import CORNERS
 from fehelpers import (
     boundary_edge,
     boundary_vertex,
+    edge_counts,
     edge_normal_axis,
     edge_vertices,
+    elem_edges,
+    elem_vertices,
     element_index,
+    vertex_coords,
     vertex_index,
 )
 
 
 def test_counts_4x4():
     mesh = StructuredMesh(4, 4)
-    assert mesh.n_vertices == 25
+    assert len(vertex_coords(mesh)) == 25
     assert mesh.n_elements == 16
-    assert mesh.n_vertical_edges == 20
-    assert mesh.n_horizontal_edges == 20
-    assert mesh.n_edges == 40
+    assert edge_counts(mesh) == (20, 20)
+    assert len(edge_vertices(mesh)) == 40
 
 
 def test_counts_rectangular_grid():
     mesh = StructuredMesh(3, 5)
-    assert mesh.n_vertices == 4 * 6
+    assert len(vertex_coords(mesh)) == 4 * 6
     assert mesh.n_elements == 15
-    assert mesh.n_vertical_edges == 4 * 5
-    assert mesh.n_horizontal_edges == 3 * 6
+    assert edge_counts(mesh) == (4 * 5, 3 * 6)
 
 
 def test_spacing_unit_square():
@@ -41,7 +43,7 @@ def test_spacing_unit_square():
 
 def test_vertex_coords_x_fastest():
     mesh = StructuredMesh(2, 2)
-    xy = mesh.vertex_coords
+    xy = vertex_coords(mesh)
     np.testing.assert_allclose(xy[0], [0.0, 0.0])
     np.testing.assert_allclose(xy[1], [0.5, 0.0])
     np.testing.assert_allclose(xy[3], [0.0, 0.5])
@@ -50,19 +52,20 @@ def test_vertex_coords_x_fastest():
 
 def test_vertex_index_roundtrip():
     mesh = StructuredMesh(5, 3)
+    xy = vertex_coords(mesh)
     for j in range(4):
         for i in range(6):
             v = vertex_index(mesh, i, j)
             np.testing.assert_allclose(
-                mesh.vertex_coords[v], [i * mesh.hx, j * mesh.hy]
+                xy[v], [i * mesh.hx, j * mesh.hy]
             )
 
 
 def test_elem_vertices_ccw_from_lower_left():
     mesh = StructuredMesh(3, 2)
     e = element_index(mesh, 1, 1)
-    ll, lr, ur, ul = mesh.elem_vertices[e]
-    xy = mesh.vertex_coords
+    ll, lr, ur, ul = elem_vertices(mesh)[e]
+    xy = vertex_coords(mesh)
     np.testing.assert_allclose(xy[lr] - xy[ll], [mesh.hx, 0.0])
     np.testing.assert_allclose(xy[ur] - xy[ll], [mesh.hx, mesh.hy])
     np.testing.assert_allclose(xy[ul] - xy[ll], [0.0, mesh.hy])
@@ -72,7 +75,7 @@ def test_element_centers_match_vertices():
     # centre plus half-sides times the reference corners gives each
     # element's vertices in ``elem_vertices`` order
     mesh = StructuredMesh(4, 3)
-    corners = mesh.vertex_coords[mesh.elem_vertices]
+    corners = vertex_coords(mesh)[elem_vertices(mesh)]
     centers = mesh.element_centers()
     np.testing.assert_allclose(centers, corners.mean(axis=1), atol=1e-15)
     half = 0.5 * np.array([mesh.hx, mesh.hy])
@@ -83,26 +86,28 @@ def test_elem_edges_incidence():
     # elem_edges rows are [left, right, bottom, top]; shared edge between
     # horizontal neighbours is right-of-left == left-of-right
     mesh = StructuredMesh(4, 4)
+    edges = elem_edges(mesh)
     e0 = element_index(mesh, 1, 2)
     e1 = element_index(mesh, 2, 2)
-    assert mesh.elem_edges[e0][1] == mesh.elem_edges[e1][0]
+    assert edges[e0][1] == edges[e1][0]
     e2 = element_index(mesh, 1, 3)
-    assert mesh.elem_edges[e0][3] == mesh.elem_edges[e2][2]
+    assert edges[e0][3] == edges[e2][2]
 
 
 def test_edge_normal_axis():
     mesh = StructuredMesh(3, 3)
     axis = edge_normal_axis(mesh)
-    assert np.all(axis[: mesh.n_vertical_edges] == 0)
-    assert np.all(axis[mesh.n_vertical_edges :] == 1)
+    n_vertical = edge_counts(mesh)[0]
+    assert np.all(axis[:n_vertical] == 0)
+    assert np.all(axis[n_vertical:] == 1)
 
 
 def test_edge_vertices_geometry():
     mesh = StructuredMesh(3, 4)
-    xy = mesh.vertex_coords
+    xy = vertex_coords(mesh)
     ends, axis = edge_vertices(mesh), edge_normal_axis(mesh)
-    assert ends.shape == (mesh.n_edges, 2)
-    for k in range(mesh.n_edges):
+    assert ends.shape == (sum(edge_counts(mesh)), 2)
+    for k in range(len(ends)):
         a, b = ends[k]
         d = xy[b] - xy[a]
         if axis[k] == 0:  # vertical edge: runs in y
@@ -113,7 +118,7 @@ def test_edge_vertices_geometry():
 
 def test_boundary_masks():
     mesh = StructuredMesh(4, 4)
-    xy = mesh.vertex_coords
+    xy = vertex_coords(mesh)
     on_bd = (
         (xy[:, 0] == 0.0) | (xy[:, 0] == 1.0) | (xy[:, 1] == 0.0) | (xy[:, 1] == 1.0)
     )
@@ -142,8 +147,8 @@ def test_custom_bounds():
     mesh = StructuredMesh(2, 2, bounds=(1.0, -1.0, 3.0, 0.0))
     assert mesh.hx == pytest.approx(1.0)
     assert mesh.hy == pytest.approx(0.5)
-    np.testing.assert_allclose(mesh.vertex_coords[0], [1.0, -1.0])
-    np.testing.assert_allclose(mesh.vertex_coords[-1], [3.0, 0.0])
+    np.testing.assert_allclose(vertex_coords(mesh)[0], [1.0, -1.0])
+    np.testing.assert_allclose(vertex_coords(mesh)[-1], [3.0, 0.0])
 
 
 @pytest.mark.parametrize("nx,ny", [(0, 4), (4, 0), (-1, 2)])

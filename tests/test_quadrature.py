@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from viscowave.assembly import _local_rule
-from viscowave.fespace import HMZ, VelocitySpace
+from viscowave.fespace import HMZ, LOCAL_DOFS, VelocitySpace
 from viscowave.mesh import StructuredMesh
 from viscowave.quadrature import _TRI_BARY, _TRI_FRACS, COMPOSITE, CORNERS
 
@@ -111,8 +111,14 @@ def test_lumped_rect_rule_corners():
 
 
 def test_lumped_rect_rule_points_are_corners():
-    # counterclockwise from lower left, the order of ``StructuredMesh.elem_vertices``
+    # counterclockwise from lower left, the order of the corner dofs of every
+    # stress family, which read it from here
     np.testing.assert_array_equal(CORNERS[0], [[-1, -1], [1, -1], [1, 1], [-1, 1]])
+    for table in LOCAL_DOFS.values():
+        for c in range(3):
+            corners = [d for k, d in table if k == c and 0 not in d]
+            if corners:
+                np.testing.assert_array_equal(corners, CORNERS[0])
 
 
 def test_integrate_vectorized_callable():

@@ -19,7 +19,7 @@ from viscowave.timestepper import (
     run,
 )
 
-from fehelpers import energy_residuals
+from fehelpers import energy_residuals, vertex_coords
 
 UNIT = IsotropicMaterial()
 
@@ -98,7 +98,7 @@ def test_init_state_interpolates_data():
         sigma0=lambda x, y: np.broadcast_to([1.0, 2.0, 0.0], np.shape(x) + (3,)),
         v0=lambda x, y: np.broadcast_to([0.5, -0.5], np.shape(x) + (2,)),
     )
-    nv = mesh.n_vertices
+    nv = len(vertex_coords(mesh))
     np.testing.assert_allclose(state.alpha[:nv], 1.0)
     np.testing.assert_allclose(state.alpha[nv : 2 * nv], 2.0)
     np.testing.assert_allclose(state.beta[0::2], 0.5)
