@@ -83,8 +83,9 @@ def _factor(s, offset, own_axis):
 class QuadKernel:
     """The composite degree-5 rule on every element, with the local basis there.
 
-    ``x`` and ``y`` are the physical points, shape (n_elements, nq), read-only
-    so that field evaluators may keep values computed on them;
+    ``x`` and ``y`` are the physical points, shape (n_elements, nq), the
+    mesh's ``quad_points``: one read-only pair shared by both spaces of a
+    mesh, so that field factors may keep values computed on them;
     ``weights`` (nq,) are the rule weights, the same on every element.
     ``basis`` has shape (n_local, nq * d), with ``basis[l, q * d + c]``
     component c of local function l at point q, so ``coeffs[eldof] @ basis``
@@ -109,10 +110,7 @@ def quad_kernel(space) -> QuadKernel:
     vals = space.local_values(points[:, 0], points[:, 1])
     nq, n_local, d = vals.shape
     basis = np.ascontiguousarray(vals.transpose(1, 0, 2).reshape(n_local, nq * d))
-    centers = mesh.element_centers()
-    x = centers[:, 0, None] + (0.5 * mesh.hx) * points[:, 0]
-    y = centers[:, 1, None] + (0.5 * mesh.hy) * points[:, 1]
-    x.flags.writeable = y.flags.writeable = False
+    x, y = mesh.quad_points
     return QuadKernel(
         x=x,
         y=y,
@@ -170,6 +168,10 @@ class StressSpace(_Space):
         size = [width[b] * (ny + 1 - b[2]) for b in order]
         start = dict(zip(order, np.cumsum([0] + size).tolist()))
         self.dim = sum(size)
+        self._blocks = [
+            (c, (ox, oy), slice(start[c, ox, oy], start[c, ox, oy] + n))
+            for (c, ox, oy), n in zip(order, size)
+        ]
         self.component = np.repeat([b[0] for b in order], size)
         self.grid = np.concatenate(
             [2 * np.indices((ny + 1 - oy, nx + 1 - ox))[::-1].reshape(2, -1) + [[ox], [oy]]
@@ -228,12 +230,21 @@ class StressSpace(_Space):
         return out
 
     def interpolate(self, field) -> np.ndarray:
-        """Coefficients of the collocation interpolant of ``field(x, y) -> (..., 3)``."""
+        """Coefficients of the collocation interpolant of ``field(x, y) -> (..., 3)``.
+
+        The field is evaluated once on each sublattice, and each block on it
+        takes its component from those values.
+        """
         points = self.dof_point
-        values = np.asarray(field(points[:, 0], points[:, 1]), float)
-        if values.shape != (self.dim, 3):
-            raise ValueError(f"stress field returned shape {values.shape}")
-        coeffs = values[np.arange(self.dim), self.component]
+        coeffs = np.empty(self.dim)
+        values = {}
+        for c, lattice, dofs in self._blocks:
+            if lattice not in values:
+                p = points[dofs]
+                v = values[lattice] = np.asarray(field(p[:, 0], p[:, 1]), float)
+                if v.shape != (len(p), 3):
+                    raise ValueError(f"stress field returned shape {v.shape}")
+            coeffs[dofs] = values[lattice][:, c]
         # A centre function is 1 at the centre, so its coefficient is the
         # field there less what the element's other functions give there.
         at_centre = self.local_values(0.0, 0.0)

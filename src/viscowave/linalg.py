@@ -19,7 +19,10 @@ the Schur complement S_c = S_oo - S_oi S_ii^-1 S_io of the remaining dofs
 is factored.  Those are ordered by geometric nested dissection at mesh
 lines and factored in that order with diagonal pivots, which an SPD
 matrix allows; letting SuperLU pivot off the diagonal instead can
-multiply the fill when dt is large.
+multiply the fill when dt is large.  S_c is symmetric, so a solve uses
+SuperLU's transposed path, which works by dot products (gathers) instead
+of scattered updates and is the faster of the two; the refinement step
+and the residual check against the full S are unchanged.
 """
 
 from __future__ import annotations
@@ -142,8 +145,9 @@ class CondensedLU:
     must couple in S with no other element's; ``block_diag_inverse`` raises
     ``ValueError`` if they do.  ``grid`` (n, 2) is the half-step grid point
     of every dof (see ``nested_dissection``).  ``solve`` takes and returns
-    full-length vectors: it condenses the right-hand side, solves with S_c,
-    then back-substitutes the interior dofs.  ``L`` and ``U`` are the
+    full-length vectors: it condenses the right-hand side, solves with S_c
+    (transposed, which for a symmetric S_c is the same system), then
+    back-substitutes the interior dofs.  ``L`` and ``U`` are the
     factors of S_c in nested-dissection order, built anew on each access.
     """
 
@@ -188,10 +192,13 @@ class CondensedLU:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         y = self._Sii_inv @ b[self.inner]
+        b_o = b[self.outer]
+        b_o -= self._S_oi @ y
+        x_o = self._lu.solve(b_o, trans="T")
+        y -= self._W @ x_o
         x = np.empty_like(b)
-        x_o = self._lu.solve(b[self.outer] - self._S_oi @ y)
         x[self.outer] = x_o
-        x[self.inner] = y - self._W @ x_o
+        x[self.inner] = y
         return x
 
 
@@ -290,7 +297,15 @@ def build_schur(
     if space.dim != r:
         raise ValueError(f"stress space of dimension {space.dim} does not match A{A.shape}")
     mass = (1.0 / dt + 0.5) * A
-    coupling = (0.25 * dt) * (B.T @ Cinv @ B)
+    # A huge dt / rho overflows the coupling; it is named here, before S is
+    # factored, rather than reported as a singular factor.
+    with np.errstate(over="ignore"):
+        coupling = (0.25 * dt) * (B.T @ Cinv @ B)
+    if not np.all(np.isfinite(coupling.diagonal())):
+        raise SingularBlockError(
+            f"the coupling term (dt/4) B^T Cinv B overflows (dt = {dt:.3g}): "
+            "take a smaller dt or a denser material"
+        )
     S = mass + coupling
     # With A SPD, S is SPD in exact arithmetic and fails to factor only when
     # the stress-mass term is lost in rounding, which the ratio of the

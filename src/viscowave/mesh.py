@@ -6,7 +6,11 @@ spaces (``fespace``) number their own degrees of freedom.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+
+from .quadrature import COMPOSITE
 
 __all__ = ["StructuredMesh"]
 
@@ -53,6 +57,21 @@ class StructuredMesh:
                 self.bounds[1] + (je + 0.5) * self.hy,
             ]
         )
+
+    @cached_property
+    def quad_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Points ``(x, y)`` of the composite rule on every element, each (n_elements, nq).
+
+        Built on first use and kept, so both spaces of a mesh share them.  They
+        are read-only and own their data, so nothing can change them in place
+        and field factors may keep values computed on them (see ``mms``).
+        """
+        points = COMPOSITE[0]
+        centers = self.element_centers()
+        x = centers[:, 0, None] + (0.5 * self.hx) * points[:, 0]
+        y = centers[:, 1, None] + (0.5 * self.hy) * points[:, 1]
+        x.flags.writeable = y.flags.writeable = False
+        return x, y
 
     def __repr__(self):
         return f"StructuredMesh(nx={self.nx}, ny={self.ny}, bounds={self.bounds})"

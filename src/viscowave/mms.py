@@ -13,8 +13,12 @@ relation ``sigma + sigma_t = C eps(v)`` exactly for the unit material
 
 The body force is ``f = rho v_t - div sigma``, so the momentum equation
 holds by construction.  Every field is time-separable, one or two time
-coefficients times fixed spatial factors (``Separable``), so on a fixed
-quadrature point set each spatial factor is evaluated once.
+coefficients times fixed spatial factors (``Separable``).  Each factor
+keeps its values on the last read-only point set (``SpatialFactor``), and
+a factor two fields share, V (or U) in both v and f, is one object, so on
+the mesh's quadrature points each spatial factor is evaluated and stored
+once.  Kept values are made, and terms summed in place, a block of rows at
+a time, so a field call makes no temporary beyond its result.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .material import IsotropicMaterial
 
-__all__ = ["ExactSolution", "Separable", "exact_fields"]
+__all__ = ["ExactSolution", "Separable", "SpatialFactor", "exact_fields"]
 
 Field = Callable[..., np.ndarray]
 
@@ -54,43 +58,78 @@ def _frozen(a) -> bool:
     return isinstance(a, np.ndarray) and not a.flags.writeable and a.base is None
 
 
+# Leading rows (elements, on the quadrature points) per block when a
+# factor's kept values are made and when a field sums its terms, so that
+# neither makes a temporary the size of a whole point set.
+_ROWS = 4096
+
+
+class SpatialFactor:
+    """A spatial factor ``(x, y) -> broadcast(x, y) + (d,)`` that keeps its last values.
+
+    ``fn`` is the factor.  Its values on the last point set are kept when
+    both ``x`` and ``y`` are read-only arrays owning their data (matched by
+    identity), so a fixed quadrature point set costs one evaluation however
+    many fields and calls use the factor; any other points are evaluated on
+    every call.  Kept values are made ``_ROWS`` leading rows at a time.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self._memo = (None, None, None)
+
+    def __call__(self, x, y):
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        if not (_frozen(x) and _frozen(y)):
+            return self.fn(x, y)
+        mx, my, values = self._memo
+        if x is mx and y is my:
+            return values
+        xb, yb = np.broadcast_arrays(x, y)
+        if xb.ndim == 0 or len(xb) <= _ROWS:
+            values = self.fn(x, y)
+        else:
+            first = self.fn(xb[:_ROWS], yb[:_ROWS])
+            values = np.empty(xb.shape + first.shape[xb.ndim :])
+            values[:_ROWS] = first
+            for lo in range(_ROWS, len(xb), _ROWS):
+                values[lo : lo + _ROWS] = self.fn(xb[lo : lo + _ROWS], yb[lo : lo + _ROWS])
+        self._memo = (x, y, values)
+        return values
+
+
 class Separable:
     """A time-separable field ``(x, y, t) -> sum_k c_k(t)[..., None] * F_k(x, y)``.
 
     ``terms`` are ``(c_k, F_k)`` pairs: a time coefficient and a spatial
-    factor returning ``broadcast(x, y) + (d,)``.  The factor values of the
-    last point set are kept when both ``x`` and ``y`` are read-only arrays
-    owning their data (matched by identity), so a fixed quadrature point set
-    costs one spatial evaluation per field; any other points are evaluated
-    on every call.
+    factor returning ``broadcast(x, y) + (d,)``.  A factor that is not a
+    ``SpatialFactor`` is wrapped in one, so each keeps its values on a fixed
+    read-only point set; fields that share a ``SpatialFactor`` share them.
+    The terms are summed in place, ``_ROWS`` leading rows at a time.
     """
 
     def __init__(self, *terms):
-        self.terms = terms
-        self._memo = (None, None, None)
-
-    def _factors(self, x, y):
-        x, y = np.asarray(x, float), np.asarray(y, float)
-        frozen = _frozen(x) and _frozen(y)
-        mx, my, values = self._memo
-        if frozen and x is mx and y is my:
-            return values
-        values = [factor(x, y) for _, factor in self.terms]
-        if frozen:
-            self._memo = (x, y, values)
-        return values
+        self.terms = tuple(
+            (coef, factor if isinstance(factor, SpatialFactor) else SpatialFactor(factor))
+            for coef, factor in terms
+        )
 
     def __call__(self, x, y, t):
         t = np.asarray(t, float)
-        out = None
-        for (coef, _), value in zip(self.terms, self._factors(x, y)):
-            term = coef(t)[..., None] * value
-            out = term if out is None else out + term
+        (coef, factor), *rest = self.terms
+        out = coef(t)[..., None] * factor(x, y)
+        for coef, factor in rest:
+            c = np.broadcast_to(coef(t)[..., None], out.shape)
+            value = np.broadcast_to(factor(x, y), out.shape)
+            for lo in range(0, len(out), _ROWS):
+                rows = slice(lo, lo + _ROWS)
+                out[rows] += c[rows] * value[rows]
         return out
 
 
 def _decaying(rho, V, S, D):
     """Examples 1-2: velocity e^-t V, stress t e^-t S with divergence t e^-t D."""
+    V = SpatialFactor(V)
 
     def te(t):
         return t * np.exp(-t)
@@ -182,6 +221,7 @@ def _example3(rho):
             -1.5 * pi * pi * sy * p(x) + pi * np.cos(pi * x) * pp(y) + 0.5 * sy * ppp(x),
         )
 
+    U = SpatialFactor(U)
     return dict(
         v=Separable((np.exp, U)),
         sigma=Separable((np.exp, S)),

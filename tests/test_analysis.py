@@ -121,20 +121,23 @@ def test_evaluators_against_zero_field_give_coefficient_norms():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_evaluators_match_einsum_reference(family):
-    mesh = StructuredMesh(8, 8)
-    ss, vs = StressSpace(mesh, family), VelocitySpace(mesh, family)
+    # In blocks of NORM_BLOCK = 256 elements, 64 elements fit in one block,
+    # 289 end in a partial block and 529 span three.
     mat = IsotropicMaterial(rho=2.5, mu=0.7, lam=1.3)
     solution = exact_fields(1)
-    stress_err = StressErrorEvaluator(ss, mat)
-    vel_err = VelocityErrorEvaluator(vs, mat)
     rng = np.random.default_rng(11)
-    for t in (0.0, 0.37, 1.0):
-        a = rng.standard_normal(ss.dim)
-        b = rng.standard_normal(vs.dim)
-        want = einsum_error(ss, VOIGT_DOT @ mat.compliance_matrix(), a, solution.sigma, t)
-        assert stress_err(a, solution.sigma, t) == pytest.approx(want, rel=1e-13)
-        want = einsum_error(vs, mat.rho * np.eye(2), b, solution.v, t)
-        assert vel_err(b, solution.v, t) == pytest.approx(want, rel=1e-13)
+    for n in (8, 17, 23):
+        mesh = StructuredMesh(n, n)
+        ss, vs = StressSpace(mesh, family), VelocitySpace(mesh, family)
+        stress_err = StressErrorEvaluator(ss, mat)
+        vel_err = VelocityErrorEvaluator(vs, mat)
+        for t in (0.0, 0.37, 1.0):
+            a = rng.standard_normal(ss.dim)
+            b = rng.standard_normal(vs.dim)
+            want = einsum_error(ss, VOIGT_DOT @ mat.compliance_matrix(), a, solution.sigma, t)
+            assert stress_err(a, solution.sigma, t) == pytest.approx(want, rel=1e-13)
+            want = einsum_error(vs, mat.rho * np.eye(2), b, solution.v, t)
+            assert vel_err(b, solution.v, t) == pytest.approx(want, rel=1e-13)
 
 
 def test_error_zero_for_exact_member():

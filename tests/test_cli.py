@@ -419,6 +419,10 @@ def test_bad_time_and_count_inputs_error_exit(argv, message, capsys):
             ["--element", "hmz", "--rho", "1e-300", "--nx", "2", "--nt", "2"],
             "stress-mass term is lost in rounding",
         ),
+        (
+            ["--rho", "1e-300", "--t-final", "1e300", "--nx", "2", "--nt", "2"],
+            "(dt/4) B^T Cinv B overflows",
+        ),
     ],
     ids=[
         "lambda-inf",
@@ -427,8 +431,10 @@ def test_bad_time_and_count_inputs_error_exit(argv, message, capsys):
         "solver-tol-inf",
         "mu-huge-stress-mass-lost",
         "rho-tiny-stress-mass-lost",
+        "rho-tiny-coupling-overflow",
     ],
 )
+@pytest.mark.filterwarnings("error")  # a warning on the way to the message fails
 def test_bad_material_and_solver_inputs_error_exit(argv, message, capsys):
     code, _, err = run_main(argv, capsys)
     assert code == 1 and err.startswith("error:") and message in err

@@ -478,3 +478,28 @@ def test_hmz_interpolant_matches_old_construction(example, t):
     )
     got = ss.interpolate(lambda x, y: sigma(x, y, t))
     np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3])
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_nedelec_interpolant_is_the_vertex_values(example, t):
+    # bit for bit the field at the vertices, one component block after another
+    mesh = StructuredMesh(6, 4)
+    ss = StressSpace(mesh, NEDELEC)
+    sigma = exact_fields(example).sigma
+    want = sigma(*vertex_coords(mesh).T, t).T.ravel()
+    got = ss.interpolate(lambda x, y: sigma(x, y, t))
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_interpolate_evaluates_each_dof_point_once(family):
+    ss = StressSpace(StructuredMesh(5, 3), family)
+    seen = []
+
+    def field(x, y):
+        seen.extend(zip(x.tolist(), y.tolist()))
+        return np.zeros(np.shape(x) + (3,))
+
+    ss.interpolate(field)
+    assert len(seen) == len(set(seen)) == len(np.unique(ss.dof_point, axis=0))

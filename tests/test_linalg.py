@@ -282,6 +282,16 @@ def test_nested_dissection_leaves_small_boxes_in_place():
     assert np.array_equal(nested_dissection(grid), np.arange(4))
 
 
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("dt", [1.0 / 200, 0.25])
+def test_condensed_matrix_is_symmetric(family, dt):
+    # The solve uses the transposed factor, which is right only for a symmetric S_c.
+    solver = make_direct(make_system(8, 8, family), dt)
+    lu = solver._lu
+    S_c = solver.S[lu.outer][:, lu.outer] - lu._S_oi @ lu._W
+    assert spla.norm(S_c - S_c.T) <= 1e-14 * spla.norm(S_c)
+
+
 def test_wrongly_numbered_bubbles_raise():
     system = make_system(4, 4, HMZ)
     ss = system.stress_space

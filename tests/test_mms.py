@@ -12,9 +12,10 @@ import pytest
 import sympy as sym
 from fehelpers import ResidualReport, reference_fields, verify_residuals
 
-from viscowave.fespace import StressSpace, VelocitySpace
+from viscowave.fespace import FAMILIES, StressSpace, VelocitySpace
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
+from viscowave import mms
 from viscowave.mms import Separable, exact_fields
 
 X, Y, T = sym.symbols("x y t", positive=False)
@@ -251,11 +252,17 @@ def _read_only(a):
     return a
 
 
+def _count_factor_calls(fields, calls):
+    """Append each spatial factor of ``fields`` to ``calls`` whenever it is evaluated."""
+    for factor in {factor for field in fields for _, factor in field.terms}:
+        fn = factor.fn
+        factor.fn = lambda x, y, factor=factor, fn=fn: calls.append(factor) or fn(x, y)
+
+
 def test_read_only_points_evaluate_each_factor_once():
     sol = exact_fields(1)
     calls = []
-    for field in (sol.f, sol.sigma):
-        field.terms = tuple((c, _counted(factor, calls)) for c, factor in field.terms)
+    _count_factor_calls((sol.f, sol.sigma), calls)
     x, y, _ = _interior_points(1, 30, seed=5)
     x, y = _read_only(x), _read_only(y)
     ref = reference_fields(1)
@@ -270,6 +277,38 @@ def test_read_only_points_evaluate_each_factor_once():
             sol.f(x2, y, t), ref["f"](x2, y, t), rtol=1e-14, atol=1e-16
         )
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_velocity_factor_is_shared_by_v_and_f(example):
+    """V (U in example 3) is one factor of v and f, evaluated once for both."""
+    sol = exact_fields(example)
+    ((_, velocity),) = sol.v.terms
+    assert any(factor is velocity for _, factor in sol.f.terms)
+    calls = []
+    _count_factor_calls((sol.v, sol.f, sol.sigma), calls)
+    x, y = StructuredMesh(4, 4).quad_points
+    for t in (0.0, 0.5, 1.0):
+        for field in (sol.v, sol.f, sol.sigma):
+            field(x, y, t)
+    assert calls.count(velocity) == 1
+    assert len(calls) == len(set(calls)) == 3  # V or U, S and D
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_fields_on_many_points_match_one_evaluation_bit_for_bit(example):
+    # 65^2 elements are more than one block of rows: the kept factor values
+    # are made, and the terms of f summed, a block at a time
+    x, y = StructuredMesh(65, 65).quad_points
+    assert len(x) > mms._ROWS
+    sol = exact_fields(example)
+    calls = []
+    _count_factor_calls((sol.v, sol.f, sol.sigma), calls)
+    for t in (0.0, 0.3):
+        for field in (sol.v, sol.f, sol.sigma):
+            np.testing.assert_array_equal(field(x, y, t), field(x.copy(), y.copy(), t))
+    # kept: 3 factors in 2 blocks each; the copies: 4 whole factor calls per time
+    assert len(calls) == 3 * 2 + 4 * 2
 
 
 def test_writable_points_are_evaluated_on_every_call():
@@ -301,3 +340,17 @@ def test_quadrature_points_refuse_writes():
         for points in (space.quad.x, space.quad.y):
             with pytest.raises(ValueError):
                 points[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_spaces_of_one_mesh_share_their_quadrature_points(family):
+    mesh = StructuredMesh(3, 2)
+    sq, vq = StressSpace(mesh, family).quad, VelocitySpace(mesh, family).quad
+    assert sq.x is vq.x is mesh.quad_points[0]
+    assert sq.y is vq.y is mesh.quad_points[1]
+    for points in (sq.x, sq.y):
+        assert points.base is None and not points.flags.writeable
+    # another mesh, even an equal one, has points of its own
+    other = VelocitySpace(StructuredMesh(3, 2), family).quad
+    assert other.x is not sq.x
+    np.testing.assert_array_equal(other.x, sq.x)
