@@ -3,15 +3,16 @@ the pairing diagnostic.
 
 Modes
 -----
-solve                 one run; prints a summary, optionally writes field
-                      snapshots sampled at element centers.
+solve                 one run's summary, and field snapshots at element centers.
 convergence           mesh refinement at fixed time step; one CSV row per N.
 temporal-convergence  time refinement with the mesh coupled as N = M^2/4.
 stability             energy trace of one example for each requested dt.
 infsup                discrete pairing constants on small n-by-n meshes.
 
-Each setting is one row of ``SETTINGS``: a ``--flag`` and a config-file key
-of the same name, with the default of the ``RunConfig`` field of that name.
+Each mode is one row of ``MODES``: the settings it reads, which of them take a
+comma list, and which it needs; any other setting given to it is an error.
+Each setting is one row of ``SETTINGS``: a ``--flag`` and a config-file key of
+the same name, with the default of the ``RunConfig`` field of that name.
 Flags override a ``--preset``, which overrides the optional ``key=value``
 config file (``--config``).
 Study CSV columns are ``N,M,dt,E_a_sigma,order_sigma,E_c_v,order_v``.
@@ -22,9 +23,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .timestepper import resolve_time, run
 __all__ = [
     "RunConfig",
     "SETTINGS",
+    "MODES",
     "PRESETS",
     "main",
     "convergence_study",
@@ -55,9 +58,6 @@ PRESETS = {
     "table8": dict(mode="temporal-convergence", example=2, nt="4,8,12,16", t_final=1.0),
     "table9": dict(mode="temporal-convergence", example=3, nt="4,8,12,16", t_final=1.0),
 }
-
-_MODES = ("solve", "convergence", "temporal-convergence", "stability", "infsup")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -145,24 +145,30 @@ def _study_rows(params, results):
     return rows
 
 
-def format_study_csv(rows) -> str:
-    """Render study rows with the fixed header and deterministic formatting."""
+def _csv(header, rows) -> str:
+    """CSV text of a header line and rows, each line ending in a newline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row["N"],
-                row["M"],
-                f"{row['dt']:.10g}",
-                f"{row['E_a_sigma']:.6e}",
-                "" if row["order_sigma"] is None else f"{row['order_sigma']:.3f}",
-                f"{row['E_c_v']:.6e}",
-                "" if row["order_v"] is None else f"{row['order_v']:.3f}",
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def format_study_csv(rows) -> str:
+    """Render study rows with the fixed header and deterministic formatting."""
+    lines = [
+        [
+            row["N"],
+            row["M"],
+            f"{row['dt']:.10g}",
+            f"{row['E_a_sigma']:.6e}",
+            "" if row["order_sigma"] is None else f"{row['order_sigma']:.3f}",
+            f"{row['E_c_v']:.6e}",
+            "" if row["order_v"] is None else f"{row['order_v']:.3f}",
+        ]
+        for row in rows
+    ]
+    return _csv(CSV_HEADER, lines)
 
 
 def _emit(text, out):
@@ -172,6 +178,101 @@ def _emit(text, out):
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)
+
+
+def _run_solve(s) -> int:
+    if s["out"] and s["snapshot_every"] is None:
+        raise ValueError("solve mode writes --out only as the stem of --snapshot-every files")
+    nt, dt = s.pop("nt"), s.pop("dt")
+    cfg = _with_time(RunConfig(mode="solve", **s), dt, nt)
+    result = run(cfg)
+    print(
+        f"element={cfg.element} N={cfg.nx} M={cfg.n_steps} dt={cfg.dt:.10g} "
+        f"T={cfg.t_final:.10g}"
+    )
+    print(f"final energy = {result.energy[-1]:.12e}")
+    if result.E_a_sigma is not None:
+        print(f"E_a_sigma = {result.E_a_sigma:.6e} (node {result.argmax_sigma})")
+        print(f"E_c_v     = {result.E_c_v:.6e} (node {result.argmax_v})")
+    if result.snapshots:
+        _write_snapshots(cfg, result)
+    return 0
+
+
+def _write_snapshots(cfg, result):
+    mesh = StructuredMesh(cfg.nx, cfg.nx)
+    ss = StressSpace(mesh, cfg.element)
+    vs = VelocitySpace(mesh, cfg.element)
+    centers = mesh.element_centers()
+    sbasis = ss.local_values(0.0, 0.0)
+    vbasis = vs.local_values(0.0, 0.0)
+    stem = cfg.out or "snapshot"
+    if stem.endswith(".csv"):
+        stem = stem[:-4]
+    header = ["x", "y", "sigma11", "sigma22", "sigma12", "v1", "v2"]
+    for n, state in result.snapshots:
+        sig = np.einsum("la,el->ea", sbasis, state.alpha[ss.eldof])
+        vel = np.einsum("ld,el->ed", vbasis, state.beta[vs.eldof])
+        rows = ([f"{v:.10e}" for v in row] for row in np.column_stack([centers, sig, vel]))
+        _emit(_csv(header, rows), f"{stem}_n{n:05d}.csv")
+
+
+def _run_convergence(s) -> int:
+    rows, _ = convergence_study(ns=s.pop("nx"), n_steps=s.pop("nt"), **s)
+    _emit(format_study_csv(rows), s["out"])
+    return 0
+
+
+def _run_temporal(s) -> int:
+    rows, _ = temporal_study(ms=s.pop("nt"), **s)
+    _emit(format_study_csv(rows), s["out"])
+    return 0
+
+
+def _run_stability(s) -> int:
+    steps, n_steps = s.pop("dt"), s.pop("nt")
+    base = RunConfig(mode="stability", **s)
+    rows, finals = [], []
+    for step in steps:
+        cfg = _with_time(base, step, n_steps)
+        result = run(cfg)
+        for n, (t, e) in enumerate(zip(result.times, result.energy)):
+            rows.append([f"{cfg.dt:.10g}", n, f"{t:.10g}", f"{e:.10e}"])
+        finals.append((cfg.dt, result.energy[-1]))
+    for step, e in finals:
+        print(f"dt={step:.10g} final energy = {e:.12e}")
+    _emit(_csv(["dt", "n", "t", "energy"], rows), s["out"])
+    return 0
+
+
+def _run_infsup(s) -> int:
+    consts = infsup_constants(s["element"], s["nx"])
+    rows = ([n, f"{b:.10e}"] for n, b in zip(s["nx"], consts))
+    _emit(_csv(["N", "beta_h"], rows), s["out"])
+    return 0
+
+
+class Mode(NamedTuple):
+    """A mode's runner, the settings it reads, takes as a comma list, and needs."""
+
+    runner: Callable[[dict], int]
+    reads: tuple
+    lists: tuple = ()
+    needs: tuple = ()
+
+
+_RUN = ("element", "t_final", "rho", "mu", "lam", "solver", "solver_tol", "force", "out")
+_CASE = ("example", "nx", "nt", "dt")
+
+MODES = {
+    "solve": Mode(_run_solve, _RUN + _CASE + ("snapshot_every",)),
+    "convergence": Mode(_run_convergence, _RUN + _CASE, lists=("nx",), needs=("example",)),
+    "temporal-convergence": Mode(
+        _run_temporal, _RUN + ("example", "nt"), lists=("nt",), needs=("example", "nt")
+    ),
+    "stability": Mode(_run_stability, _RUN + _CASE, lists=("dt",), needs=("example", "dt")),
+    "infsup": Mode(_run_infsup, ("element", "nx", "out"), lists=("nx",)),
+}
 
 
 def _list_of(convert, noun):
@@ -223,7 +324,7 @@ class Setting:
 SETTINGS = {
     s.name: s
     for s in (
-        Setting("mode", str, "what to run", _MODES),
+        Setting("mode", str, "what to run", tuple(MODES)),
         Setting("element", str, "element family", FAMILIES),
         Setting("example", int, "built-in solution id (1, 2, or 3)"),
         Setting("nx", _list_of(int, "integers"), "mesh size N, or comma list for study modes"),
@@ -240,121 +341,6 @@ SETTINGS = {
         Setting("out", str, "output CSV path (default: stdout)"),
         Setting("force", _flag, "accept non-unit materials with the built-in solutions"),
     )
-}
-
-def _single(vals, what):
-    if vals is None:
-        return None
-    if len(vals) != 1:
-        raise ValueError(f"{what} takes a single value here, got {vals}")
-    return vals[0]
-
-
-def _run_solve(s, nx, nt, dt) -> int:
-    cfg = RunConfig(mode="solve", nx=_single(nx, "--nx"), **s)
-    cfg = _with_time(cfg, _single(dt, "--dt"), _single(nt, "--nt"))
-    result = run(cfg)
-    print(
-        f"element={cfg.element} N={cfg.nx} M={cfg.n_steps} dt={cfg.dt:.10g} "
-        f"T={cfg.t_final:.10g}"
-    )
-    print(f"final energy = {result.energy[-1]:.12e}")
-    if result.E_a_sigma is not None:
-        print(f"E_a_sigma = {result.E_a_sigma:.6e} (node {result.argmax_sigma})")
-        print(f"E_c_v     = {result.E_c_v:.6e} (node {result.argmax_v})")
-    if result.snapshots:
-        _write_snapshots(cfg, result)
-    return 0
-
-
-def _write_snapshots(cfg, result):
-    mesh = StructuredMesh(cfg.nx, cfg.nx)
-    ss = StressSpace(mesh, cfg.element)
-    vs = VelocitySpace(mesh, cfg.element)
-    centers = mesh.element_centers()
-    sbasis = ss.local_values(0.0, 0.0)
-    vbasis = vs.local_values(0.0, 0.0)
-    stem = cfg.out or "snapshot"
-    if stem.endswith(".csv"):
-        stem = stem[:-4]
-    for n, state in result.snapshots:
-        sig = np.einsum("la,el->ea", sbasis, state.alpha[ss.eldof])
-        vel = np.einsum("ld,el->ed", vbasis, state.beta[vs.eldof])
-        path = f"{stem}_n{n:05d}.csv"
-        with open(path, "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "y", "sigma11", "sigma22", "sigma12", "v1", "v2"])
-            for row in np.column_stack([centers, sig, vel]):
-                writer.writerow([f"{v:.10e}" for v in row])
-        print(f"wrote {path}")
-
-
-def _study_settings(s, mode):
-    """Settings of a multi-run mode; only solve mode writes snapshots."""
-    if s["example"] is None:
-        raise ValueError(f"{mode} mode needs --example")
-    return dict(s, snapshot_every=None)
-
-
-def _run_convergence(s, nx, nt, dt) -> int:
-    s = _study_settings(s, "convergence")
-    rows, _ = convergence_study(
-        ns=nx, dt=_single(dt, "--dt"), n_steps=_single(nt, "--nt"), **s
-    )
-    _emit(format_study_csv(rows), s["out"])
-    return 0
-
-
-def _run_temporal(s, nx, nt, dt) -> int:
-    s = _study_settings(s, "temporal-convergence")
-    if nt is None:
-        raise ValueError("temporal-convergence mode needs --nt")
-    if dt is not None:
-        raise ValueError("temporal-convergence mode sets dt = T/M; drop --dt")
-    rows, _ = temporal_study(ms=nt, **s)
-    _emit(format_study_csv(rows), s["out"])
-    return 0
-
-
-def _run_stability(s, nx, nt, dt) -> int:
-    s = _study_settings(s, "stability")
-    if dt is None:
-        raise ValueError("stability mode needs --dt (one or more values)")
-    base = RunConfig(mode="stability", nx=_single(nx, "--nx"), **s)
-    n_steps = _single(nt, "--nt")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dt", "n", "t", "energy"])
-    finals = []
-    for step in dt:
-        cfg = _with_time(base, step, n_steps)
-        result = run(cfg)
-        for n, (t, e) in enumerate(zip(result.times, result.energy)):
-            writer.writerow([f"{cfg.dt:.10g}", n, f"{t:.10g}", f"{e:.10e}"])
-        finals.append((cfg.dt, result.energy[-1]))
-    for step, e in finals:
-        print(f"dt={step:.10g} final energy = {e:.12e}")
-    _emit(buf.getvalue(), s["out"])
-    return 0
-
-
-def _run_infsup(s, nx, nt, dt) -> int:
-    consts = infsup_constants(s["element"], nx)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N", "beta_h"])
-    for n, b in zip(nx, consts):
-        writer.writerow([n, f"{b:.10e}"])
-    _emit(buf.getvalue(), s["out"])
-    return 0
-
-
-_RUNNERS = {
-    "solve": _run_solve,
-    "convergence": _run_convergence,
-    "temporal-convergence": _run_temporal,
-    "stability": _run_stability,
-    "infsup": _run_infsup,
 }
 
 
@@ -391,30 +377,44 @@ def _build_parser():
     return p
 
 
-def _settings(args) -> dict:
-    """Every setting, parsed: defaults < config file < preset < flags."""
+def _settings(args):
+    """Every setting, parsed: defaults < config file < preset < flags; and the
+    names that the config file, the preset or a flag gave."""
     merged = {name: s.default for name, s in SETTINGS.items()}
-    if args.config:
-        merged.update(_read_config_file(args.config))
+    config = _read_config_file(args.config) if args.config else {}
     flags = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
-    preset = flags.get("preset", merged["preset"])
-    if preset:
-        merged.update(PRESETS[SETTINGS["preset"].parse(preset)])
-    merged.update(flags)
-    return {
+    preset = flags.get("preset", config.get("preset"))
+    preset = PRESETS[SETTINGS["preset"].parse(preset)] if preset else {}
+    for layer in (config, preset, flags):
+        merged.update(layer)
+    parsed = {
         name: None if merged[name] is None else s.parse(merged[name])
         for name, s in SETTINGS.items()
     }
+    return parsed, {*config, *preset, *flags}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        s = _settings(args)
-        del s["preset"]
-        runner = _RUNNERS[s.pop("mode")]
-        nx, nt, dt = (s.pop(key) for key in ("nx", "nt", "dt"))
-        return runner(s, nx, nt, dt)
+        s, given = _settings(args)
+        name, mode = s["mode"], MODES[s["mode"]]
+        for key in mode.needs:
+            if s[key] is None:
+                raise ValueError(f"{name} mode needs {SETTINGS[key].option}")
+        unused = [k for k in SETTINGS if k in given and k not in mode.reads + ("mode", "preset")]
+        if unused:
+            raise ValueError(f"drop {SETTINGS[unused[0]].option}: {name} mode does not use it")
+        s = {key: s[key] for key in mode.reads}
+        for key, vals in s.items():
+            if isinstance(vals, list) and key not in mode.lists:
+                if len(vals) != 1:
+                    option = SETTINGS[key].option
+                    raise ValueError(f"{option} takes a single value here, got {vals}")
+                s[key] = vals[0]
+        if not os.path.isdir(os.path.dirname(s["out"] or "") or "."):
+            raise ValueError(f"{name} mode cannot write --out {s['out']}: no such directory")
+        return mode.runner(s)
     except (ValueError, ConvergenceError, SingularBlockError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

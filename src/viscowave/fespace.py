@@ -144,8 +144,6 @@ class StressSpace(_Space):
         Local-to-global index map.
     grid : ndarray of int, shape (dim, 2)
         Point of every dof on the half-step grid, ``2 (x - x0) / h``.
-    component : ndarray of int, shape (dim,)
-        Voigt component of every dof: 0, 1, 2 for t11, t22, t12.
     interior : ndarray, shape (n_elements, k)
         The dofs at each element's centre, which no other element shares.
     dof_point : ndarray, shape (dim, 2)
@@ -172,7 +170,6 @@ class StressSpace(_Space):
             (c, (ox, oy), slice(start[c, ox, oy], start[c, ox, oy] + n))
             for (c, ox, oy), n in zip(order, size)
         ]
-        self.component = np.repeat([b[0] for b in order], size)
         self.grid = np.concatenate(
             [2 * np.indices((ny + 1 - oy, nx + 1 - ox))[::-1].reshape(2, -1) + [[ox], [oy]]
              for _, ox, oy in order],

@@ -145,22 +145,21 @@ class RunResult:
 def run(config) -> RunResult:
     """Drive a full simulation described by a resolved run configuration.
 
-    The configuration must carry ``element``, ``nx``, ``dt``, ``n_steps``,
-    ``t_final``, ``rho``, ``mu``, ``lam``, ``solver``, ``solver_tol``,
-    ``example`` (``None`` for an unforced zero-data run), ``force``, and
-    ``snapshot_every``.  Either of ``dt`` and ``n_steps`` may be ``None``
-    (see ``resolve_time``); the steps are ``t_final / n_steps`` long.  Mass
-    lumping is applied exactly when the element family is ``nedelec-q1q0``.
+    The configuration carries the fields of ``cli.RunConfig``; ``example``
+    ``None`` is an unforced zero-data run.  Either of ``dt`` and ``n_steps``
+    may be ``None`` (see ``resolve_time``); the steps are ``t_final / n_steps``
+    long.  Mass lumping is applied exactly when the element family is
+    ``nedelec-q1q0``.
     """
     t_final, _, n_steps = resolve_time(config.t_final, config.dt, config.n_steps)
     dt = t_final / n_steps
-    every = getattr(config, "snapshot_every", None)
+    every = config.snapshot_every
     if every is not None and not every >= 1:
         raise ValueError(f"snapshot interval must be at least 1, got {every}")
     material = IsotropicMaterial(rho=config.rho, mu=config.mu, lam=config.lam)
     solution = None
     if config.example is not None:
-        solution = exact_fields(config.example, material, force=getattr(config, "force", False))
+        solution = exact_fields(config.example, material, force=config.force)
     # The per-node arrays come first, so a step count too large to record
     # fails with MemoryError before any assembly or factorization.
     try:

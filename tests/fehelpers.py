@@ -12,7 +12,8 @@ the vertical edges (unit normal +x) come first, then the horizontal ones
 (unit normal +y).
 
 The solver itself works with whole-mesh basis tables; these helpers evaluate
-one element at a time so the tests can check the tables point by point.
+one element at a time so the tests can check the tables point by point, and
+``dof_component`` gives each stress dof's Voigt component.
 ``einsum_load`` and ``einsum_error`` are the load and error-norm formulas
 written as single einsums over all elements, the references the solver's
 matrix-product kernels are checked against.  ``reference_fields`` gives the
@@ -204,6 +205,15 @@ def _local_point(space, elem, ldof, x, y):
     if abs(xi) > 1.0 + 1e-12 or abs(eta) > 1.0 + 1e-12:
         raise ValueError(f"point ({x}, {y}) lies outside element {elem}")
     return xi, eta
+
+
+def dof_component(space: StressSpace) -> np.ndarray:
+    """Voigt component of every stress dof (0, 1, 2 for t11, t22, t12), read
+    from the local-dof table through the local-to-global map."""
+    comp = np.full(space.dim, -1)
+    for l, (c, _) in enumerate(space.table):
+        comp[space.eldof[:, l]] = c
+    return comp
 
 
 def stress_basis_value(space: StressSpace, elem, ldof, x, y) -> VoigtTensor:

@@ -12,6 +12,7 @@ import pytest
 from viscowave import cli, timestepper
 from viscowave.cli import (
     CSV_HEADER,
+    MODES,
     PRESETS,
     SETTINGS,
     _build_parser,
@@ -158,7 +159,8 @@ def test_main_temporal_mode(tmp_path, capsys):
         capsys,
     )
     assert code == 0 and err == ""
-    rows = list(csv.DictReader(f.open()))
+    with f.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert [(r["N"], r["M"]) for r in rows] == [("1", "2"), ("4", "4")]
 
 
@@ -171,7 +173,8 @@ def test_main_preset_expands_with_flag_overrides(tmp_path, capsys):
         capsys,
     )
     assert code == 0 and err == ""
-    rows = list(csv.DictReader(f.open()))
+    with f.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["N"] for r in rows] == ["2", "4"]
     assert all(r["M"] == "4" for r in rows)
 
@@ -272,7 +275,8 @@ def test_snapshot_files(tmp_path, capsys):
     paths = sorted(tmp_path.glob("snap_n*.csv"))
     assert [p.name for p in paths] == ["snap_n00000.csv", "snap_n00002.csv", "snap_n00004.csv"]
     assert all(f"wrote {p}" in out for p in paths)
-    rows = list(csv.reader(paths[0].open()))
+    with paths[0].open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["x", "y", "sigma11", "sigma22", "sigma12", "v1", "v2"]
     data = np.array(rows[1:], dtype=float)
     assert data.shape == (4, 7)
@@ -280,7 +284,8 @@ def test_snapshot_files(tmp_path, capsys):
     # example 2 starts from sigma = 0 but a nonzero velocity
     np.testing.assert_allclose(data[:, 2:5], 0.0, atol=1e-12)
     assert np.all(np.abs(data[:, 5:]) > 1e-3)
-    late = np.array(list(csv.reader(paths[2].open()))[1:], dtype=float)
+    with paths[2].open() as fh:
+        late = np.array(list(csv.reader(fh))[1:], dtype=float)
     assert np.any(np.abs(late[:, 2:5]) > 1e-3)
 
 
@@ -297,7 +302,8 @@ def test_main_stability_trace(tmp_path, capsys):
     )
     assert code == 0
     assert "dt=0.5 final energy" in out and "dt=0.25 final energy" in out
-    rows = list(csv.DictReader(f.open()))
+    with f.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 3 + 5  # M+1 nodes per dt
     energies = np.array([float(r["energy"]) for r in rows])
     assert np.all(np.isfinite(energies)) and np.all(energies >= 0.0)
@@ -311,7 +317,8 @@ def test_main_infsup_mode(tmp_path, capsys):
         capsys,
     )
     assert code == 0 and err == ""
-    rows = list(csv.DictReader(f.open()))
+    with f.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["N"] for r in rows] == ["2", "3"]
     betas = [float(r["beta_h"]) for r in rows]
     assert betas[0] == pytest.approx(0.969277, rel=1e-4)
@@ -325,7 +332,7 @@ def test_main_infsup_mode(tmp_path, capsys):
 def test_missing_example_errors(capsys):
     for mode in ("convergence", "temporal-convergence", "stability"):
         code, _, err = run_main(["--mode", mode, "--nx", "2"], capsys)
-        assert code == 1 and err.startswith("error:")
+        assert code == 1 and err == f"error: {mode} mode needs --example\n"
 
 
 def test_odd_temporal_steps_error_exit(capsys):
@@ -386,7 +393,37 @@ def test_argparse_rejects_unknown_mode(capsys):
         ),
         (
             ["--mode", "temporal-convergence", "--example", "1", "--nt", "2,4", "--dt", "0.1"],
-            "drop --dt",
+            "drop --dt: temporal-convergence mode does not use it",
+        ),
+        (
+            ["--mode", "temporal-convergence", "--example", "1", "--nt", "2,4", "--nx", "16"],
+            "drop --nx: temporal-convergence mode does not use it",
+        ),
+        (
+            ["--mode", "infsup", "--element", "hmz", "--nx", "2", "--nt", "7"],
+            "drop --nt: infsup mode does not use it",
+        ),
+        (
+            ["--mode", "infsup", "--element", "hmz", "--nx", "2", "--dt", "0.3"],
+            "drop --dt: infsup mode does not use it",
+        ),
+        (
+            ["--mode", "infsup", "--element", "hmz", "--nx", "2", "--example", "1"],
+            "drop --example: infsup mode does not use it",
+        ),
+        (
+            ["--mode", "convergence", "--example", "1", "--nx", "2,4", "--nt", "2",
+             "--snapshot-every", "1"],
+            "drop --snapshot-every: convergence mode does not use it",
+        ),
+        (
+            ["--mode", "stability", "--example", "1", "--nx", "2", "--dt", "0.5",
+             "--snapshot-every", "1"],
+            "drop --snapshot-every: stability mode does not use it",
+        ),
+        (
+            ["--preset", "table1", "--mode", "temporal-convergence"],
+            "drop --nx: temporal-convergence mode does not use it",
         ),
     ],
     ids=[
@@ -399,6 +436,13 @@ def test_argparse_rejects_unknown_mode(capsys):
         "nt-beyond-float",
         "stability-nt-mismatch",
         "temporal-dt-given",
+        "temporal-nx-given",
+        "infsup-nt-given",
+        "infsup-dt-given",
+        "infsup-example-given",
+        "convergence-snapshot-every-given",
+        "stability-snapshot-every-given",
+        "temporal-nx-from-preset",
     ],
 )
 def test_bad_time_and_count_inputs_error_exit(argv, message, capsys):
@@ -439,6 +483,17 @@ def test_bad_material_and_solver_inputs_error_exit(argv, message, capsys):
     code, _, err = run_main(argv, capsys)
     assert code == 1 and err.startswith("error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unused_setting_from_config_file_errors(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nx = 16\n")
+    code, _, err = run_main(
+        ["--config", str(cfg), "--mode", "temporal-convergence", "--example", "1",
+         "--nt", "2,4"],
+        capsys,
+    )
+    assert code == 1 and err == "error: drop --nx: temporal-convergence mode does not use it\n"
 
 
 def test_huge_step_count_error_exit():
@@ -502,12 +557,14 @@ def test_setting_flag_and_config_file_agree(name, tmp_path):
     value = _SETTING_SAMPLES[name]
     setting = SETTINGS[name]
     flag_argv = [setting.option] if name == "force" else [setting.option, value]
-    from_flag = _settings(parser.parse_args(flag_argv))
+    from_flag, flag_given = _settings(parser.parse_args(flag_argv))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{name} = {value}\n")
-    from_file = _settings(parser.parse_args(["--config", str(cfg)]))
+    from_file, file_given = _settings(parser.parse_args(["--config", str(cfg)]))
     assert from_flag[name] == from_file[name]
-    assert from_flag[name] != _settings(parser.parse_args([]))[name]
+    defaults, default_given = _settings(parser.parse_args([]))
+    assert from_flag[name] != defaults[name]
+    assert name in flag_given and flag_given == file_given and not default_given
 
 
 def test_config_file_rejects_flag_only_names(tmp_path, capsys):
@@ -583,3 +640,76 @@ def test_study_parameters_checked_before_any_run(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run", no_run)
     code, _, err = run_main(argv + ["--example", "1", "--element", "hmz"], capsys)
     assert code == 1 and err.startswith("error:") and "strictly increasing" in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("ran before the --out directory was checked")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "solve", "--example", "1", "--nx", "2", "--nt", "2", "--snapshot-every", "1"],
+        ["--mode", "convergence", "--example", "1", "--nx", "8,16,32", "--nt", "50"],
+        ["--mode", "temporal-convergence", "--example", "1", "--nt", "2,4"],
+        ["--mode", "stability", "--example", "1", "--nx", "2", "--dt", "0.5,0.25"],
+        ["--mode", "infsup", "--nx", "2,3"],
+    ],
+    ids=["solve", "convergence", "temporal-convergence", "stability", "infsup"],
+)
+def test_missing_out_directory_errors_before_any_run(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run", _refuse)
+    monkeypatch.setattr(cli, "infsup_constants", _refuse)
+    out = tmp_path / "missing" / "t.csv"
+    code, stdout, err = run_main(argv + ["--element", "hmz", "--out", str(out)], capsys)
+    assert code == 1 and stdout == "" and "Traceback" not in err
+    assert err == f"error: {argv[1]} mode cannot write --out {out}: no such directory\n"
+
+
+def test_solve_out_without_snapshots_errors_before_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run", _refuse)
+    code, stdout, err = run_main(
+        ["--mode", "solve", "--nx", "2", "--nt", "2", "--out", str(tmp_path / "x.csv")], capsys
+    )
+    assert code == 1 and stdout == "" and list(tmp_path.iterdir()) == []
+    assert err == "error: solve mode writes --out only as the stem of --snapshot-every files\n"
+
+
+_RUN_DEFAULTS = dict(
+    element="nedelec-q1q0", t_final=1.0, rho=1.0, mu=1.0, lam=1.0, solver="direct",
+    solver_tol=1e-12, force=False, out=None,
+)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_each_preset_expands_under_its_own_mode(preset, monkeypatch, capsys):
+    calls = []
+
+    def record(study):
+        def fake(**kwargs):
+            calls.append((study, kwargs))
+            return [], []
+
+        return fake
+
+    monkeypatch.setattr(cli, "convergence_study", record("convergence"))
+    monkeypatch.setattr(cli, "temporal_study", record("temporal"))
+    code, out, err = run_main(["--preset", preset], capsys)
+    assert code == 0 and err == "" and out == HEADER_LINE + "\n"
+    k = int(preset[len("table"):])
+    if k <= 3:
+        expected = dict(_RUN_DEFAULTS, example=k, ns=[4, 8, 16, 32, 64], n_steps=200, dt=None)
+        assert calls == [("convergence", expected)]
+    else:
+        expected = dict(_RUN_DEFAULTS, example=k - 6, ms=[4, 8, 12, 16])
+        assert calls == [("temporal", expected)]
+
+
+def test_mode_table_reads_only_known_settings():
+    for name, mode in MODES.items():
+        assert set(mode.reads) <= set(SETTINGS), name
+        assert set(mode.lists) | set(mode.needs) <= set(mode.reads), name
+        assert len(set(mode.reads)) == len(mode.reads), name
+    read = {key for mode in MODES.values() for key in mode.reads}
+    assert read == set(SETTINGS) - {"mode", "preset"}
+    assert SETTINGS["mode"].choices == tuple(MODES)

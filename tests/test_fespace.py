@@ -17,6 +17,7 @@ from viscowave.quadrature import COMPOSITE, CORNERS
 
 from fehelpers import (
     boundary_edge,
+    dof_component,
     edge_counts,
     edge_elements,
     edge_normal_axis,
@@ -329,19 +330,20 @@ def test_dof_metadata():
     # one shear dof per vertex (both coordinates even), one normal stress per
     # edge midpoint (one odd) and two bubbles per element centre (both odd)
     np.testing.assert_array_equal(np.bincount(odd.sum(axis=1)), [9, 12, 8])
-    assert np.all(ss.component[odd.sum(axis=1) == 0] == 2)
+    component = dof_component(ss)
+    assert np.all(component[odd.sum(axis=1) == 0] == 2)
     # t11 on the vertical edges (x even), t22 on the horizontal ones
     edge = odd.sum(axis=1) == 1
-    np.testing.assert_array_equal(ss.component[edge], odd[edge, 0])
+    np.testing.assert_array_equal(component[edge], odd[edge, 0])
     assert ss.interior.shape == (4, 2)
     np.testing.assert_array_equal(np.sort(ss.interior, axis=None), np.flatnonzero(odd.all(axis=1)))
-    np.testing.assert_array_equal(ss.component[ss.interior], [[0, 1]] * 4)
+    np.testing.assert_array_equal(component[ss.interior], [[0, 1]] * 4)
     centres = 2 * np.column_stack([np.arange(4) % 2, np.arange(4) // 2]) + 1
     for k in range(2):
         np.testing.assert_array_equal(ss.grid[ss.interior[:, k]], centres)
     ns = StressSpace(StructuredMesh(2, 2), NEDELEC)
     assert np.all(ns.grid % 2 == 0) and ns.interior.shape == (4, 0)
-    assert np.all(np.bincount(ns.component) == 9)
+    assert np.all(np.bincount(dof_component(ns)) == 9)
 
 
 # ------------------------------------------- the tables against their old forms
