@@ -77,6 +77,8 @@ class RunConfig:
     rho: float = IsotropicMaterial.rho
     mu: float = IsotropicMaterial.mu
     lam: float = IsotropicMaterial.lam
+    # Not a setting: ``perfbench/run.py::workload_config`` is its last
+    # writer, and ``run`` accepts only "direct".
     solver: str = "direct"
     solver_tol: float = 1e-12
     snapshot_every: int | None = None
@@ -261,7 +263,7 @@ class Mode(NamedTuple):
     needs: tuple = ()
 
 
-_RUN = ("element", "t_final", "rho", "mu", "lam", "solver", "solver_tol", "force", "out")
+_RUN = ("element", "t_final", "rho", "mu", "lam", "solver_tol", "force", "out")
 _CASE = ("example", "nx", "nt", "dt")
 
 MODES = {
@@ -334,7 +336,6 @@ SETTINGS = {
         Setting("rho", float, "density"),
         Setting("mu", float, "shear modulus"),
         Setting("lam", float, "first Lame parameter", flag="--lambda"),
-        Setting("solver", str, "reduced-system solver", ("direct", "cg")),
         Setting("solver_tol", float, "relative residual bound"),
         Setting("preset", str, "published study configuration", tuple(sorted(PRESETS))),
         Setting("snapshot_every", int, "write field snapshots every k steps (solve mode)"),
@@ -363,9 +364,11 @@ def _read_config_file(path):
 
 
 def _build_parser():
+    # No prefixes: a removed flag such as --solver would match --solver-tol.
     p = argparse.ArgumentParser(
         prog="viscowave",
         description="Mixed-element velocity-stress wave solver on the unit square.",
+        allow_abbrev=False,
     )
     for s in SETTINGS.values():
         if s.parser is _flag:
@@ -378,20 +381,27 @@ def _build_parser():
 
 
 def _settings(args):
-    """Every setting, parsed: defaults < config file < preset < flags; and the
-    names that the config file, the preset or a flag gave."""
+    """Every setting, parsed: defaults < config file < preset < flags; and,
+    for each name that one of them gave, where its value came from: the
+    config file or the preset, or ``""`` for a flag."""
     merged = {name: s.default for name, s in SETTINGS.items()}
     config = _read_config_file(args.config) if args.config else {}
     flags = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
-    preset = flags.get("preset", config.get("preset"))
-    preset = PRESETS[SETTINGS["preset"].parse(preset)] if preset else {}
-    for layer in (config, preset, flags):
+    preset_name = flags.get("preset", config.get("preset"))
+    preset = PRESETS[SETTINGS["preset"].parse(preset_name)] if preset_name else {}
+    given = {}
+    for layer, source in (
+        (config, f"config file {args.config}"),
+        (preset, f"preset {preset_name}"),
+        (flags, ""),
+    ):
         merged.update(layer)
+        given.update(dict.fromkeys(layer, source))
     parsed = {
         name: None if merged[name] is None else s.parse(merged[name])
         for name, s in SETTINGS.items()
     }
-    return parsed, {*config, *preset, *flags}
+    return parsed, given
 
 
 def main(argv=None) -> int:
@@ -404,7 +414,10 @@ def main(argv=None) -> int:
                 raise ValueError(f"{name} mode needs {SETTINGS[key].option}")
         unused = [k for k in SETTINGS if k in given and k not in mode.reads + ("mode", "preset")]
         if unused:
-            raise ValueError(f"drop {SETTINGS[unused[0]].option}: {name} mode does not use it")
+            key = unused[0]
+            if given[key]:
+                raise ValueError(f"{given[key]} sets {key}, which {name} mode does not use")
+            raise ValueError(f"drop {SETTINGS[key].option}: {name} mode does not use it")
         s = {key: s[key] for key in mode.reads}
         for key, vals in s.items():
             if isinstance(vals, list) and key not in mode.lists:
@@ -412,8 +425,12 @@ def main(argv=None) -> int:
                     option = SETTINGS[key].option
                     raise ValueError(f"{option} takes a single value here, got {vals}")
                 s[key] = vals[0]
-        if not os.path.isdir(os.path.dirname(s["out"] or "") or "."):
-            raise ValueError(f"{name} mode cannot write --out {s['out']}: no such directory")
+        out = s["out"] or ""
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise ValueError(f"{name} mode cannot write --out {out}: no such directory")
+        # Solve mode writes files named after the stem --out, not --out itself.
+        if name != "solve" and os.path.isdir(out):
+            raise ValueError(f"{name} mode cannot write --out {out}: it is a directory")
         return mode.runner(s)
     except (ValueError, ConvergenceError, SingularBlockError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -6,9 +6,8 @@ leaves a symmetric positive definite system
     S = (1/dt + 1/2) A + (dt/4) B^T Cinv B
 
 for the new stress coefficients.  The velocity mass matrix is block
-diagonal by element, so Cinv is exact.  ``S`` can be solved either by a
-factor-once sparse LU (default) or by Jacobi-preconditioned conjugate
-gradients on the full S; both must end with relative residual at most
+diagonal by element, so Cinv is exact.  ``S`` is factored once by a
+sparse LU, and every solve must end with relative residual at most
 ``tol``.
 
 The LU first condenses the element-interior stress dofs (the two ``hmz``
@@ -47,7 +46,7 @@ ND_LEAF = 16
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve stopped above its residual tolerance."""
+    """A solve finished above its residual tolerance."""
 
     def __init__(self, message, residual):
         super().__init__(f"{message} (relative residual {residual:.3e})")
@@ -203,44 +202,23 @@ class CondensedLU:
 
 
 class SchurSolver:
-    """Prepared solver for the reduced stress system.
+    """Prepared solver for the reduced stress system: S factored as a
+    ``CondensedLU`` with the element-interior dofs ``interior`` and the
+    half-step grid points ``grid``."""
 
-    The direct path factors S as a ``CondensedLU`` with the element-interior
-    dofs ``interior`` and the half-step grid points ``grid``; conjugate
-    gradients work on the full S and do not use them.
-    """
-
-    def __init__(
-        self,
-        S: sp.csr_matrix,
-        method: str,
-        tol: float,
-        interior: np.ndarray,
-        grid: np.ndarray,
-    ):
-        if method not in ("direct", "cg"):
-            raise ValueError(f"unknown solve method {method!r}")
+    def __init__(self, S: sp.csr_matrix, tol: float, interior: np.ndarray, grid: np.ndarray):
         if not 0.0 < tol < 1.0:
             raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
         self.S = S
-        self.method = method
         self.tol = tol
-        if method == "direct":
-            self._lu = CondensedLU(S, interior, grid)
-            self._precond = None
-            # A matrix singular to working precision can factor without an
-            # exactly zero pivot; its factor then solves no generic
-            # right-hand side to ``tol``, which one solve here checks.
-            try:
-                self.solve(np.random.default_rng(0).standard_normal(S.shape[0]))
-            except ConvergenceError as err:
-                raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
-        else:
-            d = S.diagonal()
-            if np.any(d <= 0.0):
-                raise SingularBlockError("nonpositive diagonal in reduced matrix")
-            self._lu = None
-            self._precond = sp.diags(1.0 / d)
+        self._lu = CondensedLU(S, interior, grid)
+        # A matrix singular to working precision can factor without an
+        # exactly zero pivot; its factor then solves no generic
+        # right-hand side to ``tol``, which one solve here checks.
+        try:
+            self.solve(np.random.default_rng(0).standard_normal(S.shape[0]))
+        except ConvergenceError as err:
+            raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve S x = rhs to relative residual at most ``tol``."""
@@ -248,25 +226,9 @@ class SchurSolver:
         norm_rhs = np.linalg.norm(rhs)
         if norm_rhs == 0.0:
             return np.zeros_like(rhs)
-        if self.method == "direct":
-            x = self._lu.solve(rhs)
-            # One step of iterative refinement keeps the residual at rounding level.
-            x += self._lu.solve(rhs - self.S @ x)
-        else:
-            maxiter = 5 * self.S.shape[0]
-            x, info = spla.cg(
-                self.S,
-                rhs,
-                rtol=self.tol,
-                atol=0.0,
-                M=self._precond,
-                maxiter=maxiter,
-            )
-            if info > 0:
-                res = np.linalg.norm(rhs - self.S @ x) / norm_rhs
-                raise ConvergenceError(
-                    f"conjugate gradients did not converge in {maxiter} iterations", res
-                )
+        x = self._lu.solve(rhs)
+        # One step of iterative refinement keeps the residual at rounding level.
+        x += self._lu.solve(rhs - self.S @ x)
         res = np.linalg.norm(rhs - self.S @ x) / norm_rhs
         if not res <= self.tol:  # a NaN residual fails too
             raise ConvergenceError("solve finished above tolerance", res)
@@ -278,7 +240,6 @@ def build_schur(
     B: sp.spmatrix,
     Cinv: sp.spmatrix,
     dt: float,
-    method: str,
     tol: float,
     space,
 ) -> SchurSolver:
@@ -307,17 +268,16 @@ def build_schur(
             "take a smaller dt or a denser material"
         )
     S = mass + coupling
-    # With A SPD, S is SPD in exact arithmetic and fails to factor only when
-    # the stress-mass term is lost in rounding, which the ratio of the
-    # largest diagonals shows; it is formed only then, below 1, so it cannot
-    # overflow.  The terms die before the factorization, which sets the
-    # peak memory.
+    # With A SPD, S is SPD in exact arithmetic; the stress-mass term is lost
+    # in rounding when the ratio of the largest diagonals is below machine
+    # epsilon.  The ratio is formed only then, so it cannot overflow.  The
+    # terms die before the factorization, which sets the peak memory.
     mass_max, coupling_max = mass.diagonal().max(), coupling.diagonal().max()
     del mass, coupling
     try:
-        return SchurSolver(sp.csr_matrix(S), method, tol, space.interior, space.grid)
+        return SchurSolver(sp.csr_matrix(S), tol, space.interior, space.grid)
     except SingularBlockError as err:
-        if not mass_max < coupling_max:
+        if not mass_max < np.finfo(float).eps * coupling_max:
             raise
         raise SingularBlockError(
             f"{err}; the largest diagonal of the stress-mass term (1/dt + 1/2) A is "

@@ -151,6 +151,8 @@ def run(config) -> RunResult:
     long.  Mass lumping is applied exactly when the element family is
     ``nedelec-q1q0``.
     """
+    if config.solver != "direct":
+        raise ValueError(f"unknown solver {config.solver!r}: the only solve is the direct one")
     t_final, _, n_steps = resolve_time(config.t_final, config.dt, config.n_steps)
     dt = t_final / n_steps
     every = config.snapshot_every
@@ -182,7 +184,6 @@ def run(config) -> RunResult:
             system.B,
             block_diag_inverse(system.C, velocity_space.n_local),
             dt,
-            method=config.solver,
             tol=config.solver_tol,
             space=stress_space,
         ),

@@ -222,7 +222,6 @@ def test_criterion_5_discrete_energy_identity(capsys):
                 system.B,
                 block_diag_inverse(system.C, vs.n_local),
                 dt,
-                "direct",
                 1e-12,
                 ss,
             ),

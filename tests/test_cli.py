@@ -225,9 +225,10 @@ def test_preset_overrides_config_flags_override_preset(tmp_path, capsys):
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("meshsize = 4\n")
-    code, _, err = run_main(["--config", str(cfg)], capsys)
-    assert code == 1 and err.startswith("error:") and "meshsize" in err
+    for key, value in (("meshsize", "4"), ("solver", "cg")):
+        cfg.write_text(f"{key} = {value}\n")
+        code, _, err = run_main(["--config", str(cfg)], capsys)
+        assert code == 1 and err == f"error: {cfg}:1: unknown setting {key!r}\n"
 
 
 def test_config_file_rejects_malformed_line(tmp_path, capsys):
@@ -287,6 +288,14 @@ def test_snapshot_files(tmp_path, capsys):
     with paths[2].open() as fh:
         late = np.array(list(csv.reader(fh))[1:], dtype=float)
     assert np.any(np.abs(late[:, 2:5]) > 1e-3)
+    # A stem that names a directory is still a stem: the files sit beside it.
+    (tmp_path / "d").mkdir()
+    code, _, err = run_main(
+        ["--mode", "solve", "--nx", "2", "--nt", "2", "--snapshot-every", "2",
+         "--out", str(tmp_path / "d")],
+        capsys,
+    )
+    assert code == 0 and err == "" and (tmp_path / "d_n00002.csv").is_file()
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +380,12 @@ def test_unwritable_out_path_errors(tmp_path, capsys):
 
 
 def test_argparse_rejects_unknown_mode(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--mode", "bogus"])
-    assert exc.value.code == 2
+    # --solver is gone; it must not be read as a prefix of --solver-tol.
+    for argv, message in ((["--mode", "bogus"], "invalid choice: 'bogus'"),
+                          (["--solver", "cg"], "unrecognized arguments: --solver cg")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -423,7 +435,7 @@ def test_argparse_rejects_unknown_mode(capsys):
         ),
         (
             ["--preset", "table1", "--mode", "temporal-convergence"],
-            "drop --nx: temporal-convergence mode does not use it",
+            "preset table1 sets nx, which temporal-convergence mode does not use",
         ),
     ],
     ids=[
@@ -457,7 +469,7 @@ def test_bad_time_and_count_inputs_error_exit(argv, message, capsys):
         (["--lambda", "inf", "--nx", "2", "--nt", "2"], "lam must be finite"),
         (["--mu", "2", "--example", "1", "--nx", "2", "--nt", "2"], "--force"),
         (["--mu", "1e-300", "--nx", "2", "--nt", "2"], "mu=1e-300 is lost against lam=1.0"),
-        (["--solver", "cg", "--solver-tol", "inf", "--nx", "2", "--nt", "2"], "tolerance"),
+        (["--solver-tol", "inf", "--nx", "2", "--nt", "2"], "tolerance"),
         (["--mu", "1e200", "--nx", "2", "--nt", "2"], "stress-mass term is lost in rounding"),
         (
             ["--element", "hmz", "--rho", "1e-300", "--nx", "2", "--nt", "2"],
@@ -486,14 +498,31 @@ def test_bad_material_and_solver_inputs_error_exit(argv, message, capsys):
 
 
 def test_unused_setting_from_config_file_errors(tmp_path, capsys):
+    # The message names where the unused value came from: the config file,
+    # a preset the config file chose, or a flag, which overrides both.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("nx = 16\n")
+    argv = ["--config", str(cfg), "--mode", "temporal-convergence", "--example", "1"]
+    for text, extra, message in (
+        ("nx = 16\n", ["--nt", "2,4"], f"config file {cfg} sets nx, which"),
+        ("preset = table1\n", [], "preset table1 sets nx, which"),
+        ("nx = 16\n", ["--nt", "2,4", "--nx", "8"], "drop --nx:"),
+    ):
+        cfg.write_text(text)
+        code, _, err = run_main(argv + extra, capsys)
+        assert code == 1 and err.startswith(f"error: {message}"), err
+        assert "temporal-convergence mode does not use" in err and err.count("\n") == 1
+
+
+def test_rounding_blamed_only_below_machine_epsilon(capsys):
+    # The set-up probe misses tol = 1e-14 here, at a diagonal ratio of
+    # 0.00586, far above machine epsilon: nothing is lost in rounding.
     code, _, err = run_main(
-        ["--config", str(cfg), "--mode", "temporal-convergence", "--example", "1",
-         "--nt", "2,4"],
+        ["--element", "hmz", "--example", "2", "--nx", "32", "--dt", "0.25",
+         "--solver-tol", "1e-14"],
         capsys,
     )
-    assert code == 1 and err == "error: drop --nx: temporal-convergence mode does not use it\n"
+    assert code == 1 and err.startswith("error: reduced matrix cannot be factored")
+    assert "rounding" not in err and "times that of" not in err and err.count("\n") == 1
 
 
 def test_huge_step_count_error_exit():
@@ -541,7 +570,6 @@ _SETTING_SAMPLES = {
     "rho": "2.5",
     "mu": "0.75",
     "lam": "3",
-    "solver": "cg",
     "solver_tol": "1e-9",
     "preset": "table7",
     "snapshot_every": "3",
@@ -564,7 +592,7 @@ def test_setting_flag_and_config_file_agree(name, tmp_path):
     assert from_flag[name] == from_file[name]
     defaults, default_given = _settings(parser.parse_args([]))
     assert from_flag[name] != defaults[name]
-    assert name in flag_given and flag_given == file_given and not default_given
+    assert name in flag_given and flag_given.keys() == file_given.keys() and not default_given
 
 
 def test_config_file_rejects_flag_only_names(tmp_path, capsys):
@@ -664,6 +692,10 @@ def test_missing_out_directory_errors_before_any_run(argv, tmp_path, monkeypatch
     code, stdout, err = run_main(argv + ["--element", "hmz", "--out", str(out)], capsys)
     assert code == 1 and stdout == "" and "Traceback" not in err
     assert err == f"error: {argv[1]} mode cannot write --out {out}: no such directory\n"
+    if argv[1] != "solve":  # solve mode takes --out as a file stem
+        code, stdout, err = run_main(argv + ["--element", "hmz", "--out", str(tmp_path)], capsys)
+        assert code == 1 and stdout == "" and list(tmp_path.iterdir()) == []
+        assert err == f"error: {argv[1]} mode cannot write --out {tmp_path}: it is a directory\n"
 
 
 def test_solve_out_without_snapshots_errors_before_the_run(tmp_path, monkeypatch, capsys):
@@ -676,8 +708,8 @@ def test_solve_out_without_snapshots_errors_before_the_run(tmp_path, monkeypatch
 
 
 _RUN_DEFAULTS = dict(
-    element="nedelec-q1q0", t_final=1.0, rho=1.0, mu=1.0, lam=1.0, solver="direct",
-    solver_tol=1e-12, force=False, out=None,
+    element="nedelec-q1q0", t_final=1.0, rho=1.0, mu=1.0, lam=1.0, solver_tol=1e-12,
+    force=False, out=None,
 )
 
 

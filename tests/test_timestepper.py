@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from viscowave import timestepper
 from viscowave.analysis import energy
 from viscowave.assembly import assemble_load, assemble_system
 from viscowave.fespace import FAMILIES, HMZ, NEDELEC, StressSpace, VelocitySpace
@@ -33,20 +34,19 @@ def make_system(n, family, lumped=None):
     return assemble_system(ss, vs, UNIT, lumped=lumped)
 
 
-def make_solver(system, dt, method="direct"):
+def make_solver(system, dt):
     return build_schur(
         system.A,
         system.B,
         block_diag_inverse(system.C, system.velocity_space.n_local),
         dt,
-        method=method,
         tol=1e-12,
         space=system.stress_space,
     )
 
 
-def make_stepper(system, dt, method="direct"):
-    return CNStepper(system, make_solver(system, dt, method))
+def make_stepper(system, dt):
+    return CNStepper(system, make_solver(system, dt))
 
 
 def step(stepper, state, f, dt):
@@ -192,26 +192,6 @@ def test_zero_state_stays_zero():
     assert np.all(new.alpha == 0.0) and np.all(new.beta == 0.0)
 
 
-def test_cg_and_direct_trajectories_agree():
-    system = make_system(3, HMZ)
-    dt = 0.1
-    rng = np.random.default_rng(1)
-    init = SimState(
-        alpha=rng.standard_normal(system.A.shape[0]),
-        beta=rng.standard_normal(system.C.shape[0]),
-        t=0.0,
-    )
-    outs = {}
-    for method in ("direct", "cg"):
-        stepper = make_stepper(system, dt, method)
-        st = init.copy()
-        for _ in range(5):
-            st = step(stepper, st, None, dt)
-        outs[method] = st
-    np.testing.assert_allclose(outs["direct"].alpha, outs["cg"].alpha, atol=1e-9)
-    np.testing.assert_allclose(outs["direct"].beta, outs["cg"].beta, atol=1e-9)
-
-
 def test_stepper_rejects_mismatched_solver():
     system = make_system(2, NEDELEC)
     other = make_system(3, NEDELEC)
@@ -293,6 +273,15 @@ def test_run_snapshots():
 def test_run_rejects_inconsistent_clock():
     with pytest.raises(ValueError):
         run(run_config(dt=0.3, n_steps=10, t_final=1.0))
+
+
+def test_run_rejects_any_solver_but_direct(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled before the solver was checked")
+
+    monkeypatch.setattr(timestepper, "assemble_system", refuse)
+    with pytest.raises(ValueError, match="unknown solver 'cg'"):
+        run(run_config(solver="cg"))
 
 
 def test_run_lumps_only_nedelec():
