@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import HMZ, NEDELEC, StressSpace, VelocitySpace
+from .fespace import StressSpace, VelocitySpace
 from .material import VOIGT_DOT, IsotropicMaterial
 from .quadrature import COMPOSITE, CORNERS
 
@@ -63,8 +63,8 @@ def _check_pair(stress_space, velocity_space):
 
 
 def _stress_gram(space, weight3, lumped):
-    if lumped and space.family != NEDELEC:
-        raise ValueError(f"mass lumping is only available for {NEDELEC!r}")
+    if lumped and not space.lumped:
+        raise ValueError(f"{space.family!r} has dofs off the corners, which lumping drops")
     w, xi, eta = _local_rule(space.mesh, lumped)
     vals = space.local_values(xi, eta)
     local = np.einsum("qia,ab,qjb,q->ij", vals, VOIGT_DOT @ weight3, vals, w)
@@ -77,9 +77,9 @@ def assemble_mass_stress(
 ) -> sp.csr_matrix:
     """Compliance-weighted stress mass matrix; optionally corner-lumped.
 
-    Lumping is only meaningful for the vertex-based ``nedelec-q1q0`` family,
-    where it produces 3x3 blocks per vertex; requesting it for ``hmz`` is an
-    error.
+    Lumping is only meaningful for a family whose dofs all sit at corners
+    (``space.lumped``, so ``nedelec-q1q0``), where it produces 3x3 blocks per
+    vertex; requesting it for ``hmz`` is an error.
     """
     return _stress_gram(space, material.compliance_matrix(), lumped)
 
@@ -152,15 +152,14 @@ def assemble_load(space: VelocitySpace, f, t: float) -> np.ndarray:
 class AssembledSystem:
     """The three matrices of the semidiscrete system plus their spaces.
 
-    ``A`` is the compliance-weighted stress mass matrix (lumped when
-    ``lumped`` is set), ``B`` the velocity-against-stress-divergence
-    coupling, and ``C`` the density-weighted velocity mass matrix.
+    ``A`` is the compliance-weighted stress mass matrix (corner-lumped when
+    the stress space's ``lumped`` is set), ``B`` the
+    velocity-against-stress-divergence coupling, and ``C`` the
+    density-weighted velocity mass matrix.
     """
 
     stress_space: StressSpace
     velocity_space: VelocitySpace
-    material: IsotropicMaterial
-    lumped: bool
     A: sp.csr_matrix
     B: sp.csr_matrix
     C: sp.csr_matrix
@@ -170,16 +169,13 @@ def assemble_system(
     stress_space: StressSpace,
     velocity_space: VelocitySpace,
     material: IsotropicMaterial,
-    lumped: bool = False,
 ) -> AssembledSystem:
-    """Assemble A, B, C for a matched space pair."""
+    """Assemble A, B, C for a matched space pair; the family decides the lumping."""
     _check_pair(stress_space, velocity_space)
     return AssembledSystem(
         stress_space=stress_space,
         velocity_space=velocity_space,
-        material=material,
-        lumped=lumped,
-        A=assemble_mass_stress(stress_space, material, lumped),
+        A=assemble_mass_stress(stress_space, material, stress_space.lumped),
         B=assemble_coupling(stress_space, velocity_space),
         C=assemble_mass_velocity(velocity_space, material),
     )

@@ -136,6 +136,9 @@ class StressSpace(_Space):
     mesh, family
     table : tuple
         The family's ``LOCAL_DOFS`` entries ``(component, (dx, dy))``.
+    lumped : bool
+        Whether the scheme corner-lumps the stress mass: exactly when every
+        local dof sits at a corner, so for ``nedelec-q1q0`` and not ``hmz``.
     dim : int
         Number of global degrees of freedom.
     n_local : int
@@ -158,6 +161,7 @@ class StressSpace(_Space):
         self.family = family
         self.table = LOCAL_DOFS[family]
         self.n_local = len(self.table)
+        self.lumped = all(d in _CORNERS for _, d in self.table)
         nx, ny = mesh.nx, mesh.ny
         # A dof's block is its component and its sublattice (2i + ox, 2j + oy).
         blocks = [(c, (1 + dx) % 2, (1 + dy) % 2) for c, (dx, dy) in self.table]

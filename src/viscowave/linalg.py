@@ -8,7 +8,9 @@ leaves a symmetric positive definite system
 for the new stress coefficients.  The velocity mass matrix is block
 diagonal by element, so Cinv is exact.  ``S`` is factored once by a
 sparse LU, and every solve must end with relative residual at most
-``tol``.
+``tol``.  Both terms are checked before the factorization: each must be
+finite, and the stress-mass term must not be lost in rounding against
+the coupling.
 
 The LU first condenses the element-interior stress dofs (the two ``hmz``
 bubbles of each element; ``nedelec-q1q0`` has none).  They couple only
@@ -43,6 +45,12 @@ __all__ = [
 # Largest box that nested dissection leaves unsplit.  With 64 the fill on
 # meshes of N <= 16 exceeds that of minimum degree on the full S.
 ND_LEAF = 16
+
+# Residual the set-up probe accepts when ``tol`` is tighter.  A sound factor
+# leaves about u kappa(S) on a random right-hand side, which exceeds 1e-12 for
+# ``hmz`` at dt = 0.25 from some N between 256 and 384 on; a matrix singular
+# to working precision leaves far more.
+PROBE_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 class ConvergenceError(RuntimeError):
@@ -213,15 +221,18 @@ class SchurSolver:
         self.tol = tol
         self._lu = CondensedLU(S, interior, grid)
         # A matrix singular to working precision can factor without an
-        # exactly zero pivot; its factor then solves no generic
-        # right-hand side to ``tol``, which one solve here checks.
+        # exactly zero pivot; its factor then solves no generic right-hand
+        # side to ``max(tol, PROBE_TOL)``, which one solve here checks.
         try:
-            self.solve(np.random.default_rng(0).standard_normal(S.shape[0]))
+            self._solve(np.random.default_rng(0).standard_normal(S.shape[0]), max(tol, PROBE_TOL))
         except ConvergenceError as err:
             raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve S x = rhs to relative residual at most ``tol``."""
+        return self._solve(rhs, self.tol)
+
+    def _solve(self, rhs, tol):
         rhs = np.asarray(rhs, float)
         norm_rhs = np.linalg.norm(rhs)
         if norm_rhs == 0.0:
@@ -230,57 +241,48 @@ class SchurSolver:
         # One step of iterative refinement keeps the residual at rounding level.
         x += self._lu.solve(rhs - self.S @ x)
         res = np.linalg.norm(rhs - self.S @ x) / norm_rhs
-        if not res <= self.tol:  # a NaN residual fails too
+        if not res <= tol:  # a NaN residual fails too
             raise ConvergenceError("solve finished above tolerance", res)
         return x
 
 
-def build_schur(
-    A: sp.spmatrix,
-    B: sp.spmatrix,
-    Cinv: sp.spmatrix,
-    dt: float,
-    tol: float,
-    space,
-) -> SchurSolver:
+def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver:
     """Form S = (1/dt + 1/2) A + (dt/4) B^T Cinv B and prepare its solver.
 
-    ``space`` is the ``StressSpace`` of A: it gives the element-interior
-    dofs, element by element, and the half-step grid point of every dof.
+    ``system`` is the ``AssembledSystem`` of A and B; its stress space gives
+    the element-interior dofs, element by element, and the half-step grid
+    point of every dof.  ``Cinv`` is the inverse of its velocity mass.
     """
     if not dt > 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
-    r = A.shape[0]
-    if A.shape != (r, r) or B.shape[1] != r or Cinv.shape != (B.shape[0], B.shape[0]):
-        raise ValueError(
-            f"inconsistent shapes A{A.shape}, B{B.shape}, Cinv{Cinv.shape}"
-        )
-    if space.dim != r:
-        raise ValueError(f"stress space of dimension {space.dim} does not match A{A.shape}")
-    mass = (1.0 / dt + 0.5) * A
-    # A huge dt / rho overflows the coupling; it is named here, before S is
-    # factored, rather than reported as a singular factor.
+    A, B, space = system.A, system.B, system.stress_space
+    if Cinv.shape != (B.shape[0], B.shape[0]):
+        raise ValueError(f"Cinv{Cinv.shape} does not match B{B.shape}")
+    # A tiny dt or a huge dt / rho overflows a term, and a stiff material
+    # loses the stress-mass term in rounding; both are named here, before S
+    # is factored.  With A SPD, S is SPD in exact arithmetic.  The terms die
+    # before the factorization, which sets the peak memory.
     with np.errstate(over="ignore"):
+        mass = (1.0 / dt + 0.5) * A
         coupling = (0.25 * dt) * (B.T @ Cinv @ B)
-    if not np.all(np.isfinite(coupling.diagonal())):
+    mass_max, coupling_max = mass.diagonal().max(), coupling.diagonal().max()
+    if not np.isfinite(mass_max):
+        raise SingularBlockError(
+            f"the stress-mass term (1/dt + 1/2) A overflows (dt = {dt:.3g}): "
+            "take a larger dt or a stiffer material"
+        )
+    if not np.isfinite(coupling_max):
         raise SingularBlockError(
             f"the coupling term (dt/4) B^T Cinv B overflows (dt = {dt:.3g}): "
             "take a smaller dt or a denser material"
         )
-    S = mass + coupling
-    # With A SPD, S is SPD in exact arithmetic; the stress-mass term is lost
-    # in rounding when the ratio of the largest diagonals is below machine
-    # epsilon.  The ratio is formed only then, so it cannot overflow.  The
-    # terms die before the factorization, which sets the peak memory.
-    mass_max, coupling_max = mass.diagonal().max(), coupling.diagonal().max()
-    del mass, coupling
-    try:
-        return SchurSolver(sp.csr_matrix(S), tol, space.interior, space.grid)
-    except SingularBlockError as err:
-        if not mass_max < np.finfo(float).eps * coupling_max:
-            raise
+    # The ratio is formed only below machine epsilon, so it cannot overflow.
+    if mass_max < np.finfo(float).eps * coupling_max:
         raise SingularBlockError(
-            f"{err}; the largest diagonal of the stress-mass term (1/dt + 1/2) A is "
+            f"the largest diagonal of the stress-mass term (1/dt + 1/2) A is "
             f"{mass_max / coupling_max:.3g} times that of (dt/4) B^T Cinv B, so the "
             "stress-mass term is lost in rounding: take a smaller dt or a less stiff material"
-        ) from err.__cause__
+        )
+    S = mass + coupling
+    del mass, coupling
+    return SchurSolver(sp.csr_matrix(S), tol, space.interior, space.grid)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis
 from .assembly import AssembledSystem, assemble_load, assemble_system
-from .fespace import NEDELEC, StressSpace, VelocitySpace
+from .fespace import StressSpace, VelocitySpace
 from .linalg import SchurSolver, block_diag_inverse, build_schur
 from .material import IsotropicMaterial
 from .mesh import StructuredMesh
@@ -148,8 +148,8 @@ def run(config) -> RunResult:
     The configuration carries the fields of ``cli.RunConfig``; ``example``
     ``None`` is an unforced zero-data run.  Either of ``dt`` and ``n_steps``
     may be ``None`` (see ``resolve_time``); the steps are ``t_final / n_steps``
-    long.  Mass lumping is applied exactly when the element family is
-    ``nedelec-q1q0``.
+    long.  The stress mass is lumped when the family's dofs all sit at
+    corners (``StressSpace.lumped``).
     """
     if config.solver != "direct":
         raise ValueError(f"unknown solver {config.solver!r}: the only solve is the direct one")
@@ -175,19 +175,11 @@ def run(config) -> RunResult:
     mesh = StructuredMesh(config.nx, config.nx)
     stress_space = StressSpace(mesh, config.element)
     velocity_space = VelocitySpace(mesh, config.element)
-    lumped = config.element == NEDELEC
-    system = assemble_system(stress_space, velocity_space, material, lumped=lumped)
-    stepper = CNStepper(
-        system,
-        build_schur(
-            system.A,
-            system.B,
-            block_diag_inverse(system.C, velocity_space.n_local),
-            dt,
-            tol=config.solver_tol,
-            space=stress_space,
-        ),
+    system = assemble_system(stress_space, velocity_space, material)
+    solver = build_schur(
+        system, block_diag_inverse(system.C, velocity_space.n_local), dt, config.solver_tol
     )
+    stepper = CNStepper(system, solver)
 
     if solution:
         state = init_state(

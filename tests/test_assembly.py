@@ -1,5 +1,7 @@
 """Global matrices and load vectors: worked entries, symmetry, SPD, oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -109,9 +111,9 @@ def test_constant_stress_energy():
 
 def test_lumped_for_hmz_rejected():
     ss, _ = spaces(2, HMZ)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="off the corners"):
         assemble_mass_stress(ss, UNIT, lumped=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="off the corners"):
         assemble_stress_gram(ss, lumped=True)
 
 
@@ -343,10 +345,21 @@ def test_load_rejects_wrong_field_shape():
 # ------------------------------------------------------------------- system
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_assemble_system_lumps_as_the_family_says(family):
+    ss, vs = spaces(2, family)
+    A = assemble_system(ss, vs, UNIT).A
+    want = assemble_mass_stress(ss, UNIT, lumped=ss.lumped)
+    assert np.array_equal(A.indptr, want.indptr) and np.array_equal(A.indices, want.indices)
+    assert np.array_equal(A.data, want.data)
+
+
 def test_assemble_system_fields():
     ss, vs = spaces(2, NEDELEC)
-    system = assemble_system(ss, vs, UNIT, lumped=True)
-    assert system.lumped
+    system = assemble_system(ss, vs, UNIT)
+    assert [f.name for f in dataclasses.fields(system)] == [
+        "stress_space", "velocity_space", "A", "B", "C"
+    ]
     assert system.A.shape == (ss.dim, ss.dim)
     assert system.B.shape == (vs.dim, ss.dim)
     assert system.C.shape == (vs.dim, vs.dim)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from viscowave import cli, timestepper
+from viscowave import cli, linalg, timestepper
 from viscowave.cli import (
     CSV_HEADER,
     MODES,
@@ -479,6 +479,14 @@ def test_bad_time_and_count_inputs_error_exit(argv, message, capsys):
             ["--rho", "1e-300", "--t-final", "1e300", "--nx", "2", "--nt", "2"],
             "(dt/4) B^T Cinv B overflows",
         ),
+        (
+            ["--nx", "2", "--nt", "2", "--t-final", "1e-308"],
+            "the stress-mass term (1/dt + 1/2) A overflows (dt = 5e-309)",
+        ),
+        (
+            ["--element", "hmz", "--nx", "2", "--nt", "2", "--t-final", "1e-308"],
+            "the stress-mass term (1/dt + 1/2) A overflows (dt = 5e-309)",
+        ),
     ],
     ids=[
         "lambda-inf",
@@ -488,6 +496,8 @@ def test_bad_time_and_count_inputs_error_exit(argv, message, capsys):
         "mu-huge-stress-mass-lost",
         "rho-tiny-stress-mass-lost",
         "rho-tiny-coupling-overflow",
+        "dt-tiny-stress-mass-overflow",
+        "hmz-dt-tiny-stress-mass-overflow",
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning on the way to the message fails
@@ -513,16 +523,42 @@ def test_unused_setting_from_config_file_errors(tmp_path, capsys):
         assert "temporal-convergence mode does not use" in err and err.count("\n") == 1
 
 
-def test_rounding_blamed_only_below_machine_epsilon(capsys):
-    # The set-up probe misses tol = 1e-14 here, at a diagonal ratio of
-    # 0.00586, far above machine epsilon: nothing is lost in rounding.
-    code, _, err = run_main(
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["--element", "hmz", "--example", "2", "--nx", "32", "--dt", "0.25",
          "--solver-tol", "1e-14"],
-        capsys,
-    )
-    assert code == 1 and err.startswith("error: reduced matrix cannot be factored")
-    assert "rounding" not in err and "times that of" not in err and err.count("\n") == 1
+        ["--nx", "8", "--dt", "0.5", "--lambda", "1e5", "--example", "2", "--force"],
+    ],
+    ids=["hmz-n32-tol-1e-14", "lambda-1e5"],
+)
+def test_setup_probe_accepts_sound_factors(argv, capsys):
+    # The set-up probe leaves 1.37e-14 and 4.29e-12 here, above tol but far
+    # below sqrt(eps): the matrices are ill-conditioned, not singular, and
+    # every step still meets tol.
+    code, out, err = run_main(argv, capsys)
+    assert code == 0 and err == "" and "E_a_sigma" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--mu", "1e200"], "is 2.5e-200 times that of"),
+        (["--mu", "1e308"], "is 0 times that of"),
+        (["--element", "hmz", "--rho", "1e-300"], "is 4.17e-301 times that of"),
+        (["--rho", "1e-300", "--t-final", "1e300"], "(dt/4) B^T Cinv B overflows"),
+    ],
+    ids=["mu-1e200", "mu-1e308", "hmz-rho-1e-300", "coupling-overflow"],
+)
+def test_scale_checks_precede_the_factor(argv, message, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("factored a matrix that the scale checks refuse")
+
+    monkeypatch.setattr(linalg, "CondensedLU", refuse)
+    code, _, err = run_main(argv + ["--nx", "2", "--nt", "2"], capsys)
+    assert code == 1 and err.startswith("error:") and message in err
+    if "times that of" in message:
+        assert "stress-mass term is lost in rounding" in err
 
 
 def test_huge_step_count_error_exit():

@@ -68,6 +68,12 @@ def test_velocity_dimensions(family, nx, ny, dim):
     assert VelocitySpace(StructuredMesh(nx, ny), family).dim == dim
 
 
+@pytest.mark.parametrize("family, lumped", [(NEDELEC, True), (HMZ, False)])
+def test_lumping_follows_from_the_corner_dofs(family, lumped):
+    # nedelec-q1q0 has all its dofs at corners; hmz has edge and centre dofs.
+    assert StressSpace(StructuredMesh(2, 2), family).lumped is lumped
+
+
 def test_unknown_family_rejected():
     mesh = StructuredMesh(2, 2)
     with pytest.raises(ValueError):

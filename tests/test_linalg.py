@@ -9,12 +9,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from viscowave.assembly import (
+    AssembledSystem,
     assemble_coupling,
     assemble_mass_stress,
     assemble_mass_velocity,
     assemble_system,
 )
 from viscowave.fespace import HMZ, NEDELEC, StressSpace, VelocitySpace
+from viscowave import linalg
 from viscowave.linalg import (
     ConvergenceError,
     CondensedLU,
@@ -91,7 +93,7 @@ def test_build_schur_formula():
     system = hmz_system()
     dt = 0.1
     Cinv = block_diag_inverse(system.C, 4)
-    solver = build_schur(system.A, system.B, Cinv, dt, TOL, system.stress_space)
+    solver = build_schur(system, Cinv, dt, TOL)
     S = (1.0 / dt + 0.5) * system.A + 0.25 * dt * (
         system.B.T @ Cinv @ system.B
     )
@@ -101,16 +103,16 @@ def test_build_schur_formula():
 def test_build_schur_validation():
     system = hmz_system()
     Cinv = block_diag_inverse(system.C, 4)
-    with pytest.raises(ValueError):
-        build_schur(system.A, system.B, Cinv, 0.0, TOL, system.stress_space)
-    with pytest.raises(ValueError):
-        build_schur(system.A, system.B.T, Cinv, 0.1, TOL, system.stress_space)  # wrong orientation
+    with pytest.raises(ValueError, match="time step"):
+        build_schur(system, Cinv, 0.0, TOL)
+    with pytest.raises(ValueError, match="does not match"):
+        build_schur(system, Cinv[:-4, :-4], 0.1, TOL)
 
 
 def test_solve_matches_dense():
     system = hmz_system()
     Cinv = block_diag_inverse(system.C, 4)
-    solver = build_schur(system.A, system.B, Cinv, 0.05, TOL, system.stress_space)
+    solver = build_schur(system, Cinv, 0.05, TOL)
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(system.A.shape[0])
     x = solver.solve(rhs)
@@ -123,18 +125,17 @@ def test_solve_matches_dense():
 def test_zero_rhs_shortcut():
     system = hmz_system()
     Cinv = block_diag_inverse(system.C, 4)
-    solver = build_schur(system.A, system.B, Cinv, 0.1, TOL, system.stress_space)
+    solver = build_schur(system, Cinv, 0.1, TOL)
     x = solver.solve(np.zeros(system.A.shape[0]))
     assert np.all(x == 0.0)
 
 
 def test_unreachable_tolerance_raises():
-    # The set-up probe passes at TOL; a bound a few orders below machine
-    # precision cannot be certified, and the per-step check says so.
+    # A bound a few orders below machine precision cannot be certified.  The
+    # set-up probe demands only max(tol, sqrt(eps)), so the factor is built,
+    # and the per-step check says so.
     system = hmz_system()
-    solver = build_schur(system.A, system.B, block_diag_inverse(system.C, 4), 0.1, TOL,
-                         system.stress_space)
-    solver.tol = 1e-30
+    solver = build_schur(system, block_diag_inverse(system.C, 4), 0.1, 1e-30)
     with pytest.raises(ConvergenceError) as err:
         solver.solve(np.random.default_rng(2).standard_normal(solver.S.shape[0]))
     assert err.value.residual > 1e-30
@@ -148,10 +149,6 @@ def test_solver_constructor_validation():
             SchurSolver(S, tol, *layout)
     with pytest.raises(SingularBlockError, match="cannot be factored"):
         SchurSolver(sp.diags([1.0, 0.0, 1.0]).tocsr(), 1e-12, *no_interior(3))
-    system = hmz_system()
-    with pytest.raises(ValueError, match="does not match"):
-        build_schur(system.A, system.B, block_diag_inverse(system.C, 4), 0.1, TOL,
-                    StressSpace(StructuredMesh(3, 2), HMZ))
 
 
 def test_setup_solve_rejects_matrix_singular_to_working_precision():
@@ -164,11 +161,16 @@ def test_setup_solve_rejects_matrix_singular_to_working_precision():
     compliance = np.array([[1.0 - c, -c, 0.0], [-c, 1.0 - c, 0.0], [0.0, 0.0, 1.0]]) / (2.0 * mu)
     mesh = StructuredMesh(2, 2)
     ss, vs = StressSpace(mesh, HMZ), VelocitySpace(mesh, HMZ)
-    A = assemble_mass_stress(ss, SimpleNamespace(compliance_matrix=lambda: compliance))
-    B = assemble_coupling(ss, vs)
-    Cinv = block_diag_inverse(assemble_mass_velocity(vs, IsotropicMaterial()), vs.n_local)
+    system = AssembledSystem(
+        stress_space=ss,
+        velocity_space=vs,
+        A=assemble_mass_stress(ss, SimpleNamespace(compliance_matrix=lambda: compliance)),
+        B=assemble_coupling(ss, vs),
+        C=assemble_mass_velocity(vs, IsotropicMaterial()),
+    )
+    Cinv = block_diag_inverse(system.C, vs.n_local)
     with pytest.raises(SingularBlockError, match="cannot be factored") as err:
-        build_schur(A, B, Cinv, 0.5, TOL, ss)
+        build_schur(system, Cinv, 0.5, TOL)
     assert isinstance(err.value.__cause__, ConvergenceError)
 
 
@@ -176,9 +178,9 @@ def test_schur_spd_for_nedelec_lumped():
     mesh = StructuredMesh(3, 3)
     ss = StressSpace(mesh, NEDELEC)
     vs = VelocitySpace(mesh, NEDELEC)
-    system = assemble_system(ss, vs, IsotropicMaterial(), lumped=True)
+    system = assemble_system(ss, vs, IsotropicMaterial())
     Cinv = block_diag_inverse(system.C, 2)
-    solver = build_schur(system.A, system.B, Cinv, 0.005, TOL, system.stress_space)
+    solver = build_schur(system, Cinv, 0.005, TOL)
     dense = solver.S.toarray()
     np.testing.assert_allclose(dense, dense.T, atol=1e-13)
     assert np.linalg.eigvalsh(dense).min() > 0.0
@@ -195,9 +197,9 @@ def test_direct_fill_below_colamd(family, dt):
     mesh = StructuredMesh(16, 16)
     ss = StressSpace(mesh, family)
     vs = VelocitySpace(mesh, family)
-    system = assemble_system(ss, vs, IsotropicMaterial(), lumped=family == NEDELEC)
+    system = assemble_system(ss, vs, IsotropicMaterial())
     Cinv = block_diag_inverse(system.C, vs.n_local)
-    solver = build_schur(system.A, system.B, Cinv, dt, TOL, system.stress_space)
+    solver = build_schur(system, Cinv, dt, TOL)
     colamd = spla.splu(solver.S.tocsc(), permc_spec="COLAMD")
     assert solver._lu.L.nnz + solver._lu.U.nnz < colamd.L.nnz + colamd.U.nnz
     rhs = np.cos(np.arange(solver.S.shape[0], dtype=float))
@@ -209,12 +211,12 @@ def make_system(nx, ny, family):
     mesh = StructuredMesh(nx, ny)
     ss = StressSpace(mesh, family)
     vs = VelocitySpace(mesh, family)
-    return assemble_system(ss, vs, IsotropicMaterial(), lumped=family == NEDELEC)
+    return assemble_system(ss, vs, IsotropicMaterial())
 
 
 def make_direct(system, dt):
     Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
-    return build_schur(system.A, system.B, Cinv, dt, TOL, system.stress_space)
+    return build_schur(system, Cinv, dt, TOL)
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
@@ -290,10 +292,11 @@ def test_wrongly_numbered_bubbles_raise():
     assert np.array_equal(solver._lu.inner, by_element.ravel())
 
 
-def test_diagonal_ratio_formed_only_when_factoring_fails():
+def test_stress_mass_lost_in_rounding_refused_before_factoring(monkeypatch):
     # At dt = 5e-301 the largest diagonal of (1/dt + 1/2) A over that of
-    # (dt/4) B^T Cinv B overflows; a set-up that succeeds forms no ratio, so
-    # it warns of nothing.  A stiff material still fails with the ratio.
+    # (dt/4) B^T Cinv B overflows; a set-up that passes the check forms no
+    # ratio, so it warns of nothing.  A stiff material is refused with the
+    # ratio before any factorization.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solver = make_direct(make_system(2, 2, NEDELEC), 5e-301)
@@ -301,8 +304,12 @@ def test_diagonal_ratio_formed_only_when_factoring_fails():
         assert np.linalg.norm(rhs - solver.S @ solver.solve(rhs)) <= TOL * np.linalg.norm(rhs)
         mesh = StructuredMesh(2, 2)
         stiff = assemble_system(
-            StressSpace(mesh, NEDELEC), VelocitySpace(mesh, NEDELEC),
-            IsotropicMaterial(mu=1e200), lumped=True,
+            StressSpace(mesh, NEDELEC), VelocitySpace(mesh, NEDELEC), IsotropicMaterial(mu=1e200)
         )
+
+        def refuse(*args):
+            raise AssertionError("factored a matrix that the checks refuse")
+
+        monkeypatch.setattr(linalg, "CondensedLU", refuse)
         with pytest.raises(SingularBlockError, match="is 2.5e-200 times that of"):
             make_direct(stiff, 0.5)

@@ -25,23 +25,14 @@ from fehelpers import energy_residuals, vertex_coords
 UNIT = IsotropicMaterial()
 
 
-def make_system(n, family, lumped=None):
+def make_system(n, family):
     mesh = StructuredMesh(n, n)
-    ss = StressSpace(mesh, family)
-    vs = VelocitySpace(mesh, family)
-    if lumped is None:
-        lumped = family == NEDELEC
-    return assemble_system(ss, vs, UNIT, lumped=lumped)
+    return assemble_system(StressSpace(mesh, family), VelocitySpace(mesh, family), UNIT)
 
 
 def make_solver(system, dt):
     return build_schur(
-        system.A,
-        system.B,
-        block_diag_inverse(system.C, system.velocity_space.n_local),
-        dt,
-        tol=1e-12,
-        space=system.stress_space,
+        system, block_diag_inverse(system.C, system.velocity_space.n_local), dt, 1e-12
     )
 
 
