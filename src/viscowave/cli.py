@@ -67,6 +67,7 @@ class RunConfig:
     ``n_steps`` or ``dt`` left ``None`` is filled in by ``resolve_time``.
     """
 
+    # Read only as the mode setting's default; ``perfbench/run.py`` writes it.
     mode: str = "solve"
     element: str = NEDELEC
     example: int | None = None
@@ -87,7 +88,7 @@ class RunConfig:
 
 
 def _with_time(cfg: RunConfig, dt=None, n_steps=None) -> RunConfig:
-    """``cfg`` with (dt, n_steps) resolved against its final time."""
+    """``cfg`` with the clock ``resolve_time`` makes of (dt, n_steps)."""
     t_final, dt, n_steps = resolve_time(cfg.t_final, dt, n_steps)
     return replace(cfg, t_final=t_final, dt=dt, n_steps=n_steps)
 
@@ -99,7 +100,7 @@ def convergence_study(element, example, ns, *, dt=None, n_steps=None, **settings
     the first run.  ``settings`` are further ``RunConfig`` fields.  Returns
     (rows, results); rows are dicts keyed by the CSV columns.
     """
-    base = RunConfig(mode="convergence", element=element, example=example, **settings)
+    base = RunConfig(element=element, example=example, **settings)
     base = _with_time(base, dt, n_steps)
     ns = [int(n) for n in ns]
     check_study_parameters(ns)
@@ -119,9 +120,7 @@ def temporal_study(element, example, ms, **settings):
         if m % 2:
             raise ValueError(f"step count {m} must be even to couple N = M^2/4")
     check_study_parameters(ms)
-    base = RunConfig(
-        mode="temporal-convergence", element=element, example=example, **settings
-    )
+    base = RunConfig(element=element, example=example, **settings)
     results = [run(_with_time(replace(base, nx=m * m // 4), None, m)) for m in ms]
     return _study_rows(ms, results), results
 
@@ -186,7 +185,7 @@ def _run_solve(s) -> int:
     if s["out"] and s["snapshot_every"] is None:
         raise ValueError("solve mode writes --out only as the stem of --snapshot-every files")
     nt, dt = s.pop("nt"), s.pop("dt")
-    cfg = _with_time(RunConfig(mode="solve", **s), dt, nt)
+    cfg = _with_time(RunConfig(**s), dt, nt)
     result = run(cfg)
     print(
         f"element={cfg.element} N={cfg.nx} M={cfg.n_steps} dt={cfg.dt:.10g} "
@@ -233,10 +232,10 @@ def _run_temporal(s) -> int:
 
 def _run_stability(s) -> int:
     steps, n_steps = s.pop("dt"), s.pop("nt")
-    base = RunConfig(mode="stability", **s)
+    # Every dt is checked against the final time before the first run.
+    configs = [_with_time(RunConfig(**s), step, n_steps) for step in steps]
     rows, finals = [], []
-    for step in steps:
-        cfg = _with_time(base, step, n_steps)
+    for cfg in configs:
         result = run(cfg)
         for n, (t, e) in enumerate(zip(result.times, result.energy)):
             rows.append([f"{cfg.dt:.10g}", n, f"{t:.10g}", f"{e:.10e}"])

@@ -18,7 +18,7 @@ A stress family is one table, ``LOCAL_DOFS``, from which everything else
 is read.  Each local dof is a Voigt component and the offset ``(dx, dy)``
 of its point from the element centre in half-steps, so on element
 ``(i, j)`` its point is ``(2i + 1 + dx, 2j + 1 + dy)`` on the half-step
-grid ``x = x0 + (hx/2) gx``.  Its local function has one factor per axis:
+grid ``x = (hx/2) gx``.  Its local function has one factor per axis:
 the hat ``(1 + d s)/2`` at offset ``d = +-1``, the bubble ``1 - s^2`` at
 offset 0 on the component's own axis (``xi`` for t11, ``eta`` for t22),
 and 1 otherwise.  The global dofs come in blocks of one component on one
@@ -146,7 +146,7 @@ class StressSpace(_Space):
     eldof : ndarray, shape (n_elements, n_local)
         Local-to-global index map.
     grid : ndarray of int, shape (dim, 2)
-        Point of every dof on the half-step grid, ``2 (x - x0) / h``.
+        Point of every dof on the half-step grid, ``2 x / h``.
     interior : ndarray, shape (n_elements, k)
         The dofs at each element's centre, which no other element shares.
     dof_point : ndarray, shape (dim, 2)
@@ -194,9 +194,9 @@ class StressSpace(_Space):
 
     @property
     def dof_point(self) -> np.ndarray:
-        """Physical point of every dof, ``x0 + (h/2) grid``."""
+        """Physical point of every dof, ``(h/2) grid``."""
         m = self.mesh
-        return np.asarray(m.bounds[:2]) + (0.5 * np.array([m.hx, m.hy])) * self.grid
+        return (0.5 * np.array([m.hx, m.hy])) * self.grid
 
     def _basis(self, xi, eta):
         """Each local function's component, its value and its (xi, eta) derivatives."""

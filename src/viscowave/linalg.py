@@ -96,7 +96,7 @@ def block_diag_inverse(C: sp.spmatrix, block_size: int) -> sp.csr_matrix:
 def nested_dissection(grid: np.ndarray) -> np.ndarray:
     """Nested-dissection order of dofs from their points on the half-step grid.
 
-    ``grid`` (n, 2) holds the integer coordinates 2 (x - x0) / h of each
+    ``grid`` (n, 2) holds the integer coordinates 2 x / h of each
     dof's point, so the mesh lines are the even coordinates.  Each box of
     more than ``ND_LEAF`` dofs is split along its longer side (the other one
     if the longer has no interior mesh line) at the even coordinate nearest

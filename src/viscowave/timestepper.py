@@ -32,22 +32,22 @@ __all__ = ["SimState", "resolve_time", "RunResult", "init_state", "CNStepper", "
 
 @dataclass
 class SimState:
-    """Stress and velocity coefficients at one time node."""
+    """Stress and velocity coefficients at one node of ``RunResult.times``."""
 
     alpha: np.ndarray
     beta: np.ndarray
-    t: float
 
     def copy(self) -> "SimState":
-        return SimState(self.alpha.copy(), self.beta.copy(), self.t)
+        return SimState(self.alpha.copy(), self.beta.copy())
 
 
 def resolve_time(t_final, dt=None, n_steps=None):
-    """Fill in the missing one of (dt, n_steps) and check dt * M = T.
+    """The run's clock: fill in the missing one of (dt, n_steps), check dt * M = T.
 
     ``t_final`` and a given ``dt`` must be finite and positive and a given
     ``n_steps`` a positive integer; with neither given, M = 200.  Returns
-    ``(t_final, dt, n_steps)`` as (float, float, int).
+    ``(t_final, t_final / n_steps, n_steps)`` as (float, float, int): the
+    step is the one the run takes, also when a ``dt`` was given.
     """
     if not (math.isfinite(t_final) and t_final > 0.0):
         raise ValueError(f"final time must be finite and positive, got {t_final}")
@@ -69,7 +69,8 @@ def resolve_time(t_final, dt=None, n_steps=None):
         n_steps = round(t_final / dt)
     if n_steps < 1 or abs(dt * n_steps - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(f"dt = {dt} and M = {n_steps} do not partition [0, {t_final}]")
-    return float(t_final), float(dt), int(n_steps)
+    t_final, n_steps = float(t_final), int(n_steps)
+    return t_final, t_final / n_steps, n_steps
 
 
 def init_state(
@@ -90,7 +91,7 @@ def init_state(
     beta = (
         velocity_space.project(v0) if v0 is not None else np.zeros(velocity_space.dim)
     )
-    return SimState(alpha, beta, 0.0)
+    return SimState(alpha, beta)
 
 
 class CNStepper:
@@ -122,12 +123,12 @@ class CNStepper:
         )
         a_new = self.solver.solve(rhs)
         b_new = b + dt * (0.5 * (Cinv @ (B @ (a + a_new))) + g)
-        return SimState(a_new, b_new, state.t + dt)
+        return SimState(a_new, b_new)
 
 
 @dataclass
 class RunResult:
-    """Trajectory diagnostics of one run."""
+    """Trajectory diagnostics of one run; ``times`` holds its M + 1 node times."""
 
     config: object
     times: np.ndarray
@@ -147,14 +148,13 @@ def run(config) -> RunResult:
 
     The configuration carries the fields of ``cli.RunConfig``; ``example``
     ``None`` is an unforced zero-data run.  Either of ``dt`` and ``n_steps``
-    may be ``None`` (see ``resolve_time``); the steps are ``t_final / n_steps``
-    long.  The stress mass is lumped when the family's dofs all sit at
-    corners (``StressSpace.lumped``).
+    may be ``None``; ``resolve_time`` gives the step, ``t_final / n_steps``.
+    The stress mass is lumped when the family's dofs all sit at corners
+    (``StressSpace.lumped``).
     """
     if config.solver != "direct":
         raise ValueError(f"unknown solver {config.solver!r}: the only solve is the direct one")
-    t_final, _, n_steps = resolve_time(config.t_final, config.dt, config.n_steps)
-    dt = t_final / n_steps
+    t_final, dt, n_steps = resolve_time(config.t_final, config.dt, config.n_steps)
     every = config.snapshot_every
     if every is not None and not every >= 1:
         raise ValueError(f"snapshot interval must be at least 1, got {every}")
@@ -210,7 +210,6 @@ def run(config) -> RunResult:
     for n in range(n_steps):
         load = stepper.midpoint_load(f, float(nodes[n]), dt)
         state = stepper.advance(state, load, dt)
-        state.t = float(nodes[n + 1])
         record(n + 1, state)
 
     result = RunResult(

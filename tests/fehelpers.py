@@ -96,10 +96,7 @@ def element_index(mesh: StructuredMesh, i, j):
 
 def vertex_coords(mesh: StructuredMesh) -> np.ndarray:
     """Coordinates of every vertex, shape (n_vertices, 2)."""
-    x0, y0 = mesh.bounds[:2]
-    X, Y = np.meshgrid(
-        x0 + mesh.hx * np.arange(mesh.nx + 1), y0 + mesh.hy * np.arange(mesh.ny + 1)
-    )
+    X, Y = np.meshgrid(mesh.hx * np.arange(mesh.nx + 1), mesh.hy * np.arange(mesh.ny + 1))
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
@@ -151,10 +148,9 @@ def edge_normal_axis(mesh: StructuredMesh) -> np.ndarray:
 
 def boundary_vertex(mesh: StructuredMesh) -> np.ndarray:
     """True for the vertices on the domain boundary."""
-    x0, y0 = mesh.bounds[:2]
     xy = vertex_coords(mesh)
-    gx = np.rint((xy[:, 0] - x0) / mesh.hx).astype(int)
-    gy = np.rint((xy[:, 1] - y0) / mesh.hy).astype(int)
+    gx = np.rint(xy[:, 0] / mesh.hx).astype(int)
+    gy = np.rint(xy[:, 1] / mesh.hy).astype(int)
     return (gx == 0) | (gx == mesh.nx) | (gy == 0) | (gy == mesh.ny)
 
 
@@ -174,9 +170,8 @@ def local_coords(mesh: StructuredMesh, elem, x, y):
     rounding.
     """
     i, j = elem % mesh.nx, elem // mesh.nx
-    x0, y0 = mesh.bounds[:2]
-    lower = np.array([x0 + mesh.hx * i, y0 + mesh.hy * j])
-    upper = np.array([x0 + mesh.hx * (i + 1), y0 + mesh.hy * (j + 1)])
+    lower = np.array([mesh.hx * i, mesh.hy * j])
+    upper = np.array([mesh.hx * (i + 1), mesh.hy * (j + 1)])
     center, half = 0.5 * (lower + upper), 0.5 * (upper - lower)
     xi = (np.asarray(x, float) - center[0]) / half[0]
     return xi, (np.asarray(y, float) - center[1]) / half[1]

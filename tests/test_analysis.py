@@ -202,7 +202,7 @@ def test_energy_closed_form():
         lambda x, y: np.broadcast_to([1.0, 1.0, 0.0], np.shape(x) + (3,))
     )
     beta = vs.project(lambda x, y: np.broadcast_to([0.3, -0.4], np.shape(x) + (2,)))
-    state = SimState(alpha=alpha, beta=beta, t=0.0)
+    state = SimState(alpha=alpha, beta=beta)
     assert energy(system, state) == pytest.approx(
         0.5 + 2.0 * (0.3**2 + 0.4**2), rel=1e-12
     )
@@ -216,9 +216,7 @@ def test_energy_uses_scheme_mass():
     sys_l = assemble_system(ss, vs, UNIT)
     sys_c = dataclasses.replace(sys_l, A=assemble_mass_stress(ss, UNIT))
     rng = np.random.default_rng(2)
-    state = SimState(
-        alpha=rng.standard_normal(ss.dim), beta=np.zeros(vs.dim), t=0.0
-    )
+    state = SimState(alpha=rng.standard_normal(ss.dim), beta=np.zeros(vs.dim))
     el = energy(sys_l, state)
     ec = energy(sys_c, state)
     assert el == pytest.approx(
@@ -232,7 +230,7 @@ def test_energy_residuals_contract():
     ss = StressSpace(mesh, HMZ)
     vs = VelocitySpace(mesh, HMZ)
     system = assemble_system(ss, vs, UNIT)
-    zeros = SimState(alpha=np.zeros(ss.dim), beta=np.zeros(vs.dim), t=0.0)
+    zeros = SimState(alpha=np.zeros(ss.dim), beta=np.zeros(vs.dim))
     with pytest.raises(ValueError):
         energy_residuals(system, [zeros, zeros.copy()], 0.1)  # zero initial energy
     with pytest.raises(ValueError):
@@ -240,7 +238,7 @@ def test_energy_residuals_contract():
     # a frozen (non-stepped) trajectory misses the dissipation term entirely,
     # so the defect equals 2 dt ||alpha||_A^2 / E0 exactly
     rng = np.random.default_rng(5)
-    state = SimState(alpha=rng.standard_normal(ss.dim), beta=np.zeros(vs.dim), t=0.0)
+    state = SimState(alpha=rng.standard_normal(ss.dim), beta=np.zeros(vs.dim))
     out = energy_residuals(system, [state, state.copy()], 0.1)
     aa = state.alpha @ (system.A @ state.alpha)
     assert out.shape == (1,)

@@ -51,6 +51,12 @@ def test_resolve_time_default_step_count():
     assert (t, m) == (2.0, 200) and dt == pytest.approx(0.01)
 
 
+def test_resolve_time_returns_the_step_taken():
+    # a dt within the 1e-9 tolerance of T / M selects M; the step is T / M
+    t, dt, m = resolve_time(1.0, 0.3333333331)
+    assert (t, m) == (1.0, 3) and dt == 1.0 / 3
+
+
 def test_resolve_time_rejects_mismatch():
     with pytest.raises(ValueError):
         resolve_time(1.0, 0.3, 4)
@@ -258,6 +264,14 @@ def test_main_solve_summary(capsys):
     assert "final energy" in out and "E_a_sigma" in out and "E_c_v" in out
 
 
+def test_main_solve_reports_the_step_taken(capsys):
+    code, out, err = run_main(
+        ["--mode", "solve", "--example", "1", "--nx", "2", "--dt", "0.3333333331"], capsys
+    )
+    assert code == 0 and err == ""
+    assert "M=3 dt=0.3333333333 " in out
+
+
 def test_main_solve_without_example(capsys):
     # no manufactured solution: zero initial data, no error report
     code, out, _ = run_main(["--mode", "solve", "--nx", "2", "--nt", "2"], capsys)
@@ -317,6 +331,16 @@ def test_main_stability_trace(tmp_path, capsys):
     energies = np.array([float(r["energy"]) for r in rows])
     assert np.all(np.isfinite(energies)) and np.all(energies >= 0.0)
     assert {r["dt"] for r in rows} == {"0.5", "0.25"}
+
+
+def test_stability_checks_every_dt_before_the_first_run(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run", calls.append)
+    code, out, err = run_main(
+        ["--mode", "stability", "--example", "1", "--nx", "2", "--dt", "0.005,0.3"], capsys
+    )
+    assert code == 1 and out == "" and calls == []
+    assert err == "error: dt = 0.3 and M = 3 do not partition [0, 1.0]\n"
 
 
 def test_main_infsup_mode(tmp_path, capsys):

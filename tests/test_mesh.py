@@ -143,20 +143,7 @@ def test_element_centers():
     np.testing.assert_allclose(cs[-1], [0.75, 0.75])
 
 
-def test_custom_bounds():
-    mesh = StructuredMesh(2, 2, bounds=(1.0, -1.0, 3.0, 0.0))
-    assert mesh.hx == pytest.approx(1.0)
-    assert mesh.hy == pytest.approx(0.5)
-    np.testing.assert_allclose(vertex_coords(mesh)[0], [1.0, -1.0])
-    np.testing.assert_allclose(vertex_coords(mesh)[-1], [3.0, 0.0])
-
-
 @pytest.mark.parametrize("nx,ny", [(0, 4), (4, 0), (-1, 2)])
 def test_invalid_counts_rejected(nx, ny):
     with pytest.raises(ValueError):
         StructuredMesh(nx, ny)
-
-
-def test_invalid_bounds_rejected():
-    with pytest.raises(ValueError):
-        StructuredMesh(2, 2, bounds=(1.0, 0.0, 1.0, 1.0))

@@ -40,9 +40,9 @@ def make_stepper(system, dt):
     return CNStepper(system, make_solver(system, dt))
 
 
-def step(stepper, state, f, dt):
-    """One Crank-Nicolson step from ``state`` with body force ``f``."""
-    return stepper.advance(state, stepper.midpoint_load(f, state.t, dt), dt)
+def step(stepper, state, f, t, dt):
+    """One Crank-Nicolson step from ``state`` at time ``t`` with body force ``f``."""
+    return stepper.advance(state, stepper.midpoint_load(f, t, dt), dt)
 
 
 def run_config(**kw):
@@ -76,7 +76,6 @@ def test_init_state_defaults_to_zero():
     assert state.alpha.shape == (ss.dim,)
     assert state.beta.shape == (vs.dim,)
     assert np.all(state.alpha == 0.0) and np.all(state.beta == 0.0)
-    assert state.t == 0.0
 
 
 def test_init_state_interpolates_data():
@@ -97,7 +96,7 @@ def test_init_state_interpolates_data():
 
 
 def test_state_copy_is_deep():
-    state = SimState(alpha=np.zeros(3), beta=np.zeros(2), t=0.0)
+    state = SimState(alpha=np.zeros(3), beta=np.zeros(2))
     other = state.copy()
     other.alpha[0] = 1.0
     assert state.alpha[0] == 0.0
@@ -116,14 +115,13 @@ def test_step_satisfies_midpoint_equations(family):
     state = SimState(
         alpha=rng.standard_normal(system.A.shape[0]),
         beta=rng.standard_normal(system.C.shape[0]),
-        t=0.0,
     )
 
     def f(x, y, t):
         x = np.asarray(x)
         return np.stack([np.sin(x + t), np.cos(3 * np.asarray(y) - t)], axis=-1)
 
-    new = step(stepper, state, f, dt)
+    new = step(stepper, state, f, 0.0, dt)
     F = 0.5 * (
         assemble_load(system.velocity_space, f, 0.0)
         + assemble_load(system.velocity_space, f, dt)
@@ -139,7 +137,6 @@ def test_step_satisfies_midpoint_equations(family):
     scale = max(1.0, np.abs(system.A @ state.alpha).max())
     assert np.abs(r1).max() <= 1e-11 * scale
     assert np.abs(r2).max() <= 1e-11 * scale
-    assert new.t == pytest.approx(dt)
 
 
 def test_step_matches_dense_block_solve():
@@ -151,9 +148,8 @@ def test_step_matches_dense_block_solve():
     state = SimState(
         alpha=rng.standard_normal(system.A.shape[0]),
         beta=rng.standard_normal(system.C.shape[0]),
-        t=0.0,
     )
-    new = step(stepper, state, None, dt)
+    new = step(stepper, state, None, 0.0, dt)
 
     A = system.A.toarray()
     B = system.B.toarray()
@@ -179,7 +175,7 @@ def test_zero_state_stays_zero():
     system = make_system(2, NEDELEC)
     stepper = make_stepper(system, 0.1)
     state = init_state(system.stress_space, system.velocity_space)
-    new = step(stepper, state, None, 0.1)
+    new = step(stepper, state, None, 0.0, 0.1)
     assert np.all(new.alpha == 0.0) and np.all(new.beta == 0.0)
 
 
@@ -204,11 +200,10 @@ def test_energy_identity_unforced(family):
     state = SimState(
         alpha=rng.standard_normal(system.A.shape[0]),
         beta=rng.standard_normal(system.C.shape[0]),
-        t=0.0,
     )
     states = [state]
-    for _ in range(12):
-        states.append(step(stepper, states[-1], None, dt))
+    for n in range(12):
+        states.append(step(stepper, states[-1], None, n * dt, dt))
     defects = energy_residuals(system, states, dt)
     assert np.abs(defects).max() <= 1e-10
 
@@ -222,11 +217,10 @@ def test_energy_monotone_decay_unforced(family):
     state = SimState(
         alpha=rng.standard_normal(system.A.shape[0]),
         beta=rng.standard_normal(system.C.shape[0]),
-        t=0.0,
     )
     es = [energy(system, state)]
-    for _ in range(10):
-        state = step(stepper, state, None, dt)
+    for n in range(10):
+        state = step(stepper, state, None, n * dt, dt)
         es.append(energy(system, state))
     es = np.array(es)
     assert np.all(np.diff(es) <= 1e-14 * es[0])
@@ -242,7 +236,7 @@ def test_run_unforced_shapes():
     assert res.energy.shape == (9,)
     np.testing.assert_allclose(res.energy, 0.0)
     assert res.err_sigma is None and res.E_a_sigma is None
-    assert res.final_state.t == pytest.approx(1.0)
+    assert res.times[0] == 0.0 and res.times[-1] == 1.0
 
 
 def test_run_records_errors_and_argmax():
@@ -296,8 +290,8 @@ def test_run_matches_manual_stepping():
         sigma0=lambda x, y: sol.sigma(x, y, 0.0),
         v0=lambda x, y: sol.v(x, y, 0.0),
     )
-    for k in range(5):
-        state = step(stepper, state, sol.f, dt)
+    for t in res.times[:-1]:
+        state = step(stepper, state, sol.f, t, dt)
     np.testing.assert_allclose(res.final_state.alpha, state.alpha, atol=1e-12)
     np.testing.assert_allclose(res.final_state.beta, state.beta, atol=1e-12)
 
