@@ -37,14 +37,16 @@ def _local_rule(mesh, lumped=False):
 
 
 def _scatter(local, row_dofs, col_dofs, shape):
-    ne, nr = row_dofs.shape
-    nc = col_dofs.shape[1]
-    rows = np.broadcast_to(row_dofs[:, :, None], (ne, nr, nc))
-    cols = np.broadcast_to(col_dofs[:, None, :], (ne, nr, nc))
-    data = np.broadcast_to(local, (ne, nr, nc))
-    out = sp.coo_matrix(
-        (data.ravel(), (rows.ravel(), cols.ravel())), shape=shape
-    ).tocsr()
+    """Scatter the nonzero entries of one local matrix onto every element.
+
+    The exact zeros of ``local`` would add nothing to any sum, so they are
+    not scattered.
+    """
+    r, c = np.nonzero(local)
+    rows = row_dofs.astype(np.int32)[:, r].ravel()
+    cols = col_dofs.astype(np.int32)[:, c].ravel()
+    data = np.tile(local[r, c], len(row_dofs))
+    out = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
     out.sum_duplicates()
     out.eliminate_zeros()
     return out

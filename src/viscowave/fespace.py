@@ -149,6 +149,8 @@ class StressSpace(_Space):
         Point of every dof on the half-step grid, ``2 x / h``.
     interior : ndarray, shape (n_elements, k)
         The dofs at each element's centre, which no other element shares.
+    mirrors : tuple of two (p, s) pairs
+        The reflections of the unit square as signed dof permutations.
     dof_point : ndarray, shape (dim, 2)
         Collocation point of each degree-of-freedom functional.
     quad : QuadKernel
@@ -191,6 +193,31 @@ class StressSpace(_Space):
         ]
         self._centre = [l for l, (_, d) in enumerate(self.table) if d == (0, 0)]
         self.interior = self.eldof[:, self._centre]
+
+    @property
+    def mirrors(self) -> tuple:
+        """The reflections x -> 1 - x and y -> 1 - y as signed dof permutations.
+
+        Each is a pair ``(p, s)``: the mirror image of the field with
+        coefficients ``a`` has coefficients ``s * a[p]``.  A local dof at
+        offset ``(dx, dy)`` goes to the one at ``(-dx, dy)``, or ``(dx, -dy)``,
+        of the mirrored element, so ``grid[p]`` is ``(2 nx - gx, gy)``, or
+        ``(gx, 2 ny - gy)``; the shear, component 2, changes sign.
+        """
+        m = self.mesh
+        i, j = np.divmod(np.arange(m.n_elements), m.nx)[::-1]
+        s = np.empty(self.dim)
+        s[self.eldof] = [-1.0 if c == 2 else 1.0 for c, _ in self.table]
+        out = []
+        for image, (fx, fy) in (
+            (j * m.nx + m.nx - 1 - i, (-1, 1)),
+            ((m.ny - 1 - j) * m.nx + i, (1, -1)),
+        ):
+            local = [self.table.index((c, (fx * dx, fy * dy))) for c, (dx, dy) in self.table]
+            p = np.empty(self.dim, dtype=np.intp)
+            p[self.eldof] = self.eldof[image][:, local]
+            out.append((p, s))
+        return tuple(out)
 
     @property
     def dof_point(self) -> np.ndarray:

@@ -22,12 +22,15 @@ evaluating its time and space parts on every call: the reference the
 time-separable fields of ``viscowave.mms`` are checked against.
 ``verify_residuals`` checks that a manufactured solution's ``f``, ``sigma``
 and ``v`` satisfy the momentum and constitutive equations, by finite
-differences at quasi-random points.
+differences at quasi-random points.  ``full_scatter`` scatters every entry
+of a local matrix, exact zeros included: the reference the assembly's
+scatter of the nonzero entries is checked against.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.stats import qmc
 
 from viscowave.analysis import energy
@@ -227,6 +230,19 @@ def velocity_basis_value(space: VelocitySpace, elem, ldof, x, y) -> np.ndarray:
     """Value of one local velocity basis function at a physical point."""
     xi, eta = _local_point(space, elem, ldof, x, y)
     return space.local_values(xi, eta)[ldof]
+
+
+def full_scatter(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
+    """Scatter every entry of the local matrix onto every element and sum."""
+    ne, nr = row_dofs.shape
+    nc = col_dofs.shape[1]
+    rows = np.broadcast_to(row_dofs[:, :, None], (ne, nr, nc))
+    cols = np.broadcast_to(col_dofs[:, None, :], (ne, nr, nc))
+    data = np.broadcast_to(local, (ne, nr, nc))
+    out = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
 
 
 def integrate(rule, f) -> float:

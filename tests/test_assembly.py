@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from viscowave import fespace
+from viscowave import assembly, fespace
 from viscowave.assembly import (
     assemble_coupling,
     assemble_div_gram,
@@ -28,7 +28,14 @@ from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
 
-from fehelpers import compliance_bounds, einsum_load, eval_velocity, vertex_coords, vertex_index
+from fehelpers import (
+    compliance_bounds,
+    einsum_load,
+    eval_velocity,
+    full_scatter,
+    vertex_coords,
+    vertex_index,
+)
 
 UNIT = IsotropicMaterial()
 
@@ -387,3 +394,28 @@ def test_div_gram_against_quadrature_oracle(family):
             dv = a[ss.eldof[e]] @ div
             total += w * float(dv @ dv)
     assert a @ (G @ a) == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 7, 16])
+def test_scatter_of_nonzeros_matches_the_full_scatter(family, n, monkeypatch):
+    # The local matrices hold exact zeros (48 of hmz's 100 stress-mass
+    # entries), which add nothing to any sum.  The duplicates of a row are
+    # summed in the order SciPy's unstable index sort leaves them, which
+    # the zeros can change, so only A, B and C are bitwise the same here;
+    # the Gram matrices agree to rounding, where a sum that cancels may be
+    # stored as a rounding-level entry in one and dropped in the other.
+    ss, vs = spaces(n, family)
+
+    def matrices():
+        system = assemble_system(ss, vs, UNIT)
+        return [system.A, system.B, system.C, assemble_div_gram(ss), assemble_stress_gram(ss)]
+
+    got = matrices()
+    monkeypatch.setattr(assembly, "_scatter", full_scatter)
+    for k, (a, b) in enumerate(zip(got, matrices())):
+        if k < 3:
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+        else:
+            assert abs(a - b).max() <= 4 * np.finfo(float).eps * abs(b).max()

@@ -511,3 +511,33 @@ def test_interpolate_evaluates_each_dof_point_once(family):
 
     ss.interpolate(field)
     assert len(seen) == len(set(seen)) == len(np.unique(ss.dof_point, axis=0))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("nx, ny", [(1, 1), (3, 2), (4, 4)])
+def test_mirrors_reflect_grid_points(family, nx, ny):
+    ss = StressSpace(StructuredMesh(nx, ny), family)
+    (px, sx), (py, sy) = ss.mirrors
+    gx, gy = ss.grid.T
+    assert np.array_equal(ss.grid[px], np.column_stack([2 * nx - gx, gy]))
+    assert np.array_equal(ss.grid[py], np.column_stack([gx, 2 * ny - gy]))
+    shear = dof_component(ss) == 2
+    for p, s in ((px, sx), (py, sy)):
+        assert np.array_equal(p[p], np.arange(ss.dim))
+        assert np.array_equal(dof_component(ss)[p], dof_component(ss))
+        assert np.array_equal(s, np.where(shear, -1.0, 1.0))
+    assert np.array_equal(px[py], py[px])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mirror_of_interpolant_is_interpolant_of_mirrored_field(family):
+    # Reflecting x -> 1 - x keeps t11 and t22 and flips the shear t12.
+    ss = StressSpace(StructuredMesh(3, 2), family)
+
+    def field(x, y):
+        return np.stack([x**2 + 3 * y, x * y**2, np.sin(x + 2 * y)], axis=-1)
+
+    flips = ((lambda x, y: (1 - x, y)), (lambda x, y: (x, 1 - y)))
+    for (p, s), flip in zip(ss.mirrors, flips):
+        mirrored = ss.interpolate(lambda x, y: field(*flip(x, y)) * [1.0, 1.0, -1.0])
+        np.testing.assert_allclose(mirrored, s * ss.interpolate(field)[p], rtol=0, atol=1e-14)

@@ -33,8 +33,9 @@ TOL = 1e-12
 
 
 def no_interior(n):
-    """Layout of an n-dof matrix with no interior dofs, points along a line."""
-    return np.zeros((0, 0), dtype=int), np.column_stack([2 * np.arange(n), np.zeros(n, int)])
+    """Layout of an n-dof matrix with no interior dofs, points along a line,
+    and no mirrors."""
+    return np.zeros((0, 0), dtype=int), np.column_stack([2 * np.arange(n), np.zeros(n, int)]), ()
 
 
 def random_block_diag(rng, nb, b, spd=True):
@@ -80,6 +81,18 @@ def test_block_diag_inverse_singular_block():
     C = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularBlockError):
         block_diag_inverse(C, 2)
+    # A block with no stored entry is singular too, though nothing inverts it.
+    C = sp.csr_matrix(np.diag([1.0, 1.0, 0.0, 0.0, 1.0, 1.0]))
+    with pytest.raises(SingularBlockError, match="block 1 is zero"):
+        block_diag_inverse(C, 2)
+
+
+def test_block_diag_inverse_stores_no_zeros():
+    # The hmz velocity mass has zero entries in every block, and so has its inverse.
+    system = hmz_system(4)
+    Cinv = block_diag_inverse(system.C, 4)
+    assert Cinv.nnz == np.count_nonzero(Cinv.toarray()) < 16 * 16
+    np.testing.assert_allclose((Cinv @ system.C).toarray(), np.eye(64), atol=1e-14)
 
 
 def hmz_system(n=2):
@@ -284,11 +297,11 @@ def test_wrongly_numbered_bubbles_raise():
     # the global order lists all t11 bubbles, then all t22 bubbles
     by_component = np.sort(ss.interior, axis=None).reshape(-1, 2)
     with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
-        CondensedLU(S, by_component, ss.grid)
+        CondensedLU(S, by_component, ss.grid, ss.mirrors)
     by_element = ss.interior
     shifted = np.column_stack([by_element[:, 0], np.roll(by_element[:, 1], 1)])
     with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
-        CondensedLU(S, shifted, ss.grid)
+        CondensedLU(S, shifted, ss.grid, ss.mirrors)
     assert np.array_equal(solver._lu.inner, by_element.ravel())
 
 
@@ -313,3 +326,92 @@ def test_stress_mass_lost_in_rounding_refused_before_factoring(monkeypatch):
         monkeypatch.setattr(linalg, "CondensedLU", refuse)
         with pytest.raises(SingularBlockError, match="is 2.5e-200 times that of"):
             make_direct(stiff, 0.5)
+
+
+def outer_mirrors(space, outer):
+    """The space's mirrors as signed permutations of the outer dofs."""
+    at = np.full(space.dim, -1)
+    at[outer] = np.arange(outer.size)
+    return tuple((at[p[outer]], s[outer]) for p, s in space.mirrors)
+
+
+def condensed_matrix(solver):
+    lu = solver._lu
+    return (solver.S[lu.outer][:, lu.outer] - lu._S_oi @ lu._W).tocsr()
+
+
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("dt", [1.0 / 200, 0.25])
+def test_mirrors_commute_with_condensed_matrix(family, n, dt):
+    # The split is exact only if S_c commutes with each mirror: P S_c P^T = S_c
+    # with P[i, p(i)] = s_i, to rounding.
+    system = make_system(n, n, family)
+    solver = make_direct(system, dt)
+    S_c = condensed_matrix(solver)
+    mirrors = outer_mirrors(system.stress_space, solver._lu.outer)
+    assert len(mirrors) == 2
+    for p, s in mirrors:
+        assert np.all(p >= 0)  # interior dofs stay interior
+        moved = sp.diags(s) @ S_c[p][:, p] @ sp.diags(s)
+        assert abs(moved - S_c).max() <= 64 * np.finfo(float).eps * abs(S_c).max()
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("dt", [1.0 / 200, 0.25])
+def test_sector_solve_matches_splu_of_condensed_matrix(family, n, dt):
+    # With no interior dofs the condensed LU of S_c is the sector solve alone:
+    # gather with Q^T, four sector solves, scatter with Q.
+    system = make_system(n, n, family)
+    solver = make_direct(system, dt)
+    S_c = condensed_matrix(solver)
+    outer = solver._lu.outer
+    lu = CondensedLU(
+        S_c, np.zeros((0, 0), dtype=int), system.stress_space.grid[outer],
+        outer_mirrors(system.stress_space, outer),
+    )
+    assert len(lu._lus) == 4
+    ref = spla.splu(S_c.tocsc())
+    rhs = np.random.default_rng(n).standard_normal((3, S_c.shape[0]))
+    for b in rhs:
+        want = ref.solve(b)
+        assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("dt", [1.0 / 200, 0.25])
+def test_no_mirrors_is_one_sector_in_the_unsplit_order(family, dt):
+    # Without mirrors the one sector is S_c in nested-dissection order of all
+    # outer dofs, factored with diagonal pivots.  The solver reads the CSR
+    # arrays of S_c as CSC, so it factors S_c^T; SuperLU keeps one or two
+    # entries fewer or more for S_c itself.
+    system = make_system(8, 8, family)
+    ss = system.stress_space
+    S = make_direct(system, dt).S
+    lu = CondensedLU(S, ss.interior, ss.grid, ())
+    assert len(lu._lus) == 1
+    nd = lu.outer[nested_dissection(ss.grid[lu.outer])]
+    rows_o = S[nd]
+    S_c = rows_o[:, nd] - rows_o[:, lu.inner] @ (lu._Sii_inv @ S[lu.inner][:, nd])
+    ref = spla.splu(
+        S_c.T.tocsc(),
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    assert fill(lu) == ref.L.nnz + ref.U.nnz
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("n", [8, 16])
+def test_mirror_split_lowers_the_fill(family, n):
+    system = make_system(n, n, family)
+    ss = system.stress_space
+    solver = make_direct(system, 0.25)
+    assert len(solver._lu._lus) == 4
+    assert fill(solver._lu) < fill(CondensedLU(solver.S, ss.interior, ss.grid, ()))
