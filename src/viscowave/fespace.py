@@ -44,6 +44,8 @@ __all__ = [
     "HMZ",
     "FAMILIES",
     "LOCAL_DOFS",
+    "DIAGONAL",
+    "REFLECTIONS",
     "QuadKernel",
     "quad_kernel",
     "StressSpace",
@@ -61,6 +63,16 @@ LOCAL_DOFS = {
     + tuple((2, d) for d in _CORNERS),
 }
 FAMILIES = tuple(LOCAL_DOFS)
+# The reflections of the square, each an orthogonal map R of the offsets
+# from its centre.  The diagonal one is a symmetry only of a square mesh.
+DIAGONAL = "(x, y) -> (y, x)"
+REFLECTIONS = {
+    "x -> 1 - x": ((-1, 0), (0, 1)),
+    "y -> 1 - y": ((1, 0), (0, -1)),
+    DIAGONAL: ((0, 1), (1, 0)),
+}
+# The index pair (a, b) of each Voigt component (t11, t22, t12).
+_VOIGT = ((0, 0), (1, 1), (0, 1))
 # Local velocity functions: a component and the power of its own coordinate.
 _VELOCITY_DOFS = {NEDELEC: ((0, 0), (1, 0)), HMZ: ((0, 0), (0, 1), (1, 0), (1, 1))}
 
@@ -149,8 +161,9 @@ class StressSpace(_Space):
         Point of every dof on the half-step grid, ``2 x / h``.
     interior : ndarray, shape (n_elements, k)
         The dofs at each element's centre, which no other element shares.
-    mirrors : tuple of two (p, s) pairs
-        The reflections of the unit square as signed dof permutations.
+    generators : dict of (p, s) pairs
+        The reflections that generate the mesh's symmetry group, as signed
+        dof permutations: two mirrors, and the diagonal on a square mesh.
     dof_point : ndarray, shape (dim, 2)
         Collocation point of each degree-of-freedom functional.
     quad : QuadKernel
@@ -195,29 +208,47 @@ class StressSpace(_Space):
         self.interior = self.eldof[:, self._centre]
 
     @property
-    def mirrors(self) -> tuple:
-        """The reflections x -> 1 - x and y -> 1 - y as signed dof permutations.
+    def generators(self) -> dict:
+        """The reflections that generate the mesh's symmetry group, by name.
 
-        Each is a pair ``(p, s)``: the mirror image of the field with
-        coefficients ``a`` has coefficients ``s * a[p]``.  A local dof at
-        offset ``(dx, dy)`` goes to the one at ``(-dx, dy)``, or ``(dx, -dy)``,
-        of the mirrored element, so ``grid[p]`` is ``(2 nx - gx, gy)``, or
-        ``(gx, 2 ny - gy)``; the shear, component 2, changes sign.
+        They are the mirrors x -> 1 - x and y -> 1 - y, and on a square mesh
+        also the diagonal reflection (x, y) -> (y, x); with it the group is
+        D4, the symmetry group of the square.  Each is a signed dof
+        permutation ``(p, s)``: the image of the field with coefficients
+        ``a`` has coefficients ``s * a[p]``.  A reflection R (see
+        ``REFLECTIONS``) is its own inverse and maps the field sigma to
+        R sigma(R (x - c) + c) R, c the centre.  Row a of R holds e_a in
+        column pi a, so the dof of component (a, b) at grid point g takes
+        its value from the dof of component (pi a, pi b) at c + R (g - c),
+        with the sign e_a e_b: the mirrors flip the shear, and the diagonal
+        swaps t11 and t22.  Each family's table is symmetric, so that dof
+        exists, and a centre dof maps to a centre dof.
         """
         m = self.mesh
-        i, j = np.divmod(np.arange(m.n_elements), m.nx)[::-1]
-        s = np.empty(self.dim)
-        s[self.eldof] = [-1.0 if c == 2 else 1.0 for c, _ in self.table]
-        out = []
-        for image, (fx, fy) in (
-            (j * m.nx + m.nx - 1 - i, (-1, 1)),
-            ((m.ny - 1 - j) * m.nx + i, (1, -1)),
-        ):
-            local = [self.table.index((c, (fx * dx, fy * dy))) for c, (dx, dy) in self.table]
-            p = np.empty(self.dim, dtype=np.intp)
-            p[self.eldof] = self.eldof[image][:, local]
-            out.append((p, s))
-        return tuple(out)
+        centre = (m.nx, m.ny)
+        start = {(c, lattice): dofs.start for c, lattice, dofs in self._blocks}
+        out = {}
+        for name, R in REFLECTIONS.items():
+            if name == DIAGONAL and m.nx != m.ny:
+                continue
+            R = np.array(R)
+            pi = np.abs(R).argmax(axis=1)
+            e = R[[0, 1], pi]
+            p, s = np.empty(self.dim, dtype=np.intp), np.empty(self.dim)
+            for c, lattice, dofs in self._blocks:
+                # The block's points (2i + ox, 2j + oy), i along axis 1 and j
+                # along axis 0, and their images, on the sublattice o.
+                g = (2 * np.arange(m.nx + 1 - lattice[0]) + lattice[0],
+                     2 * np.arange(m.ny + 1 - lattice[1])[:, None] + lattice[1])
+                gx, gy = (centre[a] + e[a] * (g[pi[a]] - centre[pi[a]]) for a in (0, 1))
+                o = (lattice[pi[0]], lattice[pi[1]])
+                a, b = _VOIGT[c]
+                block = start[_VOIGT.index(tuple(sorted((pi[a], pi[b])))), o]
+                # The dof at (2i + ox, 2j + oy) is number j (nx + 1 - ox) + i of its block.
+                p[dofs] = (block + (gy // 2) * (m.nx + 1 - o[0]) + gx // 2).ravel()
+                s[dofs] = e[a] * e[b]
+            out[name] = (p, s)
+        return out
 
     @property
     def dof_point(self) -> np.ndarray:

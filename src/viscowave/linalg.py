@@ -18,21 +18,36 @@ within their element, in A and in B^T Cinv B, so numbered element by
 element their block S_ii is block diagonal and inverted exactly, and only
 the Schur complement S_c = S_oo - S_oi S_ii^-1 S_io of the remaining dofs
 is factored.  On the uniform mesh of the unit square, with one isotropic
-material, S commutes with the reflections x -> 1 - x and y -> 1 - y, each
-a signed permutation of the dofs, and so does S_c.  A basis of signed
-sums over the orbits of the two mirrors splits S_c exactly into four
-independent sectors of about a quarter of its size (a symmetry-adapted
-basis; Healey & Treacy, Int. J. Numer. Meth. Eng., 1991).  Each sector
-is gathered from rows of S_c, ordered by geometric nested dissection at
-mesh lines and factored in that order with diagonal pivots, which an SPD
-matrix allows; letting SuperLU pivot off the diagonal instead can
-multiply the fill when dt is large.  Smaller fronts leave less fill: at
-N = 256 the four sectors of ``hmz`` at dt = 0.25 fill 20.1 M entries, S_c
-in one piece 24.1 M.  A solve uses SuperLU's transposed path, which works
-by dot products (gathers) instead of scattered updates and is the faster
-of the two; the refinement step and the residual check against the full
-S are unchanged, so a split that did not hold would be refused, not
-returned.
+material, S commutes with the reflections x -> 1 - x and y -> 1 - y and,
+since the mesh is N x N, with the diagonal reflection (x, y) -> (y, x),
+each a signed permutation of the dofs; so does S_c.  Together they
+generate D4, the symmetry group of the square, and a symmetry-adapted
+basis of signed sums over orbits splits S_c exactly (Healey & Treacy,
+Int. J. Numer. Meth. Eng., 1991; Bossavit, Comput. Methods Appl. Mech.
+Eng. 56, 1986; Fässler & Stiefel, Group Theoretical Methods and Their
+Applications, Birkhäuser, 1992).  The two mirrors commute and split S_c
+into four sectors of about a quarter of its size.  The diagonal maps two
+of them onto themselves and halves each.  It maps the other two onto each
+other, so the basis of one is taken as the image of the other's; both
+then have the same matrix, which is factored once and solved with two
+columns.  Four
+eighth-size blocks and one quarter are factored.  ``build_schur`` first
+checks, with one product of S with a block of vectors, that S commutes
+with each reflection, and names the one that it does not.  Each block is
+gathered from rows of S_c, ordered by geometric nested dissection at mesh
+lines and factored in that order with diagonal pivots, which an SPD matrix
+allows; letting SuperLU pivot off the diagonal instead can multiply the
+fill when dt is large.  Smaller fronts leave less fill: at N = 256 the five
+blocks of ``hmz`` at dt = 0.25 fill 14.3 M entries, the four mirror
+sectors 20.1 M and S_c in one piece 24.1 M.  A solve uses SuperLU's
+transposed path, which works by dot products (gathers) instead of
+scattered updates and is the faster of the two; the refinement step and
+the residual check against the full S are unchanged, so a split that did
+not hold would be refused, not returned.
+
+Every block of the velocity mass, and of the ``hmz`` bubble block S_ii, is
+the same on the uniform mesh, so ``block_diag_inverse`` inverts one block
+and repeats it when all are equal.
 """
 
 from __future__ import annotations
@@ -49,6 +64,7 @@ __all__ = [
     "CondensedLU",
     "SchurSolver",
     "build_schur",
+    "check_symmetry",
 ]
 
 # Largest box that nested dissection leaves unsplit.  With 64 the fill on
@@ -60,6 +76,11 @@ ND_LEAF = 16
 # ``hmz`` at dt = 0.25 from some N between 256 and 384 on; a matrix singular
 # to working precision leaves far more.
 PROBE_TOL = float(np.sqrt(np.finfo(float).eps))
+
+# Ulps of k max|S| by which P S x and S P x may differ in
+# ``check_symmetry``.  Both families at N <= 128, dt from 1e-3 to 4 and two
+# materials leave at most 0.17.
+SYMMETRY_ULPS = 4
 
 
 class ConvergenceError(RuntimeError):
@@ -78,7 +99,9 @@ def block_diag_inverse(C: sp.spmatrix, block_size: int) -> sp.csr_matrix:
     """Exact inverse of a block-diagonal matrix with contiguous square blocks.
 
     Raises ``ValueError`` if the matrix has entries outside the diagonal
-    blocks and ``SingularBlockError`` if any block cannot be inverted.
+    blocks and ``SingularBlockError`` if any block cannot be inverted.  When
+    every block is the same, one is inverted and repeated, bit for bit what
+    inverting each would give.
     """
     n = C.shape[0]
     if C.shape[0] != C.shape[1]:
@@ -92,12 +115,16 @@ def block_diag_inverse(C: sp.spmatrix, block_size: int) -> sp.csr_matrix:
     if len(bsr.indices) < nb:  # a block with no entry is absent
         zero = np.flatnonzero(np.diff(bsr.indptr) == 0)[0]
         raise SingularBlockError(f"singular diagonal block: block {zero} is zero")
+    # On a uniform mesh every block is the same; one inverse then serves all.
+    uniform = bool(np.all(bsr.data == bsr.data[0]))
     try:
-        inv = np.linalg.inv(bsr.data)
+        inv = np.linalg.inv(bsr.data[:1] if uniform else bsr.data)
     except np.linalg.LinAlgError as err:
         raise SingularBlockError(f"singular diagonal block: {err}") from err
     if not np.all(np.isfinite(inv)):
         raise SingularBlockError("diagonal block inversion produced non-finite entries")
+    if uniform:
+        inv = np.repeat(inv, nb, axis=0)
     out = sp.bsr_matrix((inv, bsr.indices, bsr.indptr), shape=(n, n)).tocsr()
     out.eliminate_zeros()
     return out
@@ -155,21 +182,22 @@ def nested_dissection(grid: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _halves(p, s):
+def _halves(p, s, rank):
     """The even and odd halves of a signed involution on m indices.
 
     The involution maps e_a to s_a e_p(a), with p(p(a)) = a and s_p(a) = s_a.
     Its even half has the basis vectors e_a + s_a e_p(a), its odd half
-    e_a - s_a e_p(a), one per pair a < p(a); a fixed point a = p(a) is a
-    vector of the even half if s_a = 1 and of the odd half if s_a = -1.
-    Returns, for each half, ``(col, coef, rep)``: the basis vector that
-    holds index a (-1 if none), a's coefficient in it, and for each vector
-    its first index, whose coefficient is 1.
+    e_a - s_a e_p(a), one per pair, named after the member of lower
+    ``rank``; a fixed point a = p(a) is a vector of the even half if
+    s_a = 1 and of the odd half if s_a = -1.  Returns, for each half,
+    ``(col, coef, rep)``: the basis vector that holds index a (-1 if none),
+    a's coefficient in it, and for each vector the index it is named
+    after, whose coefficient is 1.
     """
     a = np.arange(len(p))
     out = []
     for sign in (1.0, -1.0):
-        rep = np.flatnonzero((a < p) | ((a == p) & (s == sign)))
+        rep = np.flatnonzero((rank < rank[p]) | ((a == p) & (s == sign)))
         col = np.full(len(p), -1)
         coef = np.zeros(len(p))
         col[rep] = col[p[rep]] = np.arange(len(rep))
@@ -179,61 +207,104 @@ def _halves(p, s):
     return out
 
 
-def _sectors(n, mirrors):
-    """Split n indices by signed involutions that commute with each other.
+def _maps_onto(p, s, src, dst):
+    """Whether the signed permutation ``(p, s)`` maps each basis vector of
+    sector ``src`` onto +- one of sector ``dst`` (see ``_sectors``)."""
+    (col, coef, rep), (col2, coef2, rep2) = src, dst
+    # The image of index i lies in dst's vector col2[p(i)] with the sign
+    # coef[i] s_i coef2[p(i)]; u holds both as one signed number, 0 if i is
+    # in no vector of src.  Each vector must go whole onto one vector:
+    # u is the same over the vector, and dst holds no other index.
+    u = ((col2 + 1) * coef2)[p] * s * coef
+    per_vector = np.append(u[rep], 0.0)
+    return bool(
+        len(rep) == len(rep2)
+        and np.all(per_vector[:-1] != 0)
+        and np.array_equal(u, per_vector[col])
+        and np.count_nonzero(col >= 0) == np.count_nonzero(col2 >= 0)
+    )
 
-    Each involution ``(p, s)`` halves every sector so far (see ``_halves``)
-    in that sector's basis, so k of them leave 2^k sectors.  A sector is
-    ``(col, coef, rep)``: the basis vector that holds each index (-1 if
-    none), the index's coefficient there (+-1, or 0 if none), and for each
-    vector the index it is named after, whose coefficient is 1.  Each
-    vector is a signed sum over one orbit of the involutions.
+
+def _sectors(n, generators, rank):
+    """Split n indices into sectors by signed involutions, and pair sectors
+    that share one matrix.
+
+    A sector is ``(col, coef, rep)``: the basis vector that holds each
+    index (-1 if none), the index's coefficient there (+-1, or 0 if none),
+    and for each vector the index it is named after, whose coefficient is
+    1.  Each vector is a signed sum over one orbit of the involutions.
+    They act in turn on every sector not yet paired.  An involution ``(p,
+    s)`` that maps a sector onto itself halves it (see ``_halves``, which
+    names each pair after its member of lower ``rank``).  One that maps it
+    onto another sector pairs the two: the other's basis becomes the image
+    of the first's, vector by vector, so that a matrix that commutes with
+    the involution has the same sector matrix on both.  Commuting
+    involutions, the mirrors, only halve; the diagonal reflection, which
+    follows them, halves two of their four sectors and pairs the other two.
+    Returns a list of blocks ``(rep, bases)``, each with the ``rep`` of its
+    first sector and the ``(col, coef)`` of one sector or of a pair.
     """
     sectors = [(np.arange(n), np.ones(n), np.arange(n))]
-    for p, s in mirrors:
+    pairs = []
+    for p, s in generators:
         halved = []
-        for col, coef, rep in sectors:
-            # The involution takes the vector named after r to s_r coef[p(r)]
-            # times the vector that holds p(r).
-            q = p[rep]
-            held = col >= 0
-            for col2, coef2, rep2 in _halves(col[q], s[rep] * coef[q]):
-                col_h = np.full(n, -1)
-                col_h[held] = col2[col[held]]
-                halved.append((col_h, coef * coef2[col], rep[rep2]))
+        while sectors:
+            col, coef, rep = sector = sectors.pop(0)
+            if _maps_onto(p, s, sector, sector):
+                # The involution takes the vector named after r to s_r coef[p(r)]
+                # times the vector that holds p(r).
+                q = p[rep]
+                held = col >= 0
+                for col2, coef2, rep2 in _halves(col[q], s[rep] * coef[q], rank[rep]):
+                    if len(rep2):  # on a tiny mesh a half can be empty
+                        halved.append((np.where(held, col2[col], -1), coef * coef2[col], rep[rep2]))
+                continue
+            other = next((k for k, t in enumerate(sectors) if _maps_onto(p, s, sector, t)), None)
+            if other is None:
+                raise ValueError("an involution maps a sector onto neither itself nor another")
+            del sectors[other]
+            image_col = np.empty(n, dtype=col.dtype)
+            image_col[p] = col
+            image_coef = np.empty(n)
+            image_coef[p] = coef * s
+            pairs.append((rep, [(col, coef), (image_col, image_coef)]))
         sectors = halved
-    return sectors
+    return [(rep, [(col, coef)]) for col, coef, rep in sectors] + pairs
 
 
 class CondensedLU:
-    """LU factors of S after static condensation and a split by its mirrors.
+    """LU factors of S after static condensation and a split by its symmetries.
 
     ``interior`` (n_elements, k) lists each element's interior dofs, which
     must couple in S with no other element's; ``block_diag_inverse`` raises
     ``ValueError`` if they do.  ``grid`` (n, 2) is the half-step grid point
-    of every dof (see ``nested_dissection``).  ``mirrors`` holds signed dof
-    permutations ``(p, s)`` (see ``fespace.StressSpace.mirrors``) that
-    commute with S and with each other and keep the interior dofs interior;
-    ``()`` splits nothing.
+    of every dof (see ``nested_dissection``).  ``generators`` holds signed
+    dof permutations ``(p, s)`` (see ``fespace.StressSpace.generators``)
+    that commute with S and keep the interior dofs interior, the commuting
+    mirrors first; ``()`` splits nothing.
 
-    The condensed matrix S_c is split into sectors by ``_sectors``.  A
-    sector's basis Q holds a signed sum over each orbit of the mirrors that
-    the sector has a vector for, named after the orbit's first dof.  S_c
-    commutes with the mirrors, so S_c Q lies in the span of Q, and the
-    sector matrix M = S_c[named] Q, the rows of S_c at the named dofs with
-    their columns summed by Q, satisfies Q^T S_c Q = diag(|orbit|) M.  Each
-    M is ordered by nested dissection of the named dofs' points, gathered
-    and factored in turn; S_c is freed before the last factorization.
-    ``solve`` takes and returns full-length vectors: it condenses the
-    right-hand side, gathers every sector's right-hand side with one
-    product with the stacked Q^T, scaled by 1/|orbit|, solves each sector,
-    scatters the result with one product with Q, then back-substitutes the
-    interior dofs.  ``L`` and ``U`` are the factors block-diagonal over the
-    sectors, built anew on each access.
+    The condensed matrix S_c is split into blocks by ``_sectors``, which
+    names each basis vector after the member of its orbit whose point comes
+    first in (gx, gy) order: so the vectors of a sector that the diagonal
+    halves are named in the triangle gx <= gy, not across the whole quarter.
+    A sector's basis Q holds a signed sum over each orbit that the sector
+    has a vector for.  S_c commutes with the generators, so S_c Q lies in
+    the span of Q, and the block matrix M = S_c[named] Q, the rows of S_c at
+    the named dofs with their columns summed by Q, satisfies Q^T S_c Q =
+    diag(|orbit|) M.  A paired sector's basis is P Q for a generator P, so
+    it has the same M, and one factor serves both.  Each M is ordered by
+    nested dissection of the named dofs' points, gathered and factored in
+    turn; S_c is freed before the last factorization.  ``solve`` takes and
+    returns full-length vectors: it condenses the right-hand side, gathers
+    every sector's right-hand side with one product with the stacked Q^T,
+    scaled by 1/|orbit|, solves each block, a pair as two columns, scatters
+    the result with one product with Q, then back-substitutes the interior
+    dofs.  ``L`` and ``U`` are the distinct factors block-diagonal, built
+    anew on each access.
     """
 
     def __init__(
-        self, S: sp.csr_matrix, interior: np.ndarray, grid: np.ndarray, mirrors: tuple
+        self, S: sp.csr_matrix, interior: np.ndarray, grid: np.ndarray, generators: tuple
     ):
         interior = np.asarray(interior)
         self.inner = interior.ravel()
@@ -244,37 +315,42 @@ class CondensedLU:
         n = len(self.outer)
         at = np.full(S.shape[0], -1)
         at[self.outer] = np.arange(n)
-        mirrors = [(at[p[self.outer]], s[self.outer]) for p, s in mirrors]
+        generators = [(at[p[self.outer]], s[self.outer]) for p, s in generators]
         grid = np.asarray(grid)[self.outer]
-        sectors, self._parts = [], []
-        for col, coef, rep in _sectors(n, mirrors):
+        rank = np.empty(n, dtype=np.intp)
+        rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(n)
+        blocks, self._parts = [], []
+        for rep, bases in _sectors(n, generators, rank):
             order = nested_dissection(grid[rep])
-            rank = np.empty(len(order), dtype=np.int32)
-            rank[order] = np.arange(len(order), dtype=np.int32)
+            pos = np.empty(len(order), dtype=np.int32)
+            pos[order] = np.arange(len(order), dtype=np.int32)
             start = self._parts[-1].stop if self._parts else 0
-            self._parts.append(slice(start, start + len(rep)))
-            sectors.append((rep[order], np.where(col >= 0, rank[col], -1).astype(np.int32), coef))
-        self._Q, self._inv_size = self._basis(n, sectors, self._parts)
-        # Each sector is gathered just before its factorization, and S_c is
-        # freed before the last one: gathering all four first leaves more
+            self._parts.append(slice(start, start + len(bases) * len(rep)))
+            bases = [(np.where(col >= 0, pos[col], -1).astype(np.int32), c) for col, c in bases]
+            blocks.append((rep[order], bases))
+        self._Q, self._inv_size = self._basis(n, blocks, self._parts)
+        # Each block is gathered just before its factorization, and S_c is
+        # freed before the last one: gathering all of them first leaves more
         # freed memory with the process, and the run's peak rises.
         self._lus = []
-        while sectors:
-            block = self._sector(S_c, *sectors.pop(0))
-            if not sectors:
+        while blocks:
+            rep, bases = blocks.pop(0)
+            block = self._sector(S_c, rep, *bases[0])
+            if not blocks:
                 del S_c
             self._lus.append(self._factor(*block))
             del block
 
     @staticmethod
-    def _basis(n, sectors, parts):
+    def _basis(n, blocks, parts):
         """The stacked basis Q and 1 / |orbit| for each of its vectors."""
         held, vec, coef = [], [], []
-        for (_, col, c), part in zip(sectors, parts):
-            h = np.flatnonzero(col >= 0)
-            held.append(h)
-            vec.append(part.start + col[h])
-            coef.append(c[h])
+        for (rep, bases), part in zip(blocks, parts):
+            for j, (col, c) in enumerate(bases):
+                h = np.flatnonzero(col >= 0)
+                held.append(h)
+                vec.append(part.start + j * len(rep) + col[h])
+                coef.append(c[h])
         held, vec, coef = map(np.concatenate, (held, vec, coef))
         return sp.csr_matrix((coef, (held, vec)), shape=(n, n)), 1.0 / np.bincount(vec, minlength=n)
 
@@ -331,7 +407,8 @@ class CondensedLU:
         g = self._Q.T @ b_o
         g *= self._inv_size
         for lu, part in zip(self._lus, self._parts):
-            g[part] = lu.solve(g[part], trans="T")
+            # The sectors of a pair are the columns of one right-hand side.
+            g[part] = lu.solve(g[part].reshape(-1, lu.shape[0]).T, trans="T").T.ravel()
         x_o = self._Q @ g
         y -= self._W @ x_o
         x = np.empty_like(b)
@@ -343,21 +420,29 @@ class CondensedLU:
 class SchurSolver:
     """Prepared solver for the reduced stress system: S factored as a
     ``CondensedLU`` with the element-interior dofs ``interior``, the
-    half-step grid points ``grid`` and the ``mirrors`` that split it."""
+    half-step grid points ``grid`` and the ``generators`` that split it."""
 
     def __init__(
-        self, S: sp.csr_matrix, tol: float, interior: np.ndarray, grid: np.ndarray, mirrors: tuple
+        self,
+        S: sp.csr_matrix,
+        tol: float,
+        interior: np.ndarray,
+        grid: np.ndarray,
+        generators: tuple,
     ):
         if not 0.0 < tol < 1.0:
             raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
         self.S = S
         self.tol = tol
-        self._lu = CondensedLU(S, interior, grid, mirrors)
+        self._lu = CondensedLU(S, interior, grid, generators)
         # A matrix singular to working precision can factor without an
         # exactly zero pivot; its factor then solves no generic right-hand
-        # side to ``max(tol, PROBE_TOL)``, which one solve here checks.
+        # side to ``max(tol, PROBE_TOL)``, which one solve here checks.  A
+        # sound factor meets that bound before refinement, so the probe
+        # refines only when its first residual misses it.
+        probe = np.random.default_rng(0).standard_normal(S.shape[0])
         try:
-            self._solve(np.random.default_rng(0).standard_normal(S.shape[0]), max(tol, PROBE_TOL))
+            self._solve(probe, max(tol, PROBE_TOL), refine_always=False)
         except ConvergenceError as err:
             raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
 
@@ -365,15 +450,18 @@ class SchurSolver:
         """Solve S x = rhs to relative residual at most ``tol``."""
         return self._solve(rhs, self.tol)
 
-    def _solve(self, rhs, tol):
+    def _solve(self, rhs, tol, refine_always=True):
         rhs = np.asarray(rhs, float)
         norm_rhs = np.linalg.norm(rhs)
         if norm_rhs == 0.0:
             return np.zeros_like(rhs)
         x = self._lu.solve(rhs)
+        r = rhs - self.S @ x
         # One step of iterative refinement keeps the residual at rounding level.
-        x += self._lu.solve(rhs - self.S @ x)
-        res = np.linalg.norm(rhs - self.S @ x) / norm_rhs
+        if refine_always or not np.linalg.norm(r) / norm_rhs <= tol:
+            x += self._lu.solve(r)
+            r = rhs - self.S @ x
+        res = np.linalg.norm(r) / norm_rhs
         if not res <= tol:  # a NaN residual fails too
             raise ConvergenceError("solve finished above tolerance", res)
         return x
@@ -397,7 +485,16 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
     # before the factorization, which sets the peak memory.
     with np.errstate(over="ignore"):
         mass = (1.0 / dt + 0.5) * A
-        coupling = (0.25 * dt) * (B.T @ Cinv @ B)
+        # In CSR, with the rows of B^T Cinv sorted, each entry is summed in
+        # the order the CSC product of B.T sums it, so the bits are the same,
+        # and B and Cinv need no conversion to CSC.  Sorted rows of the
+        # coupling keep the order of S's entries, which the factor's bits
+        # depend on.
+        BtCinv = B.T.tocsr() @ Cinv
+        BtCinv.sort_indices()
+        coupling = (0.25 * dt) * (BtCinv @ B)
+        coupling.sort_indices()
+        del BtCinv
     mass_max, coupling_max = mass.diagonal().max(), coupling.diagonal().max()
     if not np.isfinite(mass_max):
         raise SingularBlockError(
@@ -416,6 +513,30 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
             f"{mass_max / coupling_max:.3g} times that of (dt/4) B^T Cinv B, so the "
             "stress-mass term is lost in rounding: take a smaller dt or a less stiff material"
         )
-    S = mass + coupling
+    S = sp.csr_matrix(mass + coupling)
     del mass, coupling
-    return SchurSolver(sp.csr_matrix(S), tol, space.interior, space.grid, space.mirrors)
+    generators = space.generators
+    check_symmetry(S, generators)
+    return SchurSolver(S, tol, space.interior, space.grid, tuple(generators.values()))
+
+
+def check_symmetry(S: sp.csr_matrix, generators: dict) -> None:
+    """Refuse S unless it commutes with each named signed permutation ``(p, s)``.
+
+    The split of ``CondensedLU`` is exact only then.  For one random x in
+    [0, 1)^n, P S x and S P x, with (P x)_i = s_i x_p(i), may differ only by
+    the rounding of the products, a few ulps of k max|S|, k the longest row
+    of S; a mesh or material that breaks the symmetry leaves far more.  All
+    the products are one product of S with a block of vectors.
+    """
+    x = np.random.default_rng(0).random(S.shape[0])
+    perms = list(generators.values())
+    Sx = S @ np.column_stack([x] + [s * x[p] for p, s in perms])
+    size = np.diff(S.indptr).max() * max(S.data.max(), -S.data.min())
+    for name, (p, s), SPx in zip(generators, perms, Sx[:, 1:].T):
+        gap = np.abs(s * Sx[p, 0] - SPx).max()
+        if not gap <= SYMMETRY_ULPS * np.finfo(float).eps * size:
+            raise ValueError(
+                f"S does not commute with the reflection {name} (gap {gap / size:.3g} "
+                "of k max|S|): the mesh or the material breaks that symmetry"
+            )

@@ -14,6 +14,7 @@ the vertical edges (unit normal +x) come first, then the horizontal ones
 The solver itself works with whole-mesh basis tables; these helpers evaluate
 one element at a time so the tests can check the tables point by point, and
 ``dof_component`` gives each stress dof's Voigt component.
+``mirrors`` picks the two mirrors out of a stress space's generators.
 ``einsum_load`` and ``einsum_error`` are the load and error-norm formulas
 written as single einsums over all elements, the references the solver's
 matrix-product kernels are checked against.  ``reference_fields`` gives the
@@ -212,6 +213,12 @@ def dof_component(space: StressSpace) -> np.ndarray:
     for l, (c, _) in enumerate(space.table):
         comp[space.eldof[:, l]] = c
     return comp
+
+
+def mirrors(space: StressSpace) -> tuple:
+    """The reflections x -> 1 - x and y -> 1 - y among the space's generators."""
+    generators = space.generators
+    return generators["x -> 1 - x"], generators["y -> 1 - y"]
 
 
 def stress_basis_value(space: StressSpace, elem, ldof, x, y) -> VoigtTensor:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from viscowave.fespace import (
+    DIAGONAL,
     FAMILIES,
     HMZ,
     LOCAL_DOFS,
@@ -27,6 +28,7 @@ from fehelpers import (
     eval_stress,
     eval_velocity,
     local_coords,
+    mirrors,
     stress_basis_divergence,
     stress_basis_value,
     velocity_basis_value,
@@ -517,7 +519,7 @@ def test_interpolate_evaluates_each_dof_point_once(family):
 @pytest.mark.parametrize("nx, ny", [(1, 1), (3, 2), (4, 4)])
 def test_mirrors_reflect_grid_points(family, nx, ny):
     ss = StressSpace(StructuredMesh(nx, ny), family)
-    (px, sx), (py, sy) = ss.mirrors
+    (px, sx), (py, sy) = mirrors(ss)
     gx, gy = ss.grid.T
     assert np.array_equal(ss.grid[px], np.column_stack([2 * nx - gx, gy]))
     assert np.array_equal(ss.grid[py], np.column_stack([gx, 2 * ny - gy]))
@@ -527,6 +529,17 @@ def test_mirrors_reflect_grid_points(family, nx, ny):
         assert np.array_equal(dof_component(ss)[p], dof_component(ss))
         assert np.array_equal(s, np.where(shear, -1.0, 1.0))
     assert np.array_equal(px[py], py[px])
+    # A square mesh is also symmetric about its diagonal, which swaps t11
+    # and t22, keeps the shear's sign and transposes the local offsets.
+    assert list(ss.generators) == ["x -> 1 - x", "y -> 1 - y"] + [DIAGONAL] * (nx == ny)
+    if nx == ny:
+        p, s = ss.generators[DIAGONAL]
+        assert np.array_equal(ss.grid[p], ss.grid[:, ::-1])
+        assert np.array_equal(p[p], np.arange(ss.dim))
+        assert np.array_equal(dof_component(ss)[p], np.array([1, 0, 2])[dof_component(ss)])
+        assert np.array_equal(s, np.ones(ss.dim))
+        table = LOCAL_DOFS[family]
+        assert {((1, 0, 2)[c], d[::-1]) for c, d in table} == set(table)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -538,6 +551,19 @@ def test_mirror_of_interpolant_is_interpolant_of_mirrored_field(family):
         return np.stack([x**2 + 3 * y, x * y**2, np.sin(x + 2 * y)], axis=-1)
 
     flips = ((lambda x, y: (1 - x, y)), (lambda x, y: (x, 1 - y)))
-    for (p, s), flip in zip(ss.mirrors, flips):
+    for (p, s), flip in zip(mirrors(ss), flips):
         mirrored = ss.interpolate(lambda x, y: field(*flip(x, y)) * [1.0, 1.0, -1.0])
         np.testing.assert_allclose(mirrored, s * ss.interpolate(field)[p], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_diagonal_of_interpolant_is_interpolant_of_transposed_field(family):
+    # Reflecting (x, y) -> (y, x) swaps t11 and t22 and keeps the shear t12.
+    ss = StressSpace(StructuredMesh(3, 3), family)
+
+    def field(x, y):
+        return np.stack([x**2 + 3 * y, x * y**2, np.sin(x + 2 * y)], axis=-1)
+
+    p, s = ss.generators[DIAGONAL]
+    transposed = ss.interpolate(lambda x, y: field(y, x)[..., [1, 0, 2]])
+    np.testing.assert_allclose(transposed, s * ss.interpolate(field)[p], rtol=0, atol=1e-14)

@@ -15,7 +15,7 @@ from viscowave.assembly import (
     assemble_mass_velocity,
     assemble_system,
 )
-from viscowave.fespace import HMZ, NEDELEC, StressSpace, VelocitySpace
+from viscowave.fespace import DIAGONAL, HMZ, NEDELEC, StressSpace, VelocitySpace
 from viscowave import linalg
 from viscowave.linalg import (
     ConvergenceError,
@@ -24,10 +24,13 @@ from viscowave.linalg import (
     SingularBlockError,
     block_diag_inverse,
     build_schur,
+    check_symmetry,
     nested_dissection,
 )
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
+
+from fehelpers import mirrors
 
 TOL = 1e-12
 
@@ -84,6 +87,37 @@ def test_block_diag_inverse_singular_block():
     # A block with no stored entry is singular too, though nothing inverts it.
     C = sp.csr_matrix(np.diag([1.0, 1.0, 0.0, 0.0, 1.0, 1.0]))
     with pytest.raises(SingularBlockError, match="block 1 is zero"):
+        block_diag_inverse(C, 2)
+
+
+def test_uniform_blocks_inverted_once_match_the_per_block_inverse(monkeypatch):
+    # Every block of the velocity mass is the same on the uniform mesh; the
+    # tiled single inverse must be bit for bit the batched one.
+    invert = np.linalg.inv
+    for family, n_local in ((HMZ, 4), (NEDELEC, 2)):
+        C = make_system(4, 4, family).C
+        bsr = sp.bsr_matrix(C, blocksize=(n_local, n_local))
+        assert np.all(bsr.data == bsr.data[0])
+        want = sp.bsr_matrix((np.linalg.inv(bsr.data), bsr.indices, bsr.indptr)).tocsr()
+        want.eliminate_zeros()
+        inverted = []
+
+        def inv(a):
+            inverted.append(len(a))
+            return invert(a)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "inv", inv)
+            got = block_diag_inverse(C, n_local)
+        assert inverted == [1]
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+
+def test_repeated_singular_block_raises():
+    C = sp.block_diag([np.array([[1.0, 2.0], [2.0, 4.0]])] * 5, format="csr")
+    with pytest.raises(SingularBlockError, match="singular diagonal block"):
         block_diag_inverse(C, 2)
 
 
@@ -185,6 +219,23 @@ def test_setup_solve_rejects_matrix_singular_to_working_precision():
     with pytest.raises(SingularBlockError, match="cannot be factored") as err:
         build_schur(system, Cinv, 0.5, TOL)
     assert isinstance(err.value.__cause__, ConvergenceError)
+
+
+def test_setup_probe_refines_only_when_needed(monkeypatch):
+    # A sound factor meets the probe's bound with its first solve; a singular
+    # one is refined once more before it is refused (see the test above).
+    solves = []
+    solve = CondensedLU.solve
+
+    def counted(self, b):
+        solves.append(1)
+        return solve(self, b)
+
+    monkeypatch.setattr(CondensedLU, "solve", counted)
+    solver = make_direct(make_system(4, 4, HMZ), 0.25)
+    assert len(solves) == 1
+    solver.solve(np.ones(solver.S.shape[0]))
+    assert len(solves) == 3  # every step's solve still refines
 
 
 def test_schur_spd_for_nedelec_lumped():
@@ -297,11 +348,11 @@ def test_wrongly_numbered_bubbles_raise():
     # the global order lists all t11 bubbles, then all t22 bubbles
     by_component = np.sort(ss.interior, axis=None).reshape(-1, 2)
     with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
-        CondensedLU(S, by_component, ss.grid, ss.mirrors)
+        CondensedLU(S, by_component, ss.grid, tuple(ss.generators.values()))
     by_element = ss.interior
     shifted = np.column_stack([by_element[:, 0], np.roll(by_element[:, 1], 1)])
     with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
-        CondensedLU(S, shifted, ss.grid, ss.mirrors)
+        CondensedLU(S, shifted, ss.grid, tuple(ss.generators.values()))
     assert np.array_equal(solver._lu.inner, by_element.ravel())
 
 
@@ -328,11 +379,11 @@ def test_stress_mass_lost_in_rounding_refused_before_factoring(monkeypatch):
             make_direct(stiff, 0.5)
 
 
-def outer_mirrors(space, outer):
-    """The space's mirrors as signed permutations of the outer dofs."""
-    at = np.full(space.dim, -1)
+def on_outer(perms, outer):
+    """Signed permutations of all dofs as signed permutations of the outer dofs."""
+    at = np.full(max(len(p) for p, _ in perms), -1)
     at[outer] = np.arange(outer.size)
-    return tuple((at[p[outer]], s[outer]) for p, s in space.mirrors)
+    return tuple((at[p[outer]], s[outer]) for p, s in perms)
 
 
 def condensed_matrix(solver):
@@ -348,14 +399,15 @@ def fill(lu):
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 @pytest.mark.parametrize("dt", [1.0 / 200, 0.25])
 def test_mirrors_commute_with_condensed_matrix(family, n, dt):
-    # The split is exact only if S_c commutes with each mirror: P S_c P^T = S_c
-    # with P[i, p(i)] = s_i, to rounding.
+    # The split is exact only if S_c commutes with each reflection: P S_c P^T
+    # = S_c with P[i, p(i)] = s_i, to rounding.  On the N x N mesh the
+    # diagonal is one too.
     system = make_system(n, n, family)
     solver = make_direct(system, dt)
     S_c = condensed_matrix(solver)
-    mirrors = outer_mirrors(system.stress_space, solver._lu.outer)
-    assert len(mirrors) == 2
-    for p, s in mirrors:
+    generators = system.stress_space.generators
+    assert list(generators) == ["x -> 1 - x", "y -> 1 - y", DIAGONAL]
+    for p, s in on_outer(tuple(generators.values()), solver._lu.outer):
         assert np.all(p >= 0)  # interior dofs stay interior
         moved = sp.diags(s) @ S_c[p][:, p] @ sp.diags(s)
         assert abs(moved - S_c).max() <= 64 * np.finfo(float).eps * abs(S_c).max()
@@ -366,21 +418,27 @@ def test_mirrors_commute_with_condensed_matrix(family, n, dt):
 @pytest.mark.parametrize("dt", [1.0 / 200, 0.25])
 def test_sector_solve_matches_splu_of_condensed_matrix(family, n, dt):
     # With no interior dofs the condensed LU of S_c is the sector solve alone:
-    # gather with Q^T, four sector solves, scatter with Q.
+    # gather with Q^T, a solve per block, scatter with Q.  The mirrors leave
+    # four quarters; the diagonal then leaves four eighths and one quarter
+    # that serves two sectors.
     system = make_system(n, n, family)
     solver = make_direct(system, dt)
     S_c = condensed_matrix(solver)
     outer = solver._lu.outer
-    lu = CondensedLU(
-        S_c, np.zeros((0, 0), dtype=int), system.stress_space.grid[outer],
-        outer_mirrors(system.stress_space, outer),
-    )
-    assert len(lu._lus) == 4
     ref = spla.splu(S_c.tocsc())
     rhs = np.random.default_rng(n).standard_normal((3, S_c.shape[0]))
-    for b in rhs:
-        want = ref.solve(b)
-        assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+    generators = tuple(system.stress_space.generators.values())
+    for k, blocks in ((2, 4), (3, 5)):
+        lu = CondensedLU(
+            S_c, np.zeros((0, 0), dtype=int), system.stress_space.grid[outer],
+            on_outer(generators[:k], outer),
+        )
+        sizes = [f.shape[0] for f in lu._lus]
+        assert len(sizes) == blocks
+        for b in rhs:
+            want = ref.solve(b)
+            assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+    assert sum(sizes[:4]) + 2 * sizes[4] == S_c.shape[0]
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
@@ -413,5 +471,91 @@ def test_mirror_split_lowers_the_fill(family, n):
     system = make_system(n, n, family)
     ss = system.stress_space
     solver = make_direct(system, 0.25)
-    assert len(solver._lu._lus) == 4
-    assert fill(solver._lu) < fill(CondensedLU(solver.S, ss.interior, ss.grid, ()))
+    lu = CondensedLU(solver.S, ss.interior, ss.grid, mirrors(ss))
+    assert len(lu._lus) == 4
+    assert fill(lu) < fill(CondensedLU(solver.S, ss.interior, ss.grid, ()))
+    # The diagonal splits further, and lowers the fill again.
+    assert len(solver._lu._lus) == 5
+    assert fill(solver._lu) < fill(lu)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_diagonal_halves_are_named_in_the_triangle(family):
+    # A dof and its transpose are one vector; naming it after the dof with
+    # gx <= gy keeps each eighth-size block in one triangle of the quarter.
+    n = 8
+    system = make_system(n, n, family)
+    ss = system.stress_space
+    outer = make_direct(system, 0.25)._lu.outer
+    grid = ss.grid[outer]
+    rank = np.empty(len(outer), dtype=np.intp)
+    rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(len(outer))
+    blocks = linalg._sectors(len(outer), on_outer(tuple(ss.generators.values()), outer), rank)
+    assert [len(bases) for _, bases in blocks] == [1, 1, 1, 1, 2]
+    for rep, _ in blocks[:4]:
+        gx, gy = grid[rep].T
+        assert np.all(gx <= gy) and np.all(gy <= n)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_split_holds_whatever_the_signs_of_the_dofs(family):
+    # Flipping the sign of random dofs, F S_c F, gives the reflections signs
+    # F_i s_i F_p(i), the diagonal's included; the split must follow them.
+    system = make_system(6, 6, family)
+    solver = make_direct(system, 0.25)
+    outer = solver._lu.outer
+    F = np.random.default_rng(7).choice([-1.0, 1.0], size=outer.size)
+    S_c = (sp.diags(F) @ condensed_matrix(solver) @ sp.diags(F)).tocsr()
+    ss = system.stress_space
+    generators = [(p, F * s * F[p]) for p, s in on_outer(tuple(ss.generators.values()), outer)]
+    lu = CondensedLU(S_c, np.zeros((0, 0), dtype=int), ss.grid[outer], generators)
+    assert len(lu._lus) == 5
+    b = np.random.default_rng(8).standard_normal(S_c.shape[0])
+    want = spla.splu(S_c.tocsc()).solve(b)
+    assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_non_square_mesh_keeps_the_four_sector_split(family):
+    system = make_system(6, 3, family)
+    ss = system.stress_space
+    solver = make_direct(system, 0.25)
+    lu = CondensedLU(solver.S, ss.interior, ss.grid, mirrors(ss))
+    assert len(solver._lu._lus) == len(lu._lus) == 4
+    assert fill(solver._lu) == fill(lu)
+
+
+def test_generators_out_of_order_are_refused():
+    # After the diagonal halves the space, a mirror maps its even half onto
+    # neither itself nor the odd half.
+    system = make_system(4, 4, HMZ)
+    ss = system.stress_space
+    S = make_direct(system, 0.25).S
+    g = ss.generators
+    with pytest.raises(ValueError, match="onto neither itself nor another"):
+        CondensedLU(S, ss.interior, ss.grid, (g[DIAGONAL],) + mirrors(ss))
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_broken_symmetry_is_named_before_factoring(family, monkeypatch):
+    # Stiffen the stress mass at the four mirror images of one t11 dof: the
+    # mirrors still hold, the diagonal, which maps them to t22 dofs, does not.
+    system = make_system(8, 8, family)
+    ss = system.stress_space
+    i = int(np.flatnonzero((ss.grid[:, 0] == 2) & (ss.grid[:, 1] == 4))[0])
+    (px, _), (py, _) = mirrors(ss)
+    orbit = np.unique([i, px[i], py[i], px[py[i]]])
+    A = system.A + sp.csr_matrix((np.full(4, 1e-6), (orbit, orbit)), shape=system.A.shape)
+    broken = AssembledSystem(ss, system.velocity_space, A, system.B, system.C)
+    Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
+    S = sp.csr_matrix(4.5 * A + 0.0625 * (system.B.T @ Cinv @ system.B))
+    check_symmetry(S, dict(zip(["x -> 1 - x", "y -> 1 - y"], mirrors(ss))))
+    with pytest.raises(ValueError, match=r"reflection \(x, y\) -> \(y, x\)"):
+        check_symmetry(S, ss.generators)
+
+    def refuse(*args):
+        raise AssertionError("factored a matrix that the check refuses")
+
+    monkeypatch.setattr(linalg, "CondensedLU", refuse)
+    with pytest.raises(ValueError, match="breaks that symmetry"):
+        make_direct(broken, 0.25)
