@@ -40,16 +40,17 @@ def _scatter(local, row_dofs, col_dofs, shape):
     """Scatter the nonzero entries of one local matrix onto every element.
 
     The exact zeros of ``local`` would add nothing to any sum, so they are
-    not scattered.
+    not scattered.  The result is copied once after the sums that cancel are
+    dropped: scipy keeps the buffer sized for every sum whenever more than
+    half of it is used, and a run keeps each matrix to its end.
     """
     r, c = np.nonzero(local)
     rows = row_dofs.astype(np.int32)[:, r].ravel()
     cols = col_dofs.astype(np.int32)[:, c].ravel()
     data = np.tile(local[r, c], len(row_dofs))
     out = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
-    out.sum_duplicates()
     out.eliminate_zeros()
-    return out
+    return out.copy()
 
 
 def _check_pair(stress_space, velocity_space):

@@ -25,7 +25,8 @@ time-separable fields of ``viscowave.mms`` are checked against.
 and ``v`` satisfy the momentum and constitutive equations, by finite
 differences at quasi-random points.  ``full_scatter`` scatters every entry
 of a local matrix, exact zeros included: the reference the assembly's
-scatter of the nonzero entries is checked against.
+scatter of the nonzero entries is checked against.  ``oversized`` names the
+sparse matrices whose arrays sit in buffers larger than their entries.
 """
 
 from typing import NamedTuple
@@ -250,6 +251,16 @@ def full_scatter(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
     out.sum_duplicates()
     out.eliminate_zeros()
     return out
+
+
+def oversized(matrices: dict) -> list:
+    """Names of the matrices whose ``data`` or ``indices`` is a view of a
+    buffer with more slots than the matrix has entries."""
+    return [
+        name
+        for name, M in matrices.items()
+        if any(a.base is not None and a.base.size > M.nnz for a in (M.data, M.indices))
+    ]
 
 
 def integrate(rule, f) -> float:

@@ -33,6 +33,7 @@ from fehelpers import (
     einsum_load,
     eval_velocity,
     full_scatter,
+    oversized,
     vertex_coords,
     vertex_index,
 )
@@ -374,6 +375,15 @@ def test_assemble_system_fields():
     assert abs(
         system.B - assemble_coupling(ss, vs)
     ).max() == 0.0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_assembled_matrices_own_buffers_sized_to_their_entries(family):
+    # Dropping the sums that cancel leaves scipy's buffer sized for every sum
+    # (for hmz's A at N = 8, 3328 slots for 2817 entries); a run keeps these
+    # matrices to its end, so each is trimmed to its entries.
+    system = assemble_system(*spaces(8, family), UNIT)
+    assert oversized(dict(A=system.A, B=system.B, C=system.C)) == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -30,7 +30,7 @@ from viscowave.linalg import (
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 
-from fehelpers import mirrors
+from fehelpers import mirrors, oversized
 
 TOL = 1e-12
 
@@ -294,6 +294,19 @@ def test_condensed_solve_matches_dense(family, nx, ny, dt):
     want = np.linalg.solve(solver.S.toarray(), rhs)
     x = solver._lu.solve(rhs)  # one condensed solve, no refinement
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_kept_matrices_own_buffers_sized_to_their_entries(family):
+    # scipy leaves a sum in buffers sized for both terms, and a matrix whose
+    # zeros it dropped in the buffer it had before, whenever more than half
+    # is used; every matrix the solver keeps is trimmed to its entries.
+    system = make_system(8, 8, family)
+    Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
+    solver = build_schur(system, Cinv, 0.25, TOL)
+    lu = solver._lu
+    kept = dict(S=solver.S, Cinv=Cinv, W=lu._W, S_oi=lu._S_oi, Sii_inv=lu._Sii_inv, Q=lu._Q)
+    assert oversized(kept) == []
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
