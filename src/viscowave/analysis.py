@@ -46,18 +46,23 @@ class _ErrorEvaluator:
     ``weight`` is the (d, d) pointwise weight of the norm; it is tiled with
     the quadrature weights into one (nq * d, nq * d) matrix per element.
     The field is called once, on every element's points; the rest is done
-    ``NORM_BLOCK`` elements at a time.
+    ``NORM_BLOCK`` elements at a time.  It must return the points' shape
+    plus (d,), like the fields ``assemble_load`` and ``project`` take.
     """
 
     def __init__(self, space, weight):
         self.space = space
         self.quad = space.quad
+        self.shape = self.quad.x.shape + (len(weight),)
         self.weight = np.kron(np.diag(self.quad.weights), weight)
 
     def __call__(self, coeffs, field, t: float) -> float:
         q = self.quad
         coeffs = np.asarray(coeffs, float)
-        values = np.asarray(field(q.x, q.y, t), float).reshape(len(q.x), -1)
+        values = np.asarray(field(q.x, q.y, t), float)
+        if values.shape != self.shape:
+            raise ValueError(f"field returned shape {values.shape}, expected {self.shape}")
+        values = values.reshape(len(q.x), -1)
         val = 0.0
         for lo in range(0, len(values), NORM_BLOCK):
             block = slice(lo, lo + NORM_BLOCK)
@@ -132,7 +137,7 @@ def infsup_constants(family: str, mesh_sizes, max_n: int = 8) -> list[float]:
     for n in mesh_sizes:
         if n > max_n:
             raise ValueError(f"mesh size {n} exceeds the dense-computation cap {max_n}")
-        mesh = StructuredMesh(n, n)
+        mesh = StructuredMesh(n)
         out.append(
             _infsup_constant(StressSpace(mesh, family), VelocitySpace(mesh, family))
         )

@@ -1,8 +1,8 @@
 """Sparse assembly of the bilinear forms on uniform meshes.
 
-Every element of a uniform mesh is congruent, so each form is integrated
-once with a reference-square rule scaled to the element area, and the
-local matrix is scattered with duplicate accumulation.  Matrices come
+Every element of the uniform N-by-N mesh is congruent, so each form is
+integrated once with a reference-square rule scaled to the element area,
+and the local matrix is scattered with duplicate accumulation.  Matrices come
 back in CSR format with sorted, deduplicated indices; assembly order is
 deterministic.
 """
@@ -33,7 +33,7 @@ __all__ = [
 def _local_rule(mesh, lumped=False):
     """Element weights and local coordinates of the composite or corner rule."""
     points, weights = CORNERS if lumped else COMPOSITE
-    return mesh.hx * mesh.hy * weights, points[:, 0], points[:, 1]
+    return mesh.h * mesh.h * weights, points[:, 0], points[:, 1]
 
 
 def _scatter(local, row_dofs, col_dofs, shape):
@@ -59,15 +59,11 @@ def _check_pair(stress_space, velocity_space):
             f"mismatched element families {stress_space.family!r} and "
             f"{velocity_space.family!r}"
         )
-    if stress_space.mesh is not velocity_space.mesh:
-        sm, vm = stress_space.mesh, velocity_space.mesh
-        if (sm.nx, sm.ny) != (vm.nx, vm.ny):
-            raise ValueError("stress and velocity spaces live on different meshes")
+    if stress_space.mesh.n != velocity_space.mesh.n:
+        raise ValueError("stress and velocity spaces live on different meshes")
 
 
-def _stress_gram(space, weight3, lumped):
-    if lumped and not space.lumped:
-        raise ValueError(f"{space.family!r} has dofs off the corners, which lumping drops")
+def _stress_gram(space, weight3, lumped=False):
     w, xi, eta = _local_rule(space.mesh, lumped)
     vals = space.local_values(xi, eta)
     local = np.einsum("qia,ab,qjb,q->ij", vals, VOIGT_DOT @ weight3, vals, w)
@@ -75,21 +71,18 @@ def _stress_gram(space, weight3, lumped):
     return _scatter(local, space.eldof, space.eldof, (n, n))
 
 
-def assemble_mass_stress(
-    space: StressSpace, material: IsotropicMaterial, lumped: bool = False
-) -> sp.csr_matrix:
-    """Compliance-weighted stress mass matrix; optionally corner-lumped.
+def assemble_mass_stress(space: StressSpace, material: IsotropicMaterial) -> sp.csr_matrix:
+    """Compliance-weighted stress mass matrix, corner-lumped when the family is.
 
-    Lumping is only meaningful for a family whose dofs all sit at corners
-    (``space.lumped``, so ``nedelec-q1q0``), where it produces 3x3 blocks per
-    vertex; requesting it for ``hmz`` is an error.
+    The family lumps when all its dofs sit at corners (``space.lumped``, so
+    ``nedelec-q1q0``), which gives 3x3 blocks per vertex.
     """
-    return _stress_gram(space, material.compliance_matrix(), lumped)
+    return _stress_gram(space, material.compliance_matrix(), space.lumped)
 
 
-def assemble_stress_gram(space: StressSpace, lumped: bool = False) -> sp.csr_matrix:
+def assemble_stress_gram(space: StressSpace) -> sp.csr_matrix:
     """Plain L2 Gram matrix of the stress space under the tensor dot product."""
-    return _stress_gram(space, np.eye(3), lumped)
+    return _stress_gram(space, np.eye(3))
 
 
 def assemble_div_gram(space: StressSpace) -> sp.csr_matrix:
@@ -178,7 +171,7 @@ def assemble_system(
     return AssembledSystem(
         stress_space=stress_space,
         velocity_space=velocity_space,
-        A=assemble_mass_stress(stress_space, material, stress_space.lumped),
+        A=assemble_mass_stress(stress_space, material),
         B=assemble_coupling(stress_space, velocity_space),
         C=assemble_mass_velocity(velocity_space, material),
     )

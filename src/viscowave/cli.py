@@ -201,7 +201,7 @@ def _run_solve(s) -> int:
 
 
 def _write_snapshots(cfg, result):
-    mesh = StructuredMesh(cfg.nx, cfg.nx)
+    mesh = StructuredMesh(cfg.nx)
     ss = StressSpace(mesh, cfg.element)
     vs = VelocitySpace(mesh, cfg.element)
     centers = mesh.element_centers()

@@ -1,4 +1,4 @@
-"""Conforming stress/velocity element pairs on uniform rectangular meshes.
+"""Conforming stress/velocity element pairs on uniform N-by-N meshes.
 
 Two pairs are available, keyed by family name:
 
@@ -12,13 +12,13 @@ Two pairs are available, keyed by family name:
 
 Both pairs give stress fields whose normal trace is continuous across
 interior edges, hence a square-integrable divergence.  Local coordinates
-``(xi, eta)`` live on [-1, 1]^2 with ``x = xc + (hx/2) xi``.
+``(xi, eta)`` live on [-1, 1]^2 with ``x = xc + (h/2) xi``.
 
 A stress family is one table, ``LOCAL_DOFS``, from which everything else
 is read.  Each local dof is a Voigt component and the offset ``(dx, dy)``
 of its point from the element centre in half-steps, so on element
 ``(i, j)`` its point is ``(2i + 1 + dx, 2j + 1 + dy)`` on the half-step
-grid ``x = (hx/2) gx``.  Its local function has one factor per axis:
+grid ``x = (h/2) gx``.  Its local function has one factor per axis:
 the hat ``(1 + d s)/2`` at offset ``d = +-1``, the bubble ``1 - s^2`` at
 offset 0 on the component's own axis (``xi`` for t11, ``eta`` for t22),
 and 1 otherwise.  The global dofs come in blocks of one component on one
@@ -44,8 +44,6 @@ __all__ = [
     "HMZ",
     "FAMILIES",
     "LOCAL_DOFS",
-    "DIAGONAL",
-    "REFLECTIONS",
     "QuadKernel",
     "quad_kernel",
     "StressSpace",
@@ -63,16 +61,6 @@ LOCAL_DOFS = {
     + tuple((2, d) for d in _CORNERS),
 }
 FAMILIES = tuple(LOCAL_DOFS)
-# The reflections of the square, each an orthogonal map R of the offsets
-# from its centre.  The diagonal one is a symmetry only of a square mesh.
-DIAGONAL = "(x, y) -> (y, x)"
-REFLECTIONS = {
-    "x -> 1 - x": ((-1, 0), (0, 1)),
-    "y -> 1 - y": ((1, 0), (0, -1)),
-    DIAGONAL: ((0, 1), (1, 0)),
-}
-# The index pair (a, b) of each Voigt component (t11, t22, t12).
-_VOIGT = ((0, 0), (1, 1), (0, 1))
 # Local velocity functions: a component and the power of its own coordinate.
 _VELOCITY_DOFS = {NEDELEC: ((0, 0), (1, 0)), HMZ: ((0, 0), (0, 1), (1, 0), (1, 1))}
 
@@ -118,7 +106,7 @@ def quad_kernel(space) -> QuadKernel:
     """Build the composite-rule kernel of a stress or velocity space."""
     mesh = space.mesh
     points, fractions = COMPOSITE
-    weights = mesh.hx * mesh.hy * fractions
+    weights = mesh.h * mesh.h * fractions
     vals = space.local_values(points[:, 0], points[:, 1])
     nq, n_local, d = vals.shape
     basis = np.ascontiguousarray(vals.transpose(1, 0, 2).reshape(n_local, nq * d))
@@ -162,8 +150,8 @@ class StressSpace(_Space):
     interior : ndarray, shape (n_elements, k)
         The dofs at each element's centre, which no other element shares.
     generators : dict of (p, s) pairs
-        The reflections that generate the mesh's symmetry group, as signed
-        dof permutations: two mirrors, and the diagonal on a square mesh.
+        The three reflections that generate the mesh's symmetry group, as
+        signed dof permutations.
     dof_point : ndarray, shape (dim, 2)
         Collocation point of each degree-of-freedom functional.
     quad : QuadKernel
@@ -177,28 +165,28 @@ class StressSpace(_Space):
         self.table = LOCAL_DOFS[family]
         self.n_local = len(self.table)
         self.lumped = all(d in _CORNERS for _, d in self.table)
-        nx, ny = mesh.nx, mesh.ny
+        n = mesh.n
         # A dof's block is its component and its sublattice (2i + ox, 2j + oy).
         blocks = [(c, (1 + dx) % 2, (1 + dy) % 2) for c, (dx, dy) in self.table]
         order = list(dict.fromkeys(blocks))
-        width = {b: nx + 1 - b[1] for b in order}
-        size = [width[b] * (ny + 1 - b[2]) for b in order]
+        width = {b: n + 1 - b[1] for b in order}
+        size = [width[b] * (n + 1 - b[2]) for b in order]
         start = dict(zip(order, np.cumsum([0] + size).tolist()))
         self.dim = sum(size)
         self._blocks = [
-            (c, (ox, oy), slice(start[c, ox, oy], start[c, ox, oy] + n))
-            for (c, ox, oy), n in zip(order, size)
+            (c, (ox, oy), slice(start[c, ox, oy], start[c, ox, oy] + k))
+            for (c, ox, oy), k in zip(order, size)
         ]
         self.grid = np.concatenate(
-            [2 * np.indices((ny + 1 - oy, nx + 1 - ox))[::-1].reshape(2, -1) + [[ox], [oy]]
+            [2 * np.indices((n + 1 - oy, n + 1 - ox))[::-1].reshape(2, -1) + [[ox], [oy]]
              for _, ox, oy in order],
             axis=1,
         ).T.copy()
-        # Element e = j nx + i lies at j w + i = e + j (w - nx) in a block of
+        # Element e = j n + i lies at j w + i = e + j (w - n) in a block of
         # width w; its dof at offset (dx, dy) is one column right for dx > 0
         # and one row up for dy > 0.  In place, to spare the temporaries.
         e = np.arange(mesh.n_elements)
-        self.eldof = (e // nx)[:, None] * np.array([width[b] - nx for b in blocks])
+        self.eldof = (e // n)[:, None] * np.array([width[b] - n for b in blocks])
         self.eldof += e[:, None]
         self.eldof += [
             start[b] + (dx > 0) + (dy > 0) * width[b]
@@ -211,50 +199,36 @@ class StressSpace(_Space):
     def generators(self) -> dict:
         """The reflections that generate the mesh's symmetry group, by name.
 
-        They are the mirrors x -> 1 - x and y -> 1 - y, and on a square mesh
-        also the diagonal reflection (x, y) -> (y, x); with it the group is
-        D4, the symmetry group of the square.  Each is a signed dof
-        permutation ``(p, s)``: the image of the field with coefficients
-        ``a`` has coefficients ``s * a[p]``.  A reflection R (see
-        ``REFLECTIONS``) is its own inverse and maps the field sigma to
-        R sigma(R (x - c) + c) R, c the centre.  Row a of R holds e_a in
-        column pi a, so the dof of component (a, b) at grid point g takes
-        its value from the dof of component (pi a, pi b) at c + R (g - c),
-        with the sign e_a e_b: the mirrors flip the shear, and the diagonal
+        They are the mirrors x -> 1 - x and y -> 1 - y and the diagonal
+        reflection (x, y) -> (y, x), which generate D4, the symmetry group of
+        the square.  Each is a signed dof permutation ``(p, s)``: the image of
+        the field with coefficients ``a`` has coefficients ``s * a[p]``.  A
+        reflection R is its own inverse and maps the field sigma to
+        R sigma(R x) R, so the dof at grid point g takes its value from the
+        dof at R g: of the same component under a mirror, which flips the
+        shear, and of the other normal component under the diagonal, which
         swaps t11 and t22.  Each family's table is symmetric, so that dof
         exists, and a centre dof maps to a centre dof.
         """
-        m = self.mesh
-        centre = (m.nx, m.ny)
-        start = {(c, lattice): dofs.start for c, lattice, dofs in self._blocks}
-        out = {}
-        for name, R in REFLECTIONS.items():
-            if name == DIAGONAL and m.nx != m.ny:
-                continue
-            R = np.array(R)
-            pi = np.abs(R).argmax(axis=1)
-            e = R[[0, 1], pi]
-            p, s = np.empty(self.dim, dtype=np.intp), np.empty(self.dim)
-            for c, lattice, dofs in self._blocks:
-                # The block's points (2i + ox, 2j + oy), i along axis 1 and j
-                # along axis 0, and their images, on the sublattice o.
-                g = (2 * np.arange(m.nx + 1 - lattice[0]) + lattice[0],
-                     2 * np.arange(m.ny + 1 - lattice[1])[:, None] + lattice[1])
-                gx, gy = (centre[a] + e[a] * (g[pi[a]] - centre[pi[a]]) for a in (0, 1))
-                o = (lattice[pi[0]], lattice[pi[1]])
-                a, b = _VOIGT[c]
-                block = start[_VOIGT.index(tuple(sorted((pi[a], pi[b])))), o]
-                # The dof at (2i + ox, 2j + oy) is number j (nx + 1 - ox) + i of its block.
-                p[dofs] = (block + (gy // 2) * (m.nx + 1 - o[0]) + gx // 2).ravel()
-                s[dofs] = e[a] * e[b]
-            out[name] = (p, s)
-        return out
+        m = 2 * self.mesh.n
+        comp = np.empty(self.dim, dtype=np.intp)
+        for c, _, dofs in self._blocks:
+            comp[dofs] = c
+        gx, gy = self.grid.T
+        # The dof of each component at each point of the half-step grid.
+        dof = np.zeros((3, m + 1, m + 1), dtype=np.intp)
+        dof[comp, gy, gx] = np.arange(self.dim)
+        shear = np.where(comp == 2, -1.0, 1.0)
+        return {
+            "x -> 1 - x": (dof[comp, gy, m - gx], shear),
+            "y -> 1 - y": (dof[comp, m - gy, gx], shear),
+            "(x, y) -> (y, x)": (dof[np.array([1, 0, 2])[comp], gx, gy], np.ones(self.dim)),
+        }
 
     @property
     def dof_point(self) -> np.ndarray:
         """Physical point of every dof, ``(h/2) grid``."""
-        m = self.mesh
-        return (0.5 * np.array([m.hx, m.hy])) * self.grid
+        return (0.5 * self.mesh.h) * self.grid
 
     def _basis(self, xi, eta):
         """Each local function's component, its value and its (xi, eta) derivatives."""
@@ -278,10 +252,10 @@ class StressSpace(_Space):
         of the divergence; the shear contributes d/dy to row 0 and d/dx to row 1.
         """
         xi, eta = np.broadcast_arrays(np.asarray(xi, float), np.asarray(eta, float))
-        sx, sy = 2.0 / self.mesh.hx, 2.0 / self.mesh.hy
+        scale = 2.0 / self.mesh.h
         out = np.zeros(xi.shape + (self.n_local, 2))
         for l, (c, _, d_xi, d_eta) in enumerate(self._basis(xi, eta)):
-            grad = (sx * d_xi, sy * d_eta)
+            grad = (scale * d_xi, scale * d_eta)
             if c == 2:
                 out[..., l, 0], out[..., l, 1] = grad[1], grad[0]
             else:

@@ -20,7 +20,8 @@ the Schur complement S_c = S_oo - S_oi S_ii^-1 S_io of the remaining dofs
 is factored.  On the uniform mesh of the unit square, with one isotropic
 material, S commutes with the reflections x -> 1 - x and y -> 1 - y and,
 since the mesh is N x N, with the diagonal reflection (x, y) -> (y, x),
-each a signed permutation of the dofs; so does S_c.  Together they
+each a signed permutation of the dofs (``StressSpace.generators``); so
+does S_c.  Together they
 generate D4, the symmetry group of the square, and a symmetry-adapted
 basis of signed sums over orbits splits S_c exactly (Healey & Treacy,
 Int. J. Numer. Meth. Eng., 1991; Bossavit, Comput. Methods Appl. Mech.
@@ -534,7 +535,7 @@ def check_symmetry(S: sp.csr_matrix, generators: dict) -> None:
     The split of ``CondensedLU`` is exact only then.  For one random x in
     [0, 1)^n, P S x and S P x, with (P x)_i = s_i x_p(i), may differ only by
     the rounding of the products, a few ulps of k max|S|, k the longest row
-    of S; a mesh or material that breaks the symmetry leaves far more.  All
+    of S; a system that breaks the symmetry leaves far more.  All
     the products are one product of S with a block of vectors.
     """
     x = np.random.default_rng(0).random(S.shape[0])
@@ -546,5 +547,5 @@ def check_symmetry(S: sp.csr_matrix, generators: dict) -> None:
         if not gap <= SYMMETRY_ULPS * np.finfo(float).eps * size:
             raise ValueError(
                 f"S does not commute with the reflection {name} (gap {gap / size:.3g} "
-                "of k max|S|): the mesh or the material breaks that symmetry"
+                "of k max|S|): the assembled system breaks that symmetry"
             )

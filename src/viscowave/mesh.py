@@ -1,6 +1,6 @@
-"""Uniform rectangular meshes of the unit square.
+"""Uniform N-by-N meshes of the unit square.
 
-Element ``(i, j)`` is numbered ``j * nx + i``, x running fastest; the
+Element ``(i, j)`` is numbered ``j * n + i``, x running fastest; the
 spaces (``fespace``) number their own degrees of freedom.
 """
 
@@ -16,38 +16,40 @@ __all__ = ["StructuredMesh"]
 
 
 class StructuredMesh:
-    """Uniform nx-by-ny mesh of congruent rectangles on the unit square.
+    """Uniform n-by-n mesh of congruent squares on the unit square.
 
     The unit square is the only domain: the built-in solutions (``mms``) are
     defined on it alone.
 
     Parameters
     ----------
-    nx, ny : int
+    n : int
         Number of elements along each axis.
 
     Attributes
     ----------
-    hx, hy : float
-        Element edge lengths, ``1/nx`` and ``1/ny``.
+    h : float
+        Element edge length, ``1/n``.
     n_elements : int
         Number of elements.
     """
 
-    def __init__(self, nx, ny):
-        if int(nx) != nx or int(ny) != ny or nx < 1 or ny < 1:
-            raise ValueError(f"element counts must be positive integers, got {nx}x{ny}")
-        self.nx = int(nx)
-        self.ny = int(ny)
-        self.hx = 1.0 / self.nx
-        self.hy = 1.0 / self.ny
-        self.n_elements = self.nx * self.ny
+    def __init__(self, n):
+        try:
+            whole = int(n) == n
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not (whole and n >= 1):
+            raise ValueError(f"element count must be a positive integer, got {n!r}")
+        self.n = int(n)
+        self.h = 1.0 / self.n
+        self.n_elements = self.n * self.n
 
     def element_centers(self) -> np.ndarray:
         """Centers of all elements, shape (n_elements, 2)."""
-        ie = np.arange(self.n_elements) % self.nx
-        je = np.arange(self.n_elements) // self.nx
-        return np.column_stack([(ie + 0.5) * self.hx, (je + 0.5) * self.hy])
+        ie = np.arange(self.n_elements) % self.n
+        je = np.arange(self.n_elements) // self.n
+        return np.column_stack([(ie + 0.5) * self.h, (je + 0.5) * self.h])
 
     @cached_property
     def quad_points(self) -> tuple[np.ndarray, np.ndarray]:
@@ -59,10 +61,10 @@ class StructuredMesh:
         """
         points = COMPOSITE[0]
         centers = self.element_centers()
-        x = centers[:, 0, None] + (0.5 * self.hx) * points[:, 0]
-        y = centers[:, 1, None] + (0.5 * self.hy) * points[:, 1]
+        x = centers[:, 0, None] + (0.5 * self.h) * points[:, 0]
+        y = centers[:, 1, None] + (0.5 * self.h) * points[:, 1]
         x.flags.writeable = y.flags.writeable = False
         return x, y
 
     def __repr__(self):
-        return f"StructuredMesh(nx={self.nx}, ny={self.ny})"
+        return f"StructuredMesh(n={self.n})"

@@ -1,10 +1,10 @@
 """The two reference-square rules every element integral uses.
 
-All elements of a uniform mesh are congruent, so each rule is given once
-on the reference square: points ``(xi, eta)`` in [-1, 1]^2, shape (n, 2),
-and weights as fractions of the element's area, shape (n,).  On an
-element of centre ``(xc, yc)`` the points are ``(xc + (hx/2) xi,
-yc + (hy/2) eta)`` and the weights ``hx * hy * w``.
+All elements of a uniform N-by-N mesh are congruent squares of side h, so
+each rule is given once on the reference square: points ``(xi, eta)`` in
+[-1, 1]^2, shape (n, 2), and weights as fractions of the element's area,
+shape (n,).  On an element of centre ``(xc, yc)`` the points are
+``(xc + (h/2) xi, yc + (h/2) eta)`` and the weights ``h * h * w``.
 
 ``COMPOSITE`` splits the square along the lower-left to upper-right
 diagonal and puts a seven-point degree-5 triangle rule on each half

@@ -177,7 +177,7 @@ def run(config) -> RunResult:
         err_v = np.empty(n_nodes) if solution else None
     except (ValueError, MemoryError) as err:
         raise MemoryError(f"cannot record {n_steps + 1:.3g} time nodes: {err}") from err
-    mesh = StructuredMesh(config.nx, config.nx)
+    mesh = StructuredMesh(config.nx)
     stress_space = StressSpace(mesh, config.element)
     velocity_space = VelocitySpace(mesh, config.element)
     system = assemble_system(stress_space, velocity_space, material)

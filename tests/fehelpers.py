@@ -3,8 +3,8 @@
 Voigt-triple algebra (``VoigtTensor``, ``voigt_inner``, ``stiffness_matrix``,
 ``apply_compliance``, ``apply_stiffness``, ``compliance_bounds``), the mesh's
 vertex, element and edge tables (``vertex_index``, ``element_index``,
-``vertex_coords``, ``elem_vertices``, ``edge_counts``, ``elem_edges``,
-``edge_elements``, ``edge_vertices``, ``edge_normal_axis``,
+``element_at``, ``vertex_coords``, ``elem_vertices``, ``edge_counts``,
+``elem_edges``, ``edge_elements``, ``edge_vertices``, ``edge_normal_axis``,
 ``boundary_vertex``, ``boundary_edge``) and the unforced energy-identity
 defects ``energy_residuals`` are used only here and by the tests.  Vertices,
 elements and edges are numbered lexicographically with x running fastest;
@@ -14,7 +14,12 @@ the vertical edges (unit normal +x) come first, then the horizontal ones
 The solver itself works with whole-mesh basis tables; these helpers evaluate
 one element at a time so the tests can check the tables point by point, and
 ``dof_component`` gives each stress dof's Voigt component.
-``mirrors`` picks the two mirrors out of a stress space's generators.
+``mirrors`` picks the two mirrors out of a stress space's generators, and
+``reflections`` finds all three by searching the grid, the reference the
+generators' index table is checked against.  ``stress_gram`` integrates
+the stress mass with either rule; with the composite one it is the
+consistent ``nedelec-q1q0`` matrix that the scheme's corner lumping
+replaces.
 ``einsum_load`` and ``einsum_error`` are the load and error-norm formulas
 written as single einsums over all elements, the references the solver's
 matrix-product kernels are checked against.  ``reference_fields`` gives the
@@ -41,6 +46,8 @@ from viscowave.material import VOIGT_DOT, IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import ExactSolution
 from viscowave.quadrature import COMPOSITE
+
+DIAGONAL = "(x, y) -> (y, x)"
 
 
 class VoigtTensor(NamedTuple):
@@ -90,39 +97,39 @@ def compliance_bounds(material: IsotropicMaterial) -> tuple[float, float]:
 
 
 def vertex_index(mesh: StructuredMesh, i, j):
-    """Global id of vertex (i, j), 0 <= i <= nx, 0 <= j <= ny."""
-    return j * (mesh.nx + 1) + i
+    """Global id of vertex (i, j), 0 <= i, j <= n."""
+    return j * (mesh.n + 1) + i
 
 
 def element_index(mesh: StructuredMesh, i, j):
-    """Global id of element (i, j), 0 <= i < nx, 0 <= j < ny."""
-    return j * mesh.nx + i
+    """Global id of element (i, j), 0 <= i, j < n."""
+    return j * mesh.n + i
 
 
 def vertex_coords(mesh: StructuredMesh) -> np.ndarray:
     """Coordinates of every vertex, shape (n_vertices, 2)."""
-    X, Y = np.meshgrid(mesh.hx * np.arange(mesh.nx + 1), mesh.hy * np.arange(mesh.ny + 1))
+    X, Y = np.meshgrid(mesh.h * np.arange(mesh.n + 1), mesh.h * np.arange(mesh.n + 1))
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
 def elem_vertices(mesh: StructuredMesh) -> np.ndarray:
     """Vertex ids of every element, counterclockwise from the lower-left corner."""
     e = np.arange(mesh.n_elements)
-    ll = e + e // mesh.nx
-    return np.column_stack([ll, ll + 1, ll + mesh.nx + 2, ll + mesh.nx + 1])
+    ll = e + e // mesh.n
+    return np.column_stack([ll, ll + 1, ll + mesh.n + 2, ll + mesh.n + 1])
 
 
 def edge_counts(mesh: StructuredMesh) -> tuple[int, int]:
     """Numbers of vertical and of horizontal edges."""
-    return (mesh.nx + 1) * mesh.ny, mesh.nx * (mesh.ny + 1)
+    return (mesh.n + 1) * mesh.n, mesh.n * (mesh.n + 1)
 
 
 def elem_edges(mesh: StructuredMesh) -> np.ndarray:
     """Edge ids of every element in the order (left, right, bottom, top)."""
     e = np.arange(mesh.n_elements)
-    left = e + e // mesh.nx
+    left = e + e // mesh.n
     bottom = edge_counts(mesh)[0] + e
-    return np.column_stack([left, left + 1, bottom, bottom + mesh.nx])
+    return np.column_stack([left, left + 1, bottom, bottom + mesh.n])
 
 
 def edge_elements(mesh: StructuredMesh) -> dict:
@@ -136,13 +143,13 @@ def edge_elements(mesh: StructuredMesh) -> dict:
 
 def edge_vertices(mesh: StructuredMesh) -> np.ndarray:
     """End vertices of every edge, shape (n_edges, 2): vertical edges first, then horizontal."""
-    nx, ny = mesh.nx, mesh.ny
-    iv, jv = np.meshgrid(np.arange(nx + 1), np.arange(ny))
-    vlow = (jv * (nx + 1) + iv).ravel()
-    ih, jh = np.meshgrid(np.arange(nx), np.arange(ny + 1))
-    hlow = (jh * (nx + 1) + ih).ravel()
+    n = mesh.n
+    iv, jv = np.meshgrid(np.arange(n + 1), np.arange(n))
+    vlow = (jv * (n + 1) + iv).ravel()
+    ih, jh = np.meshgrid(np.arange(n), np.arange(n + 1))
+    hlow = (jh * (n + 1) + ih).ravel()
     return np.vstack(
-        [np.column_stack([vlow, vlow + nx + 1]), np.column_stack([hlow, hlow + 1])]
+        [np.column_stack([vlow, vlow + n + 1]), np.column_stack([hlow, hlow + 1])]
     )
 
 
@@ -154,17 +161,21 @@ def edge_normal_axis(mesh: StructuredMesh) -> np.ndarray:
 def boundary_vertex(mesh: StructuredMesh) -> np.ndarray:
     """True for the vertices on the domain boundary."""
     xy = vertex_coords(mesh)
-    gx = np.rint(xy[:, 0] / mesh.hx).astype(int)
-    gy = np.rint(xy[:, 1] / mesh.hy).astype(int)
-    return (gx == 0) | (gx == mesh.nx) | (gy == 0) | (gy == mesh.ny)
+    gx, gy = np.rint(xy / mesh.h).astype(int).T
+    return (gx == 0) | (gx == mesh.n) | (gy == 0) | (gy == mesh.n)
 
 
 def boundary_edge(mesh: StructuredMesh) -> np.ndarray:
     """True for the edges on the domain boundary."""
-    nx, ny = mesh.nx, mesh.ny
-    iv = np.tile(np.arange(nx + 1), ny)
-    jh = np.repeat(np.arange(ny + 1), nx)
-    return np.concatenate([(iv == 0) | (iv == nx), (jh == 0) | (jh == ny)])
+    n = mesh.n
+    iv = np.tile(np.arange(n + 1), n)
+    jh = np.repeat(np.arange(n + 1), n)
+    return np.concatenate([(iv == 0) | (iv == n), (jh == 0) | (jh == n)])
+
+
+def element_at(mesh: StructuredMesh, x, y) -> int:
+    """Id of an element that holds the point (x, y)."""
+    return int(min(x // mesh.h, mesh.n - 1) + min(y // mesh.h, mesh.n - 1) * mesh.n)
 
 
 def local_coords(mesh: StructuredMesh, elem, x, y):
@@ -174,9 +185,9 @@ def local_coords(mesh: StructuredMesh, elem, x, y):
     vertices; the printed margins of acceptance criterion 8 depend on that
     rounding.
     """
-    i, j = elem % mesh.nx, elem // mesh.nx
-    lower = np.array([mesh.hx * i, mesh.hy * j])
-    upper = np.array([mesh.hx * (i + 1), mesh.hy * (j + 1)])
+    i, j = elem % mesh.n, elem // mesh.n
+    lower = mesh.h * np.array([i, j])
+    upper = mesh.h * np.array([i + 1, j + 1])
     center, half = 0.5 * (lower + upper), 0.5 * (upper - lower)
     xi = (np.asarray(x, float) - center[0]) / half[0]
     return xi, (np.asarray(y, float) - center[1]) / half[1]
@@ -220,6 +231,46 @@ def mirrors(space: StressSpace) -> tuple:
     """The reflections x -> 1 - x and y -> 1 - y among the space's generators."""
     generators = space.generators
     return generators["x -> 1 - x"], generators["y -> 1 - y"]
+
+
+def reflections(space: StressSpace) -> dict:
+    """The generators of ``space``, found dof by dof: the image of each dof is
+    the dof at the reflected grid point that holds the reflected component.
+
+    The mirrors keep the component and put the sign -1 on the shear; the
+    diagonal swaps t11 and t22.
+    """
+    m = 2 * space.mesh.n
+    comp = dof_component(space)
+    maps = {
+        "x -> 1 - x": (lambda gx, gy: (m - gx, gy), (0, 1, 2), -1.0),
+        "y -> 1 - y": (lambda gx, gy: (gx, m - gy), (0, 1, 2), -1.0),
+        DIAGONAL: (lambda gx, gy: (gy, gx), (1, 0, 2), 1.0),
+    }
+    out = {}
+    for name, (reflect, swap, shear_sign) in maps.items():
+        p, s = np.empty(space.dim, dtype=np.intp), np.ones(space.dim)
+        for i, point in enumerate(space.grid):
+            (p[i],) = np.flatnonzero(
+                np.all(space.grid == reflect(*point), axis=1) & (comp == swap[comp[i]])
+            )
+        s[comp == 2] = shear_sign
+        out[name] = (p, s)
+    return out
+
+
+def stress_gram(space: StressSpace, weight3, rule=COMPOSITE) -> sp.csr_matrix:
+    """Stress Gram matrix int (weight3 sigma_j) : tau_i, every element by ``rule``.
+
+    ``weight3`` is the (3, 3) pointwise weight on Voigt triples, the
+    compliance matrix for the stress mass; ``quadrature.CORNERS`` as the rule
+    lumps it.
+    """
+    points, fractions = rule
+    vals = space.local_values(points[:, 0], points[:, 1])
+    w = space.mesh.h * space.mesh.h * fractions
+    local = np.einsum("qia,ab,qjb,q->ij", vals, VOIGT_DOT @ weight3, vals, w)
+    return full_scatter(local, space.eldof, space.eldof, (space.dim, space.dim))
 
 
 def stress_basis_value(space: StressSpace, elem, ldof, x, y) -> VoigtTensor:
@@ -276,9 +327,8 @@ def _element_rule(space):
     """Composite-rule weights, local basis values and physical points of every element."""
     mesh = space.mesh
     points, fractions = COMPOSITE
-    half = 0.5 * np.array([mesh.hx, mesh.hy])
-    physical = mesh.element_centers()[:, None, :] + half * points
-    return mesh.hx * mesh.hy * fractions, space.local_values(points[:, 0], points[:, 1]), physical
+    physical = mesh.element_centers()[:, None, :] + (0.5 * mesh.h) * points
+    return mesh.h * mesh.h * fractions, space.local_values(points[:, 0], points[:, 1]), physical
 
 
 def einsum_load(space: VelocitySpace, f, t) -> np.ndarray:

@@ -36,6 +36,7 @@ from viscowave.linalg import block_diag_inverse, build_schur
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
+from viscowave.quadrature import CORNERS
 from viscowave.timestepper import CNStepper, SimState, run
 
 from fehelpers import (
@@ -46,6 +47,7 @@ from fehelpers import (
     eval_stress,
     eval_velocity,
     local_coords,
+    stress_gram,
     verify_residuals,
     vertex_coords,
 )
@@ -226,7 +228,7 @@ def test_criterion_5_discrete_energy_identity(capsys):
     dt, m = 0.05, 20
     worst = {}
     for family in FAMILIES:
-        mesh = StructuredMesh(8, 8)
+        mesh = StructuredMesh(8)
         ss = StressSpace(mesh, family)
         vs = VelocitySpace(mesh, family)
         system = assemble_system(ss, vs, UNIT)
@@ -289,9 +291,9 @@ def test_criterion_7_manufactured_solution_residual_gate(residual_gate, capsys):
 
 
 def _owning_elem(mesh, x, y):
-    ix = min(int(x * mesh.nx), mesh.nx - 1)
-    iy = min(int(y * mesh.ny), mesh.ny - 1)
-    return ix + mesh.nx * iy
+    ix = min(int(x * mesh.n), mesh.n - 1)
+    iy = min(int(y * mesh.n), mesh.n - 1)
+    return ix + mesh.n * iy
 
 
 def _stress_member(mesh, space, coeffs):
@@ -350,7 +352,7 @@ def test_criterion_8_element_conformity(capsys):
     dev_nodal, dev_jump, dev_const = 0.0, 0.0, 0.0
     for family in FAMILIES:
         for n in (2, 3):
-            mesh = StructuredMesh(n, n)
+            mesh = StructuredMesh(n)
             ss = StressSpace(mesh, family)
             vs = VelocitySpace(mesh, family)
 
@@ -410,16 +412,15 @@ def test_criterion_9_stress_norm_equivalence(capsys):
     lo, hi = np.inf, 0.0
     ok = True
     for family in FAMILIES:
-        mesh = StructuredMesh(4, 4)
+        mesh = StructuredMesh(4)
         ss = StressSpace(mesh, family)
-        pairs = [(assemble_mass_stress(ss, UNIT), assemble_stress_gram(ss))]
-        if family == NEDELEC:  # the scheme's lumped matrices obey the same bounds
-            pairs.append(
-                (
-                    assemble_mass_stress(ss, UNIT, lumped=True),
-                    assemble_stress_gram(ss, lumped=True),
-                )
-            )
+        A, G = assemble_mass_stress(ss, UNIT), assemble_stress_gram(ss)
+        pairs = [(A, G)]
+        if ss.lumped:  # the consistent pair, then the scheme's lumped one
+            pairs = [
+                (stress_gram(ss, UNIT.compliance_matrix()), G),
+                (A, stress_gram(ss, np.eye(3), CORNERS)),
+            ]
         rng = np.random.default_rng(3)
         for A, G in pairs:
             for _ in range(1000):

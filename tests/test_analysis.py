@@ -16,7 +16,6 @@ from viscowave.analysis import (
     infsup_constants,
 )
 from viscowave.assembly import (
-    assemble_mass_stress,
     assemble_mass_velocity,
     assemble_system,
 )
@@ -32,7 +31,15 @@ from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
 from viscowave.timestepper import SimState
 
-from fehelpers import einsum_error, energy_residuals, eval_stress, eval_velocity, local_coords
+from fehelpers import (
+    einsum_error,
+    element_at,
+    energy_residuals,
+    eval_stress,
+    eval_velocity,
+    local_coords,
+    stress_gram,
+)
 
 UNIT = IsotropicMaterial()
 
@@ -45,10 +52,7 @@ def discrete_stress_field(mesh, ss, coeffs):
         xf = x.reshape(-1)
         yf = np.asarray(y, dtype=float).reshape(-1)
         for k, (xk, yk) in enumerate(zip(xf, yf)):
-            e = int(
-                min(xk // mesh.hx, mesh.nx - 1)
-                + min(yk // mesh.hy, mesh.ny - 1) * mesh.nx
-            )
+            e = element_at(mesh, xk, yk)
             xi, eta = local_coords(mesh, e, xk, yk)
             flat[k] = eval_stress(ss, coeffs, e, xi, eta)
         return out
@@ -60,9 +64,9 @@ def discrete_stress_field(mesh, ss, coeffs):
 def test_stress_error_is_a_norm_of_coefficient_gap(family):
     # when the reference field is itself a discrete member, the quadrature
     # error norm must equal the A-norm of the coefficient difference
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     ss = StressSpace(mesh, family)
-    A = assemble_mass_stress(ss, UNIT)  # consistent, never lumped
+    A = stress_gram(ss, UNIT.compliance_matrix())  # consistent, never lumped
     rng = np.random.default_rng(6)
     c0 = rng.standard_normal(ss.dim)
     c1 = rng.standard_normal(ss.dim)
@@ -73,7 +77,7 @@ def test_stress_error_is_a_norm_of_coefficient_gap(family):
 
 
 def test_velocity_error_is_c_norm_of_coefficient_gap():
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     vs = VelocitySpace(mesh, HMZ)
     mat = IsotropicMaterial(rho=2.5)
     C = assemble_mass_velocity(vs, mat)
@@ -87,10 +91,7 @@ def test_velocity_error_is_c_norm_of_coefficient_gap():
         flat = out.reshape(-1, 2)
         xf = x.reshape(-1); yf = np.asarray(y, dtype=float).reshape(-1)
         for k, (xk, yk) in enumerate(zip(xf, yf)):
-            e = int(
-                min(xk // mesh.hx, mesh.nx - 1)
-                + min(yk // mesh.hy, mesh.ny - 1) * mesh.nx
-            )
+            e = element_at(mesh, xk, yk)
             xi, eta = local_coords(mesh, e, xk, yk)
             flat[k] = eval_velocity(vs, c0, e, xi, eta)
         return out
@@ -103,7 +104,7 @@ def test_velocity_error_is_c_norm_of_coefficient_gap():
 def test_evaluators_against_zero_field_give_coefficient_norms():
     # the distance to the zero field is the consistent-mass norm of the
     # coefficients, and an evaluator gives the same value on every call
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     ss = StressSpace(mesh, NEDELEC)
     vs = VelocitySpace(mesh, NEDELEC)
     rng = np.random.default_rng(0)
@@ -111,7 +112,7 @@ def test_evaluators_against_zero_field_give_coefficient_norms():
     b = rng.standard_normal(vs.dim)
     sfield = lambda x, y, t: np.zeros(np.shape(x) + (3,))
     vfield = lambda x, y, t: np.zeros(np.shape(x) + (2,))
-    A = assemble_mass_stress(ss, UNIT)
+    A = stress_gram(ss, UNIT.compliance_matrix())
     C = assemble_mass_velocity(vs, UNIT)
     stress_err = StressErrorEvaluator(ss, UNIT)
     vel_err = VelocityErrorEvaluator(vs, UNIT)
@@ -129,7 +130,7 @@ def test_evaluators_match_einsum_reference(family):
     solution = exact_fields(1)
     rng = np.random.default_rng(11)
     for n in (8, 17, 23):
-        mesh = StructuredMesh(n, n)
+        mesh = StructuredMesh(n)
         ss, vs = StressSpace(mesh, family), VelocitySpace(mesh, family)
         stress_err = StressErrorEvaluator(ss, mat)
         vel_err = VelocityErrorEvaluator(vs, mat)
@@ -142,8 +143,22 @@ def test_evaluators_match_einsum_reference(family):
             assert vel_err(b, solution.v, t) == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "evaluator, space, name",
+    [(StressErrorEvaluator, StressSpace, "sigma"), (VelocityErrorEvaluator, VelocitySpace, "v")],
+)
+def test_evaluator_refuses_a_transposed_field(evaluator, space, name):
+    # (nq, n_elements, d) holds as many values as the points take, each at
+    # the wrong point; reshaped, it would give a wrong norm and no error.
+    space = space(StructuredMesh(4), HMZ)
+    field = getattr(exact_fields(1), name)
+    transposed = lambda x, y, t: np.swapaxes(field(x, y, t), 0, 1)
+    with pytest.raises(ValueError, match=r"shape \(14, 16, \d\), expected \(16, 14, \d\)"):
+        evaluator(space, UNIT)(np.zeros(space.dim), transposed, 0.3)
+
+
 def test_error_zero_for_exact_member():
-    mesh = StructuredMesh(3, 3)
+    mesh = StructuredMesh(3)
     ss = StressSpace(mesh, HMZ)
     rng = np.random.default_rng(4)
     c = rng.standard_normal(ss.dim)
@@ -193,7 +208,7 @@ def test_convergence_orders_validation(pairs):
 
 def test_energy_closed_form():
     # interpolated sigma = I and v = (c1, c2): E = 0.5 + rho (c1^2 + c2^2)
-    mesh = StructuredMesh(3, 3)
+    mesh = StructuredMesh(3)
     ss = StressSpace(mesh, NEDELEC)
     vs = VelocitySpace(mesh, NEDELEC)
     mat = IsotropicMaterial(rho=2.0)
@@ -210,11 +225,11 @@ def test_energy_closed_form():
 
 def test_energy_uses_scheme_mass():
     # under lumping the energy must be measured with the lumped A
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     ss = StressSpace(mesh, NEDELEC)
     vs = VelocitySpace(mesh, NEDELEC)
     sys_l = assemble_system(ss, vs, UNIT)
-    sys_c = dataclasses.replace(sys_l, A=assemble_mass_stress(ss, UNIT))
+    sys_c = dataclasses.replace(sys_l, A=stress_gram(ss, UNIT.compliance_matrix()))
     rng = np.random.default_rng(2)
     state = SimState(alpha=rng.standard_normal(ss.dim), beta=np.zeros(vs.dim))
     el = energy(sys_l, state)
@@ -226,7 +241,7 @@ def test_energy_uses_scheme_mass():
 
 
 def test_energy_residuals_contract():
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     ss = StressSpace(mesh, HMZ)
     vs = VelocitySpace(mesh, HMZ)
     system = assemble_system(ss, vs, UNIT)
@@ -284,7 +299,7 @@ def test_infsup_cap_enforced():
 
 
 def test_infsup_zero_pairing_negative_control(monkeypatch):
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     ss = StressSpace(mesh, NEDELEC)
     vs = VelocitySpace(mesh, NEDELEC)
     Bzero = sp.csr_matrix((vs.dim, ss.dim))

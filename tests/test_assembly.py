@@ -27,6 +27,7 @@ from viscowave.fespace import (
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
+from viscowave.quadrature import COMPOSITE, CORNERS
 
 from fehelpers import (
     compliance_bounds,
@@ -34,6 +35,7 @@ from fehelpers import (
     eval_velocity,
     full_scatter,
     oversized,
+    stress_gram,
     vertex_coords,
     vertex_index,
 )
@@ -41,8 +43,16 @@ from fehelpers import (
 UNIT = IsotropicMaterial()
 
 
+def stress_mass(ss, lumped):
+    """The stress mass by the corner rule or by the composite one: the
+    scheme's own when the family lumps that way, else the reference."""
+    if lumped == ss.lumped:
+        return assemble_mass_stress(ss, UNIT)
+    return stress_gram(ss, UNIT.compliance_matrix(), CORNERS if lumped else COMPOSITE)
+
+
 def spaces(n, family):
-    mesh = StructuredMesh(n, n)
+    mesh = StructuredMesh(n)
     return StressSpace(mesh, family), VelocitySpace(mesh, family)
 
 
@@ -55,9 +65,9 @@ def gauss_points(mesh, e):
     """
     g, gw = np.polynomial.legendre.leggauss(3)
     xi, eta = (a.ravel() for a in np.meshgrid(g, g))
-    w = 0.25 * mesh.hx * mesh.hy * np.outer(gw, gw).ravel()
+    w = 0.25 * mesh.h * mesh.h * np.outer(gw, gw).ravel()
     cx, cy = mesh.element_centers()[e]
-    return zip(cx + 0.5 * mesh.hx * xi, cy + 0.5 * mesh.hy * eta, xi, eta, w)
+    return zip(cx + 0.5 * mesh.h * xi, cy + 0.5 * mesh.h * eta, xi, eta, w)
 
 
 # -------------------------------------------------------------- stress mass A
@@ -66,7 +76,7 @@ def gauss_points(mesh, e):
 def test_lumped_entry_unit_element():
     # vertex weight 1/4 times compliance row: (s11,s11) entry = 0.25*(0.5-0.125)
     ss, _ = spaces(1, NEDELEC)
-    A = assemble_mass_stress(ss, UNIT, lumped=True).toarray()
+    A = assemble_mass_stress(ss, UNIT).toarray()
     i = 0  # s11 at lower-left vertex
     assert A[i, i] == pytest.approx(0.09375, rel=1e-14)
 
@@ -74,7 +84,7 @@ def test_lumped_entry_unit_element():
 def test_lumped_blocks_are_per_vertex():
     # lumped A couples only the 3 components living at one vertex
     ss, _ = spaces(2, NEDELEC)
-    A = assemble_mass_stress(ss, UNIT, lumped=True).tocoo()
+    A = assemble_mass_stress(ss, UNIT).tocoo()
     nv = len(vertex_coords(ss.mesh))
     for i, j in zip(A.row, A.col):
         assert i % nv == j % nv  # same vertex, any component
@@ -84,8 +94,8 @@ def test_lumped_weights_scale_with_vertex_valence():
     # interior vertex collects h^2, edge h^2/2, corner h^2/4
     ss, _ = spaces(2, NEDELEC)
     mesh = ss.mesh
-    A = assemble_mass_stress(ss, UNIT, lumped=True)
-    h2 = mesh.hx * mesh.hy
+    A = assemble_mass_stress(ss, UNIT)
+    h2 = mesh.h * mesh.h
     w00 = 0.375  # (C^{-1} e11) : e11 at mu=lam=1
     corner = vertex_index(ss.mesh, 0, 0)
     edge = vertex_index(ss.mesh, 1, 0)
@@ -101,7 +111,7 @@ def test_mass_stress_symmetric(family, lumped):
     if lumped and family == HMZ:
         return
     ss, _ = spaces(3, family)
-    A = assemble_mass_stress(ss, UNIT, lumped=lumped)
+    A = stress_mass(ss, lumped)
     assert abs(A - A.T).max() < 1e-14
 
 
@@ -113,28 +123,20 @@ def test_constant_stress_energy():
             alpha = ss.interpolate(
                 lambda x, y: np.broadcast_to([1.0, 1.0, 0.0], np.shape(x) + (3,))
             )
-            A = assemble_mass_stress(ss, UNIT, lumped=lumped)
+            A = stress_mass(ss, lumped)
             assert alpha @ (A @ alpha) == pytest.approx(0.5, rel=1e-13)
-
-
-def test_lumped_for_hmz_rejected():
-    ss, _ = spaces(2, HMZ)
-    with pytest.raises(ValueError, match="off the corners"):
-        assemble_mass_stress(ss, UNIT, lumped=True)
-    with pytest.raises(ValueError, match="off the corners"):
-        assemble_stress_gram(ss, lumped=True)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_spd_dense(family):
     # smallest eigenvalues strictly positive on coarse meshes
     ss, vs = spaces(4, family)
-    A = assemble_mass_stress(ss, UNIT).toarray()
+    A = stress_mass(ss, False).toarray()
     C = assemble_mass_velocity(vs, UNIT).toarray()
     assert np.linalg.eigvalsh(A).min() > 0
     assert np.linalg.eigvalsh(C).min() > 0
     if family == NEDELEC:
-        AL = assemble_mass_stress(ss, UNIT, lumped=True).toarray()
+        AL = assemble_mass_stress(ss, UNIT).toarray()
         assert np.linalg.eigvalsh(AL).min() > 0
 
 
@@ -142,7 +144,7 @@ def test_spd_dense(family):
 def test_norm_equivalence_discrete(family):
     # M0 ||tau||_0^2 <= a(tau,tau) <= M1 ||tau||_0^2 for random members
     ss, _ = spaces(3, family)
-    A = assemble_mass_stress(ss, UNIT)
+    A = stress_mass(ss, False)
     G = assemble_stress_gram(ss)
     M0, M1 = compliance_bounds(UNIT)
     rng = np.random.default_rng(31)
@@ -194,7 +196,7 @@ def test_coupling_against_quadrature_oracle(family):
 
 
 def test_coupling_family_mismatch_rejected():
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     ss = StressSpace(mesh, NEDELEC)
     vs = VelocitySpace(mesh, HMZ)
     with pytest.raises(ValueError):
@@ -202,8 +204,8 @@ def test_coupling_family_mismatch_rejected():
 
 
 def test_coupling_mesh_mismatch_rejected():
-    ss = StressSpace(StructuredMesh(2, 2), NEDELEC)
-    vs = VelocitySpace(StructuredMesh(3, 3), NEDELEC)
+    ss = StressSpace(StructuredMesh(2), NEDELEC)
+    vs = VelocitySpace(StructuredMesh(3), NEDELEC)
     with pytest.raises(ValueError):
         assemble_coupling(ss, vs)
 
@@ -355,9 +357,10 @@ def test_load_rejects_wrong_field_shape():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_assemble_system_lumps_as_the_family_says(family):
+    # nedelec-q1q0 by the corner rule, hmz by the composite one
     ss, vs = spaces(2, family)
     A = assemble_system(ss, vs, UNIT).A
-    want = assemble_mass_stress(ss, UNIT, lumped=ss.lumped)
+    want = stress_gram(ss, UNIT.compliance_matrix(), CORNERS if family == NEDELEC else COMPOSITE)
     assert np.array_equal(A.indptr, want.indptr) and np.array_equal(A.indices, want.indices)
     assert np.array_equal(A.data, want.data)
 

@@ -295,7 +295,7 @@ def test_snapshot_files(tmp_path, capsys):
     assert rows[0] == ["x", "y", "sigma11", "sigma22", "sigma12", "v1", "v2"]
     data = np.array(rows[1:], dtype=float)
     assert data.shape == (4, 7)
-    np.testing.assert_allclose(data[:, :2], StructuredMesh(2, 2).element_centers())
+    np.testing.assert_allclose(data[:, :2], StructuredMesh(2).element_centers())
     # example 2 starts from sigma = 0 but a nonzero velocity
     np.testing.assert_allclose(data[:, 2:5], 0.0, atol=1e-12)
     assert np.all(np.abs(data[:, 5:]) > 1e-3)
@@ -416,6 +416,7 @@ def test_argparse_rejects_unknown_mode(capsys):
     "argv, message",
     [
         (["--nx", "2", "--nt", "0"], "step count"),
+        (["--nx", "0", "--nt", "2"], "element count must be a positive integer, got 0"),
         (["--mode", "temporal-convergence", "--example", "1", "--nt", "0"], "refinement study"),
         (["--mode", "stability", "--example", "1", "--dt", "0", "--nx", "2"], "time step"),
         (["--nx", "2", "--nt", "2", "--t-final", "inf"], "final time"),
@@ -464,6 +465,7 @@ def test_argparse_rejects_unknown_mode(capsys):
     ],
     ids=[
         "nt-zero",
+        "nx-zero",
         "temporal-nt-zero",
         "stability-dt-zero",
         "t-final-inf",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from viscowave.fespace import (
-    DIAGONAL,
     FAMILIES,
     HMZ,
     LOCAL_DOFS,
@@ -17,6 +16,7 @@ from viscowave.mms import exact_fields
 from viscowave.quadrature import COMPOSITE, CORNERS
 
 from fehelpers import (
+    DIAGONAL,
     boundary_edge,
     dof_component,
     edge_counts,
@@ -25,10 +25,12 @@ from fehelpers import (
     edge_vertices,
     elem_edges,
     elem_vertices,
+    element_at,
     eval_stress,
     eval_velocity,
     local_coords,
     mirrors,
+    reflections,
     stress_basis_divergence,
     stress_basis_value,
     velocity_basis_value,
@@ -36,48 +38,48 @@ from fehelpers import (
 )
 
 
-def hmz_dim(nx, ny):
+def hmz_dim(n):
     # s11 edge+interior, s22 edge+interior, s12 vertex
-    return (
-        (nx + 1) * ny + nx * ny + nx * (ny + 1) + nx * ny + (nx + 1) * (ny + 1)
+    return 2 * ((n + 1) * n + n * n) + (n + 1) ** 2
+
+
+def dimension_cases(*cases):
+    """Cases ``(family, n, dim)`` with fixed ids ``family-n-n-dim``, so that
+    each case keeps the name it has had in the suite."""
+    return pytest.mark.parametrize(
+        "family, n, dim", cases, ids=[f"{f}-{n}-{n}-{d}" for f, n, d in cases]
     )
 
 
 # ---------------------------------------------------------------- dimensions
 
 
-@pytest.mark.parametrize(
-    "family,nx,ny,dim",
-    [
-        (NEDELEC, 1, 1, 12),
-        (NEDELEC, 4, 4, 75),
-        (NEDELEC, 3, 5, 3 * 4 * 6),
-        (HMZ, 1, 1, 10),
-        (HMZ, 2, 2, 29),
-        (HMZ, 4, 4, hmz_dim(4, 4)),
-        (HMZ, 3, 5, hmz_dim(3, 5)),
-    ],
+@dimension_cases(
+    (NEDELEC, 1, 12),
+    (NEDELEC, 4, 75),
+    (NEDELEC, 3, 3 * 4 * 4),
+    (HMZ, 1, 10),
+    (HMZ, 2, 29),
+    (HMZ, 4, hmz_dim(4)),
+    (HMZ, 3, hmz_dim(3)),
 )
-def test_stress_dimensions(family, nx, ny, dim):
-    assert StressSpace(StructuredMesh(nx, ny), family).dim == dim
+def test_stress_dimensions(family, n, dim):
+    assert StressSpace(StructuredMesh(n), family).dim == dim
 
 
-@pytest.mark.parametrize(
-    "family,nx,ny,dim",
-    [(NEDELEC, 1, 1, 2), (NEDELEC, 4, 4, 32), (HMZ, 1, 1, 4), (HMZ, 4, 4, 64)],
-)
-def test_velocity_dimensions(family, nx, ny, dim):
-    assert VelocitySpace(StructuredMesh(nx, ny), family).dim == dim
+@dimension_cases((NEDELEC, 1, 2), (NEDELEC, 4, 32), (HMZ, 1, 4), (HMZ, 4, 64))
+def test_velocity_dimensions(family, n, dim):
+    assert VelocitySpace(StructuredMesh(n), family).dim == dim
 
 
 @pytest.mark.parametrize("family, lumped", [(NEDELEC, True), (HMZ, False)])
 def test_lumping_follows_from_the_corner_dofs(family, lumped):
     # nedelec-q1q0 has all its dofs at corners; hmz has edge and centre dofs.
-    assert StressSpace(StructuredMesh(2, 2), family).lumped is lumped
+    assert StressSpace(StructuredMesh(2), family).lumped is lumped
 
 
 def test_unknown_family_rejected():
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     with pytest.raises(ValueError):
         StressSpace(mesh, "q2-q1")
     with pytest.raises(ValueError):
@@ -87,7 +89,7 @@ def test_unknown_family_rejected():
 
 def test_eldof_indices_cover_space():
     for family in FAMILIES:
-        ss = StressSpace(StructuredMesh(3, 2), family)
+        ss = StressSpace(StructuredMesh(3), family)
         assert ss.eldof.min() == 0
         assert ss.eldof.max() == ss.dim - 1
         assert len(np.unique(ss.eldof)) == ss.dim
@@ -97,7 +99,7 @@ def test_eldof_indices_cover_space():
 
 
 def test_nedelec_nodal_basis_values():
-    mesh = StructuredMesh(1, 1)
+    mesh = StructuredMesh(1)
     ss = StressSpace(mesh, NEDELEC)
     # local dof 0 = s11 at lower-left vertex
     v = stress_basis_value(ss, 0, 0, 0.0, 0.0)
@@ -107,13 +109,13 @@ def test_nedelec_nodal_basis_values():
 
 
 def test_nedelec_nodal_divergence_at_center():
-    ss = StressSpace(StructuredMesh(1, 1), NEDELEC)
+    ss = StressSpace(StructuredMesh(1), NEDELEC)
     d = stress_basis_divergence(ss, 0, 0, 0.5, 0.5)
     np.testing.assert_allclose(np.asarray(d), [-0.5, 0.0], atol=1e-15)
 
 
 def test_hmz_bubble_vanishes_at_edge_midpoints():
-    ss = StressSpace(StructuredMesh(1, 1), HMZ)
+    ss = StressSpace(StructuredMesh(1), HMZ)
     # local layout: [s11 left, s11 right, s11 bubble, s22 bottom, s22 top,
     #                s22 bubble, s12 at 4 vertices]
     for x, y in [(0.0, 0.5), (1.0, 0.5)]:
@@ -124,7 +126,7 @@ def test_hmz_bubble_vanishes_at_edge_midpoints():
 
 
 def test_hmz_s11_constant_in_y():
-    ss = StressSpace(StructuredMesh(2, 2), HMZ)
+    ss = StressSpace(StructuredMesh(2), HMZ)
     rng = np.random.default_rng(2)
     for ldof in (0, 1, 2):
         ys = rng.uniform(0.0, 0.5, size=5)
@@ -134,7 +136,7 @@ def test_hmz_s11_constant_in_y():
 
 
 def test_velocity_basis_values():
-    mesh = StructuredMesh(1, 1)
+    mesh = StructuredMesh(1)
     q0 = VelocitySpace(mesh, NEDELEC)
     np.testing.assert_allclose(velocity_basis_value(q0, 0, 0, 0.7, 0.2), [1.0, 0.0])
     np.testing.assert_allclose(velocity_basis_value(q0, 0, 1, 0.7, 0.2), [0.0, 1.0])
@@ -146,7 +148,7 @@ def test_velocity_basis_values():
 
 
 def test_basis_argument_validation():
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     ss = StressSpace(mesh, NEDELEC)
     with pytest.raises(ValueError):
         stress_basis_value(ss, 0, 12, 0.1, 0.1)  # ldof out of range
@@ -163,7 +165,7 @@ def test_basis_argument_validation():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_interpolation_reproduces_members(family):
     # canonical interpolation applied to a space member returns its coefficients
-    mesh = StructuredMesh(3, 2)
+    mesh = StructuredMesh(3)
     ss = StressSpace(mesh, family)
     rng = np.random.default_rng(17)
     for _ in range(5):
@@ -176,10 +178,7 @@ def test_interpolation_reproduces_members(family):
             xf = x.reshape(-1)
             yf = np.asarray(y, dtype=float).reshape(-1)
             for k, (xk, yk) in enumerate(zip(xf, yf)):
-                e = int(
-                    min(xk // mesh.hx, mesh.nx - 1)
-                    + min(yk // mesh.hy, mesh.ny - 1) * mesh.nx
-                )
+                e = element_at(mesh, xk, yk)
                 xi, eta = local_coords(mesh, e, xk, yk)
                 flat[k] = eval_stress(ss, coeffs, e, xi, eta)
             return out
@@ -190,7 +189,7 @@ def test_interpolation_reproduces_members(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_constant_reproduction(family):
-    mesh = StructuredMesh(2, 3)
+    mesh = StructuredMesh(3)
     ss = StressSpace(mesh, family)
     const = np.array([1.3, -0.7, 0.4])
 
@@ -203,7 +202,7 @@ def test_constant_reproduction(family):
 
 
 def test_nedelec_bilinear_reproduction():
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     ss = StressSpace(mesh, NEDELEC)
 
     def field(x, y):
@@ -215,8 +214,8 @@ def test_nedelec_bilinear_reproduction():
     for _ in range(20):
         e = int(rng.integers(mesh.n_elements))
         cx, cy = mesh.element_centers()[e]
-        x = rng.uniform(cx - 0.5 * mesh.hx, cx + 0.5 * mesh.hx)
-        y = rng.uniform(cy - 0.5 * mesh.hy, cy + 0.5 * mesh.hy)
+        x = rng.uniform(cx - 0.5 * mesh.h, cx + 0.5 * mesh.h)
+        y = rng.uniform(cy - 0.5 * mesh.h, cy + 0.5 * mesh.h)
         xi, eta = local_coords(mesh, e, x, y)
         np.testing.assert_allclose(
             eval_stress(ss, coeffs, e, xi, eta), field(x, y), atol=1e-13
@@ -225,7 +224,7 @@ def test_nedelec_bilinear_reproduction():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_velocity_projection_reproduces_members(family):
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     vs = VelocitySpace(mesh, family)
     rng = np.random.default_rng(23)
     coeffs = rng.standard_normal(vs.dim)
@@ -236,10 +235,7 @@ def test_velocity_projection_reproduces_members(family):
         flat = out.reshape(-1, 2)
         xf = x.reshape(-1); yf = np.asarray(y, dtype=float).reshape(-1)
         for k, (xk, yk) in enumerate(zip(xf, yf)):
-            e = int(
-                min(xk // mesh.hx, mesh.nx - 1)
-                + min(yk // mesh.hy, mesh.ny - 1) * mesh.nx
-            )
+            e = element_at(mesh, xk, yk)
             xi, eta = local_coords(mesh, e, xk, yk)
             flat[k] = eval_velocity(vs, coeffs, e, xi, eta)
         return out
@@ -248,7 +244,7 @@ def test_velocity_projection_reproduces_members(family):
 
 
 def test_q0_projection_is_cell_mean():
-    mesh = StructuredMesh(1, 1)
+    mesh = StructuredMesh(1)
     vs = VelocitySpace(mesh, NEDELEC)
     got = vs.project(lambda x, y: np.stack([np.asarray(x), 0.0 * np.asarray(x)], axis=-1))
     np.testing.assert_allclose(got, [0.5, 0.0], atol=1e-14)
@@ -261,7 +257,7 @@ def test_q0_projection_is_cell_mean():
 @pytest.mark.parametrize("n", [2, 3])
 def test_normal_trace_continuity(family, n):
     # sigma.n single-valued across interior edges for random members
-    mesh = StructuredMesh(n, n)
+    mesh = StructuredMesh(n)
     ss = StressSpace(mesh, family)
     touch = edge_elements(mesh)
     rng = np.random.default_rng(n)
@@ -291,15 +287,15 @@ def test_normal_trace_continuity(family, n):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_divergence_matches_finite_differences(family):
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     ss = StressSpace(mesh, family)
     rng = np.random.default_rng(9)
     h = 1e-6
     for _ in range(40):
         e = int(rng.integers(mesh.n_elements))
         cx, cy = mesh.element_centers()[e]
-        x = rng.uniform(cx - 0.5 * mesh.hx + 2 * h, cx + 0.5 * mesh.hx - 2 * h)
-        y = rng.uniform(cy - 0.5 * mesh.hy + 2 * h, cy + 0.5 * mesh.hy - 2 * h)
+        x = rng.uniform(cx - 0.5 * mesh.h + 2 * h, cx + 0.5 * mesh.h - 2 * h)
+        y = rng.uniform(cy - 0.5 * mesh.h + 2 * h, cy + 0.5 * mesh.h - 2 * h)
         ldof = int(rng.integers(ss.n_local))
         div = np.asarray(stress_basis_divergence(ss, e, ldof, x, y))
 
@@ -314,7 +310,7 @@ def test_divergence_matches_finite_differences(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_local_divergence_consistent_with_pointwise(family):
-    mesh = StructuredMesh(3, 2)
+    mesh = StructuredMesh(3)
     ss = StressSpace(mesh, family)
     xi = np.array([-0.62, 0.0, 0.81])
     eta = np.array([0.44, -0.13, 0.99])
@@ -322,8 +318,8 @@ def test_local_divergence_consistent_with_pointwise(family):
     e = 4
     cx, cy = mesh.element_centers()[e]
     for q in range(3):
-        x = cx + 0.5 * xi[q] * mesh.hx
-        y = cy + 0.5 * eta[q] * mesh.hy
+        x = cx + 0.5 * xi[q] * mesh.h
+        y = cy + 0.5 * eta[q] * mesh.h
         for l in range(ss.n_local):
             np.testing.assert_allclose(
                 loc[q, l], np.asarray(stress_basis_divergence(ss, e, l, x, y)),
@@ -332,7 +328,7 @@ def test_local_divergence_consistent_with_pointwise(family):
 
 
 def test_dof_metadata():
-    ss = StressSpace(StructuredMesh(2, 2), HMZ)
+    ss = StressSpace(StructuredMesh(2), HMZ)
     assert ss.grid.shape == ss.dof_point.shape == (29, 2)
     odd = ss.grid % 2
     # one shear dof per vertex (both coordinates even), one normal stress per
@@ -349,7 +345,7 @@ def test_dof_metadata():
     centres = 2 * np.column_stack([np.arange(4) % 2, np.arange(4) // 2]) + 1
     for k in range(2):
         np.testing.assert_array_equal(ss.grid[ss.interior[:, k]], centres)
-    ns = StressSpace(StructuredMesh(2, 2), NEDELEC)
+    ns = StressSpace(StructuredMesh(2), NEDELEC)
     assert np.all(ns.grid % 2 == 0) and ns.interior.shape == (4, 0)
     assert np.all(np.bincount(dof_component(ns)) == 9)
 
@@ -391,11 +387,11 @@ def _old_eldof(mesh, family):
 
 def _old_midpoints(mesh):
     """Midpoints of the vertical and of the horizontal edges."""
-    iv, jv = np.meshgrid(np.arange(mesh.nx + 1), np.arange(mesh.ny))
-    ih, jh = np.meshgrid(np.arange(mesh.nx), np.arange(mesh.ny + 1))
+    iv, jv = np.meshgrid(np.arange(mesh.n + 1), np.arange(mesh.n))
+    ih, jh = np.meshgrid(np.arange(mesh.n), np.arange(mesh.n + 1))
     return (
-        np.column_stack([mesh.hx * iv.ravel(), mesh.hy * (jv.ravel() + 0.5)]),
-        np.column_stack([mesh.hx * (ih.ravel() + 0.5), mesh.hy * jh.ravel()]),
+        np.column_stack([mesh.h * iv.ravel(), mesh.h * (jv.ravel() + 0.5)]),
+        np.column_stack([mesh.h * (ih.ravel() + 0.5), mesh.h * jh.ravel()]),
     )
 
 
@@ -422,7 +418,7 @@ def _old_local_values(family, xi, eta):
 
 
 def _old_local_divergence(family, mesh, xi, eta):
-    sx, sy = 2.0 / mesh.hx, 2.0 / mesh.hy
+    sx = sy = 2.0 / mesh.h
     out = np.zeros(xi.shape + (len(LOCAL_DOFS[family]), 2))
     dx, dy = sx * _hats_dxi(xi, eta), sy * _hats_deta(xi, eta)
     if family == NEDELEC:
@@ -441,17 +437,17 @@ def _bits(a):
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize(
-    "nx, ny",
-    [(3, 3), (64, 64), (256, 256), (5, 3)],
+    "n",
+    [3, 64, 256, 5],
     # Fixed ids, so that each case keeps the name it has had in the suite.
-    ids=["3-3-bounds0", "64-64-bounds1", "256-256-bounds2", "5-3-bounds3"],
+    ids=["3-3-bounds0", "64-64-bounds1", "256-256-bounds2", "5-5-bounds3"],
 )
-def test_table_matches_old_construction(family, nx, ny):
-    mesh = StructuredMesh(nx, ny)
+def test_table_matches_old_construction(family, n):
+    mesh = StructuredMesh(n)
     ss = StressSpace(mesh, family)
     np.testing.assert_array_equal(ss.eldof, _old_eldof(mesh, family))
     np.testing.assert_array_equal(_bits(ss.dof_point), _bits(_old_dof_point(mesh, family)))
-    rng = np.random.default_rng(nx)
+    rng = np.random.default_rng(n)
     points = [COMPOSITE[0], CORNERS[0], rng.uniform(-1.0, 1.0, (1000, 2)), np.zeros((1, 2))]
     for xi, eta in (p.T for p in points):
         np.testing.assert_array_equal(
@@ -469,7 +465,7 @@ def test_hmz_interpolant_matches_old_construction(example, t):
     # the old form: edge and vertex values, and each bubble the centre value
     # less the mean of its two edge values; at t = 0 the stress of examples
     # 1 and 2 is zero, where the bits still tell -0.0 from 0.0
-    mesh = StructuredMesh(6, 4)
+    mesh = StructuredMesh(6)
     ss = StressSpace(mesh, HMZ)
     sigma = exact_fields(example).sigma
     vertical, horizontal = _old_midpoints(mesh)
@@ -494,7 +490,7 @@ def test_hmz_interpolant_matches_old_construction(example, t):
 @pytest.mark.parametrize("example", [1, 2, 3])
 def test_nedelec_interpolant_is_the_vertex_values(example, t):
     # bit for bit the field at the vertices, one component block after another
-    mesh = StructuredMesh(6, 4)
+    mesh = StructuredMesh(6)
     ss = StressSpace(mesh, NEDELEC)
     sigma = exact_fields(example).sigma
     want = sigma(*vertex_coords(mesh).T, t).T.ravel()
@@ -504,7 +500,7 @@ def test_nedelec_interpolant_is_the_vertex_values(example, t):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_interpolate_evaluates_each_dof_point_once(family):
-    ss = StressSpace(StructuredMesh(5, 3), family)
+    ss = StressSpace(StructuredMesh(5), family)
     seen = []
 
     def field(x, y):
@@ -516,36 +512,46 @@ def test_interpolate_evaluates_each_dof_point_once(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("nx, ny", [(1, 1), (3, 2), (4, 4)])
-def test_mirrors_reflect_grid_points(family, nx, ny):
-    ss = StressSpace(StructuredMesh(nx, ny), family)
+@pytest.mark.parametrize("n", [1, 3, 4], ids=["1-1", "3-3", "4-4"])
+def test_mirrors_reflect_grid_points(family, n):
+    ss = StressSpace(StructuredMesh(n), family)
     (px, sx), (py, sy) = mirrors(ss)
     gx, gy = ss.grid.T
-    assert np.array_equal(ss.grid[px], np.column_stack([2 * nx - gx, gy]))
-    assert np.array_equal(ss.grid[py], np.column_stack([gx, 2 * ny - gy]))
+    assert np.array_equal(ss.grid[px], np.column_stack([2 * n - gx, gy]))
+    assert np.array_equal(ss.grid[py], np.column_stack([gx, 2 * n - gy]))
     shear = dof_component(ss) == 2
     for p, s in ((px, sx), (py, sy)):
         assert np.array_equal(p[p], np.arange(ss.dim))
         assert np.array_equal(dof_component(ss)[p], dof_component(ss))
         assert np.array_equal(s, np.where(shear, -1.0, 1.0))
     assert np.array_equal(px[py], py[px])
-    # A square mesh is also symmetric about its diagonal, which swaps t11
-    # and t22, keeps the shear's sign and transposes the local offsets.
-    assert list(ss.generators) == ["x -> 1 - x", "y -> 1 - y"] + [DIAGONAL] * (nx == ny)
-    if nx == ny:
-        p, s = ss.generators[DIAGONAL]
-        assert np.array_equal(ss.grid[p], ss.grid[:, ::-1])
-        assert np.array_equal(p[p], np.arange(ss.dim))
-        assert np.array_equal(dof_component(ss)[p], np.array([1, 0, 2])[dof_component(ss)])
-        assert np.array_equal(s, np.ones(ss.dim))
-        table = LOCAL_DOFS[family]
-        assert {((1, 0, 2)[c], d[::-1]) for c, d in table} == set(table)
+    # The mesh is also symmetric about its diagonal, which swaps t11 and
+    # t22, keeps the shear's sign and transposes the local offsets.
+    assert list(ss.generators) == ["x -> 1 - x", "y -> 1 - y", DIAGONAL]
+    p, s = ss.generators[DIAGONAL]
+    assert np.array_equal(ss.grid[p], ss.grid[:, ::-1])
+    assert np.array_equal(p[p], np.arange(ss.dim))
+    assert np.array_equal(dof_component(ss)[p], np.array([1, 0, 2])[dof_component(ss)])
+    assert np.array_equal(s, np.ones(ss.dim))
+    table = LOCAL_DOFS[family]
+    assert {((1, 0, 2)[c], d[::-1]) for c, d in table} == set(table)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_generators_match_brute_force_search(family, n):
+    ss = StressSpace(StructuredMesh(n), family)
+    want = reflections(ss)
+    assert list(ss.generators) == list(want)
+    for (p, s), (p_want, s_want) in zip(ss.generators.values(), want.values()):
+        np.testing.assert_array_equal(p, p_want)
+        np.testing.assert_array_equal(s, s_want)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_mirror_of_interpolant_is_interpolant_of_mirrored_field(family):
     # Reflecting x -> 1 - x keeps t11 and t22 and flips the shear t12.
-    ss = StressSpace(StructuredMesh(3, 2), family)
+    ss = StressSpace(StructuredMesh(3), family)
 
     def field(x, y):
         return np.stack([x**2 + 3 * y, x * y**2, np.sin(x + 2 * y)], axis=-1)
@@ -559,7 +565,7 @@ def test_mirror_of_interpolant_is_interpolant_of_mirrored_field(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_diagonal_of_interpolant_is_interpolant_of_transposed_field(family):
     # Reflecting (x, y) -> (y, x) swaps t11 and t22 and keeps the shear t12.
-    ss = StressSpace(StructuredMesh(3, 3), family)
+    ss = StressSpace(StructuredMesh(3), family)
 
     def field(x, y):
         return np.stack([x**2 + 3 * y, x * y**2, np.sin(x + 2 * y)], axis=-1)

@@ -287,7 +287,7 @@ def test_velocity_factor_is_shared_by_v_and_f(example):
     assert any(factor is velocity for _, factor in sol.f.terms)
     calls = []
     _count_factor_calls((sol.v, sol.f, sol.sigma), calls)
-    x, y = StructuredMesh(4, 4).quad_points
+    x, y = StructuredMesh(4).quad_points
     for t in (0.0, 0.5, 1.0):
         for field in (sol.v, sol.f, sol.sigma):
             field(x, y, t)
@@ -299,7 +299,7 @@ def test_velocity_factor_is_shared_by_v_and_f(example):
 def test_fields_on_many_points_match_one_evaluation_bit_for_bit(example):
     # 65^2 elements are more than one block of rows: the kept factor values
     # are made, and the terms of f summed, a block at a time
-    x, y = StructuredMesh(65, 65).quad_points
+    x, y = StructuredMesh(65).quad_points
     assert len(x) > mms._ROWS
     sol = exact_fields(example)
     calls = []
@@ -335,7 +335,7 @@ def test_writable_points_are_evaluated_on_every_call():
 
 
 def test_quadrature_points_refuse_writes():
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     for space in (StressSpace(mesh, "hmz"), VelocitySpace(mesh, "nedelec-q1q0")):
         for points in (space.quad.x, space.quad.y):
             with pytest.raises(ValueError):
@@ -344,13 +344,13 @@ def test_quadrature_points_refuse_writes():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_spaces_of_one_mesh_share_their_quadrature_points(family):
-    mesh = StructuredMesh(3, 2)
+    mesh = StructuredMesh(3)
     sq, vq = StressSpace(mesh, family).quad, VelocitySpace(mesh, family).quad
     assert sq.x is vq.x is mesh.quad_points[0]
     assert sq.y is vq.y is mesh.quad_points[1]
     for points in (sq.x, sq.y):
         assert points.base is None and not points.flags.writeable
     # another mesh, even an equal one, has points of its own
-    other = VelocitySpace(StructuredMesh(3, 2), family).quad
+    other = VelocitySpace(StructuredMesh(3), family).quad
     assert other.x is not sq.x
     np.testing.assert_array_equal(other.x, sq.x)

@@ -142,15 +142,15 @@ def test_rules_refuse_writes():
 @pytest.mark.parametrize("n", [64, 256])
 def test_rules_match_first_element_rule_mapped_back(n):
     """Bit for bit, the rules as placed on element 0 of an n-by-n unit mesh and mapped back."""
-    mesh = StructuredMesh(n, n)
-    hx, hy = mesh.hx, mesh.hy
-    corners = np.array([[0.0, 0.0], [hx, 0.0], [hx, hy], [0.0, hy]])
-    centre = 0.5 * np.array([hx, hy])
+    mesh = StructuredMesh(n)
+    h = mesh.h
+    corners = np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]])
+    centre = np.full(2, 0.5 * h)
     physical = np.vstack([_TRI_BARY @ corners[[0, 1, 2]], _TRI_BARY @ corners[[0, 2, 3]]])
-    weights = np.concatenate([0.5 * (hx * hy) * _TRI_FRACS] * 2)
+    weights = np.concatenate([0.5 * (h * h) * _TRI_FRACS] * 2)
     for old_points, old_weights, lumped in (
         (physical, weights, False),
-        (corners, np.full(4, 0.25 * (hx * hy)), True),
+        (corners, np.full(4, 0.25 * (h * h)), True),
     ):
         local = (old_points - centre) / centre
         w, xi, eta = _local_rule(mesh, lumped)

@@ -26,7 +26,7 @@ UNIT = IsotropicMaterial()
 
 
 def make_system(n, family):
-    mesh = StructuredMesh(n, n)
+    mesh = StructuredMesh(n)
     return assemble_system(StressSpace(mesh, family), VelocitySpace(mesh, family), UNIT)
 
 
@@ -69,7 +69,7 @@ def run_config(**kw):
 
 
 def test_init_state_defaults_to_zero():
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     ss = StressSpace(mesh, HMZ)
     vs = VelocitySpace(mesh, HMZ)
     state = init_state(ss, vs)
@@ -79,7 +79,7 @@ def test_init_state_defaults_to_zero():
 
 
 def test_init_state_interpolates_data():
-    mesh = StructuredMesh(2, 2)
+    mesh = StructuredMesh(2)
     ss = StressSpace(mesh, NEDELEC)
     vs = VelocitySpace(mesh, NEDELEC)
     state = init_state(
