@@ -4,10 +4,11 @@ Norms: the stress error is measured in the compliance-weighted a-norm
 ``||tau||_a^2 = int Cinv tau : tau`` and the velocity error in the
 density-weighted c-norm ``||w||_c^2 = int rho w . w``, both integrated
 with the composite degree-5 rule regardless of any lumping used by the
-scheme itself.  An evaluator calls the reference field once per time on
-the mesh's quadrature points, which both spaces share, and forms the
-discrete field, the difference and the weighted dot product block by
-block of ``NORM_BLOCK`` elements, so no full-mesh temporary is made.
+scheme itself.  An evaluator reads the reference field once per time on
+the mesh's quadrature points, which both spaces share, through the
+kernel's checked ``QuadKernel.values``, and forms the discrete field, the
+difference and the weighted dot product block by block of ``NORM_BLOCK``
+elements, so no full-mesh temporary is made.
 """
 
 from __future__ import annotations
@@ -45,24 +46,20 @@ class _ErrorEvaluator:
 
     ``weight`` is the (d, d) pointwise weight of the norm; it is tiled with
     the quadrature weights into one (nq * d, nq * d) matrix per element.
-    The field is called once, on every element's points; the rest is done
-    ``NORM_BLOCK`` elements at a time.  It must return the points' shape
-    plus (d,), like the fields ``assemble_load`` and ``project`` take.
+    The field is called once, on every element's points, and checked
+    there (``QuadKernel.values``); the rest is done ``NORM_BLOCK`` elements
+    at a time.
     """
 
     def __init__(self, space, weight):
         self.space = space
         self.quad = space.quad
-        self.shape = self.quad.x.shape + (len(weight),)
         self.weight = np.kron(np.diag(self.quad.weights), weight)
 
     def __call__(self, coeffs, field, t: float) -> float:
         q = self.quad
         coeffs = np.asarray(coeffs, float)
-        values = np.asarray(field(q.x, q.y, t), float)
-        if values.shape != self.shape:
-            raise ValueError(f"field returned shape {values.shape}, expected {self.shape}")
-        values = values.reshape(len(q.x), -1)
+        values = q.values(field, t)
         val = 0.0
         for lo in range(0, len(values), NORM_BLOCK):
             block = slice(lo, lo + NORM_BLOCK)

@@ -131,17 +131,11 @@ def assemble_load(space: VelocitySpace, f, t: float) -> np.ndarray:
     """Load vector F[i] = int f(x, y, t) . w_i.
 
     ``f`` must vectorize over coordinate arrays and return vectors in the
-    last axis.
+    last axis.  Velocity dofs are numbered element by element, so the
+    element loads, row after row, are the vector: nothing is scattered.
     """
     q = space.quad
-    fv = np.asarray(f(q.x, q.y, t), float)
-    expected = q.x.shape + (2,)
-    if fv.shape != expected:
-        raise ValueError(f"body force returned shape {fv.shape}, expected {expected}")
-    local = fv.reshape(len(fv), -1) @ q.weighted
-    return np.bincount(
-        space.eldof.ravel(), weights=local.ravel(), minlength=space.dim
-    )
+    return (q.values(f, t) @ q.weighted).ravel()
 
 
 @dataclass

@@ -427,8 +427,7 @@ def main(argv=None) -> int:
         out = s["out"] or ""
         if not os.path.isdir(os.path.dirname(out) or "."):
             raise ValueError(f"{name} mode cannot write --out {out}: no such directory")
-        # Solve mode writes files named after the stem --out, not --out itself.
-        if name != "solve" and os.path.isdir(out):
+        if os.path.isdir(out):
             raise ValueError(f"{name} mode cannot write --out {out}: it is a directory")
         return mode.runner(s)
     except (ValueError, ConvergenceError, SingularBlockError, OSError, MemoryError) as err:

@@ -79,6 +79,14 @@ def _factor(s, offset, own_axis):
     return 1.0, 0.0
 
 
+def _checked(values, x, d) -> np.ndarray:
+    """A field's values at the points ``x``, refused unless shaped ``x.shape + (d,)``."""
+    values = np.asarray(values, float)
+    if values.shape != x.shape + (d,):
+        raise ValueError(f"field returned shape {values.shape}, expected {x.shape + (d,)}")
+    return values
+
+
 @dataclass(frozen=True)
 class QuadKernel:
     """The composite degree-5 rule on every element, with the local basis there.
@@ -91,8 +99,8 @@ class QuadKernel:
     component c of local function l at point q, so ``coeffs[eldof] @ basis``
     is a discrete field at every point, shape (n_elements, nq * d).
     ``weighted`` (nq * d, n_local) is ``basis`` times the weights, transposed,
-    so ``values.reshape(n_elements, -1) @ weighted`` integrates a field
-    against every local function.
+    so ``values(field, t) @ weighted`` integrates a field against every
+    local function.
     """
 
     x: np.ndarray
@@ -100,6 +108,15 @@ class QuadKernel:
     weights: np.ndarray
     basis: np.ndarray
     weighted: np.ndarray
+
+    def values(self, field, *t) -> np.ndarray:
+        """``field(x, y, *t)`` called once on all points, as a (n_elements, nq * d) view.
+
+        It must return the points' shape plus (d,), the width of a basis
+        value; any other shape, a transposed one say, is refused.
+        """
+        d = self.basis.shape[1] // len(self.weights)
+        return _checked(field(self.x, self.y, *t), self.x, d).reshape(len(self.x), -1)
 
 
 def quad_kernel(space) -> QuadKernel:
@@ -273,10 +290,8 @@ class StressSpace(_Space):
         values = {}
         for c, lattice, dofs in self._blocks:
             if lattice not in values:
-                p = points[dofs]
-                v = values[lattice] = np.asarray(field(p[:, 0], p[:, 1]), float)
-                if v.shape != (len(p), 3):
-                    raise ValueError(f"stress field returned shape {v.shape}")
+                x, y = points[dofs].T
+                values[lattice] = _checked(field(x, y), x, 3)
             coeffs[dofs] = values[lattice][:, c]
         # A centre function is 1 at the centre, so its coefficient is the
         # field there less what the element's other functions give there.
@@ -316,8 +331,5 @@ class VelocitySpace(_Space):
         is the load of the field divided by the diagonal of the local mass.
         """
         q = self.quad
-        fv = np.asarray(field(q.x, q.y), float)
-        if fv.shape != q.x.shape + (2,):
-            raise ValueError(f"velocity field returned shape {fv.shape}")
         mass = np.einsum("lk,kl->l", q.basis, q.weighted)
-        return (fv.reshape(len(fv), -1) @ q.weighted / mass).ravel()
+        return (q.values(field) @ q.weighted / mass).ravel()

@@ -11,14 +11,15 @@ relation ``sigma + sigma_t = C eps(v)`` exactly for the unit material
    blows up like ``z^(-1/2)`` toward the x = 0 and y = 0 edges and whose
    stress is nonzero at t = 0.
 
-The body force is ``f = rho v_t - div sigma``, so the momentum equation
-holds by construction.  Every field is time-separable, one or two time
-coefficients times fixed spatial factors (``Separable``).  Each factor
-keeps its values on the last read-only point set (``SpatialFactor``), and
-a factor two fields share, V (or U) in both v and f, is one object, so on
-the mesh's quadrature points each spatial factor is evaluated and stored
-once.  Kept values are made, and terms summed in place, a block of rows at
-a time, so a field call makes no temporary beyond its result.
+Each example declares v = c_v(t) V and sigma = c_s(t) S with D = div S;
+one helper builds the body force ``f = rho v_t - div sigma`` from them as
+rho c_v'(t) V - c_s(t) D, so the momentum equation holds by construction.
+Every field is time-separable (``Separable``).  Each spatial factor keeps
+its values on the last read-only point set (``SpatialFactor``), and V, in
+both v and f, is one object, so on the mesh's quadrature points each
+spatial factor is evaluated and stored once.  Kept values are made, and
+terms summed in place, a block of rows at a time, so a field call makes no
+temporary beyond its result.
 """
 
 from __future__ import annotations
@@ -127,18 +128,18 @@ class Separable:
         return out
 
 
-def _decaying(rho, V, S, D):
-    """Examples 1-2: velocity e^-t V, stress t e^-t S with divergence t e^-t D."""
+def _solution(rho, V, S, D, c_v, dc_v, c_s):
+    """v = c_v V, sigma = c_s S (div S = D) and f = rho dc_v V - c_s D, which share V."""
     V = SpatialFactor(V)
-
-    def te(t):
-        return t * np.exp(-t)
-
     return dict(
-        v=Separable((lambda t: np.exp(-t), V)),
-        sigma=Separable((te, S)),
-        f=Separable((lambda t: -rho * np.exp(-t), V), (lambda t: -te(t), D)),
+        v=Separable((c_v, V)),
+        sigma=Separable((c_s, S)),
+        f=Separable((lambda t: rho * dc_v(t), V), (lambda t: -c_s(t), D)),
     )
+
+
+# Examples 1-2: velocity e^-t V and stress t e^-t S, zero at t = 0.
+_DECAYING = (lambda t: np.exp(-t), lambda t: -np.exp(-t), lambda t: t * np.exp(-t))
 
 
 def _example1(rho):
@@ -166,7 +167,7 @@ def _example1(rho):
             5.0 * gpp(x) * gp(y) + g(x) * gppp(y), 5.0 * gp(x) * gpp(y) + g(y) * gppp(x)
         )
 
-    return _decaying(rho, V, S, D)
+    return _solution(rho, V, S, D, *_DECAYING)
 
 
 def _example2(rho):
@@ -187,11 +188,10 @@ def _example2(rho):
         )
         return _stack(d, d)
 
-    return _decaying(rho, V, S, D)
+    return _solution(rho, V, S, D, *_DECAYING)
 
 
 def _example3(rho):
-    """Velocity e^t U = u = v_t, stress e^t S = sigma_t with divergence e^t D."""
     pi = np.pi
 
     def p(z):
@@ -221,12 +221,8 @@ def _example3(rho):
             -1.5 * pi * pi * sy * p(x) + pi * np.cos(pi * x) * pp(y) + 0.5 * sy * ppp(x),
         )
 
-    U = SpatialFactor(U)
-    return dict(
-        v=Separable((np.exp, U)),
-        sigma=Separable((np.exp, S)),
-        f=Separable((lambda t: rho * np.exp(t), U), (lambda t: -np.exp(t), D)),
-    )
+    # Velocity e^t U = u = v_t and stress e^t S = sigma_t.
+    return _solution(rho, U, S, D, np.exp, np.exp, np.exp)
 
 
 _BUILDERS = {1: _example1, 2: _example2, 3: _example3}

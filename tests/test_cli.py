@@ -302,14 +302,16 @@ def test_snapshot_files(tmp_path, capsys):
     with paths[2].open() as fh:
         late = np.array(list(csv.reader(fh))[1:], dtype=float)
     assert np.any(np.abs(late[:, 2:5]) > 1e-3)
-    # A stem that names a directory is still a stem: the files sit beside it.
+    # A stem inside a directory writes there (a directory as the stem is refused).
     (tmp_path / "d").mkdir()
     code, _, err = run_main(
         ["--mode", "solve", "--nx", "2", "--nt", "2", "--snapshot-every", "2",
-         "--out", str(tmp_path / "d")],
+         "--out", str(tmp_path / "d" / "run")],
         capsys,
     )
-    assert code == 0 and err == "" and (tmp_path / "d_n00002.csv").is_file()
+    assert code == 0 and err == ""
+    written = sorted(p.name for p in (tmp_path / "d").iterdir())
+    assert written == ["run_n00000.csv", "run_n00002.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -754,10 +756,12 @@ def test_missing_out_directory_errors_before_any_run(argv, tmp_path, monkeypatch
     code, stdout, err = run_main(argv + ["--element", "hmz", "--out", str(out)], capsys)
     assert code == 1 and stdout == "" and "Traceback" not in err
     assert err == f"error: {argv[1]} mode cannot write --out {out}: no such directory\n"
-    if argv[1] != "solve":  # solve mode takes --out as a file stem
-        code, stdout, err = run_main(argv + ["--element", "hmz", "--out", str(tmp_path)], capsys)
-        assert code == 1 and stdout == "" and list(tmp_path.iterdir()) == []
-        assert err == f"error: {argv[1]} mode cannot write --out {tmp_path}: it is a directory\n"
+    # Solve mode's --out is a file stem: a directory stem would write beside it.
+    before = sorted(tmp_path.parent.iterdir())
+    code, stdout, err = run_main(argv + ["--element", "hmz", "--out", str(tmp_path)], capsys)
+    assert code == 1 and stdout == "" and list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.parent.iterdir()) == before
+    assert err == f"error: {argv[1]} mode cannot write --out {tmp_path}: it is a directory\n"
 
 
 def test_solve_out_without_snapshots_errors_before_the_run(tmp_path, monkeypatch, capsys):

@@ -512,6 +512,35 @@ def test_interpolate_evaluates_each_dof_point_once(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_kernel_values_call_the_field_once_and_keep_its_array(family):
+    q = VelocitySpace(StructuredMesh(3), family).quad
+    calls = []
+
+    def field(x, y, t):
+        calls.append(np.stack([t * x, y], axis=-1))
+        return calls[-1]
+
+    values = q.values(field, 2.0)
+    assert len(calls) == 1 and np.shares_memory(values, calls[0])
+    assert values.shape == (9, 2 * len(q.weights))
+    np.testing.assert_array_equal(values[:, 0::2], 2.0 * q.x)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_projection_and_interpolant_refuse_a_wrong_shape(family):
+    # One rule and one message for every evaluation of a field on points.
+    mesh = StructuredMesh(4)
+    ss, vs = StressSpace(mesh, family), VelocitySpace(mesh, family)
+    four = lambda x, y: np.zeros(np.shape(x) + (4,))
+    shapes = r"shape \(16, 14, 4\), expected \(16, 14, 2\)"
+    with pytest.raises(ValueError, match=f"^field returned {shapes}$"):
+        vs.project(four)
+    shapes = r"shape \((\d+), 4\), expected \(\1, 3\)"
+    with pytest.raises(ValueError, match=f"^field returned {shapes}$"):
+        ss.interpolate(four)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [1, 3, 4], ids=["1-1", "3-3", "4-4"])
 def test_mirrors_reflect_grid_points(family, n):
     ss = StressSpace(StructuredMesh(n), family)
