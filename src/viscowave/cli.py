@@ -192,9 +192,8 @@ def _run_solve(s) -> int:
         f"T={cfg.t_final:.10g}"
     )
     print(f"final energy = {result.energy[-1]:.12e}")
-    if result.E_a_sigma is not None:
-        print(f"E_a_sigma = {result.E_a_sigma:.6e} (node {result.argmax_sigma})")
-        print(f"E_c_v     = {result.E_c_v:.6e} (node {result.argmax_v})")
+    print(f"E_a_sigma = {result.E_a_sigma:.6e} (node {result.argmax_sigma})")
+    print(f"E_c_v     = {result.E_c_v:.6e} (node {result.argmax_v})")
     if result.snapshots:
         _write_snapshots(cfg, result)
     return 0
@@ -266,7 +265,7 @@ _RUN = ("element", "t_final", "rho", "mu", "lam", "solver_tol", "force", "out")
 _CASE = ("example", "nx", "nt", "dt")
 
 MODES = {
-    "solve": Mode(_run_solve, _RUN + _CASE + ("snapshot_every",)),
+    "solve": Mode(_run_solve, _RUN + _CASE + ("snapshot_every",), needs=("example",)),
     "convergence": Mode(_run_convergence, _RUN + _CASE, lists=("nx",), needs=("example",)),
     "temporal-convergence": Mode(
         _run_temporal, _RUN + ("example", "nt"), lists=("nt",), needs=("example", "nt")
@@ -314,11 +313,19 @@ class Setting:
     def option(self) -> str:
         return self.flag or "--" + self.name.replace("_", "-")
 
-    def parse(self, value):
-        """Parse a flag or config-file string, or a default or preset value."""
-        out = self.parser(str(value))
-        if self.choices and out not in self.choices:
-            raise ValueError(f"{self.name} must be one of {self.choices}, got {out!r}")
+    def parse(self, value, source=""):
+        """Parse a flag or config-file string, or a default or preset value.
+
+        An unreadable value is an error that names the setting and ``source``,
+        where the value came from as ``_settings`` names it.
+        """
+        try:
+            out = self.parser(str(value))
+            if self.choices and out not in self.choices:
+                raise ValueError(f"expected one of {', '.join(self.choices)}")
+        except ValueError as err:
+            written = f"{source}: {self.name} = {value}" if source else f"{self.option} {value}"
+            raise ValueError(f"{written}: {err}") from None
         return out
 
 
@@ -345,8 +352,8 @@ SETTINGS = {
 
 
 def _read_config_file(path):
-    """Unparsed ``key = value`` settings of a config file."""
-    out = {}
+    """Unparsed ``key = value`` settings of a config file, and each one's ``path:line``."""
+    out, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -359,7 +366,8 @@ def _read_config_file(path):
             if key not in SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
             out[key] = val
-    return out
+            lines[key] = f"{path}:{lineno}"
+    return out, lines
 
 
 def _build_parser():
@@ -382,22 +390,16 @@ def _build_parser():
 def _settings(args):
     """Every setting, parsed: defaults < config file < preset < flags; and,
     for each name that one of them gave, where its value came from: the
-    config file or the preset, or ``""`` for a flag."""
-    merged = {name: s.default for name, s in SETTINGS.items()}
-    config = _read_config_file(args.config) if args.config else {}
+    config file's ``path:line`` or the preset, or ``""`` for a flag."""
+    config, lines = _read_config_file(args.config) if args.config else ({}, {})
     flags = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
     preset_name = flags.get("preset", config.get("preset"))
-    preset = PRESETS[SETTINGS["preset"].parse(preset_name)] if preset_name else {}
-    given = {}
-    for layer, source in (
-        (config, f"config file {args.config}"),
-        (preset, f"preset {preset_name}"),
-        (flags, ""),
-    ):
-        merged.update(layer)
-        given.update(dict.fromkeys(layer, source))
+    source = "" if "preset" in flags else lines.get("preset")
+    preset = PRESETS[SETTINGS["preset"].parse(preset_name, source)] if preset_name else {}
+    merged = {name: s.default for name, s in SETTINGS.items()} | config | preset | flags
+    given = lines | dict.fromkeys(preset, f"preset {preset_name}") | dict.fromkeys(flags, "")
     parsed = {
-        name: None if merged[name] is None else s.parse(merged[name])
+        name: None if merged[name] is None else s.parse(merged[name], given.get(name, ""))
         for name, s in SETTINGS.items()
     }
     return parsed, given

@@ -74,24 +74,13 @@ def resolve_time(t_final, dt=None, n_steps=None):
 
 
 def init_state(
-    stress_space: StressSpace,
-    velocity_space: VelocitySpace,
-    sigma0=None,
-    v0=None,
+    stress_space: StressSpace, velocity_space: VelocitySpace, sigma0, v0
 ) -> SimState:
     """State at t = 0: stress by collocation interpolation, velocity by L2 projection.
 
-    ``sigma0(x, y) -> (..., 3)`` and ``v0(x, y) -> (..., 2)``; ``None`` means zero.
+    ``sigma0(x, y) -> (..., 3)`` and ``v0(x, y) -> (..., 2)``.
     """
-    alpha = (
-        stress_space.interpolate(sigma0)
-        if sigma0 is not None
-        else np.zeros(stress_space.dim)
-    )
-    beta = (
-        velocity_space.project(v0) if v0 is not None else np.zeros(velocity_space.dim)
-    )
-    return SimState(alpha, beta)
+    return SimState(stress_space.interpolate(sigma0), velocity_space.project(v0))
 
 
 class CNStepper:
@@ -113,8 +102,6 @@ class CNStepper:
     def midpoint_load(self, f, t: float, dt: float) -> np.ndarray:
         """Average of the endpoint load vectors over [t, t + dt]."""
         vs = self.system.velocity_space
-        if f is None:
-            return np.zeros(vs.dim)
         return 0.5 * (assemble_load(vs, f, t) + assemble_load(vs, f, t + dt))
 
     def advance(self, state: SimState, load_mid: np.ndarray, dt: float) -> SimState:
@@ -133,29 +120,47 @@ class CNStepper:
 
 @dataclass
 class RunResult:
-    """Trajectory diagnostics of one run; ``times`` holds its M + 1 node times."""
+    """Trajectory of one run; ``times`` holds its M + 1 node times.
+
+    ``err_sigma`` and ``err_v`` hold the stress and velocity errors against
+    the run's built-in solution at every node.  The reported errors are
+    their maxima over nodes 1..M, and ``argmax_*`` the nodes where they are.
+    """
 
     config: object
     times: np.ndarray
     energy: np.ndarray
     final_state: SimState
+    err_sigma: np.ndarray
+    err_v: np.ndarray
     snapshots: list = field(default_factory=list)
-    err_sigma: np.ndarray | None = None
-    err_v: np.ndarray | None = None
-    E_a_sigma: float | None = None
-    E_c_v: float | None = None
-    argmax_sigma: int | None = None
-    argmax_v: int | None = None
+
+    @property
+    def argmax_sigma(self) -> int:
+        return int(np.argmax(self.err_sigma[1:])) + 1
+
+    @property
+    def argmax_v(self) -> int:
+        return int(np.argmax(self.err_v[1:])) + 1
+
+    @property
+    def E_a_sigma(self) -> float:
+        return float(self.err_sigma[self.argmax_sigma])
+
+    @property
+    def E_c_v(self) -> float:
+        return float(self.err_v[self.argmax_v])
 
 
 def run(config) -> RunResult:
     """Drive a full simulation described by a resolved run configuration.
 
-    The configuration carries the fields of ``cli.RunConfig``; ``example``
-    ``None`` is an unforced zero-data run.  Either of ``dt`` and ``n_steps``
-    may be ``None``; ``resolve_time`` gives the step, ``t_final / n_steps``.
-    The stress mass is lumped when the family's dofs all sit at corners
-    (``StressSpace.lumped``).
+    The configuration carries the fields of ``cli.RunConfig``.  ``example``
+    names the built-in solution (``mms.exact_fields``) that gives the initial
+    data and the body force, and that the errors are taken against.  Either
+    of ``dt`` and ``n_steps`` may be ``None``; ``resolve_time`` gives the
+    step, ``t_final / n_steps``.  The stress mass is lumped when the family's
+    dofs all sit at corners (``StressSpace.lumped``).
     """
     if config.solver != "direct":
         raise ValueError(f"unknown solver {config.solver!r}: the only solve is the direct one")
@@ -164,17 +169,12 @@ def run(config) -> RunResult:
     if every is not None and not every >= 1:
         raise ValueError(f"snapshot interval must be at least 1, got {every}")
     material = IsotropicMaterial(rho=config.rho, mu=config.mu, lam=config.lam)
-    solution = None
-    if config.example is not None:
-        solution = exact_fields(config.example, material, force=config.force)
+    solution = exact_fields(config.example, material, force=config.force)
     # The per-node arrays come first, so a step count too large to record
     # fails with MemoryError before any assembly or factorization.
     try:
         nodes = np.linspace(0.0, t_final, n_steps + 1)
-        n_nodes = nodes.size
-        energy = np.empty(n_nodes)
-        err_sigma = np.empty(n_nodes) if solution else None
-        err_v = np.empty(n_nodes) if solution else None
+        energy, err_sigma, err_v = (np.empty(nodes.size) for _ in range(3))
     except (ValueError, MemoryError) as err:
         raise MemoryError(f"cannot record {n_steps + 1:.3g} time nodes: {err}") from err
     mesh = StructuredMesh(config.nx)
@@ -185,50 +185,26 @@ def run(config) -> RunResult:
         system, block_diag_inverse(system.C, velocity_space.n_local), dt, config.solver_tol
     )
     stepper = CNStepper(system, solver)
-
-    if solution:
-        state = init_state(
-            stress_space,
-            velocity_space,
-            sigma0=lambda x, y: solution.sigma(x, y, 0.0),
-            v0=lambda x, y: solution.v(x, y, 0.0),
-        )
-    else:
-        state = init_state(stress_space, velocity_space)
-
-    if solution:
-        stress_err = analysis.StressErrorEvaluator(stress_space, material)
-        vel_err = analysis.VelocityErrorEvaluator(velocity_space, material)
-
+    state = init_state(
+        stress_space,
+        velocity_space,
+        lambda x, y: solution.sigma(x, y, 0.0),
+        lambda x, y: solution.v(x, y, 0.0),
+    )
+    stress_err = analysis.StressErrorEvaluator(stress_space, material)
+    vel_err = analysis.VelocityErrorEvaluator(velocity_space, material)
     snapshots = []
 
     def record(n, st):
         energy[n] = analysis.energy(system, st)
-        if solution:
-            err_sigma[n] = stress_err(st.alpha, solution.sigma, nodes[n])
-            err_v[n] = vel_err(st.beta, solution.v, nodes[n])
+        err_sigma[n] = stress_err(st.alpha, solution.sigma, nodes[n])
+        err_v[n] = vel_err(st.beta, solution.v, nodes[n])
         if every and n % every == 0:
             snapshots.append((n, st.copy()))
 
     record(0, state)
-    f = solution.f if solution else None
     for n in range(n_steps):
-        load = stepper.midpoint_load(f, float(nodes[n]), dt)
+        load = stepper.midpoint_load(solution.f, float(nodes[n]), dt)
         state = stepper.advance(state, load, dt)
         record(n + 1, state)
-
-    result = RunResult(
-        config=config,
-        times=nodes,
-        energy=energy,
-        final_state=state,
-        snapshots=snapshots,
-    )
-    if solution:
-        result.err_sigma = err_sigma
-        result.err_v = err_v
-        result.argmax_sigma = int(np.argmax(err_sigma[1:])) + 1
-        result.argmax_v = int(np.argmax(err_v[1:])) + 1
-        result.E_a_sigma = float(err_sigma[result.argmax_sigma])
-        result.E_c_v = float(err_v[result.argmax_v])
-    return result
+    return RunResult(config, nodes, energy, state, err_sigma, err_v, snapshots)

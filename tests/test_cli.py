@@ -206,6 +206,7 @@ def test_config_file_settings_apply(tmp_path, capsys):
         "element = hmz\n"
         "t-final = 0.5   # hyphenated keys accepted\n"
         "nt = 2\n"
+        "example = 1\n"
     )
     code, out, _ = run_main(["--config", str(cfg), "--nx", "2"], capsys)
     assert code == 0
@@ -246,7 +247,7 @@ def test_config_file_rejects_malformed_line(tmp_path, capsys):
 
 def test_missing_config_file_errors(tmp_path, capsys):
     code, _, err = run_main(["--config", str(tmp_path / "nope.cfg")], capsys)
-    assert code == 1 and err.startswith("error:")
+    assert code == 1 and err.startswith("error:") and "No such file" in err
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +271,6 @@ def test_main_solve_reports_the_step_taken(capsys):
     )
     assert code == 0 and err == ""
     assert "M=3 dt=0.3333333333 " in out
-
-
-def test_main_solve_without_example(capsys):
-    # no manufactured solution: zero initial data, no error report
-    code, out, _ = run_main(["--mode", "solve", "--nx", "2", "--nt", "2"], capsys)
-    assert code == 0
-    assert "final energy" in out and "E_a_sigma" not in out
 
 
 def test_snapshot_files(tmp_path, capsys):
@@ -305,8 +299,8 @@ def test_snapshot_files(tmp_path, capsys):
     # A stem inside a directory writes there (a directory as the stem is refused).
     (tmp_path / "d").mkdir()
     code, _, err = run_main(
-        ["--mode", "solve", "--nx", "2", "--nt", "2", "--snapshot-every", "2",
-         "--out", str(tmp_path / "d" / "run")],
+        ["--mode", "solve", "--example", "1", "--nx", "2", "--nt", "2",
+         "--snapshot-every", "2", "--out", str(tmp_path / "d" / "run")],
         capsys,
     )
     assert code == 0 and err == ""
@@ -365,7 +359,7 @@ def test_main_infsup_mode(tmp_path, capsys):
 
 
 def test_missing_example_errors(capsys):
-    for mode in ("convergence", "temporal-convergence", "stability"):
+    for mode in ("solve", "convergence", "temporal-convergence", "stability"):
         code, _, err = run_main(["--mode", mode, "--nx", "2"], capsys)
         assert code == 1 and err == f"error: {mode} mode needs --example\n"
 
@@ -378,15 +372,15 @@ def test_odd_temporal_steps_error_exit(capsys):
 
 
 def test_solve_rejects_value_lists(capsys):
-    code, _, err = run_main(["--mode", "solve", "--nx", "2,4"], capsys)
-    assert code == 1 and "single value" in err
+    code, _, err = run_main(["--mode", "solve", "--example", "1", "--nx", "2,4"], capsys)
+    assert code == 1 and err == "error: --nx takes a single value here, got [2, 4]\n"
 
 
 def test_inconsistent_time_grid_errors(capsys):
     code, _, err = run_main(
-        ["--mode", "solve", "--nx", "2", "--dt", "0.3", "--nt", "4"], capsys
+        ["--mode", "solve", "--example", "1", "--nx", "2", "--dt", "0.3", "--nt", "4"], capsys
     )
-    assert code == 1 and err.startswith("error:")
+    assert code == 1 and err == "error: dt = 0.3 and M = 4 do not partition [0, 1.0]\n"
 
 
 def test_bad_integer_list_errors(capsys):
@@ -402,7 +396,7 @@ def test_unwritable_out_path_errors(tmp_path, capsys):
          "--out", str(tmp_path / "missing" / "f.csv")],
         capsys,
     )
-    assert code == 1 and err.startswith("error:")
+    assert code == 1 and err.startswith("error:") and "no such directory" in err
 
 
 def test_argparse_rejects_unknown_mode(capsys):
@@ -417,14 +411,14 @@ def test_argparse_rejects_unknown_mode(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--nx", "2", "--nt", "0"], "step count"),
-        (["--nx", "0", "--nt", "2"], "element count must be a positive integer, got 0"),
+        (["--example", "1", "--nx", "2", "--nt", "0"], "step count"),
+        (["--example", "1", "--nx", "0", "--nt", "2"], "element count must be a positive integer, got 0"),
         (["--mode", "temporal-convergence", "--example", "1", "--nt", "0"], "refinement study"),
         (["--mode", "stability", "--example", "1", "--dt", "0", "--nx", "2"], "time step"),
-        (["--nx", "2", "--nt", "2", "--t-final", "inf"], "final time"),
-        (["--nx", "2", "--nt", "2", "--snapshot-every", "0"], "snapshot interval"),
-        (["--nx", "2", "--dt", "1e-300"], "cannot record 1e+300 time nodes"),
-        (["--nx", "2", "--nt", "1" + "0" * 400], "step count is beyond the floating-point range"),
+        (["--example", "1", "--nx", "2", "--nt", "2", "--t-final", "inf"], "final time"),
+        (["--example", "1", "--nx", "2", "--nt", "2", "--snapshot-every", "0"], "snapshot interval"),
+        (["--example", "1", "--nx", "2", "--dt", "1e-300"], "cannot record 1e+300 time nodes"),
+        (["--example", "1", "--nx", "2", "--nt", "1" + "0" * 400], "step count is beyond the floating-point range"),
         (
             ["--mode", "stability", "--example", "1", "--nx", "2",
              "--dt", "0.5,0.25", "--nt", "3"],
@@ -491,28 +485,27 @@ def test_bad_time_and_count_inputs_error_exit(argv, message, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# A solve run of example 1; a non-unit material runs it with --force.
+_UNIT = ["--example", "1", "--nx", "2", "--nt", "2"]
+_FORCED = _UNIT + ["--force"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--lambda", "inf", "--nx", "2", "--nt", "2"], "lam must be finite"),
+        (_FORCED + ["--lambda", "inf"], "lam must be finite"),
         (["--mu", "2", "--example", "1", "--nx", "2", "--nt", "2"], "--force"),
-        (["--mu", "1e-300", "--nx", "2", "--nt", "2"], "mu=1e-300 is lost against lam=1.0"),
-        (["--solver-tol", "inf", "--nx", "2", "--nt", "2"], "tolerance"),
-        (["--mu", "1e200", "--nx", "2", "--nt", "2"], "stress-mass term is lost in rounding"),
+        (_FORCED + ["--mu", "1e-300"], "mu=1e-300 is lost against lam=1.0"),
+        (_UNIT + ["--solver-tol", "inf"], "tolerance"),
+        (_FORCED + ["--mu", "1e200"], "stress-mass term is lost in rounding"),
+        (_FORCED + ["--element", "hmz", "--rho", "1e-300"], "stress-mass term is lost in rounding"),
+        (_FORCED + ["--rho", "1e-300", "--t-final", "1e300"], "(dt/4) B^T Cinv B overflows"),
         (
-            ["--element", "hmz", "--rho", "1e-300", "--nx", "2", "--nt", "2"],
-            "stress-mass term is lost in rounding",
-        ),
-        (
-            ["--rho", "1e-300", "--t-final", "1e300", "--nx", "2", "--nt", "2"],
-            "(dt/4) B^T Cinv B overflows",
-        ),
-        (
-            ["--nx", "2", "--nt", "2", "--t-final", "1e-308"],
+            _UNIT + ["--t-final", "1e-308"],
             "the stress-mass term (1/dt + 1/2) A overflows (dt = 5e-309)",
         ),
         (
-            ["--element", "hmz", "--nx", "2", "--nt", "2", "--t-final", "1e-308"],
+            _UNIT + ["--element", "hmz", "--t-final", "1e-308"],
             "the stress-mass term (1/dt + 1/2) A overflows (dt = 5e-309)",
         ),
     ],
@@ -541,7 +534,7 @@ def test_unused_setting_from_config_file_errors(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     argv = ["--config", str(cfg), "--mode", "temporal-convergence", "--example", "1"]
     for text, extra, message in (
-        ("nx = 16\n", ["--nt", "2,4"], f"config file {cfg} sets nx, which"),
+        ("nx = 16\n", ["--nt", "2,4"], f"{cfg}:1 sets nx, which"),
         ("preset = table1\n", [], "preset table1 sets nx, which"),
         ("nx = 16\n", ["--nt", "2,4", "--nx", "8"], "drop --nx:"),
     ):
@@ -583,7 +576,7 @@ def test_scale_checks_precede_the_factor(argv, message, monkeypatch, capsys):
         raise AssertionError("factored a matrix that the scale checks refuse")
 
     monkeypatch.setattr(linalg, "CondensedLU", refuse)
-    code, _, err = run_main(argv + ["--nx", "2", "--nt", "2"], capsys)
+    code, _, err = run_main(_FORCED + argv, capsys)
     assert code == 1 and err.startswith("error:") and message in err
     if "times that of" in message:
         assert "stress-mass term is lost in rounding" in err
@@ -600,7 +593,7 @@ def test_huge_step_count_error_exit():
         "cap = 3 << 30\n"
         "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
         "from viscowave.cli import main\n"
-        "sys.exit(main(['--dt', '1e-9', '--nx', '2']))\n"
+        "sys.exit(main(['--example', '1', '--dt', '1e-9', '--nx', '2']))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -610,7 +603,8 @@ def test_huge_step_count_error_exit():
         timeout=120,
     )
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot record 1e+09 time nodes")
+    assert "Traceback" not in proc.stderr
 
 
 def test_unit_material_check_precedes_assembly(monkeypatch, capsys):
@@ -671,7 +665,31 @@ def test_config_file_value_outside_choices_errors(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mode = bogus\n")
     code, _, err = run_main(["--config", str(cfg)], capsys)
-    assert code == 1 and err.startswith("error:") and "mode" in err
+    assert code == 1 and err.startswith(f"error: {cfg}:1: mode = bogus: expected one of solve,")
+
+
+@pytest.mark.parametrize(
+    "flag_argv, config_text, message",
+    [
+        (["--example", "x"], None, "--example x: invalid literal for int() with base 10: 'x'"),
+        (["--rho", "abc"], None, "--rho abc: could not convert string to float: 'abc'"),
+        (None, "# run\nexample = 1\nrho = abc\n",
+         "{cfg}:3: rho = abc: could not convert string to float: 'abc'"),
+        (["--nx", "2,x"], None, "--nx 2,x: expected comma-separated integers, got '2,x'"),
+    ],
+    ids=["flag-int", "flag-float", "config-file-key", "list"],
+)
+def test_unparsable_value_names_its_setting_and_source(
+    flag_argv, config_text, message, tmp_path, capsys
+):
+    cfg = tmp_path / "run.cfg"
+    argv = flag_argv
+    if config_text is not None:
+        cfg.write_text(config_text)
+        argv = ["--config", str(cfg)]
+    code, out, err = run_main(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == "error: " + message.format(cfg=cfg) + "\n"
 
 
 def test_console_script_installed():
@@ -705,7 +723,8 @@ def test_module_runs_under_fresh_interpreter():
     proc = subprocess.run(
         [sys.executable, "-c",
          "from viscowave.cli import main; raise SystemExit(main("
-         "['--mode', 'solve', '--element', 'hmz', '--nx', '2', '--nt', '2']))"],
+         "['--mode', 'solve', '--element', 'hmz', '--example', '1', '--nx', '2', "
+         "'--nt', '2']))"],
         capture_output=True,
         text=True,
         timeout=120,
@@ -767,7 +786,9 @@ def test_missing_out_directory_errors_before_any_run(argv, tmp_path, monkeypatch
 def test_solve_out_without_snapshots_errors_before_the_run(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run", _refuse)
     code, stdout, err = run_main(
-        ["--mode", "solve", "--nx", "2", "--nt", "2", "--out", str(tmp_path / "x.csv")], capsys
+        ["--mode", "solve", "--example", "1", "--nx", "2", "--nt", "2",
+         "--out", str(tmp_path / "x.csv")],
+        capsys,
     )
     assert code == 1 and stdout == "" and list(tmp_path.iterdir()) == []
     assert err == "error: solve mode writes --out only as the stem of --snapshot-every files\n"

@@ -1,13 +1,12 @@
 """Implicit midpoint update: step algebra, energy bookkeeping, full runs."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from viscowave import timestepper
 from viscowave.analysis import energy
 from viscowave.assembly import assemble_load, assemble_system
+from viscowave.cli import RunConfig
 from viscowave.fespace import FAMILIES, HMZ, NEDELEC, StressSpace, VelocitySpace
 from viscowave.linalg import block_diag_inverse, build_schur
 from viscowave.material import IsotropicMaterial
@@ -45,37 +44,12 @@ def step(stepper, state, f, t, dt):
     return stepper.advance(state, stepper.midpoint_load(f, t, dt), dt)
 
 
-def run_config(**kw):
-    base = dict(
-        element=NEDELEC,
-        nx=4,
-        dt=None,
-        n_steps=10,
-        t_final=1.0,
-        rho=1.0,
-        mu=1.0,
-        lam=1.0,
-        solver="direct",
-        solver_tol=1e-12,
-        example=None,
-        force=False,
-        snapshot_every=None,
-    )
-    base.update(kw)
-    return SimpleNamespace(**base)
+def unforced_step(stepper, state, dt):
+    """One Crank-Nicolson step from ``state`` with a zero load."""
+    return stepper.advance(state, np.zeros(state.beta.size), dt)
 
 
 # ------------------------------------------------------------------ plumbing
-
-
-def test_init_state_defaults_to_zero():
-    mesh = StructuredMesh(2)
-    ss = StressSpace(mesh, HMZ)
-    vs = VelocitySpace(mesh, HMZ)
-    state = init_state(ss, vs)
-    assert state.alpha.shape == (ss.dim,)
-    assert state.beta.shape == (vs.dim,)
-    assert np.all(state.alpha == 0.0) and np.all(state.beta == 0.0)
 
 
 def test_init_state_interpolates_data():
@@ -149,7 +123,7 @@ def test_step_matches_dense_block_solve():
         alpha=rng.standard_normal(system.A.shape[0]),
         beta=rng.standard_normal(system.C.shape[0]),
     )
-    new = step(stepper, state, None, 0.0, dt)
+    new = unforced_step(stepper, state, dt)
 
     A = system.A.toarray()
     B = system.B.toarray()
@@ -174,8 +148,8 @@ def test_step_matches_dense_block_solve():
 def test_zero_state_stays_zero():
     system = make_system(2, NEDELEC)
     stepper = make_stepper(system, 0.1)
-    state = init_state(system.stress_space, system.velocity_space)
-    new = step(stepper, state, None, 0.0, 0.1)
+    state = SimState(np.zeros(system.A.shape[0]), np.zeros(system.C.shape[0]))
+    new = unforced_step(stepper, state, 0.1)
     assert np.all(new.alpha == 0.0) and np.all(new.beta == 0.0)
 
 
@@ -225,7 +199,7 @@ def test_energy_identity_unforced(family):
     )
     states = [state]
     for n in range(12):
-        states.append(step(stepper, states[-1], None, n * dt, dt))
+        states.append(unforced_step(stepper, states[-1], dt))
     defects = energy_residuals(system, states, dt)
     assert np.abs(defects).max() <= 1e-10
 
@@ -241,8 +215,8 @@ def test_energy_monotone_decay_unforced(family):
         beta=rng.standard_normal(system.C.shape[0]),
     )
     es = [energy(system, state)]
-    for n in range(10):
-        state = step(stepper, state, None, n * dt, dt)
+    for _ in range(10):
+        state = unforced_step(stepper, state, dt)
         es.append(energy(system, state))
     es = np.array(es)
     assert np.all(np.diff(es) <= 1e-14 * es[0])
@@ -252,55 +226,55 @@ def test_energy_monotone_decay_unforced(family):
 # ------------------------------------------------------------------ full run
 
 
-def test_run_unforced_shapes():
-    res = run(run_config(n_steps=8))
-    assert res.times.shape == (9,)
-    assert res.energy.shape == (9,)
-    np.testing.assert_allclose(res.energy, 0.0)
-    assert res.err_sigma is None and res.E_a_sigma is None
-    assert res.times[0] == 0.0 and res.times[-1] == 1.0
-
-
 def test_run_records_errors_and_argmax():
-    res = run(run_config(element=HMZ, example=1, nx=4, n_steps=20))
-    assert res.err_sigma.shape == (21,)
-    assert res.E_a_sigma == pytest.approx(np.max(res.err_sigma[1:]))
-    assert res.E_c_v == pytest.approx(np.max(res.err_v[1:]))
+    res = run(RunConfig(element=HMZ, example=1, nx=4, n_steps=20))
+    assert res.times.shape == res.energy.shape == res.err_sigma.shape == res.err_v.shape == (21,)
+    assert res.times[0] == 0.0 and res.times[-1] == 1.0
+    assert res.E_a_sigma == np.max(res.err_sigma[1:])
+    assert res.E_c_v == np.max(res.err_v[1:])
     assert res.argmax_sigma == np.argmax(res.err_sigma[1:]) + 1
+    assert res.argmax_v == np.argmax(res.err_v[1:]) + 1
     # errors start at the interpolation level and stay bounded
     assert np.isfinite(res.err_sigma).all()
 
 
 def test_run_snapshots():
-    res = run(run_config(n_steps=6, snapshot_every=2, example=1))
+    res = run(RunConfig(example=1, nx=4, n_steps=6, snapshot_every=2))
     assert [n for n, _ in res.snapshots] == [0, 2, 4, 6]
     assert all(isinstance(s, SimState) for _, s in res.snapshots)
 
 
 def test_run_rejects_inconsistent_clock():
-    with pytest.raises(ValueError):
-        run(run_config(dt=0.3, n_steps=10, t_final=1.0))
+    with pytest.raises(ValueError, match="do not partition"):
+        run(RunConfig(example=1, nx=4, dt=0.3, n_steps=10, t_final=1.0))
+
+
+def _refuse_assembly(*args, **kwargs):
+    raise AssertionError("assembled before the configuration was checked")
 
 
 def test_run_rejects_any_solver_but_direct(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("assembled before the solver was checked")
-
-    monkeypatch.setattr(timestepper, "assemble_system", refuse)
+    monkeypatch.setattr(timestepper, "assemble_system", _refuse_assembly)
     with pytest.raises(ValueError, match="unknown solver 'cg'"):
-        run(run_config(solver="cg"))
+        run(RunConfig(example=1, nx=4, n_steps=10, solver="cg"))
+
+
+def test_run_needs_an_example_before_assembly(monkeypatch):
+    monkeypatch.setattr(timestepper, "assemble_system", _refuse_assembly)
+    with pytest.raises(ValueError, match="unknown solution id None"):
+        run(RunConfig(nx=4, n_steps=10))
 
 
 def test_run_lumps_only_nedelec():
-    ned = run(run_config(element=NEDELEC, example=1, nx=2, n_steps=2))
-    hmz = run(run_config(element=HMZ, example=1, nx=2, n_steps=2))
+    ned = run(RunConfig(element=NEDELEC, example=1, nx=2, n_steps=2))
+    hmz = run(RunConfig(element=HMZ, example=1, nx=2, n_steps=2))
     # lumped A has only per-vertex 3x3 blocks; the consistent HMZ A is wider
     assert ned.config.element == NEDELEC
     assert np.isfinite(hmz.E_a_sigma)
 
 
 def test_run_matches_manual_stepping():
-    cfg = run_config(element=HMZ, example=2, nx=3, n_steps=5)
+    cfg = RunConfig(element=HMZ, example=2, nx=3, n_steps=5)
     res = run(cfg)
     system = make_system(3, HMZ)
     dt = 0.2
@@ -322,9 +296,9 @@ def test_run_matches_manual_stepping():
 def test_repeated_runs_are_bit_identical(example):
     # each run builds its own exact solution, so no field values kept from
     # one run (or a run of another example in between) reach the next
-    cfg = run_config(element=HMZ, example=example, nx=8, n_steps=4)
+    cfg = RunConfig(element=HMZ, example=example, nx=8, n_steps=4)
     first = run(cfg)
-    run(run_config(element=HMZ, example=2, nx=8, n_steps=4))
+    run(RunConfig(element=HMZ, example=2, nx=8, n_steps=4))
     second = run(cfg)
     assert (second.E_a_sigma, second.E_c_v) == (first.E_a_sigma, first.E_c_v)
     np.testing.assert_array_equal(second.err_sigma, first.err_sigma)
@@ -341,6 +315,6 @@ def test_repeated_runs_are_bit_identical(example):
 def test_direct_run_keeps_recorded_errors(element, e_a_sigma, e_c_v):
     # Recorded with the factorization of the full S under a minimum-degree
     # ordering; condensing and reordering S moves only rounding.
-    res = run(run_config(element=element, example=1, nx=16, n_steps=200))
+    res = run(RunConfig(element=element, example=1, nx=16, n_steps=200))
     assert res.E_a_sigma == pytest.approx(e_a_sigma, rel=1e-12, abs=0.0)
     assert res.E_c_v == pytest.approx(e_c_v, rel=1e-12, abs=0.0)
