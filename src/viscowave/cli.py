@@ -31,10 +31,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analysis import check_study_parameters, convergence_orders, infsup_constants
-from .fespace import FAMILIES, NEDELEC, StressSpace, VelocitySpace
+from .fespace import FAMILIES, NEDELEC
 from .linalg import ConvergenceError, SingularBlockError
 from .material import IsotropicMaterial
-from .mesh import StructuredMesh
 from .timestepper import resolve_time, run
 
 __all__ = [
@@ -200,10 +199,8 @@ def _run_solve(s) -> int:
 
 
 def _write_snapshots(cfg, result):
-    mesh = StructuredMesh(cfg.nx)
-    ss = StressSpace(mesh, cfg.element)
-    vs = VelocitySpace(mesh, cfg.element)
-    centers = mesh.element_centers()
+    ss, vs = result.stress_space, result.velocity_space
+    centers = ss.mesh.element_centers()
     sbasis = ss.local_values(0.0, 0.0)
     vbasis = vs.local_values(0.0, 0.0)
     stem = cfg.out or "snapshot"
@@ -290,8 +287,14 @@ def _list_of(convert, noun):
     return parse
 
 
+_FLAG_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _flag(text):
-    return text.lower() in ("1", "true", "yes")
+    try:
+        return _FLAG_WORDS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {', '.join(_FLAG_WORDS)}") from None
 
 
 @dataclass(frozen=True)
@@ -355,18 +358,22 @@ def _read_config_file(path):
     """Unparsed ``key = value`` settings of a config file, and each one's ``path:line``."""
     out, lines = {}, {}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in SETTINGS:
-                raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-            out[key] = val
-            lines[key] = f"{path}:{lineno}"
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: {err}") from None
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in SETTINGS:
+            raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
+        out[key] = val
+        lines[key] = f"{path}:{lineno}"
     return out, lines
 
 

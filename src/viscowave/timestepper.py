@@ -15,7 +15,7 @@ solver precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,6 +125,8 @@ class RunResult:
     ``err_sigma`` and ``err_v`` hold the stress and velocity errors against
     the run's built-in solution at every node.  The reported errors are
     their maxima over nodes 1..M, and ``argmax_*`` the nodes where they are.
+    ``stress_space`` and ``velocity_space`` are the spaces the run built;
+    the coefficients of ``final_state`` and ``snapshots`` are read through them.
     """
 
     config: object
@@ -133,7 +135,9 @@ class RunResult:
     final_state: SimState
     err_sigma: np.ndarray
     err_v: np.ndarray
-    snapshots: list = field(default_factory=list)
+    snapshots: list
+    stress_space: StressSpace
+    velocity_space: VelocitySpace
 
     @property
     def argmax_sigma(self) -> int:
@@ -207,4 +211,6 @@ def run(config) -> RunResult:
         load = stepper.midpoint_load(solution.f, float(nodes[n]), dt)
         state = stepper.advance(state, load, dt)
         record(n + 1, state)
-    return RunResult(config, nodes, energy, state, err_sigma, err_v, snapshots)
+    return RunResult(
+        config, nodes, energy, state, err_sigma, err_v, snapshots, stress_space, velocity_space
+    )

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from viscowave import cli, linalg, timestepper
+from viscowave import cli, fespace, linalg, timestepper
 from viscowave.cli import (
     CSV_HEADER,
     MODES,
@@ -246,8 +246,44 @@ def test_config_file_rejects_malformed_line(tmp_path, capsys):
 
 
 def test_missing_config_file_errors(tmp_path, capsys):
-    code, _, err = run_main(["--config", str(tmp_path / "nope.cfg")], capsys)
-    assert code == 1 and err.startswith("error:") and "No such file" in err
+    # A config file that cannot be read names itself: a missing file or a
+    # directory through its OSError, bytes that are not text through the reader.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe\n")
+    for path, message in (
+        (tmp_path / "nope.cfg", "No such file"),
+        (tmp_path, "Is a directory"),
+        (cfg, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ):
+        code, out, err = run_main(["--config", str(path)], capsys)
+        assert code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err and message in err and "Traceback" not in err
+    assert err == f"error: {cfg}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("ture", "{cfg}:1: force = ture: expected one of 1, true, yes, 0, false, no"),
+        ("on", "{cfg}:1: force = on: expected one of 1, true, yes, 0, false, no"),
+        ("no", "unit material"),
+        ("0", "unit material"),
+        ("False", "unit material"),
+        ("YES", None),
+    ],
+    ids=["ture", "on", "no", "0", "False", "YES"],
+)
+def test_config_file_boolean_spellings(value, message, tmp_path, capsys):
+    # A non-unit material runs only when force reads as true; a spelling
+    # that is neither true nor false is refused with its source.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"force = {value}\nmu = 2\nexample = 1\nnx = 2\nnt = 2\n")
+    code, out, err = run_main(["--config", str(cfg)], capsys)
+    if message is None:
+        assert code == 0 and err == "" and "E_a_sigma" in out
+        return
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert message.format(cfg=cfg) in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +342,25 @@ def test_snapshot_files(tmp_path, capsys):
     assert code == 0 and err == ""
     written = sorted(p.name for p in (tmp_path / "d").iterdir())
     assert written == ["run_n00000.csv", "run_n00002.csv"]
+
+
+def test_snapshots_read_the_spaces_of_the_run(tmp_path, monkeypatch, capsys):
+    # The snapshot writer reads the run's own spaces; it builds none of its own.
+    built = []
+    for cls in (fespace.StressSpace, fespace.VelocitySpace):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    code, _, err = run_main(
+        ["--mode", "solve", "--example", "1", "--nx", "2", "--nt", "2",
+         "--snapshot-every", "1", "--out", str(tmp_path / "s")],
+        capsys,
+    )
+    assert code == 0 and err == "" and len(list(tmp_path.iterdir())) == 3
+    assert sorted(built) == ["StressSpace", "VelocitySpace"]
 
 
 # ---------------------------------------------------------------------------
