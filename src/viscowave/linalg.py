@@ -6,45 +6,54 @@ leaves a symmetric positive definite system
     S = (1/dt + 1/2) A + (dt/4) B^T Cinv B
 
 for the new stress coefficients.  The velocity mass matrix is block
-diagonal by element, so Cinv is exact.  ``S`` is factored once by a
-sparse LU, and every solve must end with relative residual at most
-``tol``.  Both terms are checked before the factorization: each must be
-finite, and the stress-mass term must not be lost in rounding against
-the coupling.
+diagonal by element, so Cinv is exact.  ``S`` is solved by sparse LU
+factors, each built once, and every solve must end with relative
+residual at most ``tol``.  Both terms are checked before S is formed:
+each must be finite, and the stress-mass term must not be lost in
+rounding against the coupling.
 
 The LU first condenses the element-interior stress dofs (the two ``hmz``
 bubbles of each element; ``nedelec-q1q0`` has none).  They couple only
 within their element, in A and in B^T Cinv B, so numbered element by
 element their block S_ii is block diagonal and inverted exactly, and only
 the Schur complement S_c = S_oo - S_oi S_ii^-1 S_io of the remaining dofs
-is factored.  On the uniform mesh of the unit square, with one isotropic
-material, S commutes with the reflections x -> 1 - x and y -> 1 - y and,
-since the mesh is N x N, with the diagonal reflection (x, y) -> (y, x),
-each a signed permutation of the dofs (``StressSpace.generators``); so
-does S_c.  Together they
-generate D4, the symmetry group of the square, and a symmetry-adapted
-basis of signed sums over orbits splits S_c exactly (Healey & Treacy,
-Int. J. Numer. Meth. Eng., 1991; Bossavit, Comput. Methods Appl. Mech.
-Eng. 56, 1986; Fässler & Stiefel, Group Theoretical Methods and Their
-Applications, Birkhäuser, 1992).  The two mirrors commute and split S_c
+is factored, block by block.  On the uniform mesh of the unit square,
+with one isotropic material, S commutes with the reflections x -> 1 - x
+and y -> 1 - y and, since the mesh is N x N, with the diagonal reflection
+(x, y) -> (y, x), each a signed permutation of the dofs
+(``StressSpace.generators``); so does S_c.  Together they generate D4,
+the symmetry group of the square, and a symmetry-adapted basis of signed
+sums over orbits splits S_c exactly (Healey & Treacy, Int. J. Numer.
+Meth. Eng., 1991; Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986;
+Fässler & Stiefel, Group Theoretical Methods and Their Applications,
+Birkhäuser, 1992).  The two mirrors commute and split S_c
 into four sectors of about a quarter of its size.  The diagonal maps two
 of them onto themselves and halves each.  It maps the other two onto each
 other, so the basis of one is taken as the image of the other's; both
 then have the same matrix, which is factored once and solved with two
-columns.  Four
-eighth-size blocks and one quarter are factored.  ``build_schur`` first
-checks, with one product of S with a block of vectors, that S commutes
-with each reflection, and names the one that it does not.  Each block is
-gathered from rows of S_c, ordered by geometric nested dissection at mesh
+columns: five blocks, four of an eighth and one of a quarter of S_c.
+``build_schur`` first checks, with one product of S with a block of
+vectors, that S commutes with each reflection, and names the one that it
+does not.  Each block is ordered by geometric nested dissection at mesh
 lines and factored in that order with diagonal pivots, which an SPD matrix
 allows; letting SuperLU pivot off the diagonal instead can multiply the
 fill when dt is large.  Smaller fronts leave less fill: at N = 256 the five
 blocks of ``hmz`` at dt = 0.25 fill 14.3 M entries, the four mirror
-sectors 20.1 M and S_c in one piece 24.1 M.  A solve uses SuperLU's
+sectors 20.1 M and S_c in one piece 24.1 M.
+
+S_c is never formed.  A block is gathered from rows of S and of the kept
+condensation terms, factored and probed the first time a solve's
+right-hand side reaches it, that is, holds more than a floor in the
+block's span; a part at or below the floor is dropped.  S commutes with
+D4, so a step maps each block's span to itself, and data in some blocks
+keeps the whole run there: example 2 of ``mms`` reaches the paired block
+alone, and at N = 256 it is factored with a fill of 5.0 M.
+``SchurSolver`` sets the floor from ``tol``.  A solve uses SuperLU's
 transposed path, which works by dot products (gathers) instead of
 scattered updates and is the faster of the two; the refinement step and
 the residual check against the full S are unchanged, so a split that did
-not hold would be refused, not returned.
+not hold, or a part dropped that mattered, would be refused, not
+returned.
 
 Every block of the velocity mass, and of the ``hmz`` bubble block S_ii, is
 the same on the uniform mesh, so ``block_diag_inverse`` inverts one block
@@ -52,6 +61,9 @@ and repeats it when all are equal.
 """
 
 from __future__ import annotations
+
+import logging
+import time
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,14 +80,15 @@ __all__ = [
     "check_symmetry",
 ]
 
+log = logging.getLogger(__name__)
+
 # Largest box that nested dissection leaves unsplit.  With 64 the fill on
 # meshes of N <= 16 exceeds that of minimum degree on the full S.
 ND_LEAF = 16
 
-# Residual the set-up probe accepts when ``tol`` is tighter.  A sound factor
-# leaves about u kappa(S) on a random right-hand side, which exceeds 1e-12 for
-# ``hmz`` at dt = 0.25 from some N between 256 and 384 on; a matrix singular
-# to working precision leaves far more.
+# Residual the probe of each block accepts.  A sound factor leaves about
+# u kappa on a random right-hand side, which may exceed a solve's ``tol``; a
+# block singular to working precision leaves far more.
 PROBE_TOL = float(np.sqrt(np.finfo(float).eps))
 
 # Ulps of k max|S| by which P S x and S P x may differ in
@@ -276,7 +289,8 @@ def _sectors(n, generators, rank):
 
 
 class CondensedLU:
-    """LU factors of S after static condensation and a split by its symmetries.
+    """LU factors of S after static condensation and a split by its symmetries,
+    each block factored when a right-hand side first reaches it.
 
     ``interior`` (n_elements, k) lists each element's interior dofs, which
     must couple in S with no other element's; ``block_diag_inverse`` raises
@@ -295,15 +309,23 @@ class CondensedLU:
     the span of Q, and the block matrix M = S_c[named] Q, the rows of S_c at
     the named dofs with their columns summed by Q, satisfies Q^T S_c Q =
     diag(|orbit|) M.  A paired sector's basis is P Q for a generator P, so
-    it has the same M, and one factor serves both.  Each M is ordered by
-    nested dissection of the named dofs' points, gathered and factored in
-    turn; S_c is freed before the last factorization.  ``solve`` takes and
-    returns full-length vectors: it condenses the right-hand side, gathers
-    every sector's right-hand side with one product with the stacked Q^T,
-    scaled by 1/|orbit|, solves each block, a pair as two columns, scatters
-    the result with one product with Q, then back-substitutes the interior
-    dofs.  ``L`` and ``U`` are the distinct factors block-diagonal, built
-    anew on each access.
+    it has the same M, and one factor serves both.  Each block's named dofs
+    are ordered by nested dissection of their points.
+
+    Set-up keeps S, S_ii^-1, S_oi and W = S_ii^-1 S_io, and forms neither
+    S_c nor any factor.  ``solve`` condenses the right-hand side and
+    gathers every sector's right-hand side with one product with the
+    stacked Q^T, scaled by 1/|orbit|.  A block not yet factored is gathered
+    there, from its rows S[named][:, outer] - S_oi[named] W of S_c, then
+    factored and probed (``_probe``), if its part of the condensed
+    right-hand side has a norm above ``floor``.  Otherwise that part is set
+    to zero, and it adds its norm to the residual of S x = b.  The parts
+    lie in orthogonal subspaces, so those dropped add at most sqrt(5) floor
+    together; the default floor, 0, drops only parts that are exactly zero.
+    A factored block is solved whatever its part, a pair as two columns.
+    One product with Q scatters the result, and the interior dofs are
+    back-substituted.  ``L`` and ``U`` are the factors built so far,
+    block-diagonal, built anew on each access; 0 x 0 if there are none.
     """
 
     def __init__(
@@ -314,7 +336,8 @@ class CondensedLU:
         keep = np.ones(S.shape[0], dtype=bool)
         keep[self.inner] = False
         self.outer = np.flatnonzero(keep)
-        S_c = self._condense(S, interior.shape[1])
+        self._S = S
+        self._condense(S, interior.shape[1])
         n = len(self.outer)
         at = np.full(S.shape[0], -1)
         at[self.outer] = np.arange(n)
@@ -332,17 +355,9 @@ class CondensedLU:
             bases = [(np.where(col >= 0, pos[col], -1).astype(np.int32), c) for col, c in bases]
             blocks.append((rep[order], bases))
         self._Q, self._inv_size = self._basis(n, blocks, self._parts)
-        # Each block is gathered just before its factorization, and S_c is
-        # freed before the last one: gathering all of them first leaves more
-        # freed memory with the process, and the run's peak rises.
-        self._lus = []
-        while blocks:
-            rep, bases = blocks.pop(0)
-            block = self._sector(S_c, rep, *bases[0])
-            if not blocks:
-                del S_c
-            self._lus.append(self._factor(*block))
-            del block
+        # A block's basis is read back from Q when it is factored.
+        self._reps = [rep for rep, _ in blocks]
+        self._lus = [None] * len(blocks)
 
     @staticmethod
     def _basis(n, blocks, parts):
@@ -357,13 +372,25 @@ class CondensedLU:
         held, vec, coef = map(np.concatenate, (held, vec, coef))
         return sp.csr_matrix((coef, (held, vec)), shape=(n, n)), 1.0 / np.bincount(vec, minlength=n)
 
-    @staticmethod
-    def _factor(data, indices, indptr):
-        """Factor the sector whose CSR arrays these are; read as CSC they are
-        its transpose, so ``solve`` solves transposed."""
-        m = len(indptr) - 1
+    def _factor(self, k):
+        """Gather block k, factor it and probe the factor.
+
+        The CSR arrays of the block, read as CSC, are its transpose, so
+        ``solve`` solves transposed.
+        """
+        start = time.perf_counter()
+        rep, part = self._reps[k], self._parts[k]
+        m = len(rep)
+        first = self._Q[:, part.start : part.start + m].tocoo()  # the block's first basis
+        col = np.full(len(self.outer), -1, dtype=np.int32)
+        col[first.row] = first.col
+        coef = np.zeros(len(self.outer))
+        coef[first.row] = first.data
+        data, indices, indptr = self._sector(self._rows(rep), col, coef)
+        # splu sums the duplicates of the arrays it is given in place.
+        block = sp.csr_matrix((data.copy(), indices.copy(), indptr.copy()), shape=(m, m))
         try:
-            return spla.splu(
+            lu = spla.splu(
                 sp.csc_matrix((data, indices, indptr), shape=(m, m)),
                 permc_spec="NATURAL",
                 diag_pivot_thresh=0.0,
@@ -371,45 +398,64 @@ class CondensedLU:
             )
         except RuntimeError as err:
             raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
+        _probe(lu, block)
+        self._lus[k] = lu
+        if log.isEnabledFor(logging.DEBUG):  # reading L and U copies them
+            fill = lu.L.nnz + lu.U.nnz
+            seconds = time.perf_counter() - start
+            log.debug(
+                "factored block %d of %d: %d rows, fill %d, %.3f s",
+                k + 1, len(self._lus), m, fill, seconds,
+            )
 
     def _condense(self, S, k):
-        """Keep S_ii^-1, S_oi and W = S_ii^-1 S_io; return S_c = S_oo - S_oi W.
-
-        The row slices of S die on return, before any factorization.
-        """
-        rows_o, rows_i = S[self.outer], S[self.inner]
+        """Keep S_ii^-1, S_oi and W = S_ii^-1 S_io, so that S_c = S_oo - S_oi W."""
+        rows_i = S[self.inner]
         S_ii = rows_i[:, self.inner]
         self._Sii_inv = block_diag_inverse(S_ii, k) if k else S_ii
-        self._S_oi = rows_o[:, self.inner]
+        self._S_oi = S[self.outer][:, self.inner]
         self._W = self._Sii_inv @ rows_i[:, self.outer]
-        return rows_o[:, self.outer] - self._S_oi @ self._W
+
+    def _rows(self, rep):
+        """The rows ``rep`` of S_c, from S and the kept S_oi and W."""
+        return self._S[self.outer[rep]][:, self.outer] - self._S_oi[rep] @ self._W
 
     @staticmethod
-    def _sector(S_c, rep, col, coef):
-        """CSR arrays of S_c[rep] Q, with Q's column ``col[k]`` holding index k
+    def _sector(rows, col, coef):
+        """CSR arrays of ``rows`` Q, with Q's column ``col[k]`` holding index k
         with coefficient ``coef[k]``, duplicates not yet summed."""
-        rows = S_c[rep]
         j = col[rows.indices]
         kept = j >= 0
         data = (rows.data * coef[rows.indices])[kept]
         indptr = np.concatenate([[0], np.cumsum(kept, dtype=np.int32)])[rows.indptr]
         return data, j[kept], indptr
 
+    def _stacked(self, name):
+        factors = [getattr(lu, name) for lu in self._lus if lu is not None]
+        return sp.block_diag(factors, format="csc") if factors else sp.csc_matrix((0, 0))
+
     @property
     def L(self) -> sp.csc_matrix:
-        return sp.block_diag([lu.L for lu in self._lus], format="csc")
+        return self._stacked("L")
 
     @property
     def U(self) -> sp.csc_matrix:
-        return sp.block_diag([lu.U for lu in self._lus], format="csc")
+        return self._stacked("U")
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, floor: float = 0.0) -> np.ndarray:
         y = self._Sii_inv @ b[self.inner]
         b_o = b[self.outer]
         b_o -= self._S_oi @ y
-        g = self._Q.T @ b_o
-        g *= self._inv_size
-        for lu, part in zip(self._lus, self._parts):
+        h = self._Q.T @ b_o
+        g = h * self._inv_size
+        for k, part in enumerate(self._parts):
+            if self._lus[k] is None:
+                # h . g is the squared norm of the block's part of b_o.
+                if h[part] @ g[part] <= floor * floor:
+                    g[part] = 0.0
+                    continue
+                self._factor(k)
+            lu = self._lus[k]
             # The sectors of a pair are the columns of one right-hand side.
             g[part] = lu.solve(g[part].reshape(-1, lu.shape[0]).T, trans="T").T.ravel()
         x_o = self._Q @ g
@@ -420,10 +466,40 @@ class CondensedLU:
         return x
 
 
+def _probe(lu, block):
+    """Refuse the factor ``lu`` (transposed) of ``block`` if it solves a random
+    right-hand side to no better than ``PROBE_TOL``.
+
+    A matrix singular to working precision can factor without an exactly
+    zero pivot, and then solves no generic right-hand side.  A sound factor
+    meets the bound with its first solve, so the probe refines only when
+    that misses it.
+    """
+    z = np.random.default_rng(0).standard_normal(block.shape[0])
+    x = lu.solve(z, trans="T")
+    r = z - block @ x
+    if not np.linalg.norm(r) <= PROBE_TOL * np.linalg.norm(z):
+        x += lu.solve(r, trans="T")
+        r = z - block @ x
+    res = np.linalg.norm(r) / np.linalg.norm(z)
+    if not res <= PROBE_TOL:  # a NaN residual fails too
+        err = ConvergenceError("solve finished above tolerance", res)
+        raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
+
+
 class SchurSolver:
     """Prepared solver for the reduced stress system: S factored as a
     ``CondensedLU`` with the element-interior dofs ``interior``, the
-    half-step grid points ``grid`` and the ``generators`` that split it."""
+    half-step grid points ``grid`` and the ``generators`` that split it.
+
+    Each solve is refined once and its relative residual checked against
+    the full S.  Both LU solves take the floor tol / 10 of the norm of the
+    right-hand side, so a block that the right-hand side does not reach is
+    neither factored nor solved.  Each part dropped adds at most tol / 10
+    to the relative residual, and all of them together at most sqrt(5) / 10
+    of tol.  A factor that fails its probe raises ``SingularBlockError`` from
+    the solve that first reaches its block.
+    """
 
     def __init__(
         self,
@@ -438,34 +514,24 @@ class SchurSolver:
         self.S = S
         self.tol = tol
         self._lu = CondensedLU(S, interior, grid, generators)
-        # A matrix singular to working precision can factor without an
-        # exactly zero pivot; its factor then solves no generic right-hand
-        # side to ``max(tol, PROBE_TOL)``, which one solve here checks.  A
-        # sound factor meets that bound before refinement, so the probe
-        # refines only when its first residual misses it.
-        probe = np.random.default_rng(0).standard_normal(S.shape[0])
-        try:
-            self._solve(probe, max(tol, PROBE_TOL), refine_always=False)
-        except ConvergenceError as err:
-            raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve S x = rhs to relative residual at most ``tol``."""
-        return self._solve(rhs, self.tol)
-
-    def _solve(self, rhs, tol, refine_always=True):
         rhs = np.asarray(rhs, float)
         norm_rhs = np.linalg.norm(rhs)
         if norm_rhs == 0.0:
             return np.zeros_like(rhs)
-        x = self._lu.solve(rhs)
+        # The refinement keeps the floor of rhs: its residual reaches the
+        # blocks that rhs does not at a level far below it, but far above a
+        # floor set from its own norm.
+        floor = 0.1 * self.tol * norm_rhs
+        x = self._lu.solve(rhs, floor)
         r = rhs - self.S @ x
         # One step of iterative refinement keeps the residual at rounding level.
-        if refine_always or not np.linalg.norm(r) / norm_rhs <= tol:
-            x += self._lu.solve(r)
-            r = rhs - self.S @ x
+        x += self._lu.solve(r, floor)
+        r = rhs - self.S @ x
         res = np.linalg.norm(r) / norm_rhs
-        if not res <= tol:  # a NaN residual fails too
+        if not res <= self.tol:  # a NaN residual fails too
             raise ConvergenceError("solve finished above tolerance", res)
         return x
 

@@ -609,11 +609,21 @@ def test_unused_setting_from_config_file_errors(tmp_path, capsys):
     ids=["hmz-n32-tol-1e-14", "lambda-1e5"],
 )
 def test_setup_probe_accepts_sound_factors(argv, capsys):
-    # The set-up probe leaves 1.37e-14 and 4.29e-12 here, above tol but far
-    # below sqrt(eps): the matrices are ill-conditioned, not singular, and
-    # every step still meets tol.
+    # The probes of the factored blocks leave at most 1.43e-14 and 2.73e-15
+    # here, the first above tol but both far below sqrt(eps): the matrices
+    # are ill-conditioned, not singular, and every step still meets tol.
     code, out, err = run_main(argv, capsys)
     assert code == 0 and err == "" and "E_a_sigma" in out
+
+
+def test_block_refused_by_its_probe_ends_the_run_before_any_result(monkeypatch, capsys):
+    # A block is factored and probed by the first solve that reaches it, in
+    # the first step; a probe that refuses it still ends the run with an
+    # error line and exit 1, and no result is printed.
+    monkeypatch.setattr(linalg, "PROBE_TOL", 0.0)
+    code, out, err = run_main(["--example", "2", "--nx", "4", "--nt", "2"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: reduced matrix cannot be factored: solve finished above")
 
 
 @pytest.mark.parametrize(

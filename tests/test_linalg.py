@@ -1,5 +1,6 @@
 """Block inversion and the reduced stress solve."""
 
+import logging
 import warnings
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from viscowave.assembly import (
     assemble_system,
 )
 from viscowave.fespace import HMZ, NEDELEC, StressSpace, VelocitySpace
-from viscowave import linalg
+from viscowave import linalg, timestepper
 from viscowave.linalg import (
     ConvergenceError,
     CondensedLU,
@@ -27,6 +28,7 @@ from viscowave.linalg import (
     check_symmetry,
     nested_dissection,
 )
+from viscowave.cli import RunConfig
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 
@@ -179,7 +181,7 @@ def test_zero_rhs_shortcut():
 
 def test_unreachable_tolerance_raises():
     # A bound a few orders below machine precision cannot be certified.  The
-    # set-up probe demands only max(tol, sqrt(eps)), so the factor is built,
+    # probe of each block demands only sqrt(eps), so the factors are built,
     # and the per-step check says so.
     system = hmz_system()
     solver = build_schur(system, block_diag_inverse(system.C, 4), 0.1, 1e-30)
@@ -194,14 +196,17 @@ def test_solver_constructor_validation():
     for tol in (0.0, 1.0, np.inf):  # a relative residual bound of 1 or more certifies nothing
         with pytest.raises(ValueError, match="must lie in"):
             SchurSolver(S, tol, *layout)
+    # Nothing is factored before a right-hand side reaches the block.
+    solver = SchurSolver(sp.diags([1.0, 0.0, 1.0]).tocsr(), 1e-12, *no_interior(3))
     with pytest.raises(SingularBlockError, match="cannot be factored"):
-        SchurSolver(sp.diags([1.0, 0.0, 1.0]).tocsr(), 1e-12, *no_interior(3))
+        solver.solve(np.ones(3))
 
 
 def test_setup_solve_rejects_matrix_singular_to_working_precision():
     # The compliance of mu = 1e-300, lam = 1 (which IsotropicMaterial
     # refuses) is exactly singular; the hmz S built from it factors with a
-    # tiny pivot rather than a zero one, and only the set-up solve sees it.
+    # tiny pivot rather than a zero one, and only the probe of a block sees
+    # it, when the first solve factors that block.
     mu, lam = 1e-300, 1.0
     c = lam / (2.0 * mu + 2.0 * lam)
     assert c == 0.5
@@ -215,27 +220,46 @@ def test_setup_solve_rejects_matrix_singular_to_working_precision():
         B=assemble_coupling(ss, vs),
         C=assemble_mass_velocity(vs, IsotropicMaterial()),
     )
-    Cinv = block_diag_inverse(system.C, vs.n_local)
+    solver = build_schur(system, block_diag_inverse(system.C, vs.n_local), 0.5, TOL)
+    rhs = np.random.default_rng(0).standard_normal(solver.S.shape[0])
     with pytest.raises(SingularBlockError, match="cannot be factored") as err:
-        build_schur(system, Cinv, 0.5, TOL)
+        solver.solve(rhs)
     assert isinstance(err.value.__cause__, ConvergenceError)
+
+
+class CountedLU:
+    """A SuperLU factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, *args, **kwargs):
+        self.solves += 1
+        return self.lu.solve(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
 
 
 def test_setup_probe_refines_only_when_needed(monkeypatch):
     # A sound factor meets the probe's bound with its first solve; a singular
     # one is refined once more before it is refused (see the test above).
-    solves = []
-    solve = CondensedLU.solve
+    factors = []
+    factor = spla.splu
 
-    def counted(self, b):
-        solves.append(1)
-        return solve(self, b)
+    def splu(*args, **kwargs):
+        factors.append(CountedLU(factor(*args, **kwargs)))
+        return factors[-1]
 
-    monkeypatch.setattr(CondensedLU, "solve", counted)
+    monkeypatch.setattr(linalg.spla, "splu", splu)
     solver = make_direct(make_system(4, HMZ), 0.25)
-    assert len(solves) == 1
-    solver.solve(np.ones(solver.S.shape[0]))
-    assert len(solves) == 3  # every step's solve still refines
+    assert factors == []
+    rhs = np.random.default_rng(0).standard_normal(solver.S.shape[0])
+    solver.solve(rhs)
+    # The probe, then the solve and its refinement.
+    assert [f.solves for f in factors] == [3] * 5
+    solver.solve(rhs)
+    assert [f.solves for f in factors] == [5] * 5  # every step's solve still refines
 
 
 def test_schur_spd_for_nedelec_lumped():
@@ -265,6 +289,7 @@ def test_direct_fill_below_colamd(family, dt):
     Cinv = block_diag_inverse(system.C, vs.n_local)
     solver = build_schur(system, Cinv, dt, TOL)
     colamd = spla.splu(solver.S.tocsc(), permc_spec="COLAMD")
+    reach_every_block(solver._lu)
     assert solver._lu.L.nnz + solver._lu.U.nnz < colamd.L.nnz + colamd.U.nnz
     rhs = np.cos(np.arange(solver.S.shape[0], dtype=float))
     x = solver.solve(rhs)
@@ -281,6 +306,12 @@ def make_system(n, family):
 def make_direct(system, dt):
     Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
     return build_schur(system, Cinv, dt, TOL)
+
+
+def reach_every_block(lu):
+    """Factor every block of ``lu``: a random right-hand side reaches them all."""
+    lu.solve(np.random.default_rng(0).standard_normal(lu.outer.size + lu.inner.size))
+    return lu
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
@@ -320,6 +351,7 @@ def test_condensed_fill_at_most_minimum_degree(family, n):
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
     )
+    reach_every_block(solver._lu)
     assert solver._lu.L.nnz + solver._lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
 
 
@@ -408,6 +440,114 @@ def fill(lu):
     return lu.L.nnz + lu.U.nnz
 
 
+def factored(lu):
+    """The numbers, from 1, of the blocks factored so far."""
+    return [k + 1 for k, f in enumerate(lu._lus) if f is not None]
+
+
+def confined(lu, k, rng):
+    """A random right-hand side whose condensed part lies in block k alone."""
+    g = np.zeros(lu.outer.size)
+    part = lu._parts[k]
+    g[part] = rng.standard_normal(part.stop - part.start)
+    b = np.zeros(lu.outer.size + lu.inner.size)
+    b[lu.outer] = lu._Q @ g
+    return b
+
+
+def block_norms(lu, b):
+    """The norm of each block's part of the condensed right-hand side of b:
+    of its projection Q_k diag(1 / |orbit|) Q_k^T b_c on the span of the
+    block's basis Q_k."""
+    b_c = b[lu.outer] - lu._S_oi @ (lu._Sii_inv @ b[lu.inner])
+    return np.array([
+        np.linalg.norm(lu._Q[:, part] @ (lu._inv_size[part] * (lu._Q[:, part].T @ b_c)))
+        for part in lu._parts
+    ])
+
+
+def run_solver(monkeypatch, **config):
+    """The ``SchurSolver`` of one run of ``RunConfig(**config)``, after the run."""
+    solvers = []
+    build = timestepper.build_schur
+
+    def kept(*args):
+        solvers.append(build(*args))
+        return solvers[-1]
+
+    monkeypatch.setattr(timestepper, "build_schur", kept)
+    timestepper.run(RunConfig(**config))
+    (solver,) = solvers
+    return solver
+
+
+@pytest.mark.parametrize(
+    "family, example, blocks", [(HMZ, 2, [5]), (NEDELEC, 2, [5]), (HMZ, 1, [1, 3])]
+)
+def test_a_run_factors_only_the_blocks_its_data_reaches(family, example, blocks, monkeypatch):
+    # Example 2 lies in the paired block.  Example 1 lies in block 3, and the
+    # composite rule of its body force, which keeps the diagonal reflection
+    # but not the mirrors, leaks into block 1 far above the floor.
+    solver = run_solver(monkeypatch, element=family, example=example, nx=8, n_steps=4)
+    assert factored(solver._lu) == blocks
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_refinement_factors_no_block_the_right_hand_side_did_not_reach(family, monkeypatch):
+    solver = make_direct(make_system(16, family), 0.25)
+    rhs = confined(solver._lu, 4, np.random.default_rng(3))
+    calls = []
+    solve = CondensedLU.solve
+
+    def spy(self, b, floor=0.0):
+        calls.append(b.copy())
+        return solve(self, b, floor)
+
+    monkeypatch.setattr(CondensedLU, "solve", spy)
+    solver.solve(rhs)
+    assert factored(solver._lu) == [5]
+    # The refinement's residual holds far more than tol / 10 of its own norm
+    # in the other blocks, so a floor set from it would factor them all.
+    _, r = calls
+    assert np.all(block_norms(solver._lu, r)[:4] > 0.1 * TOL * np.linalg.norm(r))
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_a_block_is_factored_by_the_first_solve_that_reaches_it(family):
+    solver = make_direct(make_system(8, family), 0.25)
+    lu = solver._lu
+    assert factored(lu) == [] and lu.L.shape == lu.U.shape == (0, 0)
+    rng = np.random.default_rng(5)
+    for k, blocks in ((4, [5]), (1, [2, 5])):
+        rhs = confined(lu, k, rng)
+        x = solver.solve(rhs)
+        assert factored(lu) == blocks
+        assert np.linalg.norm(rhs - solver.S @ x) <= TOL * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("dt", [1.0 / 200, 0.25])
+def test_block_rows_are_the_rows_of_the_condensed_matrix(family, dt):
+    solver = make_direct(make_system(8, family), dt)
+    S_c = condensed_matrix(solver)
+    for rep in solver._lu._reps:
+        rows, want = solver._lu._rows(rep), S_c[rep]
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(rows, name), getattr(want, name))
+
+
+def test_each_block_factored_is_logged(caplog):
+    lu = make_direct(make_system(8, HMZ), 0.25)._lu
+    with caplog.at_level(logging.DEBUG, logger="viscowave.linalg"):
+        reach_every_block(lu)
+        reach_every_block(lu)  # factors nothing more
+    assert len(caplog.records) == 5
+    for k, (record, f) in enumerate(zip(caplog.records, lu._lus)):
+        head = f"factored block {k + 1} of 5: {f.shape[0]} rows, fill {f.L.nnz + f.U.nnz}, "
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().startswith(head) and record.getMessage().endswith(" s")
+
+
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 @pytest.mark.parametrize("dt", [1.0 / 200, 0.25])
@@ -446,6 +586,7 @@ def test_sector_solve_matches_splu_of_condensed_matrix(family, n, dt):
             S_c, np.zeros((0, 0), dtype=int), system.stress_space.grid[outer],
             on_outer(generators[:k], outer),
         )
+        reach_every_block(lu)
         sizes = [f.shape[0] for f in lu._lus]
         assert len(sizes) == blocks
         for b in rhs:
@@ -464,7 +605,7 @@ def test_no_mirrors_is_one_sector_in_the_unsplit_order(family, dt):
     system = make_system(8, family)
     ss = system.stress_space
     S = make_direct(system, dt).S
-    lu = CondensedLU(S, ss.interior, ss.grid, ())
+    lu = reach_every_block(CondensedLU(S, ss.interior, ss.grid, ()))
     assert len(lu._lus) == 1
     nd = lu.outer[nested_dissection(ss.grid[lu.outer])]
     rows_o = S[nd]
@@ -484,10 +625,11 @@ def test_mirror_split_lowers_the_fill(family, n):
     system = make_system(n, family)
     ss = system.stress_space
     solver = make_direct(system, 0.25)
-    lu = CondensedLU(solver.S, ss.interior, ss.grid, mirrors(ss))
+    lu = reach_every_block(CondensedLU(solver.S, ss.interior, ss.grid, mirrors(ss)))
     assert len(lu._lus) == 4
-    assert fill(lu) < fill(CondensedLU(solver.S, ss.interior, ss.grid, ()))
+    assert fill(lu) < fill(reach_every_block(CondensedLU(solver.S, ss.interior, ss.grid, ())))
     # The diagonal splits further, and lowers the fill again.
+    reach_every_block(solver._lu)
     assert len(solver._lu._lus) == 5
     assert fill(solver._lu) < fill(lu)
 
