@@ -41,13 +41,15 @@ fill when dt is large.  Smaller fronts leave less fill: at N = 256 the five
 blocks of ``hmz`` at dt = 0.25 fill 14.3 M entries, the four mirror
 sectors 20.1 M and S_c in one piece 24.1 M.
 
-S_c is never formed.  A block is gathered from rows of S and of the kept
-condensation terms, factored and probed the first time a solve's
-right-hand side reaches it, that is, holds more than a floor in the
-block's span; a part at or below the floor is dropped.  S commutes with
-D4, so a step maps each block's span to itself, and data in some blocks
-keeps the whole run there: example 2 of ``mms`` reaches the paired block
-alone, and at N = 256 it is factored with a fill of 5.0 M.
+S_c is never formed.  A block M = S_c[named] Q is one sparse product, its
+rows of S_c, taken from S and the kept condensation terms, times the
+columns of its first sector in the stacked basis Q.  It is formed,
+factored and probed the first time a solve's right-hand side reaches it,
+that is, holds more than a floor in the block's span; a part at or below
+the floor is dropped.  S commutes with D4, so a step maps each block's
+span to itself, and data in some blocks keeps the whole run there:
+example 2 of ``mms`` reaches the paired block alone, and at N = 256 it is
+factored with a fill of 5.0 M.
 ``SchurSolver`` sets the floor from ``tol``.  A solve uses SuperLU's
 transposed path, which works by dot products (gathers) instead of
 scattered updates and is the faster of the two; the refinement step and
@@ -312,16 +314,18 @@ class CondensedLU:
     it has the same M, and one factor serves both.  Each block's named dofs
     are ordered by nested dissection of their points.
 
-    Set-up keeps S, S_ii^-1, S_oi and W = S_ii^-1 S_io, and forms neither
-    S_c nor any factor.  ``solve`` condenses the right-hand side and
-    gathers every sector's right-hand side with one product with the
-    stacked Q^T, scaled by 1/|orbit|.  A block not yet factored is gathered
-    there, from its rows S[named][:, outer] - S_oi[named] W of S_c, then
-    factored and probed (``_probe``), if its part of the condensed
-    right-hand side has a norm above ``floor``.  Otherwise that part is set
-    to zero, and it adds its norm to the residual of S x = b.  The parts
-    lie in orthogonal subspaces, so those dropped add at most sqrt(5) floor
-    together; the default floor, 0, drops only parts that are exactly zero.
+    Set-up keeps S, S_ii^-1, S_oi and W = S_ii^-1 S_io, and the stacked Q,
+    built in one pass over the sectors, and forms neither S_c nor any
+    factor.  ``solve`` condenses the right-hand side and gathers every
+    sector's right-hand side with one product with Q^T, scaled by
+    1/|orbit|.  A block not yet factored is formed there as M = S_c[named]
+    Q, its rows S[named][:, outer] - S_oi[named] W of S_c times the columns
+    of Q of its first sector, then factored and probed (``_probe``), if its
+    part of the condensed right-hand side has a norm above ``floor``.
+    Otherwise that part is set to zero, and it adds its norm to the
+    residual of S x = b.  The parts lie in orthogonal subspaces, so those
+    dropped add at most sqrt(5) floor together; the default floor, 0, drops
+    only parts that are exactly zero.
     A factored block is solved whatever its part, a pair as two columns.
     One product with Q scatters the result, and the interior dofs are
     back-substituted.  ``L`` and ``U`` are the factors built so far,
@@ -345,53 +349,41 @@ class CondensedLU:
         grid = np.asarray(grid)[self.outer]
         rank = np.empty(n, dtype=np.intp)
         rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(n)
-        blocks, self._parts = [], []
+        self._reps, self._parts, held, vec, coef = [], [], [], [], []
         for rep, bases in _sectors(n, generators, rank):
             order = nested_dissection(grid[rep])
             pos = np.empty(len(order), dtype=np.int32)
             pos[order] = np.arange(len(order), dtype=np.int32)
             start = self._parts[-1].stop if self._parts else 0
-            self._parts.append(slice(start, start + len(bases) * len(rep)))
-            bases = [(np.where(col >= 0, pos[col], -1).astype(np.int32), c) for col, c in bases]
-            blocks.append((rep[order], bases))
-        self._Q, self._inv_size = self._basis(n, blocks, self._parts)
-        # A block's basis is read back from Q when it is factored.
-        self._reps = [rep for rep, _ in blocks]
-        self._lus = [None] * len(blocks)
-
-    @staticmethod
-    def _basis(n, blocks, parts):
-        """The stacked basis Q and 1 / |orbit| for each of its vectors."""
-        held, vec, coef = [], [], []
-        for (rep, bases), part in zip(blocks, parts):
             for j, (col, c) in enumerate(bases):
                 h = np.flatnonzero(col >= 0)
                 held.append(h)
-                vec.append(part.start + j * len(rep) + col[h])
+                vec.append(start + j * len(rep) + pos[col[h]])
                 coef.append(c[h])
+            self._reps.append(rep[order])
+            self._parts.append(slice(start, start + len(bases) * len(rep)))
         held, vec, coef = map(np.concatenate, (held, vec, coef))
-        return sp.csr_matrix((coef, (held, vec)), shape=(n, n)), 1.0 / np.bincount(vec, minlength=n)
+        self._Q = sp.csr_matrix((coef, (held, vec)), shape=(n, n))
+        self._inv_size = 1.0 / np.bincount(vec, minlength=n)
+        self._lus = [None] * len(self._reps)
 
     def _factor(self, k):
-        """Gather block k, factor it and probe the factor.
+        """Form block k, S_c[named] Q, factor it and probe the factor.
 
-        The CSR arrays of the block, read as CSC, are its transpose, so
-        ``solve`` solves transposed.
+        The block is S_c's rows at the named dofs times the columns of Q of
+        its first sector, one sparse product with its indices sorted, so
+        ``splu`` finds nothing to sum and leaves its arrays as they are.
+        Its CSR arrays, read as CSC, are its transpose, so ``solve`` solves
+        transposed.
         """
         start = time.perf_counter()
         rep, part = self._reps[k], self._parts[k]
         m = len(rep)
-        first = self._Q[:, part.start : part.start + m].tocoo()  # the block's first basis
-        col = np.full(len(self.outer), -1, dtype=np.int32)
-        col[first.row] = first.col
-        coef = np.zeros(len(self.outer))
-        coef[first.row] = first.data
-        data, indices, indptr = self._sector(self._rows(rep), col, coef)
-        # splu sums the duplicates of the arrays it is given in place.
-        block = sp.csr_matrix((data.copy(), indices.copy(), indptr.copy()), shape=(m, m))
+        block = self._rows(rep) @ self._Q[:, part.start : part.start + m]
+        block.sort_indices()
         try:
             lu = spla.splu(
-                sp.csc_matrix((data, indices, indptr), shape=(m, m)),
+                block.T,
                 permc_spec="NATURAL",
                 diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True),
@@ -419,16 +411,6 @@ class CondensedLU:
     def _rows(self, rep):
         """The rows ``rep`` of S_c, from S and the kept S_oi and W."""
         return self._S[self.outer[rep]][:, self.outer] - self._S_oi[rep] @ self._W
-
-    @staticmethod
-    def _sector(rows, col, coef):
-        """CSR arrays of ``rows`` Q, with Q's column ``col[k]`` holding index k
-        with coefficient ``coef[k]``, duplicates not yet summed."""
-        j = col[rows.indices]
-        kept = j >= 0
-        data = (rows.data * coef[rows.indices])[kept]
-        indptr = np.concatenate([[0], np.cumsum(kept, dtype=np.int32)])[rows.indptr]
-        return data, j[kept], indptr
 
     def _stacked(self, name):
         factors = [getattr(lu, name) for lu in self._lus if lu is not None]
@@ -516,11 +498,24 @@ class SchurSolver:
         self._lu = CondensedLU(S, interior, grid, generators)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve S x = rhs to relative residual at most ``tol``."""
+        """Solve S x = rhs to relative residual at most ``tol``.
+
+        A right-hand side with an entry that is not finite is refused with
+        ``ValueError`` before any block is factored.  Any other is solved
+        scaled by the power of two that brings its largest entry into
+        [1/2, 1), so that no squared norm overflows or underflows.  The
+        scaling is exact: 2^k rhs gives 2^k times the x of rhs, bit for bit,
+        as long as neither holds subnormal numbers.
+        """
         rhs = np.asarray(rhs, float)
-        norm_rhs = np.linalg.norm(rhs)
-        if norm_rhs == 0.0:
+        top = np.abs(rhs).max(initial=0.0)
+        if not np.isfinite(top):
+            raise ValueError("the right-hand side of the stress solve is not finite")
+        if top == 0.0:
             return np.zeros_like(rhs)
+        exponent = np.frexp(top)[1]
+        rhs = np.ldexp(rhs, -exponent)
+        norm_rhs = np.linalg.norm(rhs)
         # The refinement keeps the floor of rhs: its residual reaches the
         # blocks that rhs does not at a level far below it, but far above a
         # floor set from its own norm.
@@ -533,7 +528,7 @@ class SchurSolver:
         res = np.linalg.norm(r) / norm_rhs
         if not res <= self.tol:  # a NaN residual fails too
             raise ConvergenceError("solve finished above tolerance", res)
-        return x
+        return np.ldexp(x, exponent)
 
 
 def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver:

@@ -164,7 +164,9 @@ def run(config) -> RunResult:
     data and the body force, and that the errors are taken against.  Either
     of ``dt`` and ``n_steps`` may be ``None``; ``resolve_time`` gives the
     step, ``t_final / n_steps``.  The stress mass is lumped when the family's
-    dofs all sit at corners (``StressSpace.lumped``).
+    dofs all sit at corners (``StressSpace.lumped``).  A load, energy or
+    error that is not finite, and a step whose solve refuses its right-hand
+    side, end the run with ``ValueError`` naming the node and its time.
     """
     if config.solver != "direct":
         raise ValueError(f"unknown solver {config.solver!r}: the only solve is the direct one")
@@ -199,18 +201,37 @@ def run(config) -> RunResult:
     vel_err = analysis.VelocityErrorEvaluator(velocity_space, material)
     snapshots = []
 
+    def finite(n, what, value):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(
+                f"{what} at node {n} (t = {nodes[n]:.6g}) is not finite: the run "
+                "overflows the floating-point range"
+            )
+
     def record(n, st):
         energy[n] = analysis.energy(system, st)
         err_sigma[n] = stress_err(st.alpha, solution.sigma, nodes[n])
         err_v[n] = vel_err(st.beta, solution.v, nodes[n])
+        finite(n, "the energy", energy[n])
+        finite(n, "the stress error", err_sigma[n])
+        finite(n, "the velocity error", err_v[n])
         if every and n % every == 0:
             snapshots.append((n, st.copy()))
 
-    record(0, state)
-    for n in range(n_steps):
-        load = stepper.midpoint_load(solution.f, float(nodes[n]), dt)
-        state = stepper.advance(state, load, dt)
-        record(n + 1, state)
+    # Every load, energy and error is checked, and the solve refuses a
+    # right-hand side that is not finite, so an overflow is reported once,
+    # by node, and numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0, state)
+        for n in range(n_steps):
+            load = stepper.midpoint_load(solution.f, float(nodes[n]), dt)
+            finite(n + 1, "the load of the step ending", load)
+            try:
+                state = stepper.advance(state, load, dt)
+            except ValueError as err:
+                t = nodes[n + 1]
+                raise ValueError(f"the step to node {n + 1} (t = {t:.6g}): {err}") from err
+            record(n + 1, state)
     return RunResult(
         config, nodes, energy, state, err_sigma, err_v, snapshots, stress_space, velocity_space
     )

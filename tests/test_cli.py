@@ -513,6 +513,18 @@ def test_argparse_rejects_unknown_mode(capsys):
             ["--preset", "table1", "--mode", "temporal-convergence"],
             "preset table1 sets nx, which temporal-convergence mode does not use",
         ),
+        # Example 3 grows like e^t: at t = 400 every value is finite but the
+        # energy, a square, overflows; at t = 705 so does the step's
+        # right-hand side.  Either ends with one line and no warning.
+        (
+            ["--example", "3", "--nx", "4", "--nt", "2", "--t-final", "400"],
+            "error: the energy at node 2 (t = 400) is not finite",
+        ),
+        (
+            ["--example", "3", "--nx", "4", "--nt", "2", "--t-final", "705"],
+            "error: the step to node 2 (t = 705): the right-hand side of the stress "
+            "solve is not finite",
+        ),
     ],
     ids=[
         "nt-zero",
@@ -532,6 +544,8 @@ def test_argparse_rejects_unknown_mode(capsys):
         "convergence-snapshot-every-given",
         "stability-snapshot-every-given",
         "temporal-nx-from-preset",
+        "t-final-400-energy-overflows",
+        "t-final-705-solve-refuses-rhs",
     ],
 )
 def test_bad_time_and_count_inputs_error_exit(argv, message, capsys):

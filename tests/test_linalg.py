@@ -190,6 +190,29 @@ def test_unreachable_tolerance_raises():
     assert err.value.residual > 1e-30
 
 
+@pytest.mark.parametrize("k", [600, -600])
+def test_solve_is_exact_under_scaling_by_a_power_of_two(k):
+    # A right-hand side is solved at the scale of its largest entry, so one
+    # far above 1e154 or far below 1e-154, whose squared norm overflows or
+    # underflows, solves to the scaled solution bit for bit.
+    system = hmz_system()
+    solver = build_schur(system, block_diag_inverse(system.C, 4), 0.1, TOL)
+    b = np.random.default_rng(9).standard_normal(solver.S.shape[0])
+    x = solver.solve(b)
+    assert np.array_equal(solver.solve(2.0**k * b), 2.0**k * x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rhs_that_is_not_finite_is_refused_before_any_factor(bad):
+    system = hmz_system()
+    solver = build_schur(system, block_diag_inverse(system.C, 4), 0.1, TOL)
+    b = np.random.default_rng(9).standard_normal(solver.S.shape[0])
+    b[3] = bad
+    with pytest.raises(ValueError, match="right-hand side of the stress solve is not finite"):
+        solver.solve(b)
+    assert solver._lu._lus == [None] * 5
+
+
 def test_solver_constructor_validation():
     S = sp.identity(4, format="csr")
     layout = no_interior(4)
@@ -534,6 +557,43 @@ def test_block_rows_are_the_rows_of_the_condensed_matrix(family, dt):
         rows, want = solver._lu._rows(rep), S_c[rep]
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(rows, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("n", [3, 8])
+def test_each_block_is_its_rows_of_the_condensed_matrix_times_its_basis(family, n, monkeypatch):
+    # A block is one sparse product, S_c[named] Q, with sorted indices and
+    # no explicit zero; splu sums nothing in it, so its arrays come back as
+    # they were, and the probe checks that same matrix.
+    solver = make_direct(make_system(n, family), 0.25)
+    lu = solver._lu
+    S_c = condensed_matrix(solver).toarray()
+    seen = []
+    splu, probe = linalg.spla.splu, linalg._probe
+
+    def spy_splu(A, **kwargs):
+        kept = [getattr(A, name).copy() for name in ("data", "indices", "indptr")]
+        seen.append((A, kept))
+        return splu(A, **kwargs)
+
+    def spy_probe(factor, block):
+        A = seen[-1][0]
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(block, name), getattr(A, name))
+        probe(factor, block)
+
+    monkeypatch.setattr(linalg.spla, "splu", spy_splu)
+    monkeypatch.setattr(linalg, "_probe", spy_probe)
+    reach_every_block(lu)
+    assert len(seen) == len(lu._lus) == 5
+    for (A, kept), rep, part in zip(seen, lu._reps, lu._parts):
+        for name, before in zip(("data", "indices", "indptr"), kept):
+            assert np.array_equal(getattr(A, name), before)
+        assert A.has_sorted_indices and np.all(A.data != 0.0)
+        m = len(rep)
+        want = S_c[rep] @ lu._Q[:, part.start : part.start + m].toarray()
+        # A holds the block's CSR arrays read as CSC: its transpose.
+        np.testing.assert_allclose(A.T.toarray(), want, rtol=0, atol=1e-14 * abs(S_c).max())
 
 
 def test_each_block_factored_is_logged(caplog):

@@ -265,6 +265,18 @@ def test_run_needs_an_example_before_assembly(monkeypatch):
         run(RunConfig(nx=4, n_steps=10))
 
 
+def test_run_refuses_a_load_that_is_not_finite(monkeypatch):
+    midpoint_load = CNStepper.midpoint_load
+
+    def overflowing(self, f, t, dt):
+        load = midpoint_load(self, f, t, dt)
+        return np.full_like(load, np.inf) if t > 0.0 else load
+
+    monkeypatch.setattr(CNStepper, "midpoint_load", overflowing)
+    with pytest.raises(ValueError, match=r"the load of the step ending at node 2 \(t = 0\.5\)"):
+        run(RunConfig(example=1, nx=2, n_steps=4))
+
+
 def test_run_lumps_only_nedelec():
     ned = run(RunConfig(element=NEDELEC, example=1, nx=2, n_steps=2))
     hmz = run(RunConfig(element=HMZ, example=1, nx=2, n_steps=2))
