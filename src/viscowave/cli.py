@@ -125,6 +125,13 @@ def temporal_study(element, example, ms, **settings):
 
 
 def _study_rows(params, results):
+    for name in ("E_a_sigma", "E_c_v"):
+        for r in results:
+            if not getattr(r, name) > 0.0:
+                raise ValueError(
+                    f"{name} is {getattr(r, name):.3g} at N = {r.config.nx}, "
+                    f"M = {r.config.n_steps}: an observed order needs positive errors"
+                )
     e_sigma = [r.E_a_sigma for r in results]
     e_v = [r.E_c_v for r in results]
     orders_sigma = [None] + convergence_orders(list(zip(params, e_sigma)))

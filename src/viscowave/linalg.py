@@ -46,10 +46,10 @@ rows of S_c, taken from S and the kept condensation terms, times the
 columns of its first sector in the stacked basis Q.  It is formed,
 factored and probed the first time a solve's right-hand side reaches it,
 that is, holds more than a floor in the block's span; a part at or below
-the floor is dropped.  S commutes with D4, so a step maps each block's
-span to itself, and data in some blocks keeps the whole run there:
-example 2 of ``mms`` reaches the paired block alone, and at N = 256 it is
-factored with a fill of 5.0 M.
+the floor is dropped, in a factored block too.  S commutes with D4, so a
+step maps each block's span to itself, and data in some blocks keeps the
+whole run there: example 2 of ``mms`` reaches the paired block alone, and
+at N = 256 it is factored with a fill of 5.0 M.
 ``SchurSolver`` sets the floor from ``tol``.  A solve uses SuperLU's
 transposed path, which works by dot products (gathers) instead of
 scattered updates and is the faster of the two; the refinement step and
@@ -316,18 +316,22 @@ class CondensedLU:
 
     Set-up keeps S, S_ii^-1, S_oi and W = S_ii^-1 S_io, and the stacked Q,
     built in one pass over the sectors, and forms neither S_c nor any
-    factor.  ``solve`` condenses the right-hand side and gathers every
-    sector's right-hand side with one product with Q^T, scaled by
-    1/|orbit|.  A block not yet factored is formed there as M = S_c[named]
-    Q, its rows S[named][:, outer] - S_oi[named] W of S_c times the columns
-    of Q of its first sector, then factored and probed (``_probe``), if its
-    part of the condensed right-hand side has a norm above ``floor``.
-    Otherwise that part is set to zero, and it adds its norm to the
-    residual of S x = b.  The parts lie in orthogonal subspaces, so those
-    dropped add at most sqrt(5) floor together; the default floor, 0, drops
-    only parts that are exactly zero.
-    A factored block is solved whatever its part, a pair as two columns.
-    One product with Q scatters the result, and the interior dofs are
+    factor.  ``solve`` condenses the right-hand side b to b_o.  A block's
+    part of b_o whose norm is at or below ``floor`` is set to zero, whether
+    or not the block is factored, and adds its norm to the residual of
+    S x = b.  The parts lie in orthogonal subspaces (Q^T Q = diag(|orbit|)),
+    so their squared norms sum to |b_o|^2, and those dropped add at most
+    sqrt(5) floor together; the default floor, 0, drops only parts that are
+    exactly zero.  If |b_o| itself is at or below ``floor``, every part is,
+    and the solve returns the interior back-substitution S_ii^-1 b_i with
+    zero outer dofs, making no product with Q^T, Q or W and no block solve.
+    Otherwise one product with Q^T, scaled by 1/|orbit|, gathers every
+    sector's right-hand side.  A block is formed the first time a part
+    above the floor reaches it, as M = S_c[named] Q, its rows
+    S[named][:, outer] - S_oi[named] W of S_c times the columns of Q of its
+    first sector, then factored and probed (``_probe``).  Each block with a
+    part above the floor is solved, a pair as two columns.  One product
+    with Q scatters the result, and the interior dofs are
     back-substituted.  ``L`` and ``U`` are the factors built so far,
     block-diagonal, built anew on each access; 0 x 0 if there are none.
     """
@@ -428,14 +432,19 @@ class CondensedLU:
         y = self._Sii_inv @ b[self.inner]
         b_o = b[self.outer]
         b_o -= self._S_oi @ y
+        # The parts are orthogonal, so their squared norms sum to b_o . b_o.
+        if b_o @ b_o <= floor * floor:
+            x = np.zeros_like(b)
+            x[self.inner] = y
+            return x
         h = self._Q.T @ b_o
         g = h * self._inv_size
         for k, part in enumerate(self._parts):
+            # h . g is the squared norm of the block's part of b_o.
+            if h[part] @ g[part] <= floor * floor:
+                g[part] = 0.0
+                continue
             if self._lus[k] is None:
-                # h . g is the squared norm of the block's part of b_o.
-                if h[part] @ g[part] <= floor * floor:
-                    g[part] = 0.0
-                    continue
                 self._factor(k)
             lu = self._lus[k]
             # The sectors of a pair are the columns of one right-hand side.
@@ -477,10 +486,12 @@ class SchurSolver:
     Each solve is refined once and its relative residual checked against
     the full S.  Both LU solves take the floor tol / 10 of the norm of the
     right-hand side, so a block that the right-hand side does not reach is
-    neither factored nor solved.  Each part dropped adds at most tol / 10
-    to the relative residual, and all of them together at most sqrt(5) / 10
-    of tol.  A factor that fails its probe raises ``SingularBlockError`` from
-    the solve that first reaches its block.
+    neither factored nor solved, and a refinement whose residual is at or
+    below the floor in every block solves no block at all.  Each part
+    dropped adds at most tol / 10 to the relative residual, and all of them
+    together at most sqrt(5) / 10 of tol.  A factor that fails its probe
+    raises ``SingularBlockError`` from the solve that first reaches its
+    block.  ``dt`` records the time step S was formed for.
     """
 
     def __init__(
@@ -490,11 +501,13 @@ class SchurSolver:
         interior: np.ndarray,
         grid: np.ndarray,
         generators: tuple,
+        dt: float,
     ):
         if not 0.0 < tol < 1.0:
             raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
         self.S = S
         self.tol = tol
+        self.dt = dt
         self._lu = CondensedLU(S, interior, grid, generators)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -587,7 +600,7 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
     S = sp.csr_matrix(S, copy=True)
     generators = space.generators
     check_symmetry(S, generators)
-    return SchurSolver(S, tol, space.interior, space.grid, tuple(generators.values()))
+    return SchurSolver(S, tol, space.interior, space.grid, tuple(generators.values()), dt)
 
 
 def check_symmetry(S: sp.csr_matrix, generators: dict) -> None:

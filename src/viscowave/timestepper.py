@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis
 from .assembly import AssembledSystem, assemble_load, assemble_system
 from .fespace import StressSpace, VelocitySpace
-from .linalg import SchurSolver, block_diag_inverse, build_schur
+from .linalg import SchurSolver, SingularBlockError, block_diag_inverse, build_schur
 from .material import IsotropicMaterial
 from .mesh import StructuredMesh
 from .mms import exact_fields
@@ -86,6 +86,9 @@ def init_state(
 class CNStepper:
     """Prepared single-step update for a fixed system and solver.
 
+    ``advance`` takes only the step the solver's S was formed for
+    (``SchurSolver.dt``) and refuses any other with ``ValueError``.
+
     ``Bt`` is B.T, a CSC view of B's own arrays, not a CSR copy: the CSC
     product sums each entry in the order the CSR one does, so the bits are
     the same, and the run keeps one copy of B, not two.
@@ -105,8 +108,10 @@ class CNStepper:
         return 0.5 * (assemble_load(vs, f, t) + assemble_load(vs, f, t + dt))
 
     def advance(self, state: SimState, load_mid: np.ndarray, dt: float) -> SimState:
-        if not dt > 0.0:
-            raise ValueError(f"time step must be positive, got {dt}")
+        if dt != self.solver.dt:
+            raise ValueError(
+                f"time step {dt} is not the step {self.solver.dt} the solver was built for"
+            )
         A, B, Bt, Cinv = self.system.A, self.system.B, self.Bt, self.Cinv
         a, b = state.alpha, state.beta
         g = Cinv @ load_mid
@@ -187,9 +192,14 @@ def run(config) -> RunResult:
     stress_space = StressSpace(mesh, config.element)
     velocity_space = VelocitySpace(mesh, config.element)
     system = assemble_system(stress_space, velocity_space, material)
-    solver = build_schur(
-        system, block_diag_inverse(system.C, velocity_space.n_local), dt, config.solver_tol
-    )
+    try:
+        Cinv = block_diag_inverse(system.C, velocity_space.n_local)
+    except SingularBlockError as err:
+        raise SingularBlockError(
+            f"the velocity mass (rho = {config.rho:.3g}) cannot be inverted: {err}"
+        ) from err
+    solver = build_schur(system, Cinv, dt, config.solver_tol)
+    del Cinv  # the stepper keeps its own; one kept to the end raises the peak
     stepper = CNStepper(system, solver)
     state = init_state(
         stress_space,

@@ -244,13 +244,16 @@ def test_criterion_5_discrete_energy_identity(capsys):
             states.append(state)
         worst[family] = float(energy_residuals(system, states, dt).max())
     ok = all(w <= 1e-9 for w in worst.values())
+    # A defect at rounding level moves with any change of summation order,
+    # so it is printed against a level, not as a value.
+    top = max(worst.values())
+    shown = "< 1e-14" if top < 1e-14 else f"{top:.2e}"
     _report(
         capsys,
         5,
         ok,
-        "identity defect "
-        + ", ".join(f"{f} {w:.2e}" for f, w in worst.items())
-        + " <= 1e-9 at every node (N=8, M=20, random data)",
+        f"worst identity defect {shown}, bound 1e-9, at every node "
+        "(both families, N=8, M=20, random data)",
     )
 
 

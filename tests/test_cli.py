@@ -525,6 +525,13 @@ def test_argparse_rejects_unknown_mode(capsys):
             "error: the step to node 2 (t = 705): the right-hand side of the stress "
             "solve is not finite",
         ),
+        # The squared stress error underflows to exactly 0, so no order can be
+        # observed; the message names the quantity and the run.
+        (
+            ["--mode", "convergence", "--element", "hmz", "--example", "1", "--nx", "2,4",
+             "--nt", "2", "--t-final", "1e-300"],
+            "error: E_a_sigma is 0 at N = 2, M = 2: an observed order needs positive errors",
+        ),
     ],
     ids=[
         "nt-zero",
@@ -546,6 +553,7 @@ def test_argparse_rejects_unknown_mode(capsys):
         "temporal-nx-from-preset",
         "t-final-400-energy-overflows",
         "t-final-705-solve-refuses-rhs",
+        "convergence-t-final-tiny-stress-error-zero",
     ],
 )
 def test_bad_time_and_count_inputs_error_exit(argv, message, capsys):
@@ -577,6 +585,12 @@ _FORCED = _UNIT + ["--force"]
             _UNIT + ["--element", "hmz", "--t-final", "1e-308"],
             "the stress-mass term (1/dt + 1/2) A overflows (dt = 5e-309)",
         ),
+        (
+            ["--mode", "solve", "--element", "hmz", "--example", "1", "--nx", "4", "--nt", "2",
+             "--rho", "1e-310", "--force"],
+            "error: the velocity mass (rho = 1e-310) cannot be inverted: diagonal block "
+            "inversion produced non-finite entries",
+        ),
     ],
     ids=[
         "lambda-inf",
@@ -588,6 +602,7 @@ _FORCED = _UNIT + ["--force"]
         "rho-tiny-coupling-overflow",
         "dt-tiny-stress-mass-overflow",
         "hmz-dt-tiny-stress-mass-overflow",
+        "rho-subnormal-velocity-mass-not-invertible",
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning on the way to the message fails

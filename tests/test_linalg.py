@@ -1,6 +1,7 @@
 """Block inversion and the reduced stress solve."""
 
 import logging
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -218,9 +219,9 @@ def test_solver_constructor_validation():
     layout = no_interior(4)
     for tol in (0.0, 1.0, np.inf):  # a relative residual bound of 1 or more certifies nothing
         with pytest.raises(ValueError, match="must lie in"):
-            SchurSolver(S, tol, *layout)
+            SchurSolver(S, tol, *layout, 0.1)
     # Nothing is factored before a right-hand side reaches the block.
-    solver = SchurSolver(sp.diags([1.0, 0.0, 1.0]).tocsr(), 1e-12, *no_interior(3))
+    solver = SchurSolver(sp.diags([1.0, 0.0, 1.0]).tocsr(), 1e-12, *no_interior(3), 0.1)
     with pytest.raises(SingularBlockError, match="cannot be factored"):
         solver.solve(np.ones(3))
 
@@ -279,10 +280,11 @@ def test_setup_probe_refines_only_when_needed(monkeypatch):
     assert factors == []
     rhs = np.random.default_rng(0).standard_normal(solver.S.shape[0])
     solver.solve(rhs)
-    # The probe, then the solve and its refinement.
-    assert [f.solves for f in factors] == [3] * 5
+    # The probe, then the solve.  The refinement's residual lies at or below
+    # the floor in every block, so the refinement solves none.
+    assert [f.solves for f in factors] == [2] * 5
     solver.solve(rhs)
-    assert [f.solves for f in factors] == [5] * 5  # every step's solve still refines
+    assert [f.solves for f in factors] == [3] * 5  # a later solve, once per block
 
 
 def test_schur_spd_for_nedelec_lumped():
@@ -546,6 +548,85 @@ def test_a_block_is_factored_by_the_first_solve_that_reaches_it(family):
         x = solver.solve(rhs)
         assert factored(lu) == blocks
         assert np.linalg.norm(rhs - solver.S @ x) <= TOL * np.linalg.norm(rhs)
+
+
+class Untouchable:
+    """Stands in for Q or W: any product with it, or with its transpose, fails."""
+
+    @property
+    def T(self):
+        raise AssertionError("a product with Q^T")
+
+    def __matmul__(self, other):
+        raise AssertionError("a product with Q or W")
+
+
+def counted(lu):
+    """Wrap each factor of ``lu`` in a ``CountedLU``; returns the wrappers."""
+    lu._lus = [f if f is None else CountedLU(f) for f in lu._lus]
+    return lu._lus
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_a_condensed_rhs_below_the_floor_is_back_substituted_alone(family, monkeypatch):
+    solver = make_direct(make_system(8, family), 0.25)
+    lu = solver._lu
+    rng = np.random.default_rng(6)
+    b = np.zeros(solver.S.shape[0])
+    b[lu.inner] = rng.standard_normal(lu.inner.size)
+    # The outer dofs cancel the coupling of the interior ones, up to a part
+    # of half the floor.
+    floor = 1e-3 * np.linalg.norm(b)
+    e = rng.standard_normal(lu.outer.size)
+    b[lu.outer] = lu._S_oi @ (lu._Sii_inv @ b[lu.inner]) + 0.5 * floor * e / np.linalg.norm(e)
+    want = np.zeros_like(b)
+    want[lu.inner] = lu._Sii_inv @ b[lu.inner]
+
+    def solve_untouched():
+        with monkeypatch.context() as m:
+            m.setattr(lu, "_Q", Untouchable())
+            m.setattr(lu, "_W", Untouchable())
+            return lu.solve(b, floor)
+
+    assert np.array_equal(solve_untouched(), want)
+    assert factored(lu) == []
+    # Nor is a factored block solved.
+    factors = counted(reach_every_block(lu))
+    assert np.array_equal(solve_untouched(), want)
+    assert [f.solves for f in factors] == [0] * 5
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_a_factored_block_is_solved_only_for_a_part_above_the_floor(family):
+    solver = make_direct(make_system(8, family), 0.25)
+    lu = reach_every_block(solver._lu)
+    factors = counted(lu)
+    rng = np.random.default_rng(7)
+    for k in range(5):
+        b = confined(lu, k, rng)
+        part = block_norms(lu, b)
+        floor = 0.5 * part[k]
+        assert np.all(np.delete(part, k) <= 1e-12 * floor)
+        before = [f.solves for f in factors]
+        x = lu.solve(b, floor)
+        assert [f.solves - n for f, n in zip(factors, before)] == [int(j == k) for j in range(5)]
+        np.testing.assert_allclose(x, lu.solve(b), rtol=0, atol=1e-13 * np.abs(x).max())
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("n", [3, 8])
+def test_squared_block_parts_sum_to_the_squared_condensed_rhs(family, n):
+    # Q^T Q = diag(|orbit|), so Q diag(1 / |orbit|) Q^T is the identity and
+    # the blocks' parts of b_o, h . g with h = Q^T b_o and g = h / |orbit|,
+    # add up to |b_o|^2: b_o . b_o at or below floor^2 drops every part.
+    lu = make_direct(make_system(n, family), 0.25)._lu
+    Q = lu._Q.toarray()
+    np.testing.assert_allclose(Q.T @ Q, np.diag(1.0 / lu._inv_size), rtol=0, atol=0)
+    b_o = np.random.default_rng(n).standard_normal(lu.outer.size)
+    h = lu._Q.T @ b_o
+    g = h * lu._inv_size
+    parts = [h[part] @ g[part] for part in lu._parts]
+    assert math.isclose(sum(parts), b_o @ b_o, rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])

@@ -183,6 +183,18 @@ def test_stepper_rejects_mismatched_solver():
         CNStepper(system, solver)
 
 
+def test_stepper_refuses_a_step_its_solver_was_not_built_for():
+    # S holds 1/dt and dt / 4: a solver built for dt = 0.25 advanced with
+    # dt = 0.1 takes a step far from the true one and can gain energy.
+    system = make_system(4, HMZ)
+    stepper = make_stepper(system, 0.25)
+    state = SimState(np.ones(system.A.shape[0]), np.ones(system.B.shape[0]))
+    for dt in (0.1, 0.25 * (1 + 1e-15), -0.25, float("nan")):
+        with pytest.raises(ValueError, match=f"time step {dt} is not the step 0.25"):
+            unforced_step(stepper, state, dt)
+    unforced_step(stepper, state, 0.25)
+
+
 # ------------------------------------------------------- energy bookkeeping
 
 
