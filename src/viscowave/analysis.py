@@ -48,7 +48,9 @@ class _ErrorEvaluator:
     the quadrature weights into one (nq * d, nq * d) matrix per element.
     The field is called once, on every element's points, and checked
     there (``QuadKernel.values``); the rest is done ``NORM_BLOCK`` elements
-    at a time.
+    at a time.  A sum below the smallest normal number, whose squares may
+    have underflowed, is formed again from the coefficients and the field
+    values scaled exactly by the 2^-k that brings the largest into [1/2, 1).
     """
 
     def __init__(self, space, weight):
@@ -57,16 +59,25 @@ class _ErrorEvaluator:
         self.weight = np.kron(np.diag(self.quad.weights), weight)
 
     def __call__(self, coeffs, field, t: float) -> float:
-        q = self.quad
         coeffs = np.asarray(coeffs, float)
-        values = q.values(field, t)
+        values = self.quad.values(field, t)
+        val, k = self._squared(coeffs, values), 0
+        if val < np.finfo(float).tiny:  # the squares may have underflowed
+            top = max(abs(coeffs).max(), abs(values).max())
+            if top > 0.0:
+                k = int(np.frexp(top)[1])
+                val = self._squared(np.ldexp(coeffs, -k), np.ldexp(values, -k))
+        return float(np.ldexp(np.sqrt(max(val, 0.0)), k))
+
+    def _squared(self, coeffs, values):
+        """The squared distance, summed ``NORM_BLOCK`` elements at a time."""
         val = 0.0
         for lo in range(0, len(values), NORM_BLOCK):
             block = slice(lo, lo + NORM_BLOCK)
-            diff = coeffs[self.space.eldof[block]] @ q.basis
+            diff = coeffs[self.space.eldof[block]] @ self.quad.basis
             diff -= values[block]
             val += np.vdot(diff @ self.weight, diff)
-        return float(np.sqrt(max(val, 0.0)))
+        return val
 
 
 class StressErrorEvaluator(_ErrorEvaluator):

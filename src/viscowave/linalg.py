@@ -26,20 +26,21 @@ the symmetry group of the square, and a symmetry-adapted basis of signed
 sums over orbits splits S_c exactly (Healey & Treacy, Int. J. Numer.
 Meth. Eng., 1991; Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986;
 Fässler & Stiefel, Group Theoretical Methods and Their Applications,
-Birkhäuser, 1992).  The two mirrors commute and split S_c
-into four sectors of about a quarter of its size.  The diagonal maps two
-of them onto themselves and halves each.  It maps the other two onto each
-other, so the basis of one is taken as the image of the other's; both
-then have the same matrix, which is factored once and solved with two
-columns: five blocks, four of an eighth and one of a quarter of S_c.
+Birkhäuser, 1992), one block per irreducible representation.  In each of
+the four of dimension one, declared in ``_ONE_DIM``, both mirrors act as
+m = +-1 and the diagonal as d = +-1: four blocks of an eighth of S_c.  The
+fifth, E, is the sector even under x -> 1 - x and odd under y -> 1 - y,
+and its image under the diagonal, whose basis is taken as the image of the
+first's; both have the same matrix, a quarter of S_c, which is factored
+once and solved with two columns.
 ``build_schur`` first checks, with one product of S with a block of
 vectors, that S commutes with each reflection, and names the one that it
 does not.  Each block is ordered by geometric nested dissection at mesh
 lines and factored in that order with diagonal pivots, which an SPD matrix
 allows; letting SuperLU pivot off the diagonal instead can multiply the
 fill when dt is large.  Smaller fronts leave less fill: at N = 256 the five
-blocks of ``hmz`` at dt = 0.25 fill 14.3 M entries, the four mirror
-sectors 20.1 M and S_c in one piece 24.1 M.
+blocks of ``hmz`` at dt = 0.25 fill 14.3 M entries, a split by the mirrors
+alone 20.1 M and S_c in one piece 24.1 M.
 
 S_c is never formed.  A block M = S_c[named] Q is one sparse product, its
 rows of S_c, taken from S and the kept condensation terms, times the
@@ -200,94 +201,66 @@ def nested_dissection(grid: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _halves(p, s, rank):
-    """The even and odd halves of a signed involution on m indices.
+# D4's one-dimensional representations: the signs of the mirrors and of
+# the diagonal in each, in block order.  E follows them (see ``_sectors``).
+_ONE_DIM = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-    The involution maps e_a to s_a e_p(a), with p(p(a)) = a and s_p(a) = s_a.
-    Its even half has the basis vectors e_a + s_a e_p(a), its odd half
-    e_a - s_a e_p(a), one per pair, named after the member of lower
-    ``rank``; a fixed point a = p(a) is a vector of the even half if
-    s_a = 1 and of the odd half if s_a = -1.  Returns, for each half,
-    ``(col, coef, rep)``: the basis vector that holds index a (-1 if none),
-    a's coefficient in it, and for each vector the index it is named
-    after, whose coefficient is 1.
+
+def _images(generators, a):
+    """The images of the dofs ``a`` under D4's elements e, X, Y, YX, D, DX,
+    DY and DYX, and their signs, two (8, len(a)) arrays, from the reflections
+    X, Y and D: g e_a = s_a e_p(a), and g2 g1 = (p2[p1], s1 s2[p1])."""
+    images = [(a, np.ones(len(a)))]
+    for g, t in generators:
+        images += [(g[q], r * t[q]) for q, r in images]
+    p, s = zip(*images)
+    return np.array(p), np.array(s)
+
+
+def _sector(n, p, s, chi, named):
+    """The sector of character ``chi`` of n indices, ``(rep, (col, coef))``,
+    from the images ``p``, with signs ``s``, of its candidate names ``named``.
+
+    The vector named after a is the sum of chi(g) g e_a, with coefficient 1
+    at a; there is none when an element that fixes a carries the sign
+    -chi(g).  ``rep`` holds the names, ``col`` the vector that holds each
+    index (-1 if none) and ``coef`` the index's coefficient there (0 if none).
     """
-    a = np.arange(len(p))
-    out = []
-    for sign in (1.0, -1.0):
-        rep = np.flatnonzero((rank < rank[p]) | ((a == p) & (s == sign)))
-        col = np.full(len(p), -1)
-        coef = np.zeros(len(p))
-        col[rep] = col[p[rep]] = np.arange(len(rep))
-        coef[rep] = 1.0
-        coef[p[rep]] = sign * s[rep]
-        out.append((col, coef, rep))
-    return out
+    sign = np.array(chi)[:, None] * s
+    has = ~np.any((p == named) & (sign < 0), axis=0)
+    col = np.full(n, -1)
+    coef = np.zeros(n)
+    col[p[:, has]] = np.arange(np.count_nonzero(has))
+    coef[p[:, has]] = sign[:, has]
+    return named[has], (col, coef)
 
 
-def _maps_onto(p, s, src, dst):
-    """Whether the signed permutation ``(p, s)`` maps each basis vector of
-    sector ``src`` onto +- one of sector ``dst`` (see ``_sectors``)."""
-    (col, coef, rep), (col2, coef2, rep2) = src, dst
-    # The image of index i lies in dst's vector col2[p(i)] with the sign
-    # coef[i] s_i coef2[p(i)]; u holds both as one signed number, 0 if i is
-    # in no vector of src.  Each vector must go whole onto one vector:
-    # u is the same over the vector, and dst holds no other index.
-    u = ((col2 + 1) * coef2)[p] * s * coef
-    per_vector = np.append(u[rep], 0.0)
-    return bool(
-        len(rep) == len(rep2)
-        and np.all(per_vector[:-1] != 0)
-        and np.array_equal(u, per_vector[col])
-        and np.count_nonzero(col >= 0) == np.count_nonzero(col2 >= 0)
-    )
+def _sectors(generators, rank):
+    """D4's blocks, each ``(rep, bases)``: the names of its first sector and
+    the ``(col, coef)`` of each of its sectors (see ``_sector``).
 
-
-def _sectors(n, generators, rank):
-    """Split n indices into sectors by signed involutions, and pair sectors
-    that share one matrix.
-
-    A sector is ``(col, coef, rep)``: the basis vector that holds each
-    index (-1 if none), the index's coefficient there (+-1, or 0 if none),
-    and for each vector the index it is named after, whose coefficient is
-    1.  Each vector is a signed sum over one orbit of the involutions.
-    They act in turn on every sector not yet paired.  An involution ``(p,
-    s)`` that maps a sector onto itself halves it (see ``_halves``, which
-    names each pair after its member of lower ``rank``).  One that maps it
-    onto another sector pairs the two: the other's basis becomes the image
-    of the first's, vector by vector, so that a matrix that commutes with
-    the involution has the same sector matrix on both.  Commuting
-    involutions, the mirrors, only halve; the diagonal reflection, which
-    follows them, halves two of their four sectors and pairs the other two.
-    Returns a list of blocks ``(rep, bases)``, each with the ``rep`` of its
-    first sector and the ``(col, coef)`` of one sector or of a pair.
+    ``generators`` are X, Y and D.  A vector is named after the member of its
+    orbit of lowest ``rank``, found by gathers of the minima over X, then Y,
+    then D.  E's first sector, even under X and odd under Y, has a vector per
+    orbit of the mirrors; its second is its image under D, so a matrix that
+    commutes with D has the same block on both.  A block with no vector,
+    which a tiny mesh can have, is left out.
     """
-    sectors = [(np.arange(n), np.ones(n), np.arange(n))]
-    pairs = []
-    for p, s in generators:
-        halved = []
-        while sectors:
-            col, coef, rep = sector = sectors.pop(0)
-            if _maps_onto(p, s, sector, sector):
-                # The involution takes the vector named after r to s_r coef[p(r)]
-                # times the vector that holds p(r).
-                q = p[rep]
-                held = col >= 0
-                for col2, coef2, rep2 in _halves(col[q], s[rep] * coef[q], rank[rep]):
-                    if len(rep2):  # on a tiny mesh a half can be empty
-                        halved.append((np.where(held, col2[col], -1), coef * coef2[col], rep[rep2]))
-                continue
-            other = next((k for k, t in enumerate(sectors) if _maps_onto(p, s, sector, t)), None)
-            if other is None:
-                raise ValueError("an involution maps a sector onto neither itself nor another")
-            del sectors[other]
-            image_col = np.empty(n, dtype=col.dtype)
-            image_col[p] = col
-            image_coef = np.empty(n)
-            image_coef[p] = coef * s
-            pairs.append((rep, [(col, coef), (image_col, image_coef)]))
-        sectors = halved
-    return [(rep, [(col, coef)]) for col, coef, rep in sectors] + pairs
+    (px, _), (py, _), (pd, sd) = generators
+    low = np.minimum(rank, rank[px])
+    low = np.minimum(low, low[py])
+    named = np.flatnonzero(low == rank)  # the minima over the mirrors
+    d4_min = np.minimum(low, low[pd])[named] == rank[named]  # and over D4
+    p, s = _images(generators, named)
+    blocks = []
+    for m, d in _ONE_DIM:
+        chi = (1, m, m, 1, d, m * d, m * d, d)
+        rep, basis = _sector(len(rank), p[:, d4_min], s[:, d4_min], chi, named[d4_min])
+        blocks.append((rep, [basis]))
+    # E on the elements e, X, Y and YX.
+    rep, (col, coef) = _sector(len(rank), p[:4], s[:4], (1, 1, -1, -1), named)
+    blocks.append((rep, [(col, coef), (col[pd], coef[pd] * sd)]))
+    return [block for block in blocks if len(block[0])]
 
 
 class CondensedLU:
@@ -297,15 +270,17 @@ class CondensedLU:
     ``interior`` (n_elements, k) lists each element's interior dofs, which
     must couple in S with no other element's; ``block_diag_inverse`` raises
     ``ValueError`` if they do.  ``grid`` (n, 2) is the half-step grid point
-    of every dof (see ``nested_dissection``).  ``generators`` holds signed
-    dof permutations ``(p, s)`` (see ``fespace.StressSpace.generators``)
-    that commute with S and keep the interior dofs interior, the commuting
-    mirrors first; ``()`` splits nothing.
+    of every dof (see ``nested_dissection``).  ``generators`` holds the
+    signed dof permutations ``(p, s)`` of the reflections x -> 1 - x,
+    y -> 1 - y and (x, y) -> (y, x), in that order (see
+    ``fespace.StressSpace.generators``); they must commute with S, keep the
+    interior dofs interior and satisfy D4's relations.  Identity maps split
+    nothing.
 
-    The condensed matrix S_c is split into blocks by ``_sectors``, which
-    names each basis vector after the member of its orbit whose point comes
-    first in (gx, gy) order: so the vectors of a sector that the diagonal
-    halves are named in the triangle gx <= gy, not across the whole quarter.
+    The condensed matrix S_c is split into D4's five blocks by ``_sectors``,
+    which names each basis vector after the member of its orbit whose point
+    comes first in (gx, gy) order: so the vectors of a one-dimensional
+    block are named in the triangle gx <= gy, not across the whole quarter.
     A sector's basis Q holds a signed sum over each orbit that the sector
     has a vector for.  S_c commutes with the generators, so S_c Q lies in
     the span of Q, and the block matrix M = S_c[named] Q, the rows of S_c at
@@ -354,7 +329,7 @@ class CondensedLU:
         rank = np.empty(n, dtype=np.intp)
         rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(n)
         self._reps, self._parts, held, vec, coef = [], [], [], [], []
-        for rep, bases in _sectors(n, generators, rank):
+        for rep, bases in _sectors(generators, rank):
             order = nested_dissection(grid[rep])
             pos = np.empty(len(order), dtype=np.int32)
             pos[order] = np.arange(len(order), dtype=np.int32)
@@ -394,6 +369,11 @@ class CondensedLU:
             )
         except RuntimeError as err:
             raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
+        except MemoryError as err:  # SuperLU's has no message
+            raise MemoryError(
+                f"out of memory factoring block {k + 1} of {len(self._lus)} ({m} rows) "
+                f"of the reduced stress matrix S ({self._S.shape[0]} rows)"
+            ) from err
         _probe(lu, block)
         self._lus[k] = lu
         if log.isEnabledFor(logging.DEBUG):  # reading L and U copies them

@@ -157,6 +157,22 @@ def test_evaluator_refuses_a_transposed_field(evaluator, space, name):
         evaluator(space, UNIT)(np.zeros(space.dim), transposed, 0.3)
 
 
+@pytest.mark.parametrize(
+    "evaluator, space, name",
+    [(StressErrorEvaluator, StressSpace, "sigma"), (VelocityErrorEvaluator, VelocitySpace, "v")],
+)
+def test_error_of_a_tiny_field_scales_with_it(evaluator, space, name):
+    # Scaled by 2^-1000 the squares underflow; the norm must scale with the
+    # field and the coefficients, not fall to 0.
+    space = space(StructuredMesh(4), HMZ)
+    field = getattr(exact_fields(1), name)
+    c = np.random.default_rng(5).standard_normal(space.dim)
+    tiny = lambda x, y, t: np.ldexp(field(x, y, t), -1000)
+    err = evaluator(space, UNIT)
+    want = np.ldexp(err(c, field, 0.3), -1000)
+    assert err(np.ldexp(c, -1000), tiny, 0.3) == pytest.approx(want, rel=1e-14, abs=0)
+
+
 def test_error_zero_for_exact_member():
     mesh = StructuredMesh(3)
     ss = StressSpace(mesh, HMZ)

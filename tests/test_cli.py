@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,6 +119,18 @@ def test_temporal_study_couples_mesh_to_steps():
     assert [(r["N"], r["M"]) for r in rows] == [(4, 4), (9, 6)]
     assert [r["dt"] for r in rows] == [pytest.approx(0.25), pytest.approx(1 / 6)]
     assert results[0].config.nx == 4
+
+
+def test_study_refuses_a_zero_error():
+    # No order can be observed from an error of 0; the message names the
+    # quantity and the run.
+    results = [
+        SimpleNamespace(config=SimpleNamespace(nx=n, n_steps=2), E_a_sigma=e, E_c_v=1.0)
+        for n, e in ((2, 0.0), (4, 1e-3))
+    ]
+    message = "E_a_sigma is 0 at N = 2, M = 2: an observed order needs positive errors"
+    with pytest.raises(ValueError, match=message):
+        cli._study_rows([2, 4], results)
 
 
 def test_temporal_study_rejects_odd_steps():
@@ -525,13 +538,6 @@ def test_argparse_rejects_unknown_mode(capsys):
             "error: the step to node 2 (t = 705): the right-hand side of the stress "
             "solve is not finite",
         ),
-        # The squared stress error underflows to exactly 0, so no order can be
-        # observed; the message names the quantity and the run.
-        (
-            ["--mode", "convergence", "--element", "hmz", "--example", "1", "--nx", "2,4",
-             "--nt", "2", "--t-final", "1e-300"],
-            "error: E_a_sigma is 0 at N = 2, M = 2: an observed order needs positive errors",
-        ),
     ],
     ids=[
         "nt-zero",
@@ -553,7 +559,6 @@ def test_argparse_rejects_unknown_mode(capsys):
         "temporal-nx-from-preset",
         "t-final-400-energy-overflows",
         "t-final-705-solve-refuses-rhs",
-        "convergence-t-final-tiny-stress-error-zero",
     ],
 )
 def test_bad_time_and_count_inputs_error_exit(argv, message, capsys):
@@ -653,6 +658,22 @@ def test_block_refused_by_its_probe_ends_the_run_before_any_result(monkeypatch, 
     code, out, err = run_main(["--example", "2", "--nx", "4", "--nt", "2"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: reduced matrix cannot be factored: solve finished above")
+
+
+def test_factor_out_of_memory_is_named(monkeypatch, capsys):
+    # SuperLU raises MemoryError('') when it cannot allocate; the one error
+    # line names the block, its rows and the size of S.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("")
+
+    monkeypatch.setattr(linalg.spla, "splu", no_memory)
+    argv = ["--mode", "solve", "--element", "hmz", "--example", "2", "--nx", "8", "--nt", "2"]
+    code, out, err = run_main(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == (
+        "error: out of memory factoring block 5 of 5 (56 rows) "
+        "of the reduced stress matrix S (353 rows)\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -578,6 +578,27 @@ def test_generators_match_brute_force_search(family, n):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_generators_satisfy_the_relations_of_d4(family, n):
+    # The split of the condensed stress matrix reads D4's character table,
+    # which holds only if X^2 = Y^2 = D^2 = 1, XY = YX and DXD = Y, as
+    # signed permutations: (P a)_i = s_i a_p(i), so P1 P2 = (p2[p1], s1 s2[p1]).
+    X, Y, D = StressSpace(StructuredMesh(n), family).generators.values()
+
+    def times(g1, g2):
+        (p1, s1), (p2, s2) = g1, g2
+        return p2[p1], s1 * s2[p1]
+
+    def same(g1, g2):
+        return np.array_equal(g1[0], g2[0]) and np.array_equal(g1[1], g2[1])
+
+    one = (np.arange(len(X[0])), np.ones(len(X[0])))
+    assert all(same(times(g, g), one) for g in (X, Y, D))
+    assert same(times(X, Y), times(Y, X))
+    assert same(times(times(D, X), D), Y)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_mirror_of_interpolant_is_interpolant_of_mirrored_field(family):
     # Reflecting x -> 1 - x keeps t11 and t22 and flips the shear t12.
     ss = StressSpace(StructuredMesh(3), family)

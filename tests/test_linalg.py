@@ -38,10 +38,19 @@ from fehelpers import DIAGONAL, mirrors, oversized
 TOL = 1e-12
 
 
+def trivial(n):
+    """D4 acting trivially on n dofs: three identity maps, which split nothing."""
+    return tuple((np.arange(n), np.ones(n)) for _ in range(3))
+
+
 def no_interior(n):
     """Layout of an n-dof matrix with no interior dofs, points along a line,
-    and no mirrors."""
-    return np.zeros((0, 0), dtype=int), np.column_stack([2 * np.arange(n), np.zeros(n, int)]), ()
+    and D4 acting trivially."""
+    return (
+        np.zeros((0, 0), dtype=int),
+        np.column_stack([2 * np.arange(n), np.zeros(n, int)]),
+        trivial(n),
+    )
 
 
 def random_block_diag(rng, nb, b, spd=True):
@@ -712,43 +721,43 @@ def test_mirrors_commute_with_condensed_matrix(family, n, dt):
 @pytest.mark.parametrize("dt", [1.0 / 200, 0.25])
 def test_sector_solve_matches_splu_of_condensed_matrix(family, n, dt):
     # With no interior dofs the condensed LU of S_c is the sector solve alone:
-    # gather with Q^T, a solve per block, scatter with Q.  The mirrors leave
-    # four quarters; the diagonal then leaves four eighths and one quarter
-    # that serves two sectors.
+    # gather with Q^T, a solve per block, scatter with Q.  D4 leaves four
+    # eighths and one quarter that serves two sectors.
     system = make_system(n, family)
     solver = make_direct(system, dt)
     S_c = condensed_matrix(solver)
     outer = solver._lu.outer
     ref = spla.splu(S_c.tocsc())
     rhs = np.random.default_rng(n).standard_normal((3, S_c.shape[0]))
-    generators = tuple(system.stress_space.generators.values())
-    for k, blocks in ((2, 4), (3, 5)):
-        lu = CondensedLU(
-            S_c, np.zeros((0, 0), dtype=int), system.stress_space.grid[outer],
-            on_outer(generators[:k], outer),
-        )
-        reach_every_block(lu)
-        sizes = [f.shape[0] for f in lu._lus]
-        assert len(sizes) == blocks
-        for b in rhs:
-            want = ref.solve(b)
-            assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+    lu = CondensedLU(
+        S_c, np.zeros((0, 0), dtype=int), system.stress_space.grid[outer],
+        on_outer(tuple(system.stress_space.generators.values()), outer),
+    )
+    reach_every_block(lu)
+    sizes = [f.shape[0] for f in lu._lus]
+    assert len(sizes) == 5
+    for b in rhs:
+        want = ref.solve(b)
+        assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
     assert sum(sizes[:4]) + 2 * sizes[4] == S_c.shape[0]
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
 @pytest.mark.parametrize("dt", [1.0 / 200, 0.25])
 def test_no_mirrors_is_one_sector_in_the_unsplit_order(family, dt):
-    # Without mirrors the one sector is S_c in nested-dissection order of all
-    # outer dofs, factored with diagonal pivots.  The solver reads the CSR
+    # With D4 acting trivially the one sector is S_c in nested-dissection
+    # order of all outer dofs, factored with diagonal pivots: Q is the
+    # identity with its columns in that order.  The solver reads the CSR
     # arrays of S_c as CSC, so it factors S_c^T; SuperLU keeps one or two
     # entries fewer or more for S_c itself.
     system = make_system(8, family)
     ss = system.stress_space
     S = make_direct(system, dt).S
-    lu = reach_every_block(CondensedLU(S, ss.interior, ss.grid, ()))
+    lu = reach_every_block(CondensedLU(S, ss.interior, ss.grid, trivial(S.shape[0])))
     assert len(lu._lus) == 1
-    nd = lu.outer[nested_dissection(ss.grid[lu.outer])]
+    assert abs(lu._Q[lu._reps[0]] - sp.identity(lu.outer.size)).max() == 0
+    assert np.array_equal(lu._reps[0], nested_dissection(ss.grid[lu.outer]))
+    nd = lu.outer[lu._reps[0]]
     rows_o = S[nd]
     S_c = rows_o[:, nd] - rows_o[:, lu.inner] @ (lu._Sii_inv @ S[lu.inner][:, nd])
     ref = spla.splu(
@@ -763,16 +772,14 @@ def test_no_mirrors_is_one_sector_in_the_unsplit_order(family, dt):
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
 @pytest.mark.parametrize("n", [8, 16])
 def test_mirror_split_lowers_the_fill(family, n):
+    # The five blocks of D4 fill less than S_c in one piece, D4 acting trivially.
     system = make_system(n, family)
     ss = system.stress_space
     solver = make_direct(system, 0.25)
-    lu = reach_every_block(CondensedLU(solver.S, ss.interior, ss.grid, mirrors(ss)))
-    assert len(lu._lus) == 4
-    assert fill(lu) < fill(reach_every_block(CondensedLU(solver.S, ss.interior, ss.grid, ())))
-    # The diagonal splits further, and lowers the fill again.
+    whole = CondensedLU(solver.S, ss.interior, ss.grid, trivial(solver.S.shape[0]))
     reach_every_block(solver._lu)
     assert len(solver._lu._lus) == 5
-    assert fill(solver._lu) < fill(lu)
+    assert fill(solver._lu) < fill(reach_every_block(whole))
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
@@ -786,7 +793,7 @@ def test_diagonal_halves_are_named_in_the_triangle(family):
     grid = ss.grid[outer]
     rank = np.empty(len(outer), dtype=np.intp)
     rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(len(outer))
-    blocks = linalg._sectors(len(outer), on_outer(tuple(ss.generators.values()), outer), rank)
+    blocks = linalg._sectors(on_outer(tuple(ss.generators.values()), outer), rank)
     assert [len(bases) for _, bases in blocks] == [1, 1, 1, 1, 2]
     for rep, _ in blocks[:4]:
         gx, gy = grid[rep].T
@@ -811,15 +818,34 @@ def test_split_holds_whatever_the_signs_of_the_dofs(family):
     assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_generators_out_of_order_are_refused():
-    # After the diagonal halves the space, a mirror maps its even half onto
-    # neither itself nor the odd half.
-    system = make_system(4, HMZ)
-    ss = system.stress_space
-    S = make_direct(system, 0.25).S
-    g = ss.generators
-    with pytest.raises(ValueError, match="onto neither itself nor another"):
-        CondensedLU(S, ss.interior, ss.grid, (g[DIAGONAL],) + mirrors(ss))
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_each_block_spans_its_representation_of_d4(family, n):
+    # Each one-dimensional block's columns of Q satisfy X Q = m Q, Y Q = m Q
+    # and D Q = d Q for one row (m, d) of the character table, the blocks in
+    # the table's order; a tiny mesh may lack a block.  E's first columns are
+    # even under X and odd under Y, and D maps them onto its second columns.
+    system = make_system(n, family)
+    lu = make_direct(system, 0.25)._lu
+    X, Y, D = (
+        sp.csr_matrix((s, (np.arange(p.size), p)))
+        for p, s in on_outer(tuple(system.stress_space.generators.values()), lu.outer)
+    )
+
+    def same(M, N):
+        return abs(M - N).max() == 0
+
+    *one_dim, e = [lu._Q[:, part] for part in lu._parts]
+    rows = []
+    for Q in one_dim:
+        rows += [
+            k for k, (m, d) in enumerate(linalg._ONE_DIM)
+            if same(X @ Q, m * Q) and same(Y @ Q, m * Q) and same(D @ Q, d * Q)
+        ]
+    assert len(rows) == len(one_dim) and rows == sorted(set(rows))
+    half = e.shape[1] // 2
+    first, second = e[:, :half], e[:, half:]
+    assert same(X @ first, first) and same(Y @ first, -first) and same(D @ first, second)
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])

@@ -1,9 +1,13 @@
-"""The assembled matrices, S, the symmetry generators and the built-in fields, bit for bit.
+"""The assembled matrices, S, the symmetry generators, the split of the
+condensed matrix and the built-in fields, bit for bit.
 
 ``tests/data/matrix_digests.json`` holds the SHA-256 digest of each array
 (its dtype, then its bytes) for both families at N in {3, 8}: the CSR
 arrays of A, B, C and S for the unit material at dt = 0.25, and each
-generator's ``p`` and ``s``.  Under ``"<family> N=<n> fields"`` it holds,
+generator's ``p`` and ``s``.  Under ``"<family> N=<n> split"`` it holds
+the split of the condensed matrix that S's ``CondensedLU`` makes: the CSR
+arrays of the stacked basis Q, the inverse orbit sizes, and each block's
+named dofs and the bounds of its columns in Q.  Under ``"<family> N=<n> fields"`` it holds,
 for each built-in example, v, sigma and f on the quadrature points at
 t = 0.37, the load of f there, and the projection of v and the
 interpolant of sigma at t = 0.  The digests see the sign of a zero.  A
@@ -16,6 +20,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from viscowave.assembly import assemble_load, assemble_system
@@ -35,12 +40,18 @@ def _digest(array) -> str:
     return hashlib.sha256(array.dtype.str.encode() + array.tobytes()).hexdigest()
 
 
-def digests(family, n) -> dict:
-    """Digest of every guarded array of one family on the n-by-n mesh."""
+def solver(family, n):
+    """The assembled system of one family on the n-by-n mesh and its stress solver."""
     mesh = StructuredMesh(n)
     ss, vs = StressSpace(mesh, family), VelocitySpace(mesh, family)
     system = assemble_system(ss, vs, IsotropicMaterial())
-    S = build_schur(system, block_diag_inverse(system.C, vs.n_local), DT, 1e-12).S
+    return system, build_schur(system, block_diag_inverse(system.C, vs.n_local), DT, 1e-12)
+
+
+def digests(family, n) -> dict:
+    """Digest of every guarded array of one family on the n-by-n mesh."""
+    system, schur = solver(family, n)
+    ss, S = system.stress_space, schur.S
     out = {}
     for name, M in (("A", system.A), ("B", system.B), ("C", system.C), ("S", S)):
         for part in ("data", "indices", "indptr"):
@@ -48,6 +59,17 @@ def digests(family, n) -> dict:
     for name, (p, s) in ss.generators.items():
         out[f"{name} p"] = _digest(p)
         out[f"{name} s"] = _digest(s)
+    return out
+
+
+def split_digests(family, n) -> dict:
+    """Digest of the basis, orbit sizes and blocks of the split of S_c."""
+    lu = solver(family, n)[1]._lu
+    out = {f"Q.{part}": _digest(getattr(lu._Q, part)) for part in ("data", "indices", "indptr")}
+    out["inv_size"] = _digest(lu._inv_size)
+    for k, (rep, part) in enumerate(zip(lu._reps, lu._parts)):
+        out[f"block {k} reps"] = _digest(rep)
+        out[f"block {k} parts"] = _digest(np.array([part.start, part.stop]))
     return out
 
 
@@ -75,6 +97,12 @@ def test_matrices_and_generators_keep_their_bits(family, n):
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", SIZES)
+def test_split_of_the_condensed_matrix_keeps_its_bits(family, n):
+    assert split_digests(family, n) == json.loads(DIGESTS.read_text())[f"{family} N={n} split"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", SIZES)
 def test_fields_loads_and_projections_keep_their_bits(family, n):
     expected = json.loads(DIGESTS.read_text())[f"{family} N={n} fields"]
     assert field_digests(family, n) == expected
@@ -82,5 +110,6 @@ def test_fields_loads_and_projections_keep_their_bits(family, n):
 
 if __name__ == "__main__":
     table = {f"{f} N={n}": digests(f, n) for f in FAMILIES for n in SIZES}
+    table |= {f"{f} N={n} split": split_digests(f, n) for f in FAMILIES for n in SIZES}
     table |= {f"{f} N={n} fields": field_digests(f, n) for f in FAMILIES for n in SIZES}
     DIGESTS.write_text(json.dumps(table, indent=1) + "\n")
