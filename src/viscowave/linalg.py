@@ -42,15 +42,15 @@ fill when dt is large.  Smaller fronts leave less fill: at N = 256 the five
 blocks of ``hmz`` at dt = 0.25 fill 14.3 M entries, a split by the mirrors
 alone 20.1 M and S_c in one piece 24.1 M.
 
-S_c is never formed.  A block M = S_c[named] Q is one sparse product, its
-rows of S_c, taken from S and the kept condensation terms, times the
-columns of its first sector in the stacked basis Q.  It is formed,
-factored and probed the first time a solve's right-hand side reaches it,
-that is, holds more than a floor in the block's span; a part at or below
-the floor is dropped, in a factored block too.  S commutes with D4, so a
-step maps each block's span to itself, and data in some blocks keeps the
-whole run there: example 2 of ``mms`` reaches the paired block alone, and
-at N = 256 it is factored with a fill of 5.0 M.
+S_c is never formed, and of the coupling only W = S_ii^-1 S_io is kept.
+A block M = S_c[named] Q is one sparse product, its rows of S_c, from S's
+rows and W, times the columns of its first sector in the basis Q.  It is
+formed, factored and probed the first time a solve's right-hand side
+reaches it, that is, holds more than a floor in the block's span; a part
+at or below the floor is dropped, in a factored block too.  S commutes
+with D4, so a step maps each block's span to itself, and data in some
+blocks keeps the whole run there: example 2 of ``mms`` reaches the paired
+block alone, and at N = 256 it is factored with a fill of 5.0 M.
 ``SchurSolver`` sets the floor from ``tol``.  A solve uses SuperLU's
 transposed path, which works by dot products (gathers) instead of
 scattered updates and is the faster of the two; the refinement step and
@@ -289,26 +289,26 @@ class CondensedLU:
     it has the same M, and one factor serves both.  Each block's named dofs
     are ordered by nested dissection of their points.
 
-    Set-up keeps S, S_ii^-1, S_oi and W = S_ii^-1 S_io, and the stacked Q,
-    built in one pass over the sectors, and forms neither S_c nor any
-    factor.  ``solve`` condenses the right-hand side b to b_o.  A block's
-    part of b_o whose norm is at or below ``floor`` is set to zero, whether
-    or not the block is factored, and adds its norm to the residual of
-    S x = b.  The parts lie in orthogonal subspaces (Q^T Q = diag(|orbit|)),
-    so their squared norms sum to |b_o|^2, and those dropped add at most
-    sqrt(5) floor together; the default floor, 0, drops only parts that are
-    exactly zero.  If |b_o| itself is at or below ``floor``, every part is,
-    and the solve returns the interior back-substitution S_ii^-1 b_i with
-    zero outer dofs, making no product with Q^T, Q or W and no block solve.
-    Otherwise one product with Q^T, scaled by 1/|orbit|, gathers every
-    sector's right-hand side.  A block is formed the first time a part
-    above the floor reaches it, as M = S_c[named] Q, its rows
-    S[named][:, outer] - S_oi[named] W of S_c times the columns of Q of its
-    first sector, then factored and probed (``_probe``).  Each block with a
-    part above the floor is solved, a pair as two columns.  One product
-    with Q scatters the result, and the interior dofs are
-    back-substituted.  ``L`` and ``U`` are the factors built so far,
-    block-diagonal, built anew on each access; 0 x 0 if there are none.
+    Set-up keeps S, S_ii^-1, W = S_ii^-1 S_io and the stacked Q, built in
+    one pass, and forms neither S_c nor any factor.  ``solve`` condenses the
+    right-hand side b to b_o - W^T b_i, as S_ii is symmetric: W^T is
+    S_oi S_ii^-1.  A block's part of b_o whose norm is at or below ``floor``
+    is set to zero, whether or not the block is factored, and adds its norm
+    to the residual of S x = b.  The parts lie in orthogonal subspaces
+    (Q^T Q = diag(|orbit|)), so their squared norms sum to |b_o|^2, and those
+    dropped add at most sqrt(5) floor together; the default floor, 0, drops
+    only parts that are exactly zero.  If |b_o| itself is at or below
+    ``floor``, every part is, and the solve returns the interior
+    back-substitution S_ii^-1 b_i with zero outer dofs, making no product
+    but the one with W^T and no block solve.  Otherwise one product with
+    Q^T, scaled by 1/|orbit|, gathers every sector's right-hand side.  A
+    block is formed the first time a part above the floor reaches it, as
+    M = S_c[named] Q, its rows S[named][:, outer] - S[named][:, inner] W of
+    S_c times the columns of Q of its first sector, then factored and probed
+    (``_probe``).  Each block with a part above the floor is solved, a pair
+    as two columns.  One product with Q scatters the result, and the
+    interior dofs are back-substituted.  ``L`` and ``U`` are the factors
+    built so far, block-diagonal, built anew on each access; 0 x 0 if none.
     """
 
     def __init__(
@@ -385,16 +385,16 @@ class CondensedLU:
             )
 
     def _condense(self, S, k):
-        """Keep S_ii^-1, S_oi and W = S_ii^-1 S_io, so that S_c = S_oo - S_oi W."""
+        """Keep S_ii^-1 and W = S_ii^-1 S_io, from S's interior rows: S_c = S_oo - S_oi W."""
         rows_i = S[self.inner]
         S_ii = rows_i[:, self.inner]
         self._Sii_inv = block_diag_inverse(S_ii, k) if k else S_ii
-        self._S_oi = S[self.outer][:, self.inner]
         self._W = self._Sii_inv @ rows_i[:, self.outer]
 
     def _rows(self, rep):
-        """The rows ``rep`` of S_c, from S and the kept S_oi and W."""
-        return self._S[self.outer[rep]][:, self.outer] - self._S_oi[rep] @ self._W
+        """The rows ``rep`` of S_c, S_oo - S_oi W, from S's rows at those outer dofs."""
+        rows = self._S[self.outer[rep]]
+        return rows[:, self.outer] - rows[:, self.inner] @ self._W
 
     def _stacked(self, name):
         factors = [getattr(lu, name) for lu in self._lus if lu is not None]
@@ -409,9 +409,9 @@ class CondensedLU:
         return self._stacked("U")
 
     def solve(self, b: np.ndarray, floor: float = 0.0) -> np.ndarray:
-        y = self._Sii_inv @ b[self.inner]
-        b_o = b[self.outer]
-        b_o -= self._S_oi @ y
+        b_i = b[self.inner]
+        y = self._Sii_inv @ b_i
+        b_o = b[self.outer] - self._W.T @ b_i
         # The parts are orthogonal, so their squared norms sum to b_o . b_o.
         if b_o @ b_o <= floor * floor:
             x = np.zeros_like(b)

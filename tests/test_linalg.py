@@ -365,13 +365,19 @@ def test_condensed_solve_matches_dense(family, n, dt):
 def test_kept_matrices_own_buffers_sized_to_their_entries(family):
     # scipy leaves a sum in buffers sized for both terms, and a matrix whose
     # zeros it dropped in the buffer it had before, whenever more than half
-    # is used; every matrix the solver keeps is trimmed to its entries.
+    # is used; every matrix the solver keeps is trimmed to its entries.  Of
+    # the coupling of the interior dofs it keeps W alone, not S_oi.
     system = make_system(8, family)
     Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
     solver = build_schur(system, Cinv, 0.25, TOL)
-    lu = solver._lu
-    kept = dict(S=solver.S, Cinv=Cinv, W=lu._W, S_oi=lu._S_oi, Sii_inv=lu._Sii_inv, Q=lu._Q)
-    assert oversized(kept) == []
+    kept = {
+        name: M
+        for holder in (solver, solver._lu)
+        for name, M in vars(holder).items()
+        if sp.issparse(M)
+    }
+    assert sorted(kept) == ["S", "_Q", "_S", "_Sii_inv", "_W"] and kept["_S"] is solver.S
+    assert oversized(kept | dict(Cinv=Cinv)) == []
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
@@ -413,9 +419,7 @@ def test_nested_dissection_leaves_small_boxes_in_place():
 @pytest.mark.parametrize("dt", [1.0 / 200, 0.25])
 def test_condensed_matrix_is_symmetric(family, dt):
     # The solve uses the transposed factor, which is right only for a symmetric S_c.
-    solver = make_direct(make_system(8, family), dt)
-    lu = solver._lu
-    S_c = solver.S[lu.outer][:, lu.outer] - lu._S_oi @ lu._W
+    S_c = condensed_matrix(make_direct(make_system(8, family), dt))
     assert spla.norm(S_c - S_c.T) <= 1e-14 * spla.norm(S_c)
 
 
@@ -465,9 +469,16 @@ def on_outer(perms, outer):
     return tuple((at[p[outer]], s[outer]) for p, s in perms)
 
 
+def condensed(lu, x):
+    """x[outer] - S_oi S_ii^-1 x[inner], with S_oi read from the rows of S: the
+    condensed right-hand side of a vector x, and for x = S[:, cols], cols
+    some outer dofs, the columns of S_c at them."""
+    return x[lu.outer] - lu._S[lu.outer][:, lu.inner] @ (lu._Sii_inv @ x[lu.inner])
+
+
 def condensed_matrix(solver):
-    lu = solver._lu
-    return (solver.S[lu.outer][:, lu.outer] - lu._S_oi @ lu._W).tocsr()
+    """S_c = S_oo - S_oi S_ii^-1 S_io."""
+    return condensed(solver._lu, solver.S[:, solver._lu.outer]).tocsr()
 
 
 def fill(lu):
@@ -493,7 +504,7 @@ def block_norms(lu, b):
     """The norm of each block's part of the condensed right-hand side of b:
     of its projection Q_k diag(1 / |orbit|) Q_k^T b_c on the span of the
     block's basis Q_k."""
-    b_c = b[lu.outer] - lu._S_oi @ (lu._Sii_inv @ b[lu.inner])
+    b_c = condensed(lu, b)
     return np.array([
         np.linalg.norm(lu._Q[:, part] @ (lu._inv_size[part] * (lu._Q[:, part].T @ b_c)))
         for part in lu._parts
@@ -570,6 +581,18 @@ class Untouchable:
         raise AssertionError("a product with Q or W")
 
 
+class TransposedOnly(Untouchable):
+    """Stands in for W: counts the products with W^T; any with W fails."""
+
+    def __init__(self, W):
+        self.W, self.products = W, 0
+
+    @property
+    def T(self):
+        self.products += 1
+        return self.W.T
+
+
 def counted(lu):
     """Wrap each factor of ``lu`` in a ``CountedLU``; returns the wrappers."""
     lu._lus = [f if f is None else CountedLU(f) for f in lu._lus]
@@ -584,18 +607,23 @@ def test_a_condensed_rhs_below_the_floor_is_back_substituted_alone(family, monke
     b = np.zeros(solver.S.shape[0])
     b[lu.inner] = rng.standard_normal(lu.inner.size)
     # The outer dofs cancel the coupling of the interior ones, up to a part
-    # of half the floor.
+    # of half the floor; b's outer dofs are zero, so condensed(lu, b) is
+    # minus that coupling.
     floor = 1e-3 * np.linalg.norm(b)
     e = rng.standard_normal(lu.outer.size)
-    b[lu.outer] = lu._S_oi @ (lu._Sii_inv @ b[lu.inner]) + 0.5 * floor * e / np.linalg.norm(e)
+    b[lu.outer] = 0.5 * floor * e / np.linalg.norm(e) - condensed(lu, b)
     want = np.zeros_like(b)
     want[lu.inner] = lu._Sii_inv @ b[lu.inner]
 
     def solve_untouched():
+        # The one product the shortcut makes is W^T b_i, which condenses b.
+        W = TransposedOnly(lu._W)
         with monkeypatch.context() as m:
             m.setattr(lu, "_Q", Untouchable())
-            m.setattr(lu, "_W", Untouchable())
-            return lu.solve(b, floor)
+            m.setattr(lu, "_W", W)
+            x = lu.solve(b, floor)
+        assert W.products == 1
+        return x
 
     assert np.array_equal(solve_untouched(), want)
     assert factored(lu) == []
@@ -620,6 +648,18 @@ def test_a_factored_block_is_solved_only_for_a_part_above_the_floor(family):
         x = lu.solve(b, floor)
         assert [f.solves - n for f, n in zip(factors, before)] == [int(j == k) for j in range(5)]
         np.testing.assert_allclose(x, lu.solve(b), rtol=0, atol=1e-13 * np.abs(x).max())
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("dt", [1.0 / 200, 0.25])
+def test_w_transposed_is_the_coupling_through_the_interior_inverse(n, dt):
+    # S_ii is symmetric, so W^T b_i = S_oi S_ii^-1 b_i, and the solve condenses
+    # with the kept W.  With zero outer dofs, condensed(lu, b) is -S_oi S_ii^-1 b_i.
+    lu = make_direct(make_system(n, HMZ), dt)._lu
+    b = np.zeros(lu.outer.size + lu.inner.size)
+    b[lu.inner] = np.random.default_rng(n).standard_normal(lu.inner.size)
+    want = -condensed(lu, b)
+    assert np.linalg.norm(lu._W.T @ b[lu.inner] - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
@@ -757,9 +797,7 @@ def test_no_mirrors_is_one_sector_in_the_unsplit_order(family, dt):
     assert len(lu._lus) == 1
     assert abs(lu._Q[lu._reps[0]] - sp.identity(lu.outer.size)).max() == 0
     assert np.array_equal(lu._reps[0], nested_dissection(ss.grid[lu.outer]))
-    nd = lu.outer[lu._reps[0]]
-    rows_o = S[nd]
-    S_c = rows_o[:, nd] - rows_o[:, lu.inner] @ (lu._Sii_inv @ S[lu.inner][:, nd])
+    S_c = condensed(lu, S[:, lu.outer[lu._reps[0]]])[lu._reps[0]]
     ref = spla.splu(
         S_c.T.tocsc(),
         permc_spec="NATURAL",

@@ -7,7 +7,8 @@ arrays of A, B, C and S for the unit material at dt = 0.25, and each
 generator's ``p`` and ``s``.  Under ``"<family> N=<n> split"`` it holds
 the split of the condensed matrix that S's ``CondensedLU`` makes: the CSR
 arrays of the stacked basis Q, the inverse orbit sizes, and each block's
-named dofs and the bounds of its columns in Q.  Under ``"<family> N=<n> fields"`` it holds,
+named dofs and the bounds of its columns in Q, and the CSR arrays of each
+block matrix M that a solve factors.  Under ``"<family> N=<n> fields"`` it holds,
 for each built-in example, v, sigma and f on the quadrature points at
 t = 0.37, the load of f there, and the projection of v and the
 interpolant of sigma at t = 0.  The digests see the sign of a zero.  A
@@ -19,10 +20,12 @@ CHANGES.md.
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from viscowave import linalg
 from viscowave.assembly import assemble_load, assemble_system
 from viscowave.fespace import FAMILIES, StressSpace, VelocitySpace
 from viscowave.linalg import block_diag_inverse, build_schur
@@ -63,13 +66,26 @@ def digests(family, n) -> dict:
 
 
 def split_digests(family, n) -> dict:
-    """Digest of the basis, orbit sizes and blocks of the split of S_c."""
+    """Digest of the basis, orbit sizes and blocks of the split of S_c, and
+    of each block matrix M, caught as it is probed: a random right-hand
+    side reaches every block."""
     lu = solver(family, n)[1]._lu
+    blocks, probe = [], linalg._probe
+
+    def spy(factor, block):
+        blocks.append(block)
+        probe(factor, block)
+
+    with mock.patch.object(linalg, "_probe", spy):
+        lu.solve(np.random.default_rng(0).standard_normal(lu.outer.size + lu.inner.size))
     out = {f"Q.{part}": _digest(getattr(lu._Q, part)) for part in ("data", "indices", "indptr")}
     out["inv_size"] = _digest(lu._inv_size)
     for k, (rep, part) in enumerate(zip(lu._reps, lu._parts)):
         out[f"block {k} reps"] = _digest(rep)
         out[f"block {k} parts"] = _digest(np.array([part.start, part.stop]))
+    for k, M in enumerate(blocks):
+        for part in ("data", "indices", "indptr"):
+            out[f"block {k} M.{part}"] = _digest(getattr(M, part))
     return out
 
 
