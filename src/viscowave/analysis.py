@@ -118,9 +118,15 @@ def convergence_orders(pairs) -> list[float]:
 
 
 def energy(system, state) -> float:
-    """Discrete energy ||sigma_h||_a^2 + ||v_h||_c^2 using the scheme's matrices."""
+    """Discrete energy ||sigma_h||_a^2 + ||v_h||_c^2 using the scheme's matrices.
+
+    A state that carries A alpha for ``system`` (``timestepper.SimState``)
+    has it reused, bit for bit the product it would otherwise form.
+    """
     a, b = state.alpha, state.beta
-    return float(a @ (system.A @ a) + b @ (system.C @ b))
+    carried = state.carried(system)
+    Aa = system.A @ a if carried is None else carried[0]
+    return float(a @ Aa + b @ (system.C @ b))
 
 
 def _infsup_constant(stress_space, velocity_space) -> float:

@@ -290,11 +290,12 @@ class CondensedLU:
     are ordered by nested dissection of their points.
 
     Set-up keeps S, S_ii^-1, W = S_ii^-1 S_io and the stacked Q, built in
-    one pass, and forms neither S_c nor any factor.  ``solve`` condenses the
-    right-hand side b to b_o - W^T b_i, as S_ii is symmetric: W^T is
-    S_oi S_ii^-1.  A block's part of b_o whose norm is at or below ``floor``
-    is set to zero, whether or not the block is factored, and adds its norm
-    to the residual of S x = b.  The parts lie in orthogonal subspaces
+    one pass, with W^T and Q^T as CSC views of their arrays, and forms
+    neither S_c nor any factor.  ``solve`` condenses the right-hand side b
+    to b_o - W^T b_i, as S_ii is symmetric: W^T is S_oi S_ii^-1.  A block's
+    part of b_o whose norm is at or below ``floor`` is set to zero, whether
+    or not the block is factored, and adds its norm to the residual of
+    S x = b.  The parts lie in orthogonal subspaces
     (Q^T Q = diag(|orbit|)), so their squared norms sum to |b_o|^2, and those
     dropped add at most sqrt(5) floor together; the default floor, 0, drops
     only parts that are exactly zero.  If |b_o| itself is at or below
@@ -343,6 +344,7 @@ class CondensedLU:
             self._parts.append(slice(start, start + len(bases) * len(rep)))
         held, vec, coef = map(np.concatenate, (held, vec, coef))
         self._Q = sp.csr_matrix((coef, (held, vec)), shape=(n, n))
+        self._Qt = self._Q.T
         self._inv_size = 1.0 / np.bincount(vec, minlength=n)
         self._lus = [None] * len(self._reps)
 
@@ -385,11 +387,12 @@ class CondensedLU:
             )
 
     def _condense(self, S, k):
-        """Keep S_ii^-1 and W = S_ii^-1 S_io, from S's interior rows: S_c = S_oo - S_oi W."""
+        """Keep S_ii^-1, W = S_ii^-1 S_io and W^T from S's interior rows; S_c = S_oo - S_oi W."""
         rows_i = S[self.inner]
         S_ii = rows_i[:, self.inner]
         self._Sii_inv = block_diag_inverse(S_ii, k) if k else S_ii
         self._W = self._Sii_inv @ rows_i[:, self.outer]
+        self._Wt = self._W.T
 
     def _rows(self, rep):
         """The rows ``rep`` of S_c, S_oo - S_oi W, from S's rows at those outer dofs."""
@@ -411,13 +414,13 @@ class CondensedLU:
     def solve(self, b: np.ndarray, floor: float = 0.0) -> np.ndarray:
         b_i = b[self.inner]
         y = self._Sii_inv @ b_i
-        b_o = b[self.outer] - self._W.T @ b_i
+        b_o = b[self.outer] - self._Wt @ b_i
         # The parts are orthogonal, so their squared norms sum to b_o . b_o.
         if b_o @ b_o <= floor * floor:
             x = np.zeros_like(b)
             x[self.inner] = y
             return x
-        h = self._Q.T @ b_o
+        h = self._Qt @ b_o
         g = h * self._inv_size
         for k, part in enumerate(self._parts):
             # h . g is the squared norm of the block's part of b_o.

@@ -15,7 +15,7 @@ solver precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,13 +32,27 @@ __all__ = ["SimState", "resolve_time", "RunResult", "init_state", "CNStepper", "
 
 @dataclass
 class SimState:
-    """Stress and velocity coefficients at one node of ``RunResult.times``."""
+    """Stress and velocity coefficients at one node of ``RunResult.times``.
+
+    A state made by ``CNStepper.advance`` also carries ``products``, the
+    tuple (system, A alpha, Cinv B alpha) of the system that made it; that
+    node's ``analysis.energy`` and the next ``advance`` reuse them for that
+    same system (``carried``) and multiply out any other state's.  ``copy``
+    holds alpha and beta only.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
+    products: tuple | None = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "SimState":
         return SimState(self.alpha.copy(), self.beta.copy())
+
+    def carried(self, system) -> tuple | None:
+        """(A alpha, Cinv B alpha) if carried for this very ``system``, else None."""
+        if self.products is None or self.products[0] is not system:
+            return None
+        return self.products[1:]
 
 
 def resolve_time(t_final, dt=None, n_steps=None):
@@ -108,19 +122,23 @@ class CNStepper:
         return 0.5 * (assemble_load(vs, f, t) + assemble_load(vs, f, t + dt))
 
     def advance(self, state: SimState, load_mid: np.ndarray, dt: float) -> SimState:
+        """The state one step of ``dt`` on, carrying its A alpha and Cinv B alpha
+        (``SimState``).  The velocity update takes the mean of Cinv B alpha at
+        the two ends, not Cinv B of the mean, which moves the last bits only."""
         if dt != self.solver.dt:
             raise ValueError(
                 f"time step {dt} is not the step {self.solver.dt} the solver was built for"
             )
         A, B, Bt, Cinv = self.system.A, self.system.B, self.Bt, self.Cinv
         a, b = state.alpha, state.beta
+        carried = state.carried(self.system)
+        Aa, CBa = (A @ a, Cinv @ (B @ a)) if carried is None else carried
         g = Cinv @ load_mid
-        rhs = (1.0 / dt - 0.5) * (A @ a) - Bt @ (
-            b + 0.25 * dt * (Cinv @ (B @ a)) + 0.5 * dt * g
-        )
+        rhs = (1.0 / dt - 0.5) * Aa - Bt @ (b + 0.25 * dt * CBa + 0.5 * dt * g)
         a_new = self.solver.solve(rhs)
-        b_new = b + dt * (0.5 * (Cinv @ (B @ (a + a_new))) + g)
-        return SimState(a_new, b_new)
+        CBa_new = Cinv @ (B @ a_new)
+        b_new = b + dt * (0.5 * (CBa + CBa_new) + g)
+        return SimState(a_new, b_new, (self.system, A @ a_new, CBa_new))
 
 
 @dataclass
@@ -242,6 +260,7 @@ def run(config) -> RunResult:
                 t = nodes[n + 1]
                 raise ValueError(f"the step to node {n + 1} (t = {t:.6g}): {err}") from err
             record(n + 1, state)
+    final = SimState(state.alpha, state.beta)  # without the carried products
     return RunResult(
-        config, nodes, energy, state, err_sigma, err_v, snapshots, stress_space, velocity_space
+        config, nodes, energy, final, err_sigma, err_v, snapshots, stress_space, velocity_space
     )

@@ -366,7 +366,9 @@ def test_kept_matrices_own_buffers_sized_to_their_entries(family):
     # scipy leaves a sum in buffers sized for both terms, and a matrix whose
     # zeros it dropped in the buffer it had before, whenever more than half
     # is used; every matrix the solver keeps is trimmed to its entries.  Of
-    # the coupling of the interior dofs it keeps W alone, not S_oi.
+    # the coupling of the interior dofs it keeps W alone, not S_oi; W^T and
+    # Q^T are views of W's and Q's arrays, not copies (nedelec-q1q0's W has
+    # no entries, and an empty array shares no memory).
     system = make_system(8, family)
     Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
     solver = build_schur(system, Cinv, 0.25, TOL)
@@ -376,7 +378,14 @@ def test_kept_matrices_own_buffers_sized_to_their_entries(family):
         for name, M in vars(holder).items()
         if sp.issparse(M)
     }
-    assert sorted(kept) == ["S", "_Q", "_S", "_Sii_inv", "_W"] and kept["_S"] is solver.S
+    assert sorted(kept) == ["S", "_Q", "_Qt", "_S", "_Sii_inv", "_W", "_Wt"]
+    assert kept["_S"] is solver.S
+    for name in ("_Q", "_W"):
+        M, Mt = kept[name], kept[name + "t"]
+        assert Mt.shape == M.shape[::-1]
+        for part in ("data", "indices", "indptr"):
+            view, own = getattr(Mt, part), getattr(M, part)
+            assert np.shares_memory(view, own) or view.size == own.size == 0
     assert oversized(kept | dict(Cinv=Cinv)) == []
 
 
@@ -571,26 +580,21 @@ def test_a_block_is_factored_by_the_first_solve_that_reaches_it(family):
 
 
 class Untouchable:
-    """Stands in for Q or W: any product with it, or with its transpose, fails."""
-
-    @property
-    def T(self):
-        raise AssertionError("a product with Q^T")
+    """Stands in for a kept matrix: any product with it fails."""
 
     def __matmul__(self, other):
-        raise AssertionError("a product with Q or W")
+        raise AssertionError("a product with W, Q or Q^T")
 
 
-class TransposedOnly(Untouchable):
-    """Stands in for W: counts the products with W^T; any with W fails."""
+class CountedProducts:
+    """Stands in for a kept matrix ``M``: counts the products with it."""
 
-    def __init__(self, W):
-        self.W, self.products = W, 0
+    def __init__(self, M):
+        self.M, self.products = M, 0
 
-    @property
-    def T(self):
+    def __matmul__(self, other):
         self.products += 1
-        return self.W.T
+        return self.M @ other
 
 
 def counted(lu):
@@ -616,13 +620,15 @@ def test_a_condensed_rhs_below_the_floor_is_back_substituted_alone(family, monke
     want[lu.inner] = lu._Sii_inv @ b[lu.inner]
 
     def solve_untouched():
-        # The one product the shortcut makes is W^T b_i, which condenses b.
-        W = TransposedOnly(lu._W)
+        # The one product with the coupling or the basis that the shortcut
+        # makes is the kept W^T times b_i, which condenses b.
+        Wt = CountedProducts(lu._Wt)
         with monkeypatch.context() as m:
-            m.setattr(lu, "_Q", Untouchable())
-            m.setattr(lu, "_W", W)
+            for name in ("_W", "_Q", "_Qt"):
+                m.setattr(lu, name, Untouchable())
+            m.setattr(lu, "_Wt", Wt)
             x = lu.solve(b, floor)
-        assert W.products == 1
+        assert Wt.products == 1
         return x
 
     assert np.array_equal(solve_untouched(), want)

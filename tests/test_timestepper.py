@@ -1,9 +1,12 @@
 """Implicit midpoint update: step algebra, energy bookkeeping, full runs."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.sparse._compressed import _cs_matrix
 
-from viscowave import timestepper
+from viscowave import analysis, timestepper
 from viscowave.analysis import energy
 from viscowave.assembly import assemble_load, assemble_system
 from viscowave.cli import RunConfig
@@ -74,6 +77,64 @@ def test_state_copy_is_deep():
     other = state.copy()
     other.alpha[0] = 1.0
     assert state.alpha[0] == 0.0
+
+
+# ------------------------------------------------------- carried products
+
+
+def forced_states(family, steps):
+    """A stepper of an N = 4 system with a fixed random load, and the states
+    of ``steps`` steps from a hand-built random one."""
+    system = make_system(4, family)
+    stepper = make_stepper(system, 0.25)
+    rng = np.random.default_rng(11)
+    load = rng.standard_normal(system.C.shape[0])
+    states = [SimState(rng.standard_normal(system.A.shape[0]), rng.standard_normal(load.size))]
+    for _ in range(steps):
+        states.append(stepper.advance(states[-1], load, 0.25))
+    return stepper, load, states
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_stepped_state_carries_its_products(family):
+    stepper, _, states = forced_states(family, 2)
+    system = stepper.system
+    assert states[0].carried(system) is None
+    for state in states[1:]:
+        a, b = state.alpha, state.beta
+        Aa, CBa = state.carried(system)
+        assert np.array_equal(Aa, system.A @ a)
+        assert np.array_equal(CBa, stepper.Cinv @ (system.B @ a))
+        assert energy(system, state) == float(a @ (system.A @ a) + b @ (system.C @ b))
+        assert state.copy().products is None
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_hand_built_state_steps_as_the_carried_one(family):
+    stepper, load, states = forced_states(family, 3)
+    for state in states[1:-1]:
+        bare = stepper.advance(SimState(state.alpha, state.beta), load, 0.25)
+        carried = stepper.advance(state, load, 0.25)
+        assert np.array_equal(bare.alpha, carried.alpha)
+        assert np.array_equal(bare.beta, carried.beta)
+
+
+def test_another_systems_state_is_multiplied_out():
+    # The other system has another material on the same mesh: the same
+    # shapes, other A and Cinv B, so a product read from the wrong system
+    # would go through unnoticed but for the identity check.
+    stepper, load, (_, state) = forced_states(HMZ, 1)
+    mesh = StructuredMesh(4)
+    other = assemble_system(
+        StressSpace(mesh, HMZ), VelocitySpace(mesh, HMZ), IsotropicMaterial(rho=2.0, mu=3.0)
+    )
+    other_stepper = make_stepper(other, 0.25)
+    assert state.carried(other) is None
+    bare = SimState(state.alpha, state.beta)
+    assert energy(other, state) == energy(other, bare)
+    assert energy(other, state) != energy(stepper.system, state)
+    got, want = (other_stepper.advance(s, load, 0.25) for s in (state, bare))
+    assert np.array_equal(got.alpha, want.alpha) and np.array_equal(got.beta, want.beta)
 
 
 # ------------------------------------------------------------- step algebra
@@ -254,6 +315,37 @@ def test_run_snapshots():
     res = run(RunConfig(example=1, nx=4, n_steps=6, snapshot_every=2))
     assert [n for n, _ in res.snapshots] == [0, 2, 4, 6]
     assert all(isinstance(s, SimState) for _, s in res.snapshots)
+    # Snapshots and the result hold alpha and beta only.
+    assert all(s.products is None for _, s in res.snapshots)
+    assert res.final_state.products is None
+
+
+def test_a_step_makes_fifteen_sparse_products(monkeypatch):
+    # The sparse matrix-vector products of each step, from the record of
+    # one node to the next.  Carrying A alpha and Cinv B alpha from a step
+    # to its node's energy and the next step took them from 14 CSR and 4
+    # CSC products to 11 and 4: the load's Cinv, B^T, the solve's 6 CSR
+    # (S_ii^-1 and S twice each, Q and W) and 3 CSC (W^T twice and Q^T),
+    # A, B and Cinv of the new alpha, and C in the energy.  Step 1 also
+    # forms and probes blocks.
+    products, steps = [], []
+    matmul, record = _cs_matrix._matmul_vector, analysis.energy
+
+    def counted(self, other):
+        products.append(self.format)
+        return matmul(self, other)
+
+    def energy_then_count(system, state):
+        e = record(system, state)
+        steps.append(Counter(products))
+        products.clear()
+        return e
+
+    monkeypatch.setattr(_cs_matrix, "_matmul_vector", counted)
+    monkeypatch.setattr(analysis, "energy", energy_then_count)
+    run(RunConfig(element=HMZ, example=1, nx=8, n_steps=6))
+    assert len(steps) == 7
+    assert steps[2:] == [Counter(csr=11, csc=4)] * 5
 
 
 def test_run_rejects_inconsistent_clock():
