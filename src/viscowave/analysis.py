@@ -112,7 +112,7 @@ def convergence_orders(pairs) -> list[float]:
     pairs = list(pairs)
     params = np.array(check_study_parameters(p for p, _ in pairs))
     errors = np.array([float(e) for _, e in pairs])
-    if np.any(errors <= 0.0):
+    if not np.all(errors > 0.0):  # a NaN error fails too
         raise ValueError("errors must be positive")
     return list(np.log(errors[:-1] / errors[1:]) / np.log(params[1:] / params[:-1]))
 

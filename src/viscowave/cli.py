@@ -396,7 +396,8 @@ def _build_parser():
             p.add_argument(s.option, dest=s.name, action="store_true", default=None, help=s.help)
             continue
         help_ = s.help if s.default is None else f"{s.help} (default: {s.default})"
-        p.add_argument(s.option, dest=s.name, choices=s.choices or None, help=help_)
+        shown = "{" + ",".join(s.choices) + "}" if s.choices else None  # Setting.parse checks them
+        p.add_argument(s.option, dest=s.name, metavar=shown, help=help_)
     p.add_argument("--config", help="key=value settings file; flags win")
     return p
 

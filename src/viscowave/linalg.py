@@ -321,7 +321,12 @@ class CondensedLU:
         keep[self.inner] = False
         self.outer = np.flatnonzero(keep)
         self._S = S
-        self._condense(S, interior.shape[1])
+        rows_i = S[self.inner]
+        S_ii = rows_i[:, self.inner]
+        self._Sii_inv = block_diag_inverse(S_ii, interior.shape[1]) if self.inner.size else S_ii
+        self._W = self._Sii_inv @ rows_i[:, self.outer]
+        self._Wt = self._W.T
+        del rows_i, S_ii  # held while Q is built, they raise the run's peak
         n = len(self.outer)
         at = np.full(S.shape[0], -1)
         at[self.outer] = np.arange(n)
@@ -360,39 +365,30 @@ class CondensedLU:
         start = time.perf_counter()
         rep, part = self._reps[k], self._parts[k]
         m = len(rep)
-        block = self._rows(rep) @ self._Q[:, part.start : part.start + m]
-        block.sort_indices()
         try:
-            lu = spla.splu(
-                block.T,
-                permc_spec="NATURAL",
-                diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as err:
-            raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
-        except MemoryError as err:  # SuperLU's has no message
+            block = self._rows(rep) @ self._Q[:, part.start : part.start + m]
+            block.sort_indices()
+            try:
+                lu = spla.splu(
+                    block.T,
+                    permc_spec="NATURAL",
+                    diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True),
+                )
+            except RuntimeError as err:
+                raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
+            _probe(lu, block)
+        except MemoryError as err:  # from any step; SuperLU's has no message
             raise MemoryError(
                 f"out of memory factoring block {k + 1} of {len(self._lus)} ({m} rows) "
                 f"of the reduced stress matrix S ({self._S.shape[0]} rows)"
             ) from err
-        _probe(lu, block)
         self._lus[k] = lu
         if log.isEnabledFor(logging.DEBUG):  # reading L and U copies them
-            fill = lu.L.nnz + lu.U.nnz
-            seconds = time.perf_counter() - start
             log.debug(
                 "factored block %d of %d: %d rows, fill %d, %.3f s",
-                k + 1, len(self._lus), m, fill, seconds,
+                k + 1, len(self._lus), m, lu.L.nnz + lu.U.nnz, time.perf_counter() - start,
             )
-
-    def _condense(self, S, k):
-        """Keep S_ii^-1, W = S_ii^-1 S_io and W^T from S's interior rows; S_c = S_oo - S_oi W."""
-        rows_i = S[self.inner]
-        S_ii = rows_i[:, self.inner]
-        self._Sii_inv = block_diag_inverse(S_ii, k) if k else S_ii
-        self._W = self._Sii_inv @ rows_i[:, self.outer]
-        self._Wt = self._W.T
 
     def _rows(self, rep):
         """The rows ``rep`` of S_c, S_oo - S_oi W, from S's rows at those outer dofs."""
@@ -415,25 +411,23 @@ class CondensedLU:
         b_i = b[self.inner]
         y = self._Sii_inv @ b_i
         b_o = b[self.outer] - self._Wt @ b_i
+        x_o = 0.0  # x is made last: held through a block's factor, it raises the peak
         # The parts are orthogonal, so their squared norms sum to b_o . b_o.
-        if b_o @ b_o <= floor * floor:
-            x = np.zeros_like(b)
-            x[self.inner] = y
-            return x
-        h = self._Qt @ b_o
-        g = h * self._inv_size
-        for k, part in enumerate(self._parts):
-            # h . g is the squared norm of the block's part of b_o.
-            if h[part] @ g[part] <= floor * floor:
-                g[part] = 0.0
-                continue
-            if self._lus[k] is None:
-                self._factor(k)
-            lu = self._lus[k]
-            # The sectors of a pair are the columns of one right-hand side.
-            g[part] = lu.solve(g[part].reshape(-1, lu.shape[0]).T, trans="T").T.ravel()
-        x_o = self._Q @ g
-        y -= self._W @ x_o
+        if not b_o @ b_o <= floor * floor:
+            h = self._Qt @ b_o
+            g = h * self._inv_size
+            for k, part in enumerate(self._parts):
+                # h . g is the squared norm of the block's part of b_o.
+                if h[part] @ g[part] <= floor * floor:
+                    g[part] = 0.0
+                    continue
+                if self._lus[k] is None:
+                    self._factor(k)
+                lu = self._lus[k]
+                # The sectors of a pair are the columns of one right-hand side.
+                g[part] = lu.solve(g[part].reshape(-1, lu.shape[0]).T, trans="T").T.ravel()
+            x_o = self._Q @ g
+            y -= self._W @ x_o
         x = np.empty_like(b)
         x[self.outer] = x_o
         x[self.inner] = y

@@ -189,7 +189,9 @@ def run(config) -> RunResult:
     step, ``t_final / n_steps``.  The stress mass is lumped when the family's
     dofs all sit at corners (``StressSpace.lumped``).  A load, energy or
     error that is not finite, and a step whose solve refuses its right-hand
-    side, end the run with ``ValueError`` naming the node and its time.
+    side, end the run with ``ValueError`` naming the node and its time.  Running
+    out of memory while the mesh, spaces, system or S are set up raises
+    ``MemoryError`` naming N and the family.
     """
     if config.solver != "direct":
         raise ValueError(f"unknown solver {config.solver!r}: the only solve is the direct one")
@@ -206,17 +208,23 @@ def run(config) -> RunResult:
         energy, err_sigma, err_v = (np.empty(nodes.size) for _ in range(3))
     except (ValueError, MemoryError) as err:
         raise MemoryError(f"cannot record {n_steps + 1:.3g} time nodes: {err}") from err
-    mesh = StructuredMesh(config.nx)
-    stress_space = StressSpace(mesh, config.element)
-    velocity_space = VelocitySpace(mesh, config.element)
-    system = assemble_system(stress_space, velocity_space, material)
     try:
-        Cinv = block_diag_inverse(system.C, velocity_space.n_local)
-    except SingularBlockError as err:
-        raise SingularBlockError(
-            f"the velocity mass (rho = {config.rho:.3g}) cannot be inverted: {err}"
+        mesh = StructuredMesh(config.nx)
+        stress_space = StressSpace(mesh, config.element)
+        velocity_space = VelocitySpace(mesh, config.element)
+        system = assemble_system(stress_space, velocity_space, material)
+        try:
+            Cinv = block_diag_inverse(system.C, velocity_space.n_local)
+        except SingularBlockError as err:
+            raise SingularBlockError(
+                f"the velocity mass (rho = {config.rho:.3g}) cannot be inverted: {err}"
+            ) from err
+        solver = build_schur(system, Cinv, dt, config.solver_tol)
+    except MemoryError as err:
+        raise MemoryError(
+            f"out of memory setting up {config.element} on the {config.nx} x {config.nx} "
+            f"mesh: {err}"
         ) from err
-    solver = build_schur(system, Cinv, dt, config.solver_tol)
     del Cinv  # the stepper keeps its own; one kept to the end raises the peak
     stepper = CNStepper(system, solver)
     state = init_state(

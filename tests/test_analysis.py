@@ -212,6 +212,7 @@ def test_convergence_orders_nonuniform_refinement():
         [(4, 0.0), (8, 0.0)],  # zero error has no order
         [(0, 0.1), (4, 0.05)],  # zero parameter
         [(4, 0.1), (float("nan"), 0.05)],  # not a number
+        [(4, 0.1), (8, float("nan"))],  # an error that is not a number
     ],
 )
 def test_convergence_orders_validation(pairs):
