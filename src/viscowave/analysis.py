@@ -4,11 +4,16 @@ Norms: the stress error is measured in the compliance-weighted a-norm
 ``||tau||_a^2 = int Cinv tau : tau`` and the velocity error in the
 density-weighted c-norm ``||w||_c^2 = int rho w . w``, both integrated
 with the composite degree-5 rule regardless of any lumping used by the
-scheme itself.  An evaluator reads the reference field once per time on
-the mesh's quadrature points, which both spaces share, through the
-kernel's checked ``QuadKernel.values``, and forms the discrete field, the
-difference and the weighted dot product block by block of ``NORM_BLOCK``
-elements, so no full-mesh temporary is made.
+scheme itself.  An evaluator integrates on the space's kernel
+(``fespace.QuadKernel``): one element per orbit of the space's symmetry
+group, every element for the trivial one.  It reads the reference field
+once per time on the kernel's points, which both spaces of a run share,
+through the checked ``QuadKernel.values``, and forms the discrete field,
+the difference and the weighted dot product block by block of
+``NORM_BLOCK`` elements, so no full-mesh temporary is made.  The blocks
+of each orbit size are summed and the sum weighted by that size: the
+discrete field and the reference share the group's symmetry, so every
+element of an orbit carries the same integral.
 """
 
 from __future__ import annotations
@@ -46,15 +51,15 @@ class _ErrorEvaluator:
 
     ``weight`` is the (d, d) pointwise weight of the norm; it is tiled with
     the quadrature weights into one (nq * d, nq * d) matrix per element.
-    The field is called once, on every element's points, and checked
-    there (``QuadKernel.values``); the rest is done ``NORM_BLOCK`` elements
-    at a time.  A sum below the smallest normal number, whose squares may
-    have underflowed, is formed again from the coefficients and the field
-    values scaled exactly by the 2^-k that brings the largest into [1/2, 1).
+    The field is called once, on the kernel's points, and checked there
+    (``QuadKernel.values``); the rest is done ``NORM_BLOCK`` elements at a
+    time, each run of one orbit size on its own.  A sum below the smallest
+    normal number, whose squares may have underflowed, is formed again from
+    the coefficients and the field values scaled exactly by the 2^-k that
+    brings the largest into [1/2, 1).
     """
 
     def __init__(self, space, weight):
-        self.space = space
         self.quad = space.quad
         self.weight = np.kron(np.diag(self.quad.weights), weight)
 
@@ -70,13 +75,18 @@ class _ErrorEvaluator:
         return float(np.ldexp(np.sqrt(max(val, 0.0)), k))
 
     def _squared(self, coeffs, values):
-        """The squared distance, summed ``NORM_BLOCK`` elements at a time."""
+        """The squared distance: each orbit size's run of representatives
+        summed ``NORM_BLOCK`` elements at a time and weighted by the size."""
+        q = self.quad
         val = 0.0
-        for lo in range(0, len(values), NORM_BLOCK):
-            block = slice(lo, lo + NORM_BLOCK)
-            diff = coeffs[self.space.eldof[block]] @ self.quad.basis
-            diff -= values[block]
-            val += np.vdot(diff @ self.weight, diff)
+        for size, rows in q.orbits:
+            part = 0.0
+            for lo in range(rows.start, rows.stop, NORM_BLOCK):
+                block = slice(lo, min(lo + NORM_BLOCK, rows.stop))
+                diff = coeffs[q.eldof[block]] @ q.basis
+                diff -= values[block]
+                part += np.vdot(diff @ self.weight, diff)
+            val += size * part
         return val
 
 
@@ -107,13 +117,21 @@ def check_study_parameters(params) -> list[float]:
     return params
 
 
-def convergence_orders(pairs) -> list[float]:
-    """Observed orders log(e_i/e_{i+1}) / log(p_{i+1}/p_i) for (param, error) pairs."""
+def convergence_orders(pairs, name="the error", runs=None) -> list[float]:
+    """Observed orders log(e_i/e_{i+1}) / log(p_{i+1}/p_i) for (param, error) pairs.
+
+    An error that is not positive, NaN too, is refused by ``name`` and its
+    pair's entry of ``runs``, labels such as ``"N = 4, M = 200"`` that
+    default to the parameter.
+    """
     pairs = list(pairs)
     params = np.array(check_study_parameters(p for p, _ in pairs))
     errors = np.array([float(e) for _, e in pairs])
-    if not np.all(errors > 0.0):  # a NaN error fails too
-        raise ValueError("errors must be positive")
+    for error, run in zip(errors, runs or [f"parameter {p:g}" for p in params]):
+        if not error > 0.0:
+            raise ValueError(
+                f"{name} is {error:.3g} at {run}: an observed order needs positive errors"
+            )
     return list(np.log(errors[:-1] / errors[1:]) / np.log(params[1:] / params[:-1]))
 
 

@@ -130,12 +130,14 @@ def assemble_velocity_gram(space: VelocitySpace) -> sp.csr_matrix:
 def assemble_load(space: VelocitySpace, f, t: float) -> np.ndarray:
     """Load vector F[i] = int f(x, y, t) . w_i.
 
-    ``f`` must vectorize over coordinate arrays and return vectors in the
-    last axis.  Velocity dofs are numbered element by element, so the
-    element loads, row after row, are the vector: nothing is scattered.
+    ``f`` must vectorize over coordinate arrays, return vectors in the last
+    axis and have the space's symmetry (``space.group``).  Velocity dofs are
+    numbered element by element, so nothing is scattered: the element loads
+    of the kernel's representatives are spread to every element
+    (``QuadKernel.spread``).
     """
     q = space.quad
-    return (q.values(f, t) @ q.weighted).ravel()
+    return q.spread(q.values(f, t) @ q.weighted)
 
 
 @dataclass

@@ -125,19 +125,14 @@ def temporal_study(element, example, ms, **settings):
 
 
 def _study_rows(params, results):
-    for name in ("E_a_sigma", "E_c_v"):
-        for r in results:
-            if not getattr(r, name) > 0.0:
-                raise ValueError(
-                    f"{name} is {getattr(r, name):.3g} at N = {r.config.nx}, "
-                    f"M = {r.config.n_steps}: an observed order needs positive errors"
-                )
-    e_sigma = [r.E_a_sigma for r in results]
-    e_v = [r.E_c_v for r in results]
-    orders_sigma = [None] + convergence_orders(list(zip(params, e_sigma)))
-    orders_v = [None] + convergence_orders(list(zip(params, e_v)))
+    runs = [f"N = {r.config.nx}, M = {r.config.n_steps}" for r in results]
+
+    def orders(name):
+        pairs = [(p, getattr(r, name)) for p, r in zip(params, results)]
+        return [None] + convergence_orders(pairs, name, runs)
+
     rows = []
-    for r, os_, ov in zip(results, orders_sigma, orders_v):
+    for r, os_, ov in zip(results, orders("E_a_sigma"), orders("E_c_v")):
         rows.append(
             {
                 "N": r.config.nx,

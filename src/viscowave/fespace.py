@@ -38,6 +38,7 @@ import numpy as np
 
 from .mesh import StructuredMesh
 from .quadrature import COMPOSITE, CORNERS
+from .symmetry import TRIVIAL, D, SymmetryGroup, X, Y
 
 __all__ = [
     "NEDELEC",
@@ -89,18 +90,29 @@ def _checked(values, x, d) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadKernel:
-    """The composite degree-5 rule on every element, with the local basis there.
+    """The composite degree-5 rule on one element per orbit of the space's group.
 
-    ``x`` and ``y`` are the physical points, shape (n_elements, nq), the
-    mesh's ``quad_points``: one read-only pair shared by both spaces of a
-    mesh, so that field factors may keep values computed on them;
-    ``weights`` (nq,) are the rule weights, the same on every element.
-    ``basis`` has shape (n_local, nq * d), with ``basis[l, q * d + c]``
-    component c of local function l at point q, so ``coeffs[eldof] @ basis``
-    is a discrete field at every point, shape (n_elements, nq * d).
-    ``weighted`` (nq * d, n_local) is ``basis`` times the weights, transposed,
-    so ``values(field, t) @ weighted`` integrates a field against every
-    local function.
+    The space's ``group`` (``symmetry``) is the symmetry of every field
+    integrated through the kernel, so it integrates on one representative
+    element per orbit (``StructuredMesh.orbits``).  ``x`` and ``y`` are the
+    representatives' points, shape (n_rep, nq): one read-only pair shared by
+    both spaces of a mesh with one group, so that field factors may keep
+    values computed on them; ``weights`` (nq,) are the rule weights, the
+    same on every element.  ``basis`` has shape (n_local, nq * d), with
+    ``basis[l, q * d + c]`` component c of local function l at point q, so
+    ``coeffs[eldof] @ basis`` is a discrete field at the representatives'
+    points, shape (n_rep, nq * d), ``eldof`` holding the representatives'
+    rows of the space's ``eldof``.  ``weighted`` (nq * d, n_local) is ``basis`` times the weights,
+    transposed, so ``values(field, t) @ weighted`` integrates a field
+    against every local function on every representative.
+
+    ``orbits`` holds the runs of representatives with one orbit size as
+    (size, slice) pairs: an integrand the group leaves unchanged integrates
+    over the mesh as the sum over runs of the size times the run's sum.
+    A velocity kernel also holds ``gather``, a signed gather (index, sign)
+    from the representatives' element vectors to every dof (``spread``).
+    With the trivial group every element is its own representative, in
+    element order, and the sums are those of the rule on every element.
     """
 
     x: np.ndarray
@@ -108,9 +120,12 @@ class QuadKernel:
     weights: np.ndarray
     basis: np.ndarray
     weighted: np.ndarray
+    eldof: np.ndarray
+    orbits: tuple
+    gather: tuple | None = None
 
     def values(self, field, *t) -> np.ndarray:
-        """``field(x, y, *t)`` called once on all points, as a (n_elements, nq * d) view.
+        """``field(x, y, *t)`` called once on all points, as a (n_rep, nq * d) view.
 
         It must return the points' shape plus (d,), the width of a basis
         value; any other shape, a transposed one say, is refused.
@@ -118,27 +133,65 @@ class QuadKernel:
         d = self.basis.shape[1] // len(self.weights)
         return _checked(field(self.x, self.y, *t), self.x, d).reshape(len(self.x), -1)
 
+    def spread(self, local) -> np.ndarray:
+        """The vector of every velocity dof from the representatives' element vectors."""
+        index, sign = self.gather
+        return sign * local.ravel()[index]
+
 
 def quad_kernel(space) -> QuadKernel:
     """Build the composite-rule kernel of a stress or velocity space."""
     mesh = space.mesh
+    orbits = mesh.orbits(space.group)
     points, fractions = COMPOSITE
     weights = mesh.h * mesh.h * fractions
     vals = space.local_values(points[:, 0], points[:, 1])
     nq, n_local, d = vals.shape
     basis = np.ascontiguousarray(vals.transpose(1, 0, 2).reshape(n_local, nq * d))
-    x, y = mesh.quad_points
+    eldof = space.eldof[orbits.elements]
     return QuadKernel(
-        x=x,
-        y=y,
+        x=orbits.x,
+        y=orbits.y,
         weights=weights,
         basis=basis,
         weighted=np.ascontiguousarray((basis * np.repeat(weights, d)).T),
+        eldof=eldof,
+        orbits=orbits.sizes,
+        gather=_gather(space, orbits, eldof) if isinstance(space, VelocitySpace) else None,
     )
 
 
+def _gather(space, orbits, rep_dofs):
+    """(index, sign) with ``sign * local.ravel()[index]`` the vector of every dof.
+
+    ``local`` holds the element vectors of the representatives, whose dofs
+    are ``rep_dofs``.  A field of the group's symmetry equals chi times its
+    image under each member, s * b[p] (``generators``), so the dofs of an
+    element take the representative's coefficients through the member that
+    maps it there.
+    """
+    n_local, generators = space.n_local, space.generators
+    index = np.empty((len(orbits.member), n_local), dtype=np.intp)
+    sign = np.empty(index.shape)
+    at = np.empty(space.dim, dtype=np.intp)
+    at[rep_dofs] = np.arange(rep_dofs.size).reshape(rep_dofs.shape)
+    for k, (word, chi) in enumerate(space.group.members()):
+        on = np.flatnonzero(orbits.member == k)
+        # The member's signed permutation, P1 P2 ..., followed from these
+        # elements' dofs: (P1 P2 a)_i = s1_i s2_p1(i) a_p2(p1(i)).
+        dofs = space.eldof[on]
+        s = np.full(dofs.shape, float(chi))
+        for g in word:
+            p_g, s_g = generators[g]
+            s *= s_g[dofs]
+            dofs = p_g[dofs]
+        index[on] = at[dofs]
+        sign[on] = s
+    return index.ravel(), sign.ravel()
+
+
 class _Space:
-    """What both spaces share: the quadrature kernel, built on first use."""
+    """What both spaces share: the quadrature kernel of their ``group``, built on first use."""
 
     @cached_property
     def quad(self) -> QuadKernel:
@@ -171,14 +224,18 @@ class StressSpace(_Space):
         signed dof permutations.
     dof_point : ndarray, shape (dim, 2)
         Collocation point of each degree-of-freedom functional.
+    group : SymmetryGroup
+        The symmetry of every field integrated through ``quad``; trivial
+        unless given.
     quad : QuadKernel
         The composite-rule kernel, built on first use and kept with the space.
     """
 
-    def __init__(self, mesh: StructuredMesh, family: str):
+    def __init__(self, mesh: StructuredMesh, family: str, group: SymmetryGroup = TRIVIAL):
         _check_family(family)
         self.mesh = mesh
         self.family = family
+        self.group = group
         self.table = LOCAL_DOFS[family]
         self.n_local = len(self.table)
         self.lumped = all(d in _CORNERS for _, d in self.table)
@@ -237,9 +294,9 @@ class StressSpace(_Space):
         dof[comp, gy, gx] = np.arange(self.dim)
         shear = np.where(comp == 2, -1.0, 1.0)
         return {
-            "x -> 1 - x": (dof[comp, gy, m - gx], shear),
-            "y -> 1 - y": (dof[comp, m - gy, gx], shear),
-            "(x, y) -> (y, x)": (dof[np.array([1, 0, 2])[comp], gx, gy], np.ones(self.dim)),
+            X: (dof[comp, gy, m - gx], shear),
+            Y: (dof[comp, m - gy, gx], shear),
+            D: (dof[np.array([1, 0, 2])[comp], gx, gy], np.ones(self.dim)),
         }
 
     @property
@@ -304,12 +361,17 @@ class StressSpace(_Space):
 
 
 class VelocitySpace(_Space):
-    """Element-wise vector velocity space partnered with one stress family."""
+    """Element-wise vector velocity space partnered with one stress family.
 
-    def __init__(self, mesh: StructuredMesh, family: str):
+    ``group`` is the symmetry of every field integrated through ``quad``
+    (the load, ``project`` and the error norm); trivial unless given.
+    """
+
+    def __init__(self, mesh: StructuredMesh, family: str, group: SymmetryGroup = TRIVIAL):
         _check_family(family)
         self.mesh = mesh
         self.family = family
+        self.group = group
         ne = mesh.n_elements
         self.table = _VELOCITY_DOFS[family]
         self.n_local = len(self.table)
@@ -324,12 +386,41 @@ class VelocitySpace(_Space):
             out[..., l, c] = (xi, eta)[c] ** power
         return out
 
+    @property
+    def generators(self) -> dict:
+        """The reflections of ``StressSpace.generators`` as signed velocity dof permutations.
+
+        The image of the field with coefficients ``b`` has coefficients
+        ``s * b[p]``.  Under the mirror of axis a an element takes its
+        coefficients from its mirror image; a function of component a
+        changes sign unless it is linear in its own coordinate, which the
+        mirror reverses too, and the other component's functions keep
+        theirs.  Under the diagonal an element takes them from its
+        transpose, component c from the other component's function of the
+        same power.
+        """
+        n, ne = self.mesh.n, self.mesh.n_elements
+        dof = np.arange(self.dim).reshape(n, n, self.n_local)  # by (j, i, local)
+        comp, power = np.array(self.table).T
+        swap = [self.table.index((1 - c, k)) for c, k in self.table]
+
+        def flip(axis):
+            return np.tile(np.where(comp == axis, (-1.0) ** (1 + power), 1.0), ne)
+
+        return {
+            X: (dof[:, ::-1].ravel(), flip(0)),
+            Y: (dof[::-1].ravel(), flip(1)),
+            D: (dof.transpose(1, 0, 2)[..., swap].ravel(), np.ones(self.dim)),
+        }
+
     def project(self, field) -> np.ndarray:
         """Element-local L2 projection of ``field(x, y) -> (..., 2)``.
 
         The local basis is L2-orthogonal on every element, so the projection
-        is the load of the field divided by the diagonal of the local mass.
+        is the load of the field divided by the diagonal of the local mass;
+        it is formed on the kernel's representatives and spread to every
+        element, so the field must have the space's symmetry.
         """
         q = self.quad
         mass = np.einsum("lk,kl->l", q.basis, q.weighted)
-        return (q.values(field) @ q.weighted / mass).ravel()
+        return q.spread(q.values(field) @ q.weighted / mass)

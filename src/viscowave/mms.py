@@ -16,8 +16,12 @@ one helper builds the body force ``f = rho v_t - div sigma`` from them as
 rho c_v'(t) V - c_s(t) D, so the momentum equation holds by construction.
 Every field is time-separable (``Separable``).  Each spatial factor keeps
 its values on the last read-only point set (``SpatialFactor``), and V, in
-both v and f, is one object, so on the mesh's quadrature points each
-spatial factor is evaluated and stored once.  Kept values are made, and
+both v and f, is one object, so on a run's quadrature points each spatial
+factor is evaluated and stored once.  Those points lie on one element per
+orbit of the reflections the three fields share (``symmetry``): examples
+1 and 2 are symmetric under the rotation by pi and the diagonal
+reflection, so a run evaluates them on a quarter of the mesh, and example
+3 under the diagonal reflection alone, on half of it.  Kept values are made, and
 terms summed in place, a block of rows at a time, so a field call makes no
 temporary beyond its result.
 """

@@ -26,6 +26,7 @@ from .linalg import SchurSolver, SingularBlockError, block_diag_inverse, build_s
 from .material import IsotropicMaterial
 from .mesh import StructuredMesh
 from .mms import exact_fields
+from .symmetry import find_group
 
 __all__ = ["SimState", "resolve_time", "RunResult", "init_state", "CNStepper", "run"]
 
@@ -187,10 +188,13 @@ def run(config) -> RunResult:
     data and the body force, and that the errors are taken against.  Either
     of ``dt`` and ``n_steps`` may be ``None``; ``resolve_time`` gives the
     step, ``t_final / n_steps``.  The stress mass is lumped when the family's
-    dofs all sit at corners (``StressSpace.lumped``).  A load, energy or
-    error that is not finite, and a step whose solve refuses its right-hand
-    side, end the run with ``ValueError`` naming the node and its time.  Running
-    out of memory while the mesh, spaces, system or S are set up raises
+    dofs all sit at corners (``StressSpace.lumped``).  The reflections that
+    the solution's stress, velocity and body force share
+    (``symmetry.find_group``) are the spaces' group, so the loads, the
+    projection and the errors are integrated on one element per orbit.  A
+    load, energy or error that is not finite, and a step whose solve refuses
+    its right-hand side, end the run with ``ValueError`` naming the node and
+    its time.  Running out of memory while the mesh, spaces, system or S are set up raises
     ``MemoryError`` naming N and the family.
     """
     if config.solver != "direct":
@@ -201,6 +205,7 @@ def run(config) -> RunResult:
         raise ValueError(f"snapshot interval must be at least 1, got {every}")
     material = IsotropicMaterial(rho=config.rho, mu=config.mu, lam=config.lam)
     solution = exact_fields(config.example, material, force=config.force)
+    group = find_group((solution.sigma, solution.v, solution.f))
     # The per-node arrays come first, so a step count too large to record
     # fails with MemoryError before any assembly or factorization.
     try:
@@ -210,8 +215,8 @@ def run(config) -> RunResult:
         raise MemoryError(f"cannot record {n_steps + 1:.3g} time nodes: {err}") from err
     try:
         mesh = StructuredMesh(config.nx)
-        stress_space = StressSpace(mesh, config.element)
-        velocity_space = VelocitySpace(mesh, config.element)
+        stress_space = StressSpace(mesh, config.element, group)
+        velocity_space = VelocitySpace(mesh, config.element, group)
         system = assemble_system(stress_space, velocity_space, material)
         try:
             Cinv = block_diag_inverse(system.C, velocity_space.n_local)

@@ -220,6 +220,16 @@ def test_convergence_orders_validation(pairs):
         convergence_orders(pairs)
 
 
+def test_convergence_orders_names_the_run_of_an_error_that_is_not_positive():
+    # The one rule for study errors: the CLI's studies pass their runs' N and M.
+    pairs = [(4, 0.1), (8, -0.05)]
+    with pytest.raises(ValueError, match=r"^the error is -0.05 at parameter 8: an observed"):
+        convergence_orders(pairs)
+    runs = ["N = 4, M = 2", "N = 8, M = 2"]
+    with pytest.raises(ValueError, match=r"^E_c_v is -0.05 at N = 8, M = 2: an observed"):
+        convergence_orders(pairs, "E_c_v", runs)
+
+
 # ------------------------------------------------------------------- energy
 
 

@@ -11,6 +11,7 @@ from viscowave.fespace import (
     StressSpace,
     VelocitySpace,
 )
+from viscowave.assembly import assemble_coupling
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
 from viscowave.quadrature import COMPOSITE, CORNERS
@@ -596,6 +597,42 @@ def test_generators_satisfy_the_relations_of_d4(family, n):
     assert all(same(times(g, g), one) for g in (X, Y, D))
     assert same(times(X, Y), times(Y, X))
     assert same(times(times(D, X), D), Y)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_coupling_commutes_with_the_generators(family, n):
+    # B P_sigma = P_v B for X, Y and D, checked as check_symmetry checks S:
+    # one random vector, and a gap of a few ulps of k max|B|.
+    mesh = StructuredMesh(n)
+    ss, vs = StressSpace(mesh, family), VelocitySpace(mesh, family)
+    B = assemble_coupling(ss, vs)
+    assert list(vs.generators) == list(ss.generators)
+    x = np.random.default_rng(0).random(ss.dim)
+    Bx = B @ x
+    size = np.diff(B.indptr).max() * abs(B.data).max()
+    for (p, s), (pv, sv) in zip(ss.generators.values(), vs.generators.values()):
+        assert np.array_equal(pv[pv], np.arange(vs.dim)) and np.all(sv * sv[pv] == 1.0)
+        assert np.abs(B @ (s * x[p]) - sv * Bx[pv]).max() <= 64 * np.finfo(float).eps * size
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_projection_of_a_reflected_field_is_the_image_of_the_projection(family):
+    vs = VelocitySpace(StructuredMesh(3), family)
+
+    def field(x, y):
+        # Of degree 4 at most, so the composite rule integrates it against
+        # the linear basis exactly, also after X and Y, which move the rule.
+        return np.stack([x**2 + 3 * y, x * y**2 + x**3 * y], axis=-1)
+
+    reflected = {
+        "x -> 1 - x": lambda x, y: field(1 - x, y) * [-1.0, 1.0],
+        "y -> 1 - y": lambda x, y: field(x, 1 - y) * [1.0, -1.0],
+        DIAGONAL: lambda x, y: field(y, x)[..., ::-1],
+    }
+    b = vs.project(field)
+    for name, (p, s) in vs.generators.items():
+        np.testing.assert_allclose(vs.project(reflected[name]), s * b[p], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -17,6 +17,7 @@ from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave import mms
 from viscowave.mms import Separable, exact_fields
+from viscowave.symmetry import find_group
 
 X, Y, T = sym.symbols("x y t", positive=False)
 
@@ -354,3 +355,14 @@ def test_spaces_of_one_mesh_share_their_quadrature_points(family):
     other = VelocitySpace(StructuredMesh(3), family).quad
     assert other.x is not sq.x
     np.testing.assert_array_equal(other.x, sq.x)
+    # The kernels of a run with a symmetry group share one frozen pair too,
+    # the representatives' points, and the full set is never built.
+    mesh = StructuredMesh(3)
+    sol = exact_fields(1)
+    group = find_group((sol.sigma, sol.v, sol.f))
+    sq, vq = StressSpace(mesh, family, group).quad, VelocitySpace(mesh, family, group).quad
+    assert sq.x is vq.x is mesh.orbits(group).x and len(sq.x) == 4
+    assert sq.y is vq.y is mesh.orbits(group).y
+    for points in (sq.x, sq.y):
+        assert points.base is None and not points.flags.writeable
+    assert list(mesh._orbits) == [group]
