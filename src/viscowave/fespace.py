@@ -38,7 +38,7 @@ import numpy as np
 
 from .mesh import StructuredMesh
 from .quadrature import COMPOSITE, CORNERS
-from .symmetry import TRIVIAL, D, SymmetryGroup, X, Y
+from .symmetry import TRIVIAL, D, SymmetryGroup, X, Y, images
 
 __all__ = [
     "NEDELEC",
@@ -110,7 +110,8 @@ class QuadKernel:
     (size, slice) pairs: an integrand the group leaves unchanged integrates
     over the mesh as the sum over runs of the size times the run's sum.
     A velocity kernel also holds ``gather``, a signed gather (index, sign)
-    from the representatives' element vectors to every dof (``spread``).
+    from the representatives' element vectors to every dof (``spread``),
+    one row of n_local entries per element.
     With the trivial group every element is its own representative, in
     element order, and the sums are those of the rule on every element.
     """
@@ -148,46 +149,34 @@ def quad_kernel(space) -> QuadKernel:
     vals = space.local_values(points[:, 0], points[:, 1])
     nq, n_local, d = vals.shape
     basis = np.ascontiguousarray(vals.transpose(1, 0, 2).reshape(n_local, nq * d))
-    eldof = space.eldof[orbits.elements]
     return QuadKernel(
         x=orbits.x,
         y=orbits.y,
         weights=weights,
         basis=basis,
         weighted=np.ascontiguousarray((basis * np.repeat(weights, d)).T),
-        eldof=eldof,
+        eldof=space.eldof[orbits.elements],
         orbits=orbits.sizes,
-        gather=_gather(space, orbits, eldof) if isinstance(space, VelocitySpace) else None,
+        gather=_gather(space, orbits) if isinstance(space, VelocitySpace) else None,
     )
 
 
-def _gather(space, orbits, rep_dofs):
+def _gather(space, orbits):
     """(index, sign) with ``sign * local.ravel()[index]`` the vector of every dof.
 
-    ``local`` holds the element vectors of the representatives, whose dofs
-    are ``rep_dofs``.  A field of the group's symmetry equals chi times its
-    image under each member, s * b[p] (``generators``), so the dofs of an
-    element take the representative's coefficients through the member that
-    maps it there.
+    ``local`` holds the element vectors of the representatives, in the order
+    of ``orbits.elements``.  A field of the group's symmetry equals chi times
+    its image under each member, so an element takes its representative's
+    coefficients through the member that maps it there: local dof l from
+    the representative's local dof p(l), times chi s(l), (p, s) the
+    member's signed permutation of one element's dofs (``local_generators``).
     """
-    n_local, generators = space.n_local, space.generators
-    index = np.empty((len(orbits.member), n_local), dtype=np.intp)
-    sign = np.empty(index.shape)
-    at = np.empty(space.dim, dtype=np.intp)
-    at[rep_dofs] = np.arange(rep_dofs.size).reshape(rep_dofs.shape)
-    for k, (word, chi) in enumerate(space.group.members()):
-        on = np.flatnonzero(orbits.member == k)
-        # The member's signed permutation, P1 P2 ..., followed from these
-        # elements' dofs: (P1 P2 a)_i = s1_i s2_p1(i) a_p2(p1(i)).
-        dofs = space.eldof[on]
-        s = np.full(dofs.shape, float(chi))
-        for g in word:
-            p_g, s_g = generators[g]
-            s *= s_g[dofs]
-            dofs = p_g[dofs]
-        index[on] = at[dofs]
-        sign[on] = s
-    return index.ravel(), sign.ravel()
+    p, s = images(space.local_generators, np.arange(space.n_local))
+    index, chi = (np.array(column)[orbits.member] for column in zip(*space.group.members()))
+    return (
+        ((space.n_local * orbits.position)[:, None] + p[index]).ravel(),
+        (chi[:, None] * s[index]).ravel(),
+    )
 
 
 class _Space:
@@ -387,31 +376,22 @@ class VelocitySpace(_Space):
         return out
 
     @property
-    def generators(self) -> dict:
-        """The reflections of ``StressSpace.generators`` as signed velocity dof permutations.
+    def local_generators(self) -> tuple:
+        """X, Y and D as signed permutations ``(p, s)`` of one element's dofs.
 
-        The image of the field with coefficients ``b`` has coefficients
-        ``s * b[p]``.  Under the mirror of axis a an element takes its
-        coefficients from its mirror image; a function of component a
-        changes sign unless it is linear in its own coordinate, which the
-        mirror reverses too, and the other component's functions keep
-        theirs.  Under the diagonal an element takes them from its
-        transpose, component c from the other component's function of the
-        same power.
+        They are the reflections of ``StressSpace.generators``.  Under each
+        an element takes its coefficients from its image, local dof l from
+        the image's local dof p(l) times s(l).  Under the mirror of axis a a
+        function of component a changes sign unless it is linear in its own
+        coordinate, which the mirror reverses too, and the other component's
+        functions keep theirs.  Under the diagonal component c comes from
+        the other component's function of the same power.
         """
-        n, ne = self.mesh.n, self.mesh.n_elements
-        dof = np.arange(self.dim).reshape(n, n, self.n_local)  # by (j, i, local)
         comp, power = np.array(self.table).T
-        swap = [self.table.index((1 - c, k)) for c, k in self.table]
-
-        def flip(axis):
-            return np.tile(np.where(comp == axis, (-1.0) ** (1 + power), 1.0), ne)
-
-        return {
-            X: (dof[:, ::-1].ravel(), flip(0)),
-            Y: (dof[::-1].ravel(), flip(1)),
-            D: (dof.transpose(1, 0, 2)[..., swap].ravel(), np.ones(self.dim)),
-        }
+        same = np.arange(self.n_local)
+        swap = np.array([self.table.index((1 - c, k)) for c, k in self.table])
+        sx, sy = (np.where(comp == axis, (-1.0) ** (1 + power), 1.0) for axis in (0, 1))
+        return (same, sx), (same, sy), (swap, np.ones(self.n_local))
 
     def project(self, field) -> np.ndarray:
         """Element-local L2 projection of ``field(x, y) -> (..., 2)``.

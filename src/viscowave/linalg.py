@@ -26,7 +26,8 @@ the symmetry group of the square, and a symmetry-adapted basis of signed
 sums over orbits splits S_c exactly (Healey & Treacy, Int. J. Numer.
 Meth. Eng., 1991; Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986;
 Fässler & Stiefel, Group Theoretical Methods and Their Applications,
-Birkhäuser, 1992), one block per irreducible representation.  In each of
+Birkhäuser, 1992), one block per irreducible representation; the members
+of D4 and their order are those of ``symmetry.MEMBERS``.  In each of
 the four of dimension one, declared in ``_ONE_DIM``, both mirrors act as
 m = +-1 and the diagonal as d = +-1: four blocks of an eighth of S_c.  The
 fifth, E, is the sector even under x -> 1 - x and odd under y -> 1 - y,
@@ -71,6 +72,8 @@ import time
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .symmetry import character, images
 
 __all__ = [
     "ConvergenceError",
@@ -206,17 +209,6 @@ def nested_dissection(grid: np.ndarray) -> np.ndarray:
 _ONE_DIM = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _images(generators, a):
-    """The images of the dofs ``a`` under D4's elements e, X, Y, YX, D, DX,
-    DY and DYX, and their signs, two (8, len(a)) arrays, from the reflections
-    X, Y and D: g e_a = s_a e_p(a), and g2 g1 = (p2[p1], s1 s2[p1])."""
-    images = [(a, np.ones(len(a)))]
-    for g, t in generators:
-        images += [(g[q], r * t[q]) for q, r in images]
-    p, s = zip(*images)
-    return np.array(p), np.array(s)
-
-
 def _sector(n, p, s, chi, named):
     """The sector of character ``chi`` of n indices, ``(rep, (col, coef))``,
     from the images ``p``, with signs ``s``, of its candidate names ``named``.
@@ -251,14 +243,14 @@ def _sectors(generators, rank):
     low = np.minimum(low, low[py])
     named = np.flatnonzero(low == rank)  # the minima over the mirrors
     d4_min = np.minimum(low, low[pd])[named] == rank[named]  # and over D4
-    p, s = _images(generators, named)
+    p, s = images(generators, named)
     blocks = []
     for m, d in _ONE_DIM:
-        chi = (1, m, m, 1, d, m * d, m * d, d)
+        chi = character((m, m, d))
         rep, basis = _sector(len(rank), p[:, d4_min], s[:, d4_min], chi, named[d4_min])
         blocks.append((rep, [basis]))
-    # E on the elements e, X, Y and YX.
-    rep, (col, coef) = _sector(len(rank), p[:4], s[:4], (1, 1, -1, -1), named)
+    # E on the members of the mirrors, e, X, Y and XY.
+    rep, (col, coef) = _sector(len(rank), p[:4], s[:4], character((1, -1)), named)
     blocks.append((rep, [(col, coef), (col[pd], coef[pd] * sd)]))
     return [block for block in blocks if len(block[0])]
 

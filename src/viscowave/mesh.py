@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import COMPOSITE
-from .symmetry import TRIVIAL, SymmetryGroup, matrix
+from .symmetry import SymmetryGroup, images
 
 __all__ = ["Orbits", "StructuredMesh"]
 
@@ -27,7 +27,8 @@ class Orbits:
     orbit, grouped by orbit size, largest first, and in element order within
     a size; ``sizes`` holds the runs of them as (orbit size, slice) pairs.
     ``member`` gives each element the index, in ``group.members()``, of the
-    first member that maps it to its representative.  ``x`` and ``y`` are
+    first member that maps it to its representative, and ``position`` that
+    representative's index in ``elements``.  ``x`` and ``y`` are
     the composite-rule points of the representatives, each
     (len(elements), nq), read-only and owning their data.
     """
@@ -35,6 +36,7 @@ class Orbits:
     elements: np.ndarray
     sizes: tuple
     member: np.ndarray
+    position: np.ndarray
     x: np.ndarray
     y: np.ndarray
 
@@ -76,18 +78,6 @@ class StructuredMesh:
         je = np.arange(self.n_elements) // self.n
         return np.column_stack([(ie + 0.5) * self.h, (je + 0.5) * self.h])
 
-    @property
-    def quad_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Points ``(x, y)`` of the composite rule on every element, each (n_elements, nq).
-
-        They are the points of the trivial group's orbits, one per element,
-        built on first use and kept, so every space of the mesh with the
-        trivial group shares them; a run whose data has a larger group
-        builds only the points of its representatives (``orbits``).
-        """
-        orbits = self.orbits(TRIVIAL)
-        return orbits.x, orbits.y
-
     def orbits(self, group: SymmetryGroup) -> Orbits:
         """The orbits of the elements under ``group``, built on first use and kept.
 
@@ -101,17 +91,13 @@ class StructuredMesh:
 
     def _orbits_of(self, group):
         n, e = self.n, np.arange(self.n_elements)
-        # Each element's centre, doubled and taken about the square's centre,
-        # as a row of x and a column of y, and its images under the members.
-        cx = 2 * np.arange(n) + 1 - n
-        cy = cx[:, None]
-        images = np.empty((len(group.members()), n, n), dtype=np.intp)
-        for image, (word, _) in zip(images, group.members()):
-            (a, b), (c, d) = matrix(word)
-            image[:] = (c * cx + d * cy + n - 1) // 2 * n + (a * cx + b * cy + n - 1) // 2
-        images = images.reshape(len(images), -1)
-        rep = images.min(axis=0)
-        size = len(images) // (images == e).sum(axis=0)
+        # The elements' images under X, Y and D, read off the (j, i) grid,
+        # and under the group's members.
+        grid, ones = e.reshape(n, n), np.ones(self.n_elements)
+        generators = [(p.ravel(), ones) for p in (grid[:, ::-1], grid[::-1], grid.T)]
+        image = images(generators, e)[0][[k for k, _ in group.members()]]
+        rep = image.min(axis=0)
+        size = len(image) // (image == e).sum(axis=0)
         elements = np.flatnonzero(rep == e)
         elements = elements[np.argsort(-size[elements], kind="stable")]
         negated, counts = np.unique(-size[elements], return_counts=True)
@@ -125,7 +111,9 @@ class StructuredMesh:
         x = ((elements % n + 0.5) * self.h)[:, None] + (0.5 * self.h) * points[:, 0]
         y = ((elements // n + 0.5) * self.h)[:, None] + (0.5 * self.h) * points[:, 1]
         x.flags.writeable = y.flags.writeable = False
-        return Orbits(elements, sizes, (images == rep).argmax(axis=0), x, y)
+        position = np.empty_like(e)
+        position[elements] = np.arange(len(elements))
+        return Orbits(elements, sizes, (image == rep).argmax(axis=0), position[rep], x, y)
 
     def __repr__(self):
         return f"StructuredMesh(n={self.n})"

@@ -21,9 +21,7 @@ factor is evaluated and stored once.  Those points lie on one element per
 orbit of the reflections the three fields share (``symmetry``): examples
 1 and 2 are symmetric under the rotation by pi and the diagonal
 reflection, so a run evaluates them on a quarter of the mesh, and example
-3 under the diagonal reflection alone, on half of it.  Kept values are made, and
-terms summed in place, a block of rows at a time, so a field call makes no
-temporary beyond its result.
+3 under the diagonal reflection alone, on half of it.
 """
 
 from __future__ import annotations
@@ -63,12 +61,6 @@ def _frozen(a) -> bool:
     return isinstance(a, np.ndarray) and not a.flags.writeable and a.base is None
 
 
-# Leading rows (elements, on the quadrature points) per block when a
-# factor's kept values are made and when a field sums its terms, so that
-# neither makes a temporary the size of a whole point set.
-_ROWS = 4096
-
-
 class SpatialFactor:
     """A spatial factor ``(x, y) -> broadcast(x, y) + (d,)`` that keeps its last values.
 
@@ -76,7 +68,7 @@ class SpatialFactor:
     both ``x`` and ``y`` are read-only arrays owning their data (matched by
     identity), so a fixed quadrature point set costs one evaluation however
     many fields and calls use the factor; any other points are evaluated on
-    every call.  Kept values are made ``_ROWS`` leading rows at a time.
+    every call.
     """
 
     def __init__(self, fn):
@@ -87,20 +79,9 @@ class SpatialFactor:
         x, y = np.asarray(x, float), np.asarray(y, float)
         if not (_frozen(x) and _frozen(y)):
             return self.fn(x, y)
-        mx, my, values = self._memo
-        if x is mx and y is my:
-            return values
-        xb, yb = np.broadcast_arrays(x, y)
-        if xb.ndim == 0 or len(xb) <= _ROWS:
-            values = self.fn(x, y)
-        else:
-            first = self.fn(xb[:_ROWS], yb[:_ROWS])
-            values = np.empty(xb.shape + first.shape[xb.ndim :])
-            values[:_ROWS] = first
-            for lo in range(_ROWS, len(xb), _ROWS):
-                values[lo : lo + _ROWS] = self.fn(xb[lo : lo + _ROWS], yb[lo : lo + _ROWS])
-        self._memo = (x, y, values)
-        return values
+        if not (x is self._memo[0] and y is self._memo[1]):
+            self._memo = (x, y, self.fn(x, y))
+        return self._memo[2]
 
 
 class Separable:
@@ -110,7 +91,6 @@ class Separable:
     factor returning ``broadcast(x, y) + (d,)``.  A factor that is not a
     ``SpatialFactor`` is wrapped in one, so each keeps its values on a fixed
     read-only point set; fields that share a ``SpatialFactor`` share them.
-    The terms are summed in place, ``_ROWS`` leading rows at a time.
     """
 
     def __init__(self, *terms):
@@ -124,11 +104,7 @@ class Separable:
         (coef, factor), *rest = self.terms
         out = coef(t)[..., None] * factor(x, y)
         for coef, factor in rest:
-            c = np.broadcast_to(coef(t)[..., None], out.shape)
-            value = np.broadcast_to(factor(x, y), out.shape)
-            for lo in range(0, len(out), _ROWS):
-                rows = slice(lo, lo + _ROWS)
-                out[rows] += c[rows] * value[rows]
+            out += coef(t)[..., None] * factor(x, y)
         return out
 
 

@@ -15,6 +15,11 @@ all of them satisfy with one character form a ``SymmetryGroup``.  Discrete
 fields made from such data share its symmetry, so an integrand formed from
 them has the same integral on every element of an orbit, and each integral
 needs one element per orbit (``mesh.StructuredMesh.orbits``).
+
+D4 is declared here alone: its members (``MEMBERS``), their images as
+signed permutations (``images``) and their signs in a one-dimensional
+representation (``character``), read by the mesh's orbits, the velocity
+gather and the sectors of the stress solve.
 """
 
 from __future__ import annotations
@@ -24,13 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "X", "Y", "D", "RULE_REFLECTIONS", "SymmetryGroup", "TRIVIAL", "find_group", "matrix"
+    "X", "Y", "D", "MEMBERS", "RULE_REFLECTIONS", "SymmetryGroup", "TRIVIAL",
+    "character", "find_group", "images", "matrix",
 ]
 
 # The generators of the square's group, D4, named as in the spaces'
 # ``generators``, and each one's matrix about the centre of the square.
 X, Y, D = "x -> 1 - x", "y -> 1 - y", "(x, y) -> (y, x)"
 _MATRICES = {X: np.diag([-1, 1]), Y: np.diag([1, -1]), D: np.array([[0, 1], [1, 0]])}
+# D4's eight members as words in the generators, which act in turn, in the
+# order that doubling over X, Y and D gives: e, X, Y, XY, D, XD, YD, XYD.
+# The first 2^k are the subgroup of the first k generators; ``images`` and
+# ``character`` list theirs in this order.
+MEMBERS = ((), (X,), (Y,), (X, Y), (D,), (X, D), (Y, D), (X, Y, D))
 # The reflections that map the composite rule onto itself, as words in the generators.
 RULE_REFLECTIONS = {"XY": (X, Y), "D": (D,)}
 
@@ -54,21 +65,47 @@ class SymmetryGroup:
     characters: tuple = ()
 
     def members(self) -> list:
-        """Every member as (word in the generators, chi), the identity first."""
+        """Every member as (its index in ``MEMBERS``, chi), the identity first."""
         out = [((), 1)]
         for name, chi in self.characters:
             out += [(word + RULE_REFLECTIONS[name], c * chi) for word, c in out]
-        return out
+        mats = [matrix(word).tolist() for word in MEMBERS]
+        return [(mats.index(matrix(word).tolist()), chi) for word, chi in out]
 
 
 TRIVIAL = SymmetryGroup()
 
 
+def images(generators, a):
+    """The images of the indices ``a`` under the members, and their signs.
+
+    ``generators`` are signed permutations ``(p, s)`` of X, Y and D, or of
+    the first one or two, with g e_a = s_a e_p(a); the result is two arrays,
+    one row per member in ``MEMBERS``'s order, composed as
+    g2 g1 = (p2[p1], s1 s2[p1]).
+    """
+    out = [(a, np.ones(len(a)))]
+    for g, t in generators:
+        out += [(g[q], r * t[q]) for q, r in out]
+    p, s = zip(*out)
+    return np.array(p), np.array(s)
+
+
+def character(signs) -> tuple:
+    """Each member's sign, in ``MEMBERS``'s order, in the one-dimensional
+    representation in which X, Y and D, or the first one or two, act as ``signs``."""
+    out = (1,)
+    for sign in signs:
+        out += tuple(c * sign for c in out)
+    return out
+
+
 def matrix(word) -> np.ndarray:
-    """The 2x2 integer matrix, about the centre of the square, of a word in the generators."""
+    """The 2x2 integer matrix, about the centre of the square, of a word in
+    the generators, which act in turn, the first first."""
     out = np.eye(2, dtype=int)
     for g in word:
-        out = out @ _MATRICES[g]
+        out = _MATRICES[g] @ out
     return out
 
 

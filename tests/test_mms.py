@@ -15,9 +15,8 @@ from fehelpers import ResidualReport, reference_fields, verify_residuals
 from viscowave.fespace import FAMILIES, StressSpace, VelocitySpace
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
-from viscowave import mms
 from viscowave.mms import Separable, exact_fields
-from viscowave.symmetry import find_group
+from viscowave.symmetry import TRIVIAL, find_group
 
 X, Y, T = sym.symbols("x y t", positive=False)
 
@@ -288,7 +287,8 @@ def test_velocity_factor_is_shared_by_v_and_f(example):
     assert any(factor is velocity for _, factor in sol.f.terms)
     calls = []
     _count_factor_calls((sol.v, sol.f, sol.sigma), calls)
-    x, y = StructuredMesh(4).quad_points
+    orbits = StructuredMesh(4).orbits(TRIVIAL)
+    x, y = orbits.x, orbits.y
     for t in (0.0, 0.5, 1.0):
         for field in (sol.v, sol.f, sol.sigma):
             field(x, y, t)
@@ -298,18 +298,18 @@ def test_velocity_factor_is_shared_by_v_and_f(example):
 
 @pytest.mark.parametrize("example", [1, 2, 3])
 def test_fields_on_many_points_match_one_evaluation_bit_for_bit(example):
-    # 65^2 elements are more than one block of rows: the kept factor values
-    # are made, and the terms of f summed, a block at a time
-    x, y = StructuredMesh(65).quad_points
-    assert len(x) > mms._ROWS
+    # The kept factor values are made, and the terms of f summed, on all
+    # 65^2 elements' points at once.
+    orbits = StructuredMesh(65).orbits(TRIVIAL)
+    x, y = orbits.x, orbits.y
     sol = exact_fields(example)
     calls = []
     _count_factor_calls((sol.v, sol.f, sol.sigma), calls)
     for t in (0.0, 0.3):
         for field in (sol.v, sol.f, sol.sigma):
             np.testing.assert_array_equal(field(x, y, t), field(x.copy(), y.copy(), t))
-    # kept: 3 factors in 2 blocks each; the copies: 4 whole factor calls per time
-    assert len(calls) == 3 * 2 + 4 * 2
+    # kept: 3 factors, each made once; the copies: 4 whole factor calls per time
+    assert len(calls) == 3 + 4 * 2
 
 
 def test_writable_points_are_evaluated_on_every_call():
@@ -347,8 +347,8 @@ def test_quadrature_points_refuse_writes():
 def test_spaces_of_one_mesh_share_their_quadrature_points(family):
     mesh = StructuredMesh(3)
     sq, vq = StressSpace(mesh, family).quad, VelocitySpace(mesh, family).quad
-    assert sq.x is vq.x is mesh.quad_points[0]
-    assert sq.y is vq.y is mesh.quad_points[1]
+    assert sq.x is vq.x is mesh.orbits(TRIVIAL).x
+    assert sq.y is vq.y is mesh.orbits(TRIVIAL).y
     for points in (sq.x, sq.y):
         assert points.base is None and not points.flags.writeable
     # another mesh, even an equal one, has points of its own

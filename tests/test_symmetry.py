@@ -1,9 +1,13 @@
-"""The symmetry group of a run's data, the element orbits, and the reduced integrals.
+"""D4's member table, the symmetry group of a run's data, the element
+orbits, and the reduced integrals.
 
 A kernel of a space with a symmetry group integrates on one element per
 orbit; the loads, projections and error norms it gives must agree with the
-trivial group's, which integrates on every element.
+trivial group's, which integrates on every element, and its gather must
+be the one that walking each member's word dof by dof gives.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -15,14 +19,91 @@ from viscowave.fespace import FAMILIES, StressSpace, VelocitySpace
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
-from viscowave.symmetry import TRIVIAL, SymmetryGroup, find_group
+from viscowave import linalg
+from viscowave.symmetry import (
+    MEMBERS, TRIVIAL, D, SymmetryGroup, X, Y, character, find_group, images, matrix
+)
 from viscowave.timestepper import run
+
+from fehelpers import walked_gather
 
 GROUPS = {
     1: SymmetryGroup((("XY", 1), ("D", 1))),
     2: SymmetryGroup((("XY", -1), ("D", 1))),
     3: SymmetryGroup((("D", 1),)),
 }
+
+
+def test_members_are_the_doubling_of_the_generators():
+    words = [()]
+    for g in (X, Y, D):
+        words += [word + (g,) for word in words]
+    assert list(MEMBERS) == words
+
+
+def product_table():
+    """k with matrix(MEMBERS[k]) = matrix(MEMBERS[b]) matrix(MEMBERS[a]), a then b, by (a, b)."""
+    mats = [matrix(word) for word in MEMBERS]
+    keys = [m.tobytes() for m in mats]
+    pairs = itertools.product(range(8), repeat=2)
+    return {(a, b): keys.index((mats[b] @ mats[a]).tobytes()) for a, b in pairs}
+
+
+def test_member_matrices_are_distinct_and_closed_under_products():
+    mats = [matrix(word) for word in MEMBERS]
+    assert len({m.tobytes() for m in mats}) == 8
+    for m in mats:
+        assert abs(round(np.linalg.det(m))) == 1 and np.array_equal(m @ m.T, np.eye(2))
+    product_table()  # every product is a member
+
+
+@pytest.mark.parametrize("m, d", linalg._ONE_DIM)
+def test_character_is_multiplicative(m, d):
+    chi = character((m, m, d))
+    assert len(chi) == 8 and chi[0] == 1
+    for (a, b), k in product_table().items():
+        assert chi[k] == chi[a] * chi[b]
+    # The first four members are the mirrors' subgroup, e, X, Y and XY.
+    assert character((m, -m)) == (1, m, -m, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_images_compose_as_the_member_matrices(n):
+    # The elements' images under X, Y and D, composed by ``images``, are the
+    # elements that each member's matrix maps their centres to.
+    e = np.arange(n * n)
+    i, j = e % n, e // n
+    ones = np.ones(n * n)
+    grid = e.reshape(n, n)
+    generators = [(p.ravel(), ones) for p in (grid[:, ::-1], grid[::-1], grid.T)]
+    p, s = images(generators, e)
+    assert p.shape == s.shape == (8, n * n) and np.all(s == 1.0)
+    centres = np.stack([2 * i + 1 - n, 2 * j + 1 - n])  # doubled, about the square's centre
+    for k, word in enumerate(MEMBERS):
+        cx, cy = matrix(word) @ centres
+        np.testing.assert_array_equal(p[k], (cy + n - 1) // 2 * n + (cx + n - 1) // 2)
+
+
+def test_group_members_index_the_member_table():
+    assert TRIVIAL.members() == [(0, 1)]
+    assert GROUPS[1].members() == [(0, 1), (3, 1), (4, 1), (7, 1)]
+    assert GROUPS[2].members() == [(0, 1), (3, -1), (4, 1), (7, -1)]
+    assert GROUPS[3].members() == [(0, 1), (4, 1)]
+    # A word is matched by its matrix, so the reflections may come in any order.
+    assert SymmetryGroup((("D", 1), ("XY", -1))).members() == [(0, 1), (4, 1), (3, -1), (7, -1)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize(
+    "group", [TRIVIAL, *GROUPS.values()], ids=["trivial", "example1", "example2", "example3"]
+)
+def test_gather_is_the_walk_of_each_members_word(group, n, family):
+    index, sign = VelocitySpace(StructuredMesh(n), family, group).quad.gather
+    want_index, want_sign = walked_gather(VelocitySpace(StructuredMesh(n), family, group))
+    assert index.dtype == want_index.dtype and sign.dtype == want_sign.dtype
+    np.testing.assert_array_equal(index, want_index)
+    np.testing.assert_array_equal(sign, want_sign)
 
 
 def group_of(example):
@@ -85,6 +166,7 @@ def test_orbits_hold_one_representative_per_orbit(group, n):
     # Each element reaches its representative through its member.
     e = np.arange(n * n)
     np.testing.assert_array_equal(images[orbits.member, e], orbit_of)
+    np.testing.assert_array_equal(orbits.elements[orbits.position], orbit_of)
     counts = {size: rows.stop - rows.start for size, rows in orbits.sizes}
     odd = n % 2
     if len(group.members()) == 4:
