@@ -134,10 +134,10 @@ def assemble_load(space: VelocitySpace, f, t: float) -> np.ndarray:
     axis and have the space's symmetry (``space.group``).  Velocity dofs are
     numbered element by element, so nothing is scattered: the element loads
     of the kernel's representatives are spread to every element
-    (``QuadKernel.spread``).
+    (``VelocitySpace.spread``).
     """
     q = space.quad
-    return q.spread(q.values(f, t) @ q.weighted)
+    return space.spread(q.values(f, t) @ q.weighted)
 
 
 @dataclass

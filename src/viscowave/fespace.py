@@ -27,6 +27,9 @@ them, each numbered with x running fastest.  A stress dof is the value at
 its point, except that a centre dof (the ``hmz`` bubble) is the value
 there less what the element's other functions give; velocity
 coefficients come from element-local L2 projection.
+
+Both spaces integrate through one kernel type, ``QuadKernel``; velocity
+dofs alone are element-local, so ``VelocitySpace`` alone has ``spread``.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ __all__ = [
     "FAMILIES",
     "LOCAL_DOFS",
     "QuadKernel",
-    "quad_kernel",
     "StressSpace",
     "VelocitySpace",
 ]
@@ -64,11 +66,6 @@ LOCAL_DOFS = {
 FAMILIES = tuple(LOCAL_DOFS)
 # Local velocity functions: a component and the power of its own coordinate.
 _VELOCITY_DOFS = {NEDELEC: ((0, 0), (1, 0)), HMZ: ((0, 0), (0, 1), (1, 0), (1, 1))}
-
-
-def _check_family(family):
-    if family not in FAMILIES:
-        raise ValueError(f"unknown element family {family!r}; expected one of {FAMILIES}")
 
 
 def _factor(s, offset, own_axis):
@@ -90,7 +87,7 @@ def _checked(values, x, d) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadKernel:
-    """The composite degree-5 rule on one element per orbit of the space's group.
+    """The composite degree-5 rule on one element per orbit of either space's group.
 
     The space's ``group`` (``symmetry``) is the symmetry of every field
     integrated through the kernel, so it integrates on one representative
@@ -109,9 +106,6 @@ class QuadKernel:
     ``orbits`` holds the runs of representatives with one orbit size as
     (size, slice) pairs: an integrand the group leaves unchanged integrates
     over the mesh as the sum over runs of the size times the run's sum.
-    A velocity kernel also holds ``gather``, a signed gather (index, sign)
-    from the representatives' element vectors to every dof (``spread``),
-    one row of n_local entries per element.
     With the trivial group every element is its own representative, in
     element order, and the sums are those of the rule on every element.
     """
@@ -123,7 +117,6 @@ class QuadKernel:
     weighted: np.ndarray
     eldof: np.ndarray
     orbits: tuple
-    gather: tuple | None = None
 
     def values(self, field, *t) -> np.ndarray:
         """``field(x, y, *t)`` called once on all points, as a (n_rep, nq * d) view.
@@ -134,57 +127,34 @@ class QuadKernel:
         d = self.basis.shape[1] // len(self.weights)
         return _checked(field(self.x, self.y, *t), self.x, d).reshape(len(self.x), -1)
 
-    def spread(self, local) -> np.ndarray:
-        """The vector of every velocity dof from the representatives' element vectors."""
-        index, sign = self.gather
-        return sign * local.ravel()[index]
-
-
-def quad_kernel(space) -> QuadKernel:
-    """Build the composite-rule kernel of a stress or velocity space."""
-    mesh = space.mesh
-    orbits = mesh.orbits(space.group)
-    points, fractions = COMPOSITE
-    weights = mesh.h * mesh.h * fractions
-    vals = space.local_values(points[:, 0], points[:, 1])
-    nq, n_local, d = vals.shape
-    basis = np.ascontiguousarray(vals.transpose(1, 0, 2).reshape(n_local, nq * d))
-    return QuadKernel(
-        x=orbits.x,
-        y=orbits.y,
-        weights=weights,
-        basis=basis,
-        weighted=np.ascontiguousarray((basis * np.repeat(weights, d)).T),
-        eldof=space.eldof[orbits.elements],
-        orbits=orbits.sizes,
-        gather=_gather(space, orbits) if isinstance(space, VelocitySpace) else None,
-    )
-
-
-def _gather(space, orbits):
-    """(index, sign) with ``sign * local.ravel()[index]`` the vector of every dof.
-
-    ``local`` holds the element vectors of the representatives, in the order
-    of ``orbits.elements``.  A field of the group's symmetry equals chi times
-    its image under each member, so an element takes its representative's
-    coefficients through the member that maps it there: local dof l from
-    the representative's local dof p(l), times chi s(l), (p, s) the
-    member's signed permutation of one element's dofs (``local_generators``).
-    """
-    p, s = images(space.local_generators, np.arange(space.n_local))
-    index, chi = (np.array(column)[orbits.member] for column in zip(*space.group.members()))
-    return (
-        ((space.n_local * orbits.position)[:, None] + p[index]).ravel(),
-        (chi[:, None] * s[index]).ravel(),
-    )
-
 
 class _Space:
-    """What both spaces share: the quadrature kernel of their ``group``, built on first use."""
+    """What both spaces share: mesh, family, ``group`` and its kernel ``quad``, built lazily."""
+
+    def __init__(self, mesh: StructuredMesh, family: str, group: SymmetryGroup):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown element family {family!r}; expected one of {FAMILIES}")
+        self.mesh = mesh
+        self.family = family
+        self.group = group
 
     @cached_property
     def quad(self) -> QuadKernel:
-        return quad_kernel(self)
+        orbits = self.mesh.orbits(self.group)
+        points, fractions = COMPOSITE
+        weights = self.mesh.h * self.mesh.h * fractions
+        vals = self.local_values(points[:, 0], points[:, 1])
+        nq, n_local, d = vals.shape
+        basis = np.ascontiguousarray(vals.transpose(1, 0, 2).reshape(n_local, nq * d))
+        return QuadKernel(
+            x=orbits.x,
+            y=orbits.y,
+            weights=weights,
+            basis=basis,
+            weighted=np.ascontiguousarray((basis * np.repeat(weights, d)).T),
+            eldof=self.eldof[orbits.elements],
+            orbits=orbits.sizes,
+        )
 
 
 class StressSpace(_Space):
@@ -221,10 +191,7 @@ class StressSpace(_Space):
     """
 
     def __init__(self, mesh: StructuredMesh, family: str, group: SymmetryGroup = TRIVIAL):
-        _check_family(family)
-        self.mesh = mesh
-        self.family = family
-        self.group = group
+        super().__init__(mesh, family, group)
         self.table = LOCAL_DOFS[family]
         self.n_local = len(self.table)
         self.lumped = all(d in _CORNERS for _, d in self.table)
@@ -353,14 +320,12 @@ class VelocitySpace(_Space):
     """Element-wise vector velocity space partnered with one stress family.
 
     ``group`` is the symmetry of every field integrated through ``quad``
-    (the load, ``project`` and the error norm); trivial unless given.
+    (the load, ``project`` and the error norm); trivial unless given.  Its
+    dofs are element-local, so ``spread`` reaches them all by one kept ``gather``.
     """
 
     def __init__(self, mesh: StructuredMesh, family: str, group: SymmetryGroup = TRIVIAL):
-        _check_family(family)
-        self.mesh = mesh
-        self.family = family
-        self.group = group
+        super().__init__(mesh, family, group)
         ne = mesh.n_elements
         self.table = _VELOCITY_DOFS[family]
         self.n_local = len(self.table)
@@ -393,6 +358,31 @@ class VelocitySpace(_Space):
         sx, sy = (np.where(comp == axis, (-1.0) ** (1 + power), 1.0) for axis in (0, 1))
         return (same, sx), (same, sy), (swap, np.ones(self.n_local))
 
+    @cached_property
+    def gather(self) -> tuple:
+        """(index, sign) with ``sign * local.ravel()[index]`` the vector of every dof.
+
+        ``local`` holds the element vectors of the kernel's representatives,
+        in the order of ``mesh.orbits(group).elements``.  A field of the
+        group's symmetry equals chi times its image under each member, so an
+        element takes its representative's coefficients through the member
+        that maps it there: local dof l from the representative's local dof
+        p(l), times chi s(l), (p, s) the member's signed permutation of one
+        element's dofs (``local_generators``).
+        """
+        orbits = self.mesh.orbits(self.group)
+        p, s = images(self.local_generators, np.arange(self.n_local))
+        index, chi = (np.array(column)[orbits.member] for column in zip(*self.group.members()))
+        return (
+            ((self.n_local * orbits.position)[:, None] + p[index]).ravel(),
+            (chi[:, None] * s[index]).ravel(),
+        )
+
+    def spread(self, local) -> np.ndarray:
+        """The vector of every dof from the representatives' element vectors (``gather``)."""
+        index, sign = self.gather
+        return sign * local.ravel()[index]
+
     def project(self, field) -> np.ndarray:
         """Element-local L2 projection of ``field(x, y) -> (..., 2)``.
 
@@ -403,4 +393,4 @@ class VelocitySpace(_Space):
         """
         q = self.quad
         mass = np.einsum("lk,kl->l", q.basis, q.weighted)
-        return q.spread(q.values(field) @ q.weighted / mass)
+        return self.spread(q.values(field) @ q.weighted / mass)

@@ -93,7 +93,7 @@ class StructuredMesh:
         n, e = self.n, np.arange(self.n_elements)
         # The elements' images under X, Y and D, read off the (j, i) grid,
         # and under the group's members.
-        grid, ones = e.reshape(n, n), np.ones(self.n_elements)
+        grid, ones = e.reshape(n, n), np.ones(self.n_elements, dtype=np.int8)
         generators = [(p.ravel(), ones) for p in (grid[:, ::-1], grid[::-1], grid.T)]
         image = images(generators, e)[0][[k for k, _ in group.members()]]
         rep = image.min(axis=0)

@@ -82,9 +82,10 @@ def images(generators, a):
     ``generators`` are signed permutations ``(p, s)`` of X, Y and D, or of
     the first one or two, with g e_a = s_a e_p(a); the result is two arrays,
     one row per member in ``MEMBERS``'s order, composed as
-    g2 g1 = (p2[p1], s1 s2[p1]).
+    g2 g1 = (p2[p1], s1 s2[p1]).  The identity's signs are int8 ones, so
+    each sign row keeps its generators' dtype.
     """
-    out = [(a, np.ones(len(a)))]
+    out = [(a, np.ones(len(a), dtype=np.int8))]
     for g, t in generators:
         out += [(g[q], r * t[q]) for q, r in out]
     p, s = zip(*out)

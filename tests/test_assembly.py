@@ -325,23 +325,33 @@ def test_load_matches_einsum_reference(family, example):
 
 
 def test_load_builds_quadrature_kernel_once(monkeypatch):
-    builds = []
+    kernels, gathers = [], []
 
-    def counting(space):
-        builds.append(space)
-        return real(space)
+    def counting(build, record):
+        def wrapper(*args, **kwargs):
+            record.append(build(*args, **kwargs))
+            return record[-1]
+        return wrapper
 
-    real = fespace.quad_kernel
-    monkeypatch.setattr(fespace, "quad_kernel", counting)
-    _, vs = spaces(4, HMZ)
+    monkeypatch.setattr(fespace, "QuadKernel", counting(fespace.QuadKernel, kernels))
+    # The velocity gather composes the local generators with ``images`` once.
+    monkeypatch.setattr(fespace, "images", counting(fespace.images, gathers))
+    ss, vs = spaces(4, HMZ)
     f = exact_fields(1).f
     for t in (0.0, 0.5, 1.0):
         assemble_load(vs, f, t)
-    assert builds == [vs]
-    # A new space gets a kernel of its own.
+    vs.project(lambda x, y: exact_fields(1).v(x, y, 0.0))
+    assert len(kernels) == len(gathers) == 1 and kernels[0] is vs.quad
+    # A stress space builds a kernel of the same type, and has no gather or
+    # spread; no kernel has either.
+    assert type(ss.quad) is type(vs.quad) and len(kernels) == 2 and kernels[1] is ss.quad
+    for holder in (ss, ss.quad, vs.quad):
+        assert not hasattr(holder, "gather") and not hasattr(holder, "spread")
+    assert len(gathers) == 1
+    # A new space gets a kernel and a gather of its own.
     _, other = spaces(4, HMZ)
     assemble_load(other, f, 0.0)
-    assert builds == [vs, other]
+    assert len(kernels) == 3 and kernels[2] is other.quad and len(gathers) == 2
 
 
 def test_load_rejects_wrong_field_shape():

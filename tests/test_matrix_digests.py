@@ -128,7 +128,7 @@ def group_digests(family, n) -> dict:
         vs = VelocitySpace(mesh, family, group)
         out[f"{example} load"] = _digest(assemble_load(vs, ex.f, TIME))
         out[f"{example} project"] = _digest(vs.project(lambda x, y: ex.v(x, y, 0.0)))
-        index, sign = vs.quad.gather
+        index, sign = vs.gather
         out[f"{example} gather index"] = _digest(index)
         out[f"{example} gather sign"] = _digest(sign)
         orbits = mesh.orbits(group)

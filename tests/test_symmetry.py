@@ -99,7 +99,7 @@ def test_group_members_index_the_member_table():
     "group", [TRIVIAL, *GROUPS.values()], ids=["trivial", "example1", "example2", "example3"]
 )
 def test_gather_is_the_walk_of_each_members_word(group, n, family):
-    index, sign = VelocitySpace(StructuredMesh(n), family, group).quad.gather
+    index, sign = VelocitySpace(StructuredMesh(n), family, group).gather
     want_index, want_sign = walked_gather(VelocitySpace(StructuredMesh(n), family, group))
     assert index.dtype == want_index.dtype and sign.dtype == want_sign.dtype
     np.testing.assert_array_equal(index, want_index)
