@@ -41,7 +41,7 @@ import numpy as np
 
 from .mesh import StructuredMesh
 from .quadrature import COMPOSITE, CORNERS
-from .symmetry import TRIVIAL, D, SymmetryGroup, X, Y, images
+from .symmetry import TRIVIAL, D, Fold, SymmetryGroup, X, Y, fold, images
 
 __all__ = [
     "NEDELEC",
@@ -129,7 +129,7 @@ class QuadKernel:
 
 
 class _Space:
-    """What both spaces share: mesh, family, ``group`` and its kernel ``quad``, built lazily."""
+    """What both spaces share: mesh, family, ``group`` and its ``quad`` and ``fold``, built lazily."""
 
     def __init__(self, mesh: StructuredMesh, family: str, group: SymmetryGroup):
         if family not in FAMILIES:
@@ -155,6 +155,16 @@ class _Space:
             eldof=self.eldof[orbits.elements],
             orbits=orbits.sizes,
         )
+
+    @cached_property
+    def fold(self) -> Fold:
+        """The group's ``symmetry.fold``; an orbit's representative comes first in ``rank``."""
+        return fold(self.generators, self.group, self.rank)
+
+    @property
+    def rank(self) -> np.ndarray:
+        """Dof order: a velocity orbit's representative lies on its element's."""
+        return np.arange(self.dim)
 
 
 class StressSpace(_Space):
@@ -254,6 +264,13 @@ class StressSpace(_Space):
             Y: (dof[comp, m - gy, gx], shear),
             D: (dof[np.array([1, 0, 2])[comp], gx, gy], np.ones(self.dim)),
         }
+
+    @property
+    def rank(self) -> np.ndarray:
+        """Each dof's place in (gx, gy) order, which names the split's vectors too."""
+        rank = np.empty(self.dim, dtype=np.intp)
+        rank[np.lexsort((self.grid[:, 1], self.grid[:, 0]))] = np.arange(self.dim)
+        return rank
 
     @property
     def dof_point(self) -> np.ndarray:
@@ -357,6 +374,17 @@ class VelocitySpace(_Space):
         swap = np.array([self.table.index((1 - c, k)) for c, k in self.table])
         sx, sy = (np.where(comp == axis, (-1.0) ** (1 + power), 1.0) for axis in (0, 1))
         return (same, sx), (same, sy), (swap, np.ones(self.n_local))
+
+    @property
+    def generators(self) -> dict:
+        """X, Y and D as signed permutations of every dof (``StressSpace.generators``):
+        each element takes its image's coefficients through ``local_generators``."""
+        grid = np.arange(self.mesh.n_elements).reshape(self.mesh.n, -1)  # by (j, i)
+        images = (grid[:, ::-1], grid[::-1], grid.T)
+        return {
+            name: ((self.n_local * image.reshape(-1, 1) + p).ravel(), np.tile(s, image.size))
+            for name, image, (p, s) in zip((X, Y, D), images, self.local_generators)
+        }
 
     @cached_property
     def gather(self) -> tuple:

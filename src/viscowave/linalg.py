@@ -43,21 +43,16 @@ fill when dt is large.  Smaller fronts leave less fill: at N = 256 the five
 blocks of ``hmz`` at dt = 0.25 fill 14.3 M entries, a split by the mirrors
 alone 20.1 M and S_c in one piece 24.1 M.
 
-S_c is never formed, and of the coupling only W = S_ii^-1 S_io is kept.
-A block M = S_c[named] Q is one sparse product, its rows of S_c, from S's
-rows and W, times the columns of its first sector in the basis Q.  It is
-formed, factored and probed the first time a solve's right-hand side
-reaches it, that is, holds more than a floor in the block's span; a part
-at or below the floor is dropped, in a factored block too.  S commutes
-with D4, so a step maps each block's span to itself, and data in some
-blocks keeps the whole run there: example 2 of ``mms`` reaches the paired
-block alone, and at N = 256 it is factored with a fill of 5.0 M.
-``SchurSolver`` sets the floor from ``tol``.  A solve uses SuperLU's
-transposed path, which works by dot products (gathers) instead of
-scattered updates and is the faster of the two; the refinement step and
-the residual check against the full S are unchanged, so a split that did
-not hold, or a part dropped that mattered, would be refused, not
-returned.
+A run's data has a symmetry group G of its own (``symmetry.find_group``),
+so S is folded to one dof per orbit of G (``symmetry.Fold``), P^T S P =
+Lambda S[reps] P, which holds only the blocks of G's span: blocks 1 and 3
+for example 1 of ``mms``, E's half even under the diagonal (one block,
+solved with one column) for example 2, and all three for example 3.  S_c
+is never formed, and the first solve forms, factors and probes each block
+(``CondensedLU``).  A solve uses SuperLU's transposed path, which works by
+dot products (gathers) instead of scattered updates and is the faster of
+the two; it is refined once and checked against S, so a split that did not
+hold would be refused, not returned.
 
 Every block of the velocity mass, and of the ``hmz`` bubble block S_ii, is
 the same on the uniform mesh, so ``block_diag_inverse`` inverts one block
@@ -73,7 +68,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .symmetry import character, images
+from . import symmetry
+from .symmetry import TRIVIAL, Fold, character, folded, images
 
 __all__ = [
     "ConvergenceError",
@@ -227,18 +223,24 @@ def _sector(n, p, s, chi, named):
     return named[has], (col, coef)
 
 
-def _sectors(generators, rank):
-    """D4's blocks, each ``(rep, bases)``: the names of its first sector and
-    the ``(col, coef)`` of each of its sectors (see ``_sector``).
+def _sectors(generators, rank, group=TRIVIAL):
+    """The D4 blocks that the span of ``group``'s symmetric vectors holds, each
+    ``(rep, bases)``: the names of its first sector and the ``(col, coef)``
+    of each of its sectors (see ``_sector``).
 
     ``generators`` are X, Y and D.  A vector is named after the member of its
     orbit of lowest ``rank``, found by gathers of the minima over X, then Y,
-    then D.  E's first sector, even under X and odd under Y, has a vector per
-    orbit of the mirrors; its second is its image under D, so a matrix that
-    commutes with D has the same block on both.  A block with no vector,
-    which a tiny mesh can have, is left out.
+    then D.  A one-dimensional block is held if its character is the group's
+    on the group, and E, where XY acts as -1, unless the group has XY with
+    +1.  Without D in the group E's first sector, even under X and odd under
+    Y, has a vector per orbit of the mirrors; its second is its image under
+    D, so a matrix that commutes with D has the same block on both.  With D
+    it is one sector, E's half where D acts as chi(D), named on the orbits
+    of e, XY, D and XYD.  A block with no vector, which a tiny mesh can
+    have, is left out.
     """
-    (px, _), (py, _), (pd, sd) = generators
+    (px, sx), (py, sy), (pd, sd) = generators
+    chi = dict(group.members())  # by index in MEMBERS: XY is 3 and D is 4
     low = np.minimum(rank, rank[px])
     low = np.minimum(low, low[py])
     named = np.flatnonzero(low == rank)  # the minima over the mirrors
@@ -246,104 +248,119 @@ def _sectors(generators, rank):
     p, s = images(generators, named)
     blocks = []
     for m, d in _ONE_DIM:
-        chi = character((m, m, d))
-        rep, basis = _sector(len(rank), p[:, d4_min], s[:, d4_min], chi, named[d4_min])
+        signs = character((m, m, d))
+        if all(signs[k] == c for k, c in chi.items()):
+            rep, basis = _sector(len(rank), p[:, d4_min], s[:, d4_min], signs, named[d4_min])
+            blocks.append((rep, [basis]))
+    held = chi.get(3, -1) == -1  # XY acts as -1 on E
+    if held and 4 not in chi:  # E on the members of the mirrors, e, X, Y and XY
+        rep, (col, coef) = _sector(len(rank), p[:4], s[:4], character((1, -1)), named)
+        blocks.append((rep, [(col, coef), (col[pd], coef[pd] * sd)]))
+    elif held:  # E's half on the members e, XY, D and XYD
+        xy = (py[px], sx * sy[px])
+        low = np.minimum(rank, rank[xy[0]])
+        named = np.flatnonzero(np.minimum(low, low[pd]) == rank)
+        p, s = images((xy, (pd, sd)), named)
+        rep, basis = _sector(len(rank), p, s, character((-1, chi[4])), named)
         blocks.append((rep, [basis]))
-    # E on the members of the mirrors, e, X, Y and XY.
-    rep, (col, coef) = _sector(len(rank), p[:4], s[:4], character((1, -1)), named)
-    blocks.append((rep, [(col, coef), (col[pd], coef[pd] * sd)]))
     return [block for block in blocks if len(block[0])]
 
 
 class CondensedLU:
     """LU factors of S after static condensation and a split by its symmetries,
-    each block factored when a right-hand side first reaches it.
+    each block factored by the first solve.
 
-    ``interior`` (n_elements, k) lists each element's interior dofs, which
-    must couple in S with no other element's; ``block_diag_inverse`` raises
-    ``ValueError`` if they do.  ``grid`` (n, 2) is the half-step grid point
-    of every dof (see ``nested_dissection``).  ``generators`` holds the
-    signed dof permutations ``(p, s)`` of the reflections x -> 1 - x,
-    y -> 1 - y and (x, y) -> (y, x), in that order (see
-    ``fespace.StressSpace.generators``); they must commute with S, keep the
-    interior dofs interior and satisfy D4's relations.  Identity maps split
-    nothing.
+    S may be folded by ``fold`` (``symmetry.Fold``): P^T S P on the values at
+    the representatives, solved for the right-hand side P^T b.  ``interior``
+    (n_elements, k) lists each element's interior dofs, which must couple in
+    S with no other element's (``block_diag_inverse`` raises ``ValueError``
+    if they do); an element's interior representatives, 1 to k of them, are
+    one block of S_ii.  ``grid`` (n, 2) is the half-step grid point of every
+    dof (see ``nested_dissection``).  ``generators`` holds the signed dof
+    permutations ``(p, s)`` of the reflections x -> 1 - x, y -> 1 - y and
+    (x, y) -> (y, x), in that order (``fespace.StressSpace.generators``);
+    they must commute with S, keep the interior dofs interior and satisfy
+    D4's relations.  Identity maps split nothing.  ``interior``, ``grid`` and
+    ``generators`` number every dof, folded or not.
 
-    The condensed matrix S_c is split into D4's five blocks by ``_sectors``,
-    which names each basis vector after the member of its orbit whose point
-    comes first in (gx, gy) order: so the vectors of a one-dimensional
-    block are named in the triangle gx <= gy, not across the whole quarter.
-    A sector's basis Q holds a signed sum over each orbit that the sector
-    has a vector for.  S_c commutes with the generators, so S_c Q lies in
-    the span of Q, and the block matrix M = S_c[named] Q, the rows of S_c at
-    the named dofs with their columns summed by Q, satisfies Q^T S_c Q =
-    diag(|orbit|) M.  A paired sector's basis is P Q for a generator P, so
-    it has the same M, and one factor serves both.  Each block's named dofs
+    ``_sectors`` names each basis vector after the member of its orbit whose
+    point comes first in (gx, gy) order, as the fold names its
+    representatives: so a one-dimensional block is named in the triangle
+    gx <= gy, not across the quarter.  A sector's basis Q holds, at the
+    representatives, a signed sum over each orbit that it has a vector for.
+    S_c Q lies in the span of Q, and the block M = S_c[named] Q satisfies
+    Q^T S_c Q = diag(n / Lambda_named) M, n the sum of Lambda over the
+    vector's representatives.  A paired sector's basis is P Q for a
+    generator P, so one factor of M serves both.  Each block's named dofs
     are ordered by nested dissection of their points.
 
-    Set-up keeps S, S_ii^-1, W = S_ii^-1 S_io and the stacked Q, built in
-    one pass, with W^T and Q^T as CSC views of their arrays, and forms
-    neither S_c nor any factor.  ``solve`` condenses the right-hand side b
-    to b_o - W^T b_i, as S_ii is symmetric: W^T is S_oi S_ii^-1.  A block's
-    part of b_o whose norm is at or below ``floor`` is set to zero, whether
-    or not the block is factored, and adds its norm to the residual of
-    S x = b.  The parts lie in orthogonal subspaces
-    (Q^T Q = diag(|orbit|)), so their squared norms sum to |b_o|^2, and those
-    dropped add at most sqrt(5) floor together; the default floor, 0, drops
-    only parts that are exactly zero.  If |b_o| itself is at or below
-    ``floor``, every part is, and the solve returns the interior
-    back-substitution S_ii^-1 b_i with zero outer dofs, making no product
-    but the one with W^T and no block solve.  Otherwise one product with
-    Q^T, scaled by 1/|orbit|, gathers every sector's right-hand side.  A
-    block is formed the first time a part above the floor reaches it, as
-    M = S_c[named] Q, its rows S[named][:, outer] - S[named][:, inner] W of
-    S_c times the columns of Q of its first sector, then factored and probed
-    (``_probe``).  Each block with a part above the floor is solved, a pair
-    as two columns.  One product with Q scatters the result, and the
-    interior dofs are back-substituted.  ``L`` and ``U`` are the factors
+    Set-up keeps S, S_ii^-1, W = S_ii^-1 S_io and the stacked Q, with W^T
+    and Q^T as CSC views.  ``solve`` condenses b to b_o - W^T b_i (S_ii is
+    symmetric), gathers every sector's right-hand side by one product with
+    Q^T scaled by Lambda_named / n, solves each block, a pair as two
+    columns, scatters with Q and back-substitutes the interior dofs.  The
+    first solve forms each block, its rows S[named][:, outer] -
+    S[named][:, inner] W of S_c times the columns of Q of its first sector,
+    and factors and probes it (``_probe``).  ``L`` and ``U`` are the factors
     built so far, block-diagonal, built anew on each access; 0 x 0 if none.
     """
 
     def __init__(
-        self, S: sp.csr_matrix, interior: np.ndarray, grid: np.ndarray, generators: tuple
+        self,
+        S: sp.csr_matrix,
+        interior: np.ndarray,
+        grid: np.ndarray,
+        generators: tuple,
+        fold: Fold | None = None,
     ):
-        interior = np.asarray(interior)
-        self.inner = interior.ravel()
-        keep = np.ones(S.shape[0], dtype=bool)
-        keep[self.inner] = False
-        self.outer = np.flatnonzero(keep)
+        interior, grid = np.asarray(interior), np.asarray(grid)
+        self.fold = fold or symmetry.fold({}, TRIVIAL, np.arange(len(grid)))
+        at = np.full(len(grid), -1)
+        at[self.fold.reps] = np.arange(S.shape[0])
+        # The interior representatives, element by element, by their count.
+        pos = at[interior]
+        count = (pos >= 0).sum(axis=1)
+        kinds = [(k, pos[count == k]) for k in range(interior.shape[1], 0, -1)]
+        kinds = [(k, rows[rows >= 0]) for k, rows in kinds if rows.size]
+        self.inner = np.concatenate([pos[:0].ravel()] + [dofs for _, dofs in kinds])
+        self.outer = np.delete(np.arange(S.shape[0]), self.inner)
         self._S = S
         rows_i = S[self.inner]
-        S_ii = rows_i[:, self.inner]
-        self._Sii_inv = block_diag_inverse(S_ii, interior.shape[1]) if self.inner.size else S_ii
+        inverses = [block_diag_inverse(S[d][:, d], k) for k, d in kinds] or [rows_i[:, self.inner]]
+        self._Sii_inv = inverses[0] if len(inverses) == 1 else sp.block_diag(inverses, "csr")
         self._W = self._Sii_inv @ rows_i[:, self.outer]
         self._Wt = self._W.T
-        del rows_i, S_ii  # held while Q is built, they raise the run's peak
-        n = len(self.outer)
-        at = np.full(S.shape[0], -1)
-        at[self.outer] = np.arange(n)
-        generators = [(at[p[self.outer]], s[self.outer]) for p, s in generators]
-        grid = np.asarray(grid)[self.outer]
+        del rows_i, inverses  # held while Q is built, they raise the run's peak
+        # The split is found on every outer dof and kept at the representatives.
+        outer = np.delete(np.arange(len(grid)), interior)
+        n, m = len(outer), len(self.outer)
+        generators = [(np.searchsorted(outer, p[outer]), s[outer]) for p, s in generators]
+        grid = grid[outer]
         rank = np.empty(n, dtype=np.intp)
         rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(n)
-        self._reps, self._parts, held, vec, coef = [], [], [], [], []
-        for rep, bases in _sectors(generators, rank):
+        row = np.full(len(at), -1)
+        row[self.fold.reps[self.outer]] = np.arange(m)
+        row, sizes = row[outer], self.fold.sizes[self.outer]
+        self._reps, self._parts, held, vec, coef, named = [], [], [], [], [], []
+        for rep, bases in _sectors(generators, rank, self.fold.group):
             order = nested_dissection(grid[rep])
             pos = np.empty(len(order), dtype=np.int32)
             pos[order] = np.arange(len(order), dtype=np.int32)
             start = self._parts[-1].stop if self._parts else 0
             for j, (col, c) in enumerate(bases):
-                h = np.flatnonzero(col >= 0)
-                held.append(h)
+                h = np.flatnonzero((col >= 0) & (row >= 0))
+                held.append(row[h])
                 vec.append(start + j * len(rep) + pos[col[h]])
                 coef.append(c[h])
-            self._reps.append(rep[order])
+            self._reps.append(row[rep[order]])
             self._parts.append(slice(start, start + len(bases) * len(rep)))
-        held, vec, coef = map(np.concatenate, (held, vec, coef))
-        self._Q = sp.csr_matrix((coef, (held, vec)), shape=(n, n))
+            named.append(np.tile(sizes[self._reps[-1]], len(bases)))
+        held, vec, coef, named = map(np.concatenate, (held, vec, coef, named))
+        self._Q = sp.csr_matrix((coef, (held, vec)), shape=(m, m))
         self._Qt = self._Q.T
-        self._inv_size = 1.0 / np.bincount(vec, minlength=n)
+        self._inv_size = named / np.bincount(vec, weights=sizes[held], minlength=m)
         self._lus = [None] * len(self._reps)
+        log.debug("split S (%d rows) into blocks of %s rows", S.shape[0], [len(r) for r in self._reps])
 
     def _factor(self, k):
         """Form block k, S_c[named] Q, factor it and probe the factor.
@@ -399,28 +416,20 @@ class CondensedLU:
     def U(self) -> sp.csc_matrix:
         return self._stacked("U")
 
-    def solve(self, b: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         b_i = b[self.inner]
         y = self._Sii_inv @ b_i
-        b_o = b[self.outer] - self._Wt @ b_i
-        x_o = 0.0  # x is made last: held through a block's factor, it raises the peak
-        # The parts are orthogonal, so their squared norms sum to b_o . b_o.
-        if not b_o @ b_o <= floor * floor:
-            h = self._Qt @ b_o
-            g = h * self._inv_size
-            for k, part in enumerate(self._parts):
-                # h . g is the squared norm of the block's part of b_o.
-                if h[part] @ g[part] <= floor * floor:
-                    g[part] = 0.0
-                    continue
-                if self._lus[k] is None:
-                    self._factor(k)
-                lu = self._lus[k]
-                # The sectors of a pair are the columns of one right-hand side.
-                g[part] = lu.solve(g[part].reshape(-1, lu.shape[0]).T, trans="T").T.ravel()
-            x_o = self._Q @ g
-            y -= self._W @ x_o
-        x = np.empty_like(b)
+        g = self._Qt @ (b[self.outer] - self._Wt @ b_i)
+        g *= self._inv_size
+        for k, part in enumerate(self._parts):
+            if self._lus[k] is None:
+                self._factor(k)
+            lu = self._lus[k]
+            # The sectors of a pair are the columns of one right-hand side.
+            g[part] = lu.solve(g[part].reshape(-1, lu.shape[0]).T, trans="T").T.ravel()
+        x_o = self._Q @ g
+        y -= self._W @ x_o
+        x = np.empty_like(b)  # made last: held through a block's factor, it raises the peak
         x[self.outer] = x_o
         x[self.inner] = y
         return x
@@ -450,17 +459,14 @@ def _probe(lu, block):
 class SchurSolver:
     """Prepared solver for the reduced stress system: S factored as a
     ``CondensedLU`` with the element-interior dofs ``interior``, the
-    half-step grid points ``grid`` and the ``generators`` that split it.
+    half-step grid points ``grid``, the ``generators`` that split it and the
+    ``fold`` it was folded by, if any.
 
     Each solve is refined once and its relative residual checked against
-    the full S.  Both LU solves take the floor tol / 10 of the norm of the
-    right-hand side, so a block that the right-hand side does not reach is
-    neither factored nor solved, and a refinement whose residual is at or
-    below the floor in every block solves no block at all.  Each part
-    dropped adds at most tol / 10 to the relative residual, and all of them
-    together at most sqrt(5) / 10 of tol.  A factor that fails its probe
-    raises ``SingularBlockError`` from the solve that first reaches its
-    block.  ``dt`` records the time step S was formed for.
+    S: the residual of the lifted vectors, as |P r|^2 = r^T Lambda^-1 r for
+    the folded residual r = P^T (b - S P a).  A factor that fails its probe
+    raises ``SingularBlockError`` from the first solve.  ``dt`` records the
+    time step S was formed for.
     """
 
     def __init__(
@@ -471,13 +477,15 @@ class SchurSolver:
         grid: np.ndarray,
         generators: tuple,
         dt: float,
+        fold: Fold | None = None,
     ):
         if not 0.0 < tol < 1.0:
             raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
         self.S = S
         self.tol = tol
         self.dt = dt
-        self._lu = CondensedLU(S, interior, grid, generators)
+        self._lu = CondensedLU(S, interior, grid, generators, fold)
+        self._weight = 1.0 / self._lu.fold.sizes
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve S x = rhs to relative residual at most ``tol``.
@@ -497,17 +505,11 @@ class SchurSolver:
             return np.zeros_like(rhs)
         exponent = np.frexp(top)[1]
         rhs = np.ldexp(rhs, -exponent)
-        norm_rhs = np.linalg.norm(rhs)
-        # The refinement keeps the floor of rhs: its residual reaches the
-        # blocks that rhs does not at a level far below it, but far above a
-        # floor set from its own norm.
-        floor = 0.1 * self.tol * norm_rhs
-        x = self._lu.solve(rhs, floor)
-        r = rhs - self.S @ x
+        x = self._lu.solve(rhs)
         # One step of iterative refinement keeps the residual at rounding level.
-        x += self._lu.solve(r, floor)
+        x += self._lu.solve(rhs - self.S @ x)
         r = rhs - self.S @ x
-        res = np.linalg.norm(r) / norm_rhs
+        res = np.sqrt(r @ (self._weight * r) / (rhs @ (self._weight * rhs)))
         if not res <= self.tol:  # a NaN residual fails too
             raise ConvergenceError("solve finished above tolerance", res)
         return np.ldexp(x, exponent)
@@ -564,12 +566,16 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
         )
     S = mass + coupling
     del mass, coupling
-    # Trimmed once both terms are freed: a copy made while they are alive
-    # leaves more freed memory with the process, and the run's peak rises.
-    S = sp.csr_matrix(S, copy=True)
-    generators = space.generators
+    generators, fold = space.generators, space.fold
     check_symmetry(S, generators)
-    return SchurSolver(S, tol, space.interior, space.grid, tuple(generators.values()), dt)
+    if fold.trivial:
+        # Trimmed once both terms are freed: a copy made while they are alive
+        # leaves more freed memory with the process, and the run's peak rises.
+        S = sp.csr_matrix(S, copy=True)
+    else:
+        S = folded(S, fold, fold)
+        S.data *= np.repeat(fold.sizes, np.diff(S.indptr))
+    return SchurSolver(S, tol, space.interior, space.grid, tuple(generators.values()), dt, fold)
 
 
 def check_symmetry(S: sp.csr_matrix, generators: dict) -> None:

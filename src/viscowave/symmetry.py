@@ -19,18 +19,20 @@ needs one element per orbit (``mesh.StructuredMesh.orbits``).
 D4 is declared here alone: its members (``MEMBERS``), their images as
 signed permutations (``images``) and their signs in a one-dimensional
 representation (``character``), read by the mesh's orbits, the velocity
-gather and the sectors of the stress solve.
+gather, the spaces' folds (``fold``) and the sectors of the stress solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
-    "X", "Y", "D", "MEMBERS", "RULE_REFLECTIONS", "SymmetryGroup", "TRIVIAL",
-    "character", "find_group", "images", "matrix",
+    "X", "Y", "D", "MEMBERS", "RULE_REFLECTIONS", "SymmetryGroup", "TRIVIAL", "Fold",
+    "character", "find_group", "fold", "folded", "images", "matrix",
 ]
 
 # The generators of the square's group, D4, named as in the spaces'
@@ -90,6 +92,65 @@ def images(generators, a):
         out += [(g[q], r * t[q]) for q, r in out]
     p, s = zip(*out)
     return np.array(p), np.array(s)
+
+
+@dataclass(frozen=True, eq=False)
+class Fold:
+    """A vector of ``group``'s symmetry by its values at the representatives
+    ``reps`` (ascending) of its orbits, of sizes Lambda (``sizes``).  Its lift
+    ``P a = sign * a[index]`` gives each dof its representative's value times
+    its sign, 0 where a member fixes the dof with the sign -1."""
+
+    group: SymmetryGroup
+    reps: np.ndarray
+    index: np.ndarray
+    sign: np.ndarray
+    sizes: np.ndarray
+
+    @property
+    def trivial(self) -> bool:
+        return len(self.reps) == len(self.index)
+
+    def lift(self, a) -> np.ndarray:
+        return self.sign * a[self.index] if len(a) else np.zeros(len(self.index))
+
+    @cached_property
+    def P(self) -> sp.csr_matrix:
+        on = np.flatnonzero(self.sign)
+        return sp.csr_matrix((self.sign[on], (on, self.index[on])), (len(self.sign), len(self.reps)))
+
+
+def fold(generators: dict, group, rank) -> Fold:
+    """The ``Fold`` of the x with s_g x[p_g] = chi(g) x for each member g of
+    ``group``, from the signed dof permutations of X, Y and D by name.  An
+    orbit's representative is its dof of lowest ``rank``."""
+    e = np.arange(len(rank))
+    reflections = []
+    for name, chi in group.characters:  # each one's word composed as in ``images``
+        p, s = e, np.full(len(e), float(chi))
+        for g in RULE_REFLECTIONS[name]:
+            p, s = generators[g][0][p], s * generators[g][1][p]
+        reflections.append((p, s))
+    p, s = images(reflections, e)  # the members, chi in their signs
+    rep = np.empty_like(e)
+    rep[rank] = e
+    rep, sign = rep[rank[p].min(axis=0)], np.zeros(len(e))
+    for q, t in zip(p, s):
+        sign = np.where(q == rep, t, sign)
+    fixed = p == e
+    sign[np.any(fixed & (s < 0), axis=0)] = 0.0
+    reps = np.flatnonzero((rep == e) & (sign != 0))
+    at = np.zeros(len(e), dtype=np.intp)
+    at[reps] = np.arange(len(reps))
+    return Fold(group, reps, at[rep], sign, len(p) / fixed[:, reps].sum(axis=0))
+
+
+def folded(M, rows: Fold, cols: Fold) -> sp.csr_matrix:
+    """M[rows.reps] cols.P, M's rows at ``rows``' representatives with its
+    columns summed over ``cols``' orbits; M itself if both are trivial."""
+    if rows.trivial and cols.trivial:
+        return M
+    return sp.csr_matrix(M[rows.reps] @ cols.P)
 
 
 def character(signs) -> tuple:

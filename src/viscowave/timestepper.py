@@ -14,6 +14,7 @@ solver precision.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -26,9 +27,11 @@ from .linalg import SchurSolver, SingularBlockError, block_diag_inverse, build_s
 from .material import IsotropicMaterial
 from .mesh import StructuredMesh
 from .mms import exact_fields
-from .symmetry import find_group
+from .symmetry import PROBE_RTOL, find_group, folded
 
 __all__ = ["SimState", "resolve_time", "RunResult", "init_state", "CNStepper", "run"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -36,9 +39,10 @@ class SimState:
     """Stress and velocity coefficients at one node of ``RunResult.times``.
 
     A state made by ``CNStepper.advance`` also carries ``products``, the
-    tuple (system, A alpha, Cinv B alpha) of the system that made it; that
-    node's ``analysis.energy`` and the next ``advance`` reuse them for that
-    same system (``carried``) and multiply out any other state's.  ``copy``
+    tuple (system, A alpha, folded) of the system that made it, ``folded``
+    its folded (alpha, beta, A alpha, Cinv B alpha); that node's
+    ``analysis.energy`` and the next ``advance`` reuse them for that same
+    system (``carried``) and multiply out any other state's.  ``copy``
     holds alpha and beta only.
     """
 
@@ -50,7 +54,7 @@ class SimState:
         return SimState(self.alpha.copy(), self.beta.copy())
 
     def carried(self, system) -> tuple | None:
-        """(A alpha, Cinv B alpha) if carried for this very ``system``, else None."""
+        """(A alpha, folded) if carried for this very ``system``, else None."""
         if self.products is None or self.products[0] is not system:
             return None
         return self.products[1:]
@@ -101,45 +105,67 @@ def init_state(
 class CNStepper:
     """Prepared single-step update for a fixed system and solver.
 
-    ``advance`` takes only the step the solver's S was formed for
-    (``SchurSolver.dt``) and refuses any other with ``ValueError``.
-
-    ``Bt`` is B.T, a CSC view of B's own arrays, not a CSR copy: the CSC
-    product sums each entry in the order the CSR one does, so the bits are
-    the same, and the run keeps one copy of B, not two.
+    It steps alpha and beta at their folds' representatives
+    (``symmetry.Fold``), with A, B and Cinv folded once; S is P^T S P, so the
+    solve takes P^T of the full right-hand side, Lambda times its values.
+    ``Bt`` is B.T, a CSC view of the folded B.  ``advance`` folds the load and
+    lifts the new alpha and beta.  It takes only the step the solver's S was
+    formed for (``SchurSolver.dt``) and refuses any other with ``ValueError``.
     """
 
     def __init__(self, system: AssembledSystem, solver: SchurSolver):
-        if solver.S.shape[0] != system.A.shape[0]:
+        fs, fv = self.folds = system.stress_space.fold, system.velocity_space.fold
+        if solver.S.shape[0] != len(fs.reps):
             raise ValueError("solver was built for a different stress space")
         self.system = system
         self.solver = solver
-        self.Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
-        self.Bt = system.B.T
+        Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
+        self.A, self.B = folded(system.A, fs, fs), folded(system.B, fv, fs)
+        self.Bt, self.Cinv = self.B.T, folded(Cinv, fv, fv)
+        sizes = (len(fs.reps), len(fs.index), len(fv.reps), len(fv.index))
+        log.debug("stepping %d of %d stress and %d of %d velocity dofs", *sizes)
 
     def midpoint_load(self, f, t: float, dt: float) -> np.ndarray:
         """Average of the endpoint load vectors over [t, t + dt]."""
         vs = self.system.velocity_space
         return 0.5 * (assemble_load(vs, f, t) + assemble_load(vs, f, t + dt))
 
+    def check(self, state: SimState, scale: float) -> None:
+        """Refuse, by name, an alpha or beta whose part that folding drops,
+        lift(x[reps]) - x, exceeds ``symmetry.PROBE_RTOL`` of ``scale`` in the
+        norm of A or of C: it breaks the symmetry of the run's data."""
+        names = ("the stress, alpha,", "the velocity, beta,")
+        for name, fold, x, M in zip(
+            names, self.folds, (state.alpha, state.beta), (self.system.A, self.system.C)
+        ):
+            d = fold.lift(x[fold.reps]) - x
+            gap = np.sqrt(d @ (M @ d))
+            if not gap <= PROBE_RTOL * scale:
+                raise ValueError(
+                    f"{name} breaks the symmetry of the run's data: the part that folding "
+                    f"drops has norm {gap:.3g}, above {PROBE_RTOL:g} of {scale:.3g}"
+                )
+
     def advance(self, state: SimState, load_mid: np.ndarray, dt: float) -> SimState:
-        """The state one step of ``dt`` on, carrying its A alpha and Cinv B alpha
-        (``SimState``).  The velocity update takes the mean of Cinv B alpha at
-        the two ends, not Cinv B of the mean, which moves the last bits only."""
+        """The state one step of ``dt`` on, carrying its A alpha and its folded
+        alpha, beta, A alpha and Cinv B alpha (``SimState``); a state that
+        carries none is folded as it is (see ``check``).  The velocity update
+        takes the mean of Cinv B alpha at the two ends, not Cinv B of the mean."""
         if dt != self.solver.dt:
             raise ValueError(
                 f"time step {dt} is not the step {self.solver.dt} the solver was built for"
             )
-        A, B, Bt, Cinv = self.system.A, self.system.B, self.Bt, self.Cinv
-        a, b = state.alpha, state.beta
+        (fs, fv), A, B, Cinv = self.folds, self.A, self.B, self.Cinv
         carried = state.carried(self.system)
-        Aa, CBa = (A @ a, Cinv @ (B @ a)) if carried is None else carried
-        g = Cinv @ load_mid
-        rhs = (1.0 / dt - 0.5) * Aa - Bt @ (b + 0.25 * dt * CBa + 0.5 * dt * g)
-        a_new = self.solver.solve(rhs)
-        CBa_new = Cinv @ (B @ a_new)
+        a, b = (state.alpha[fs.reps], state.beta[fv.reps]) if carried is None else carried[1][:2]
+        Aa, CBa = (A @ a, Cinv @ (B @ a)) if carried is None else carried[1][2:]
+        g = Cinv @ load_mid[fv.reps]
+        y = fv.sizes * (b + 0.25 * dt * CBa + 0.5 * dt * g)
+        a_new = self.solver.solve((1.0 / dt - 0.5) * (fs.sizes * Aa) - self.Bt @ y)
+        Aa_new, CBa_new = A @ a_new, Cinv @ (B @ a_new)
         b_new = b + dt * (0.5 * (CBa + CBa_new) + g)
-        return SimState(a_new, b_new, (self.system, A @ a_new, CBa_new))
+        products = (self.system, fs.lift(Aa_new), (a_new, b_new, Aa_new, CBa_new))
+        return SimState(fs.lift(a_new), fv.lift(b_new), products)
 
 
 @dataclass
@@ -191,10 +217,11 @@ def run(config) -> RunResult:
     dofs all sit at corners (``StressSpace.lumped``).  The reflections that
     the solution's stress, velocity and body force share
     (``symmetry.find_group``) are the spaces' group, so the loads, the
-    projection and the errors are integrated on one element per orbit.  A
-    load, energy or error that is not finite, and a step whose solve refuses
-    its right-hand side, end the run with ``ValueError`` naming the node and
-    its time.  Running out of memory while the mesh, spaces, system or S are set up raises
+    projection and the errors are integrated on one element per orbit, and
+    the steps fold to one dof per orbit; an initial state off the group's
+    span is refused (``CNStepper.check``).  A load, energy or error that is
+    not finite, and a step whose solve refuses its right-hand side, end the
+    run with ``ValueError`` naming the node and its time.  Running out of memory while the mesh, spaces, system or S are set up raises
     ``MemoryError`` naming N and the family.
     """
     if config.solver != "direct":
@@ -264,6 +291,8 @@ def run(config) -> RunResult:
     # by node, and numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         record(0, state)
+        # By the triangle inequality the exact fields' norms are at most this sum.
+        stepper.check(state, math.sqrt(energy[0]) + err_sigma[0] + err_v[0])
         for n in range(n_steps):
             load = stepper.midpoint_load(solution.f, float(nodes[n]), dt)
             finite(n + 1, "the load of the step ending", load)

@@ -683,7 +683,8 @@ def test_block_refused_by_its_probe_ends_the_run_before_any_result(monkeypatch, 
 def test_factor_out_of_memory_is_named(owner, name, monkeypatch, capsys):
     # Forming, factoring or probing a block can run out of memory: SuperLU
     # raises MemoryError(''), numpy one that names an array, not the block.
-    # The one error line names the block, its rows and the size of S.
+    # The one error line names the block, its rows and the size of S, folded
+    # to example 2's one block.
     def no_memory(*args, **kwargs):
         raise MemoryError("")
 
@@ -692,8 +693,8 @@ def test_factor_out_of_memory_is_named(owner, name, monkeypatch, capsys):
     code, out, err = run_main(argv, capsys)
     assert code == 1 and out == ""
     assert err == (
-        "error: out of memory factoring block 5 of 5 (56 rows) "
-        "of the reduced stress matrix S (353 rows)\n"
+        "error: out of memory factoring block 1 of 1 (56 rows) "
+        "of the reduced stress matrix S (88 rows)\n"
     )
 
 

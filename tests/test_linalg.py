@@ -32,10 +32,15 @@ from viscowave.linalg import (
 from viscowave.cli import RunConfig
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
+from viscowave.symmetry import TRIVIAL, SymmetryGroup
 
 from fehelpers import DIAGONAL, mirrors, oversized
 
 TOL = 1e-12
+# The groups that ``find_group`` gives examples 1, 2 and 3.
+EXAMPLE_1 = SymmetryGroup((("XY", 1), ("D", 1)))
+EXAMPLE_2 = SymmetryGroup((("XY", -1), ("D", 1)))
+EXAMPLE_3 = SymmetryGroup((("D", 1),))
 
 
 def trivial(n):
@@ -289,11 +294,10 @@ def test_setup_probe_refines_only_when_needed(monkeypatch):
     assert factors == []
     rhs = np.random.default_rng(0).standard_normal(solver.S.shape[0])
     solver.solve(rhs)
-    # The probe, then the solve.  The refinement's residual lies at or below
-    # the floor in every block, so the refinement solves none.
-    assert [f.solves for f in factors] == [2] * 5
+    # The probe, then the solve and its refinement.
+    assert [f.solves for f in factors] == [3] * 5
     solver.solve(rhs)
-    assert [f.solves for f in factors] == [3] * 5  # a later solve, once per block
+    assert [f.solves for f in factors] == [5] * 5  # a later solve, twice per block
 
 
 def test_schur_spd_for_nedelec_lumped():
@@ -330,10 +334,10 @@ def test_direct_fill_below_colamd(family, dt):
     assert np.linalg.norm(rhs - solver.S @ x) <= TOL * np.linalg.norm(rhs)
 
 
-def make_system(n, family):
+def make_system(n, family, group=TRIVIAL):
     mesh = StructuredMesh(n)
-    ss = StressSpace(mesh, family)
-    vs = VelocitySpace(mesh, family)
+    ss = StressSpace(mesh, family, group)
+    vs = VelocitySpace(mesh, family, group)
     return assemble_system(ss, vs, IsotropicMaterial())
 
 
@@ -536,124 +540,116 @@ def run_solver(monkeypatch, **config):
 
 
 @pytest.mark.parametrize(
-    "family, example, blocks", [(HMZ, 2, [5]), (NEDELEC, 2, [5]), (HMZ, 1, [1, 3])]
+    "family, example, blocks", [(HMZ, 2, [1]), (NEDELEC, 2, [1]), (HMZ, 1, [1, 2])]
 )
 def test_a_run_factors_only_the_blocks_its_data_reaches(family, example, blocks, monkeypatch):
-    # Example 2 lies in the paired block.  Example 1 lies in block 3, and the
-    # composite rule of its body force, which keeps the diagonal reflection
-    # but not the mirrors, leaks into block 1 far above the floor.
+    # S is folded to the data's group, which holds the blocks the data
+    # reaches and no other: E's half even under the diagonal for example 2,
+    # blocks 1 and 3 of D4 for example 1.
     solver = run_solver(monkeypatch, element=family, example=example, nx=8, n_steps=4)
-    assert factored(solver._lu) == blocks
+    assert factored(solver._lu) == blocks == list(range(1, len(solver._lu._lus) + 1))
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_a_long_run_at_a_large_step_factors_one_block(family, monkeypatch):
+    # Rounding that leaked into the blocks that example 2 does not reach
+    # once crossed a floor after about 20 steps at N = 64 and dt = 0.25, and
+    # then all five blocks were factored.  Folded, those blocks are not
+    # represented, so the leak has nowhere to go.
+    config = dict(element=family, example=2, nx=64, n_steps=40, t_final=10.0)
+    solver = run_solver(monkeypatch, **config)
+    assert solver.dt == 0.25 and factored(solver._lu) == [1]
+
+
+def test_a_tolerance_below_rounding_factors_one_block(monkeypatch):
+    # A floor of tol / 10 at tol = 1e-14 lay below the rounding in the
+    # blocks that example 2 does not reach, and all five were factored.
+    config = dict(element=HMZ, example=2, nx=32, dt=0.25, solver_tol=1e-14)
+    solver = run_solver(monkeypatch, **config)
+    assert factored(solver._lu) == [1]
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
 def test_refinement_factors_no_block_the_right_hand_side_did_not_reach(family, monkeypatch):
-    solver = make_direct(make_system(16, family), 0.25)
-    rhs = confined(solver._lu, 4, np.random.default_rng(3))
+    # A right-hand side of example 2's symmetry lies in E's half even under
+    # the diagonal.  Unfolded, the refinement's residual holds far more than
+    # tol / 10 of its norm in blocks 1-4, so a floor set from it would factor
+    # them all.  Folded, S holds that half alone: one block, one column.
+    full = make_direct(make_system(16, family), 0.25)
+    solver = make_direct(make_system(16, family, EXAMPLE_2), 0.25)
+    fold = solver._lu.fold
+    x = fold.lift(np.random.default_rng(3).standard_normal(len(fold.reps)))
+    rhs = full.S @ x
     calls = []
     solve = CondensedLU.solve
 
-    def spy(self, b, floor=0.0):
+    def spy(self, b):
         calls.append(b.copy())
-        return solve(self, b, floor)
+        return solve(self, b)
 
     monkeypatch.setattr(CondensedLU, "solve", spy)
-    solver.solve(rhs)
-    assert factored(solver._lu) == [5]
-    # The refinement's residual holds far more than tol / 10 of its own norm
-    # in the other blocks, so a floor set from it would factor them all.
+    full.solve(rhs)
     _, r = calls
-    assert np.all(block_norms(solver._lu, r)[:4] > 0.1 * TOL * np.linalg.norm(r))
+    assert np.all(block_norms(full._lu, r)[:4] > 0.1 * TOL * np.linalg.norm(r))
+    a = solver.solve(fold.P.T @ rhs)
+    assert factored(solver._lu) == [1] and solver._lu._parts[0].stop == len(solver._lu._reps[0])
+    assert np.linalg.norm(fold.lift(a) - x) <= 1e-12 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
 def test_a_block_is_factored_by_the_first_solve_that_reaches_it(family):
+    # With no floor, the first solve reaches every block and factors it.
     solver = make_direct(make_system(8, family), 0.25)
     lu = solver._lu
     assert factored(lu) == [] and lu.L.shape == lu.U.shape == (0, 0)
     rng = np.random.default_rng(5)
-    for k, blocks in ((4, [5]), (1, [2, 5])):
+    for k in (4, 1):
         rhs = confined(lu, k, rng)
         x = solver.solve(rhs)
-        assert factored(lu) == blocks
+        assert factored(lu) == [1, 2, 3, 4, 5]
         assert np.linalg.norm(rhs - solver.S @ x) <= TOL * np.linalg.norm(rhs)
 
 
-class Untouchable:
-    """Stands in for a kept matrix: any product with it fails."""
-
-    def __matmul__(self, other):
-        raise AssertionError("a product with W, Q or Q^T")
-
-
-class CountedProducts:
-    """Stands in for a kept matrix ``M``: counts the products with it."""
-
-    def __init__(self, M):
-        self.M, self.products = M, 0
-
-    def __matmul__(self, other):
-        self.products += 1
-        return self.M @ other
-
-
-def counted(lu):
-    """Wrap each factor of ``lu`` in a ``CountedLU``; returns the wrappers."""
-    lu._lus = [f if f is None else CountedLU(f) for f in lu._lus]
-    return lu._lus
+GROUPS = [TRIVIAL] + [
+    SymmetryGroup(tuple(zip(names, chis)))
+    for names in (("XY",), ("D",), ("XY", "D"))
+    for chis in ((1, 1), (1, -1), (-1, 1), (-1, -1))[: 2 ** len(names)]
+]
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
-def test_a_condensed_rhs_below_the_floor_is_back_substituted_alone(family, monkeypatch):
-    solver = make_direct(make_system(8, family), 0.25)
-    lu = solver._lu
-    rng = np.random.default_rng(6)
-    b = np.zeros(solver.S.shape[0])
-    b[lu.inner] = rng.standard_normal(lu.inner.size)
-    # The outer dofs cancel the coupling of the interior ones, up to a part
-    # of half the floor; b's outer dofs are zero, so condensed(lu, b) is
-    # minus that coupling.
-    floor = 1e-3 * np.linalg.norm(b)
-    e = rng.standard_normal(lu.outer.size)
-    b[lu.outer] = 0.5 * floor * e / np.linalg.norm(e) - condensed(lu, b)
-    want = np.zeros_like(b)
-    want[lu.inner] = lu._Sii_inv @ b[lu.inner]
-
-    def solve_untouched():
-        # The one product with the coupling or the basis that the shortcut
-        # makes is the kept W^T times b_i, which condenses b.
-        Wt = CountedProducts(lu._Wt)
-        with monkeypatch.context() as m:
-            for name in ("_W", "_Q", "_Qt"):
-                m.setattr(lu, name, Untouchable())
-            m.setattr(lu, "_Wt", Wt)
-            x = lu.solve(b, floor)
-        assert Wt.products == 1
-        return x
-
-    assert np.array_equal(solve_untouched(), want)
-    assert factored(lu) == []
-    # Nor is a factored block solved.
-    factors = counted(reach_every_block(lu))
-    assert np.array_equal(solve_untouched(), want)
-    assert [f.solves for f in factors] == [0] * 5
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_a_folded_solve_is_the_full_solve_of_the_lifted_vectors(family, n):
+    # For every group and both characters of each reflection: the blocks
+    # held give a square basis of the fold's outer dofs, and the folded
+    # solve of P^T S x, lifted, is x.
+    S = make_direct(make_system(n, family), 0.25).S
+    for group in GROUPS:
+        solver = make_direct(make_system(n, family, group), 0.25)
+        lu, fold = solver._lu, solver._lu.fold
+        assert lu._Q.shape == (lu.outer.size,) * 2 == (lu._parts[-1].stop,) * 2
+        assert np.linalg.matrix_rank(lu._Q.toarray()) == lu.outer.size
+        x = fold.lift(np.random.default_rng(n).standard_normal(len(fold.reps)))
+        a = solver.solve(fold.P.T @ (S @ x))
+        assert np.linalg.norm(fold.lift(a) - x) <= 1e-12 * np.linalg.norm(x), group
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
-def test_a_factored_block_is_solved_only_for_a_part_above_the_floor(family):
-    solver = make_direct(make_system(8, family), 0.25)
-    lu = reach_every_block(solver._lu)
-    factors = counted(lu)
-    rng = np.random.default_rng(7)
-    for k in range(5):
-        b = confined(lu, k, rng)
-        part = block_norms(lu, b)
-        floor = 0.5 * part[k]
-        assert np.all(np.delete(part, k) <= 1e-12 * floor)
-        before = [f.solves for f in factors]
-        x = lu.solve(b, floor)
-        assert [f.solves - n for f, n in zip(factors, before)] == [int(j == k) for j in range(5)]
-        np.testing.assert_allclose(x, lu.solve(b), rtol=0, atol=1e-13 * np.abs(x).max())
+@pytest.mark.parametrize(
+    "group, held", [(EXAMPLE_1, [0, 2]), (EXAMPLE_2, [4]), (EXAMPLE_3, [0, 2, 4])]
+)
+def test_each_examples_fold_holds_its_blocks(family, group, held, caplog):
+    # Example 1 holds blocks 1 and 3 of D4, example 2 E's half even under
+    # the diagonal and example 3 all three; each held block has the names
+    # of the full split's, and E's half is solved with one column.  The
+    # split is logged once, at DEBUG level.
+    full = make_direct(make_system(8, family), 0.25)._lu
+    with caplog.at_level(logging.DEBUG, logger="viscowave.linalg"):
+        lu = make_direct(make_system(8, family, group), 0.25)._lu
+    assert [len(rep) for rep in lu._reps] == [len(full._reps[k]) for k in held]
+    assert [part.stop - part.start for part in lu._parts] == [len(rep) for rep in lu._reps]
+    sizes = [len(rep) for rep in lu._reps]
+    assert caplog.messages == [f"split S ({lu._S.shape[0]} rows) into blocks of {sizes} rows"]
 
 
 @pytest.mark.parametrize("n", [3, 8])
@@ -673,7 +669,7 @@ def test_w_transposed_is_the_coupling_through_the_interior_inverse(n, dt):
 def test_squared_block_parts_sum_to_the_squared_condensed_rhs(family, n):
     # Q^T Q = diag(|orbit|), so Q diag(1 / |orbit|) Q^T is the identity and
     # the blocks' parts of b_o, h . g with h = Q^T b_o and g = h / |orbit|,
-    # add up to |b_o|^2: b_o . b_o at or below floor^2 drops every part.
+    # add up to |b_o|^2.
     lu = make_direct(make_system(n, family), 0.25)._lu
     Q = lu._Q.toarray()
     np.testing.assert_allclose(Q.T @ Q, np.diag(1.0 / lu._inv_size), rtol=0, atol=0)

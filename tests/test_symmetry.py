@@ -25,13 +25,42 @@ from viscowave.symmetry import (
 )
 from viscowave.timestepper import run
 
-from fehelpers import walked_gather
+from fehelpers import velocity_generators, walked_gather
 
 GROUPS = {
     1: SymmetryGroup((("XY", 1), ("D", 1))),
     2: SymmetryGroup((("XY", -1), ("D", 1))),
     3: SymmetryGroup((("D", 1),)),
 }
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_a_fold_lifts_the_symmetric_vectors_from_one_dof_per_orbit(family, n):
+    # A random vector averaged over the group, chi(g) g x, is symmetric; its
+    # values at the representatives lift to it.  Each representative comes
+    # first in its space's rank among the dofs it lifts to, and its orbit's
+    # size counts them; P^T P is diag(Lambda).
+    mesh = StructuredMesh(n)
+    for group, space in itertools.product(GROUPS.values(), (StressSpace, VelocitySpace)):
+        space = space(mesh, family, group)
+        fold = space.fold
+        if isinstance(space, VelocitySpace):  # the tests' element-by-element reference
+            reference = velocity_generators(space).values()
+            for (p, s), (q, t) in zip(space.generators.values(), reference):
+                assert np.array_equal(p, q) and np.array_equal(s, t)
+        p, s = images(tuple(space.generators.values()), np.arange(space.dim))
+        x = np.random.default_rng(n).standard_normal(space.dim)
+        members = group.members()
+        sym = sum(chi * s[k] * x[p[k]] for k, chi in members) / len(members)
+        for k, chi in members:
+            np.testing.assert_allclose(s[k] * sym[p[k]], chi * sym, atol=1e-15)
+        np.testing.assert_allclose(fold.lift(sym[fold.reps]), sym, atol=1e-15)
+        on = fold.sign != 0
+        assert np.all(space.rank[fold.reps[fold.index[on]]] <= space.rank[on])
+        assert np.array_equal(np.bincount(fold.index[on], minlength=len(fold.reps)), fold.sizes)
+        assert np.array_equal((fold.P.T @ fold.P).toarray(), np.diag(fold.sizes))
+        assert np.abs(sym[~on]).max(initial=0.0) <= 1e-15
 
 
 def test_members_are_the_doubling_of_the_generators():

@@ -15,6 +15,7 @@ from viscowave.linalg import block_diag_inverse, build_schur
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
+from viscowave.symmetry import TRIVIAL
 from viscowave.timestepper import (
     CNStepper,
     SimState,
@@ -101,9 +102,11 @@ def test_a_stepped_state_carries_its_products(family):
     system = stepper.system
     assert states[0].carried(system) is None
     for state in states[1:]:
+        # The spaces' group is trivial, so the folded vectors are the full ones.
         a, b = state.alpha, state.beta
-        Aa, CBa = state.carried(system)
-        assert np.array_equal(Aa, system.A @ a)
+        Aa, (a_f, b_f, Aa_f, CBa) = state.carried(system)
+        assert np.array_equal(Aa, system.A @ a) and np.array_equal(Aa_f, Aa)
+        assert np.array_equal(a_f, a) and np.array_equal(b_f, b)
         assert np.array_equal(CBa, stepper.Cinv @ (system.B @ a))
         assert energy(system, state) == float(a @ (system.A @ a) + b @ (system.C @ b))
         assert state.copy().products is None
@@ -320,14 +323,14 @@ def test_run_snapshots():
     assert res.final_state.products is None
 
 
-def test_a_step_makes_fifteen_sparse_products(monkeypatch):
+def test_a_step_makes_eighteen_sparse_products(monkeypatch):
     # The sparse matrix-vector products of each step, from the record of
-    # one node to the next.  Carrying A alpha and Cinv B alpha from a step
-    # to its node's energy and the next step took them from 14 CSR and 4
-    # CSC products to 11 and 4: the load's Cinv, B^T, the solve's 6 CSR
-    # (S_ii^-1 and S twice each, Q and W) and 3 CSC (W^T twice and Q^T),
-    # A, B and Cinv of the new alpha, and C in the energy.  Step 1 also
-    # forms and probes blocks.
+    # one node to the next: the load's Cinv, B^T, the solve's 8 CSR (S_ii^-1,
+    # Q, W and S twice each) and 4 CSC (W^T and Q^T twice each), A, B and
+    # Cinv of the new alpha, and C in the energy; all but C's are folded.
+    # With no floor the refinement solves every block, so the solve makes
+    # Q, W and Q^T once more than it did with one (11 CSR and 4 CSC).  Step 1
+    # also checks the initial state's symmetry and forms and probes blocks.
     products, steps = [], []
     matmul, record = _cs_matrix._matmul_vector, analysis.energy
 
@@ -345,7 +348,45 @@ def test_a_step_makes_fifteen_sparse_products(monkeypatch):
     monkeypatch.setattr(analysis, "energy", energy_then_count)
     run(RunConfig(element=HMZ, example=1, nx=8, n_steps=6))
     assert len(steps) == 7
-    assert steps[2:] == [Counter(csr=11, csc=4)] * 5
+    assert steps[2:] == [Counter(csr=13, csc=5)] * 5
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_a_folded_run_is_the_unfolded_run(family, example, monkeypatch):
+    # The trivial group folds nothing, so with it the same code steps every
+    # dof; the run with the data's group must agree with it to rounding.
+    config = RunConfig(element=family, example=example, nx=8, n_steps=4)
+    folded = run(config)
+    assert not folded.stress_space.fold.trivial
+    monkeypatch.setattr(timestepper, "find_group", lambda fields: TRIVIAL)
+    full = run(config)
+    assert full.stress_space.fold.trivial and full.velocity_space.fold.trivial
+    for name in ("E_a_sigma", "E_c_v"):
+        assert getattr(folded, name) == pytest.approx(getattr(full, name), rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(folded.energy, full.energy, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("field, name", [("alpha", "stress"), ("beta", "velocity")])
+def test_run_refuses_an_initial_state_that_breaks_the_symmetry(field, name, monkeypatch):
+    # Folding drops the part of a state outside the group's span; a part
+    # planted there, far above rounding, is refused by name before any step.
+    made = timestepper.init_state
+    steps = []
+
+    def planted(stress_space, velocity_space, sigma0, v0):
+        state = made(stress_space, velocity_space, sigma0, v0)
+        fold = (stress_space if field == "alpha" else velocity_space).fold
+        x = np.random.default_rng(0).standard_normal(getattr(state, field).size)
+        part = x - fold.lift(x[fold.reps])
+        getattr(state, field)[:] += 1e-6 * part / np.linalg.norm(part)
+        return state
+
+    monkeypatch.setattr(timestepper, "init_state", planted)
+    monkeypatch.setattr(CNStepper, "advance", lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match=f"^the {name}, {field}, breaks the symmetry of the run"):
+        run(RunConfig(element=HMZ, example=3, nx=4, n_steps=2))
+    assert steps == []
 
 
 def test_run_rejects_inconsistent_clock():
