@@ -161,6 +161,13 @@ class _Space:
         """The group's ``symmetry.fold``; an orbit's representative comes first in ``rank``."""
         return fold(self.generators, self.group, self.rank)
 
+    def symmetries(self) -> tuple:
+        """``generators``, built anew, and the ``fold``, built from them if it is not yet."""
+        generators = self.generators
+        if "fold" not in vars(self):
+            self.fold = fold(generators, self.group, self.rank)
+        return generators, self.fold
+
     @property
     def rank(self) -> np.ndarray:
         """Dof order: a velocity orbit's representative lies on its element's."""

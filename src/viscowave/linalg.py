@@ -34,21 +34,22 @@ fifth, E, is the sector even under x -> 1 - x and odd under y -> 1 - y,
 and its image under the diagonal, whose basis is taken as the image of the
 first's; both have the same matrix, a quarter of S_c, which is factored
 once and solved with two columns.
-``build_schur`` first checks, with one product of S with a block of
-vectors, that S commutes with each reflection, and names the one that it
-does not.  Each block is ordered by geometric nested dissection at mesh
-lines and factored in that order with diagonal pivots, which an SPD matrix
-allows; letting SuperLU pivot off the diagonal instead can multiply the
-fill when dt is large.  Smaller fronts leave less fill: at N = 256 the five
-blocks of ``hmz`` at dt = 0.25 fill 14.3 M entries, a split by the mirrors
-alone 20.1 M and S_c in one piece 24.1 M.
+``build_schur`` first checks, by one product each with a block of vectors,
+that A, B and Cinv, so S, commute with each reflection, and names any
+matrix and reflection that do not.  Each block is ordered by geometric
+nested dissection at mesh lines and factored in that order with diagonal
+pivots, which an SPD matrix allows; letting SuperLU pivot off the diagonal
+instead can multiply the fill when dt is large.  Smaller fronts leave
+less fill: at N = 256 the five blocks of ``hmz`` at dt = 0.25 fill 14.3 M
+entries, a split by the mirrors alone 20.1 M and S_c in one piece 24.1 M.
 
 A run's data has a symmetry group G of its own (``symmetry.find_group``),
 so S is folded to one dof per orbit of G (``symmetry.Fold``), P^T S P =
-Lambda S[reps] P, which holds only the blocks of G's span: blocks 1 and 3
-for example 1 of ``mms``, E's half even under the diagonal (one block,
-solved with one column) for example 2, and all three for example 3.  S_c
-is never formed, and the first solve forms, factors and probes each block
+Lambda S[reps] P, formed from its rows at the representatives alone.  It
+holds only the blocks of G's span: blocks 1 and 3 for example 1 of
+``mms``, E's half even under the diagonal (one block, solved with one
+column) for example 2, and all three for example 3.  S_c is never formed,
+and the first solve forms, factors and probes each block
 (``CondensedLU``).  A solve uses SuperLU's transposed path, which works by
 dot products (gathers) instead of scattered updates and is the faster of
 the two; it is refined once and checked against S, so a split that did not
@@ -69,7 +70,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import symmetry
-from .symmetry import TRIVIAL, Fold, character, folded, images
+from .symmetry import TRIVIAL, Fold, character, images
 
 __all__ = [
     "ConvergenceError",
@@ -93,9 +94,9 @@ ND_LEAF = 16
 # block singular to working precision leaves far more.
 PROBE_TOL = float(np.sqrt(np.finfo(float).eps))
 
-# Ulps of k max|S| by which P S x and S P x may differ in
-# ``check_symmetry``.  Both families at N <= 128, dt from 1e-3 to 4 and two
-# materials leave at most 0.17.
+# Ulps of k max|M| by which P M x and M Q x may differ in
+# ``check_symmetry``.  Both families at N <= 128 and two materials leave at
+# most 0.35 for A, 0.75 for B and 0.67 for Cinv.
 SYMMETRY_ULPS = 4
 
 
@@ -516,37 +517,41 @@ class SchurSolver:
 
 
 def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver:
-    """Form S = (1/dt + 1/2) A + (dt/4) B^T Cinv B and prepare its solver.
+    """Form S = (1/dt + 1/2) A + (dt/4) B^T Cinv B, folded, and prepare its solver.
 
     ``system`` is the ``AssembledSystem`` of A and B; its stress space gives
-    the element-interior dofs, element by element, and the half-step grid
-    point of every dof.  ``Cinv`` is the inverse of its velocity mass.
-    S is copied once after the sum: scipy leaves the sum in buffers sized
-    for the entries of both terms whenever more than half of them is used,
-    and the solver keeps S to the end of the run.
+    the element-interior dofs, element by element, the half-step grid point
+    of every dof and the ``fold``.  ``Cinv`` is the inverse of its velocity
+    mass.  Only the rows of S at the representatives are formed, so A, B and
+    Cinv, not S, are checked against the reflections (``check_symmetry``).
     """
     if not dt > 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
     A, B, space = system.A, system.B, system.stress_space
     if Cinv.shape != (B.shape[0], B.shape[0]):
         raise ValueError(f"Cinv{Cinv.shape} does not match B{B.shape}")
+    (gs, fold), (gv, _) = space.symmetries(), system.velocity_space.symmetries()
+    for name, M, rows, cols in ("A", A, gs, gs), ("B", B, gv, gs), ("Cinv", Cinv, gv, gv):
+        check_symmetry(M, rows, cols, name)
+    reps = (lambda M: M) if fold.trivial else (lambda M: M[fold.reps])
     # A tiny dt or a huge dt / rho overflows a term, and a stiff material
     # loses the stress-mass term in rounding; both are named here, before S
-    # is factored.  With A SPD, S is SPD in exact arithmetic.  The terms die
-    # before the factorization, which sets the peak memory.
+    # is factored, from the diagonals at the representatives, which are
+    # equal on each orbit.  With A SPD, S is SPD in exact arithmetic.  The
+    # terms die before the factorization, which sets the peak memory.
     with np.errstate(over="ignore"):
-        mass = (1.0 / dt + 0.5) * A
+        mass = (1.0 / dt + 0.5) * reps(A)
         # In CSR, with the rows of B^T Cinv sorted, each entry is summed in
         # the order the CSC product of B.T sums it, so the bits are the same,
         # and B and Cinv need no conversion to CSC.  Sorted rows of the
         # coupling keep the order of S's entries, which the factor's bits
         # depend on.
-        BtCinv = B.T.tocsr() @ Cinv
+        BtCinv = reps(B.T).tocsr() @ Cinv
         BtCinv.sort_indices()
         coupling = (0.25 * dt) * (BtCinv @ B)
         coupling.sort_indices()
         del BtCinv
-    mass_max, coupling_max = mass.diagonal().max(), coupling.diagonal().max()
+    mass_max, coupling_max = (M[np.arange(M.shape[0]), fold.reps].max() for M in (mass, coupling))
     if not np.isfinite(mass_max):
         raise SingularBlockError(
             f"the stress-mass term (1/dt + 1/2) A overflows (dt = {dt:.3g}): "
@@ -566,35 +571,33 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
         )
     S = mass + coupling
     del mass, coupling
-    generators, fold = space.generators, space.fold
-    check_symmetry(S, generators)
-    if fold.trivial:
-        # Trimmed once both terms are freed: a copy made while they are alive
-        # leaves more freed memory with the process, and the run's peak rises.
-        S = sp.csr_matrix(S, copy=True)
-    else:
-        S = folded(S, fold, fold)
-        S.data *= np.repeat(fold.sizes, np.diff(S.indptr))
-    return SchurSolver(S, tol, space.interior, space.grid, tuple(generators.values()), dt, fold)
+    # Trimmed once both terms are freed: a copy made while they are alive
+    # leaves more freed memory with the process, and the run's peak rises.
+    S = sp.csr_matrix(S, copy=True) if fold.trivial else S @ fold.P
+    S.data *= np.repeat(fold.sizes, np.diff(S.indptr))
+    log.debug("formed S at %d of %d rows: %d entries", len(fold.reps), len(fold.index), S.nnz)
+    return SchurSolver(S, tol, space.interior, space.grid, tuple(gs.values()), dt, fold)
 
 
-def check_symmetry(S: sp.csr_matrix, generators: dict) -> None:
-    """Refuse S unless it commutes with each named signed permutation ``(p, s)``.
+def check_symmetry(M: sp.csr_matrix, generators: dict, cols: dict | None = None, name="S") -> None:
+    """Refuse the matrix ``M``, named ``name``, unless P M = M Q for each signed
+    permutation ``(p, s)`` by name, P of ``generators`` on its rows and Q of
+    ``cols`` (``generators`` if not given) on its columns.
 
     The split of ``CondensedLU`` is exact only then.  For one random x in
-    [0, 1)^n, P S x and S P x, with (P x)_i = s_i x_p(i), may differ only by
-    the rounding of the products, a few ulps of k max|S|, k the longest row
-    of S; a system that breaks the symmetry leaves far more.  All
-    the products are one product of S with a block of vectors.
+    [0, 1)^n, P M x and M Q x, with (P x)_i = s_i x_p(i), may differ only by
+    the rounding of the products, a few ulps of k max|M|, k the longest row
+    of M; a system that breaks the symmetry leaves far more.  All
+    the products are one product of M with a block of vectors.
     """
-    x = np.random.default_rng(0).random(S.shape[0])
-    perms = list(generators.values())
-    Sx = S @ np.column_stack([x] + [s * x[p] for p, s in perms])
-    size = np.diff(S.indptr).max() * max(S.data.max(), -S.data.min())
-    for name, (p, s), SPx in zip(generators, perms, Sx[:, 1:].T):
-        gap = np.abs(s * Sx[p, 0] - SPx).max()
+    x = np.random.default_rng(0).random(M.shape[1])
+    perms = list((cols or generators).values())
+    Mx = M @ np.column_stack([x] + [s * x[p] for p, s in perms])
+    size = np.diff(M.indptr).max() * max(M.data.max(initial=0.0), -M.data.min(initial=0.0))
+    for g, (p, s), MQx in zip(generators, generators.values(), Mx[:, 1:].T):
+        gap = np.abs(s * Mx[p, 0] - MQx).max()
         if not gap <= SYMMETRY_ULPS * np.finfo(float).eps * size:
             raise ValueError(
-                f"S does not commute with the reflection {name} (gap {gap / size:.3g} "
-                "of k max|S|): the assembled system breaks that symmetry"
+                f"{name} does not commute with the reflection {g} (gap {gap / size:.3g} "
+                f"of k max|{name}|): the assembled system breaks that symmetry"
             )

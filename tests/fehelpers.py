@@ -35,6 +35,8 @@ differences at quasi-random points.  ``full_scatter`` scatters every entry
 of a local matrix, exact zeros included: the reference the assembly's
 scatter of the nonzero entries is checked against.  ``oversized`` names the
 sparse matrices whose arrays sit in buffers larger than their entries.
+``folded_schur`` forms the full S and folds it: the reference the folded S
+that ``build_schur`` forms at the representatives alone is checked against.
 """
 
 from typing import NamedTuple
@@ -49,7 +51,7 @@ from viscowave.material import VOIGT_DOT, IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import ExactSolution
 from viscowave.quadrature import COMPOSITE
-from viscowave.symmetry import MEMBERS, D, X, Y
+from viscowave.symmetry import MEMBERS, D, X, Y, folded
 
 DIAGONAL = "(x, y) -> (y, x)"
 
@@ -361,6 +363,22 @@ def oversized(matrices: dict) -> list:
         for name, M in matrices.items()
         if any(a.base is not None and a.base.size > M.nnz for a in (M.data, M.indices))
     ]
+
+
+def folded_schur(system, Cinv, dt: float) -> sp.csr_matrix:
+    """Lambda S[reps] P from the full S = (1/dt + 1/2) A + (dt/4) B^T Cinv B,
+    folded by the stress space's ``fold``: the coupling's rows formed from the
+    rows of B^T Cinv, both sorted, and a trivial fold's S trimmed by a copy."""
+    fold = system.stress_space.fold
+    mass = (1.0 / dt + 0.5) * system.A
+    BtCinv = system.B.T.tocsr() @ Cinv
+    BtCinv.sort_indices()
+    coupling = (0.25 * dt) * (BtCinv @ system.B)
+    coupling.sort_indices()
+    S = mass + coupling
+    S = sp.csr_matrix(S, copy=True) if fold.trivial else folded(S, fold, fold)
+    S.data *= np.repeat(fold.sizes, np.diff(S.indptr))
+    return S
 
 
 def integrate(rule, f) -> float:

@@ -34,7 +34,7 @@ from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.symmetry import TRIVIAL, SymmetryGroup
 
-from fehelpers import DIAGONAL, mirrors, oversized
+from fehelpers import DIAGONAL, folded_schur, mirrors, oversized
 
 TOL = 1e-12
 # The groups that ``find_group`` gives examples 1, 2 and 3.
@@ -162,6 +162,34 @@ def test_build_schur_formula():
         system.B.T @ Cinv @ system.B
     )
     np.testing.assert_allclose(solver.S.toarray(), S.toarray(), atol=1e-14)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("dt", [0.25, 1e-3])
+def test_folded_schur_is_the_fold_of_the_full_schur(family, n, dt):
+    # S is formed at the representatives alone; its CSR arrays, dtypes
+    # included, are those of the full S folded, for every example's group.
+    for group in (TRIVIAL, EXAMPLE_1, EXAMPLE_2, EXAMPLE_3):
+        system = make_system(n, family, group)
+        Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
+        S, want = build_schur(system, Cinv, dt, TOL).S, folded_schur(system, Cinv, dt)
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(S, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (group, name)
+
+
+@pytest.mark.parametrize("group", [TRIVIAL, EXAMPLE_2])
+def test_forming_s_is_logged(group, caplog):
+    # One DEBUG line: the rows S was formed at, out of how many, and its entries.
+    system = make_system(8, HMZ, group)
+    with caplog.at_level(logging.DEBUG, logger="viscowave.linalg"):
+        S = make_direct(system, 0.25).S
+    m, n = len(system.stress_space.fold.reps), system.A.shape[0]
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("formed S")]
+    assert record.levelno == logging.DEBUG and record.name == "viscowave.linalg"
+    assert record.getMessage() == f"formed S at {m} of {n} rows: {S.nnz} entries"
+    assert S.shape[0] == m and (m < n) == (group is not TRIVIAL)
 
 
 def test_build_schur_validation():
@@ -649,7 +677,8 @@ def test_each_examples_fold_holds_its_blocks(family, group, held, caplog):
     assert [len(rep) for rep in lu._reps] == [len(full._reps[k]) for k in held]
     assert [part.stop - part.start for part in lu._parts] == [len(rep) for rep in lu._reps]
     sizes = [len(rep) for rep in lu._reps]
-    assert caplog.messages == [f"split S ({lu._S.shape[0]} rows) into blocks of {sizes} rows"]
+    assert caplog.messages[0].startswith(f"formed S at {lu._S.shape[0]} of ")
+    assert caplog.messages[1:] == [f"split S ({lu._S.shape[0]} rows) into blocks of {sizes} rows"]
 
 
 @pytest.mark.parametrize("n", [3, 8])
@@ -911,3 +940,36 @@ def test_broken_symmetry_is_named_before_factoring(family, monkeypatch):
     monkeypatch.setattr(linalg, "CondensedLU", refuse)
     with pytest.raises(ValueError, match="breaks that symmetry"):
         make_direct(broken, 0.25)
+
+
+def refuse_factoring(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("factored a matrix that the check refuses")
+
+    monkeypatch.setattr(linalg, "CondensedLU", refuse)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_a_coupling_that_breaks_symmetry_is_named_before_factoring(family, monkeypatch):
+    # Change B's largest entry: the images of its velocity and stress dofs
+    # no longer meet in an equal entry, so B does not commute with X.
+    system = make_system(8, family)
+    B = system.B.copy()
+    B.data[np.argmax(np.abs(B.data))] *= 1.0 + 1e-6
+    broken = AssembledSystem(system.stress_space, system.velocity_space, system.A, B, system.C)
+    refuse_factoring(monkeypatch)
+    with pytest.raises(ValueError, match=r"^B does not commute with the reflection x -> 1 - x"):
+        make_direct(broken, 0.25)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_a_velocity_inverse_that_breaks_symmetry_is_named_before_factoring(family, monkeypatch):
+    # A, B and C keep their symmetry; the Cinv given to ``build_schur``
+    # scales one element's block, which its images under X do not share.
+    system = make_system(8, family)
+    k = system.velocity_space.n_local
+    Cinv = block_diag_inverse(system.C, k)
+    Cinv = sp.csr_matrix(sp.diags(np.r_[np.full(k, 1.0 + 1e-6), np.ones(Cinv.shape[0] - k)]) @ Cinv)
+    refuse_factoring(monkeypatch)
+    with pytest.raises(ValueError, match=r"^Cinv does not commute with the reflection x -> 1 - x"):
+        build_schur(system, Cinv, 0.25, TOL)

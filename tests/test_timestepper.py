@@ -351,6 +351,22 @@ def test_a_step_makes_eighteen_sparse_products(monkeypatch):
     assert steps[2:] == [Counter(csr=13, csc=5)] * 5
 
 
+@pytest.mark.parametrize("example", [1, 2])
+def test_a_run_builds_each_spaces_generators_once(example, monkeypatch):
+    # ``build_schur`` checks A, B and Cinv against both spaces' generators
+    # and folds with them; the folds are built from that one evaluation.
+    built = Counter()
+    for space in (StressSpace, VelocitySpace):
+        def counted(self, generators=space.generators.fget, name=space.__name__):
+            built[name] += 1
+            return generators(self)
+
+        monkeypatch.setattr(space, "generators", property(counted))
+    result = run(RunConfig(element=HMZ, example=example, nx=4, n_steps=2))
+    assert not result.stress_space.fold.trivial and not result.velocity_space.fold.trivial
+    assert built == Counter(StressSpace=1, VelocitySpace=1)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("example", [1, 2, 3])
 def test_a_folded_run_is_the_unfolded_run(family, example, monkeypatch):
