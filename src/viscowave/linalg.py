@@ -26,16 +26,15 @@ the symmetry group of the square, and a symmetry-adapted basis of signed
 sums over orbits splits S_c exactly (Healey & Treacy, Int. J. Numer.
 Meth. Eng., 1991; Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986;
 Fässler & Stiefel, Group Theoretical Methods and Their Applications,
-Birkhäuser, 1992), one block per irreducible representation; the members
-of D4 and their order are those of ``symmetry.MEMBERS``.  In each of
-the four of dimension one, declared in ``_ONE_DIM``, both mirrors act as
+Birkhäuser, 1992), one block per irreducible representation, each built
+as the ``symmetry.fold`` of a subgroup of D4 with a one-dimensional
+character (``_blocks``).  In the four of dimension one both mirrors act as
 m = +-1 and the diagonal as d = +-1: four blocks of an eighth of S_c.  The
-fifth, E, is the sector even under x -> 1 - x and odd under y -> 1 - y,
-and its image under the diagonal, whose basis is taken as the image of the
-first's; both have the same matrix, a quarter of S_c, which is factored
-once and solved with two columns.
-``build_schur`` first checks, by one product each with a block of vectors,
-that A, B and Cinv, so S, commute with each reflection, and names any
+fifth, E, is the sector even under x -> 1 - x and odd under y -> 1 - y and
+its image under the diagonal: one matrix, a quarter of S_c, factored once
+and solved with two columns.
+``build_schur`` first checks, by one product per reflection, that A, B
+and Cinv, so S, commute with each reflection, and names any
 matrix and reflection that do not.  Each block is ordered by geometric
 nested dissection at mesh lines and factored in that order with diagonal
 pivots, which an SPD matrix allows; letting SuperLU pivot off the diagonal
@@ -70,7 +69,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import symmetry
-from .symmetry import TRIVIAL, Fold, character, images
+from .symmetry import TRIVIAL, D, Fold, SymmetryGroup, X, Y
 
 __all__ = [
     "ConvergenceError",
@@ -201,69 +200,24 @@ def nested_dissection(grid: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-# D4's one-dimensional representations: the signs of the mirrors and of
-# the diagonal in each, in block order.  E follows them (see ``_sectors``).
-_ONE_DIM = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def _sector(n, p, s, chi, named):
-    """The sector of character ``chi`` of n indices, ``(rep, (col, coef))``,
-    from the images ``p``, with signs ``s``, of its candidate names ``named``.
-
-    The vector named after a is the sum of chi(g) g e_a, with coefficient 1
-    at a; there is none when an element that fixes a carries the sign
-    -chi(g).  ``rep`` holds the names, ``col`` the vector that holds each
-    index (-1 if none) and ``coef`` the index's coefficient there (0 if none).
-    """
-    sign = np.array(chi)[:, None] * s
-    has = ~np.any((p == named) & (sign < 0), axis=0)
-    col = np.full(n, -1)
-    coef = np.zeros(n)
-    col[p[:, has]] = np.arange(np.count_nonzero(has))
-    coef[p[:, has]] = sign[:, has]
-    return named[has], (col, coef)
-
-
-def _sectors(generators, rank, group=TRIVIAL):
+def _blocks(generators: dict, rank, group) -> list:
     """The D4 blocks that the span of ``group``'s symmetric vectors holds, each
-    ``(rep, bases)``: the names of its first sector and the ``(col, coef)``
-    of each of its sectors (see ``_sector``).
-
-    ``generators`` are X, Y and D.  A vector is named after the member of its
-    orbit of lowest ``rank``, found by gathers of the minima over X, then Y,
-    then D.  A one-dimensional block is held if its character is the group's
-    on the group, and E, where XY acts as -1, unless the group has XY with
-    +1.  Without D in the group E's first sector, even under X and odd under
-    Y, has a vector per orbit of the mirrors; its second is its image under
-    D, so a matrix that commutes with D has the same block on both.  With D
-    it is one sector, E's half where D acts as chi(D), named on the orbits
-    of e, XY, D and XYD.  A block with no vector, which a tiny mesh can
-    have, is left out.
-    """
-    (px, sx), (py, sy), (pd, sd) = generators
-    chi = dict(group.members())  # by index in MEMBERS: XY is 3 and D is 4
-    low = np.minimum(rank, rank[px])
-    low = np.minimum(low, low[py])
-    named = np.flatnonzero(low == rank)  # the minima over the mirrors
-    d4_min = np.minimum(low, low[pd])[named] == rank[named]  # and over D4
-    p, s = images(generators, named)
-    blocks = []
-    for m, d in _ONE_DIM:
-        signs = character((m, m, d))
-        if all(signs[k] == c for k, c in chi.items()):
-            rep, basis = _sector(len(rank), p[:, d4_min], s[:, d4_min], signs, named[d4_min])
-            blocks.append((rep, [basis]))
-    held = chi.get(3, -1) == -1  # XY acts as -1 on E
-    if held and 4 not in chi:  # E on the members of the mirrors, e, X, Y and XY
-        rep, (col, coef) = _sector(len(rank), p[:4], s[:4], character((1, -1)), named)
-        blocks.append((rep, [(col, coef), (col[pd], coef[pd] * sd)]))
-    elif held:  # E's half on the members e, XY, D and XYD
-        xy = (py[px], sx * sy[px])
-        low = np.minimum(rank, rank[xy[0]])
-        named = np.flatnonzero(np.minimum(low, low[pd]) == rank)
-        p, s = images((xy, (pd, sd)), named)
-        rep, basis = _sector(len(rank), p, s, character((-1, chi[4])), named)
-        blocks.append((rep, [basis]))
+    ``(reps, bases)``: the fold of X, Y and D (``generators``, by name) under
+    a subgroup with a one-dimensional character, orbits named by ``rank``,
+    and its sectors' signed gathers.  A block is held if its character is the
+    group's on the group, and dropped if empty, as on a tiny mesh.  With D in
+    the group E is one sector, not a pair: its half, where D acts as chi(D)."""
+    chi = dict(group.members())  # by index in MEMBERS: D is 4
+    one_dim = [SymmetryGroup((("X", m), ("Y", m), ("D", d))) for m in (1, -1) for d in (1, -1)]
+    held = [g for g in one_dim if chi.items() <= dict(g.members()).items()]
+    folded = symmetry.folds(generators, held, rank) if held else []
+    blocks = [(f.reps, [(f.index, f.sign)]) for f in folded]
+    e = SymmetryGroup((("XY", -1), ("D", chi[4])) if 4 in chi else (("X", 1), ("Y", -1)))
+    if chi.items() <= dict(e.members()).items():
+        f = symmetry.fold(generators, e, rank)
+        pd, sd = generators[D]
+        image = [] if 4 in chi else [(f.index[pd], f.sign[pd] * sd)]
+        blocks.append((f.reps, [(f.index, f.sign)] + image))
     return [block for block in blocks if len(block[0])]
 
 
@@ -284,11 +238,11 @@ class CondensedLU:
     D4's relations.  Identity maps split nothing.  ``interior``, ``grid`` and
     ``generators`` number every dof, folded or not.
 
-    ``_sectors`` names each basis vector after the member of its orbit whose
-    point comes first in (gx, gy) order, as the fold names its
-    representatives: so a one-dimensional block is named in the triangle
-    gx <= gy, not across the quarter.  A sector's basis Q holds, at the
-    representatives, a signed sum over each orbit that it has a vector for.
+    Each block is a fold of the outer dofs (``_blocks``) whose orbits are
+    named after their dof first in (gx, gy) order, as the space's fold
+    names its representatives: so a one-dimensional block is named in the
+    triangle gx <= gy, not across the quarter.  A sector's basis Q is its
+    fold's signed gather, read at the run's representatives.
     S_c Q lies in the span of Q, and the block M = S_c[named] Q satisfies
     Q^T S_c Q = diag(n / Lambda_named) M, n the sum of Lambda over the
     vector's representatives.  A paired sector's basis is P Q for a
@@ -335,7 +289,8 @@ class CondensedLU:
         # The split is found on every outer dof and kept at the representatives.
         outer = np.delete(np.arange(len(grid)), interior)
         n, m = len(outer), len(self.outer)
-        generators = [(np.searchsorted(outer, p[outer]), s[outer]) for p, s in generators]
+        generators = {g: (np.searchsorted(outer, p[outer]), s[outer])
+                      for g, (p, s) in zip((X, Y, D), generators)}
         grid = grid[outer]
         rank = np.empty(n, dtype=np.intp)
         rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(n)
@@ -343,16 +298,16 @@ class CondensedLU:
         row[self.fold.reps[self.outer]] = np.arange(m)
         row, sizes = row[outer], self.fold.sizes[self.outer]
         self._reps, self._parts, held, vec, coef, named = [], [], [], [], [], []
-        for rep, bases in _sectors(generators, rank, self.fold.group):
+        for rep, bases in _blocks(generators, rank, self.fold.group):
             order = nested_dissection(grid[rep])
             pos = np.empty(len(order), dtype=np.int32)
             pos[order] = np.arange(len(order), dtype=np.int32)
             start = self._parts[-1].stop if self._parts else 0
-            for j, (col, c) in enumerate(bases):
-                h = np.flatnonzero((col >= 0) & (row >= 0))
+            for j, (index, sign) in enumerate(bases):
+                h = np.flatnonzero((sign != 0) & (row >= 0))
                 held.append(row[h])
-                vec.append(start + j * len(rep) + pos[col[h]])
-                coef.append(c[h])
+                vec.append(start + j * len(rep) + pos[index[h]])
+                coef.append(sign[h])
             self._reps.append(row[rep[order]])
             self._parts.append(slice(start, start + len(bases) * len(rep)))
             named.append(np.tile(sizes[self._reps[-1]], len(bases)))
@@ -579,23 +534,21 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
     return SchurSolver(S, tol, space.interior, space.grid, tuple(gs.values()), dt, fold)
 
 
-def check_symmetry(M: sp.csr_matrix, generators: dict, cols: dict | None = None, name="S") -> None:
+def check_symmetry(M: sp.csr_matrix, generators: dict, cols: dict, name: str) -> None:
     """Refuse the matrix ``M``, named ``name``, unless P M = M Q for each signed
     permutation ``(p, s)`` by name, P of ``generators`` on its rows and Q of
-    ``cols`` (``generators`` if not given) on its columns.
+    ``cols`` on its columns.
 
     The split of ``CondensedLU`` is exact only then.  For one random x in
     [0, 1)^n, P M x and M Q x, with (P x)_i = s_i x_p(i), may differ only by
     the rounding of the products, a few ulps of k max|M|, k the longest row
-    of M; a system that breaks the symmetry leaves far more.  All
-    the products are one product of M with a block of vectors.
+    of M; a system that breaks the symmetry leaves far more.
     """
     x = np.random.default_rng(0).random(M.shape[1])
-    perms = list((cols or generators).values())
-    Mx = M @ np.column_stack([x] + [s * x[p] for p, s in perms])
+    Mx = M @ x
     size = np.diff(M.indptr).max() * max(M.data.max(initial=0.0), -M.data.min(initial=0.0))
-    for g, (p, s), MQx in zip(generators, generators.values(), Mx[:, 1:].T):
-        gap = np.abs(s * Mx[p, 0] - MQx).max()
+    for (g, (p, s)), (q, t) in zip(generators.items(), cols.values()):
+        gap = np.abs(s * Mx[p] - M @ (t * x[q])).max()
         if not gap <= SYMMETRY_ULPS * np.finfo(float).eps * size:
             raise ValueError(
                 f"{name} does not commute with the reflection {g} (gap {gap / size:.3g} "

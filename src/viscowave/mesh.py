@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import COMPOSITE
-from .symmetry import SymmetryGroup, images
+from .symmetry import D, SymmetryGroup, X, Y, images, reflections
 
 __all__ = ["Orbits", "StructuredMesh"]
 
@@ -92,10 +92,10 @@ class StructuredMesh:
     def _orbits_of(self, group):
         n, e = self.n, np.arange(self.n_elements)
         # The elements' images under X, Y and D, read off the (j, i) grid,
-        # and under the group's members.
+        # and under the group's members, composed from its reflections.
         grid, ones = e.reshape(n, n), np.ones(self.n_elements, dtype=np.int8)
-        generators = [(p.ravel(), ones) for p in (grid[:, ::-1], grid[::-1], grid.T)]
-        image = images(generators, e)[0][[k for k, _ in group.members()]]
+        perms = zip((X, Y, D), (grid[:, ::-1], grid[::-1], grid.T))
+        image = images(reflections({g: (p.ravel(), ones) for g, p in perms}, group), e)[0]
         rep = image.min(axis=0)
         size = len(image) // (image == e).sum(axis=0)
         elements = np.flatnonzero(rep == e)

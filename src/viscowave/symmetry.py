@@ -16,23 +16,23 @@ fields made from such data share its symmetry, so an integrand formed from
 them has the same integral on every element of an orbit, and each integral
 needs one element per orbit (``mesh.StructuredMesh.orbits``).
 
-D4 is declared here alone: its members (``MEMBERS``), their images as
-signed permutations (``images``) and their signs in a one-dimensional
-representation (``character``), read by the mesh's orbits, the velocity
-gather, the spaces' folds (``fold``) and the sectors of the stress solve.
+D4 is declared here alone: its members (``MEMBERS``), a group's
+reflections (``reflections``) and members (``images``) as signed
+permutations, read by the mesh's orbits, the velocity gather, the spaces'
+folds (``fold``) and the blocks of the stress solve (``folds``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "X", "Y", "D", "MEMBERS", "RULE_REFLECTIONS", "SymmetryGroup", "TRIVIAL", "Fold",
-    "character", "find_group", "fold", "folded", "images", "matrix",
+    "X", "Y", "D", "MEMBERS", "REFLECTIONS", "RULE_REFLECTIONS", "SymmetryGroup", "TRIVIAL",
+    "Fold", "find_group", "fold", "folded", "folds", "images", "matrix", "reflections",
 ]
 
 # The generators of the square's group, D4, named as in the spaces'
@@ -41,11 +41,12 @@ X, Y, D = "x -> 1 - x", "y -> 1 - y", "(x, y) -> (y, x)"
 _MATRICES = {X: np.diag([-1, 1]), Y: np.diag([1, -1]), D: np.array([[0, 1], [1, 0]])}
 # D4's eight members as words in the generators, which act in turn, in the
 # order that doubling over X, Y and D gives: e, X, Y, XY, D, XD, YD, XYD.
-# The first 2^k are the subgroup of the first k generators; ``images`` and
-# ``character`` list theirs in this order.
+# The first 2^k are the subgroup of the first k generators; ``images``
+# lists theirs in this order.
 MEMBERS = ((), (X,), (Y,), (X, Y), (D,), (X, D), (Y, D), (X, Y, D))
-# The reflections that map the composite rule onto itself, as words in the generators.
+# Reflections as words in the generators: those that keep the composite rule, and all.
 RULE_REFLECTIONS = {"XY": (X, Y), "D": (D,)}
+REFLECTIONS = {"X": (X,), "Y": (Y,), **RULE_REFLECTIONS}
 
 # Interior points on no line that a reflection of the square fixes, and a
 # time past 0, at which a run's fields are probed.
@@ -58,21 +59,26 @@ PROBE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SymmetryGroup:
-    """Reflections of ``RULE_REFLECTIONS`` with the character of each.
+    """Reflections of ``REFLECTIONS`` with the character of each.
 
-    ``characters`` holds (name, chi) pairs in the order of
-    ``RULE_REFLECTIONS``; with none it is the trivial group.
+    ``characters`` holds (name, chi) pairs, each reflection doubling the
+    group of those before it; with none it is the trivial group.
     """
 
     characters: tuple = ()
 
     def members(self) -> list:
-        """Every member as (its index in ``MEMBERS``, chi), the identity first."""
-        out = [((), 1)]
-        for name, chi in self.characters:
-            out += [(word + RULE_REFLECTIONS[name], c * chi) for word, c in out]
-        mats = [matrix(word).tolist() for word in MEMBERS]
-        return [(mats.index(matrix(word).tolist()), chi) for word, chi in out]
+        """Every member as (its index in ``MEMBERS``, chi), in ``images``' order."""
+        return list(_members(self.characters))
+
+
+@cache  # each set-up asks a few groups for their members several times
+def _members(characters) -> tuple:
+    out = [((), 1)]
+    for name, chi in characters:
+        out += [(word + REFLECTIONS[name], c * chi) for word, c in out]
+    mats = [matrix(word).tolist() for word in MEMBERS]
+    return tuple((mats.index(matrix(word).tolist()), chi) for word, chi in out)
 
 
 TRIVIAL = SymmetryGroup()
@@ -81,10 +87,10 @@ TRIVIAL = SymmetryGroup()
 def images(generators, a):
     """The images of the indices ``a`` under the members, and their signs.
 
-    ``generators`` are signed permutations ``(p, s)`` of X, Y and D, or of
-    the first one or two, with g e_a = s_a e_p(a); the result is two arrays,
-    one row per member in ``MEMBERS``'s order, composed as
-    g2 g1 = (p2[p1], s1 s2[p1]).  The identity's signs are int8 ones, so
+    ``generators`` are signed permutations ``(p, s)``, g e_a = s_a e_p(a),
+    each doubling the group of those before it: X, Y and D, with rows in
+    ``MEMBERS``'s order, or a group's ``reflections``.  Members compose as
+    g2 g1 = (p2[p1], s1 s2[p1]); the identity's signs are int8 ones, so
     each sign row keeps its generators' dtype.
     """
     out = [(a, np.ones(len(a), dtype=np.int8))]
@@ -92,6 +98,18 @@ def images(generators, a):
         out += [(g[q], r * t[q]) for q, r in out]
     p, s = zip(*out)
     return np.array(p), np.array(s)
+
+
+def reflections(generators: dict, group) -> list:
+    """``group``'s reflections as signed permutations ``(p, s)``, each its word
+    in ``generators`` (X, Y and D by name) composed as in ``images``."""
+    out = []
+    for name, _ in group.characters:
+        (p, s), *rest = (generators[g] for g in REFLECTIONS[name])
+        for q, t in rest:
+            p, s = q[p], s * t[p]
+        out.append((p, s))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,28 +139,31 @@ class Fold:
 
 
 def fold(generators: dict, group, rank) -> Fold:
-    """The ``Fold`` of the x with s_g x[p_g] = chi(g) x for each member g of
-    ``group``, from the signed dof permutations of X, Y and D by name.  An
-    orbit's representative is its dof of lowest ``rank``."""
-    e = np.arange(len(rank))
-    reflections = []
-    for name, chi in group.characters:  # each one's word composed as in ``images``
-        p, s = e, np.full(len(e), float(chi))
-        for g in RULE_REFLECTIONS[name]:
-            p, s = generators[g][0][p], s * generators[g][1][p]
-        reflections.append((p, s))
-    p, s = images(reflections, e)  # the members, chi in their signs
-    rep = np.empty_like(e)
-    rep[rank] = e
-    rep, sign = rep[rank[p].min(axis=0)], np.zeros(len(e))
-    for q, t in zip(p, s):
-        sign = np.where(q == rep, t, sign)
-    fixed = p == e
-    sign[np.any(fixed & (s < 0), axis=0)] = 0.0
-    reps = np.flatnonzero((rep == e) & (sign != 0))
-    at = np.zeros(len(e), dtype=np.intp)
-    at[reps] = np.arange(len(reps))
-    return Fold(group, reps, at[rep], sign, len(p) / fixed[:, reps].sum(axis=0))
+    """The ``Fold`` of ``group`` alone (``folds``)."""
+    return folds(generators, [group], rank)[0]
+
+
+def folds(generators: dict, groups, rank) -> list:
+    """The ``Fold`` of the x with s_g x[p_g] = chi(g) x for each member g, per
+    group of ``groups``, from the signed dof permutations of X, Y and D by
+    name, an orbit represented by its dof of lowest ``rank``.  The groups
+    name the same reflections in one order, so their orbits and members are
+    found once; a character drops an orbit a member fixes with the sign -1."""
+    refl, low = reflections(generators, groups[0]), rank
+    for p, _ in refl:
+        low = np.minimum(low, low[p])
+    named = np.flatnonzero(low == rank)
+    p, s = images(refl, named)
+    fixed = p == named
+    out = []
+    for group in groups:
+        sign = np.array([chi for _, chi in group.members()])[:, None] * s
+        has = ~np.any(fixed & (sign < 0), axis=0)
+        index, lift = np.zeros(len(rank), dtype=np.intp), np.zeros(len(rank))
+        index[p[:, has]] = np.arange(np.count_nonzero(has))
+        lift[p[:, has]] = sign[:, has]
+        out.append(Fold(group, named[has], index, lift, len(p) / fixed[:, has].sum(axis=0)))
+    return out
 
 
 def folded(M, rows: Fold, cols: Fold) -> sp.csr_matrix:
@@ -151,15 +172,6 @@ def folded(M, rows: Fold, cols: Fold) -> sp.csr_matrix:
     if rows.trivial and cols.trivial:
         return M
     return sp.csr_matrix(M[rows.reps] @ cols.P)
-
-
-def character(signs) -> tuple:
-    """Each member's sign, in ``MEMBERS``'s order, in the one-dimensional
-    representation in which X, Y and D, or the first one or two, act as ``signs``."""
-    out = (1,)
-    for sign in signs:
-        out += tuple(c * sign for c in out)
-    return out
 
 
 def matrix(word) -> np.ndarray:

@@ -37,6 +37,9 @@ scatter of the nonzero entries is checked against.  ``oversized`` names the
 sparse matrices whose arrays sit in buffers larger than their entries.
 ``folded_schur`` forms the full S and folds it: the reference the folded S
 that ``build_schur`` forms at the representatives alone is checked against.
+``sectors`` builds the stress solve's D4 blocks from a table of characters
+(``ONE_DIM``, ``character``) by gathers over the mirrors' minima: the
+reference the blocks that ``CondensedLU`` folds are checked against.
 """
 
 from typing import NamedTuple
@@ -51,7 +54,7 @@ from viscowave.material import VOIGT_DOT, IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import ExactSolution
 from viscowave.quadrature import COMPOSITE
-from viscowave.symmetry import MEMBERS, D, X, Y, folded
+from viscowave.symmetry import MEMBERS, TRIVIAL, D, X, Y, folded, images
 
 DIAGONAL = "(x, y) -> (y, x)"
 
@@ -691,3 +694,78 @@ def energy_residuals(system, states, dt: float) -> np.ndarray:
         dissipated += 2.0 * dt * float(mid @ (system.A @ mid))
         out[j - 1] = abs(energy(system, states[j]) + dissipated - e0) / e0
     return out
+
+
+# D4's one-dimensional representations: the signs of the mirrors and of
+# the diagonal in each, in block order.  E follows them (see ``sectors``).
+ONE_DIM = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def character(signs) -> tuple:
+    """Each member's sign, in ``MEMBERS``'s order, in the one-dimensional
+    representation in which X, Y and D, or the first one or two, act as ``signs``."""
+    out = (1,)
+    for sign in signs:
+        out += tuple(c * sign for c in out)
+    return out
+
+
+def sector(n, p, s, chi, named):
+    """The sector of character ``chi`` of n indices, ``(rep, (col, coef))``,
+    from the images ``p``, with signs ``s``, of its candidate names ``named``.
+
+    The vector named after a is the sum of chi(g) g e_a, with coefficient 1
+    at a; there is none when an element that fixes a carries the sign
+    -chi(g).  ``rep`` holds the names, ``col`` the vector that holds each
+    index (-1 if none) and ``coef`` the index's coefficient there (0 if none).
+    """
+    sign = np.array(chi)[:, None] * s
+    has = ~np.any((p == named) & (sign < 0), axis=0)
+    col = np.full(n, -1)
+    coef = np.zeros(n)
+    col[p[:, has]] = np.arange(np.count_nonzero(has))
+    coef[p[:, has]] = sign[:, has]
+    return named[has], (col, coef)
+
+
+def sectors(generators, rank, group=TRIVIAL):
+    """The D4 blocks that the span of ``group``'s symmetric vectors holds, each
+    ``(rep, bases)``: the names of its first sector and the ``(col, coef)``
+    of each of its sectors (see ``sector``).
+
+    ``generators`` are X, Y and D.  A vector is named after the member of its
+    orbit of lowest ``rank``, found by gathers of the minima over X, then Y,
+    then D.  A one-dimensional block is held if its character is the group's
+    on the group, and E, where XY acts as -1, unless the group has XY with
+    +1.  Without D in the group E's first sector, even under X and odd under
+    Y, has a vector per orbit of the mirrors; its second is its image under
+    D, so a matrix that commutes with D has the same block on both.  With D
+    it is one sector, E's half where D acts as chi(D), named on the orbits
+    of e, XY, D and XYD.  A block with no vector, which a tiny mesh can
+    have, is left out.
+    """
+    (px, sx), (py, sy), (pd, sd) = generators
+    chi = dict(group.members())  # by index in MEMBERS: XY is 3 and D is 4
+    low = np.minimum(rank, rank[px])
+    low = np.minimum(low, low[py])
+    named = np.flatnonzero(low == rank)  # the minima over the mirrors
+    d4_min = np.minimum(low, low[pd])[named] == rank[named]  # and over D4
+    p, s = images(generators, named)
+    blocks = []
+    for m, d in ONE_DIM:
+        signs = character((m, m, d))
+        if all(signs[k] == c for k, c in chi.items()):
+            rep, basis = sector(len(rank), p[:, d4_min], s[:, d4_min], signs, named[d4_min])
+            blocks.append((rep, [basis]))
+    held = chi.get(3, -1) == -1  # XY acts as -1 on E
+    if held and 4 not in chi:  # E on the members of the mirrors, e, X, Y and XY
+        rep, (col, coef) = sector(len(rank), p[:4], s[:4], character((1, -1)), named)
+        blocks.append((rep, [(col, coef), (col[pd], coef[pd] * sd)]))
+    elif held:  # E's half on the members e, XY, D and XYD
+        xy = (py[px], sx * sy[px])
+        low = np.minimum(rank, rank[xy[0]])
+        named = np.flatnonzero(np.minimum(low, low[pd]) == rank)
+        p, s = images((xy, (pd, sd)), named)
+        rep, basis = sector(len(rank), p, s, character((-1, chi[4])), named)
+        blocks.append((rep, [basis]))
+    return [block for block in blocks if len(block[0])]

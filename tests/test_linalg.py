@@ -32,9 +32,9 @@ from viscowave.linalg import (
 from viscowave.cli import RunConfig
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
-from viscowave.symmetry import TRIVIAL, SymmetryGroup
+from viscowave.symmetry import TRIVIAL, D, SymmetryGroup, X, Y
 
-from fehelpers import DIAGONAL, folded_schur, mirrors, oversized
+from fehelpers import ONE_DIM, DIAGONAL, folded_schur, mirrors, oversized, sectors
 
 TOL = 1e-12
 # The groups that ``find_group`` gives examples 1, 2 and 3.
@@ -510,6 +510,16 @@ def on_outer(perms, outer):
     return tuple((at[p[outer]], s[outer]) for p, s in perms)
 
 
+def outer_layout(space):
+    """The grid points of a stress space's outer dofs, X, Y and D on them and
+    their rank in (gx, gy) order, as ``CondensedLU`` finds them."""
+    outer = np.delete(np.arange(space.dim), space.interior)
+    grid = space.grid[outer]
+    rank = np.empty(len(outer), dtype=np.intp)
+    rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(len(outer))
+    return grid, on_outer(tuple(space.generators.values()), outer), rank
+
+
 def condensed(lu, x):
     """x[outer] - S_oi S_ii^-1 x[inner], with S_oi read from the rows of S: the
     condensed right-hand side of a vector x, and for x = S[:, cols], cols
@@ -856,17 +866,31 @@ def test_diagonal_halves_are_named_in_the_triangle(family):
     # A dof and its transpose are one vector; naming it after the dof with
     # gx <= gy keeps each eighth-size block in one triangle of the quarter.
     n = 8
-    system = make_system(n, family)
-    ss = system.stress_space
-    outer = make_direct(system, 0.25)._lu.outer
-    grid = ss.grid[outer]
-    rank = np.empty(len(outer), dtype=np.intp)
-    rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(len(outer))
-    blocks = linalg._sectors(on_outer(tuple(ss.generators.values()), outer), rank)
+    grid, generators, rank = outer_layout(StressSpace(StructuredMesh(n), family))
+    blocks = linalg._blocks(dict(zip((X, Y, D), generators)), rank, TRIVIAL)
     assert [len(bases) for _, bases in blocks] == [1, 1, 1, 1, 2]
     for rep, _ in blocks[:4]:
         gx, gy = grid[rep].T
         assert np.all(gx <= gy) and np.all(gy <= n)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_each_block_is_the_fold_of_the_reference_sectors(family, n):
+    # For every group the blocks, each a fold of a subgroup of D4, have the
+    # reference's names, columns and coefficients, dtypes included: a dof
+    # that no vector holds has the column -1 there and the sign 0 here.
+    _, generators, rank = outer_layout(StressSpace(StructuredMesh(n), family))
+    for group in GROUPS:
+        want = sectors(generators, rank, group)
+        got = linalg._blocks(dict(zip((X, Y, D), generators)), rank, group)
+        assert [len(bases) for _, bases in got] == [len(bases) for _, bases in want]
+        for (rep, bases), (reps, folded) in zip(want, got):
+            pairs = [(rep, reps)]
+            for (col, coef), (index, sign) in zip(bases, folded):
+                pairs += [(col, np.where(sign != 0, index, -1)), (coef, sign)]
+            for a, b in pairs:
+                assert a.dtype == b.dtype and np.array_equal(a, b), group
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
@@ -908,7 +932,7 @@ def test_each_block_spans_its_representation_of_d4(family, n):
     rows = []
     for Q in one_dim:
         rows += [
-            k for k, (m, d) in enumerate(linalg._ONE_DIM)
+            k for k, (m, d) in enumerate(ONE_DIM)
             if same(X @ Q, m * Q) and same(Y @ Q, m * Q) and same(D @ Q, d * Q)
         ]
     assert len(rows) == len(one_dim) and rows == sorted(set(rows))
@@ -930,9 +954,10 @@ def test_broken_symmetry_is_named_before_factoring(family, monkeypatch):
     broken = AssembledSystem(ss, system.velocity_space, A, system.B, system.C)
     Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
     S = sp.csr_matrix(4.5 * A + 0.0625 * (system.B.T @ Cinv @ system.B))
-    check_symmetry(S, dict(zip(["x -> 1 - x", "y -> 1 - y"], mirrors(ss))))
+    two = dict(zip(["x -> 1 - x", "y -> 1 - y"], mirrors(ss)))
+    check_symmetry(S, two, two, "S")
     with pytest.raises(ValueError, match=r"reflection \(x, y\) -> \(y, x\)"):
-        check_symmetry(S, ss.generators)
+        check_symmetry(S, ss.generators, ss.generators, "S")
 
     def refuse(*args):
         raise AssertionError("factored a matrix that the check refuses")

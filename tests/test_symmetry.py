@@ -19,13 +19,12 @@ from viscowave.fespace import FAMILIES, StressSpace, VelocitySpace
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
-from viscowave import linalg
 from viscowave.symmetry import (
-    MEMBERS, TRIVIAL, D, SymmetryGroup, X, Y, character, find_group, images, matrix
+    MEMBERS, RULE_REFLECTIONS, TRIVIAL, D, SymmetryGroup, X, Y, find_group, images, matrix
 )
 from viscowave.timestepper import run
 
-from fehelpers import velocity_generators, walked_gather
+from fehelpers import ONE_DIM, character, velocity_generators, walked_gather
 
 GROUPS = {
     1: SymmetryGroup((("XY", 1), ("D", 1))),
@@ -86,14 +85,20 @@ def test_member_matrices_are_distinct_and_closed_under_products():
     product_table()  # every product is a member
 
 
-@pytest.mark.parametrize("m, d", linalg._ONE_DIM)
+@pytest.mark.parametrize("m, d", ONE_DIM)
 def test_character_is_multiplicative(m, d):
-    chi = character((m, m, d))
-    assert len(chi) == 8 and chi[0] == 1
+    # D4 with X and Y acting as m and D as d, the group of a one-dimensional
+    # block of the stress solve, lists MEMBERS in order, with the reference
+    # table's signs.
+    members = SymmetryGroup((("X", m), ("Y", m), ("D", d))).members()
+    assert [k for k, _ in members] == list(range(8))
+    chi = tuple(c for _, c in members)
+    assert chi == character((m, m, d)) and chi[0] == 1
     for (a, b), k in product_table().items():
         assert chi[k] == chi[a] * chi[b]
     # The first four members are the mirrors' subgroup, e, X, Y and XY.
     assert character((m, -m)) == (1, m, -m, -1)
+    assert SymmetryGroup((("X", m), ("Y", -m))).members() == list(enumerate((1, m, -m, -1)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -120,6 +125,12 @@ def test_group_members_index_the_member_table():
     assert GROUPS[3].members() == [(0, 1), (4, 1)]
     # A word is matched by its matrix, so the reflections may come in any order.
     assert SymmetryGroup((("D", 1), ("XY", -1))).members() == [(0, 1), (4, 1), (3, -1), (7, -1)]
+
+
+def test_a_group_may_name_the_mirrors():
+    # E's sectors are folds of the mirrors' subgroup, even under X and odd under Y.
+    assert SymmetryGroup((("X", 1), ("Y", -1))).members() == [(0, 1), (1, 1), (2, -1), (3, -1)]
+    assert SymmetryGroup((("Y", -1),)).members() == [(0, 1), (2, -1)]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -155,6 +166,21 @@ def test_an_asymmetric_field_gets_the_trivial_group():
     # only the reflection on which their characters agree.
     other = exact_fields(2)
     assert find_group((sol.sigma, sol.v, other.f)) == SymmetryGroup((("D", 1),))
+
+
+def test_the_probe_names_only_the_rules_reflections():
+    # Fields even under both mirrors: the composite rule breaks X and Y, so
+    # the probe names the rotation XY they imply, and D where it holds.
+    def mirrored(x, y, t):
+        u, w = x - 0.5, y - 0.5
+        return np.stack([u * (1 + w * w), w * (1 + 2 * u * u)], axis=-1) * (1 + t)
+
+    def radial(x, y, t):
+        return np.stack([x - 0.5, y - 0.5], axis=-1) * (1 + t)
+
+    assert find_group((mirrored,)) == SymmetryGroup((("XY", 1),))
+    assert find_group((radial,)) == SymmetryGroup((("XY", 1), ("D", 1)))
+    assert list(RULE_REFLECTIONS) == ["XY", "D"]
 
 
 def test_a_run_integrates_under_its_datas_group():
