@@ -42,7 +42,8 @@ def _scatter(local, row_dofs, col_dofs, shape):
     The exact zeros of ``local`` would add nothing to any sum, so they are
     not scattered.  The result is copied once after the sums that cancel are
     dropped: scipy keeps the buffer sized for every sum whenever more than
-    half of it is used, and a run keeps each matrix to its end.
+    half of it is used, and a run keeps C to its end and A and B through
+    its set-up.
     """
     r, c = np.nonzero(local)
     rows = row_dofs.astype(np.int32)[:, r].ravel()
@@ -147,7 +148,14 @@ class AssembledSystem:
     ``A`` is the compliance-weighted stress mass matrix (corner-lumped when
     the stress space's ``lumped`` is set), ``B`` the
     velocity-against-stress-divergence coupling, and ``C`` the
-    density-weighted velocity mass matrix.
+    density-weighted velocity mass matrix.  ``material`` is the one they
+    were assembled with, ``None`` for a system built by hand.
+
+    A system that knows its material can ``release`` A and B: a run keeps
+    only their folds past node 0, and the full-size pair would otherwise
+    sit through the first factor, which sets the run's peak memory.  A read
+    of a released A or B assembles it again, bit for bit, and keeps it.  C
+    stays, as the energy of every node reads it.
     """
 
     stress_space: StressSpace
@@ -155,6 +163,29 @@ class AssembledSystem:
     A: sp.csr_matrix
     B: sp.csr_matrix
     C: sp.csr_matrix
+    material: IsotropicMaterial | None = None
+
+    def release(self) -> list:
+        """Drop A and B if ``material`` can assemble them again; the (nnz,
+        bytes) of each one dropped, none for a system built by hand."""
+        if self.material is None:
+            return []
+        sizes = [
+            (M.nnz, M.data.nbytes + M.indices.nbytes + M.indptr.nbytes) for M in (self.A, self.B)
+        ]
+        del self.A, self.B
+        return sizes
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: a released A or B.
+        if name == "A":
+            value = assemble_mass_stress(self.stress_space, self.material)
+        elif name == "B":
+            value = assemble_coupling(self.stress_space, self.velocity_space)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, value)
+        return value
 
 
 def assemble_system(
@@ -170,4 +201,5 @@ def assemble_system(
         A=assemble_mass_stress(stress_space, material),
         B=assemble_coupling(stress_space, velocity_space),
         C=assemble_mass_velocity(velocity_space, material),
+        material=material,
     )

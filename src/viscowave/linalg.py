@@ -528,7 +528,7 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
     del mass, coupling
     # Trimmed once both terms are freed: a copy made while they are alive
     # leaves more freed memory with the process, and the run's peak rises.
-    S = sp.csr_matrix(S, copy=True) if fold.trivial else S @ fold.P
+    S = sp.csr_matrix(S, copy=True) if fold.trivial else S @ fold.P()
     S.data *= np.repeat(fold.sizes, np.diff(S.indptr))
     log.debug("formed S at %d of %d rows: %d entries", len(fold.reps), len(fold.index), S.nnz)
     return SchurSolver(S, tol, space.interior, space.grid, tuple(gs.values()), dt, fold)

@@ -25,7 +25,7 @@ folds (``fold``) and the blocks of the stress solve (``folds``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,8 +132,9 @@ class Fold:
     def lift(self, a) -> np.ndarray:
         return self.sign * a[self.index] if len(a) else np.zeros(len(self.index))
 
-    @cached_property
     def P(self) -> sp.csr_matrix:
+        """The lift as a sparse matrix, built anew on each call: a caller
+        keeps it only while it needs it, and builds it once."""
         on = np.flatnonzero(self.sign)
         return sp.csr_matrix((self.sign[on], (on, self.index[on])), (len(self.sign), len(self.reps)))
 
@@ -166,12 +167,13 @@ def folds(generators: dict, groups, rank) -> list:
     return out
 
 
-def folded(M, rows: Fold, cols: Fold) -> sp.csr_matrix:
-    """M[rows.reps] cols.P, M's rows at ``rows``' representatives with its
-    columns summed over ``cols``' orbits; M itself if both are trivial."""
-    if rows.trivial and cols.trivial:
+def folded(M, rows: Fold, P) -> sp.csr_matrix:
+    """M[rows.reps] P, M's rows at ``rows``' representatives with its columns
+    summed over the orbits of the fold whose ``Fold.P`` is P; M itself if
+    both folds are trivial."""
+    if rows.trivial and P.shape[0] == P.shape[1]:
         return M
-    return sp.csr_matrix(M[rows.reps] @ cols.P)
+    return sp.csr_matrix(M[rows.reps] @ P)
 
 
 def matrix(word) -> np.ndarray:

@@ -120,8 +120,9 @@ class CNStepper:
         self.system = system
         self.solver = solver
         Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
-        self.A, self.B = folded(system.A, fs, fs), folded(system.B, fv, fs)
-        self.Bt, self.Cinv = self.B.T, folded(Cinv, fv, fv)
+        P = fs.P()
+        self.A, self.B = folded(system.A, fs, P), folded(system.B, fv, P)
+        self.Bt, self.Cinv = self.B.T, folded(Cinv, fv, fv.P())
         sizes = (len(fs.reps), len(fs.index), len(fv.reps), len(fv.index))
         log.debug("stepping %d of %d stress and %d of %d velocity dofs", *sizes)
 
@@ -219,7 +220,11 @@ def run(config) -> RunResult:
     (``symmetry.find_group``) are the spaces' group, so the loads, the
     projection and the errors are integrated on one element per orbit, and
     the steps fold to one dof per orbit; an initial state off the group's
-    span is refused (``CNStepper.check``).  A load, energy or error that is
+    span is refused (``CNStepper.check``).  Past node 0 the run keeps only
+    C and the stepper's folds of A, B and Cinv: the system releases its
+    full-size A and B (``AssembledSystem.release``), which nothing reads
+    once the initial state is checked, before the first step factors S and
+    sets the run's peak memory.  A load, energy or error that is
     not finite, and a step whose solve refuses its right-hand side, end the
     run with ``ValueError`` naming the node and its time.  Running out of memory while the mesh, spaces, system or S are set up raises
     ``MemoryError`` naming N and the family.
@@ -293,6 +298,13 @@ def run(config) -> RunResult:
         record(0, state)
         # By the triangle inequality the exact fields' norms are at most this sum.
         stepper.check(state, math.sqrt(energy[0]) + err_sigma[0] + err_v[0])
+        released = system.release()
+        if released:
+            (nnz_a, bytes_a), (nnz_b, bytes_b) = released
+            log.debug(
+                "released the full-size A (%d entries, %.1f MB) and B (%d entries, %.1f MB)",
+                nnz_a, bytes_a / 1e6, nnz_b, bytes_b / 1e6,
+            )
         for n in range(n_steps):
             load = stepper.midpoint_load(solution.f, float(nodes[n]), dt)
             finite(n + 1, "the load of the step ending", load)

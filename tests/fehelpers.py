@@ -379,7 +379,7 @@ def folded_schur(system, Cinv, dt: float) -> sp.csr_matrix:
     coupling = (0.25 * dt) * (BtCinv @ system.B)
     coupling.sort_indices()
     S = mass + coupling
-    S = sp.csr_matrix(S, copy=True) if fold.trivial else folded(S, fold, fold)
+    S = sp.csr_matrix(S, copy=True) if fold.trivial else folded(S, fold, fold.P())
     S.data *= np.repeat(fold.sizes, np.diff(S.indptr))
     return S
 

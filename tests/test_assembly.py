@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from viscowave import assembly, fespace
 from viscowave.assembly import (
+    AssembledSystem,
     assemble_coupling,
     assemble_div_gram,
     assemble_load,
@@ -378,8 +379,9 @@ def test_assemble_system_fields():
     ss, vs = spaces(2, NEDELEC)
     system = assemble_system(ss, vs, UNIT)
     assert [f.name for f in dataclasses.fields(system)] == [
-        "stress_space", "velocity_space", "A", "B", "C"
+        "stress_space", "velocity_space", "A", "B", "C", "material"
     ]
+    assert system.material is UNIT
     assert system.A.shape == (ss.dim, ss.dim)
     assert system.B.shape == (vs.dim, ss.dim)
     assert system.C.shape == (vs.dim, vs.dim)
@@ -390,10 +392,46 @@ def test_assemble_system_fields():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_a_released_a_and_b_read_again_are_the_first_assembly(family):
+    # A run releases the full-size A and B after node 0; a later read, such
+    # as a check of the energy balance, assembles them again from the spaces
+    # and the material, bit for bit, and keeps them.
+    system = assemble_system(*spaces(8, family), IsotropicMaterial(rho=2.0, mu=3.0, lam=5.0))
+    first = system.A, system.B
+    assert system.release() == [
+        (M.nnz, M.data.nbytes + M.indices.nbytes + M.indptr.nbytes) for M in first
+    ]
+    assert not {"A", "B"} & set(vars(system))
+    for M, again in zip(first, (system.A, system.B)):
+        assert again is not M
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(M, name), getattr(again, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert {"A", "B"} <= set(vars(system))
+
+
+def test_a_hand_built_system_keeps_the_matrices_it_was_given(monkeypatch):
+    # A system built by hand has no material to assemble from: it never
+    # releases, so a matrix planted in it is the one every read sees.
+    ss, vs = spaces(4, HMZ)
+    A, B = 2.0 * assemble_mass_stress(ss, UNIT), assemble_coupling(ss, vs)
+    C = assemble_mass_velocity(vs, UNIT)
+
+    def refuse(*args):
+        raise AssertionError("assembled a matrix the system was given")
+
+    monkeypatch.setattr(assembly, "assemble_mass_stress", refuse)
+    monkeypatch.setattr(assembly, "assemble_coupling", refuse)
+    system = AssembledSystem(ss, vs, A, B, C)
+    assert system.material is None and system.release() == []
+    assert system.A is A and system.B is B and system.C is C
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_assembled_matrices_own_buffers_sized_to_their_entries(family):
     # Dropping the sums that cancel leaves scipy's buffer sized for every sum
-    # (for hmz's A at N = 8, 3328 slots for 2817 entries); a run keeps these
-    # matrices to its end, so each is trimmed to its entries.
+    # (for hmz's A at N = 8, 3328 slots for 2817 entries); a run keeps C to
+    # its end and A and B through its set-up, so each is trimmed to its entries.
     system = assemble_system(*spaces(8, family), UNIT)
     assert oversized(dict(A=system.A, B=system.B, C=system.C)) == []
 

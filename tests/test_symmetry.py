@@ -58,7 +58,8 @@ def test_a_fold_lifts_the_symmetric_vectors_from_one_dof_per_orbit(family, n):
         on = fold.sign != 0
         assert np.all(space.rank[fold.reps[fold.index[on]]] <= space.rank[on])
         assert np.array_equal(np.bincount(fold.index[on], minlength=len(fold.reps)), fold.sizes)
-        assert np.array_equal((fold.P.T @ fold.P).toarray(), np.diag(fold.sizes))
+        P = fold.P()
+        assert np.array_equal((P.T @ P).toarray(), np.diag(fold.sizes))
         assert np.abs(sym[~on]).max(initial=0.0) <= 1e-15
 
 

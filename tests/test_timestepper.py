@@ -1,5 +1,7 @@
 """Implicit midpoint update: step algebra, energy bookkeeping, full runs."""
 
+import logging
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -8,10 +10,11 @@ from scipy.sparse._compressed import _cs_matrix
 
 from viscowave import analysis, timestepper
 from viscowave.analysis import energy
-from viscowave.assembly import assemble_load, assemble_system
+from viscowave import assembly
+from viscowave.assembly import AssembledSystem, assemble_load, assemble_system
 from viscowave.cli import RunConfig
 from viscowave.fespace import FAMILIES, HMZ, NEDELEC, StressSpace, VelocitySpace
-from viscowave.linalg import block_diag_inverse, build_schur
+from viscowave.linalg import CondensedLU, block_diag_inverse, build_schur
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
@@ -381,6 +384,59 @@ def test_a_folded_run_is_the_unfolded_run(family, example, monkeypatch):
     for name in ("E_a_sigma", "E_c_v"):
         assert getattr(folded, name) == pytest.approx(getattr(full, name), rel=1e-12, abs=0.0)
     np.testing.assert_allclose(folded.energy, full.energy, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_a_run_releases_the_full_size_a_and_b_before_the_first_factor(
+    family, example, monkeypatch, caplog
+):
+    # Past node 0 a run steps on the folds alone, so the first factor, which
+    # sets the peak memory, must not find the full-size A and B alive.
+    made, seen = [], []
+    assemble, factor = timestepper.assemble_system, CondensedLU._factor
+
+    def kept(*args):
+        system = assemble(*args)
+        made.extend(weakref.ref(M) for M in (system.A, system.B))
+        return system
+
+    def spy(self, k):
+        seen.append([ref() is None for ref in made])
+        return factor(self, k)
+
+    monkeypatch.setattr(timestepper, "assemble_system", kept)
+    monkeypatch.setattr(CondensedLU, "_factor", spy)
+    with caplog.at_level(logging.DEBUG, logger="viscowave.timestepper"):
+        result = run(RunConfig(element=family, example=example, nx=4, n_steps=2))
+    assert not result.stress_space.fold.trivial
+    assert len(made) == 2 and seen[0] == [True, True]
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("released")]
+    assert line.startswith("released the full-size A (") and " and B (" in line
+
+
+def test_a_run_of_a_hand_built_system_keeps_its_matrices(monkeypatch, caplog):
+    # A system built by hand, as the planted breaks of the symmetry checks
+    # are, has no material to assemble A and B from: the run never releases
+    # them, and nothing in it assembles them again.
+    given = []
+
+    def hand_built(stress_space, velocity_space, material):
+        system = assemble_system(stress_space, velocity_space, material)
+        given.append(AssembledSystem(stress_space, velocity_space, system.A, system.B, system.C))
+        for name in ("assemble_mass_stress", "assemble_coupling"):
+            monkeypatch.setattr(assembly, name, refuse)
+        return given[0]
+
+    def refuse(*args):
+        raise AssertionError("assembled a matrix the system was given")
+
+    monkeypatch.setattr(timestepper, "assemble_system", hand_built)
+    with caplog.at_level(logging.DEBUG, logger="viscowave.timestepper"):
+        run(RunConfig(element=HMZ, example=2, nx=4, n_steps=2))
+    (system,) = given
+    assert {"A", "B"} <= set(vars(system))
+    assert not [r for r in caplog.records if r.getMessage().startswith("released")]
 
 
 @pytest.mark.parametrize("field, name", [("alpha", "stress"), ("beta", "velocity")])
