@@ -41,7 +41,7 @@ import numpy as np
 
 from .mesh import StructuredMesh
 from .quadrature import COMPOSITE, CORNERS
-from .symmetry import TRIVIAL, D, Fold, SymmetryGroup, X, Y, fold, images
+from .symmetry import TRIVIAL, D, Fold, SymmetryGroup, X, Y, fold
 
 __all__ = [
     "NEDELEC",
@@ -129,7 +129,8 @@ class QuadKernel:
 
 
 class _Space:
-    """What both spaces share: mesh, family, ``group`` and its ``quad`` and ``fold``, built lazily."""
+    """What both spaces share: mesh, family, ``group`` and its ``quad`` and
+    ``fold``, built lazily."""
 
     def __init__(self, mesh: StructuredMesh, family: str, group: SymmetryGroup):
         if family not in FAMILIES:
@@ -345,7 +346,8 @@ class VelocitySpace(_Space):
 
     ``group`` is the symmetry of every field integrated through ``quad``
     (the load, ``project`` and the error norm); trivial unless given.  Its
-    dofs are element-local, so ``spread`` reaches them all by one kept ``gather``.
+    dofs are element-local, so ``spread`` lifts them all through ``fold``
+    from the kernel's element vectors.
     """
 
     def __init__(self, mesh: StructuredMesh, family: str, group: SymmetryGroup = TRIVIAL):
@@ -385,38 +387,26 @@ class VelocitySpace(_Space):
     @property
     def generators(self) -> dict:
         """X, Y and D as signed permutations of every dof (``StressSpace.generators``):
-        each element takes its image's coefficients through ``local_generators``."""
-        grid = np.arange(self.mesh.n_elements).reshape(self.mesh.n, -1)  # by (j, i)
-        images = (grid[:, ::-1], grid[::-1], grid.T)
+        each element takes the coefficients of its image (``mesh.generators``)
+        through ``local_generators``."""
         return {
-            name: ((self.n_local * image.reshape(-1, 1) + p).ravel(), np.tile(s, image.size))
-            for name, image, (p, s) in zip((X, Y, D), images, self.local_generators)
+            name: ((self.n_local * e[:, None] + p).ravel(), np.tile(s, len(e)))
+            for (name, (e, _)), (p, s) in zip(self.mesh.generators.items(), self.local_generators)
         }
 
     @cached_property
-    def gather(self) -> tuple:
-        """(index, sign) with ``sign * local.ravel()[index]`` the vector of every dof.
-
-        ``local`` holds the element vectors of the kernel's representatives,
-        in the order of ``mesh.orbits(group).elements``.  A field of the
-        group's symmetry equals chi times its image under each member, so an
-        element takes its representative's coefficients through the member
-        that maps it there: local dof l from the representative's local dof
-        p(l), times chi s(l), (p, s) the member's signed permutation of one
-        element's dofs (``local_generators``).
-        """
-        orbits = self.mesh.orbits(self.group)
-        p, s = images(self.local_generators, np.arange(self.n_local))
-        index, chi = (np.array(column)[orbits.member] for column in zip(*self.group.members()))
-        return (
-            ((self.n_local * orbits.position)[:, None] + p[index]).ravel(),
-            (chi[:, None] * s[index]).ravel(),
-        )
+    def _at(self) -> np.ndarray:
+        """Where ``fold``'s representatives sit in the kernel's element vectors
+        (``rank``): the inverse of ``quad.eldof`` at them."""
+        eldof = self.quad.eldof.ravel()
+        at = np.empty(self.dim, dtype=np.intp)
+        at[eldof] = np.arange(len(eldof))
+        return at[self.fold.reps]
 
     def spread(self, local) -> np.ndarray:
-        """The vector of every dof from the representatives' element vectors (``gather``)."""
-        index, sign = self.gather
-        return sign * local.ravel()[index]
+        """Every dof's value from the element vectors of the kernel's representatives,
+        in the order of ``mesh.orbits(group).elements``, lifted through ``fold``."""
+        return self.fold.lift(local.ravel()[self._at])
 
     def project(self, field) -> np.ndarray:
         """Element-local L2 projection of ``field(x, y) -> (..., 2)``.

@@ -316,7 +316,8 @@ class CondensedLU:
         self._Qt = self._Q.T
         self._inv_size = named / np.bincount(vec, weights=sizes[held], minlength=m)
         self._lus = [None] * len(self._reps)
-        log.debug("split S (%d rows) into blocks of %s rows", S.shape[0], [len(r) for r in self._reps])
+        blocks = [len(r) for r in self._reps]
+        log.debug("split S (%d rows) into blocks of %s rows", S.shape[0], blocks)
 
     def _factor(self, k):
         """Form block k, S_c[named] Q, factor it and probe the factor.

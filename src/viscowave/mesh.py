@@ -14,29 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import COMPOSITE
-from .symmetry import D, SymmetryGroup, X, Y, images, reflections
+from .symmetry import D, SymmetryGroup, X, Y, fold
 
 __all__ = ["Orbits", "StructuredMesh"]
 
 
 @dataclass(frozen=True)
 class Orbits:
-    """One element per orbit of a symmetry group, and how each element reaches it.
+    """One element per orbit of a symmetry group.
 
     ``elements`` are the representatives, each the least element of its
     orbit, grouped by orbit size, largest first, and in element order within
     a size; ``sizes`` holds the runs of them as (orbit size, slice) pairs.
-    ``member`` gives each element the index, in ``group.members()``, of the
-    first member that maps it to its representative, and ``position`` that
-    representative's index in ``elements``.  ``x`` and ``y`` are
-    the composite-rule points of the representatives, each
-    (len(elements), nq), read-only and owning their data.
+    ``x`` and ``y`` are the composite-rule points of the representatives,
+    each (len(elements), nq), read-only and owning their data.
     """
 
     elements: np.ndarray
     sizes: tuple
-    member: np.ndarray
-    position: np.ndarray
     x: np.ndarray
     y: np.ndarray
 
@@ -89,31 +84,31 @@ class StructuredMesh:
             self._orbits[group] = self._orbits_of(group)
         return self._orbits[group]
 
+    @property
+    def generators(self) -> dict:
+        """X, Y and D (``symmetry``) as signed permutations ``(p, s)`` of the
+        elements, s int8 ones: under each, element e takes its field from p[e]."""
+        grid = np.arange(self.n_elements).reshape(self.n, -1)  # by (j, i)
+        ones = np.ones(self.n_elements, dtype=np.int8)
+        perms = grid[:, ::-1], grid[::-1], grid.T
+        return {g: (p.ravel(), ones) for g, p in zip((X, Y, D), perms)}
+
     def _orbits_of(self, group):
-        n, e = self.n, np.arange(self.n_elements)
-        # The elements' images under X, Y and D, read off the (j, i) grid,
-        # and under the group's members, composed from its reflections.
-        grid, ones = e.reshape(n, n), np.ones(self.n_elements, dtype=np.int8)
-        perms = zip((X, Y, D), (grid[:, ::-1], grid[::-1], grid.T))
-        image = images(reflections({g: (p.ravel(), ones) for g, p in perms}, group), e)[0]
-        rep = image.min(axis=0)
-        size = len(image) // (image == e).sum(axis=0)
-        elements = np.flatnonzero(rep == e)
-        elements = elements[np.argsort(-size[elements], kind="stable")]
-        negated, counts = np.unique(-size[elements], return_counts=True)
-        stops = np.cumsum(counts).tolist()
-        sizes = tuple(
-            (int(-k), slice(start, stop)) for k, start, stop in zip(negated, [0] + stops, stops)
-        )
-        points = COMPOSITE[0]
+        # The group's fold with every character +1 keeps every orbit, each
+        # represented by its least element.
+        even = SymmetryGroup(tuple((name, 1) for name, _ in group.characters))
+        orbits = fold(self.generators, even, np.arange(self.n_elements))
+        elements = orbits.reps[np.argsort(-orbits.sizes, kind="stable")]
+        size, count = (a[::-1].tolist() for a in np.unique(orbits.sizes, return_counts=True))
+        stops = np.cumsum(count).tolist()
+        sizes = tuple(zip(size, map(slice, [0] + stops, stops)))
+        n, points = self.n, COMPOSITE[0]
         # element_centers' formula on the representatives alone, so that the
         # trivial group's points keep their bits.
         x = ((elements % n + 0.5) * self.h)[:, None] + (0.5 * self.h) * points[:, 0]
         y = ((elements // n + 0.5) * self.h)[:, None] + (0.5 * self.h) * points[:, 1]
         x.flags.writeable = y.flags.writeable = False
-        position = np.empty_like(e)
-        position[elements] = np.arange(len(elements))
-        return Orbits(elements, sizes, (image == rep).argmax(axis=0), position[rep], x, y)
+        return Orbits(elements, sizes, x, y)
 
     def __repr__(self):
         return f"StructuredMesh(n={self.n})"

@@ -18,8 +18,8 @@ needs one element per orbit (``mesh.StructuredMesh.orbits``).
 
 D4 is declared here alone: its members (``MEMBERS``), a group's
 reflections (``reflections``) and members (``images``) as signed
-permutations, read by the mesh's orbits, the velocity gather, the spaces'
-folds (``fold``) and the blocks of the stress solve (``folds``).
+permutations, composed only here, into the folds (``fold``, ``folds``) of
+the elements (the mesh's orbits), the dofs and the stress solve's blocks.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def reflections(generators: dict, group) -> list:
 @dataclass(frozen=True, eq=False)
 class Fold:
     """A vector of ``group``'s symmetry by its values at the representatives
-    ``reps`` (ascending) of its orbits, of sizes Lambda (``sizes``).  Its lift
+    ``reps`` (ascending) of its orbits, of integer sizes Lambda (``sizes``).  Its lift
     ``P a = sign * a[index]`` gives each dof its representative's value times
     its sign, 0 where a member fixes the dof with the sign -1."""
 
@@ -136,7 +136,8 @@ class Fold:
         """The lift as a sparse matrix, built anew on each call: a caller
         keeps it only while it needs it, and builds it once."""
         on = np.flatnonzero(self.sign)
-        return sp.csr_matrix((self.sign[on], (on, self.index[on])), (len(self.sign), len(self.reps)))
+        shape = len(self.sign), len(self.reps)
+        return sp.csr_matrix((self.sign[on], (on, self.index[on])), shape)
 
 
 def fold(generators: dict, group, rank) -> Fold:
@@ -163,7 +164,7 @@ def folds(generators: dict, groups, rank) -> list:
         index, lift = np.zeros(len(rank), dtype=np.intp), np.zeros(len(rank))
         index[p[:, has]] = np.arange(np.count_nonzero(has))
         lift[p[:, has]] = sign[:, has]
-        out.append(Fold(group, named[has], index, lift, len(p) / fixed[:, has].sum(axis=0)))
+        out.append(Fold(group, named[has], index, lift, len(p) // fixed[:, has].sum(axis=0)))
     return out
 
 

@@ -224,9 +224,10 @@ def run(config) -> RunResult:
     C and the stepper's folds of A, B and Cinv: the system releases its
     full-size A and B (``AssembledSystem.release``), which nothing reads
     once the initial state is checked, before the first step factors S and
-    sets the run's peak memory.  A load, energy or error that is
-    not finite, and a step whose solve refuses its right-hand side, end the
-    run with ``ValueError`` naming the node and its time.  Running out of memory while the mesh, spaces, system or S are set up raises
+    sets the run's peak memory.  A load, energy or error that is not
+    finite, and a step whose solve refuses its right-hand side, end the run
+    with ``ValueError`` naming the node and its time.  Running out of
+    memory while the mesh, spaces, system or S are set up raises
     ``MemoryError`` naming N and the family.
     """
     if config.solver != "direct":

@@ -17,9 +17,8 @@ one element at a time so the tests can check the tables point by point, and
 ``mirrors`` picks the two mirrors out of a stress space's generators, and
 ``reflections`` finds all three by searching the grid, the reference the
 generators' index table is checked against.  ``velocity_generators``
-spreads a velocity space's ``local_generators`` to every element, and
-``walked_gather`` follows each member's word through them: the reference
-the velocity kernel's per-element gather is checked against.
+spreads a velocity space's ``local_generators`` to every element: the
+reference the velocity space's generators are checked against.
 ``stress_gram`` integrates the stress mass with either rule; with the
 composite one it is the consistent ``nedelec-q1q0`` matrix that the
 scheme's corner lumping replaces.
@@ -54,7 +53,7 @@ from viscowave.material import VOIGT_DOT, IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import ExactSolution
 from viscowave.quadrature import COMPOSITE
-from viscowave.symmetry import MEMBERS, TRIVIAL, D, X, Y, folded, images
+from viscowave.symmetry import TRIVIAL, D, X, Y, folded, images
 
 DIAGONAL = "(x, y) -> (y, x)"
 
@@ -283,34 +282,6 @@ def velocity_generators(space: VelocitySpace) -> dict:
         name: (((space.n_local * image.ravel())[:, None] + p).ravel(), np.tile(s, n * n))
         for name, image, (p, s) in zip((X, Y, D), images, space.local_generators)
     }
-
-
-def walked_gather(space: VelocitySpace) -> tuple:
-    """The velocity kernel's ``gather``, each element's word walked dof by dof.
-
-    Each element takes its representative's coefficients through the member
-    that maps it there: the member's word in X, Y and D is followed through
-    ``velocity_generators`` from the element's dofs, (P1 P2 a)_i =
-    s1_i s2_p1(i) a_p2(p1(i)), and the sign carries the member's chi.
-    """
-    orbits = space.mesh.orbits(space.group)
-    generators = velocity_generators(space)
-    index = np.empty((len(orbits.member), space.n_local), dtype=np.intp)
-    sign = np.empty(index.shape)
-    rep_dofs = space.eldof[orbits.elements]
-    at = np.empty(space.dim, dtype=np.intp)
-    at[rep_dofs] = np.arange(rep_dofs.size).reshape(rep_dofs.shape)
-    for k, (member, chi) in enumerate(space.group.members()):
-        on = np.flatnonzero(orbits.member == k)
-        dofs = space.eldof[on]
-        s = np.full(dofs.shape, float(chi))
-        for g in MEMBERS[member]:
-            p_g, s_g = generators[g]
-            s *= s_g[dofs]
-            dofs = p_g[dofs]
-        index[on] = at[dofs]
-        sign[on] = s
-    return index.ravel(), sign.ravel()
 
 
 def stress_gram(space: StressSpace, weight3, rule=COMPOSITE) -> sp.csr_matrix:

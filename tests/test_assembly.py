@@ -1,6 +1,7 @@
 """Global matrices and load vectors: worked entries, symmetry, SPD, oracles."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -326,7 +327,7 @@ def test_load_matches_einsum_reference(family, example):
 
 
 def test_load_builds_quadrature_kernel_once(monkeypatch):
-    kernels, gathers = [], []
+    kernels, spreads = [], []
 
     def counting(build, record):
         def wrapper(*args, **kwargs):
@@ -335,24 +336,26 @@ def test_load_builds_quadrature_kernel_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fespace, "QuadKernel", counting(fespace.QuadKernel, kernels))
-    # The velocity gather composes the local generators with ``images`` once.
-    monkeypatch.setattr(fespace, "images", counting(fespace.images, gathers))
+    # The velocity spread builds its index into the kernel's element vectors once.
+    at = functools.cached_property(counting(fespace.VelocitySpace._at.func, spreads))
+    at.__set_name__(fespace.VelocitySpace, "_at")
+    monkeypatch.setattr(fespace.VelocitySpace, "_at", at)
     ss, vs = spaces(4, HMZ)
     f = exact_fields(1).f
     for t in (0.0, 0.5, 1.0):
         assemble_load(vs, f, t)
     vs.project(lambda x, y: exact_fields(1).v(x, y, 0.0))
-    assert len(kernels) == len(gathers) == 1 and kernels[0] is vs.quad
-    # A stress space builds a kernel of the same type, and has no gather or
-    # spread; no kernel has either.
+    assert len(kernels) == len(spreads) == 1 and kernels[0] is vs.quad
+    # A stress space builds a kernel of the same type, and has no spread;
+    # no kernel has one.
     assert type(ss.quad) is type(vs.quad) and len(kernels) == 2 and kernels[1] is ss.quad
     for holder in (ss, ss.quad, vs.quad):
-        assert not hasattr(holder, "gather") and not hasattr(holder, "spread")
-    assert len(gathers) == 1
-    # A new space gets a kernel and a gather of its own.
+        assert not hasattr(holder, "_at") and not hasattr(holder, "spread")
+    assert len(spreads) == 1
+    # A new space gets a kernel and a spread index of its own.
     _, other = spaces(4, HMZ)
     assemble_load(other, f, 0.0)
-    assert len(kernels) == 3 and kernels[2] is other.quad and len(gathers) == 2
+    assert len(kernels) == 3 and kernels[2] is other.quad and len(spreads) == 2
 
 
 def test_load_rejects_wrong_field_shape():
