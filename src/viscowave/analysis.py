@@ -139,12 +139,13 @@ def energy(system, state) -> float:
     """Discrete energy ||sigma_h||_a^2 + ||v_h||_c^2 using the scheme's matrices.
 
     A state that carries A alpha for ``system`` (``timestepper.SimState``)
-    has it reused, bit for bit the product it would otherwise form.
+    has it reused; any other's A-norm is summed element by element
+    (``AssembledSystem.stress_energy``), with no full-size A.
     """
     a, b = state.alpha, state.beta
     carried = state.carried(system)
-    Aa = system.A @ a if carried is None else carried[0]
-    return float(a @ Aa + b @ (system.C @ b))
+    aa = system.stress_energy(a) if carried is None else a @ carried[0]
+    return float(aa + b @ (system.C @ b))
 
 
 def _infsup_constant(stress_space, velocity_space) -> float:

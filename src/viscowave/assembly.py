@@ -4,12 +4,16 @@ Every element of the uniform N-by-N mesh is congruent, so each form is
 integrated once with a reference-square rule scaled to the element area,
 and the local matrix is scattered with duplicate accumulation.  Matrices come
 back in CSR format with sorted, deduplicated indices; assembly order is
-deterministic.
+deterministic.  A and B may be assembled at some rows only, each kept row
+array-equal to the full matrix's; a run assembles them only at the rows
+it reads (``AssembledSystem.at_rows``).
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,26 +34,43 @@ __all__ = [
     "assemble_system",
 ]
 
+log = logging.getLogger(__name__)
+
+
 def _local_rule(mesh, lumped=False):
     """Element weights and local coordinates of the composite or corner rule."""
     points, weights = CORNERS if lumped else COMPOSITE
     return mesh.h * mesh.h * weights, points[:, 0], points[:, 1]
 
 
-def _scatter(local, row_dofs, col_dofs, shape):
+def _scatter(local, row_dofs, col_dofs, shape, rows=None):
     """Scatter the nonzero entries of one local matrix onto every element.
 
     The exact zeros of ``local`` would add nothing to any sum, so they are
     not scattered.  The result is copied once after the sums that cancel are
     dropped: scipy keeps the buffer sized for every sum whenever more than
-    half of it is used, and a run keeps C to its end and A and B through
-    its set-up.
+    half of it is used, and a run keeps C to its end.
+
+    With ``rows`` (ascending) only those rows are assembled and every other
+    one is left empty: only the elements that touch them are scattered, in
+    element order, and only the triplets in those rows are kept.  Each row
+    then sums the same triplets in the same order as the full matrix's row,
+    and ``coo -> csr`` orders and sums a row's duplicates from that row's
+    triplets alone, so each kept row is array-equal to the full matrix's.
     """
     r, c = np.nonzero(local)
-    rows = row_dofs.astype(np.int32)[:, r].ravel()
-    cols = col_dofs.astype(np.int32)[:, c].ravel()
+    if rows is not None:
+        kept = np.zeros(shape[0], dtype=bool)
+        kept[rows] = True
+        touch = kept[row_dofs].any(axis=1)
+        row_dofs, col_dofs = row_dofs[touch], col_dofs[touch]
+    i = row_dofs.astype(np.int32)[:, r].ravel()
+    j = col_dofs.astype(np.int32)[:, c].ravel()
     data = np.tile(local[r, c], len(row_dofs))
-    out = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+    if rows is not None:
+        keep = kept[i]
+        i, j, data = i[keep], j[keep], data[keep]
+    out = sp.coo_matrix((data, (i, j)), shape=shape).tocsr()
     out.eliminate_zeros()
     return out.copy()
 
@@ -64,51 +85,66 @@ def _check_pair(stress_space, velocity_space):
         raise ValueError("stress and velocity spaces live on different meshes")
 
 
-def _stress_gram(space, weight3, lumped=False):
+def _stress_local(space, weight3, lumped=False):
     w, xi, eta = _local_rule(space.mesh, lumped)
     vals = space.local_values(xi, eta)
-    local = np.einsum("qia,ab,qjb,q->ij", vals, VOIGT_DOT @ weight3, vals, w)
-    n = space.dim
-    return _scatter(local, space.eldof, space.eldof, (n, n))
+    return np.einsum("qia,ab,qjb,q->ij", vals, VOIGT_DOT @ weight3, vals, w)
 
 
-def assemble_mass_stress(space: StressSpace, material: IsotropicMaterial) -> sp.csr_matrix:
+def _square(local, space, rows=None):
+    return _scatter(local, space.eldof, space.eldof, (space.dim, space.dim), rows)
+
+
+def _local_mass_stress(space, material):
+    """The element matrix of ``assemble_mass_stress``, the same on every element."""
+    return _stress_local(space, material.compliance_matrix(), space.lumped)
+
+
+def assemble_mass_stress(
+    space: StressSpace, material: IsotropicMaterial, rows=None
+) -> sp.csr_matrix:
     """Compliance-weighted stress mass matrix, corner-lumped when the family is.
 
     The family lumps when all its dofs sit at corners (``space.lumped``, so
-    ``nedelec-q1q0``), which gives 3x3 blocks per vertex.
+    ``nedelec-q1q0``), which gives 3x3 blocks per vertex.  With ``rows``
+    (ascending) only those rows are assembled, each array-equal to the full
+    matrix's, and the others are left empty (``_scatter``).
     """
-    return _stress_gram(space, material.compliance_matrix(), space.lumped)
+    return _square(_local_mass_stress(space, material), space, rows)
 
 
 def assemble_stress_gram(space: StressSpace) -> sp.csr_matrix:
     """Plain L2 Gram matrix of the stress space under the tensor dot product."""
-    return _stress_gram(space, np.eye(3))
+    return _square(_stress_local(space, np.eye(3)), space)
 
 
 def assemble_div_gram(space: StressSpace) -> sp.csr_matrix:
     """Gram matrix of stress divergences, int div(tau_j) . div(tau_i)."""
     w, xi, eta = _local_rule(space.mesh)
     div = space.local_divergence(xi, eta)
-    local = np.einsum("qid,qjd,q->ij", div, div, w)
-    n = space.dim
-    return _scatter(local, space.eldof, space.eldof, (n, n))
+    return _square(np.einsum("qid,qjd,q->ij", div, div, w), space)
 
 
-def assemble_coupling(
-    stress_space: StressSpace, velocity_space: VelocitySpace
-) -> sp.csr_matrix:
-    """Coupling matrix B with B[i, j] = int w_i . div(tau_j)."""
+def _local_coupling(stress_space, velocity_space):
+    """The element matrix of ``assemble_coupling``, the same on every element."""
     _check_pair(stress_space, velocity_space)
     w, xi, eta = _local_rule(stress_space.mesh)
     div = stress_space.local_divergence(xi, eta)
     vel = velocity_space.local_values(xi, eta)
-    local = np.einsum("qid,qjd,q->ij", vel, div, w)
+    return np.einsum("qid,qjd,q->ij", vel, div, w)
+
+
+def assemble_coupling(
+    stress_space: StressSpace, velocity_space: VelocitySpace, rows=None
+) -> sp.csr_matrix:
+    """Coupling matrix B with B[i, j] = int w_i . div(tau_j); with ``rows``
+    (ascending) only those velocity rows, as ``assemble_mass_stress``."""
     return _scatter(
-        local,
+        _local_coupling(stress_space, velocity_space),
         velocity_space.eldof,
         stress_space.eldof,
         (velocity_space.dim, stress_space.dim),
+        rows,
     )
 
 
@@ -123,9 +159,7 @@ def assemble_velocity_gram(space: VelocitySpace) -> sp.csr_matrix:
     """Plain L2 Gram matrix of the velocity space."""
     w, xi, eta = _local_rule(space.mesh)
     vals = space.local_values(xi, eta)
-    local = np.einsum("qid,qjd,q->ij", vals, vals, w)
-    n = space.dim
-    return _scatter(local, space.eldof, space.eldof, (n, n))
+    return _square(np.einsum("qid,qjd,q->ij", vals, vals, w), space)
 
 
 def assemble_load(space: VelocitySpace, f, t: float) -> np.ndarray:
@@ -143,49 +177,76 @@ def assemble_load(space: VelocitySpace, f, t: float) -> np.ndarray:
 
 @dataclass
 class AssembledSystem:
-    """The three matrices of the semidiscrete system plus their spaces.
+    """The semidiscrete system of a matched space pair and one material.
 
-    ``A`` is the compliance-weighted stress mass matrix (corner-lumped when
-    the stress space's ``lumped`` is set), ``B`` the
-    velocity-against-stress-divergence coupling, and ``C`` the
-    density-weighted velocity mass matrix.  ``material`` is the one they
-    were assembled with, ``None`` for a system built by hand.
+    ``C`` is the density-weighted velocity mass matrix, which every node's
+    energy reads.  A is the compliance-weighted stress mass matrix
+    (corner-lumped when the stress space's ``lumped`` is set) and B the
+    velocity-against-stress-divergence coupling; ``elements`` holds their
+    element matrices, the same on every element.
 
-    A system that knows its material can ``release`` A and B: a run keeps
-    only their folds past node 0, and the full-size pair would otherwise
-    sit through the first factor, which sets the run's peak memory.  A read
-    of a released A or B assembles it again, bit for bit, and keeps it.  C
-    stays, as the energy of every node reads it.
+    A run reads A and B only at some rows, ``at_rows``: the stress solve's S
+    (``linalg.build_schur``) and the stepper's folds (``CNStepper``) are
+    formed from them, and their symmetry is checked on ``elements``.  The
+    energy of a state that carries no A alpha takes A's norm element by
+    element (``stress_energy``).  So a run never forms the full-size A or B;
+    ``A`` and ``B`` are assembled on first read and kept, for checks made
+    from outside a run.
     """
 
     stress_space: StressSpace
     velocity_space: VelocitySpace
-    A: sp.csr_matrix
-    B: sp.csr_matrix
     C: sp.csr_matrix
-    material: IsotropicMaterial | None = None
+    material: IsotropicMaterial
 
-    def release(self) -> list:
-        """Drop A and B if ``material`` can assemble them again; the (nnz,
-        bytes) of each one dropped, none for a system built by hand."""
-        if self.material is None:
-            return []
-        sizes = [
-            (M.nnz, M.data.nbytes + M.indices.nbytes + M.indptr.nbytes) for M in (self.A, self.B)
-        ]
-        del self.A, self.B
-        return sizes
+    @cached_property
+    def elements(self) -> tuple:
+        """The element matrices of A and B."""
+        ss, vs = self.stress_space, self.velocity_space
+        return _local_mass_stress(ss, self.material), _local_coupling(ss, vs)
 
-    def __getattr__(self, name):
-        # Reached only for an attribute that is not set: a released A or B.
-        if name == "A":
-            value = assemble_mass_stress(self.stress_space, self.material)
-        elif name == "B":
-            value = assemble_coupling(self.stress_space, self.velocity_space)
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        setattr(self, name, value)
-        return value
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        return assemble_mass_stress(self.stress_space, self.material)
+
+    @cached_property
+    def B(self) -> sp.csr_matrix:
+        return assemble_coupling(self.stress_space, self.velocity_space)
+
+    @cached_property
+    def at_rows(self) -> tuple:
+        """A and B at the rows that ``build_schur`` and ``CNStepper`` read, every
+        other row empty, each kept row array-equal to the full matrix's.
+
+        A's rows are the stress fold's representatives.  B's are every
+        velocity dof of an element that holds one of them, all that B^T's
+        rows there and B^T Cinv B reach, and the velocity fold's
+        representatives.  With the trivial group every row is kept.  A run
+        drops them once the stepper has folded them.
+        """
+        ss, vs = self.stress_space, self.velocity_space
+        is_rep = np.zeros(ss.dim, dtype=bool)
+        is_rep[ss.fold.reps] = True
+        holders = is_rep[ss.eldof].any(axis=1)
+        wanted = np.zeros(vs.dim, dtype=bool)
+        wanted[vs.eldof[holders]] = True
+        wanted[vs.fold.reps] = True
+        rows = np.flatnonzero(wanted)
+        A = assemble_mass_stress(ss, self.material, rows=ss.fold.reps)
+        B = assemble_coupling(ss, vs, rows=rows)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "assembled A at %d of %d rows and B at %d of %d rows, from %d and %d of %d "
+                "elements",
+                len(ss.fold.reps), ss.dim, len(rows), vs.dim, np.count_nonzero(holders),
+                np.count_nonzero(wanted[vs.eldof].any(axis=1)), ss.mesh.n_elements,
+            )
+        return A, B
+
+    def stress_energy(self, alpha) -> float:
+        """alpha^T A alpha, summed element by element with A's element matrix."""
+        a = alpha[self.stress_space.eldof]
+        return float(np.vdot(a @ self.elements[0], a))
 
 
 def assemble_system(
@@ -193,13 +254,15 @@ def assemble_system(
     velocity_space: VelocitySpace,
     material: IsotropicMaterial,
 ) -> AssembledSystem:
-    """Assemble A, B, C for a matched space pair; the family decides the lumping."""
+    """The system of a matched space pair; the family decides the lumping.
+
+    Only C is assembled here; A and B are assembled where they are read
+    (``AssembledSystem``).
+    """
     _check_pair(stress_space, velocity_space)
     return AssembledSystem(
         stress_space=stress_space,
         velocity_space=velocity_space,
-        A=assemble_mass_stress(stress_space, material),
-        B=assemble_coupling(stress_space, velocity_space),
         C=assemble_mass_velocity(velocity_space, material),
         material=material,
     )

@@ -99,7 +99,8 @@ class QuadKernel:
     ``basis[l, q * d + c]`` component c of local function l at point q, so
     ``coeffs[eldof] @ basis`` is a discrete field at the representatives'
     points, shape (n_rep, nq * d), ``eldof`` holding the representatives'
-    rows of the space's ``eldof``.  ``weighted`` (nq * d, n_local) is ``basis`` times the weights,
+    rows of the space's ``eldof`` as ``np.intp``, which a step's gathers need
+    to be fast.  ``weighted`` (nq * d, n_local) is ``basis`` times the weights,
     transposed, so ``values(field, t) @ weighted`` integrates a field
     against every local function on every representative.
 
@@ -153,7 +154,7 @@ class _Space:
             weights=weights,
             basis=basis,
             weighted=np.ascontiguousarray((basis * np.repeat(weights, d)).T),
-            eldof=self.eldof[orbits.elements],
+            eldof=self.eldof[orbits.elements].astype(np.intp),
             orbits=orbits.sizes,
         )
 
@@ -174,6 +175,27 @@ class _Space:
         """Dof order: a velocity orbit's representative lies on its element's."""
         return np.arange(self.dim)
 
+    def local_symmetries(self, generators: dict) -> dict:
+        """``local_generators`` by name, refused with ``ValueError`` unless each of
+        ``generators`` maps every element's dofs onto those of its image
+        (``mesh.generators``) through it: an element matrix that commutes with
+        them then gives a global matrix that commutes with ``generators``."""
+        out = {}
+        elements = self.mesh.generators.values()
+        for (name, (p, s)), (e, _), (q, t) in zip(
+            generators.items(), elements, self.local_generators
+        ):
+            if not (
+                np.array_equal(p[self.eldof], self.eldof[e][:, q])
+                and np.array_equal(s[self.eldof], np.broadcast_to(t, self.eldof.shape))
+            ):
+                raise ValueError(
+                    f"the reflection {name} does not map each element's {self.family} dofs "
+                    "onto its image's by one local signed permutation"
+                )
+            out[name] = (q, t)
+        return out
+
 
 class StressSpace(_Space):
     """Global tensor-valued stress space of one element family.
@@ -190,9 +212,9 @@ class StressSpace(_Space):
         Number of global degrees of freedom.
     n_local : int
         Degrees of freedom per element (12 for ``nedelec-q1q0``, 10 for ``hmz``).
-    eldof : ndarray, shape (n_elements, n_local)
+    eldof : ndarray of int32, shape (n_elements, n_local)
         Local-to-global index map.
-    grid : ndarray of int, shape (dim, 2)
+    grid : ndarray of int32, shape (dim, 2)
         Point of every dof on the half-step grid, ``2 x / h``.
     interior : ndarray, shape (n_elements, k)
         The dofs at each element's centre, which no other element shares.
@@ -229,17 +251,16 @@ class StressSpace(_Space):
             [2 * np.indices((n + 1 - oy, n + 1 - ox))[::-1].reshape(2, -1) + [[ox], [oy]]
              for _, ox, oy in order],
             axis=1,
-        ).T.copy()
+        ).T.astype(np.int32, order="C")
         # Element e = j n + i lies at j w + i = e + j (w - n) in a block of
         # width w; its dof at offset (dx, dy) is one column right for dx > 0
         # and one row up for dy > 0.  In place, to spare the temporaries.
-        e = np.arange(mesh.n_elements)
-        self.eldof = (e // n)[:, None] * np.array([width[b] - n for b in blocks])
+        e = np.arange(mesh.n_elements, dtype=np.int32)
+        self.eldof = (e // n)[:, None] * np.array([width[b] - n for b in blocks], np.int32)
         self.eldof += e[:, None]
-        self.eldof += [
-            start[b] + (dx > 0) + (dy > 0) * width[b]
-            for b, (_, (dx, dy)) in zip(blocks, self.table)
-        ]
+        offsets = [start[b] + (dx > 0) + (dy > 0) * width[b]
+                   for b, (_, (dx, dy)) in zip(blocks, self.table)]
+        self.eldof += np.array(offsets, np.int32)
         self._centre = [l for l, (_, d) in enumerate(self.table) if d == (0, 0)]
         self.interior = self.eldof[:, self._centre]
 
@@ -272,6 +293,23 @@ class StressSpace(_Space):
             Y: (dof[comp, m - gy, gx], shear),
             D: (dof[np.array([1, 0, 2])[comp], gx, gy], np.ones(self.dim)),
         }
+
+    @property
+    def local_generators(self) -> tuple:
+        """X, Y and D as signed permutations ``(p, s)`` of one element's dofs
+        (``VelocitySpace.local_generators``), read off the table: a mirror
+        reverses the offset along its axis and flips the shear, and the
+        diagonal swaps the offsets and t11 with t22."""
+        images = (
+            [(c, (-dx, dy)) for c, (dx, dy) in self.table],
+            [(c, (dx, -dy)) for c, (dx, dy) in self.table],
+            [((1, 0, 2)[c], (dy, dx)) for c, (dx, dy) in self.table],
+        )
+        shear = np.array([-1.0 if c == 2 else 1.0 for c, _ in self.table])
+        signs = shear, shear, np.ones(self.n_local)
+        return tuple(
+            (np.array([self.table.index(d) for d in image]), s) for image, s in zip(images, signs)
+        )
 
     @property
     def rank(self) -> np.ndarray:

@@ -33,14 +33,17 @@ m = +-1 and the diagonal as d = +-1: four blocks of an eighth of S_c.  The
 fifth, E, is the sector even under x -> 1 - x and odd under y -> 1 - y and
 its image under the diagonal: one matrix, a quarter of S_c, factored once
 and solved with two columns.
-``build_schur`` first checks, by one product per reflection, that A, B
-and Cinv, so S, commute with each reflection, and names any
-matrix and reflection that do not.  Each block is ordered by geometric
-nested dissection at mesh lines and factored in that order with diagonal
-pivots, which an SPD matrix allows; letting SuperLU pivot off the diagonal
-instead can multiply the fill when dt is large.  Smaller fronts leave
-less fill: at N = 256 the five blocks of ``hmz`` at dt = 0.25 fill 14.3 M
-entries, a split by the mirrors alone 20.1 M and S_c in one piece 24.1 M.
+``build_schur`` first checks that A, B and Cinv, so S, commute with each
+reflection, and names any matrix and reflection that do not: A and B where
+their symmetry comes from, each space's dofs mapped element to element by
+one local signed permutation and the one element matrix commuting with
+those, and Cinv by one product per reflection.  Each block is ordered by
+geometric nested dissection at mesh lines and factored in that order with
+diagonal pivots, which an SPD matrix allows; letting SuperLU pivot off the
+diagonal instead can multiply the fill when dt is large.  Smaller fronts
+leave less fill: at N = 256 the five blocks of ``hmz`` at dt = 0.25 fill
+14.3 M entries, a split by the mirrors alone 20.1 M and S_c in one piece
+24.1 M.
 
 A run's data has a symmetry group G of its own (``symmetry.find_group``),
 so S is folded to one dof per orbit of G (``symmetry.Fold``), P^T S P =
@@ -312,7 +315,9 @@ class CondensedLU:
             self._parts.append(slice(start, start + len(bases) * len(rep)))
             named.append(np.tile(sizes[self._reps[-1]], len(bases)))
         held, vec, coef, named = map(np.concatenate, (held, vec, coef, named))
-        self._Q = sp.csr_matrix((coef, (held, vec)), shape=(m, m))
+        # Float, whatever the signs' dtype: a product with int8 data would
+        # convert it on every solve.
+        self._Q = sp.csr_matrix((coef.astype(float), (held, vec)), shape=(m, m))
         self._Qt = self._Q.T
         self._inv_size = named / np.bincount(vec, weights=sizes[held], minlength=m)
         self._lus = [None] * len(self._reps)
@@ -475,20 +480,23 @@ class SchurSolver:
 def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver:
     """Form S = (1/dt + 1/2) A + (dt/4) B^T Cinv B, folded, and prepare its solver.
 
-    ``system`` is the ``AssembledSystem`` of A and B; its stress space gives
-    the element-interior dofs, element by element, the half-step grid point
-    of every dof and the ``fold``.  ``Cinv`` is the inverse of its velocity
-    mass.  Only the rows of S at the representatives are formed, so A, B and
-    Cinv, not S, are checked against the reflections (``check_symmetry``).
+    ``system`` is the ``AssembledSystem``; its stress space gives the
+    element-interior dofs, element by element, the half-step grid point of
+    every dof and the ``fold``.  ``Cinv`` is the inverse of its velocity
+    mass.  Only the rows of S at the representatives are formed, from A and
+    B at the rows they read (``AssembledSystem.at_rows``), so S is not
+    checked against the reflections: A and B are, on their element matrices
+    with each space's local permutations (``local_symmetries``), and Cinv
+    (``check_symmetry``).
     """
     if not dt > 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
-    A, B, space = system.A, system.B, system.stress_space
-    if Cinv.shape != (B.shape[0], B.shape[0]):
-        raise ValueError(f"Cinv{Cinv.shape} does not match B{B.shape}")
-    (gs, fold), (gv, _) = space.symmetries(), system.velocity_space.symmetries()
-    for name, M, rows, cols in ("A", A, gs, gs), ("B", B, gv, gs), ("Cinv", Cinv, gv, gv):
-        check_symmetry(M, rows, cols, name)
+    space, vspace = system.stress_space, system.velocity_space
+    if Cinv.shape != (vspace.dim, vspace.dim):
+        raise ValueError(f"Cinv{Cinv.shape} does not match B{(vspace.dim, space.dim)}")
+    gs, fold = space.symmetries()
+    _check_symmetries(system, gs, Cinv)
+    A, B = system.at_rows
     reps = (lambda M: M) if fold.trivial else (lambda M: M[fold.reps])
     # A tiny dt or a huge dt / rho overflows a term, and a stiff material
     # loses the stress-mass term in rounding; both are named here, before S
@@ -535,16 +543,32 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
     return SchurSolver(S, tol, space.interior, space.grid, tuple(gs.values()), dt, fold)
 
 
-def check_symmetry(M: sp.csr_matrix, generators: dict, cols: dict, name: str) -> None:
-    """Refuse the matrix ``M``, named ``name``, unless P M = M Q for each signed
-    permutation ``(p, s)`` by name, P of ``generators`` on its rows and Q of
-    ``cols`` on its columns.
+def _check_symmetries(system, gs: dict, Cinv) -> None:
+    """``check_symmetry`` of A and B, on their element matrices with each
+    space's local permutations, and of Cinv, with the velocity generators,
+    which die here: held on, they would sit under the matrices set-up makes
+    next and leave a hole in the heap that the first factor does not fill."""
+    space, vspace = system.stress_space, system.velocity_space
+    gv = vspace.symmetries()[0]
+    ls, lv = space.local_symmetries(gs), vspace.local_symmetries(gv)
+    A, B = system.elements
+    for name, M, rows, cols in ("A", A, ls, ls), ("B", B, lv, ls), ("Cinv", Cinv, gv, gv):
+        check_symmetry(M, rows, cols, name)
+
+
+def check_symmetry(M, generators: dict, cols: dict, name: str) -> None:
+    """Refuse the matrix ``M`` (sparse or dense), named ``name``, unless
+    P M = M Q for each signed permutation ``(p, s)`` by name, P of
+    ``generators`` on its rows and Q of ``cols`` on its columns.
 
     The split of ``CondensedLU`` is exact only then.  For one random x in
     [0, 1)^n, P M x and M Q x, with (P x)_i = s_i x_p(i), may differ only by
     the rounding of the products, a few ulps of k max|M|, k the longest row
-    of M; a system that breaks the symmetry leaves far more.
+    of M; a system that breaks the symmetry leaves far more.  An element
+    matrix with each space's local permutations stands for every element
+    (``fespace.StressSpace.local_symmetries``).
     """
+    M = sp.csr_matrix(M)
     x = np.random.default_rng(0).random(M.shape[1])
     Mx = M @ x
     size = np.diff(M.indptr).max() * max(M.data.max(initial=0.0), -M.data.min(initial=0.0))

@@ -87,8 +87,9 @@ class StructuredMesh:
     @property
     def generators(self) -> dict:
         """X, Y and D (``symmetry``) as signed permutations ``(p, s)`` of the
-        elements, s int8 ones: under each, element e takes its field from p[e]."""
-        grid = np.arange(self.n_elements).reshape(self.n, -1)  # by (j, i)
+        elements, p int32 and s int8 ones: under each, element e takes its
+        field from p[e]."""
+        grid = np.arange(self.n_elements, dtype=np.int32).reshape(self.n, -1)  # by (j, i)
         ones = np.ones(self.n_elements, dtype=np.int8)
         perms = grid[:, ::-1], grid[::-1], grid.T
         return {g: (p.ravel(), ones) for g, p in zip((X, Y, D), perms)}

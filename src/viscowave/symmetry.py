@@ -62,10 +62,16 @@ class SymmetryGroup:
     """Reflections of ``REFLECTIONS`` with the character of each.
 
     ``characters`` holds (name, chi) pairs, each reflection doubling the
-    group of those before it; with none it is the trivial group.
+    group of those before it; with none it is the trivial group.  Reflections
+    that do not double it, whose 2^k words are not distinct members closed
+    under composition (Y and D, say, generate all eight), are refused with
+    ``ValueError``.
     """
 
     characters: tuple = ()
+
+    def __post_init__(self):
+        _members(self.characters)
 
     def members(self) -> list:
         """Every member as (its index in ``MEMBERS``, chi), in ``images``' order."""
@@ -78,10 +84,15 @@ def _members(characters) -> tuple:
     for name, chi in characters:
         out += [(word + REFLECTIONS[name], c * chi) for word, c in out]
     mats = [matrix(word).tolist() for word in MEMBERS]
-    return tuple((mats.index(matrix(word).tolist()), chi) for word, chi in out)
-
-
-TRIVIAL = SymmetryGroup()
+    members = tuple((mats.index(matrix(word).tolist()), chi) for word, chi in out)
+    found = {k for k, _ in members}
+    products = {mats.index((np.array(mats[a]) @ mats[b]).tolist()) for a in found for b in found}
+    if len(found) < len(members) or not products <= found:
+        raise ValueError(
+            f"the reflections {[name for name, _ in characters]} do not double the group: their "
+            f"{len(members)} words are not {len(members)} distinct members closed under composition"
+        )
+    return members
 
 
 def images(generators, a):
@@ -117,7 +128,8 @@ class Fold:
     """A vector of ``group``'s symmetry by its values at the representatives
     ``reps`` (ascending) of its orbits, of integer sizes Lambda (``sizes``).  Its lift
     ``P a = sign * a[index]`` gives each dof its representative's value times
-    its sign, 0 where a member fixes the dof with the sign -1."""
+    its sign, 0 where a member fixes the dof with the sign -1; ``sign`` is
+    int8 and ``index`` ``np.intp``, which a step's gathers need to be fast."""
 
     group: SymmetryGroup
     reps: np.ndarray
@@ -137,7 +149,7 @@ class Fold:
         keeps it only while it needs it, and builds it once."""
         on = np.flatnonzero(self.sign)
         shape = len(self.sign), len(self.reps)
-        return sp.csr_matrix((self.sign[on], (on, self.index[on])), shape)
+        return sp.csr_matrix((self.sign[on].astype(float), (on, self.index[on])), shape)
 
 
 def fold(generators: dict, group, rank) -> Fold:
@@ -161,7 +173,7 @@ def folds(generators: dict, groups, rank) -> list:
     for group in groups:
         sign = np.array([chi for _, chi in group.members()])[:, None] * s
         has = ~np.any(fixed & (sign < 0), axis=0)
-        index, lift = np.zeros(len(rank), dtype=np.intp), np.zeros(len(rank))
+        index, lift = np.zeros(len(rank), dtype=np.intp), np.zeros(len(rank), dtype=np.int8)
         index[p[:, has]] = np.arange(np.count_nonzero(has))
         lift[p[:, has]] = sign[:, has]
         out.append(Fold(group, named[has], index, lift, len(p) // fixed[:, has].sum(axis=0)))
@@ -184,6 +196,9 @@ def matrix(word) -> np.ndarray:
     for g in word:
         out = _MATRICES[g] @ out
     return out
+
+
+TRIVIAL = SymmetryGroup()
 
 
 def _act(R, values):

@@ -106,11 +106,12 @@ class CNStepper:
     """Prepared single-step update for a fixed system and solver.
 
     It steps alpha and beta at their folds' representatives
-    (``symmetry.Fold``), with A, B and Cinv folded once; S is P^T S P, so the
-    solve takes P^T of the full right-hand side, Lambda times its values.
-    ``Bt`` is B.T, a CSC view of the folded B.  ``advance`` folds the load and
-    lifts the new alpha and beta.  It takes only the step the solver's S was
-    formed for (``SchurSolver.dt``) and refuses any other with ``ValueError``.
+    (``symmetry.Fold``), with A, B and Cinv folded once, A and B from the
+    system's ``at_rows``; S is P^T S P, so the solve takes P^T of the full
+    right-hand side, Lambda times its values.  ``Bt`` is B.T, a CSC view of
+    the folded B.  ``advance`` folds the load and lifts the new alpha and
+    beta.  It takes only the step the solver's S was formed for
+    (``SchurSolver.dt``) and refuses any other with ``ValueError``.
     """
 
     def __init__(self, system: AssembledSystem, solver: SchurSolver):
@@ -120,8 +121,8 @@ class CNStepper:
         self.system = system
         self.solver = solver
         Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
-        P = fs.P()
-        self.A, self.B = folded(system.A, fs, P), folded(system.B, fv, P)
+        P, (A, B) = fs.P(), system.at_rows
+        self.A, self.B = folded(A, fs, P), folded(B, fv, P)
         self.Bt, self.Cinv = self.B.T, folded(Cinv, fv, fv.P())
         sizes = (len(fs.reps), len(fs.index), len(fv.reps), len(fv.index))
         log.debug("stepping %d of %d stress and %d of %d velocity dofs", *sizes)
@@ -134,13 +135,14 @@ class CNStepper:
     def check(self, state: SimState, scale: float) -> None:
         """Refuse, by name, an alpha or beta whose part that folding drops,
         lift(x[reps]) - x, exceeds ``symmetry.PROBE_RTOL`` of ``scale`` in the
-        norm of A or of C: it breaks the symmetry of the run's data."""
+        norm of A, taken element by element, or of C: it breaks the symmetry
+        of the run's data."""
         names = ("the stress, alpha,", "the velocity, beta,")
-        for name, fold, x, M in zip(
-            names, self.folds, (state.alpha, state.beta), (self.system.A, self.system.C)
-        ):
+        C = self.system.C
+        norms = self.system.stress_energy, lambda d: d @ (C @ d)
+        for name, fold, x, norm in zip(names, self.folds, (state.alpha, state.beta), norms):
             d = fold.lift(x[fold.reps]) - x
-            gap = np.sqrt(d @ (M @ d))
+            gap = np.sqrt(norm(d))
             if not gap <= PROBE_RTOL * scale:
                 raise ValueError(
                     f"{name} breaks the symmetry of the run's data: the part that folding "
@@ -211,24 +213,25 @@ def run(config) -> RunResult:
     """Drive a full simulation described by a resolved run configuration.
 
     The configuration carries the fields of ``cli.RunConfig``.  ``example``
-    names the built-in solution (``mms.exact_fields``) that gives the initial
-    data and the body force, and that the errors are taken against.  Either
-    of ``dt`` and ``n_steps`` may be ``None``; ``resolve_time`` gives the
-    step, ``t_final / n_steps``.  The stress mass is lumped when the family's
-    dofs all sit at corners (``StressSpace.lumped``).  The reflections that
-    the solution's stress, velocity and body force share
+    names the built-in solution (``mms.exact_fields``) that gives the
+    initial data and the body force, and that the errors are taken against.
+    Either of ``dt`` and ``n_steps`` may be ``None``; ``resolve_time`` gives
+    the step, ``t_final / n_steps``.  The stress mass is lumped when the
+    family's dofs all sit at corners (``StressSpace.lumped``).  The
+    reflections that the solution's stress, velocity and body force share
     (``symmetry.find_group``) are the spaces' group, so the loads, the
     projection and the errors are integrated on one element per orbit, and
     the steps fold to one dof per orbit; an initial state off the group's
-    span is refused (``CNStepper.check``).  Past node 0 the run keeps only
-    C and the stepper's folds of A, B and Cinv: the system releases its
-    full-size A and B (``AssembledSystem.release``), which nothing reads
-    once the initial state is checked, before the first step factors S and
-    sets the run's peak memory.  A load, energy or error that is not
-    finite, and a step whose solve refuses its right-hand side, end the run
-    with ``ValueError`` naming the node and its time.  Running out of
-    memory while the mesh, spaces, system or S are set up raises
-    ``MemoryError`` naming N and the family.
+    span is refused (``CNStepper.check``).  The run never forms the
+    full-size A or B: S and the stepper's folds are formed from their rows
+    that these read (``AssembledSystem.at_rows``), which are dropped once
+    folded, before the first step factors S and sets the run's peak memory,
+    and node 0's energy and check take A's norm element by element.  Past
+    node 0 the run keeps C and the stepper's folds of A, B and Cinv.  A
+    load, energy or error that is not finite, and a step whose solve refuses
+    its right-hand side, end the run with ``ValueError`` naming the node and
+    its time.  Running out of memory while the mesh, spaces, system or S are
+    set up raises ``MemoryError`` naming N and the family.
     """
     if config.solver != "direct":
         raise ValueError(f"unknown solver {config.solver!r}: the only solve is the direct one")
@@ -265,6 +268,7 @@ def run(config) -> RunResult:
         ) from err
     del Cinv  # the stepper keeps its own; one kept to the end raises the peak
     stepper = CNStepper(system, solver)
+    del system.at_rows  # folded by the stepper; kept, they raise the first factor's peak
     state = init_state(
         stress_space,
         velocity_space,
@@ -299,13 +303,6 @@ def run(config) -> RunResult:
         record(0, state)
         # By the triangle inequality the exact fields' norms are at most this sum.
         stepper.check(state, math.sqrt(energy[0]) + err_sigma[0] + err_v[0])
-        released = system.release()
-        if released:
-            (nnz_a, bytes_a), (nnz_b, bytes_b) = released
-            log.debug(
-                "released the full-size A (%d entries, %.1f MB) and B (%d entries, %.1f MB)",
-                nnz_a, bytes_a / 1e6, nnz_b, bytes_b / 1e6,
-            )
         for n in range(n_steps):
             load = stepper.midpoint_load(solution.f, float(nodes[n]), dt)
             finite(n + 1, "the load of the step ending", load)

@@ -316,15 +316,20 @@ def velocity_basis_value(space: VelocitySpace, elem, ldof, x, y) -> np.ndarray:
     return space.local_values(xi, eta)[ldof]
 
 
-def full_scatter(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
-    """Scatter every entry of the local matrix onto every element and sum."""
+def full_scatter(local, row_dofs, col_dofs, shape, rows=None) -> sp.csr_matrix:
+    """Scatter every entry of the local matrix onto every element and sum;
+    with ``rows``, every other row is dropped afterwards."""
     ne, nr = row_dofs.shape
     nc = col_dofs.shape[1]
-    rows = np.broadcast_to(row_dofs[:, :, None], (ne, nr, nc))
-    cols = np.broadcast_to(col_dofs[:, None, :], (ne, nr, nc))
+    i = np.broadcast_to(row_dofs[:, :, None], (ne, nr, nc))
+    j = np.broadcast_to(col_dofs[:, None, :], (ne, nr, nc))
     data = np.broadcast_to(local, (ne, nr, nc))
-    out = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+    out = sp.coo_matrix((data.ravel(), (i.ravel(), j.ravel())), shape=shape).tocsr()
     out.sum_duplicates()
+    if rows is not None:
+        dropped = np.ones(shape[0], dtype=bool)
+        dropped[rows] = False
+        out.data[np.repeat(dropped, np.diff(out.indptr))] = 0.0
     out.eliminate_zeros()
     return out
 
@@ -693,7 +698,7 @@ def sector(n, p, s, chi, named):
     sign = np.array(chi)[:, None] * s
     has = ~np.any((p == named) & (sign < 0), axis=0)
     col = np.full(n, -1)
-    coef = np.zeros(n)
+    coef = np.zeros(n, dtype=np.int8)
     col[p[:, has]] = np.arange(np.count_nonzero(has))
     coef[p[:, has]] = sign[:, has]
     return named[has], (col, coef)

@@ -1,7 +1,5 @@
 """Error norms, convergence orders, energy bookkeeping, inf-sup diagnostic."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -256,11 +254,10 @@ def test_energy_uses_scheme_mass():
     ss = StressSpace(mesh, NEDELEC)
     vs = VelocitySpace(mesh, NEDELEC)
     sys_l = assemble_system(ss, vs, UNIT)
-    sys_c = dataclasses.replace(sys_l, A=stress_gram(ss, UNIT.compliance_matrix()))
     rng = np.random.default_rng(2)
     state = SimState(alpha=rng.standard_normal(ss.dim), beta=np.zeros(vs.dim))
     el = energy(sys_l, state)
-    ec = energy(sys_c, state)
+    ec = state.alpha @ (stress_gram(ss, UNIT.compliance_matrix()) @ state.alpha)
     assert el == pytest.approx(
         state.alpha @ (sys_l.A @ state.alpha), rel=1e-13
     )

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 
 from viscowave import assembly, fespace
 from viscowave.assembly import (
-    AssembledSystem,
     assemble_coupling,
     assemble_div_gram,
     assemble_load,
@@ -30,6 +29,7 @@ from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
 from viscowave.quadrature import COMPOSITE, CORNERS
+from viscowave.symmetry import TRIVIAL, SymmetryGroup, find_group
 
 from fehelpers import (
     compliance_bounds,
@@ -382,7 +382,7 @@ def test_assemble_system_fields():
     ss, vs = spaces(2, NEDELEC)
     system = assemble_system(ss, vs, UNIT)
     assert [f.name for f in dataclasses.fields(system)] == [
-        "stress_space", "velocity_space", "A", "B", "C", "material"
+        "stress_space", "velocity_space", "C", "material"
     ]
     assert system.material is UNIT
     assert system.A.shape == (ss.dim, ss.dim)
@@ -395,48 +395,79 @@ def test_assemble_system_fields():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_a_released_a_and_b_read_again_are_the_first_assembly(family):
-    # A run releases the full-size A and B after node 0; a later read, such
-    # as a check of the energy balance, assembles them again from the spaces
-    # and the material, bit for bit, and keeps them.
-    system = assemble_system(*spaces(8, family), IsotropicMaterial(rho=2.0, mu=3.0, lam=5.0))
-    first = system.A, system.B
-    assert system.release() == [
-        (M.nnz, M.data.nbytes + M.indices.nbytes + M.indptr.nbytes) for M in first
-    ]
+def test_full_size_a_and_b_are_assembled_on_first_read_and_kept(family):
+    # A run never reads them; a check made from outside it, such as the
+    # benchmark's energy balance, assembles each once, bit for bit the
+    # full assembly, and reads the same matrix after.
+    ss, vs = spaces(8, family)
+    material = IsotropicMaterial(rho=2.0, mu=3.0, lam=5.0)
+    system = assemble_system(ss, vs, material)
     assert not {"A", "B"} & set(vars(system))
-    for M, again in zip(first, (system.A, system.B)):
-        assert again is not M
+    want = assemble_mass_stress(ss, material), assemble_coupling(ss, vs)
+    for M, again in zip(want, (system.A, system.B)):
         for name in ("data", "indices", "indptr"):
             a, b = getattr(M, name), getattr(again, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert {"A", "B"} <= set(vars(system))
+    assert system.A is system.A and system.B is system.B
 
 
-def test_a_hand_built_system_keeps_the_matrices_it_was_given(monkeypatch):
-    # A system built by hand has no material to assemble from: it never
-    # releases, so a matrix planted in it is the one every read sees.
-    ss, vs = spaces(4, HMZ)
-    A, B = 2.0 * assemble_mass_stress(ss, UNIT), assemble_coupling(ss, vs)
-    C = assemble_mass_velocity(vs, UNIT)
+def run_group(example):
+    ex = exact_fields(example)
+    return find_group((ex.sigma, ex.v, ex.f))
 
-    def refuse(*args):
-        raise AssertionError("assembled a matrix the system was given")
 
-    monkeypatch.setattr(assembly, "assemble_mass_stress", refuse)
-    monkeypatch.setattr(assembly, "assemble_coupling", refuse)
-    system = AssembledSystem(ss, vs, A, B, C)
-    assert system.material is None and system.release() == []
-    assert system.A is A and system.B is B and system.C is C
+MIRRORS = [SymmetryGroup((("X", 1), ("Y", x))) for x in (1, -1)] + [
+    SymmetryGroup((("X", 1), ("Y", 1), ("D", d))) for d in (1, -1)
+]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_a_and_b_at_the_rows_a_run_reads_are_the_full_rows(family, n):
+    # For the trivial group, each example's group and the mirrors' groups:
+    # A is kept at the stress fold's representatives, B at every velocity
+    # dof of an element that holds one and at the velocity fold's
+    # representatives; each kept row is array-equal to the full matrix's,
+    # dtypes included, and every other row is empty.
+    mesh = StructuredMesh(n)
+    for group in [TRIVIAL, *map(run_group, (1, 2, 3)), *MIRRORS]:
+        ss, vs = StressSpace(mesh, family, group), VelocitySpace(mesh, family, group)
+        system = assemble_system(ss, vs, UNIT)
+        held = np.isin(ss.eldof, ss.fold.reps).any(axis=1)
+        b_rows = np.union1d(vs.eldof[held], vs.fold.reps)
+        for M, full, rows in zip(system.at_rows, (system.A, system.B), (ss.fold.reps, b_rows)):
+            assert M.shape == full.shape and M.nnz == M[rows].nnz
+            kept, want = M[rows], full[rows]
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(kept, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (group, name)
+        if group == TRIVIAL:
+            assert len(b_rows) == vs.dim
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_stress_energy_is_the_norm_of_a(family):
+    # Summed element by element from the one element matrix, with no A.
+    ss, vs = spaces(8, family)
+    system = assemble_system(ss, vs, IsotropicMaterial(rho=2.0, mu=3.0, lam=5.0))
+    alpha = np.random.default_rng(4).standard_normal(ss.dim)
+    got = system.stress_energy(alpha)
+    assert "A" not in vars(system)
+    assert got == pytest.approx(alpha @ (system.A @ alpha), rel=1e-14)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_assembled_matrices_own_buffers_sized_to_their_entries(family):
     # Dropping the sums that cancel leaves scipy's buffer sized for every sum
     # (for hmz's A at N = 8, 3328 slots for 2817 entries); a run keeps C to
-    # its end and A and B through its set-up, so each is trimmed to its entries.
-    system = assemble_system(*spaces(8, family), UNIT)
-    assert oversized(dict(A=system.A, B=system.B, C=system.C)) == []
+    # its end and A and B at the rows it reads through its set-up, so each
+    # is trimmed to its entries.
+    group = run_group(2)
+    mesh = StructuredMesh(8)
+    ss, vs = StressSpace(mesh, family, group), VelocitySpace(mesh, family, group)
+    system = assemble_system(ss, vs, UNIT)
+    A, B = system.at_rows
+    assert oversized(dict(A=A, B=B, C=system.C, full_A=system.A, full_B=system.B)) == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -465,19 +496,23 @@ def test_scatter_of_nonzeros_matches_the_full_scatter(family, n, monkeypatch):
     # The local matrices hold exact zeros (48 of hmz's 100 stress-mass
     # entries), which add nothing to any sum.  The duplicates of a row are
     # summed in the order SciPy's unstable index sort leaves them, which
-    # the zeros can change, so only A, B and C are bitwise the same here;
-    # the Gram matrices agree to rounding, where a sum that cancels may be
-    # stored as a rounding-level entry in one and dropped in the other.
+    # the zeros can change, so only A, B and C, whole or at the rows a run
+    # of example 2 reads, are bitwise the same here; the Gram matrices agree
+    # to rounding, where a sum that cancels may be stored as a
+    # rounding-level entry in one and dropped in the other.
     ss, vs = spaces(n, family)
+    mesh, group = ss.mesh, run_group(2)
+    folded = StressSpace(mesh, family, group), VelocitySpace(mesh, family, group)
 
     def matrices():
         system = assemble_system(ss, vs, UNIT)
-        return [system.A, system.B, system.C, assemble_div_gram(ss), assemble_stress_gram(ss)]
+        rows = assemble_system(*folded, UNIT).at_rows
+        return [system.A, system.B, system.C, *rows, assemble_div_gram(ss), assemble_stress_gram(ss)]
 
     got = matrices()
     monkeypatch.setattr(assembly, "_scatter", full_scatter)
     for k, (a, b) in enumerate(zip(got, matrices())):
-        if k < 3:
+        if k < 5:
             for field in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(a, field), getattr(b, field))
         else:

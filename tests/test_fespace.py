@@ -15,6 +15,7 @@ from viscowave.assembly import assemble_coupling
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
 from viscowave.quadrature import COMPOSITE, CORNERS
+from viscowave.symmetry import X, Y
 
 from fehelpers import (
     DIAGONAL,
@@ -598,6 +599,30 @@ def test_generators_satisfy_the_relations_of_d4(family, n):
     assert all(same(times(g, g), one) for g in (X, Y, D))
     assert same(times(X, Y), times(Y, X))
     assert same(times(times(D, X), D), Y)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_each_reflection_maps_elements_by_one_local_permutation(family, n):
+    # Dof l of element e maps to dof q(l) of its image with the sign t(l),
+    # found dof by dof; a generator that breaks this, by another's
+    # permutation or one flipped sign, is refused by name.
+    mesh = StructuredMesh(n)
+    images = [p for p, _ in mesh.generators.values()]
+    for space in (StressSpace(mesh, family), VelocitySpace(mesh, family)):
+        generators = space.generators
+        local = space.local_symmetries(generators)
+        assert list(local) == list(generators)
+        for (p, s), (q, t), image in zip(generators.values(), local.values(), images):
+            for e in range(mesh.n_elements):
+                for l, dof in enumerate(space.eldof[e]):
+                    assert p[dof] == space.eldof[image[e], q[l]] and s[dof] == t[l]
+        (px, sx), (py, sy) = generators[X], generators[Y]
+        flipped = sx.copy()
+        flipped[space.eldof[-1, 0]] *= -1
+        for broken in ((py, sy), (px, flipped)):
+            with pytest.raises(ValueError, match=r"^the reflection x -> 1 - x does not map"):
+                space.local_symmetries({**generators, X: broken})
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -10,13 +10,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from viscowave.assembly import (
-    AssembledSystem,
-    assemble_coupling,
-    assemble_mass_stress,
-    assemble_mass_velocity,
-    assemble_system,
-)
+from viscowave.assembly import assemble_system
 from viscowave.fespace import HMZ, NEDELEC, StressSpace, VelocitySpace
 from viscowave import linalg, timestepper
 from viscowave.linalg import (
@@ -279,13 +273,8 @@ def test_setup_solve_rejects_matrix_singular_to_working_precision():
     compliance = np.array([[1.0 - c, -c, 0.0], [-c, 1.0 - c, 0.0], [0.0, 0.0, 1.0]]) / (2.0 * mu)
     mesh = StructuredMesh(2)
     ss, vs = StressSpace(mesh, HMZ), VelocitySpace(mesh, HMZ)
-    system = AssembledSystem(
-        stress_space=ss,
-        velocity_space=vs,
-        A=assemble_mass_stress(ss, SimpleNamespace(compliance_matrix=lambda: compliance)),
-        B=assemble_coupling(ss, vs),
-        C=assemble_mass_velocity(vs, IsotropicMaterial()),
-    )
+    material = SimpleNamespace(compliance_matrix=lambda: compliance, rho=1.0)
+    system = assemble_system(ss, vs, material)
     solver = build_schur(system, block_diag_inverse(system.C, vs.n_local), 0.5, TOL)
     rhs = np.random.default_rng(0).standard_normal(solver.S.shape[0])
     with pytest.raises(SingularBlockError, match="cannot be factored") as err:
@@ -941,30 +930,25 @@ def test_each_block_spans_its_representation_of_d4(family, n):
     assert same(X @ first, first) and same(Y @ first, -first) and same(D @ first, second)
 
 
-@pytest.mark.parametrize("family", [HMZ, NEDELEC])
-def test_broken_symmetry_is_named_before_factoring(family, monkeypatch):
-    # Stiffen the stress mass at the four mirror images of one t11 dof: the
-    # mirrors still hold, the diagonal, which maps them to t22 dofs, does not.
-    system = make_system(8, family)
-    ss = system.stress_space
-    i = int(np.flatnonzero((ss.grid[:, 0] == 2) & (ss.grid[:, 1] == 4))[0])
-    (px, _), (py, _) = mirrors(ss)
-    orbit = np.unique([i, px[i], py[i], px[py[i]]])
-    A = system.A + sp.csr_matrix((np.full(4, 1e-6), (orbit, orbit)), shape=system.A.shape)
-    broken = AssembledSystem(ss, system.velocity_space, A, system.B, system.C)
-    Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
-    S = sp.csr_matrix(4.5 * A + 0.0625 * (system.B.T @ Cinv @ system.B))
-    two = dict(zip(["x -> 1 - x", "y -> 1 - y"], mirrors(ss)))
-    check_symmetry(S, two, two, "S")
-    with pytest.raises(ValueError, match=r"reflection \(x, y\) -> \(y, x\)"):
-        check_symmetry(S, ss.generators, ss.generators, "S")
+def anisotropic(scale=1.0 + 1e-6):
+    """The unit material with its compliance's t11 entry scaled: the mirrors
+    still hold, the diagonal, which swaps t11 and t22, does not."""
+    compliance = IsotropicMaterial().compliance_matrix()
+    compliance[0, 0] *= scale
+    return SimpleNamespace(compliance_matrix=lambda: compliance, rho=1.0)
 
-    def refuse(*args):
-        raise AssertionError("factored a matrix that the check refuses")
 
-    monkeypatch.setattr(linalg, "CondensedLU", refuse)
-    with pytest.raises(ValueError, match="breaks that symmetry"):
-        make_direct(broken, 0.25)
+def skewed_divergence(space, scale=1.0 + 1e-6):
+    """Scale the divergence of the space's first local function: the coupling
+    then takes it from a function its mirror image under X does not match."""
+    divergence = space.local_divergence
+
+    def skewed(xi, eta):
+        out = divergence(xi, eta)
+        out[..., 0, :] *= scale
+        return out
+
+    space.local_divergence = skewed
 
 
 def refuse_factoring(monkeypatch):
@@ -975,16 +959,77 @@ def refuse_factoring(monkeypatch):
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_broken_symmetry_is_named_before_factoring(family, monkeypatch):
+    # A compliance that is not isotropic: the full-size A, and so S, keep the
+    # mirrors and break the diagonal, and the element matrix is refused by name.
+    mesh = StructuredMesh(8)
+    ss, vs = StressSpace(mesh, family), VelocitySpace(mesh, family)
+    broken = assemble_system(ss, vs, anisotropic())
+    Cinv = block_diag_inverse(broken.C, vs.n_local)
+    S = sp.csr_matrix(4.5 * broken.A + 0.0625 * (broken.B.T @ Cinv @ broken.B))
+    two = dict(zip(["x -> 1 - x", "y -> 1 - y"], mirrors(ss)))
+    check_symmetry(S, two, two, "S")
+    with pytest.raises(ValueError, match=r"reflection \(x, y\) -> \(y, x\)"):
+        check_symmetry(S, ss.generators, ss.generators, "S")
+    refuse_factoring(monkeypatch)
+    with pytest.raises(ValueError, match=r"^A does not commute with the reflection \(x, y\)"):
+        make_direct(broken, 0.25)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
 def test_a_coupling_that_breaks_symmetry_is_named_before_factoring(family, monkeypatch):
-    # Change B's largest entry: the images of its velocity and stress dofs
-    # no longer meet in an equal entry, so B does not commute with X.
+    # One local function's divergence scaled: its images under X no longer
+    # meet in an equal entry of B's element matrix, so B does not commute with X.
     system = make_system(8, family)
-    B = system.B.copy()
-    B.data[np.argmax(np.abs(B.data))] *= 1.0 + 1e-6
-    broken = AssembledSystem(system.stress_space, system.velocity_space, system.A, B, system.C)
+    skewed_divergence(system.stress_space)
     refuse_factoring(monkeypatch)
     with pytest.raises(ValueError, match=r"^B does not commute with the reflection x -> 1 - x"):
-        make_direct(broken, 0.25)
+        make_direct(system, 0.25)
+
+
+def verdict(check, system):
+    """What ``check`` says of A and B: None, or its refusal up to the gap."""
+    try:
+        check(system)
+    except ValueError as err:
+        return str(err).split(" (gap")[0]
+    return None
+
+
+def element_check(system):
+    """``build_schur``'s check of A and B: their element matrices against
+    each space's local permutations, checked on the integer tables."""
+    ss, vs = system.stress_space, system.velocity_space
+    ls, lv = ss.local_symmetries(ss.generators), vs.local_symmetries(vs.generators)
+    A, B = system.elements
+    check_symmetry(A, ls, ls, "A")
+    check_symmetry(B, lv, ls, "B")
+
+
+def full_check(system):
+    """The oracle: the full-size A and B against the reflections of every dof."""
+    gs, gv = system.stress_space.generators, system.velocity_space.generators
+    check_symmetry(system.A, gs, gs, "A")
+    check_symmetry(system.B, gv, gs, "B")
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_the_element_check_agrees_with_the_full_size_check(family, n):
+    # On unbroken systems of two materials both pass; on every planted break
+    # both refuse, naming the same matrix and reflection.
+    mesh = StructuredMesh(n)
+    for material, skew, refused in [
+        (IsotropicMaterial(), False, None),
+        (IsotropicMaterial(rho=2.0, mu=3.0, lam=5.0), False, None),
+        (anisotropic(), False, "A does not commute with the reflection (x, y) -> (y, x)"),
+        (IsotropicMaterial(), True, "B does not commute with the reflection x -> 1 - x"),
+    ]:
+        ss, vs = StressSpace(mesh, family), VelocitySpace(mesh, family)
+        if skew:
+            skewed_divergence(ss)
+        system = assemble_system(ss, vs, material)
+        assert verdict(element_check, system) == verdict(full_check, system) == refused
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])

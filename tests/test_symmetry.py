@@ -8,6 +8,7 @@ projections must lie in the span of the velocity space's fold.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
 from viscowave.symmetry import (
-    MEMBERS, RULE_REFLECTIONS, TRIVIAL, D, SymmetryGroup, X, Y, find_group, images, matrix
+    MEMBERS, REFLECTIONS, RULE_REFLECTIONS, TRIVIAL, D, SymmetryGroup, X, Y, find_group, images,
+    matrix,
 )
 from viscowave.timestepper import run
 
@@ -132,6 +134,34 @@ def test_a_group_may_name_the_mirrors():
     # E's sectors are folds of the mirrors' subgroup, even under X and odd under Y.
     assert SymmetryGroup((("X", 1), ("Y", -1))).members() == [(0, 1), (1, 1), (2, -1), (3, -1)]
     assert SymmetryGroup((("Y", -1),)).members() == [(0, 1), (2, -1)]
+
+
+@pytest.mark.parametrize(
+    "names",
+    [names for k in (2, 3) for names in itertools.product(REFLECTIONS, repeat=k)],
+    ids="-".join,
+)
+def test_a_group_whose_reflections_do_not_double_is_refused(names):
+    # The 2^k words of k reflections are the group they generate exactly
+    # when they are distinct and it has 2^k members; Y and D, say, give the
+    # four words e, Y, D and YD but generate all eight members of D4.
+    mats = [matrix(REFLECTIONS[name]) for name in names]
+    generated, grown = set(), {np.eye(2, dtype=int).tobytes()}
+    while grown != generated:
+        generated = set(grown)
+        grown |= {(m @ np.frombuffer(g, dtype=int).reshape(2, 2)).tobytes()
+                  for m in mats for g in generated}
+    words = [np.eye(2, dtype=int)]
+    for m in mats:
+        words += [m @ w for w in words]
+    characters = tuple((name, 1) for name in names)
+    if len({w.tobytes() for w in words}) == len(generated) == 2 ** len(names):
+        keys = [matrix(word).tobytes() for word in MEMBERS]
+        members = SymmetryGroup(characters).members()
+        assert {k for k, _ in members} == {keys.index(g) for g in generated}
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"the reflections {list(names)} ")):
+            SymmetryGroup(characters)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

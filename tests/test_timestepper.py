@@ -11,14 +11,14 @@ from scipy.sparse._compressed import _cs_matrix
 from viscowave import analysis, timestepper
 from viscowave.analysis import energy
 from viscowave import assembly
-from viscowave.assembly import AssembledSystem, assemble_load, assemble_system
+from viscowave.assembly import assemble_load, assemble_system
 from viscowave.cli import RunConfig
 from viscowave.fespace import FAMILIES, HMZ, NEDELEC, StressSpace, VelocitySpace
 from viscowave.linalg import CondensedLU, block_diag_inverse, build_schur
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
-from viscowave.symmetry import TRIVIAL
+from viscowave.symmetry import TRIVIAL, SymmetryGroup
 from viscowave.timestepper import (
     CNStepper,
     SimState,
@@ -226,7 +226,7 @@ def test_stepper_steps_with_a_view_of_B(family):
     # order the CSR copy's do, so five steps agree bit for bit.
     system = make_system(8, family)
     stepper = make_stepper(system, 0.25)
-    B, Bt = system.B, stepper.Bt
+    B, Bt = stepper.B, stepper.Bt
     for field in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(Bt, field), getattr(B, field))
     assert oversized(dict(Cinv=stepper.Cinv)) == []
@@ -388,55 +388,64 @@ def test_a_folded_run_is_the_unfolded_run(family, example, monkeypatch):
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("example", [1, 2, 3])
-def test_a_run_releases_the_full_size_a_and_b_before_the_first_factor(
-    family, example, monkeypatch, caplog
-):
-    # Past node 0 a run steps on the folds alone, so the first factor, which
-    # sets the peak memory, must not find the full-size A and B alive.
-    made, seen = [], []
-    assemble, factor = timestepper.assemble_system, CondensedLU._factor
+def test_a_run_assembles_a_and_b_only_at_the_rows_it_reads(family, example, monkeypatch, caplog):
+    # No run forms the full-size A or B, node 0's energy and check included;
+    # the A and B it assembles at the rows it reads are dropped once folded,
+    # so the first factor, which sets the peak memory, finds them dead.
+    kept, made, seen = [], [], []
+    factor = CondensedLU._factor
 
-    def kept(*args):
-        system = assemble(*args)
-        made.extend(weakref.ref(M) for M in (system.A, system.B))
-        return system
+    def spying(assemble):
+        def spy(*args, rows=None):
+            M = assemble(*args, rows=rows)
+            kept.append(rows)
+            made.append(weakref.ref(M))
+            return M
 
-    def spy(self, k):
+        return spy
+
+    def first_factor(self, k):
         seen.append([ref() is None for ref in made])
         return factor(self, k)
 
-    monkeypatch.setattr(timestepper, "assemble_system", kept)
-    monkeypatch.setattr(CondensedLU, "_factor", spy)
-    with caplog.at_level(logging.DEBUG, logger="viscowave.timestepper"):
+    for name in ("assemble_mass_stress", "assemble_coupling"):
+        monkeypatch.setattr(assembly, name, spying(getattr(assembly, name)))
+    monkeypatch.setattr(CondensedLU, "_factor", first_factor)
+    with caplog.at_level(logging.DEBUG, logger="viscowave.assembly"):
         result = run(RunConfig(element=family, example=example, nx=4, n_steps=2))
-    assert not result.stress_space.fold.trivial
-    assert len(made) == 2 and seen[0] == [True, True]
-    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("released")]
-    assert line.startswith("released the full-size A (") and " and B (" in line
+    ss, vs = result.stress_space, result.velocity_space
+    assert not ss.fold.trivial
+    held = np.isin(ss.eldof, ss.fold.reps).any(axis=1)
+    want = ss.fold.reps, np.union1d(vs.eldof[held], vs.fold.reps)
+    assert len(kept) == 2 and all(np.array_equal(a, b) for a, b in zip(kept, want))
+    assert seen[0] == [True, True]
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("assembled")]
+    assert line.startswith(f"assembled A at {len(ss.fold.reps)} of {ss.dim} rows and B at ")
+    assert line.endswith(f"of {ss.mesh.n_elements} elements")
 
 
-def test_a_run_of_a_hand_built_system_keeps_its_matrices(monkeypatch, caplog):
-    # A system built by hand, as the planted breaks of the symmetry checks
-    # are, has no material to assemble A and B from: the run never releases
-    # them, and nothing in it assembles them again.
-    given = []
-
-    def hand_built(stress_space, velocity_space, material):
-        system = assemble_system(stress_space, velocity_space, material)
-        given.append(AssembledSystem(stress_space, velocity_space, system.A, system.B, system.C))
-        for name in ("assemble_mass_stress", "assemble_coupling"):
-            monkeypatch.setattr(assembly, name, refuse)
-        return given[0]
-
-    def refuse(*args):
-        raise AssertionError("assembled a matrix the system was given")
-
-    monkeypatch.setattr(timestepper, "assemble_system", hand_built)
-    with caplog.at_level(logging.DEBUG, logger="viscowave.timestepper"):
-        run(RunConfig(element=HMZ, example=2, nx=4, n_steps=2))
-    (system,) = given
-    assert {"A", "B"} <= set(vars(system))
-    assert not [r for r in caplog.records if r.getMessage().startswith("released")]
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize(
+    "group", [TRIVIAL, SymmetryGroup((("XY", -1), ("D", 1)))], ids=["trivial", "example-2"]
+)
+def test_the_index_arrays_a_step_reads_are_intp_and_fold_signs_int8(family, group):
+    # Fancy indexing with int32 indices is about twice as slow as with
+    # np.intp, so every index array a step gathers with stays np.intp; the
+    # fold signs are int8, and the tables only set-up reads are int32.  The
+    # matrices a step multiplies by are float, int8 signs or not: scipy
+    # would convert int8 data on every product.
+    mesh = StructuredMesh(8)
+    ss, vs = StressSpace(mesh, family, group), VelocitySpace(mesh, family, group)
+    stepper = make_stepper(assemble_system(ss, vs, UNIT), 0.25)
+    lu = stepper.solver._lu
+    for space in (ss, vs):
+        assert space.fold.index.dtype == space.fold.reps.dtype == space.quad.eldof.dtype == np.intp
+        assert space.fold.sign.dtype == np.int8
+    assert vs._at.dtype == lu.inner.dtype == lu.outer.dtype == np.intp
+    for M in (stepper.A, stepper.B, stepper.Cinv, lu._S, lu._Q, lu._W, lu._Sii_inv):
+        assert M.dtype == np.float64
+    assert ss.grid.dtype == ss.eldof.dtype == np.int32
+    assert all(p.dtype == np.int32 for p, _ in mesh.generators.values())
 
 
 @pytest.mark.parametrize("field, name", [("alpha", "stress"), ("beta", "velocity")])
