@@ -175,25 +175,29 @@ class _Space:
         """Dof order: a velocity orbit's representative lies on its element's."""
         return np.arange(self.dim)
 
-    def local_symmetries(self, generators: dict) -> dict:
-        """``local_generators`` by name, refused with ``ValueError`` unless each of
-        ``generators`` maps every element's dofs onto those of its image
-        (``mesh.generators``) through it: an element matrix that commutes with
-        them then gives a global matrix that commutes with ``generators``."""
-        out = {}
-        elements = self.mesh.generators.values()
-        for (name, (p, s)), (e, _), (q, t) in zip(
-            generators.items(), elements, self.local_generators
-        ):
-            if not (
-                np.array_equal(p[self.eldof], self.eldof[e][:, q])
-                and np.array_equal(s[self.eldof], np.broadcast_to(t, self.eldof.shape))
-            ):
+    @property
+    def generators(self) -> dict:
+        """X, Y and D (``symmetry``), which generate D4, as signed permutations
+        ``(p, s)`` of every dof, by name: the image of the field with
+        coefficients ``a`` has coefficients ``s * a[p]``.  Each element takes
+        its image's coefficients (``mesh.generators``) by ``local_generators``,
+        so an element matrix that commutes with those gives a global matrix
+        that commutes with these; a reflection under which two elements that
+        share a dof give it two images or signs is refused with ``ValueError``."""
+        local = self.local_generators
+        # Made first: made after a freed temporary, glibc would heap them and raise the peak.
+        out = {g: (np.empty(self.dim, dtype=np.intp), np.empty(self.dim)) for g in local}
+        eldof = self.eldof.astype(np.intp, copy=False)
+        for name, (e, _) in self.mesh.generators.items():
+            q, t = local[name]
+            image = eldof[e[:, None], q]
+            p, s = out[name]
+            p[eldof], s[eldof] = image, t
+            if not (np.array_equal(p[eldof], image) and np.all(s[eldof] == t)):
                 raise ValueError(
                     f"the reflection {name} does not map each element's {self.family} dofs "
                     "onto its image's by one local signed permutation"
                 )
-            out[name] = (q, t)
         return out
 
 
@@ -218,9 +222,8 @@ class StressSpace(_Space):
         Point of every dof on the half-step grid, ``2 x / h``.
     interior : ndarray, shape (n_elements, k)
         The dofs at each element's centre, which no other element shares.
-    generators : dict of (p, s) pairs
-        The three reflections that generate the mesh's symmetry group, as
-        signed dof permutations.
+    generators, local_generators : dict of (p, s) pairs
+        X, Y and D, which generate D4, on every dof and on one element's.
     dof_point : ndarray, shape (dim, 2)
         Collocation point of each degree-of-freedom functional.
     group : SymmetryGroup
@@ -265,51 +268,23 @@ class StressSpace(_Space):
         self.interior = self.eldof[:, self._centre]
 
     @property
-    def generators(self) -> dict:
-        """The reflections that generate the mesh's symmetry group, by name.
-
-        They are the mirrors x -> 1 - x and y -> 1 - y and the diagonal
-        reflection (x, y) -> (y, x), which generate D4, the symmetry group of
-        the square.  Each is a signed dof permutation ``(p, s)``: the image of
-        the field with coefficients ``a`` has coefficients ``s * a[p]``.  A
-        reflection R is its own inverse and maps the field sigma to
-        R sigma(R x) R, so the dof at grid point g takes its value from the
-        dof at R g: of the same component under a mirror, which flips the
-        shear, and of the other normal component under the diagonal, which
-        swaps t11 and t22.  Each family's table is symmetric, so that dof
-        exists, and a centre dof maps to a centre dof.
-        """
-        m = 2 * self.mesh.n
-        comp = np.empty(self.dim, dtype=np.intp)
-        for c, _, dofs in self._blocks:
-            comp[dofs] = c
-        gx, gy = self.grid.T
-        # The dof of each component at each point of the half-step grid.
-        dof = np.zeros((3, m + 1, m + 1), dtype=np.intp)
-        dof[comp, gy, gx] = np.arange(self.dim)
-        shear = np.where(comp == 2, -1.0, 1.0)
-        return {
-            X: (dof[comp, gy, m - gx], shear),
-            Y: (dof[comp, m - gy, gx], shear),
-            D: (dof[np.array([1, 0, 2])[comp], gx, gy], np.ones(self.dim)),
-        }
-
-    @property
-    def local_generators(self) -> tuple:
-        """X, Y and D as signed permutations ``(p, s)`` of one element's dofs
-        (``VelocitySpace.local_generators``), read off the table: a mirror
-        reverses the offset along its axis and flips the shear, and the
-        diagonal swaps the offsets and t11 with t22."""
-        images = (
-            [(c, (-dx, dy)) for c, (dx, dy) in self.table],
-            [(c, (dx, -dy)) for c, (dx, dy) in self.table],
-            [((1, 0, 2)[c], (dy, dx)) for c, (dx, dy) in self.table],
-        )
+    def local_generators(self) -> dict:
+        """X, Y and D as signed permutations ``(q, t)`` of one element's dofs, by
+        name, read off the table: local dof l takes its value from its image's
+        local dof q(l) times t(l).  A reflection R is its own inverse and maps
+        the field sigma to R sigma(R x) R^T, so a dof takes its value from the
+        dof at the reflected point: of the same component under a mirror,
+        which reverses the offset along its axis and flips the shear, and of
+        the other normal component under the diagonal, which swaps the offsets
+        and t11 with t22.  Each family's table is symmetric, so that dof
+        exists, and a centre dof maps to a centre dof."""
         shear = np.array([-1.0 if c == 2 else 1.0 for c, _ in self.table])
-        signs = shear, shear, np.ones(self.n_local)
-        return tuple(
-            (np.array([self.table.index(d) for d in image]), s) for image, s in zip(images, signs)
+        images = (
+            (X, [(c, (-dx, dy)) for c, (dx, dy) in self.table], shear),
+            (Y, [(c, (dx, -dy)) for c, (dx, dy) in self.table], shear),
+            (D, [((1, 0, 2)[c], (dy, dx)) for c, (dx, dy) in self.table], np.ones(self.n_local)),
         )
+        return {g: (np.array([self.table.index(d) for d in image]), s) for g, image, s in images}
 
     @property
     def rank(self) -> np.ndarray:
@@ -405,32 +380,18 @@ class VelocitySpace(_Space):
         return out
 
     @property
-    def local_generators(self) -> tuple:
-        """X, Y and D as signed permutations ``(p, s)`` of one element's dofs.
-
-        They are the reflections of ``StressSpace.generators``.  Under each
-        an element takes its coefficients from its image, local dof l from
-        the image's local dof p(l) times s(l).  Under the mirror of axis a a
+    def local_generators(self) -> dict:
+        """X, Y and D as signed permutations ``(q, t)`` of one element's dofs, by
+        name (``StressSpace.local_generators``): under the mirror of axis a a
         function of component a changes sign unless it is linear in its own
         coordinate, which the mirror reverses too, and the other component's
-        functions keep theirs.  Under the diagonal component c comes from
-        the other component's function of the same power.
-        """
+        functions keep theirs; under the diagonal component c comes from the
+        other component's function of the same power."""
         comp, power = np.array(self.table).T
         same = np.arange(self.n_local)
         swap = np.array([self.table.index((1 - c, k)) for c, k in self.table])
         sx, sy = (np.where(comp == axis, (-1.0) ** (1 + power), 1.0) for axis in (0, 1))
-        return (same, sx), (same, sy), (swap, np.ones(self.n_local))
-
-    @property
-    def generators(self) -> dict:
-        """X, Y and D as signed permutations of every dof (``StressSpace.generators``):
-        each element takes the coefficients of its image (``mesh.generators``)
-        through ``local_generators``."""
-        return {
-            name: ((self.n_local * e[:, None] + p).ravel(), np.tile(s, len(e)))
-            for (name, (e, _)), (p, s) in zip(self.mesh.generators.items(), self.local_generators)
-        }
+        return {X: (same, sx), Y: (same, sy), D: (swap, np.ones(self.n_local))}
 
     @cached_property
     def _at(self) -> np.ndarray:

@@ -20,8 +20,8 @@ the Schur complement S_c = S_oo - S_oi S_ii^-1 S_io of the remaining dofs
 is factored, block by block.  On the uniform mesh of the unit square,
 with one isotropic material, S commutes with the reflections x -> 1 - x
 and y -> 1 - y and, since the mesh is N x N, with the diagonal reflection
-(x, y) -> (y, x), each a signed permutation of the dofs
-(``StressSpace.generators``); so does S_c.  Together they generate D4,
+(x, y) -> (y, x), each a signed permutation of the dofs (the stress
+space's ``generators``); so does S_c.  Together they generate D4,
 the symmetry group of the square, and a symmetry-adapted basis of signed
 sums over orbits splits S_c exactly (Healey & Treacy, Int. J. Numer.
 Meth. Eng., 1991; Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986;
@@ -35,15 +35,15 @@ its image under the diagonal: one matrix, a quarter of S_c, factored once
 and solved with two columns.
 ``build_schur`` first checks that A, B and Cinv, so S, commute with each
 reflection, and names any matrix and reflection that do not: A and B where
-their symmetry comes from, each space's dofs mapped element to element by
-one local signed permutation and the one element matrix commuting with
-those, and Cinv by one product per reflection.  Each block is ordered by
-geometric nested dissection at mesh lines and factored in that order with
-diagonal pivots, which an SPD matrix allows; letting SuperLU pivot off the
-diagonal instead can multiply the fill when dt is large.  Smaller fronts
-leave less fill: at N = 256 the five blocks of ``hmz`` at dt = 0.25 fill
-14.3 M entries, a split by the mirrors alone 20.1 M and S_c in one piece
-24.1 M.
+their symmetry comes from, the one element matrix commuting with each
+space's ``local_generators``, from which its ``generators`` are scattered
+element by element, and Cinv by one product per reflection.  Each block
+is ordered by geometric nested dissection at mesh lines and factored in
+that order with diagonal pivots, which an SPD matrix allows; letting
+SuperLU pivot off the diagonal instead can multiply the fill when dt is
+large.  Smaller fronts leave less fill: at N = 256 the five blocks of
+``hmz`` at dt = 0.25 fill 14.3 M entries, a split by the mirrors alone
+20.1 M and S_c in one piece 24.1 M.
 
 A run's data has a symmetry group G of its own (``symmetry.find_group``),
 so S is folded to one dof per orbit of G (``symmetry.Fold``), P^T S P =
@@ -72,7 +72,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import symmetry
-from .symmetry import TRIVIAL, D, Fold, SymmetryGroup, X, Y
+from .symmetry import TRIVIAL, D, Fold, SymmetryGroup
 
 __all__ = [
     "ConvergenceError",
@@ -234,9 +234,8 @@ class CondensedLU:
     S with no other element's (``block_diag_inverse`` raises ``ValueError``
     if they do); an element's interior representatives, 1 to k of them, are
     one block of S_ii.  ``grid`` (n, 2) is the half-step grid point of every
-    dof (see ``nested_dissection``).  ``generators`` holds the signed dof
-    permutations ``(p, s)`` of the reflections x -> 1 - x, y -> 1 - y and
-    (x, y) -> (y, x), in that order (``fespace.StressSpace.generators``);
+    dof (see ``nested_dissection``).  ``generators`` holds X, Y and D by
+    name as signed dof permutations ``(p, s)`` (a space's ``generators``);
     they must commute with S, keep the interior dofs interior and satisfy
     D4's relations.  Identity maps split nothing.  ``interior``, ``grid`` and
     ``generators`` number every dof, folded or not.
@@ -268,7 +267,7 @@ class CondensedLU:
         S: sp.csr_matrix,
         interior: np.ndarray,
         grid: np.ndarray,
-        generators: tuple,
+        generators: dict,
         fold: Fold | None = None,
     ):
         interior, grid = np.asarray(interior), np.asarray(grid)
@@ -293,7 +292,7 @@ class CondensedLU:
         outer = np.delete(np.arange(len(grid)), interior)
         n, m = len(outer), len(self.outer)
         generators = {g: (np.searchsorted(outer, p[outer]), s[outer])
-                      for g, (p, s) in zip((X, Y, D), generators)}
+                      for g, (p, s) in generators.items()}
         grid = grid[outer]
         rank = np.empty(n, dtype=np.intp)
         rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(n)
@@ -355,11 +354,11 @@ class CondensedLU:
                 f"of the reduced stress matrix S ({self._S.shape[0]} rows)"
             ) from err
         self._lus[k] = lu
-        if log.isEnabledFor(logging.DEBUG):  # reading L and U copies them
-            log.debug(
-                "factored block %d of %d: %d rows, fill %d, %.3f s",
-                k + 1, len(self._lus), m, lu.L.nnz + lu.U.nnz, time.perf_counter() - start,
-            )
+        # SuperLU's own count: reading ``lu.L`` or ``lu.U`` would copy the factor.
+        log.debug(
+            "factored block %d of %d: %d rows, SuperLU stores %d entries, %.3f s",
+            k + 1, len(self._lus), m, lu.nnz, time.perf_counter() - start,
+        )
 
     def _rows(self, rep):
         """The rows ``rep`` of S_c, S_oo - S_oi W, from S's rows at those outer dofs."""
@@ -437,7 +436,7 @@ class SchurSolver:
         tol: float,
         interior: np.ndarray,
         grid: np.ndarray,
-        generators: tuple,
+        generators: dict,
         dt: float,
         fold: Fold | None = None,
     ):
@@ -486,8 +485,8 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
     mass.  Only the rows of S at the representatives are formed, from A and
     B at the rows they read (``AssembledSystem.at_rows``), so S is not
     checked against the reflections: A and B are, on their element matrices
-    with each space's local permutations (``local_symmetries``), and Cinv
-    (``check_symmetry``).
+    with each space's ``local_generators``, from which its ``generators``
+    are built, and Cinv with the velocity ``generators`` (``check_symmetry``).
     """
     if not dt > 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
@@ -495,7 +494,7 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
     if Cinv.shape != (vspace.dim, vspace.dim):
         raise ValueError(f"Cinv{Cinv.shape} does not match B{(vspace.dim, space.dim)}")
     gs, fold = space.symmetries()
-    _check_symmetries(system, gs, Cinv)
+    _check_symmetries(system, Cinv)
     A, B = system.at_rows
     reps = (lambda M: M) if fold.trivial else (lambda M: M[fold.reps])
     # A tiny dt or a huge dt / rho overflows a term, and a stiff material
@@ -540,17 +539,16 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
     S = sp.csr_matrix(S, copy=True) if fold.trivial else S @ fold.P()
     S.data *= np.repeat(fold.sizes, np.diff(S.indptr))
     log.debug("formed S at %d of %d rows: %d entries", len(fold.reps), len(fold.index), S.nnz)
-    return SchurSolver(S, tol, space.interior, space.grid, tuple(gs.values()), dt, fold)
+    return SchurSolver(S, tol, space.interior, space.grid, gs, dt, fold)
 
 
-def _check_symmetries(system, gs: dict, Cinv) -> None:
+def _check_symmetries(system, Cinv) -> None:
     """``check_symmetry`` of A and B, on their element matrices with each
-    space's local permutations, and of Cinv, with the velocity generators,
+    space's ``local_generators``, and of Cinv, with the velocity generators,
     which die here: held on, they would sit under the matrices set-up makes
     next and leave a hole in the heap that the first factor does not fill."""
-    space, vspace = system.stress_space, system.velocity_space
-    gv = vspace.symmetries()[0]
-    ls, lv = space.local_symmetries(gs), vspace.local_symmetries(gv)
+    gv = system.velocity_space.symmetries()[0]
+    ls, lv = system.stress_space.local_generators, system.velocity_space.local_generators
     A, B = system.elements
     for name, M, rows, cols in ("A", A, ls, ls), ("B", B, lv, ls), ("Cinv", Cinv, gv, gv):
         check_symmetry(M, rows, cols, name)
@@ -565,8 +563,8 @@ def check_symmetry(M, generators: dict, cols: dict, name: str) -> None:
     [0, 1)^n, P M x and M Q x, with (P x)_i = s_i x_p(i), may differ only by
     the rounding of the products, a few ulps of k max|M|, k the longest row
     of M; a system that breaks the symmetry leaves far more.  An element
-    matrix with each space's local permutations stands for every element
-    (``fespace.StressSpace.local_symmetries``).
+    matrix with each space's ``local_generators`` stands for every element,
+    as each space's ``generators`` are scattered from them (``fespace``).
     """
     M = sp.csr_matrix(M)
     x = np.random.default_rng(0).random(M.shape[1])

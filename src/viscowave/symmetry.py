@@ -65,7 +65,8 @@ class SymmetryGroup:
     group of those before it; with none it is the trivial group.  Reflections
     that do not double it, whose 2^k words are not distinct members closed
     under composition (Y and D, say, generate all eight), are refused with
-    ``ValueError``.
+    ``ValueError``, and so are characters with chi(a) chi(b) != chi(ab) for
+    some members a, b (chi(X) != chi(Y) with D, which maps X onto Y).
     """
 
     characters: tuple = ()
@@ -85,12 +86,18 @@ def _members(characters) -> tuple:
         out += [(word + REFLECTIONS[name], c * chi) for word, c in out]
     mats = [matrix(word).tolist() for word in MEMBERS]
     members = tuple((mats.index(matrix(word).tolist()), chi) for word, chi in out)
-    found = {k for k, _ in members}
-    products = {mats.index((np.array(mats[a]) @ mats[b]).tolist()) for a in found for b in found}
-    if len(found) < len(members) or not products <= found:
+    chi = dict(members)
+    prod = {(a, b): mats.index((np.array(mats[a]) @ mats[b]).tolist()) for a in chi for b in chi}
+    names = [name for name, _ in characters]
+    if len(chi) < len(members) or not set(prod.values()) <= chi.keys():
         raise ValueError(
-            f"the reflections {[name for name, _ in characters]} do not double the group: their "
-            f"{len(members)} words are not {len(members)} distinct members closed under composition"
+            f"the reflections {names} do not double the group: their {len(members)} words "
+            f"are not {len(members)} distinct members closed under composition"
+        )
+    if any(chi[a] * chi[b] != chi[ab] for (a, b), ab in prod.items()):
+        raise ValueError(
+            f"the reflections {names} with the characters {[c for _, c in characters]} are "
+            "not a character of the group they generate: chi(a) chi(b) != chi(ab) for members a, b"
         )
     return members
 

@@ -23,7 +23,9 @@ import numpy as np
 from . import analysis
 from .assembly import AssembledSystem, assemble_load, assemble_system
 from .fespace import StressSpace, VelocitySpace
-from .linalg import SchurSolver, SingularBlockError, block_diag_inverse, build_schur
+from .linalg import (
+    ConvergenceError, SchurSolver, SingularBlockError, block_diag_inverse, build_schur,
+)
 from .material import IsotropicMaterial
 from .mesh import StructuredMesh
 from .mms import exact_fields
@@ -228,10 +230,11 @@ def run(config) -> RunResult:
     folded, before the first step factors S and sets the run's peak memory,
     and node 0's energy and check take A's norm element by element.  Past
     node 0 the run keeps C and the stepper's folds of A, B and Cinv.  A
-    load, energy or error that is not finite, and a step whose solve refuses
-    its right-hand side, end the run with ``ValueError`` naming the node and
-    its time.  Running out of memory while the mesh, spaces, system or S are
-    set up raises ``MemoryError`` naming N and the family.
+    load, energy or error that is not finite, and a step whose solve fails,
+    end the run naming the node and its time: with ``ValueError``, or the
+    solve's own ``ConvergenceError`` or ``SingularBlockError``.  Running out
+    of memory while the mesh, spaces, system or S are set up raises
+    ``MemoryError`` naming N and the family.
     """
     if config.solver != "direct":
         raise ValueError(f"unknown solver {config.solver!r}: the only solve is the direct one")
@@ -308,9 +311,10 @@ def run(config) -> RunResult:
             finite(n + 1, "the load of the step ending", load)
             try:
                 state = stepper.advance(state, load, dt)
-            except ValueError as err:
-                t = nodes[n + 1]
-                raise ValueError(f"the step to node {n + 1} (t = {t:.6g}): {err}") from err
+            except (ValueError, ConvergenceError, SingularBlockError) as err:
+                # Renamed in place: its type, and a ConvergenceError's residual, stay.
+                err.args = (f"the step to node {n + 1} (t = {nodes[n + 1]:.6g}): {err}",)
+                raise
             record(n + 1, state)
     final = SimState(state.alpha, state.beta)  # without the carried products
     return RunResult(

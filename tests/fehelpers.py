@@ -280,7 +280,7 @@ def velocity_generators(space: VelocitySpace) -> dict:
     images = (grid[:, ::-1], grid[::-1], grid.T)
     return {
         name: (((space.n_local * image.ravel())[:, None] + p).ravel(), np.tile(s, n * n))
-        for name, image, (p, s) in zip((X, Y, D), images, space.local_generators)
+        for name, image, (p, s) in zip((X, Y, D), images, space.local_generators.values())
     }
 
 

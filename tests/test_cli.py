@@ -611,6 +611,11 @@ _FORCED = _UNIT + ["--force"]
             "error: the velocity mass (rho = 1e-310) cannot be inverted: diagonal block "
             "inversion produced non-finite entries",
         ),
+        (
+            ["--mode", "solve", "--example", "1", "--nx", "8", "--nt", "4", "--solver-tol",
+             "1e-30"],
+            "error: the step to node 1 (t = 0.25): solve finished above tolerance",
+        ),
     ],
     ids=[
         "lambda-inf",
@@ -623,6 +628,7 @@ _FORCED = _UNIT + ["--force"]
         "dt-tiny-stress-mass-overflow",
         "hmz-dt-tiny-stress-mass-overflow",
         "rho-subnormal-velocity-mass-not-invertible",
+        "solver-tol-below-rounding-names-the-step",
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning on the way to the message fails
@@ -668,11 +674,13 @@ def test_setup_probe_accepts_sound_factors(argv, capsys):
 def test_block_refused_by_its_probe_ends_the_run_before_any_result(monkeypatch, capsys):
     # A block is factored and probed by the first solve that reaches it, in
     # the first step; a probe that refuses it still ends the run with an
-    # error line and exit 1, and no result is printed.
+    # error line, led by that step, and exit 1, and no result is printed.
     monkeypatch.setattr(linalg, "PROBE_TOL", 0.0)
     code, out, err = run_main(["--example", "2", "--nx", "4", "--nt", "2"], capsys)
     assert code == 1 and out == ""
-    assert err.startswith("error: reduced matrix cannot be factored: solve finished above")
+    assert err.startswith(
+        "error: the step to node 1 (t = 0.5): reduced matrix cannot be factored: solve finished"
+    )
 
 
 @pytest.mark.parametrize(

@@ -39,7 +39,7 @@ EXAMPLE_3 = SymmetryGroup((("D", 1),))
 
 def trivial(n):
     """D4 acting trivially on n dofs: three identity maps, which split nothing."""
-    return tuple((np.arange(n), np.ones(n)) for _ in range(3))
+    return {g: (np.arange(n), np.ones(n)) for g in (X, Y, D)}
 
 
 def no_interior(n):
@@ -461,11 +461,11 @@ def test_wrongly_numbered_bubbles_raise():
     # the global order lists all t11 bubbles, then all t22 bubbles
     by_component = np.sort(ss.interior, axis=None).reshape(-1, 2)
     with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
-        CondensedLU(S, by_component, ss.grid, tuple(ss.generators.values()))
+        CondensedLU(S, by_component, ss.grid, ss.generators)
     by_element = ss.interior
     shifted = np.column_stack([by_element[:, 0], np.roll(by_element[:, 1], 1)])
     with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
-        CondensedLU(S, shifted, ss.grid, tuple(ss.generators.values()))
+        CondensedLU(S, shifted, ss.grid, ss.generators)
     assert np.array_equal(solver._lu.inner, by_element.ravel())
 
 
@@ -494,9 +494,9 @@ def test_stress_mass_lost_in_rounding_refused_before_factoring(monkeypatch):
 
 def on_outer(perms, outer):
     """Signed permutations of all dofs as signed permutations of the outer dofs."""
-    at = np.full(max(len(p) for p, _ in perms), -1)
+    at = np.full(max(len(p) for p, _ in perms.values()), -1)
     at[outer] = np.arange(outer.size)
-    return tuple((at[p[outer]], s[outer]) for p, s in perms)
+    return {g: (at[p[outer]], s[outer]) for g, (p, s) in perms.items()}
 
 
 def outer_layout(space):
@@ -506,7 +506,7 @@ def outer_layout(space):
     grid = space.grid[outer]
     rank = np.empty(len(outer), dtype=np.intp)
     rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(len(outer))
-    return grid, on_outer(tuple(space.generators.values()), outer), rank
+    return grid, on_outer(space.generators, outer), rank
 
 
 def condensed(lu, x):
@@ -763,7 +763,7 @@ def test_each_block_factored_is_logged(caplog):
         reach_every_block(lu)  # factors nothing more
     assert len(caplog.records) == 5
     for k, (record, f) in enumerate(zip(caplog.records, lu._lus)):
-        head = f"factored block {k + 1} of 5: {f.shape[0]} rows, fill {f.L.nnz + f.U.nnz}, "
+        head = f"factored block {k + 1} of 5: {f.shape[0]} rows, SuperLU stores {f.nnz} entries, "
         assert record.levelno == logging.DEBUG
         assert record.getMessage().startswith(head) and record.getMessage().endswith(" s")
 
@@ -780,7 +780,7 @@ def test_mirrors_commute_with_condensed_matrix(family, n, dt):
     S_c = condensed_matrix(solver)
     generators = system.stress_space.generators
     assert list(generators) == ["x -> 1 - x", "y -> 1 - y", DIAGONAL]
-    for p, s in on_outer(tuple(generators.values()), solver._lu.outer):
+    for p, s in on_outer(generators, solver._lu.outer).values():
         assert np.all(p >= 0)  # interior dofs stay interior
         moved = sp.diags(s) @ S_c[p][:, p] @ sp.diags(s)
         assert abs(moved - S_c).max() <= 64 * np.finfo(float).eps * abs(S_c).max()
@@ -801,7 +801,7 @@ def test_sector_solve_matches_splu_of_condensed_matrix(family, n, dt):
     rhs = np.random.default_rng(n).standard_normal((3, S_c.shape[0]))
     lu = CondensedLU(
         S_c, np.zeros((0, 0), dtype=int), system.stress_space.grid[outer],
-        on_outer(tuple(system.stress_space.generators.values()), outer),
+        on_outer(system.stress_space.generators, outer),
     )
     reach_every_block(lu)
     sizes = [f.shape[0] for f in lu._lus]
@@ -856,7 +856,7 @@ def test_diagonal_halves_are_named_in_the_triangle(family):
     # gx <= gy keeps each eighth-size block in one triangle of the quarter.
     n = 8
     grid, generators, rank = outer_layout(StressSpace(StructuredMesh(n), family))
-    blocks = linalg._blocks(dict(zip((X, Y, D), generators)), rank, TRIVIAL)
+    blocks = linalg._blocks(generators, rank, TRIVIAL)
     assert [len(bases) for _, bases in blocks] == [1, 1, 1, 1, 2]
     for rep, _ in blocks[:4]:
         gx, gy = grid[rep].T
@@ -871,8 +871,8 @@ def test_each_block_is_the_fold_of_the_reference_sectors(family, n):
     # that no vector holds has the column -1 there and the sign 0 here.
     _, generators, rank = outer_layout(StressSpace(StructuredMesh(n), family))
     for group in GROUPS:
-        want = sectors(generators, rank, group)
-        got = linalg._blocks(dict(zip((X, Y, D), generators)), rank, group)
+        want = sectors(tuple(generators.values()), rank, group)
+        got = linalg._blocks(generators, rank, group)
         assert [len(bases) for _, bases in got] == [len(bases) for _, bases in want]
         for (rep, bases), (reps, folded) in zip(want, got):
             pairs = [(rep, reps)]
@@ -892,7 +892,7 @@ def test_split_holds_whatever_the_signs_of_the_dofs(family):
     F = np.random.default_rng(7).choice([-1.0, 1.0], size=outer.size)
     S_c = (sp.diags(F) @ condensed_matrix(solver) @ sp.diags(F)).tocsr()
     ss = system.stress_space
-    generators = [(p, F * s * F[p]) for p, s in on_outer(tuple(ss.generators.values()), outer)]
+    generators = {g: (p, F * s * F[p]) for g, (p, s) in on_outer(ss.generators, outer).items()}
     lu = CondensedLU(S_c, np.zeros((0, 0), dtype=int), ss.grid[outer], generators)
     assert len(lu._lus) == 5
     b = np.random.default_rng(8).standard_normal(S_c.shape[0])
@@ -911,7 +911,7 @@ def test_each_block_spans_its_representation_of_d4(family, n):
     lu = make_direct(system, 0.25)._lu
     X, Y, D = (
         sp.csr_matrix((s, (np.arange(p.size), p)))
-        for p, s in on_outer(tuple(system.stress_space.generators.values()), lu.outer)
+        for p, s in on_outer(system.stress_space.generators, lu.outer).values()
     )
 
     def same(M, N):
@@ -998,9 +998,9 @@ def verdict(check, system):
 
 def element_check(system):
     """``build_schur``'s check of A and B: their element matrices against
-    each space's local permutations, checked on the integer tables."""
+    each space's ``local_generators``, from which its generators are built."""
     ss, vs = system.stress_space, system.velocity_space
-    ls, lv = ss.local_symmetries(ss.generators), vs.local_symmetries(vs.generators)
+    ls, lv = ss.local_generators, vs.local_generators
     A, B = system.elements
     check_symmetry(A, ls, ls, "A")
     check_symmetry(B, lv, ls, "B")

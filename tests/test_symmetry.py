@@ -164,6 +164,49 @@ def test_a_group_whose_reflections_do_not_double_is_refused(names):
             SymmetryGroup(characters)
 
 
+@pytest.mark.parametrize(
+    "names",
+    [names for k in (1, 2, 3) for names in itertools.product(REFLECTIONS, repeat=k)],
+    ids="-".join,
+)
+def test_characters_that_are_not_a_character_of_the_group_are_refused(names):
+    # Reflections that double the group, with each choice of characters: the
+    # choice is accepted, with the members and characters that doubling
+    # gives, exactly when chi(a) chi(b) = chi(ab) for all members a and b.
+    try:
+        SymmetryGroup(tuple((name, 1) for name in names))
+    except ValueError:
+        return  # they do not double the group
+    keys, table = [matrix(word).tobytes() for word in MEMBERS], product_table()
+    for chis in itertools.product((1, -1), repeat=len(names)):
+        words = [(np.eye(2, dtype=int), 1)]
+        for name, c in zip(names, chis):
+            words += [(matrix(REFLECTIONS[name]) @ w, chi * c) for w, chi in words]
+        chi = {keys.index(w.tobytes()): c for w, c in words}
+        pairs = itertools.product(chi, repeat=2)
+        characters = tuple(zip(names, chis))
+        if all(chi[a] * chi[b] == chi[table[a, b]] for a, b in pairs):
+            assert dict(SymmetryGroup(characters).members()) == chi
+        else:
+            message = f"the reflections {list(names)} with the characters {list(chis)} are not"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SymmetryGroup(characters)
+
+
+def test_every_group_that_a_run_or_the_split_names_is_a_character():
+    # D maps X onto Y, so no character of D4 has chi(X) != chi(Y).
+    message = r"^the reflections \['X', 'Y', 'D'\] with the characters \[1, -1, 1\] are not"
+    with pytest.raises(ValueError, match=message):
+        SymmetryGroup((("X", 1), ("Y", -1), ("D", 1)))
+    # ``find_group``'s groups, those the tests fold by, and ``linalg._blocks``'
+    # one-dimensional characters and E's sectors.
+    for names in (("XY",), ("D",), ("XY", "D"), ("D", "XY"), ("X", "Y")):
+        for chis in itertools.product((1, -1), repeat=len(names)):
+            SymmetryGroup(tuple(zip(names, chis)))
+    for m, d in ONE_DIM:
+        SymmetryGroup((("X", m), ("Y", m), ("D", d)))
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("example", [1, 2, 3])

@@ -14,7 +14,9 @@ from viscowave import assembly
 from viscowave.assembly import assemble_load, assemble_system
 from viscowave.cli import RunConfig
 from viscowave.fespace import FAMILIES, HMZ, NEDELEC, StressSpace, VelocitySpace
-from viscowave.linalg import CondensedLU, block_diag_inverse, build_schur
+from viscowave.linalg import (
+    CondensedLU, ConvergenceError, SingularBlockError, block_diag_inverse, build_schur,
+)
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
@@ -352,6 +354,23 @@ def test_a_step_makes_eighteen_sparse_products(monkeypatch):
     run(RunConfig(element=HMZ, example=1, nx=8, n_steps=6))
     assert len(steps) == 7
     assert steps[2:] == [Counter(csr=13, csc=5)] * 5
+
+
+def test_a_step_whose_solve_fails_keeps_its_error_and_names_its_node(monkeypatch):
+    # A tolerance below rounding fails the first solve, and a factor that
+    # fails is planted; each keeps its type, a ConvergenceError its residual.
+    with pytest.raises(ConvergenceError) as err:
+        run(RunConfig(example=1, nx=8, n_steps=4, solver_tol=1e-30))
+    head = "the step to node 1 (t = 0.25): solve finished above tolerance (relative residual "
+    assert str(err.value).startswith(head) and 0.0 < err.value.residual < 1e-12
+
+    def singular(self, k):
+        raise SingularBlockError("reduced matrix cannot be factored: planted")
+
+    monkeypatch.setattr(CondensedLU, "_factor", singular)
+    message = r"^the step to node 1 \(t = 0\.25\): reduced matrix cannot be factored: planted$"
+    with pytest.raises(SingularBlockError, match=message):
+        run(RunConfig(example=1, nx=8, n_steps=4))
 
 
 @pytest.mark.parametrize("example", [1, 2])
