@@ -138,14 +138,19 @@ def convergence_orders(pairs, name="the error", runs=None) -> list[float]:
 def energy(system, state) -> float:
     """Discrete energy ||sigma_h||_a^2 + ||v_h||_c^2 using the scheme's matrices.
 
-    A state that carries A alpha for ``system`` (``timestepper.SimState``)
-    has it reused; any other's A-norm is summed element by element
-    (``AssembledSystem.stress_energy``), with no full-size A.
+    A state that carries its folds for ``system`` (``timestepper.SimState``)
+    has alpha^T A alpha read from them as sum Lambda a (A_f a); any other's
+    A-norm is summed element by element (``AssembledSystem.stress_energy``).
+    The C-norm is always summed element by element (``velocity_energy``),
+    so no full-size A or C is read.
     """
-    a, b = state.alpha, state.beta
     carried = state.carried(system)
-    aa = system.stress_energy(a) if carried is None else a @ carried[0]
-    return float(aa + b @ (system.C @ b))
+    if carried is None:
+        aa = system.stress_energy(state.alpha)
+    else:
+        a, _, Aa, _ = carried
+        aa = (system.stress_space.fold.sizes * a) @ Aa
+    return float(aa + system.velocity_energy(state.beta))
 
 
 def _infsup_constant(stress_space, velocity_space) -> float:

@@ -155,11 +155,15 @@ def assemble_mass_velocity(
     return material.rho * assemble_velocity_gram(space)
 
 
-def assemble_velocity_gram(space: VelocitySpace) -> sp.csr_matrix:
-    """Plain L2 Gram matrix of the velocity space."""
+def _local_velocity_gram(space):
     w, xi, eta = _local_rule(space.mesh)
     vals = space.local_values(xi, eta)
-    return _square(np.einsum("qid,qjd,q->ij", vals, vals, w), space)
+    return np.einsum("qid,qjd,q->ij", vals, vals, w)
+
+
+def assemble_velocity_gram(space: VelocitySpace) -> sp.csr_matrix:
+    """Plain L2 Gram matrix of the velocity space."""
+    return _square(_local_velocity_gram(space), space)
 
 
 def assemble_load(space: VelocitySpace, f, t: float) -> np.ndarray:
@@ -179,24 +183,25 @@ def assemble_load(space: VelocitySpace, f, t: float) -> np.ndarray:
 class AssembledSystem:
     """The semidiscrete system of a matched space pair and one material.
 
-    ``C`` is the density-weighted velocity mass matrix, which every node's
-    energy reads.  A is the compliance-weighted stress mass matrix
-    (corner-lumped when the stress space's ``lumped`` is set) and B the
-    velocity-against-stress-divergence coupling; ``elements`` holds their
-    element matrices, the same on every element.
+    A is the compliance-weighted stress mass matrix (corner-lumped when the
+    stress space's ``lumped`` is set), B the velocity-against-stress-
+    divergence coupling and C the density-weighted velocity mass matrix.
+    ``elements`` holds the element matrices of A and B, the same on every
+    element.
 
     A run reads A and B only at some rows, ``at_rows``: the stress solve's S
     (``linalg.build_schur``) and the stepper's folds (``CNStepper``) are
-    formed from them, and their symmetry is checked on ``elements``.  The
-    energy of a state that carries no A alpha takes A's norm element by
-    element (``stress_energy``).  So a run never forms the full-size A or B;
-    ``A`` and ``B`` are assembled on first read and kept, for checks made
+    formed from them, and their symmetry is checked on ``elements``.  It
+    reads C only to invert it, once for S and once for the stepper.  The
+    energy takes the norms of A and C element by element (``stress_energy``
+    and ``velocity_energy``).  ``A``, ``B`` and ``C`` are each assembled on
+    first read and kept until deleted; a run deletes C once it is inverted
+    and never forms the full-size A or B, which are kept for checks made
     from outside a run.
     """
 
     stress_space: StressSpace
     velocity_space: VelocitySpace
-    C: sp.csr_matrix
     material: IsotropicMaterial
 
     @cached_property
@@ -206,12 +211,21 @@ class AssembledSystem:
         return _local_mass_stress(ss, self.material), _local_coupling(ss, vs)
 
     @cached_property
+    def _local_C(self) -> np.ndarray:
+        """The element matrix of C, each of whose entries is one of C's."""
+        return self.material.rho * _local_velocity_gram(self.velocity_space)
+
+    @cached_property
     def A(self) -> sp.csr_matrix:
         return assemble_mass_stress(self.stress_space, self.material)
 
     @cached_property
     def B(self) -> sp.csr_matrix:
         return assemble_coupling(self.stress_space, self.velocity_space)
+
+    @cached_property
+    def C(self) -> sp.csr_matrix:
+        return assemble_mass_velocity(self.velocity_space, self.material)
 
     @cached_property
     def at_rows(self) -> tuple:
@@ -248,6 +262,11 @@ class AssembledSystem:
         a = alpha[self.stress_space.eldof]
         return float(np.vdot(a @ self.elements[0], a))
 
+    def velocity_energy(self, beta) -> float:
+        """beta^T C beta, summed element by element with C's element matrix."""
+        b = beta[self.velocity_space.eldof]
+        return float(np.vdot(b @ self._local_C, b))
+
 
 def assemble_system(
     stress_space: StressSpace,
@@ -256,13 +275,8 @@ def assemble_system(
 ) -> AssembledSystem:
     """The system of a matched space pair; the family decides the lumping.
 
-    Only C is assembled here; A and B are assembled where they are read
+    No matrix is assembled here; each is assembled where it is read
     (``AssembledSystem``).
     """
     _check_pair(stress_space, velocity_space)
-    return AssembledSystem(
-        stress_space=stress_space,
-        velocity_space=velocity_space,
-        C=assemble_mass_velocity(velocity_space, material),
-        material=material,
-    )
+    return AssembledSystem(stress_space, velocity_space, material)

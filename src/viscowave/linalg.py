@@ -43,7 +43,13 @@ that order with diagonal pivots, which an SPD matrix allows; letting
 SuperLU pivot off the diagonal instead can multiply the fill when dt is
 large.  Smaller fronts leave less fill: at N = 256 the five blocks of
 ``hmz`` at dt = 0.25 fill 14.3 M entries, a split by the mirrors alone
-20.1 M and S_c in one piece 24.1 M.
+20.1 M and S_c in one piece 24.1 M.  SuperLU factors a panel of columns
+at a time (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal.
+Appl. 20, 1999), and its panel work arrays, about 15 bytes per row and
+column, are held while a block factors.  The first factor sets a run's
+peak memory, so the panel is 4 columns (``PANEL_SIZE``), not scipy's 20:
+the fill is the same and the factor no slower, where one column factors
+slower at N = 512.
 
 A run's data has a symmetry group G of its own (``symmetry.find_group``),
 so S is folded to one dof per orbit of G (``symmetry.Fold``), P^T S P =
@@ -90,6 +96,17 @@ log = logging.getLogger(__name__)
 # Largest box that nested dissection leaves unsplit.  With 64 the fill on
 # meshes of N <= 16 exceeds that of minimum degree on the full S.
 ND_LEAF = 16
+
+# Columns of a SuperLU panel.  While a block factors, SuperLU holds dense
+# and integer work arrays of about 15 bytes per row and panel column.  On
+# the one block of ``hmz`` example 2 at dt = 0.25 (49 408 rows at N = 256,
+# 197 120 at N = 512) every width left the same fill, and each column cost
+# 0.75 MB at N = 256: 4 columns raised the factor's high-water mark by 58
+# MB, scipy's default of 20 by 70 MB (267 against 315 MB at N = 512).  4
+# factored as fast as 20, in interleaved runs: 0.181 against 0.195 s at
+# N = 256 (median of 8) and 1.07 against 1.04 s at N = 512 (best of 5),
+# where 1 column was the slowest (1.21 s).
+PANEL_SIZE = 4
 
 # Residual the probe of each block accepts.  A sound factor leaves about
 # u kappa on a random right-hand side, which may exceed a solve's ``tol``; a
@@ -339,12 +356,7 @@ class CondensedLU:
             block = self._rows(rep) @ self._Q[:, part.start : part.start + m]
             block.sort_indices()
             try:
-                lu = spla.splu(
-                    block.T,
-                    permc_spec="NATURAL",
-                    diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True),
-                )
+                lu = _superlu(block.T)
             except RuntimeError as err:
                 raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
             _probe(lu, block)
@@ -394,6 +406,19 @@ class CondensedLU:
         x[self.outer] = x_o
         x[self.inner] = y
         return x
+
+
+def _superlu(M: sp.csc_matrix):
+    """SuperLU's factor of M in its own column order, with diagonal pivots,
+    which an SPD matrix allows, and panels of ``PANEL_SIZE`` columns: the
+    one set of options every block is factored with."""
+    return spla.splu(
+        M,
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        panel_size=PANEL_SIZE,
+        options=dict(SymmetricMode=True),
+    )
 
 
 def _probe(lu, block):

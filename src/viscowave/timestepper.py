@@ -41,11 +41,12 @@ class SimState:
     """Stress and velocity coefficients at one node of ``RunResult.times``.
 
     A state made by ``CNStepper.advance`` also carries ``products``, the
-    tuple (system, A alpha, folded) of the system that made it, ``folded``
-    its folded (alpha, beta, A alpha, Cinv B alpha); that node's
-    ``analysis.energy`` and the next ``advance`` reuse them for that same
-    system (``carried``) and multiply out any other state's.  ``copy``
-    holds alpha and beta only.
+    tuple (system, a, b, A_f a, Cinv_f B_f a) of the system that made it:
+    its alpha and beta folded to their representatives, a and b, and the
+    folded products the step formed of a.  That node's ``analysis.energy``
+    and the next ``advance`` reuse them for that same system (``carried``)
+    and multiply out any other state's.  Nothing full-size is carried but
+    alpha and beta.  ``copy`` holds alpha and beta only.
     """
 
     alpha: np.ndarray
@@ -56,7 +57,8 @@ class SimState:
         return SimState(self.alpha.copy(), self.beta.copy())
 
     def carried(self, system) -> tuple | None:
-        """(A alpha, folded) if carried for this very ``system``, else None."""
+        """The folded (a, b, A_f a, Cinv_f B_f a) if carried for this very
+        ``system``, else None."""
         if self.products is None or self.products[0] is not system:
             return None
         return self.products[1:]
@@ -137,11 +139,10 @@ class CNStepper:
     def check(self, state: SimState, scale: float) -> None:
         """Refuse, by name, an alpha or beta whose part that folding drops,
         lift(x[reps]) - x, exceeds ``symmetry.PROBE_RTOL`` of ``scale`` in the
-        norm of A, taken element by element, or of C: it breaks the symmetry
-        of the run's data."""
+        norm of A or of C, each taken element by element: it breaks the
+        symmetry of the run's data."""
         names = ("the stress, alpha,", "the velocity, beta,")
-        C = self.system.C
-        norms = self.system.stress_energy, lambda d: d @ (C @ d)
+        norms = self.system.stress_energy, self.system.velocity_energy
         for name, fold, x, norm in zip(names, self.folds, (state.alpha, state.beta), norms):
             d = fold.lift(x[fold.reps]) - x
             gap = np.sqrt(norm(d))
@@ -152,24 +153,27 @@ class CNStepper:
                 )
 
     def advance(self, state: SimState, load_mid: np.ndarray, dt: float) -> SimState:
-        """The state one step of ``dt`` on, carrying its A alpha and its folded
-        alpha, beta, A alpha and Cinv B alpha (``SimState``); a state that
-        carries none is folded as it is (see ``check``).  The velocity update
-        takes the mean of Cinv B alpha at the two ends, not Cinv B of the mean."""
+        """The state one step of ``dt`` on, carrying its folded alpha, beta,
+        A alpha and Cinv B alpha (``SimState``); a state that carries none is
+        folded as it is (see ``check``).  The velocity update takes the mean
+        of Cinv B alpha at the two ends, not Cinv B of the mean."""
         if dt != self.solver.dt:
             raise ValueError(
                 f"time step {dt} is not the step {self.solver.dt} the solver was built for"
             )
         (fs, fv), A, B, Cinv = self.folds, self.A, self.B, self.Cinv
         carried = state.carried(self.system)
-        a, b = (state.alpha[fs.reps], state.beta[fv.reps]) if carried is None else carried[1][:2]
-        Aa, CBa = (A @ a, Cinv @ (B @ a)) if carried is None else carried[1][2:]
+        if carried is None:
+            a, b = state.alpha[fs.reps], state.beta[fv.reps]
+            Aa, CBa = A @ a, Cinv @ (B @ a)
+        else:
+            a, b, Aa, CBa = carried
         g = Cinv @ load_mid[fv.reps]
         y = fv.sizes * (b + 0.25 * dt * CBa + 0.5 * dt * g)
         a_new = self.solver.solve((1.0 / dt - 0.5) * (fs.sizes * Aa) - self.Bt @ y)
         Aa_new, CBa_new = A @ a_new, Cinv @ (B @ a_new)
         b_new = b + dt * (0.5 * (CBa + CBa_new) + g)
-        products = (self.system, fs.lift(Aa_new), (a_new, b_new, Aa_new, CBa_new))
+        products = (self.system, a_new, b_new, Aa_new, CBa_new)
         return SimState(fs.lift(a_new), fv.lift(b_new), products)
 
 
@@ -227,9 +231,11 @@ def run(config) -> RunResult:
     span is refused (``CNStepper.check``).  The run never forms the
     full-size A or B: S and the stepper's folds are formed from their rows
     that these read (``AssembledSystem.at_rows``), which are dropped once
-    folded, before the first step factors S and sets the run's peak memory,
-    and node 0's energy and check take A's norm element by element.  Past
-    node 0 the run keeps C and the stepper's folds of A, B and Cinv.  A
+    folded, before the first step factors S and sets the run's peak memory.
+    C is assembled once, inverted for S and for the stepper, and dropped
+    with those rows.  Each node's energy and node 0's check take the norms
+    of A and C element by element, or A's from a stepped state's folds, so
+    past set-up the run keeps only the stepper's folds of A, B and Cinv.  A
     load, energy or error that is not finite, and a step whose solve fails,
     end the run naming the node and its time: with ``ValueError``, or the
     solve's own ``ConvergenceError`` or ``SingularBlockError``.  Running out
@@ -271,7 +277,8 @@ def run(config) -> RunResult:
         ) from err
     del Cinv  # the stepper keeps its own; one kept to the end raises the peak
     stepper = CNStepper(system, solver)
-    del system.at_rows  # folded by the stepper; kept, they raise the first factor's peak
+    # Folded or inverted by the stepper; kept, they raise the first factor's peak.
+    del system.at_rows, system.C
     state = init_state(
         stress_space,
         velocity_space,

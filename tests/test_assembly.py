@@ -382,7 +382,7 @@ def test_assemble_system_fields():
     ss, vs = spaces(2, NEDELEC)
     system = assemble_system(ss, vs, UNIT)
     assert [f.name for f in dataclasses.fields(system)] == [
-        "stress_space", "velocity_space", "C", "material"
+        "stress_space", "velocity_space", "material"
     ]
     assert system.material is UNIT
     assert system.A.shape == (ss.dim, ss.dim)
@@ -409,6 +409,21 @@ def test_full_size_a_and_b_are_assembled_on_first_read_and_kept(family):
             a, b = getattr(M, name), getattr(again, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert system.A is system.A and system.B is system.B
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_c_norm_summed_element_by_element_is_that_of_c(family):
+    # A run takes the C-norm with C's element matrix and never forms C;
+    # C itself is assembled on first read, as A and B are.
+    ss, vs = spaces(8, family)
+    system = assemble_system(ss, vs, IsotropicMaterial(rho=2.0, mu=3.0, lam=5.0))
+    rng = np.random.default_rng(5)
+    bs = [rng.standard_normal(vs.dim) for _ in range(4)]
+    got = [system.velocity_energy(b) for b in bs]
+    assert "C" not in vars(system)
+    for b, value in zip(bs, got):
+        assert value == pytest.approx(b @ (system.C @ b), rel=1e-14, abs=0.0)
+    assert system.C is system.C
 
 
 def run_group(example):

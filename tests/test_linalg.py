@@ -828,12 +828,7 @@ def test_no_mirrors_is_one_sector_in_the_unsplit_order(family, dt):
     assert abs(lu._Q[lu._reps[0]] - sp.identity(lu.outer.size)).max() == 0
     assert np.array_equal(lu._reps[0], nested_dissection(ss.grid[lu.outer]))
     S_c = condensed(lu, S[:, lu.outer[lu._reps[0]]])[lu._reps[0]]
-    ref = spla.splu(
-        S_c.T.tocsc(),
-        permc_spec="NATURAL",
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
+    ref = linalg._superlu(S_c.T.tocsc())
     assert fill(lu) == ref.L.nnz + ref.U.nnz
 
 

@@ -1,5 +1,5 @@
-"""The package's source keeps every line within 100 characters, and only the
-command line prints: library code logs."""
+"""The package's source keeps every line within 100 characters, only the
+command line prints, since library code logs, and one place calls SuperLU."""
 
 import ast
 from pathlib import Path
@@ -31,3 +31,18 @@ def test_only_the_command_line_prints():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
     ]
     assert not printing
+
+
+def test_one_place_calls_superlu():
+    # ``linalg._superlu`` holds the options every block is factored with,
+    # its panel width among them; a second call of ``splu`` would factor
+    # with scipy's defaults, a 20-column panel, and raise the peak memory.
+    calls = [
+        (path.name, node)
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "splu" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert [name for name, _ in calls] == ["linalg.py"]
+    assert "panel_size" in [keyword.arg for keyword in calls[0][1].keywords]

@@ -20,7 +20,7 @@ from viscowave.linalg import (
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import exact_fields
-from viscowave.symmetry import TRIVIAL, SymmetryGroup
+from viscowave.symmetry import TRIVIAL, SymmetryGroup, find_group
 from viscowave.timestepper import (
     CNStepper,
     SimState,
@@ -109,12 +109,36 @@ def test_a_stepped_state_carries_its_products(family):
     for state in states[1:]:
         # The spaces' group is trivial, so the folded vectors are the full ones.
         a, b = state.alpha, state.beta
-        Aa, (a_f, b_f, Aa_f, CBa) = state.carried(system)
-        assert np.array_equal(Aa, system.A @ a) and np.array_equal(Aa_f, Aa)
+        a_f, b_f, Aa_f, CBa = state.carried(system)
+        assert state.products[0] is system and len(state.products) == 5
+        assert np.array_equal(Aa_f, system.A @ a)
         assert np.array_equal(a_f, a) and np.array_equal(b_f, b)
         assert np.array_equal(CBa, stepper.Cinv @ (system.B @ a))
-        assert energy(system, state) == float(a @ (system.A @ a) + b @ (system.C @ b))
+        assert energy(system, state) == float(a @ (system.A @ a) + system.velocity_energy(b))
         assert state.copy().products is None
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_the_energy_read_from_the_folds_is_that_of_the_state(family, example):
+    # With the data's group a stepped state's alpha^T A alpha is the sum of
+    # Lambda a (A_f a) over its representatives; the same alpha and beta
+    # without their folds have it summed element by element.
+    solution = exact_fields(example, UNIT)
+    group = find_group((solution.sigma, solution.v, solution.f))
+    mesh = StructuredMesh(8)
+    ss, vs = StressSpace(mesh, family, group), VelocitySpace(mesh, family, group)
+    system = assemble_system(ss, vs, UNIT)
+    assert not ss.fold.trivial
+    stepper = make_stepper(system, 0.25)
+    state = init_state(
+        ss, vs, lambda x, y: solution.sigma(x, y, 0.0), lambda x, y: solution.v(x, y, 0.0)
+    )
+    for n in range(2):
+        state = step(stepper, state, solution.f, 0.25 * n, 0.25)
+        assert state.carried(system) is not None
+        bare = energy(system, SimState(state.alpha, state.beta))
+        assert energy(system, state) == pytest.approx(bare, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -328,11 +352,11 @@ def test_run_snapshots():
     assert res.final_state.products is None
 
 
-def test_a_step_makes_eighteen_sparse_products(monkeypatch):
+def test_a_step_makes_seventeen_sparse_products(monkeypatch):
     # The sparse matrix-vector products of each step, from the record of
     # one node to the next: the load's Cinv, B^T, the solve's 8 CSR (S_ii^-1,
-    # Q, W and S twice each) and 4 CSC (W^T and Q^T twice each), A, B and
-    # Cinv of the new alpha, and C in the energy; all but C's are folded.
+    # Q, W and S twice each) and 4 CSC (W^T and Q^T twice each), and A, B
+    # and Cinv of the new alpha, all folded; the energy takes none.
     # With no floor the refinement solves every block, so the solve makes
     # Q, W and Q^T once more than it did with one (11 CSR and 4 CSC).  Step 1
     # also checks the initial state's symmetry and forms and probes blocks.
@@ -353,7 +377,7 @@ def test_a_step_makes_eighteen_sparse_products(monkeypatch):
     monkeypatch.setattr(analysis, "energy", energy_then_count)
     run(RunConfig(element=HMZ, example=1, nx=8, n_steps=6))
     assert len(steps) == 7
-    assert steps[2:] == [Counter(csr=13, csc=5)] * 5
+    assert steps[2:] == [Counter(csr=12, csc=5)] * 5
 
 
 def test_a_step_whose_solve_fails_keeps_its_error_and_names_its_node(monkeypatch):
@@ -441,6 +465,37 @@ def test_a_run_assembles_a_and_b_only_at_the_rows_it_reads(family, example, monk
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("assembled")]
     assert line.startswith(f"assembled A at {len(ss.fold.reps)} of {ss.dim} rows and B at ")
     assert line.endswith(f"of {ss.mesh.n_elements} elements")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("example", [1, 2])
+def test_a_run_assembles_c_once_and_drops_it_before_node_0(family, example, monkeypatch):
+    # C is read only to invert it, for S and for the stepper; no node's
+    # energy or check reads it, so it is dead before the first factor, and
+    # a read after it was dropped would assemble it a second time.
+    made, cached, dead = [], [], []
+    assemble, record, factor = assembly.assemble_mass_velocity, analysis.energy, CondensedLU._factor
+
+    def spy(*args):
+        C = assemble(*args)
+        made.append(weakref.ref(C))
+        return C
+
+    def recording(system, state):
+        cached.append("C" in vars(system))
+        return record(system, state)
+
+    def first_factor(self, k):
+        dead.append(made[0]() is None)
+        return factor(self, k)
+
+    monkeypatch.setattr(assembly, "assemble_mass_velocity", spy)
+    monkeypatch.setattr(analysis, "energy", recording)
+    monkeypatch.setattr(CondensedLU, "_factor", first_factor)
+    run(RunConfig(element=family, example=example, nx=4, n_steps=2))
+    assert len(made) == 1 and made[0]() is None
+    assert cached == [False] * 3
+    assert dead and all(dead)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
