@@ -34,12 +34,14 @@ dofs alone are element-local, so ``VelocitySpace`` alone has ``spread``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from functools import cached_property
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .mesh import StructuredMesh
+from .mms import Separable
 from .quadrature import COMPOSITE, CORNERS
 from .symmetry import TRIVIAL, D, Fold, SymmetryGroup, X, Y, fold
 
@@ -93,7 +95,7 @@ class QuadKernel:
     integrated through the kernel, so it integrates on one representative
     element per orbit (``StructuredMesh.orbits``).  ``x`` and ``y`` are the
     representatives' points, shape (n_rep, nq): one read-only pair shared by
-    both spaces of a mesh with one group, so that field factors may keep
+    both spaces of a mesh with one group, so that their kernels may keep
     values computed on them; ``weights`` (nq,) are the rule weights, the
     same on every element.  ``basis`` has shape (n_local, nq * d), with
     ``basis[l, q * d + c]`` component c of local function l at point q, so
@@ -109,6 +111,10 @@ class QuadKernel:
     over the mesh as the sum over runs of the size times the run's sum.
     With the trivial group every element is its own representative, in
     element order, and the sums are those of the rule on every element.
+
+    ``factors`` keeps the values on the points of each spatial factor of a
+    ``Separable`` field (``mms``) the kernel has integrated, keyed weakly
+    by the factor, so they go with the field.
     """
 
     x: np.ndarray
@@ -118,15 +124,27 @@ class QuadKernel:
     weighted: np.ndarray
     eldof: np.ndarray
     orbits: tuple
+    factors: WeakKeyDictionary = _field(default_factory=WeakKeyDictionary, repr=False)
 
     def values(self, field, *t) -> np.ndarray:
-        """``field(x, y, *t)`` called once on all points, as a (n_rep, nq * d) view.
+        """``field(x, y, *t)`` on all points, as a (n_rep, nq * d) view.
 
-        It must return the points' shape plus (d,), the width of a basis
-        value; any other shape, a transposed one say, is refused.
+        A ``Separable`` field is combined from its factors' kept values,
+        each factor evaluated on its first use; any other field is called
+        once.  It must return the points' shape plus (d,), the width of a
+        basis value; any other shape, a transposed one say, is refused.
         """
         d = self.basis.shape[1] // len(self.weights)
-        return _checked(field(self.x, self.y, *t), self.x, d).reshape(len(self.x), -1)
+        if isinstance(field, Separable):
+            values = field.combine(self._factor, *t)
+        else:
+            values = field(self.x, self.y, *t)
+        return _checked(values, self.x, d).reshape(len(self.x), -1)
+
+    def _factor(self, factor) -> np.ndarray:
+        if factor not in self.factors:
+            self.factors[factor] = factor(self.x, self.y)
+        return self.factors[factor]
 
 
 class _Space:

@@ -27,7 +27,9 @@ class Orbits:
     orbit, grouped by orbit size, largest first, and in element order within
     a size; ``sizes`` holds the runs of them as (orbit size, slice) pairs.
     ``x`` and ``y`` are the composite-rule points of the representatives,
-    each (len(elements), nq), read-only and owning their data.
+    each (len(elements), nq), read-only and owning their data: the kernels
+    of a mesh's two spaces share them and keep values computed on them
+    (``fespace.QuadKernel``).
     """
 
     elements: np.ndarray
@@ -76,9 +78,10 @@ class StructuredMesh:
     def orbits(self, group: SymmetryGroup) -> Orbits:
         """The orbits of the elements under ``group``, built on first use and kept.
 
-        The pair of points is shared by every space of the mesh with the
-        group, and, read-only and owning its data, nothing can change it in
-        place, so field factors may keep values computed on it (see ``mms``).
+        The pair of points is shared by the kernels of every space of the
+        mesh with the group, which keep values computed on it
+        (``fespace.QuadKernel``), so it is read-only and owns its data:
+        nothing can change it in place.
         """
         if group not in self._orbits:
             self._orbits[group] = self._orbits_of(group)

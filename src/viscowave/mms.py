@@ -14,14 +14,15 @@ relation ``sigma + sigma_t = C eps(v)`` exactly for the unit material
 Each example declares v = c_v(t) V and sigma = c_s(t) S with D = div S;
 one helper builds the body force ``f = rho v_t - div sigma`` from them as
 rho c_v'(t) V - c_s(t) D, so the momentum equation holds by construction.
-Every field is time-separable (``Separable``).  Each spatial factor keeps
-its values on the last read-only point set (``SpatialFactor``), and V, in
-both v and f, is one object, so on a run's quadrature points each spatial
-factor is evaluated and stored once.  Those points lie on one element per
-orbit of the reflections the three fields share (``symmetry``): examples
-1 and 2 are symmetric under the rotation by pi and the diagonal
-reflection, so a run evaluates them on a quarter of the mesh, and example
-3 under the diagonal reflection alone, on half of it.
+Every field is time-separable (``Separable``) and keeps no state: the
+kernel that integrates a field (``fespace.QuadKernel``) evaluates each
+spatial factor once on its points and keeps the values, and V, in both v
+and f, is one function, so a kernel evaluates it once for both.  Those
+points lie on one element per orbit of the reflections the three fields
+share (``symmetry``): examples 1 and 2 are symmetric under the rotation
+by pi and the diagonal reflection, so a run evaluates them on a quarter
+of the mesh, and example 3 under the diagonal reflection alone, on half
+of it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .material import IsotropicMaterial
 
-__all__ = ["ExactSolution", "Separable", "SpatialFactor", "exact_fields"]
+__all__ = ["ExactSolution", "Separable", "exact_fields"]
 
 Field = Callable[..., np.ndarray]
 
@@ -56,61 +57,34 @@ def _stack(*components):
     return np.stack(np.broadcast_arrays(*components), axis=-1)
 
 
-def _frozen(a) -> bool:
-    """True for a read-only array that owns its data: nothing can change it in place."""
-    return isinstance(a, np.ndarray) and not a.flags.writeable and a.base is None
-
-
-class SpatialFactor:
-    """A spatial factor ``(x, y) -> broadcast(x, y) + (d,)`` that keeps its last values.
-
-    ``fn`` is the factor.  Its values on the last point set are kept when
-    both ``x`` and ``y`` are read-only arrays owning their data (matched by
-    identity), so a fixed quadrature point set costs one evaluation however
-    many fields and calls use the factor; any other points are evaluated on
-    every call.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self._memo = (None, None, None)
-
-    def __call__(self, x, y):
-        x, y = np.asarray(x, float), np.asarray(y, float)
-        if not (_frozen(x) and _frozen(y)):
-            return self.fn(x, y)
-        if not (x is self._memo[0] and y is self._memo[1]):
-            self._memo = (x, y, self.fn(x, y))
-        return self._memo[2]
-
-
 class Separable:
     """A time-separable field ``(x, y, t) -> sum_k c_k(t)[..., None] * F_k(x, y)``.
 
     ``terms`` are ``(c_k, F_k)`` pairs: a time coefficient and a spatial
-    factor returning ``broadcast(x, y) + (d,)``.  A factor that is not a
-    ``SpatialFactor`` is wrapped in one, so each keeps its values on a fixed
-    read-only point set; fields that share a ``SpatialFactor`` share them.
+    factor returning ``broadcast(x, y) + (d,)``.  A call evaluates every
+    factor anew; ``combine`` takes the factors' values from elsewhere, so
+    a kernel can keep them (``fespace.QuadKernel.values``).
     """
 
     def __init__(self, *terms):
-        self.terms = tuple(
-            (coef, factor if isinstance(factor, SpatialFactor) else SpatialFactor(factor))
-            for coef, factor in terms
-        )
+        self.terms = terms
 
     def __call__(self, x, y, t):
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        return self.combine(lambda factor: factor(x, y), t)
+
+    def combine(self, value, t):
+        """The field at ``t`` from ``value(F_k)``, the values of each factor."""
         t = np.asarray(t, float)
         (coef, factor), *rest = self.terms
-        out = coef(t)[..., None] * factor(x, y)
+        out = coef(t)[..., None] * value(factor)
         for coef, factor in rest:
-            out += coef(t)[..., None] * factor(x, y)
+            out += coef(t)[..., None] * value(factor)
         return out
 
 
 def _solution(rho, V, S, D, c_v, dc_v, c_s):
     """v = c_v V, sigma = c_s S (div S = D) and f = rho dc_v V - c_s D, which share V."""
-    V = SpatialFactor(V)
     return dict(
         v=Separable((c_v, V)),
         sigma=Separable((c_s, S)),

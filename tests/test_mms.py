@@ -12,6 +12,8 @@ import pytest
 import sympy as sym
 from fehelpers import ResidualReport, reference_fields, verify_residuals
 
+from viscowave.analysis import StressErrorEvaluator, VelocityErrorEvaluator
+from viscowave.assembly import assemble_load
 from viscowave.fespace import FAMILIES, StressSpace, VelocitySpace
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
@@ -238,101 +240,86 @@ def test_separable_fields_match_reference_closures(example, rho):
     _assert_fields_match(sol, ref, x[0], y[0], 0.81)  # all scalars
 
 
-def _counted(factor, calls):
-    def wrapped(x, y):
-        calls.append(factor)
-        return factor(x, y)
+def _counted(fields, calls):
+    """``fields`` with each spatial factor in one that appends itself to
+    ``calls`` when evaluated; a factor two fields share stays shared."""
+    made = {}
 
-    return wrapped
+    def counted(factor):
+        if factor not in made:
+            def evaluate(x, y):
+                calls.append(evaluate)
+                return factor(x, y)
 
+            made[factor] = evaluate
+        return made[factor]
 
-def _read_only(a):
-    a = np.array(a, float)
-    a.flags.writeable = False
-    return a
-
-
-def _count_factor_calls(fields, calls):
-    """Append each spatial factor of ``fields`` to ``calls`` whenever it is evaluated."""
-    for factor in {factor for field in fields for _, factor in field.terms}:
-        fn = factor.fn
-        factor.fn = lambda x, y, factor=factor, fn=fn: calls.append(factor) or fn(x, y)
-
-
-def test_read_only_points_evaluate_each_factor_once():
-    sol = exact_fields(1)
-    calls = []
-    _count_factor_calls((sol.f, sol.sigma), calls)
-    x, y, _ = _interior_points(1, 30, seed=5)
-    x, y = _read_only(x), _read_only(y)
-    ref = reference_fields(1)
-    for t in (0.0, 0.25, 0.5, 1.0):
-        np.testing.assert_allclose(sol.f(x, y, t), ref["f"](x, y, t), rtol=1e-14, atol=1e-16)
-        sol.sigma(x, y, t)
-    assert len(calls) == 3  # V and D for f, S for sigma
-    # a new point set is evaluated, and then kept in turn
-    x2 = _read_only(x[::-1])
-    for t in (0.5, 0.75):
-        np.testing.assert_allclose(
-            sol.f(x2, y, t), ref["f"](x2, y, t), rtol=1e-14, atol=1e-16
-        )
-    assert len(calls) == 5
+    return [Separable(*((c, counted(F)) for c, F in field.terms)) for field in fields]
 
 
 @pytest.mark.parametrize("example", [1, 2, 3])
-def test_velocity_factor_is_shared_by_v_and_f(example):
-    """V (U in example 3) is one factor of v and f, evaluated once for both."""
+def test_a_kernel_evaluates_each_factor_once(example):
+    # Over several times, the stress norm reads S on the stress kernel and
+    # the velocity norm and the load read V and D on the velocity kernel,
+    # V once for both v and f; another mesh's kernel evaluates its own.
     sol = exact_fields(example)
-    ((_, velocity),) = sol.v.terms
-    assert any(factor is velocity for _, factor in sol.f.terms)
     calls = []
-    _count_factor_calls((sol.v, sol.f, sol.sigma), calls)
-    orbits = StructuredMesh(4).orbits(TRIVIAL)
-    x, y = orbits.x, orbits.y
+    sigma, v, f = _counted((sol.sigma, sol.v, sol.f), calls)
+    ((_, S),), ((_, V),), ((_, V_f), (_, D)) = sigma.terms, v.terms, f.terms
+    assert V_f is V
+    group = find_group((sol.sigma, sol.v, sol.f))
+    mesh = StructuredMesh(4)
+    ss, vs = StressSpace(mesh, "hmz", group), VelocitySpace(mesh, "hmz", group)
+    stress_err = StressErrorEvaluator(ss, IsotropicMaterial())
+    vel_err = VelocityErrorEvaluator(vs, IsotropicMaterial())
+    alpha, beta = np.zeros(ss.dim), np.zeros(vs.dim)
+
+    def called(field):  # not a Separable: called on the points, nothing kept
+        return lambda x, y, t: field(x, y, t)
+
     for t in (0.0, 0.5, 1.0):
-        for field in (sol.v, sol.f, sol.sigma):
-            field(x, y, t)
-    assert calls.count(velocity) == 1
-    assert len(calls) == len(set(calls)) == 3  # V or U, S and D
+        assert stress_err(alpha, sigma, t) == stress_err(alpha, called(sol.sigma), t)
+        assert vel_err(beta, v, t) == vel_err(beta, called(sol.v), t)
+        np.testing.assert_array_equal(assemble_load(vs, f, t), assemble_load(vs, called(sol.f), t))
+    assert calls == [S, V, D]
+    assert set(ss.quad.factors) == {S} and set(vs.quad.factors) == {V, D}
+    other = VelocitySpace(StructuredMesh(4), "hmz", group)
+    for t in (0.0, 0.5):
+        assemble_load(other, f, t)
+    assert len(calls) == 5 and calls.count(V) == calls.count(D) == 2
 
 
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("example", [1, 2, 3])
-def test_fields_on_many_points_match_one_evaluation_bit_for_bit(example):
+def test_kernel_values_of_a_separable_field_are_those_of_a_call(example, family):
     # The kept factor values are made, and the terms of f summed, on all
-    # 65^2 elements' points at once.
-    orbits = StructuredMesh(65).orbits(TRIVIAL)
-    x, y = orbits.x, orbits.y
+    # 65^2 elements' points at once, and on the run's representatives.
     sol = exact_fields(example)
-    calls = []
-    _count_factor_calls((sol.v, sol.f, sol.sigma), calls)
-    for t in (0.0, 0.3):
-        for field in (sol.v, sol.f, sol.sigma):
-            np.testing.assert_array_equal(field(x, y, t), field(x.copy(), y.copy(), t))
-    # kept: 3 factors, each made once; the copies: 4 whole factor calls per time
-    assert len(calls) == 3 + 4 * 2
+    mesh = StructuredMesh(65)
+    for group in (TRIVIAL, find_group((sol.sigma, sol.v, sol.f))):
+        stress, velocity = StressSpace(mesh, family, group), VelocitySpace(mesh, family, group)
+        for q, fields in ((stress.quad, (sol.sigma,)), (velocity.quad, (sol.v, sol.f))):
+            for t in (0.0, 0.3):
+                for field in fields:
+                    want = field(q.x.copy(), q.y.copy(), t).reshape(len(q.x), -1)
+                    np.testing.assert_array_equal(q.values(field, t), want)
+        assert len(stress.quad.factors) == 1 and len(velocity.quad.factors) == 2
 
 
-def test_writable_points_are_evaluated_on_every_call():
+def test_a_separable_field_called_directly_keeps_nothing():
     calls = []
-    field = Separable((np.exp, _counted(lambda x, y: np.stack([x * y, x + y], -1), calls)))
-    x = np.linspace(0.1, 0.9, 7)
-    y = np.linspace(0.2, 0.8, 7)
-    first = field(x, y, 0.3)
-    x *= 2.0  # in place: same object, new values
-    np.testing.assert_array_equal(
-        field(x, y, 0.3), np.exp(0.3) * np.stack([x * y, x + y], -1)
-    )
-    assert not np.array_equal(first, field(x, y, 0.3))
-    # a read-only view sees writes to its writable base, so it is not kept either
-    base = np.linspace(0.1, 0.9, 7)
-    view = base[:]
-    view.flags.writeable = False
-    field(view, y, 0.3)
-    base += 1.0
-    np.testing.assert_array_equal(
-        field(view, y, 0.3), np.exp(0.3) * np.stack([view * y, view + y], -1)
-    )
-    assert len(calls) == 5
+
+    def factor(x, y):
+        calls.append(None)
+        return np.stack([x * y, x + y], -1)
+
+    field = Separable((np.exp, factor))
+    orbits = StructuredMesh(3).orbits(TRIVIAL)
+    x, y = orbits.x, orbits.y
+    for t in (0.3, 0.3, 0.7):
+        np.testing.assert_array_equal(field(x, y, t), np.exp(t) * factor(x, y))
+    assert len(calls) == 6
+    assert vars(field) == {"terms": ((np.exp, factor),)}
 
 
 def test_quadrature_points_refuse_writes():

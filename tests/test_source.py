@@ -1,7 +1,9 @@
 """The package's source keeps every line within 100 characters, only the
-command line prints, since library code logs, and one place calls SuperLU."""
+command line prints, since library code logs, one place calls SuperLU, and
+every module's ``__all__`` names only what the module defines."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "viscowave"
@@ -46,3 +48,16 @@ def test_one_place_calls_superlu():
     ]
     assert [name for name, _ in calls] == ["linalg.py"]
     assert "panel_size" in [keyword.arg for keyword in calls[0][1].keywords]
+
+
+def test_every_name_in_all_is_defined():
+    # A stale name in ``__all__`` fails only under ``from module import *``.
+    stale = [
+        f"{path.stem}.{name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if not path.stem.startswith("__")  # __main__ would run the command line
+        for module in [importlib.import_module(f"viscowave.{path.stem}")]
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not stale

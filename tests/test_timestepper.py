@@ -13,7 +13,7 @@ from viscowave.analysis import energy
 from viscowave import assembly
 from viscowave.assembly import assemble_load, assemble_system
 from viscowave.cli import RunConfig
-from viscowave.fespace import FAMILIES, HMZ, NEDELEC, StressSpace, VelocitySpace
+from viscowave.fespace import FAMILIES, HMZ, NEDELEC, QuadKernel, StressSpace, VelocitySpace
 from viscowave.linalg import (
     CondensedLU, ConvergenceError, SingularBlockError, block_diag_inverse, build_schur,
 )
@@ -496,6 +496,26 @@ def test_a_run_assembles_c_once_and_drops_it_before_node_0(family, example, monk
     assert len(made) == 1 and made[0]() is None
     assert cached == [False] * 3
     assert dead and all(dead)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_a_returned_run_keeps_no_field_values(family, example, monkeypatch):
+    # The kernels keep each factor's values while the run's solution lives;
+    # a kept result, as a study or the benchmark keeps, holds none of them.
+    kept = []
+    values = QuadKernel.values
+
+    def spy(self, field, *t):
+        out = values(self, field, *t)
+        kept.append(len(self.factors))
+        return out
+
+    monkeypatch.setattr(QuadKernel, "values", spy)
+    result = run(RunConfig(element=family, example=example, nx=4, n_steps=2))
+    assert max(kept) == 2
+    for space in (result.stress_space, result.velocity_space):
+        assert len(space.quad.factors) == 0
 
 
 @pytest.mark.parametrize("family", FAMILIES)
