@@ -257,11 +257,36 @@ def _counted(fields, calls):
     return [Separable(*((c, counted(F)) for c, F in field.terms)) for field in fields]
 
 
+def test_read_only_points_evaluate_each_factor_once():
+    # A kernel's points are read-only and its own: over several times it
+    # evaluates V, D and S once each; another mesh's kernel evaluates V and
+    # D on its points, and then keeps them in turn.
+    sol = exact_fields(1)
+    calls = []
+    sigma, f = _counted((sol.sigma, sol.f), calls)
+    ref = reference_fields(1)
+    mesh = StructuredMesh(3)
+    stress, velocity = StressSpace(mesh, "hmz").quad, VelocitySpace(mesh, "hmz").quad
+    for q in (stress, velocity):
+        assert not q.x.flags.writeable and not q.y.flags.writeable
+    for t in (0.0, 0.25, 0.5, 1.0):
+        want = ref["f"](velocity.x, velocity.y, t).reshape(len(velocity.x), -1)
+        np.testing.assert_allclose(velocity.values(f, t), want, rtol=1e-14, atol=1e-16)
+        stress.values(sigma, t)
+    assert len(calls) == 3  # V and D for f, S for sigma
+    other = VelocitySpace(StructuredMesh(3), "hmz").quad
+    for t in (0.5, 0.75):
+        want = ref["f"](other.x, other.y, t).reshape(len(other.x), -1)
+        np.testing.assert_allclose(other.values(f, t), want, rtol=1e-14, atol=1e-16)
+    assert len(calls) == 5
+
+
 @pytest.mark.parametrize("example", [1, 2, 3])
-def test_a_kernel_evaluates_each_factor_once(example):
+def test_velocity_factor_is_shared_by_v_and_f(example):
+    """V (U in example 3) is one factor of v and f, evaluated once for both."""
     # Over several times, the stress norm reads S on the stress kernel and
-    # the velocity norm and the load read V and D on the velocity kernel,
-    # V once for both v and f; another mesh's kernel evaluates its own.
+    # the velocity norm and the load read V and D on the velocity kernel;
+    # another mesh's kernel evaluates its own.
     sol = exact_fields(example)
     calls = []
     sigma, v, f = _counted((sol.sigma, sol.v, sol.f), calls)
