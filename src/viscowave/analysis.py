@@ -45,6 +45,9 @@ __all__ = [
 # in sum; 256 was the fastest for the stress norm and 128 slower than 256.
 NORM_BLOCK = 256
 
+# Largest mesh size of ``infsup_constants``, whose computation is dense.
+INFSUP_MAX_N = 8
+
 
 class _ErrorEvaluator:
     """Weighted L2 distance between a coefficient field and a reference field.
@@ -164,17 +167,17 @@ def _infsup_constant(stress_space, velocity_space) -> float:
     return float(np.sqrt(max(evals[0], 0.0)))
 
 
-def infsup_constants(family: str, mesh_sizes, max_n: int = 8) -> list[float]:
+def infsup_constants(family: str, mesh_sizes) -> list[float]:
     """Discrete pairing constants on n-by-n unit meshes (dense; n capped).
 
     The constant is min over velocities of max over stresses of
-    ``b(w, tau) / (||tau||_div ||w||_0)``; mesh sizes above ``max_n`` are
-    rejected because the computation is dense.
+    ``b(w, tau) / (||tau||_div ||w||_0)``; mesh sizes above ``INFSUP_MAX_N``
+    are rejected because the computation is dense.
     """
     out = []
     for n in mesh_sizes:
-        if n > max_n:
-            raise ValueError(f"mesh size {n} exceeds the dense-computation cap {max_n}")
+        if n > INFSUP_MAX_N:
+            raise ValueError(f"mesh size {n} exceeds the dense-computation cap {INFSUP_MAX_N}")
         mesh = StructuredMesh(n)
         out.append(
             _infsup_constant(StressSpace(mesh, family), VelocitySpace(mesh, family))

@@ -43,7 +43,7 @@ import numpy as np
 from .mesh import StructuredMesh
 from .mms import Separable
 from .quadrature import COMPOSITE, CORNERS
-from .symmetry import TRIVIAL, D, Fold, SymmetryGroup, X, Y, fold
+from .symmetry import TRIVIAL, D, Fold, SymmetryGroup, X, Y, fold, grid_rank
 
 __all__ = [
     "NEDELEC",
@@ -306,10 +306,9 @@ class StressSpace(_Space):
 
     @property
     def rank(self) -> np.ndarray:
-        """Each dof's place in (gx, gy) order, which names the split's vectors too."""
-        rank = np.empty(self.dim, dtype=np.intp)
-        rank[np.lexsort((self.grid[:, 1], self.grid[:, 0]))] = np.arange(self.dim)
-        return rank
+        """Each dof's place in (gx, gy) order (``symmetry.grid_rank``), which
+        names the split's vectors too."""
+        return grid_rank(self.grid)
 
     @property
     def dof_point(self) -> np.ndarray:

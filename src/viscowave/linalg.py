@@ -56,12 +56,16 @@ so S is folded to one dof per orbit of G (``symmetry.Fold``), P^T S P =
 Lambda S[reps] P, formed from its rows at the representatives alone.  It
 holds only the blocks of G's span: blocks 1 and 3 for example 1 of
 ``mms``, E's half even under the diagonal (one block, solved with one
-column) for example 2, and all three for example 3.  S_c is never formed,
-and the first solve forms, factors and probes each block
-(``CondensedLU``).  A solve uses SuperLU's transposed path, which works by
-dot products (gathers) instead of scattered updates and is the faster of
-the two; it is refined once and checked against S, so a split that did not
-hold would be refused, not returned.
+column) for example 2, and all three for example 3.  The blocks fold the
+stress space's own dofs, their orbits named in the (gx, gy) order that
+names G's (``symmetry.grid_rank``), so their representatives are G's and
+those of the interior orbits are dropped.  S_c is never formed, and the
+first solve forms, factors and probes each block (``CondensedLU``, which
+``build_schur`` builds and a ``SchurSolver`` wraps).  A solve uses
+SuperLU's transposed path, which works by dot products (gathers) instead
+of scattered updates and is the faster of the two; it is refined once and
+checked against S, so a split that did not hold would be refused, not
+returned.
 
 Every block of the velocity mass, and of the ``hmz`` bubble block S_ii, is
 the same on the uniform mesh, so ``block_diag_inverse`` inverts one block
@@ -78,7 +82,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import symmetry
-from .symmetry import TRIVIAL, D, Fold, SymmetryGroup
+from .symmetry import D, Fold, SymmetryGroup
 
 __all__ = [
     "ConvergenceError",
@@ -225,12 +229,12 @@ def _blocks(generators: dict, rank, group) -> list:
     ``(reps, bases)``: the fold of X, Y and D (``generators``, by name) under
     a subgroup with a one-dimensional character, orbits named by ``rank``,
     and its sectors' signed gathers.  A block is held if its character is the
-    group's on the group, and dropped if empty, as on a tiny mesh.  With D in
-    the group E is one sector, not a pair: its half, where D acts as chi(D)."""
+    group's on the group; on a tiny mesh it may be empty.  With D in the
+    group E is one sector, not a pair: its half, where D acts as chi(D)."""
     chi = dict(group.members())  # by index in MEMBERS: D is 4
     one_dim = [SymmetryGroup((("X", m), ("Y", m), ("D", d))) for m in (1, -1) for d in (1, -1)]
     held = [g for g in one_dim if chi.items() <= dict(g.members()).items()]
-    folded = symmetry.folds(generators, held, rank) if held else []
+    folded = [symmetry.fold(generators, g, rank) for g in held]
     blocks = [(f.reps, [(f.index, f.sign)]) for f in folded]
     e = SymmetryGroup((("XY", -1), ("D", chi[4])) if 4 in chi else (("X", 1), ("Y", -1)))
     if chi.items() <= dict(e.members()).items():
@@ -238,37 +242,40 @@ def _blocks(generators: dict, rank, group) -> list:
         pd, sd = generators[D]
         image = [] if 4 in chi else [(f.index[pd], f.sign[pd] * sd)]
         blocks.append((f.reps, [(f.index, f.sign)] + image))
-    return [block for block in blocks if len(block[0])]
+    return blocks
 
 
 class CondensedLU:
     """LU factors of S after static condensation and a split by its symmetries,
     each block factored by the first solve.
 
-    S may be folded by ``fold`` (``symmetry.Fold``): P^T S P on the values at
-    the representatives, solved for the right-hand side P^T b.  ``interior``
-    (n_elements, k) lists each element's interior dofs, which must couple in
-    S with no other element's (``block_diag_inverse`` raises ``ValueError``
-    if they do); an element's interior representatives, 1 to k of them, are
-    one block of S_ii.  ``grid`` (n, 2) is the half-step grid point of every
-    dof (see ``nested_dissection``).  ``generators`` holds X, Y and D by
-    name as signed dof permutations ``(p, s)`` (a space's ``generators``);
-    they must commute with S, keep the interior dofs interior and satisfy
-    D4's relations.  Identity maps split nothing.  ``interior``, ``grid`` and
-    ``generators`` number every dof, folded or not.
+    S is folded by ``fold`` (``symmetry.Fold``), trivial if S is whole: P^T
+    S P on the values at the representatives, solved for the right-hand side
+    P^T b.  ``interior`` (n_elements, k) lists each element's interior dofs,
+    which must couple in S with no other element's (``block_diag_inverse``
+    raises ``ValueError`` if they do); an element's interior representatives,
+    1 to k of them, are one block of S_ii.  ``grid`` (n, 2) is the half-step
+    grid point of every dof (see ``nested_dissection``).  ``generators``
+    holds X, Y and D by name as signed dof permutations ``(p, s)`` (a space's
+    ``generators``); they must commute with S, keep the interior dofs
+    interior and satisfy D4's relations.  Identity maps split nothing.
+    ``interior``, ``grid`` and ``generators`` number every dof, folded or not.
 
-    Each block is a fold of the outer dofs (``_blocks``) whose orbits are
-    named after their dof first in (gx, gy) order, as the space's fold
-    names its representatives: so a one-dimensional block is named in the
-    triangle gx <= gy, not across the quarter.  A sector's basis Q is its
-    fold's signed gather, read at the run's representatives.
+    Each block is a fold of every dof (``_blocks``) under a subgroup of D4
+    whose character holds ``fold``'s, its orbits named after their dof first
+    in (gx, gy) order (``symmetry.grid_rank``), as ``fold`` names its
+    representatives: so a one-dimensional block is named in the triangle gx
+    <= gy, not across the quarter, and its representatives are ``fold``'s.
+    Those of its outer orbits are kept, in ascending dof order, and a block
+    with none, as on a tiny mesh, is dropped.  A sector's basis Q is its fold's signed gather,
+    read at the run's representatives.
     S_c Q lies in the span of Q, and the block M = S_c[named] Q satisfies
     Q^T S_c Q = diag(n / Lambda_named) M, n the sum of Lambda over the
     vector's representatives.  A paired sector's basis is P Q for a
     generator P, so one factor of M serves both.  Each block's named dofs
     are ordered by nested dissection of their points.
 
-    Set-up keeps S, S_ii^-1, W = S_ii^-1 S_io and the stacked Q, with W^T
+    Set-up keeps ``S``, S_ii^-1, W = S_ii^-1 S_io and the stacked Q, with W^T
     and Q^T as CSC views.  ``solve`` condenses b to b_o - W^T b_i (S_ii is
     symmetric), gathers every sector's right-hand side by one product with
     Q^T scaled by Lambda_named / n, solves each block, a pair as two
@@ -280,17 +287,12 @@ class CondensedLU:
     """
 
     def __init__(
-        self,
-        S: sp.csr_matrix,
-        interior: np.ndarray,
-        grid: np.ndarray,
-        generators: dict,
-        fold: Fold | None = None,
+        self, S: sp.csr_matrix, interior: np.ndarray, grid: np.ndarray, generators: dict, fold: Fold
     ):
         interior, grid = np.asarray(interior), np.asarray(grid)
-        self.fold = fold or symmetry.fold({}, TRIVIAL, np.arange(len(grid)))
+        self.S, self.fold = S, fold
         at = np.full(len(grid), -1)
-        at[self.fold.reps] = np.arange(S.shape[0])
+        at[fold.reps] = np.arange(S.shape[0])
         # The interior representatives, element by element, by their count.
         pos = at[interior]
         count = (pos >= 0).sum(axis=1)
@@ -298,37 +300,34 @@ class CondensedLU:
         kinds = [(k, rows[rows >= 0]) for k, rows in kinds if rows.size]
         self.inner = np.concatenate([pos[:0].ravel()] + [dofs for _, dofs in kinds])
         self.outer = np.delete(np.arange(S.shape[0]), self.inner)
-        self._S = S
         rows_i = S[self.inner]
         inverses = [block_diag_inverse(S[d][:, d], k) for k, d in kinds] or [rows_i[:, self.inner]]
         self._Sii_inv = inverses[0] if len(inverses) == 1 else sp.block_diag(inverses, "csr")
         self._W = self._Sii_inv @ rows_i[:, self.outer]
         self._Wt = self._W.T
         del rows_i, inverses  # held while Q is built, they raise the run's peak
-        # The split is found on every outer dof and kept at the representatives.
-        outer = np.delete(np.arange(len(grid)), interior)
-        n, m = len(outer), len(self.outer)
-        generators = {g: (np.searchsorted(outer, p[outer]), s[outer])
-                      for g, (p, s) in generators.items()}
-        grid = grid[outer]
-        rank = np.empty(n, dtype=np.intp)
-        rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(n)
-        row = np.full(len(at), -1)
-        row[self.fold.reps[self.outer]] = np.arange(m)
-        row, sizes = row[outer], self.fold.sizes[self.outer]
+        # The split is found on every dof and kept at the outer representatives:
+        # a block's are the run's, so row[rep] < 0 drops its interior orbits.
+        m = len(self.outer)
+        row = np.full(len(grid), -1)
+        row[fold.reps[self.outer]] = np.arange(m)
+        sizes = fold.sizes[self.outer]
         self._reps, self._parts, held, vec, coef, named = [], [], [], [], [], []
-        for rep, bases in _blocks(generators, rank, self.fold.group):
-            order = nested_dissection(grid[rep])
-            pos = np.empty(len(order), dtype=np.int32)
+        for rep, bases in _blocks(generators, symmetry.grid_rank(grid), fold.group):
+            kept = np.flatnonzero(row[rep] >= 0)
+            if not kept.size:
+                continue
+            order = kept[nested_dissection(grid[rep[kept]])]
+            pos = np.empty(len(rep), dtype=np.int32)
             pos[order] = np.arange(len(order), dtype=np.int32)
             start = self._parts[-1].stop if self._parts else 0
             for j, (index, sign) in enumerate(bases):
                 h = np.flatnonzero((sign != 0) & (row >= 0))
                 held.append(row[h])
-                vec.append(start + j * len(rep) + pos[index[h]])
+                vec.append(start + j * len(order) + pos[index[h]])
                 coef.append(sign[h])
             self._reps.append(row[rep[order]])
-            self._parts.append(slice(start, start + len(bases) * len(rep)))
+            self._parts.append(slice(start, start + len(bases) * len(order)))
             named.append(np.tile(sizes[self._reps[-1]], len(bases)))
         held, vec, coef, named = map(np.concatenate, (held, vec, coef, named))
         # Float, whatever the signs' dtype: a product with int8 data would
@@ -363,7 +362,7 @@ class CondensedLU:
         except MemoryError as err:  # from any step; SuperLU's has no message
             raise MemoryError(
                 f"out of memory factoring block {k + 1} of {len(self._lus)} ({m} rows) "
-                f"of the reduced stress matrix S ({self._S.shape[0]} rows)"
+                f"of the reduced stress matrix S ({self.S.shape[0]} rows)"
             ) from err
         self._lus[k] = lu
         # SuperLU's own count: reading ``lu.L`` or ``lu.U`` would copy the factor.
@@ -374,7 +373,7 @@ class CondensedLU:
 
     def _rows(self, rep):
         """The rows ``rep`` of S_c, S_oo - S_oi W, from S's rows at those outer dofs."""
-        rows = self._S[self.outer[rep]]
+        rows = self.S[self.outer[rep]]
         return rows[:, self.outer] - rows[:, self.inner] @ self._W
 
     def _stacked(self, name):
@@ -443,35 +442,21 @@ def _probe(lu, block):
 
 
 class SchurSolver:
-    """Prepared solver for the reduced stress system: S factored as a
-    ``CondensedLU`` with the element-interior dofs ``interior``, the
-    half-step grid points ``grid``, the ``generators`` that split it and the
-    ``fold`` it was folded by, if any.
+    """Prepared solver for the reduced stress system around its built factor
+    ``lu``, a ``CondensedLU``, whose S it reads.
 
     Each solve is refined once and its relative residual checked against
     S: the residual of the lifted vectors, as |P r|^2 = r^T Lambda^-1 r for
-    the folded residual r = P^T (b - S P a).  A factor that fails its probe
-    raises ``SingularBlockError`` from the first solve.  ``dt`` records the
-    time step S was formed for.
+    the folded residual r = P^T (b - S P a), P the factor's ``fold``.  A
+    factor that fails its probe raises ``SingularBlockError`` from the first
+    solve.  ``dt`` records the time step S was formed for.
     """
 
-    def __init__(
-        self,
-        S: sp.csr_matrix,
-        tol: float,
-        interior: np.ndarray,
-        grid: np.ndarray,
-        generators: dict,
-        dt: float,
-        fold: Fold | None = None,
-    ):
+    def __init__(self, lu: CondensedLU, tol: float, dt: float):
         if not 0.0 < tol < 1.0:
             raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
-        self.S = S
-        self.tol = tol
-        self.dt = dt
-        self._lu = CondensedLU(S, interior, grid, generators, fold)
-        self._weight = 1.0 / self._lu.fold.sizes
+        self.S, self.tol, self.dt, self._lu = lu.S, tol, dt, lu
+        self._weight = 1.0 / lu.fold.sizes
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve S x = rhs to relative residual at most ``tol``.
@@ -502,7 +487,8 @@ class SchurSolver:
 
 
 def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver:
-    """Form S = (1/dt + 1/2) A + (dt/4) B^T Cinv B, folded, and prepare its solver.
+    """Form S = (1/dt + 1/2) A + (dt/4) B^T Cinv B, folded, build its
+    ``CondensedLU`` and wrap it in a ``SchurSolver``.
 
     ``system`` is the ``AssembledSystem``; its stress space gives the
     element-interior dofs, element by element, the half-step grid point of
@@ -564,7 +550,7 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
     S = sp.csr_matrix(S, copy=True) if fold.trivial else S @ fold.P()
     S.data *= np.repeat(fold.sizes, np.diff(S.indptr))
     log.debug("formed S at %d of %d rows: %d entries", len(fold.reps), len(fold.index), S.nnz)
-    return SchurSolver(S, tol, space.interior, space.grid, gs, dt, fold)
+    return SchurSolver(CondensedLU(S, space.interior, space.grid, gs, fold), tol, dt)
 
 
 def _check_symmetries(system, Cinv) -> None:

@@ -18,8 +18,10 @@ needs one element per orbit (``mesh.StructuredMesh.orbits``).
 
 D4 is declared here alone: its members (``MEMBERS``), a group's
 reflections (``reflections``) and members (``images``) as signed
-permutations, composed only here, into the folds (``fold``, ``folds``) of
-the elements (the mesh's orbits), the dofs and the stress solve's blocks.
+permutations, composed only here, into the folds (``fold``, one per group)
+of the elements (the mesh's orbits), the dofs and the stress solve's
+blocks.  A stress space names an orbit after its first dof in (gx, gy)
+order (``grid_rank``), in its fold and in the blocks of its solve alike.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "X", "Y", "D", "MEMBERS", "REFLECTIONS", "RULE_REFLECTIONS", "SymmetryGroup", "TRIVIAL",
-    "Fold", "find_group", "fold", "folded", "folds", "images", "matrix", "reflections",
+    "Fold", "find_group", "fold", "folded", "grid_rank", "images", "matrix", "reflections",
 ]
 
 # The generators of the square's group, D4, named as in the spaces'
@@ -160,31 +162,31 @@ class Fold:
 
 
 def fold(generators: dict, group, rank) -> Fold:
-    """The ``Fold`` of ``group`` alone (``folds``)."""
-    return folds(generators, [group], rank)[0]
-
-
-def folds(generators: dict, groups, rank) -> list:
-    """The ``Fold`` of the x with s_g x[p_g] = chi(g) x for each member g, per
-    group of ``groups``, from the signed dof permutations of X, Y and D by
-    name, an orbit represented by its dof of lowest ``rank``.  The groups
-    name the same reflections in one order, so their orbits and members are
-    found once; a character drops an orbit a member fixes with the sign -1."""
-    refl, low = reflections(generators, groups[0]), rank
+    """The ``Fold`` of the x with s_g x[p_g] = chi(g) x for each member g of
+    ``group``, from the signed dof permutations of X, Y and D by name, an
+    orbit represented by its dof of lowest ``rank``; a character drops an
+    orbit that a member fixes with the sign -1."""
+    refl, low = reflections(generators, group), rank
     for p, _ in refl:
         low = np.minimum(low, low[p])
     named = np.flatnonzero(low == rank)
     p, s = images(refl, named)
     fixed = p == named
-    out = []
-    for group in groups:
-        sign = np.array([chi for _, chi in group.members()])[:, None] * s
-        has = ~np.any(fixed & (sign < 0), axis=0)
-        index, lift = np.zeros(len(rank), dtype=np.intp), np.zeros(len(rank), dtype=np.int8)
-        index[p[:, has]] = np.arange(np.count_nonzero(has))
-        lift[p[:, has]] = sign[:, has]
-        out.append(Fold(group, named[has], index, lift, len(p) // fixed[:, has].sum(axis=0)))
-    return out
+    sign = np.array([chi for _, chi in group.members()])[:, None] * s
+    has = ~np.any(fixed & (sign < 0), axis=0)
+    index, lift = np.zeros(len(rank), dtype=np.intp), np.zeros(len(rank), dtype=np.int8)
+    index[p[:, has]] = np.arange(np.count_nonzero(has))
+    lift[p[:, has]] = sign[:, has]
+    return Fold(group, named[has], index, lift, len(p) // fixed[:, has].sum(axis=0))
+
+
+def grid_rank(grid) -> np.ndarray:
+    """Each point's place in (gx, gy) order, points that coincide in index
+    order: the rank that names a stress space's orbits after their first
+    dof, in its ``fold`` and in the blocks of its solve alike."""
+    rank = np.empty(len(grid), dtype=np.intp)
+    rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(len(grid))
+    return rank
 
 
 def folded(M, rows: Fold, P) -> sp.csr_matrix:

@@ -39,6 +39,9 @@ that ``build_schur`` forms at the representatives alone is checked against.
 ``sectors`` builds the stress solve's D4 blocks from a table of characters
 (``ONE_DIM``, ``character``) by gathers over the mirrors' minima: the
 reference the blocks that ``CondensedLU`` folds are checked against.
+``outer_split`` builds ``CondensedLU``'s split on the outer dofs alone,
+numbered a second time: the reference the split on the space's own dofs
+is checked against.
 """
 
 from typing import NamedTuple
@@ -49,6 +52,7 @@ from scipy.stats import qmc
 
 from viscowave.analysis import energy
 from viscowave.fespace import StressSpace, VelocitySpace
+from viscowave.linalg import nested_dissection
 from viscowave.material import VOIGT_DOT, IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import ExactSolution
@@ -745,3 +749,41 @@ def sectors(generators, rank, group=TRIVIAL):
         rep, basis = sector(len(rank), p, s, character((-1, chi[4])), named)
         blocks.append((rep, [basis]))
     return [block for block in blocks if len(block[0])]
+
+
+def outer_split(lu, interior, grid, generators):
+    """``lu``'s split as it was found on the outer dofs alone: X, Y and D
+    (``generators``, by name, on every dof) taken to the outer dofs by
+    ``np.searchsorted``, the outer points ranked again in (gx, gy) order and
+    the blocks of ``sectors`` under ``lu.fold``'s group, kept at the outer
+    representatives.  Returns what ``CondensedLU`` keeps of it: ``Q``, the
+    representatives of each block in nested-dissection order, each block's
+    part of the columns and the scale Lambda_named / n of each column."""
+    fold = lu.fold
+    outer = np.delete(np.arange(len(grid)), interior)
+    n, m = len(outer), len(lu.outer)
+    perms = tuple((np.searchsorted(outer, p[outer]), s[outer]) for p, s in generators.values())
+    grid = grid[outer]
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(n)
+    row = np.full(len(fold.index), -1)
+    row[fold.reps[lu.outer]] = np.arange(m)
+    row, sizes = row[outer], fold.sizes[lu.outer]
+    reps, parts, held, vec, coef, named = [], [], [], [], [], []
+    for rep, bases in sectors(perms, rank, fold.group):
+        order = nested_dissection(grid[rep])
+        pos = np.empty(len(order), dtype=np.int32)
+        pos[order] = np.arange(len(order), dtype=np.int32)
+        start = parts[-1].stop if parts else 0
+        for j, (col, sign) in enumerate(bases):
+            h = np.flatnonzero((sign != 0) & (row >= 0))
+            held.append(row[h])
+            vec.append(start + j * len(rep) + pos[col[h]])
+            coef.append(sign[h])
+        reps.append(row[rep[order]])
+        parts.append(slice(start, start + len(bases) * len(rep)))
+        named.append(np.tile(sizes[reps[-1]], len(bases)))
+    held, vec, coef, named = map(np.concatenate, (held, vec, coef, named))
+    Q = sp.csr_matrix((coef.astype(float), (held, vec)), shape=(m, m))
+    inv_size = named / np.bincount(vec, weights=sizes[held], minlength=m)
+    return Q, reps, parts, inv_size

@@ -297,8 +297,9 @@ INFSUP_BASELINES = {
 }
 
 
-def test_vertex_pair_constant_halves_from_n8():
-    b8, b16 = infsup_constants(NEDELEC, [8, 16], max_n=16)
+def test_vertex_pair_constant_halves_from_n8(monkeypatch):
+    monkeypatch.setattr(analysis, "INFSUP_MAX_N", 16)
+    b8, b16 = infsup_constants(NEDELEC, [8, 16])
     assert b8 == pytest.approx(INFSUP_BASELINES[NEDELEC][2], abs=1e-6)
     assert 1.8 < b8 / b16 < 2.0
 

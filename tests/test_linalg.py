@@ -1,5 +1,6 @@
 """Block inversion and the reduced stress solve."""
 
+import itertools
 import logging
 import math
 import warnings
@@ -26,9 +27,11 @@ from viscowave.linalg import (
 from viscowave.cli import RunConfig
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
-from viscowave.symmetry import TRIVIAL, D, SymmetryGroup, X, Y
+from viscowave.symmetry import TRIVIAL, D, SymmetryGroup, X, Y, fold
 
-from fehelpers import ONE_DIM, DIAGONAL, folded_schur, mirrors, oversized, sectors
+from fehelpers import (
+    ONE_DIM, DIAGONAL, folded_schur, mirrors, outer_split, oversized, sectors,
+)
 
 TOL = 1e-12
 # The groups that ``find_group`` gives examples 1, 2 and 3.
@@ -42,13 +45,19 @@ def trivial(n):
     return {g: (np.arange(n), np.ones(n)) for g in (X, Y, D)}
 
 
+def unfolded(n):
+    """The trivial fold of n dofs: each its own representative."""
+    return fold({}, TRIVIAL, np.arange(n))
+
+
 def no_interior(n):
-    """Layout of an n-dof matrix with no interior dofs, points along a line,
-    and D4 acting trivially."""
+    """Layout of an unfolded n-dof matrix with no interior dofs, points
+    along a line, and D4 acting trivially."""
     return (
         np.zeros((0, 0), dtype=int),
         np.column_stack([2 * np.arange(n), np.zeros(n, int)]),
         trivial(n),
+        unfolded(n),
     )
 
 
@@ -251,13 +260,13 @@ def test_rhs_that_is_not_finite_is_refused_before_any_factor(bad):
 
 
 def test_solver_constructor_validation():
-    S = sp.identity(4, format="csr")
-    layout = no_interior(4)
+    lu = CondensedLU(sp.identity(4, format="csr"), *no_interior(4))
     for tol in (0.0, 1.0, np.inf):  # a relative residual bound of 1 or more certifies nothing
         with pytest.raises(ValueError, match="must lie in"):
-            SchurSolver(S, tol, *layout, 0.1)
+            SchurSolver(lu, tol, 0.1)
     # Nothing is factored before a right-hand side reaches the block.
-    solver = SchurSolver(sp.diags([1.0, 0.0, 1.0]).tocsr(), 1e-12, *no_interior(3), 0.1)
+    singular = CondensedLU(sp.diags([1.0, 0.0, 1.0]).tocsr(), *no_interior(3))
+    solver = SchurSolver(singular, 1e-12, 0.1)
     with pytest.raises(SingularBlockError, match="cannot be factored"):
         solver.solve(np.ones(3))
 
@@ -399,8 +408,8 @@ def test_kept_matrices_own_buffers_sized_to_their_entries(family):
         for name, M in vars(holder).items()
         if sp.issparse(M)
     }
-    assert sorted(kept) == ["S", "_Q", "_Qt", "_S", "_Sii_inv", "_W", "_Wt"]
-    assert kept["_S"] is solver.S
+    assert sorted(kept) == ["S", "_Q", "_Qt", "_Sii_inv", "_W", "_Wt"]
+    assert solver._lu.S is solver.S
     for name in ("_Q", "_W"):
         M, Mt = kept[name], kept[name + "t"]
         assert Mt.shape == M.shape[::-1]
@@ -461,11 +470,11 @@ def test_wrongly_numbered_bubbles_raise():
     # the global order lists all t11 bubbles, then all t22 bubbles
     by_component = np.sort(ss.interior, axis=None).reshape(-1, 2)
     with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
-        CondensedLU(S, by_component, ss.grid, ss.generators)
+        CondensedLU(S, by_component, ss.grid, ss.generators, ss.fold)
     by_element = ss.interior
     shifted = np.column_stack([by_element[:, 0], np.roll(by_element[:, 1], 1)])
     with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
-        CondensedLU(S, shifted, ss.grid, ss.generators)
+        CondensedLU(S, shifted, ss.grid, ss.generators, ss.fold)
     assert np.array_equal(solver._lu.inner, by_element.ravel())
 
 
@@ -499,21 +508,11 @@ def on_outer(perms, outer):
     return {g: (at[p[outer]], s[outer]) for g, (p, s) in perms.items()}
 
 
-def outer_layout(space):
-    """The grid points of a stress space's outer dofs, X, Y and D on them and
-    their rank in (gx, gy) order, as ``CondensedLU`` finds them."""
-    outer = np.delete(np.arange(space.dim), space.interior)
-    grid = space.grid[outer]
-    rank = np.empty(len(outer), dtype=np.intp)
-    rank[np.lexsort((grid[:, 1], grid[:, 0]))] = np.arange(len(outer))
-    return grid, on_outer(space.generators, outer), rank
-
-
 def condensed(lu, x):
     """x[outer] - S_oi S_ii^-1 x[inner], with S_oi read from the rows of S: the
     condensed right-hand side of a vector x, and for x = S[:, cols], cols
     some outer dofs, the columns of S_c at them."""
-    return x[lu.outer] - lu._S[lu.outer][:, lu.inner] @ (lu._Sii_inv @ x[lu.inner])
+    return x[lu.outer] - lu.S[lu.outer][:, lu.inner] @ (lu._Sii_inv @ x[lu.inner])
 
 
 def condensed_matrix(solver):
@@ -640,7 +639,7 @@ def test_a_block_is_factored_by_the_first_solve_that_reaches_it(family):
 GROUPS = [TRIVIAL] + [
     SymmetryGroup(tuple(zip(names, chis)))
     for names in (("XY",), ("D",), ("XY", "D"))
-    for chis in ((1, 1), (1, -1), (-1, 1), (-1, -1))[: 2 ** len(names)]
+    for chis in itertools.product((1, -1), repeat=len(names))
 ]
 
 
@@ -676,8 +675,8 @@ def test_each_examples_fold_holds_its_blocks(family, group, held, caplog):
     assert [len(rep) for rep in lu._reps] == [len(full._reps[k]) for k in held]
     assert [part.stop - part.start for part in lu._parts] == [len(rep) for rep in lu._reps]
     sizes = [len(rep) for rep in lu._reps]
-    assert caplog.messages[0].startswith(f"formed S at {lu._S.shape[0]} of ")
-    assert caplog.messages[1:] == [f"split S ({lu._S.shape[0]} rows) into blocks of {sizes} rows"]
+    assert caplog.messages[0].startswith(f"formed S at {lu.S.shape[0]} of ")
+    assert caplog.messages[1:] == [f"split S ({lu.S.shape[0]} rows) into blocks of {sizes} rows"]
 
 
 @pytest.mark.parametrize("n", [3, 8])
@@ -801,7 +800,7 @@ def test_sector_solve_matches_splu_of_condensed_matrix(family, n, dt):
     rhs = np.random.default_rng(n).standard_normal((3, S_c.shape[0]))
     lu = CondensedLU(
         S_c, np.zeros((0, 0), dtype=int), system.stress_space.grid[outer],
-        on_outer(system.stress_space.generators, outer),
+        on_outer(system.stress_space.generators, outer), unfolded(S_c.shape[0]),
     )
     reach_every_block(lu)
     sizes = [f.shape[0] for f in lu._lus]
@@ -823,7 +822,8 @@ def test_no_mirrors_is_one_sector_in_the_unsplit_order(family, dt):
     system = make_system(8, family)
     ss = system.stress_space
     S = make_direct(system, dt).S
-    lu = reach_every_block(CondensedLU(S, ss.interior, ss.grid, trivial(S.shape[0])))
+    lu = CondensedLU(S, ss.interior, ss.grid, trivial(S.shape[0]), unfolded(S.shape[0]))
+    reach_every_block(lu)
     assert len(lu._lus) == 1
     assert abs(lu._Q[lu._reps[0]] - sp.identity(lu.outer.size)).max() == 0
     assert np.array_equal(lu._reps[0], nested_dissection(ss.grid[lu.outer]))
@@ -839,7 +839,8 @@ def test_mirror_split_lowers_the_fill(family, n):
     system = make_system(n, family)
     ss = system.stress_space
     solver = make_direct(system, 0.25)
-    whole = CondensedLU(solver.S, ss.interior, ss.grid, trivial(solver.S.shape[0]))
+    n_dofs = solver.S.shape[0]
+    whole = CondensedLU(solver.S, ss.interior, ss.grid, trivial(n_dofs), unfolded(n_dofs))
     reach_every_block(solver._lu)
     assert len(solver._lu._lus) == 5
     assert fill(solver._lu) < fill(reach_every_block(whole))
@@ -850,11 +851,11 @@ def test_diagonal_halves_are_named_in_the_triangle(family):
     # A dof and its transpose are one vector; naming it after the dof with
     # gx <= gy keeps each eighth-size block in one triangle of the quarter.
     n = 8
-    grid, generators, rank = outer_layout(StressSpace(StructuredMesh(n), family))
-    blocks = linalg._blocks(generators, rank, TRIVIAL)
+    space = StressSpace(StructuredMesh(n), family)
+    blocks = linalg._blocks(space.generators, space.rank, TRIVIAL)
     assert [len(bases) for _, bases in blocks] == [1, 1, 1, 1, 2]
     for rep, _ in blocks[:4]:
-        gx, gy = grid[rep].T
+        gx, gy = space.grid[rep].T
         assert np.all(gx <= gy) and np.all(gy <= n)
 
 
@@ -863,11 +864,14 @@ def test_diagonal_halves_are_named_in_the_triangle(family):
 def test_each_block_is_the_fold_of_the_reference_sectors(family, n):
     # For every group the blocks, each a fold of a subgroup of D4, have the
     # reference's names, columns and coefficients, dtypes included: a dof
-    # that no vector holds has the column -1 there and the sign 0 here.
-    _, generators, rank = outer_layout(StressSpace(StructuredMesh(n), family))
+    # that no vector holds has the column -1 there and the sign 0 here.  The
+    # blocks fold every dof of the space, named by its rank; the reference
+    # leaves out the empty ones, which ``CondensedLU`` drops.
+    space = StressSpace(StructuredMesh(n), family)
+    generators, rank = space.generators, space.rank
     for group in GROUPS:
         want = sectors(tuple(generators.values()), rank, group)
-        got = linalg._blocks(generators, rank, group)
+        got = [block for block in linalg._blocks(generators, rank, group) if len(block[0])]
         assert [len(bases) for _, bases in got] == [len(bases) for _, bases in want]
         for (rep, bases), (reps, folded) in zip(want, got):
             pairs = [(rep, reps)]
@@ -875,6 +879,25 @@ def test_each_block_is_the_fold_of_the_reference_sectors(family, n):
                 pairs += [(col, np.where(sign != 0, index, -1)), (coef, sign)]
             for a, b in pairs:
                 assert a.dtype == b.dtype and np.array_equal(a, b), group
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_split_on_the_spaces_dofs_is_the_split_on_the_outer_dofs(family, n):
+    # The blocks folded on every dof of the space and kept at the outer
+    # representatives are, array for array and dtype for dtype, those found
+    # on the outer dofs numbered a second time.  At N = 1 a block may have
+    # interior representatives alone, and is dropped.
+    for group in (TRIVIAL, EXAMPLE_1, EXAMPLE_2, EXAMPLE_3):
+        system = make_system(n, family, group)
+        ss = system.stress_space
+        lu = make_direct(system, 0.25)._lu
+        Q, reps, parts, inv_size = outer_split(lu, ss.interior, ss.grid, ss.generators)
+        pairs = [(getattr(lu._Q, name), getattr(Q, name)) for name in ("data", "indices", "indptr")]
+        pairs += list(zip(lu._reps, reps, strict=True)) + [(lu._inv_size, inv_size)]
+        for a, b in pairs:
+            assert a.dtype == b.dtype and np.array_equal(a, b), group
+        assert lu._parts == parts, group
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
@@ -888,7 +911,9 @@ def test_split_holds_whatever_the_signs_of_the_dofs(family):
     S_c = (sp.diags(F) @ condensed_matrix(solver) @ sp.diags(F)).tocsr()
     ss = system.stress_space
     generators = {g: (p, F * s * F[p]) for g, (p, s) in on_outer(ss.generators, outer).items()}
-    lu = CondensedLU(S_c, np.zeros((0, 0), dtype=int), ss.grid[outer], generators)
+    lu = CondensedLU(
+        S_c, np.zeros((0, 0), dtype=int), ss.grid[outer], generators, unfolded(outer.size)
+    )
     assert len(lu._lus) == 5
     b = np.random.default_rng(8).standard_normal(S_c.shape[0])
     want = spla.splu(S_c.tocsc()).solve(b)

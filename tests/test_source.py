@@ -1,9 +1,11 @@
 """The package's source keeps every line within 100 characters, only the
-command line prints, since library code logs, one place calls SuperLU, and
-every module's ``__all__`` names only what the module defines."""
+command line prints, since library code logs, one place calls SuperLU, one
+place ranks the half-step grid, and every module's ``__all__`` names only
+what the module defines."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "viscowave"
@@ -48,6 +50,23 @@ def test_one_place_calls_superlu():
     ]
     assert [name for name, _ in calls] == ["linalg.py"]
     assert "panel_size" in [keyword.arg for keyword in calls[0][1].keywords]
+
+
+def test_one_place_ranks_the_grid():
+    # A stress space's fold and the blocks of its solve name each orbit
+    # after its first dof in (gx, gy) order; the split holds only if both
+    # rank the half-step grid alike, so one function, ``symmetry.grid_rank``,
+    # sorts it, and the solve numbers no outer dofs of its own.
+    sorts = [
+        path.name
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "lexsort"
+    ]
+    assert sorts == ["symmetry.py"]
+    symmetry = importlib.import_module("viscowave.symmetry")
+    assert "np.lexsort(" in inspect.getsource(symmetry.grid_rank)
+    assert "searchsorted" not in (SOURCE / "linalg.py").read_text()
 
 
 def test_every_name_in_all_is_defined():

@@ -352,6 +352,14 @@ def test_run_snapshots():
     assert res.final_state.products is None
 
 
+@pytest.mark.parametrize("every", [2.5, 1.5])
+def test_a_snapshot_interval_that_is_not_an_integer_is_refused(every):
+    # 2.5 once gave snapshots at nodes 0 and 5 alone, and 1.5 at 0, 3 and 6.
+    message = f"snapshot interval must be a positive integer, got {every}"
+    with pytest.raises(ValueError, match=message):
+        run(RunConfig(example=1, nx=2, n_steps=6, snapshot_every=every))
+
+
 def test_a_step_makes_seventeen_sparse_products(monkeypatch):
     # The sparse matrix-vector products of each step, from the record of
     # one node to the next: the load's Cinv, B^T, the solve's 8 CSR (S_ii^-1,
@@ -536,7 +544,7 @@ def test_the_index_arrays_a_step_reads_are_intp_and_fold_signs_int8(family, grou
         assert space.fold.index.dtype == space.fold.reps.dtype == space.quad.eldof.dtype == np.intp
         assert space.fold.sign.dtype == np.int8
     assert vs._at.dtype == lu.inner.dtype == lu.outer.dtype == np.intp
-    for M in (stepper.A, stepper.B, stepper.Cinv, lu._S, lu._Q, lu._W, lu._Sii_inv):
+    for M in (stepper.A, stepper.B, stepper.Cinv, lu.S, lu._Q, lu._W, lu._Sii_inv):
         assert M.dtype == np.float64
     assert ss.grid.dtype == ss.eldof.dtype == np.int32
     assert all(p.dtype == np.int32 for p, _ in mesh.generators.values())
