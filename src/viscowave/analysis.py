@@ -108,8 +108,16 @@ class VelocityErrorEvaluator(_ErrorEvaluator):
 
 
 def check_study_parameters(params) -> list[float]:
-    """A refinement study's parameters: at least two, positive, strictly increasing."""
-    params = [float(p) for p in params]
+    """A refinement study's parameters: at least two, positive, strictly increasing,
+    each within the floating-point range."""
+    params = list(params)
+    for k, p in enumerate(params):
+        try:
+            params[k] = float(p)
+        except OverflowError:
+            raise ValueError(
+                f"parameter {k + 1} of the refinement study is beyond the floating-point range"
+            ) from None
     if len(params) < 2 or not (
         params[0] > 0.0 and all(b > a for a, b in zip(params, params[1:]))
     ):

@@ -4,9 +4,10 @@ Every element of the uniform N-by-N mesh is congruent, so each form is
 integrated once with a reference-square rule scaled to the element area,
 and the local matrix is scattered with duplicate accumulation.  Matrices come
 back in CSR format with sorted, deduplicated indices; assembly order is
-deterministic.  A and B may be assembled at some rows only, each kept row
-array-equal to the full matrix's; a run assembles them only at the rows
-it reads (``AssembledSystem.at_rows``).
+deterministic.  A system's ``elements`` holds the element matrices of A, B
+and C; a run scatters A and B from them only at the rows it reads
+(``AssembledSystem.at_rows``), each kept row array-equal to the full
+matrix's.  Only checks build the full-size B (``assemble_coupling``).
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def _scatter(local, row_dofs, col_dofs, shape, rows=None):
     The exact zeros of ``local`` would add nothing to any sum, so they are
     not scattered.  The result is copied once after the sums that cancel are
     dropped: scipy keeps the buffer sized for every sum whenever more than
-    half of it is used, and a run keeps C to its end.
+    half of it is used, and a run keeps C and A's and B's rows through its
+    set-up.
 
     With ``rows`` (ascending) only those rows are assembled and every other
     one is left empty: only the elements that touch them are scattered, in
@@ -91,8 +93,8 @@ def _stress_local(space, weight3, lumped=False):
     return np.einsum("qia,ab,qjb,q->ij", vals, VOIGT_DOT @ weight3, vals, w)
 
 
-def _square(local, space, rows=None):
-    return _scatter(local, space.eldof, space.eldof, (space.dim, space.dim), rows)
+def _square(local, space):
+    return _scatter(local, space.eldof, space.eldof, (space.dim, space.dim))
 
 
 def _local_mass_stress(space, material):
@@ -100,17 +102,13 @@ def _local_mass_stress(space, material):
     return _stress_local(space, material.compliance_matrix(), space.lumped)
 
 
-def assemble_mass_stress(
-    space: StressSpace, material: IsotropicMaterial, rows=None
-) -> sp.csr_matrix:
+def assemble_mass_stress(space: StressSpace, material: IsotropicMaterial) -> sp.csr_matrix:
     """Compliance-weighted stress mass matrix, corner-lumped when the family is.
 
     The family lumps when all its dofs sit at corners (``space.lumped``, so
-    ``nedelec-q1q0``), which gives 3x3 blocks per vertex.  With ``rows``
-    (ascending) only those rows are assembled, each array-equal to the full
-    matrix's, and the others are left empty (``_scatter``).
+    ``nedelec-q1q0``), which gives 3x3 blocks per vertex.
     """
-    return _square(_local_mass_stress(space, material), space, rows)
+    return _square(_local_mass_stress(space, material), space)
 
 
 def assemble_stress_gram(space: StressSpace) -> sp.csr_matrix:
@@ -134,18 +132,10 @@ def _local_coupling(stress_space, velocity_space):
     return np.einsum("qid,qjd,q->ij", vel, div, w)
 
 
-def assemble_coupling(
-    stress_space: StressSpace, velocity_space: VelocitySpace, rows=None
-) -> sp.csr_matrix:
-    """Coupling matrix B with B[i, j] = int w_i . div(tau_j); with ``rows``
-    (ascending) only those velocity rows, as ``assemble_mass_stress``."""
-    return _scatter(
-        _local_coupling(stress_space, velocity_space),
-        velocity_space.eldof,
-        stress_space.eldof,
-        (velocity_space.dim, stress_space.dim),
-        rows,
-    )
+def assemble_coupling(stress_space: StressSpace, velocity_space: VelocitySpace) -> sp.csr_matrix:
+    """Coupling matrix B with B[i, j] = int w_i . div(tau_j)."""
+    ss, vs = stress_space, velocity_space
+    return _scatter(_local_coupling(ss, vs), vs.eldof, ss.eldof, (vs.dim, ss.dim))
 
 
 def assemble_mass_velocity(
@@ -186,18 +176,19 @@ class AssembledSystem:
     A is the compliance-weighted stress mass matrix (corner-lumped when the
     stress space's ``lumped`` is set), B the velocity-against-stress-
     divergence coupling and C the density-weighted velocity mass matrix.
-    ``elements`` holds the element matrices of A and B, the same on every
+    ``elements`` holds the element matrices of A, B and C, the same on every
     element.
 
-    A run reads A and B only at some rows, ``at_rows``: the stress solve's S
-    (``linalg.build_schur``) and the stepper's folds (``CNStepper``) are
-    formed from them, and their symmetry is checked on ``elements``.  It
-    reads C only to invert it, once for S and once for the stepper.  The
-    energy takes the norms of A and C element by element (``stress_energy``
-    and ``velocity_energy``).  ``A``, ``B`` and ``C`` are each assembled on
-    first read and kept until deleted; a run deletes C once it is inverted
-    and never forms the full-size A or B, which are kept for checks made
-    from outside a run.
+    A run reads A and B only at some rows, ``at_rows``, scattered from
+    ``elements``: the stress solve's S (``linalg.build_schur``) and the
+    stepper's folds (``CNStepper``) are formed from them, and their symmetry
+    is checked on ``elements``.  It reads C only to invert it, once for S
+    and once for the stepper.  The energy takes the norms of A and C element
+    by element (``stress_energy`` and ``velocity_energy``).  ``A`` and ``C``
+    are each assembled on first read and kept until deleted; a run deletes C
+    once it is inverted and never forms the full-size A, which is kept for
+    checks made from outside a run.  Only checks build the full-size B
+    (``assemble_coupling``).
     """
 
     stress_space: StressSpace
@@ -206,22 +197,18 @@ class AssembledSystem:
 
     @cached_property
     def elements(self) -> tuple:
-        """The element matrices of A and B."""
-        ss, vs = self.stress_space, self.velocity_space
-        return _local_mass_stress(ss, self.material), _local_coupling(ss, vs)
-
-    @cached_property
-    def _local_C(self) -> np.ndarray:
-        """The element matrix of C, each of whose entries is one of C's."""
-        return self.material.rho * _local_velocity_gram(self.velocity_space)
+        """The element matrices of A, B and C; C is block diagonal by element,
+        so each entry of its element matrix is one of C's."""
+        ss, vs, material = self.stress_space, self.velocity_space, self.material
+        return (
+            _local_mass_stress(ss, material),
+            _local_coupling(ss, vs),
+            material.rho * _local_velocity_gram(vs),
+        )
 
     @cached_property
     def A(self) -> sp.csr_matrix:
         return assemble_mass_stress(self.stress_space, self.material)
-
-    @cached_property
-    def B(self) -> sp.csr_matrix:
-        return assemble_coupling(self.stress_space, self.velocity_space)
 
     @cached_property
     def C(self) -> sp.csr_matrix:
@@ -235,8 +222,9 @@ class AssembledSystem:
         A's rows are the stress fold's representatives.  B's are every
         velocity dof of an element that holds one of them, all that B^T's
         rows there and B^T Cinv B reach, and the velocity fold's
-        representatives.  With the trivial group every row is kept.  A run
-        drops them once the stepper has folded them.
+        representatives.  With the trivial group every row is kept.  Each is
+        scattered from ``elements``.  A run drops them once the stepper has
+        folded them.
         """
         ss, vs = self.stress_space, self.velocity_space
         is_rep = np.zeros(ss.dim, dtype=bool)
@@ -246,8 +234,9 @@ class AssembledSystem:
         wanted[vs.eldof[holders]] = True
         wanted[vs.fold.reps] = True
         rows = np.flatnonzero(wanted)
-        A = assemble_mass_stress(ss, self.material, rows=ss.fold.reps)
-        B = assemble_coupling(ss, vs, rows=rows)
+        local_A, local_B, _ = self.elements
+        A = _scatter(local_A, ss.eldof, ss.eldof, (ss.dim, ss.dim), ss.fold.reps)
+        B = _scatter(local_B, vs.eldof, ss.eldof, (vs.dim, ss.dim), rows)
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
                 "assembled A at %d of %d rows and B at %d of %d rows, from %d and %d of %d "
@@ -265,7 +254,7 @@ class AssembledSystem:
     def velocity_energy(self, beta) -> float:
         """beta^T C beta, summed element by element with C's element matrix."""
         b = beta[self.velocity_space.eldof]
-        return float(np.vdot(b @ self._local_C, b))
+        return float(np.vdot(b @ self.elements[2], b))
 
 
 def assemble_system(

@@ -560,7 +560,7 @@ def _check_symmetries(system, Cinv) -> None:
     next and leave a hole in the heap that the first factor does not fill."""
     gv = system.velocity_space.symmetries()[0]
     ls, lv = system.stress_space.local_generators, system.velocity_space.local_generators
-    A, B = system.elements
+    A, B, _ = system.elements
     for name, M, rows, cols in ("A", A, ls, ls), ("B", B, lv, ls), ("Cinv", Cinv, gv, gv):
         check_symmetry(M, rows, cols, name)
 

@@ -4,11 +4,13 @@ Element ``(i, j)`` is numbered ``j * n + i``, x running fastest; the
 spaces (``fespace``) number their own degrees of freedom.  A symmetry
 group of the square (``symmetry``) splits the elements into orbits; the
 composite-rule points are built on one element per orbit
-(``StructuredMesh.orbits``).
+(``StructuredMesh.orbits``).  ``check_count`` is the one rule for a count,
+which the time stepping's counts share.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,20 @@ import numpy as np
 from .quadrature import COMPOSITE
 from .symmetry import D, SymmetryGroup, X, Y, fold
 
-__all__ = ["Orbits", "StructuredMesh"]
+__all__ = ["Orbits", "StructuredMesh", "check_count"]
+
+
+def check_count(x, what: str) -> int:
+    """``x`` as an int; ``ValueError``, naming it ``what``, unless it is a
+    positive integer of an integer or a floating-point type, within the
+    floating-point range."""
+    try:
+        whole = isinstance(x, numbers.Real) and float(x).is_integer()
+    except OverflowError:
+        raise ValueError(f"{what} is beyond the floating-point range") from None
+    if not (whole and x >= 1):
+        raise ValueError(f"{what} must be a positive integer, got {x!r}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -58,13 +73,7 @@ class StructuredMesh:
     """
 
     def __init__(self, n):
-        try:
-            whole = int(n) == n
-        except (TypeError, ValueError, OverflowError):
-            whole = False
-        if not (whole and n >= 1):
-            raise ValueError(f"element count must be a positive integer, got {n!r}")
-        self.n = int(n)
+        self.n = check_count(n, "element count")
         self.h = 1.0 / self.n
         self.n_elements = self.n * self.n
         self._orbits = {}

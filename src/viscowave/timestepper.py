@@ -27,7 +27,7 @@ from .linalg import (
     ConvergenceError, SchurSolver, SingularBlockError, block_diag_inverse, build_schur,
 )
 from .material import IsotropicMaterial
-from .mesh import StructuredMesh
+from .mesh import StructuredMesh, check_count
 from .mms import exact_fields
 from .symmetry import PROBE_RTOL, find_group, folded
 
@@ -77,7 +77,7 @@ def resolve_time(t_final, dt=None, n_steps=None):
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"time step must be finite and positive, got {dt}")
     if n_steps is not None:
-        _check_count(n_steps, "step count")
+        check_count(n_steps, "step count")
     if dt is None:
         n_steps = 200 if n_steps is None else n_steps
         dt = t_final / n_steps
@@ -89,17 +89,6 @@ def resolve_time(t_final, dt=None, n_steps=None):
         raise ValueError(f"dt = {dt} and M = {n_steps} do not partition [0, {t_final}]")
     t_final, n_steps = float(t_final), int(n_steps)
     return t_final, t_final / n_steps, n_steps
-
-
-def _check_count(x, what: str) -> None:
-    """Refuse ``x``, named ``what``, with ``ValueError`` unless it is a
-    positive integer, of an integer or a floating-point type."""
-    try:
-        whole = float(x).is_integer()
-    except OverflowError:
-        raise ValueError(f"{what} is beyond the floating-point range") from None
-    if not (x >= 1 and whole):
-        raise ValueError(f"{what} must be a positive integer, got {x}")
 
 
 def init_state(
@@ -253,7 +242,7 @@ def run(config) -> RunResult:
     t_final, dt, n_steps = resolve_time(config.t_final, config.dt, config.n_steps)
     every = config.snapshot_every
     if every is not None:
-        _check_count(every, "snapshot interval")
+        check_count(every, "snapshot interval")
     material = IsotropicMaterial(rho=config.rho, mu=config.mu, lam=config.lam)
     solution = exact_fields(config.example, material, force=config.force)
     group = find_group((solution.sigma, solution.v, solution.f))

@@ -34,6 +34,7 @@ differences at quasi-random points.  ``full_scatter`` scatters every entry
 of a local matrix, exact zeros included: the reference the assembly's
 scatter of the nonzero entries is checked against.  ``oversized`` names the
 sparse matrices whose arrays sit in buffers larger than their entries.
+``full_B`` assembles a system's full-size B, which no run forms.
 ``folded_schur`` forms the full S and folds it: the reference the folded S
 that ``build_schur`` forms at the representatives alone is checked against.
 ``sectors`` builds the stress solve's D4 blocks from a table of characters
@@ -51,6 +52,7 @@ import scipy.sparse as sp
 from scipy.stats import qmc
 
 from viscowave.analysis import energy
+from viscowave.assembly import assemble_coupling
 from viscowave.fespace import StressSpace, VelocitySpace
 from viscowave.linalg import nested_dissection
 from viscowave.material import VOIGT_DOT, IsotropicMaterial
@@ -348,15 +350,21 @@ def oversized(matrices: dict) -> list:
     ]
 
 
+def full_B(system) -> sp.csr_matrix:
+    """The full-size B of ``system``, the coupling of its two spaces."""
+    return assemble_coupling(system.stress_space, system.velocity_space)
+
+
 def folded_schur(system, Cinv, dt: float) -> sp.csr_matrix:
     """Lambda S[reps] P from the full S = (1/dt + 1/2) A + (dt/4) B^T Cinv B,
     folded by the stress space's ``fold``: the coupling's rows formed from the
     rows of B^T Cinv, both sorted, and a trivial fold's S trimmed by a copy."""
     fold = system.stress_space.fold
     mass = (1.0 / dt + 0.5) * system.A
-    BtCinv = system.B.T.tocsr() @ Cinv
+    B = full_B(system)
+    BtCinv = B.T.tocsr() @ Cinv
     BtCinv.sort_indices()
-    coupling = (0.25 * dt) * (BtCinv @ system.B)
+    coupling = (0.25 * dt) * (BtCinv @ B)
     coupling.sort_indices()
     S = mass + coupling
     S = sp.csr_matrix(S, copy=True) if fold.trivial else folded(S, fold, fold.P())

@@ -211,6 +211,7 @@ def test_convergence_orders_nonuniform_refinement():
         [(0, 0.1), (4, 0.05)],  # zero parameter
         [(4, 0.1), (float("nan"), 0.05)],  # not a number
         [(4, 0.1), (8, float("nan"))],  # an error that is not a number
+        [(4, 0.1), (10**400, 0.05)],  # beyond the floating-point range
     ],
 )
 def test_convergence_orders_validation(pairs):

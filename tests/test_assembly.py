@@ -386,35 +386,32 @@ def test_assemble_system_fields():
     ]
     assert system.material is UNIT
     assert system.A.shape == (ss.dim, ss.dim)
-    assert system.B.shape == (vs.dim, ss.dim)
     assert system.C.shape == (vs.dim, vs.dim)
     assert sp.issparse(system.A)
-    assert abs(
-        system.B - assemble_coupling(ss, vs)
-    ).max() == 0.0
+    # Only checks build the full-size B, from ``assemble_coupling``.
+    assert not hasattr(system, "B")
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_full_size_a_and_b_are_assembled_on_first_read_and_kept(family):
-    # A run never reads them; a check made from outside it, such as the
-    # benchmark's energy balance, assembles each once, bit for bit the
-    # full assembly, and reads the same matrix after.
+def test_full_size_a_is_assembled_on_first_read_and_kept(family):
+    # A run never reads it; a check made from outside it, such as the
+    # benchmark's energy balance, assembles it once, bit for bit the full
+    # assembly, and reads the same matrix after.
     ss, vs = spaces(8, family)
     material = IsotropicMaterial(rho=2.0, mu=3.0, lam=5.0)
     system = assemble_system(ss, vs, material)
-    assert not {"A", "B"} & set(vars(system))
-    want = assemble_mass_stress(ss, material), assemble_coupling(ss, vs)
-    for M, again in zip(want, (system.A, system.B)):
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(M, name), getattr(again, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert system.A is system.A and system.B is system.B
+    assert "A" not in vars(system)
+    M, again = assemble_mass_stress(ss, material), system.A
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(M, name), getattr(again, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert system.A is system.A
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_c_norm_summed_element_by_element_is_that_of_c(family):
     # A run takes the C-norm with C's element matrix and never forms C;
-    # C itself is assembled on first read, as A and B are.
+    # C itself is assembled on first read, as A is.
     ss, vs = spaces(8, family)
     system = assemble_system(ss, vs, IsotropicMaterial(rho=2.0, mu=3.0, lam=5.0))
     rng = np.random.default_rng(5)
@@ -450,7 +447,8 @@ def test_a_and_b_at_the_rows_a_run_reads_are_the_full_rows(family, n):
         system = assemble_system(ss, vs, UNIT)
         held = np.isin(ss.eldof, ss.fold.reps).any(axis=1)
         b_rows = np.union1d(vs.eldof[held], vs.fold.reps)
-        for M, full, rows in zip(system.at_rows, (system.A, system.B), (ss.fold.reps, b_rows)):
+        full_size = system.A, assemble_coupling(ss, vs)
+        for M, full, rows in zip(system.at_rows, full_size, (ss.fold.reps, b_rows)):
             assert M.shape == full.shape and M.nnz == M[rows].nnz
             kept, want = M[rows], full[rows]
             for name in ("data", "indices", "indptr"):
@@ -474,15 +472,16 @@ def test_the_stress_energy_is_the_norm_of_a(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_assembled_matrices_own_buffers_sized_to_their_entries(family):
     # Dropping the sums that cancel leaves scipy's buffer sized for every sum
-    # (for hmz's A at N = 8, 3328 slots for 2817 entries); a run keeps C to
-    # its end and A and B at the rows it reads through its set-up, so each
-    # is trimmed to its entries.
+    # (for hmz's A at N = 8, 3328 slots for 2817 entries); a run keeps C and
+    # A and B at the rows it reads through its set-up, so each is trimmed to
+    # its entries.
     group = run_group(2)
     mesh = StructuredMesh(8)
     ss, vs = StressSpace(mesh, family, group), VelocitySpace(mesh, family, group)
     system = assemble_system(ss, vs, UNIT)
     A, B = system.at_rows
-    assert oversized(dict(A=A, B=B, C=system.C, full_A=system.A, full_B=system.B)) == []
+    full = dict(full_A=system.A, full_B=assemble_coupling(ss, vs))
+    assert oversized(dict(A=A, B=B, C=system.C, **full)) == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -522,7 +521,8 @@ def test_scatter_of_nonzeros_matches_the_full_scatter(family, n, monkeypatch):
     def matrices():
         system = assemble_system(ss, vs, UNIT)
         rows = assemble_system(*folded, UNIT).at_rows
-        return [system.A, system.B, system.C, *rows, assemble_div_gram(ss), assemble_stress_gram(ss)]
+        B = assemble_coupling(ss, vs)
+        return [system.A, B, system.C, *rows, assemble_div_gram(ss), assemble_stress_gram(ss)]
 
     got = matrices()
     monkeypatch.setattr(assembly, "_scatter", full_scatter)

@@ -74,6 +74,7 @@ def test_resolve_time_rejects_mismatch():
         (1.0, None, 2.5),
         (1.0, 2.0, None),
         (1.0, None, 10**400),  # beyond the floating-point range
+        (1.0, None, "4"),  # not a number
     ]:
         with pytest.raises(ValueError):
             resolve_time(*args)
@@ -501,6 +502,15 @@ def test_help_usage_lists_the_choices(capsys):
             "error: out of memory setting up nedelec-q1q0 on the 100000000 x 100000000 mesh: ",
         ),
         (["--example", "1", "--nx", "2", "--nt", "1" + "0" * 400], "step count is beyond the floating-point range"),
+        (["--example", "1", "--nx", "1" + "0" * 400, "--nt", "2"], "element count is beyond the floating-point range"),
+        (
+            ["--mode", "convergence", "--example", "1", "--nx", "2," + "1" + "0" * 400, "--nt", "2"],
+            "parameter 2 of the refinement study is beyond the floating-point range",
+        ),
+        (
+            ["--mode", "temporal-convergence", "--example", "1", "--nt", "2," + "1" + "0" * 400],
+            "parameter 2 of the refinement study is beyond the floating-point range",
+        ),
         (
             ["--mode", "stability", "--example", "1", "--nx", "2",
              "--dt", "0.5,0.25", "--nt", "3"],
@@ -563,6 +573,9 @@ def test_help_usage_lists_the_choices(capsys):
         "dt-tiny-too-many-nodes",
         "nx-beyond-memory",
         "nt-beyond-float",
+        "nx-beyond-float",
+        "convergence-nx-beyond-float",
+        "temporal-nt-beyond-float",
         "stability-nt-mismatch",
         "temporal-dt-given",
         "temporal-nx-given",

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from viscowave import linalg
-from viscowave.assembly import assemble_load, assemble_system
+from viscowave.assembly import assemble_coupling, assemble_load, assemble_system
 from viscowave.cli import RunConfig
 from viscowave.fespace import FAMILIES, StressSpace, VelocitySpace
 from viscowave.linalg import block_diag_inverse, build_schur
@@ -65,8 +65,9 @@ def digests(family, n) -> dict:
     """Digest of every guarded array of one family on the n-by-n mesh."""
     system, schur = solver(family, n)
     ss, S = system.stress_space, schur.S
+    B = assemble_coupling(ss, system.velocity_space)
     out = {}
-    for name, M in (("A", system.A), ("B", system.B), ("C", system.C), ("S", S)):
+    for name, M in (("A", system.A), ("B", B), ("C", system.C), ("S", S)):
         for part in ("data", "indices", "indptr"):
             out[f"{name}.{part}"] = _digest(getattr(M, part))
     for name, (p, s) in ss.generators.items():

@@ -1,7 +1,8 @@
 """The package's source keeps every line within 100 characters, only the
 command line prints, since library code logs, one place calls SuperLU, one
-place ranks the half-step grid, and every module's ``__all__`` names only
-what the module defines."""
+place ranks the half-step grid, one place scatters element matrices, no
+public assembly function takes rows, and every module's ``__all__`` names
+only what the module defines."""
 
 import ast
 import importlib
@@ -67,6 +68,34 @@ def test_one_place_ranks_the_grid():
     symmetry = importlib.import_module("viscowave.symmetry")
     assert "np.lexsort(" in inspect.getsource(symmetry.grid_rank)
     assert "searchsorted" not in (SOURCE / "linalg.py").read_text()
+
+
+def test_one_place_scatters_element_matrices():
+    # Every matrix is scattered by ``assembly._scatter``, full-size or at the
+    # rows a run reads, so each kept row is array-equal to the full matrix's.
+    calls = [
+        (path.name, node)
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "coo_matrix" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert [name for name, _ in calls] == ["assembly.py"]
+    assembly = importlib.import_module("viscowave.assembly")
+    assert "sp.coo_matrix(" in inspect.getsource(assembly._scatter)
+
+
+def test_no_public_assembly_function_takes_rows():
+    # A run's rows are scattered from the system's element matrices
+    # (``AssembledSystem.at_rows``); the public functions assemble whole.
+    assembly = importlib.import_module("viscowave.assembly")
+    public = [
+        (name, function)
+        for name, function in inspect.getmembers(assembly, inspect.isfunction)
+        if function.__module__ == assembly.__name__ and not name.startswith("_")
+    ]
+    assert "assemble_coupling" in dict(public)
+    assert [name for name, f in public if "rows" in inspect.signature(f).parameters] == []
 
 
 def test_every_name_in_all_is_defined():

@@ -28,7 +28,7 @@ from viscowave.timestepper import (
     run,
 )
 
-from fehelpers import energy_residuals, oversized, vertex_coords
+from fehelpers import energy_residuals, full_B, oversized, vertex_coords
 
 UNIT = IsotropicMaterial()
 
@@ -113,7 +113,7 @@ def test_a_stepped_state_carries_its_products(family):
         assert state.products[0] is system and len(state.products) == 5
         assert np.array_equal(Aa_f, system.A @ a)
         assert np.array_equal(a_f, a) and np.array_equal(b_f, b)
-        assert np.array_equal(CBa, stepper.Cinv @ (system.B @ a))
+        assert np.array_equal(CBa, stepper.Cinv @ (full_B(system) @ a))
         assert energy(system, state) == float(a @ (system.A @ a) + system.velocity_energy(b))
         assert state.copy().products is None
 
@@ -195,12 +195,9 @@ def test_step_satisfies_midpoint_equations(family):
     )
     am = 0.5 * (state.alpha + new.alpha)
     bm = 0.5 * (state.beta + new.beta)
-    r1 = (
-        system.A @ ((new.alpha - state.alpha) / dt)
-        + system.A @ am
-        + system.B.T @ bm
-    )
-    r2 = system.C @ ((new.beta - state.beta) / dt) - system.B @ am - F
+    B = full_B(system)
+    r1 = system.A @ ((new.alpha - state.alpha) / dt) + system.A @ am + B.T @ bm
+    r2 = system.C @ ((new.beta - state.beta) / dt) - B @ am - F
     scale = max(1.0, np.abs(system.A @ state.alpha).max())
     assert np.abs(r1).max() <= 1e-11 * scale
     assert np.abs(r2).max() <= 1e-11 * scale
@@ -219,7 +216,7 @@ def test_step_matches_dense_block_solve():
     new = unforced_step(stepper, state, dt)
 
     A = system.A.toarray()
-    B = system.B.toarray()
+    B = full_B(system).toarray()
     C = system.C.toarray()
     r, s = A.shape[0], C.shape[0]
     K = np.zeros((r + s, r + s))
@@ -281,7 +278,7 @@ def test_stepper_refuses_a_step_its_solver_was_not_built_for():
     # dt = 0.1 takes a step far from the true one and can gain energy.
     system = make_system(4, HMZ)
     stepper = make_stepper(system, 0.25)
-    state = SimState(np.ones(system.A.shape[0]), np.ones(system.B.shape[0]))
+    state = SimState(np.ones(system.A.shape[0]), np.ones(system.C.shape[0]))
     for dt in (0.1, 0.25 * (1 + 1e-15), -0.25, float("nan")):
         with pytest.raises(ValueError, match=f"time step {dt} is not the step 0.25"):
             unforced_step(stepper, state, dt)
@@ -352,10 +349,11 @@ def test_run_snapshots():
     assert res.final_state.products is None
 
 
-@pytest.mark.parametrize("every", [2.5, 1.5])
+@pytest.mark.parametrize("every", [2.5, 1.5, "2"])
 def test_a_snapshot_interval_that_is_not_an_integer_is_refused(every):
-    # 2.5 once gave snapshots at nodes 0 and 5 alone, and 1.5 at 0, 3 and 6.
-    message = f"snapshot interval must be a positive integer, got {every}"
+    # 2.5 once gave snapshots at nodes 0 and 5 alone, 1.5 at 0, 3 and 6,
+    # and "2" raised TypeError.
+    message = f"snapshot interval must be a positive integer, got {every!r}"
     with pytest.raises(ValueError, match=message):
         run(RunConfig(example=1, nx=2, n_steps=6, snapshot_every=every))
 
@@ -364,9 +362,7 @@ def test_a_step_makes_seventeen_sparse_products(monkeypatch):
     # The sparse matrix-vector products of each step, from the record of
     # one node to the next: the load's Cinv, B^T, the solve's 8 CSR (S_ii^-1,
     # Q, W and S twice each) and 4 CSC (W^T and Q^T twice each), and A, B
-    # and Cinv of the new alpha, all folded; the energy takes none.
-    # With no floor the refinement solves every block, so the solve makes
-    # Q, W and Q^T once more than it did with one (11 CSR and 4 CSC).  Step 1
+    # and Cinv of the new alpha, all folded; the energy takes none.  Step 1
     # also checks the initial state's symmetry and forms and probes blocks.
     products, steps = [], []
     matmul, record = _cs_matrix._matmul_vector, analysis.energy
@@ -440,27 +436,24 @@ def test_a_folded_run_is_the_unfolded_run(family, example, monkeypatch):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("example", [1, 2, 3])
 def test_a_run_assembles_a_and_b_only_at_the_rows_it_reads(family, example, monkeypatch, caplog):
-    # No run forms the full-size A or B, node 0's energy and check included;
-    # the A and B it assembles at the rows it reads are dropped once folded,
-    # so the first factor, which sets the peak memory, finds them dead.
+    # No run forms the full-size A or B, node 0's energy and check included:
+    # it scatters C whole, then A and B at the rows it reads, and nothing
+    # else; all three are dropped once inverted or folded, so the first
+    # factor, which sets the peak memory, finds them dead.
     kept, made, seen = [], [], []
-    factor = CondensedLU._factor
+    scatter, factor = assembly._scatter, CondensedLU._factor
 
-    def spying(assemble):
-        def spy(*args, rows=None):
-            M = assemble(*args, rows=rows)
-            kept.append(rows)
-            made.append(weakref.ref(M))
-            return M
-
-        return spy
+    def spy(local, row_dofs, col_dofs, shape, rows=None):
+        M = scatter(local, row_dofs, col_dofs, shape, rows)
+        kept.append(rows)
+        made.append(weakref.ref(M))
+        return M
 
     def first_factor(self, k):
         seen.append([ref() is None for ref in made])
         return factor(self, k)
 
-    for name in ("assemble_mass_stress", "assemble_coupling"):
-        monkeypatch.setattr(assembly, name, spying(getattr(assembly, name)))
+    monkeypatch.setattr(assembly, "_scatter", spy)
     monkeypatch.setattr(CondensedLU, "_factor", first_factor)
     with caplog.at_level(logging.DEBUG, logger="viscowave.assembly"):
         result = run(RunConfig(element=family, example=example, nx=4, n_steps=2))
@@ -468,8 +461,9 @@ def test_a_run_assembles_a_and_b_only_at_the_rows_it_reads(family, example, monk
     assert not ss.fold.trivial
     held = np.isin(ss.eldof, ss.fold.reps).any(axis=1)
     want = ss.fold.reps, np.union1d(vs.eldof[held], vs.fold.reps)
-    assert len(kept) == 2 and all(np.array_equal(a, b) for a, b in zip(kept, want))
-    assert seen[0] == [True, True]
+    assert len(kept) == 3 and kept[0] is None
+    assert all(np.array_equal(a, b) for a, b in zip(kept[1:], want))
+    assert seen[0] == [True, True, True]
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("assembled")]
     assert line.startswith(f"assembled A at {len(ss.fold.reps)} of {ss.dim} rows and B at ")
     assert line.endswith(f"of {ss.mesh.n_elements} elements")
