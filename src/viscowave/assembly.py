@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fespace import StressSpace, VelocitySpace
+from .linalg import block_diag_csr
 from .material import VOIGT_DOT, IsotropicMaterial
 from .quadrature import COMPOSITE, CORNERS
 
@@ -50,8 +51,7 @@ def _scatter(local, row_dofs, col_dofs, shape, rows=None):
     The exact zeros of ``local`` would add nothing to any sum, so they are
     not scattered.  The result is copied once after the sums that cancel are
     dropped: scipy keeps the buffer sized for every sum whenever more than
-    half of it is used, and a run keeps C and A's and B's rows through its
-    set-up.
+    half of it is used, and a run keeps A's and B's rows through its set-up.
 
     With ``rows`` (ascending) only those rows are assembled and every other
     one is left empty: only the elements that touch them are scattered, in
@@ -141,8 +141,8 @@ def assemble_coupling(stress_space: StressSpace, velocity_space: VelocitySpace) 
 def assemble_mass_velocity(
     space: VelocitySpace, material: IsotropicMaterial
 ) -> sp.csr_matrix:
-    """Density-weighted velocity mass matrix (block diagonal by element)."""
-    return material.rho * assemble_velocity_gram(space)
+    """Density-weighted velocity mass matrix, tiled as ``assemble_velocity_gram``."""
+    return block_diag_csr((material.rho * _local_velocity_gram(space))[None], space.mesh.n_elements)
 
 
 def _local_velocity_gram(space):
@@ -152,8 +152,8 @@ def _local_velocity_gram(space):
 
 
 def assemble_velocity_gram(space: VelocitySpace) -> sp.csr_matrix:
-    """Plain L2 Gram matrix of the velocity space."""
-    return _square(_local_velocity_gram(space), space)
+    """Plain L2 Gram matrix of the velocity space, tiled: its dofs go element by element."""
+    return block_diag_csr(_local_velocity_gram(space)[None], space.mesh.n_elements)
 
 
 def assemble_load(space: VelocitySpace, f, t: float) -> np.ndarray:
@@ -182,13 +182,13 @@ class AssembledSystem:
     A run reads A and B only at some rows, ``at_rows``, scattered from
     ``elements``: the stress solve's S (``linalg.build_schur``) and the
     stepper's folds (``CNStepper``) are formed from them, and their symmetry
-    is checked on ``elements``.  It reads C only to invert it, once for S
-    and once for the stepper.  The energy takes the norms of A and C element
-    by element (``stress_energy`` and ``velocity_energy``).  ``A`` and ``C``
-    are each assembled on first read and kept until deleted; a run deletes C
-    once it is inverted and never forms the full-size A, which is kept for
-    checks made from outside a run.  Only checks build the full-size B
-    (``assemble_coupling``).
+    is checked on ``elements``.  It reads C, tiled, only to invert it, once
+    for S and once for the stepper.  The energy takes the norms of A and C
+    element by element (``stress_energy`` and ``velocity_energy``).  ``A``
+    and ``C`` are each assembled on first read and kept until deleted; a run
+    deletes C once it is inverted and never forms the full-size A, which is
+    kept for checks made from outside a run.  Only checks build the
+    full-size B (``assemble_coupling``).
     """
 
     stress_space: StressSpace

@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -386,6 +387,7 @@ def _build_parser():
         description="Mixed-element velocity-stress wave solver on the unit square.",
         allow_abbrev=False,
     )
+    p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.I)  # -1e-3, -inf: values
     for s in SETTINGS.values():
         if s.parser is _flag:
             p.add_argument(s.option, dest=s.name, action="store_true", default=None, help=s.help)

@@ -182,11 +182,11 @@ class _Space:
         return fold(self.generators, self.group, self.rank)
 
     def symmetries(self) -> tuple:
-        """``generators``, built anew, and the ``fold``, built from them if it is not yet."""
-        generators = self.generators
+        """``generators`` and ``rank``, built anew, and the ``fold``, built from them if not yet."""
+        generators, rank = self.generators, self.rank
         if "fold" not in vars(self):
-            self.fold = fold(generators, self.group, self.rank)
-        return generators, self.fold
+            self.fold = fold(generators, self.group, rank)
+        return generators, rank, self.fold
 
     @property
     def rank(self) -> np.ndarray:
@@ -409,6 +409,13 @@ class VelocitySpace(_Space):
         swap = np.array([self.table.index((1 - c, k)) for c, k in self.table])
         sx, sy = (np.where(comp == axis, (-1.0) ** (1 + power), 1.0) for axis in (0, 1))
         return {X: (same, sx), Y: (same, sy), D: (swap, np.ones(self.n_local))}
+
+    @property
+    def generators(self) -> dict:
+        """As ``_Space.generators``, with no dof shared: dof l of element e is n_local e + l."""
+        k, local = self.n_local, self.local_generators
+        return {g: ((k * e[:, None] + local[g][0]).ravel(), np.tile(local[g][1], len(e)))
+                for g, (e, _) in self.mesh.generators.items()}
 
     @cached_property
     def _at(self) -> np.ndarray:

@@ -36,7 +36,7 @@ and solved with two columns.
 ``build_schur`` first checks that A, B and Cinv, so S, commute with each
 reflection, and names any matrix and reflection that do not: A and B where
 their symmetry comes from, the one element matrix commuting with each
-space's ``local_generators``, from which its ``generators`` are scattered
+space's ``local_generators``, from which its ``generators`` are built
 element by element, and Cinv by one product per reflection.  Each block
 is ordered by geometric nested dissection at mesh lines and factored in
 that order with diagonal pivots, which an SPD matrix allows; letting
@@ -69,7 +69,7 @@ returned.
 
 Every block of the velocity mass, and of the ``hmz`` bubble block S_ii, is
 the same on the uniform mesh, so ``block_diag_inverse`` inverts one block
-and repeats it when all are equal.
+and tiles it when all are equal (``block_diag_csr``).
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ from .symmetry import D, Fold, SymmetryGroup
 __all__ = [
     "ConvergenceError",
     "SingularBlockError",
+    "block_diag_csr",
     "block_diag_inverse",
     "nested_dissection",
     "CondensedLU",
@@ -135,15 +136,26 @@ class SingularBlockError(RuntimeError):
     """A diagonal block was numerically singular."""
 
 
+def block_diag_csr(blocks: np.ndarray, count: int) -> sp.csr_matrix:
+    """The matrix of ``count`` contiguous diagonal blocks (count, k, k), or of one
+    (1, k, k) tiled, its nonzeros written straight into CSR arrays of scipy's index type."""
+    k, tiles = blocks.shape[-1], count if len(blocks) == 1 else 1
+    idx = np.int32 if count * k * k < 2**31 else np.int64
+    b, r, c = (a.astype(idx) for a in np.nonzero(blocks))
+    shift = np.arange(tiles, dtype=idx)[:, None]
+    indptr = np.zeros(k * count + 1, dtype=idx)  # each row's end, past its tile's start
+    indptr[1:].reshape(tiles, -1)[:] = len(b) * shift + np.cumsum(np.count_nonzero(blocks, axis=2))
+    data, indices = np.tile(blocks[b, r, c], tiles), (k * shift + (k * b + c)).ravel()
+    return sp.csr_matrix((data, indices, indptr), shape=(k * count, k * count))
+
+
 def block_diag_inverse(C: sp.spmatrix, block_size: int) -> sp.csr_matrix:
     """Exact inverse of a block-diagonal matrix with contiguous square blocks.
 
     Raises ``ValueError`` if the matrix has entries outside the diagonal
     blocks and ``SingularBlockError`` if any block cannot be inverted.  When
-    every block is the same, one is inverted and repeated, bit for bit what
-    inverting each would give.  The result is copied once after its zeros
-    are dropped: scipy keeps the buffer sized for the dense blocks whenever
-    more than half of it is used, and a run keeps the inverse to its end.
+    every block is the same, one is inverted and tiled, bit for bit what
+    inverting each would give, by ``block_diag_csr``, which stores no zero.
     """
     n = C.shape[0]
     if C.shape[0] != C.shape[1]:
@@ -165,11 +177,8 @@ def block_diag_inverse(C: sp.spmatrix, block_size: int) -> sp.csr_matrix:
         raise SingularBlockError(f"singular diagonal block: {err}") from err
     if not np.all(np.isfinite(inv)):
         raise SingularBlockError("diagonal block inversion produced non-finite entries")
-    if uniform:
-        inv = np.repeat(inv, nb, axis=0)
-    out = sp.bsr_matrix((inv, bsr.indices, bsr.indptr), shape=(n, n)).tocsr()
-    out.eliminate_zeros()
-    return out.copy()
+    del bsr  # its dense blocks, freed before the inverse is written into their room
+    return block_diag_csr(inv, nb)
 
 
 def nested_dissection(grid: np.ndarray) -> np.ndarray:
@@ -224,21 +233,21 @@ def nested_dissection(grid: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _blocks(generators: dict, rank, group) -> list:
-    """The D4 blocks that the span of ``group``'s symmetric vectors holds, each
+def _blocks(generators: dict, rank, fold: Fold) -> list:
+    """The D4 blocks that the span of ``fold``'s symmetric vectors holds, each
     ``(reps, bases)``: the fold of X, Y and D (``generators``, by name) under
-    a subgroup with a one-dimensional character, orbits named by ``rank``,
-    and its sectors' signed gathers.  A block is held if its character is the
-    group's on the group; on a tiny mesh it may be empty.  With D in the
-    group E is one sector, not a pair: its half, where D acts as chi(D)."""
-    chi = dict(group.members())  # by index in MEMBERS: D is 4
+    a subgroup with a one-dimensional character (``fold`` for its group),
+    orbits named by ``rank``, and its sectors' signed gathers.  A block is held
+    if its character is the group's on the group; on a tiny mesh it may be empty.
+    With D in the group E is one sector, not a pair: its half, where D acts as chi(D)."""
+    chi = dict(fold.group.members())  # by index in MEMBERS: D is 4
+    fold_of = lambda g: fold if dict(g.members()) == chi else symmetry.fold(generators, g, rank)
     one_dim = [SymmetryGroup((("X", m), ("Y", m), ("D", d))) for m in (1, -1) for d in (1, -1)]
     held = [g for g in one_dim if chi.items() <= dict(g.members()).items()]
-    folded = [symmetry.fold(generators, g, rank) for g in held]
-    blocks = [(f.reps, [(f.index, f.sign)]) for f in folded]
+    blocks = [(f.reps, [(f.index, f.sign)]) for f in map(fold_of, held)]
     e = SymmetryGroup((("XY", -1), ("D", chi[4])) if 4 in chi else (("X", 1), ("Y", -1)))
     if chi.items() <= dict(e.members()).items():
-        f = symmetry.fold(generators, e, rank)
+        f = fold_of(e)
         pd, sd = generators[D]
         image = [] if 4 in chi else [(f.index[pd], f.sign[pd] * sd)]
         blocks.append((f.reps, [(f.index, f.sign)] + image))
@@ -255,17 +264,17 @@ class CondensedLU:
     which must couple in S with no other element's (``block_diag_inverse``
     raises ``ValueError`` if they do); an element's interior representatives,
     1 to k of them, are one block of S_ii.  ``grid`` (n, 2) is the half-step
-    grid point of every dof (see ``nested_dissection``).  ``generators``
-    holds X, Y and D by name as signed dof permutations ``(p, s)`` (a space's
-    ``generators``); they must commute with S, keep the interior dofs
-    interior and satisfy D4's relations.  Identity maps split nothing.
-    ``interior``, ``grid`` and ``generators`` number every dof, folded or not.
+    grid point of every dof (see ``nested_dissection``).  ``blocks`` is
+    ``_blocks`` of a space's ``generators`` (X, Y and D), rank and ``fold``
+    (``build_schur``); the generators must commute with S, keep the interior
+    dofs interior and satisfy D4's relations.  Identity maps split nothing.
+    ``interior``, ``grid`` and ``blocks`` number every dof, folded or not.
 
-    Each block is a fold of every dof (``_blocks``) under a subgroup of D4
-    whose character holds ``fold``'s, its orbits named after their dof first
-    in (gx, gy) order (``symmetry.grid_rank``), as ``fold`` names its
-    representatives: so a one-dimensional block is named in the triangle gx
-    <= gy, not across the quarter, and its representatives are ``fold``'s.
+    Each block is a fold of every dof under a subgroup of D4 whose character
+    holds ``fold``'s, its orbits named after their dof first in (gx, gy)
+    order (``symmetry.grid_rank``), as ``fold`` names its representatives:
+    so a one-dimensional block is named in the triangle gx <= gy, not across
+    the quarter, and its representatives are ``fold``'s.
     Those of its outer orbits are kept, in ascending dof order, and a block
     with none, as on a tiny mesh, is dropped.  A sector's basis Q is its fold's signed gather,
     read at the run's representatives.
@@ -287,7 +296,7 @@ class CondensedLU:
     """
 
     def __init__(
-        self, S: sp.csr_matrix, interior: np.ndarray, grid: np.ndarray, generators: dict, fold: Fold
+        self, S: sp.csr_matrix, interior: np.ndarray, grid: np.ndarray, blocks: list, fold: Fold
     ):
         interior, grid = np.asarray(interior), np.asarray(grid)
         self.S, self.fold = S, fold
@@ -313,7 +322,7 @@ class CondensedLU:
         row[fold.reps[self.outer]] = np.arange(m)
         sizes = fold.sizes[self.outer]
         self._reps, self._parts, held, vec, coef, named = [], [], [], [], [], []
-        for rep, bases in _blocks(generators, symmetry.grid_rank(grid), fold.group):
+        for rep, bases in blocks:
             kept = np.flatnonzero(row[rep] >= 0)
             if not kept.size:
                 continue
@@ -504,7 +513,8 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
     space, vspace = system.stress_space, system.velocity_space
     if Cinv.shape != (vspace.dim, vspace.dim):
         raise ValueError(f"Cinv{Cinv.shape} does not match B{(vspace.dim, space.dim)}")
-    gs, fold = space.symmetries()
+    # Split first, so the generators and the rank die before S's terms are formed.
+    blocks, fold = _blocks(*space.symmetries()), space.fold
     _check_symmetries(system, Cinv)
     A, B = system.at_rows
     reps = (lambda M: M) if fold.trivial else (lambda M: M[fold.reps])
@@ -550,7 +560,7 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
     S = sp.csr_matrix(S, copy=True) if fold.trivial else S @ fold.P()
     S.data *= np.repeat(fold.sizes, np.diff(S.indptr))
     log.debug("formed S at %d of %d rows: %d entries", len(fold.reps), len(fold.index), S.nnz)
-    return SchurSolver(CondensedLU(S, space.interior, space.grid, gs, fold), tol, dt)
+    return SchurSolver(CondensedLU(S, space.interior, space.grid, blocks, fold), tol, dt)
 
 
 def _check_symmetries(system, Cinv) -> None:
@@ -575,7 +585,7 @@ def check_symmetry(M, generators: dict, cols: dict, name: str) -> None:
     the rounding of the products, a few ulps of k max|M|, k the longest row
     of M; a system that breaks the symmetry leaves far more.  An element
     matrix with each space's ``local_generators`` stands for every element,
-    as each space's ``generators`` are scattered from them (``fespace``).
+    as each space's ``generators`` are built from them (``fespace``).
     """
     M = sp.csr_matrix(M)
     x = np.random.default_rng(0).random(M.shape[1])

@@ -156,9 +156,9 @@ class Fold:
     def P(self) -> sp.csr_matrix:
         """The lift as a sparse matrix, built anew on each call: a caller
         keeps it only while it needs it, and builds it once."""
-        on = np.flatnonzero(self.sign)
-        shape = len(self.sign), len(self.reps)
-        return sp.csr_matrix((self.sign[on].astype(float), (on, self.index[on])), shape)
+        on = self.sign != 0  # one entry a row, so its CSR arrays are written directly
+        data, indptr = self.sign[on].astype(float), np.append(0, np.cumsum(on))
+        return sp.csr_matrix((data, self.index[on], indptr), (len(on), len(self.reps)))
 
 
 def fold(generators: dict, group, rank) -> Fold:
@@ -174,10 +174,10 @@ def fold(generators: dict, group, rank) -> Fold:
     fixed = p == named
     sign = np.array([chi for _, chi in group.members()])[:, None] * s
     has = ~np.any(fixed & (sign < 0), axis=0)
+    p, sign, fixed = p[:, has], sign[:, has], fixed[:, has]
     index, lift = np.zeros(len(rank), dtype=np.intp), np.zeros(len(rank), dtype=np.int8)
-    index[p[:, has]] = np.arange(np.count_nonzero(has))
-    lift[p[:, has]] = sign[:, has]
-    return Fold(group, named[has], index, lift, len(p) // fixed[:, has].sum(axis=0))
+    index[p], lift[p] = np.arange(p.shape[1]), sign
+    return Fold(group, named[has], index, lift, len(p) // fixed.sum(axis=0))
 
 
 def grid_rank(grid) -> np.ndarray:

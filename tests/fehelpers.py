@@ -34,7 +34,10 @@ differences at quasi-random points.  ``full_scatter`` scatters every entry
 of a local matrix, exact zeros included: the reference the assembly's
 scatter of the nonzero entries is checked against.  ``oversized`` names the
 sparse matrices whose arrays sit in buffers larger than their entries.
-``full_B`` assembles a system's full-size B, which no run forms.
+``bsr_block_diag_inverse`` inverts a block-diagonal matrix through BSR,
+repeating one inverse when every block is the same, and drops its zeros:
+the reference the inverse written straight into CSR arrays is checked
+against.  ``full_B`` assembles a system's full-size B, which no run forms.
 ``folded_schur`` forms the full S and folds it: the reference the folded S
 that ``build_schur`` forms at the representatives alone is checked against.
 ``sectors`` builds the stress solve's D4 blocks from a table of characters
@@ -348,6 +351,20 @@ def oversized(matrices: dict) -> list:
         for name, M in matrices.items()
         if any(a.base is not None and a.base.size > M.nnz for a in (M.data, M.indices))
     ]
+
+
+def bsr_block_diag_inverse(C, k: int) -> sp.csr_matrix:
+    """The inverse of the block-diagonal C with contiguous k x k blocks, by
+    BSR: one block inverted and repeated if all are the same, every block
+    inverted otherwise; converted to CSR, its zeros dropped and copied."""
+    bsr = sp.bsr_matrix(C, blocksize=(k, k))
+    uniform = np.all(bsr.data == bsr.data[0])
+    inv = np.linalg.inv(bsr.data[:1] if uniform else bsr.data)
+    if uniform:
+        inv = np.repeat(inv, len(bsr.data), axis=0)
+    out = sp.bsr_matrix((inv, bsr.indices, bsr.indptr), shape=C.shape).tocsr()
+    out.eliminate_zeros()
+    return out.copy()
 
 
 def full_B(system) -> sp.csr_matrix:

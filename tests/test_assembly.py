@@ -506,14 +506,38 @@ def test_div_gram_against_quadrature_oracle(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [1, 7, 16])
+def test_velocity_matrices_are_tiled_with_the_arrays_of_their_scatter(family, n):
+    # Velocity dofs are numbered element by element, so the velocity Gram
+    # matrix and C are their element matrix tiled straight into CSR arrays:
+    # the arrays that scattering it, all of it or its nonzeros, gives, and,
+    # for C, scaling the scattered Gram matrix by rho, dtypes included.
+    _, vs = spaces(n, family)
+    material = IsotropicMaterial(rho=2.5)
+    local, shape = assembly._local_velocity_gram(vs), (vs.dim, vs.dim)
+    scattered = [f(local, vs.eldof, vs.eldof, shape) for f in (assembly._scatter, full_scatter)]
+    cases = [
+        (assemble_velocity_gram(vs), scattered),
+        (assemble_mass_velocity(vs, material), [material.rho * M for M in scattered]),
+    ]
+    for got, wants in cases:
+        assert got.has_sorted_indices and oversized(dict(got=got)) == []
+        for want in wants:
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 7, 16])
 def test_scatter_of_nonzeros_matches_the_full_scatter(family, n, monkeypatch):
     # The local matrices hold exact zeros (48 of hmz's 100 stress-mass
     # entries), which add nothing to any sum.  The duplicates of a row are
     # summed in the order SciPy's unstable index sort leaves them, which
-    # the zeros can change, so only A, B and C, whole or at the rows a run
-    # of example 2 reads, are bitwise the same here; the Gram matrices agree
-    # to rounding, where a sum that cancels may be stored as a
-    # rounding-level entry in one and dropped in the other.
+    # the zeros can change, so only A and B, whole or at the rows a run of
+    # example 2 reads, are bitwise the same here; the Gram matrices agree to
+    # rounding, where a sum that cancels may be stored as a rounding-level
+    # entry in one and dropped in the other.  C is tiled, not scattered
+    # (``test_velocity_matrices_are_tiled_with_the_arrays_of_their_scatter``).
     ss, vs = spaces(n, family)
     mesh, group = ss.mesh, run_group(2)
     folded = StressSpace(mesh, family, group), VelocitySpace(mesh, family, group)
@@ -522,12 +546,12 @@ def test_scatter_of_nonzeros_matches_the_full_scatter(family, n, monkeypatch):
         system = assemble_system(ss, vs, UNIT)
         rows = assemble_system(*folded, UNIT).at_rows
         B = assemble_coupling(ss, vs)
-        return [system.A, B, system.C, *rows, assemble_div_gram(ss), assemble_stress_gram(ss)]
+        return [system.A, B, *rows, assemble_div_gram(ss), assemble_stress_gram(ss)]
 
     got = matrices()
     monkeypatch.setattr(assembly, "_scatter", full_scatter)
     for k, (a, b) in enumerate(zip(got, matrices())):
-        if k < 5:
+        if k < 4:
             for field in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(a, field), getattr(b, field))
         else:

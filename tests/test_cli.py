@@ -651,6 +651,25 @@ def test_bad_material_and_solver_inputs_error_exit(argv, message, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--lambda", "-1e-3", "first Lame parameter must be nonnegative, got -0.001"),
+        ("--lambda", "-5e-1", "first Lame parameter must be nonnegative, got -0.5"),
+        ("--mu", "-inf", "mu must be finite, got -inf"),
+    ],
+    ids=["lambda-exponent", "lambda-exponent-below-one", "mu-minus-inf"],
+)
+def test_a_negative_value_after_a_space_is_read_as_after_an_equals_sign(
+    flag, value, message, capsys
+):
+    # argparse reads a value that starts with '-' as a flag unless it is a
+    # plain decimal; the command line reads it as the flag's value either way.
+    spaced = run_main(_FORCED + [flag, value], capsys)
+    glued = run_main(_FORCED + [f"{flag}={value}"], capsys)
+    assert spaced == glued == (1, "", f"error: {message}\n")
+
+
 def test_unused_setting_from_config_file_errors(tmp_path, capsys):
     # The message names where the unused value came from: the config file,
     # a preset the config file chose, or a flag, which overrides both.

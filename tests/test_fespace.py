@@ -634,6 +634,20 @@ def test_each_reflection_maps_elements_by_one_local_permutation(family, n, monke
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_velocity_generators_are_the_reference_array_for_array(family, n):
+    # No velocity dof is shared, so the generators are broadcast from the
+    # mesh's with no agreement to check; they are the reference's, dtypes
+    # included.
+    vs = VelocitySpace(StructuredMesh(n), family)
+    want = velocity_generators(vs)
+    assert list(vs.generators) == list(want)
+    for got, ref in zip(vs.generators.values(), want.values()):
+        for a, b in zip(got, ref, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_coupling_commutes_with_the_generators(family, n):
     # B P_sigma = P_v B for X, Y and D, checked as check_symmetry checks S:
     # one random vector, and a gap of a few ulps of k max|B|.

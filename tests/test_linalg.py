@@ -27,10 +27,11 @@ from viscowave.linalg import (
 from viscowave.cli import RunConfig
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
-from viscowave.symmetry import TRIVIAL, D, SymmetryGroup, X, Y, fold
+from viscowave.symmetry import TRIVIAL, D, SymmetryGroup, X, Y, fold, grid_rank
 
 from fehelpers import (
-    ONE_DIM, DIAGONAL, folded_schur, full_B, mirrors, outer_split, oversized, sectors,
+    ONE_DIM, DIAGONAL, bsr_block_diag_inverse, folded_schur, full_B, mirrors, outer_split,
+    oversized, sectors,
 )
 
 TOL = 1e-12
@@ -50,15 +51,16 @@ def unfolded(n):
     return fold({}, TRIVIAL, np.arange(n))
 
 
+def split(generators, grid, fold):
+    """``CondensedLU``'s blocks, as ``build_schur`` finds them for a space."""
+    return linalg._blocks(generators, grid_rank(grid), fold)
+
+
 def no_interior(n):
     """Layout of an unfolded n-dof matrix with no interior dofs, points
     along a line, and D4 acting trivially."""
-    return (
-        np.zeros((0, 0), dtype=int),
-        np.column_stack([2 * np.arange(n), np.zeros(n, int)]),
-        trivial(n),
-        unfolded(n),
-    )
+    grid = np.column_stack([2 * np.arange(n), np.zeros(n, int)])
+    return np.zeros((0, 0), dtype=int), grid, split(trivial(n), grid, unfolded(n)), unfolded(n)
 
 
 def random_block_diag(rng, nb, b, spd=True):
@@ -133,6 +135,23 @@ def test_uniform_blocks_inverted_once_match_the_per_block_inverse(monkeypatch):
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_tiled_inverse_is_the_bsr_route_array_for_array(family):
+    # The inverse is written straight into CSR arrays; they are those that
+    # BSR, a conversion to CSR, dropping the zeros and a copy gave, dtypes
+    # included, for the uniform velocity mass and for one whose blocks differ.
+    system = make_system(4, family)
+    C, k = system.C, system.velocity_space.n_local
+    uneven = C.copy()
+    uneven.data *= 1.0 + np.random.default_rng(3).random(C.nnz)
+    for M in (C, uneven):
+        got, want = block_diag_inverse(M, k), bsr_block_diag_inverse(M, k)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.has_sorted_indices and oversized(dict(Cinv=got)) == []
 
 
 def test_repeated_singular_block_raises():
@@ -469,11 +488,11 @@ def test_wrongly_numbered_bubbles_raise():
     # the global order lists all t11 bubbles, then all t22 bubbles
     by_component = np.sort(ss.interior, axis=None).reshape(-1, 2)
     with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
-        CondensedLU(S, by_component, ss.grid, ss.generators, ss.fold)
+        CondensedLU(S, by_component, ss.grid, split(ss.generators, ss.grid, ss.fold), ss.fold)
     by_element = ss.interior
     shifted = np.column_stack([by_element[:, 0], np.roll(by_element[:, 1], 1)])
     with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
-        CondensedLU(S, shifted, ss.grid, ss.generators, ss.fold)
+        CondensedLU(S, shifted, ss.grid, split(ss.generators, ss.grid, ss.fold), ss.fold)
     assert np.array_equal(solver._lu.inner, by_element.ravel())
 
 
@@ -797,10 +816,9 @@ def test_sector_solve_matches_splu_of_condensed_matrix(family, n, dt):
     outer = solver._lu.outer
     ref = spla.splu(S_c.tocsc())
     rhs = np.random.default_rng(n).standard_normal((3, S_c.shape[0]))
-    lu = CondensedLU(
-        S_c, np.zeros((0, 0), dtype=int), system.stress_space.grid[outer],
-        on_outer(system.stress_space.generators, outer), unfolded(S_c.shape[0]),
-    )
+    grid, whole = system.stress_space.grid[outer], unfolded(S_c.shape[0])
+    blocks = split(on_outer(system.stress_space.generators, outer), grid, whole)
+    lu = CondensedLU(S_c, np.zeros((0, 0), dtype=int), grid, blocks, whole)
     reach_every_block(lu)
     sizes = [f.shape[0] for f in lu._lus]
     assert len(sizes) == 5
@@ -821,7 +839,8 @@ def test_no_mirrors_is_one_sector_in_the_unsplit_order(family, dt):
     system = make_system(8, family)
     ss = system.stress_space
     S = make_direct(system, dt).S
-    lu = CondensedLU(S, ss.interior, ss.grid, trivial(S.shape[0]), unfolded(S.shape[0]))
+    whole = unfolded(S.shape[0])
+    lu = CondensedLU(S, ss.interior, ss.grid, split(trivial(S.shape[0]), ss.grid, whole), whole)
     reach_every_block(lu)
     assert len(lu._lus) == 1
     assert abs(lu._Q[lu._reps[0]] - sp.identity(lu.outer.size)).max() == 0
@@ -839,7 +858,8 @@ def test_mirror_split_lowers_the_fill(family, n):
     ss = system.stress_space
     solver = make_direct(system, 0.25)
     n_dofs = solver.S.shape[0]
-    whole = CondensedLU(solver.S, ss.interior, ss.grid, trivial(n_dofs), unfolded(n_dofs))
+    one = unfolded(n_dofs)
+    whole = CondensedLU(solver.S, ss.interior, ss.grid, split(trivial(n_dofs), ss.grid, one), one)
     reach_every_block(solver._lu)
     assert len(solver._lu._lus) == 5
     assert fill(solver._lu) < fill(reach_every_block(whole))
@@ -851,7 +871,7 @@ def test_diagonal_halves_are_named_in_the_triangle(family):
     # gx <= gy keeps each eighth-size block in one triangle of the quarter.
     n = 8
     space = StressSpace(StructuredMesh(n), family)
-    blocks = linalg._blocks(space.generators, space.rank, TRIVIAL)
+    blocks = linalg._blocks(space.generators, space.rank, space.fold)
     assert [len(bases) for _, bases in blocks] == [1, 1, 1, 1, 2]
     for rep, _ in blocks[:4]:
         gx, gy = space.grid[rep].T
@@ -870,7 +890,8 @@ def test_each_block_is_the_fold_of_the_reference_sectors(family, n):
     generators, rank = space.generators, space.rank
     for group in GROUPS:
         want = sectors(tuple(generators.values()), rank, group)
-        got = [block for block in linalg._blocks(generators, rank, group) if len(block[0])]
+        run_fold = fold(generators, group, rank)
+        got = [block for block in linalg._blocks(generators, rank, run_fold) if len(block[0])]
         assert [len(bases) for _, bases in got] == [len(bases) for _, bases in want]
         for (rep, bases), (reps, folded) in zip(want, got):
             pairs = [(rep, reps)]
@@ -910,8 +931,10 @@ def test_split_holds_whatever_the_signs_of_the_dofs(family):
     S_c = (sp.diags(F) @ condensed_matrix(solver) @ sp.diags(F)).tocsr()
     ss = system.stress_space
     generators = {g: (p, F * s * F[p]) for g, (p, s) in on_outer(ss.generators, outer).items()}
+    whole = unfolded(outer.size)
     lu = CondensedLU(
-        S_c, np.zeros((0, 0), dtype=int), ss.grid[outer], generators, unfolded(outer.size)
+        S_c, np.zeros((0, 0), dtype=int), ss.grid[outer],
+        split(generators, ss.grid[outer], whole), whole,
     )
     assert len(lu._lus) == 5
     b = np.random.default_rng(8).standard_normal(S_c.shape[0])

@@ -12,6 +12,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from viscowave.analysis import StressErrorEvaluator, VelocityErrorEvaluator
 from viscowave.assembly import assemble_load
@@ -63,6 +64,13 @@ def test_a_fold_lifts_the_symmetric_vectors_from_one_dof_per_orbit(family, n):
         P = fold.P()
         assert np.array_equal((P.T @ P).toarray(), np.diag(fold.sizes))
         assert np.abs(sym[~on]).max(initial=0.0) <= 1e-15
+        # Written straight into CSR arrays, P's arrays are those of the COO
+        # route, dtypes included.
+        rows = np.flatnonzero(on)
+        coo = sp.csr_matrix((fold.sign[on].astype(float), (rows, fold.index[on])), P.shape)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(P, name), getattr(coo, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_members_are_the_doubling_of_the_generators():

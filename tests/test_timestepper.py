@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse._compressed import _cs_matrix
 
-from viscowave import analysis, timestepper
+from viscowave import analysis, fespace, symmetry, timestepper
 from viscowave.analysis import energy
 from viscowave import assembly
 from viscowave.assembly import assemble_load, assemble_system
@@ -437,8 +437,8 @@ def test_a_folded_run_is_the_unfolded_run(family, example, monkeypatch):
 @pytest.mark.parametrize("example", [1, 2, 3])
 def test_a_run_assembles_a_and_b_only_at_the_rows_it_reads(family, example, monkeypatch, caplog):
     # No run forms the full-size A or B, node 0's energy and check included:
-    # it scatters C whole, then A and B at the rows it reads, and nothing
-    # else; all three are dropped once inverted or folded, so the first
+    # it scatters A and B at the rows it reads, and nothing else (C is
+    # tiled, not scattered); both are dropped once folded, so the first
     # factor, which sets the peak memory, finds them dead.
     kept, made, seen = [], [], []
     scatter, factor = assembly._scatter, CondensedLU._factor
@@ -461,12 +461,65 @@ def test_a_run_assembles_a_and_b_only_at_the_rows_it_reads(family, example, monk
     assert not ss.fold.trivial
     held = np.isin(ss.eldof, ss.fold.reps).any(axis=1)
     want = ss.fold.reps, np.union1d(vs.eldof[held], vs.fold.reps)
-    assert len(kept) == 3 and kept[0] is None
-    assert all(np.array_equal(a, b) for a, b in zip(kept[1:], want))
-    assert seen[0] == [True, True, True]
+    assert len(kept) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(kept, want, strict=True))
+    assert seen[0] == [True, True]
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("assembled")]
     assert line.startswith(f"assembled A at {len(ss.fold.reps)} of {ss.dim} rows and B at ")
     assert line.endswith(f"of {ss.mesh.n_elements} elements")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("example, block_folds", [(1, 2), (2, 0), (3, 3)])
+def test_a_run_ranks_the_grid_and_folds_each_space_once(
+    family, example, block_folds, monkeypatch
+):
+    # The grid is ranked once, for the stress fold and the split alike; each
+    # space is folded once, and the split folds only the blocks whose
+    # subgroup is not the run's group (none for example 2, whose one block,
+    # E's half, is the stress fold).  S and the stepper each build the stress
+    # fold's lift matrix where they use it, the stepper the velocity fold's.
+    # The rank is dead once S is formed, and the lift matrices when the first
+    # block factors.
+    ranks, folds, lifts, dead, split = [], [], [], [], []
+    grid_rank, fold, lift = symmetry.grid_rank, symmetry.fold, symmetry.Fold.P
+    factor, init = CondensedLU._factor, CondensedLU.__init__
+
+    def ranking(grid):
+        rank = grid_rank(grid)
+        ranks.append(weakref.ref(rank))
+        return rank
+
+    def folding(generators, group, rank):
+        folds.append(group)
+        return fold(generators, group, rank)
+
+    def lifting(self):
+        P = lift(self)
+        lifts.append((self, weakref.ref(P)))
+        return P
+
+    def first_factor(self, k):
+        dead.append([ref() is None for ref in ranks + [ref for _, ref in lifts]])
+        return factor(self, k)
+
+    def splitting(self, *args):
+        split.append([ref() is None for ref in ranks])
+        init(self, *args)
+
+    for module in (symmetry, fespace):
+        monkeypatch.setattr(module, "grid_rank", ranking)
+        monkeypatch.setattr(module, "fold", folding)
+    monkeypatch.setattr(symmetry.Fold, "P", lifting)
+    monkeypatch.setattr(CondensedLU, "_factor", first_factor)
+    monkeypatch.setattr(CondensedLU, "__init__", splitting)
+    result = run(RunConfig(element=family, example=example, nx=4, n_steps=2))
+    ss, vs = result.stress_space, result.velocity_space
+    assert len(ranks) == 1 and split == [[True]]
+    assert folds[0] == ss.group and folds[-1] == vs.group and len(folds) == 2 + block_folds
+    assert ss.group not in folds[1:-1]
+    assert [fold for fold, _ in lifts] == [ss.fold, ss.fold, vs.fold]
+    assert dead and all(all(d) for d in dead)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
