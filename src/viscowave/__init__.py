@@ -14,7 +14,6 @@ from .assembly import (
     assemble_coupling,
     assemble_load,
     assemble_mass_stress,
-    assemble_mass_velocity,
     assemble_system,
 )
 from .fespace import FAMILIES, HMZ, NEDELEC, StressSpace, VelocitySpace

@@ -7,7 +7,8 @@ back in CSR format with sorted, deduplicated indices; assembly order is
 deterministic.  A system's ``elements`` holds the element matrices of A, B
 and C; a run scatters A and B from them only at the rows it reads
 (``AssembledSystem.at_rows``), each kept row array-equal to the full
-matrix's.  Only checks build the full-size B (``assemble_coupling``).
+matrix's, and inverts C from its element matrix alone.  Only checks build
+the full-size B (``assemble_coupling``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "assemble_stress_gram",
     "assemble_div_gram",
     "assemble_coupling",
-    "assemble_mass_velocity",
     "assemble_velocity_gram",
     "assemble_load",
     "assemble_system",
@@ -138,13 +138,6 @@ def assemble_coupling(stress_space: StressSpace, velocity_space: VelocitySpace) 
     return _scatter(_local_coupling(ss, vs), vs.eldof, ss.eldof, (vs.dim, ss.dim))
 
 
-def assemble_mass_velocity(
-    space: VelocitySpace, material: IsotropicMaterial
-) -> sp.csr_matrix:
-    """Density-weighted velocity mass matrix, tiled as ``assemble_velocity_gram``."""
-    return block_diag_csr((material.rho * _local_velocity_gram(space))[None], space.mesh.n_elements)
-
-
 def _local_velocity_gram(space):
     w, xi, eta = _local_rule(space.mesh)
     vals = space.local_values(xi, eta)
@@ -182,13 +175,13 @@ class AssembledSystem:
     A run reads A and B only at some rows, ``at_rows``, scattered from
     ``elements``: the stress solve's S (``linalg.build_schur``) and the
     stepper's folds (``CNStepper``) are formed from them, and their symmetry
-    is checked on ``elements``.  It reads C, tiled, only to invert it, once
-    for S and once for the stepper.  The energy takes the norms of A and C
-    element by element (``stress_energy`` and ``velocity_energy``).  ``A``
-    and ``C`` are each assembled on first read and kept until deleted; a run
-    deletes C once it is inverted and never forms the full-size A, which is
-    kept for checks made from outside a run.  Only checks build the
-    full-size B (``assemble_coupling``).
+    is checked on ``elements``.  C is block diagonal by element, so it is
+    never assembled: its inverse is tiled from the inverse of its element
+    matrix (``linalg.block_diag_inverse``), once for S and once for the
+    stepper.  The energy takes the norms of A and C element by element
+    (``stress_energy`` and ``velocity_energy``).  ``A`` is assembled on
+    first read, for checks made from outside a run; a run never forms it.
+    Only checks build the full-size B (``assemble_coupling``).
     """
 
     stress_space: StressSpace
@@ -209,10 +202,6 @@ class AssembledSystem:
     @cached_property
     def A(self) -> sp.csr_matrix:
         return assemble_mass_stress(self.stress_space, self.material)
-
-    @cached_property
-    def C(self) -> sp.csr_matrix:
-        return assemble_mass_velocity(self.velocity_space, self.material)
 
     @cached_property
     def at_rows(self) -> tuple:

@@ -67,9 +67,11 @@ of scattered updates and is the faster of the two; it is refined once and
 checked against S, so a split that did not hold would be refused, not
 returned.
 
-Every block of the velocity mass, and of the ``hmz`` bubble block S_ii, is
-the same on the uniform mesh, so ``block_diag_inverse`` inverts one block
-and tiles it when all are equal (``block_diag_csr``).
+The velocity mass C is not assembled: on the uniform mesh each of its
+blocks is its element matrix, so ``block_diag_inverse`` inverts that one
+block and tiles it (``block_diag_csr``).  The ``hmz`` bubble block S_ii is
+read through BSR, which checks its block structure and inverts one block
+when all are equal (``_sparse_block_inverse``).
 """
 
 from __future__ import annotations
@@ -149,36 +151,40 @@ def block_diag_csr(blocks: np.ndarray, count: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(k * count, k * count))
 
 
-def block_diag_inverse(C: sp.spmatrix, block_size: int) -> sp.csr_matrix:
-    """Exact inverse of a block-diagonal matrix with contiguous square blocks.
+def block_diag_inverse(blocks: np.ndarray, count: int) -> sp.csr_matrix:
+    """Exact inverse of the block-diagonal matrix of ``count`` dense k x k
+    blocks (count, k, k), or of one (1, k, k) tiled, written by
+    ``block_diag_csr``, which stores no zero.
 
-    Raises ``ValueError`` if the matrix has entries outside the diagonal
-    blocks and ``SingularBlockError`` if any block cannot be inverted.  When
-    every block is the same, one is inverted and tiled, bit for bit what
-    inverting each would give, by ``block_diag_csr``, which stores no zero.
+    A run inverts the velocity mass from its one element block.  Raises
+    ``SingularBlockError`` if any block cannot be inverted.
     """
-    n = C.shape[0]
-    if C.shape[0] != C.shape[1]:
-        raise ValueError(f"matrix is not square: {C.shape}")
-    if block_size < 1 or n % block_size:
-        raise ValueError(f"dimension {n} is not a multiple of block size {block_size}")
-    nb = n // block_size
-    bsr = sp.bsr_matrix(C, blocksize=(block_size, block_size))
+    try:
+        inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError as err:
+        raise SingularBlockError(f"singular diagonal block: {err}") from err
+    if not np.all(np.isfinite(inv)):
+        raise SingularBlockError("diagonal block inversion produced non-finite entries")
+    return block_diag_csr(inv, count)
+
+
+def _sparse_block_inverse(M: sp.spmatrix, k: int) -> sp.csr_matrix:
+    """``block_diag_inverse`` of a sparse matrix with contiguous k x k diagonal
+    blocks, read through BSR: of one block when every block is the same.
+
+    Raises ``ValueError`` if k does not divide the matrix or it has entries
+    outside the diagonal blocks, and ``SingularBlockError`` if a block has
+    no entry.
+    """
+    nb = M.shape[0] // k
+    bsr = sp.bsr_matrix(M, blocksize=(k, k))
     if np.any(bsr.indices != np.repeat(np.arange(nb), np.diff(bsr.indptr))):
         raise ValueError("matrix has entries outside the contiguous diagonal blocks")
     if len(bsr.indices) < nb:  # a block with no entry is absent
         zero = np.flatnonzero(np.diff(bsr.indptr) == 0)[0]
         raise SingularBlockError(f"singular diagonal block: block {zero} is zero")
-    # On a uniform mesh every block is the same; one inverse then serves all.
     uniform = bool(np.all(bsr.data == bsr.data[0]))
-    try:
-        inv = np.linalg.inv(bsr.data[:1] if uniform else bsr.data)
-    except np.linalg.LinAlgError as err:
-        raise SingularBlockError(f"singular diagonal block: {err}") from err
-    if not np.all(np.isfinite(inv)):
-        raise SingularBlockError("diagonal block inversion produced non-finite entries")
-    del bsr  # its dense blocks, freed before the inverse is written into their room
-    return block_diag_csr(inv, nb)
+    return block_diag_inverse(bsr.data[:1] if uniform else bsr.data, nb)
 
 
 def nested_dissection(grid: np.ndarray) -> np.ndarray:
@@ -261,7 +267,7 @@ class CondensedLU:
     S is folded by ``fold`` (``symmetry.Fold``), trivial if S is whole: P^T
     S P on the values at the representatives, solved for the right-hand side
     P^T b.  ``interior`` (n_elements, k) lists each element's interior dofs,
-    which must couple in S with no other element's (``block_diag_inverse``
+    which must couple in S with no other element's (``_sparse_block_inverse``
     raises ``ValueError`` if they do); an element's interior representatives,
     1 to k of them, are one block of S_ii.  ``grid`` (n, 2) is the half-step
     grid point of every dof (see ``nested_dissection``).  ``blocks`` is
@@ -310,7 +316,8 @@ class CondensedLU:
         self.inner = np.concatenate([pos[:0].ravel()] + [dofs for _, dofs in kinds])
         self.outer = np.delete(np.arange(S.shape[0]), self.inner)
         rows_i = S[self.inner]
-        inverses = [block_diag_inverse(S[d][:, d], k) for k, d in kinds] or [rows_i[:, self.inner]]
+        inverses = [_sparse_block_inverse(S[d][:, d], k) for k, d in kinds]
+        inverses = inverses or [rows_i[:, self.inner]]
         self._Sii_inv = inverses[0] if len(inverses) == 1 else sp.block_diag(inverses, "csr")
         self._W = self._Sii_inv @ rows_i[:, self.outer]
         self._Wt = self._W.T

@@ -122,7 +122,7 @@ class CNStepper:
         P, (A, B) = fs.P(), system.at_rows
         self.A, self.B = folded(A, fs, P), folded(B, fv, P)
         # Inverted after the folds: before them, example 2 at N = 256 peaked 2-28 MB higher.
-        Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
+        Cinv = block_diag_inverse(system.elements[2][None], system.velocity_space.mesh.n_elements)
         self.Bt, self.Cinv = self.B.T, folded(Cinv, fv, fv.P())
         sizes = (len(fs.reps), len(fs.index), len(fv.reps), len(fv.index))
         log.debug("stepping %d of %d stress and %d of %d velocity dofs", *sizes)
@@ -228,15 +228,15 @@ def run(config) -> RunResult:
     full-size A or B: S and the stepper's folds are formed from their rows
     that these read (``AssembledSystem.at_rows``), which are dropped once
     folded, before the first step factors S and sets the run's peak memory.
-    C is tiled once, inverted for S and for the stepper, and dropped
-    with those rows.  Each node's energy and node 0's check take the norms
-    of A and C element by element, or A's from a stepped state's folds, so
-    past set-up the run keeps only the stepper's folds of A, B and Cinv.  A
-    load, energy or error that is not finite, and a step whose solve fails,
-    end the run naming the node and its time: with ``ValueError``, or the
-    solve's own ``ConvergenceError`` or ``SingularBlockError``.  Running out
-    of memory while the mesh, spaces, system or S are set up raises
-    ``MemoryError`` naming N and the family.
+    C is never assembled: its inverse, for S and for the stepper, is tiled
+    from the inverse of its element matrix.  Each node's energy and node
+    0's check take the norms of A and C element by element, or A's from a
+    stepped state's folds, so past set-up the run keeps only the stepper's
+    folds of A, B and Cinv.  A load, energy or error that is not finite,
+    and a step whose solve fails, end the run naming the node and its time:
+    with ``ValueError``, or the solve's own ``ConvergenceError`` or
+    ``SingularBlockError``.  Running out of memory while the mesh, spaces,
+    system or S are set up raises ``MemoryError`` naming N and the family.
     """
     if config.solver != "direct":
         raise ValueError(f"unknown solver {config.solver!r}: the only solve is the direct one")
@@ -260,7 +260,7 @@ def run(config) -> RunResult:
         velocity_space = VelocitySpace(mesh, config.element, group)
         system = assemble_system(stress_space, velocity_space, material)
         try:
-            Cinv = block_diag_inverse(system.C, velocity_space.n_local)
+            Cinv = block_diag_inverse(system.elements[2][None], mesh.n_elements)
         except SingularBlockError as err:
             raise SingularBlockError(
                 f"the velocity mass (rho = {config.rho:.3g}) cannot be inverted: {err}"
@@ -273,8 +273,7 @@ def run(config) -> RunResult:
         ) from err
     del Cinv  # the stepper keeps its own; one kept to the end raises the peak
     stepper = CNStepper(system, solver)
-    # Folded or inverted by the stepper; kept, they raise the first factor's peak.
-    del system.at_rows, system.C
+    del system.at_rows  # folded by the stepper; kept, they raise the first factor's peak
     state = init_state(
         stress_space,
         velocity_space,

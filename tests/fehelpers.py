@@ -34,10 +34,11 @@ differences at quasi-random points.  ``full_scatter`` scatters every entry
 of a local matrix, exact zeros included: the reference the assembly's
 scatter of the nonzero entries is checked against.  ``oversized`` names the
 sparse matrices whose arrays sit in buffers larger than their entries.
-``bsr_block_diag_inverse`` inverts a block-diagonal matrix through BSR,
-repeating one inverse when every block is the same, and drops its zeros:
-the reference the inverse written straight into CSR arrays is checked
-against.  ``full_B`` assembles a system's full-size B, which no run forms.
+``assemble_mass_velocity`` tiles the velocity mass C, which no run
+assembles, and ``bsr_block_diag_inverse`` inverts a block-diagonal matrix
+through BSR, repeating one inverse when every block is the same, and drops
+its zeros: the reference the inverse a run tiles from C's element matrix
+is checked against; ``velocity_inverse`` is that inverse.  ``full_B`` assembles a system's full-size B, which no run forms.
 ``folded_schur`` forms the full S and folds it: the reference the folded S
 that ``build_schur`` forms at the representatives alone is checked against.
 ``sectors`` builds the stress solve's D4 blocks from a table of characters
@@ -55,9 +56,9 @@ import scipy.sparse as sp
 from scipy.stats import qmc
 
 from viscowave.analysis import energy
-from viscowave.assembly import assemble_coupling
+from viscowave.assembly import _local_velocity_gram, assemble_coupling
 from viscowave.fespace import StressSpace, VelocitySpace
-from viscowave.linalg import nested_dissection
+from viscowave.linalg import block_diag_csr, block_diag_inverse, nested_dissection
 from viscowave.material import VOIGT_DOT, IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import ExactSolution
@@ -351,6 +352,17 @@ def oversized(matrices: dict) -> list:
         for name, M in matrices.items()
         if any(a.base is not None and a.base.size > M.nnz for a in (M.data, M.indices))
     ]
+
+
+def assemble_mass_velocity(space: VelocitySpace, material) -> sp.csr_matrix:
+    """Density-weighted velocity mass matrix C, its element matrix tiled."""
+    local = material.rho * _local_velocity_gram(space)
+    return block_diag_csr(local[None], space.mesh.n_elements)
+
+
+def velocity_inverse(system) -> sp.csr_matrix:
+    """C^-1 as a run builds it, from C's element matrix."""
+    return block_diag_inverse(system.elements[2][None], system.velocity_space.mesh.n_elements)
 
 
 def bsr_block_diag_inverse(C, k: int) -> sp.csr_matrix:

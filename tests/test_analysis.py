@@ -13,10 +13,7 @@ from viscowave.analysis import (
     energy,
     infsup_constants,
 )
-from viscowave.assembly import (
-    assemble_mass_velocity,
-    assemble_system,
-)
+from viscowave.assembly import assemble_system
 from viscowave.fespace import (
     FAMILIES,
     HMZ,
@@ -30,6 +27,7 @@ from viscowave.mms import exact_fields
 from viscowave.timestepper import SimState
 
 from fehelpers import (
+    assemble_mass_velocity,
     einsum_error,
     element_at,
     energy_residuals,

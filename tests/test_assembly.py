@@ -13,7 +13,6 @@ from viscowave.assembly import (
     assemble_div_gram,
     assemble_load,
     assemble_mass_stress,
-    assemble_mass_velocity,
     assemble_stress_gram,
     assemble_system,
     assemble_velocity_gram,
@@ -32,6 +31,7 @@ from viscowave.quadrature import COMPOSITE, CORNERS
 from viscowave.symmetry import TRIVIAL, SymmetryGroup, find_group
 
 from fehelpers import (
+    assemble_mass_velocity,
     compliance_bounds,
     einsum_load,
     eval_velocity,
@@ -386,10 +386,10 @@ def test_assemble_system_fields():
     ]
     assert system.material is UNIT
     assert system.A.shape == (ss.dim, ss.dim)
-    assert system.C.shape == (vs.dim, vs.dim)
     assert sp.issparse(system.A)
-    # Only checks build the full-size B, from ``assemble_coupling``.
-    assert not hasattr(system, "B")
+    # Only checks build the full-size B and C, from ``assemble_coupling`` and
+    # the tests' ``assemble_mass_velocity``.
+    assert not hasattr(system, "B") and not hasattr(system, "C")
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -410,17 +410,14 @@ def test_full_size_a_is_assembled_on_first_read_and_kept(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_c_norm_summed_element_by_element_is_that_of_c(family):
-    # A run takes the C-norm with C's element matrix and never forms C;
-    # C itself is assembled on first read, as A is.
+    # A run takes the C-norm with C's element matrix and never forms C.
     ss, vs = spaces(8, family)
-    system = assemble_system(ss, vs, IsotropicMaterial(rho=2.0, mu=3.0, lam=5.0))
+    material = IsotropicMaterial(rho=2.0, mu=3.0, lam=5.0)
+    system = assemble_system(ss, vs, material)
+    C = assemble_mass_velocity(vs, material)
     rng = np.random.default_rng(5)
-    bs = [rng.standard_normal(vs.dim) for _ in range(4)]
-    got = [system.velocity_energy(b) for b in bs]
-    assert "C" not in vars(system)
-    for b, value in zip(bs, got):
-        assert value == pytest.approx(b @ (system.C @ b), rel=1e-14, abs=0.0)
-    assert system.C is system.C
+    for b in (rng.standard_normal(vs.dim) for _ in range(4)):
+        assert system.velocity_energy(b) == pytest.approx(b @ (C @ b), rel=1e-14, abs=0.0)
 
 
 def run_group(example):
@@ -472,16 +469,16 @@ def test_the_stress_energy_is_the_norm_of_a(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_assembled_matrices_own_buffers_sized_to_their_entries(family):
     # Dropping the sums that cancel leaves scipy's buffer sized for every sum
-    # (for hmz's A at N = 8, 3328 slots for 2817 entries); a run keeps C and
-    # A and B at the rows it reads through its set-up, so each is trimmed to
-    # its entries.
+    # (for hmz's A at N = 8, 3328 slots for 2817 entries); a run keeps A
+    # and B at the rows it reads through its set-up, so each is trimmed to
+    # its entries, as are C and the full-size A and B that checks build.
     group = run_group(2)
     mesh = StructuredMesh(8)
     ss, vs = StressSpace(mesh, family, group), VelocitySpace(mesh, family, group)
     system = assemble_system(ss, vs, UNIT)
     A, B = system.at_rows
     full = dict(full_A=system.A, full_B=assemble_coupling(ss, vs))
-    assert oversized(dict(A=A, B=B, C=system.C, **full)) == []
+    assert oversized(dict(A=A, B=B, C=assemble_mass_velocity(vs, UNIT), **full)) == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)

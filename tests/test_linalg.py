@@ -30,8 +30,8 @@ from viscowave.mesh import StructuredMesh
 from viscowave.symmetry import TRIVIAL, D, SymmetryGroup, X, Y, fold, grid_rank
 
 from fehelpers import (
-    ONE_DIM, DIAGONAL, bsr_block_diag_inverse, folded_schur, full_B, mirrors, outer_split,
-    oversized, sectors,
+    ONE_DIM, DIAGONAL, assemble_mass_velocity, bsr_block_diag_inverse, folded_schur, full_B,
+    mirrors, outer_split, oversized, sectors, velocity_inverse,
 )
 
 TOL = 1e-12
@@ -63,61 +63,65 @@ def no_interior(n):
     return np.zeros((0, 0), dtype=int), grid, split(trivial(n), grid, unfolded(n)), unfolded(n)
 
 
-def random_block_diag(rng, nb, b, spd=True):
-    blocks = []
-    for _ in range(nb):
-        M = rng.standard_normal((b, b))
-        blocks.append(M @ M.T + b * np.eye(b) if spd else M)
-    return sp.block_diag(blocks, format="csr")
+def random_blocks(rng, nb, b):
+    M = rng.standard_normal((nb, b, b))
+    return M @ M.transpose(0, 2, 1) + b * np.eye(b)
 
 
 def test_block_diag_inverse_matches_dense():
+    # Of every block given, or of one tiled.
     rng = np.random.default_rng(4)
     for b in (1, 2, 4):
-        C = random_block_diag(rng, 6, b)
-        Cinv = block_diag_inverse(C, b)
-        np.testing.assert_allclose(
-            Cinv.toarray(), np.linalg.inv(C.toarray()), atol=1e-12
-        )
-        # inverse keeps the block sparsity
-        assert Cinv.nnz <= 6 * b * b
+        blocks = random_blocks(rng, 6, b)
+        for given, tiled in ((blocks, list(blocks)), (blocks[:1], [blocks[0]] * 6)):
+            Cinv = block_diag_inverse(given, 6)
+            want = np.linalg.inv(sp.block_diag(tiled).toarray())
+            np.testing.assert_allclose(Cinv.toarray(), want, atol=1e-12)
+            # inverse keeps the block sparsity
+            assert Cinv.nnz <= 6 * b * b
 
 
 def test_block_diag_inverse_identity():
     I = sp.identity(8, format="csr")
-    assert abs(block_diag_inverse(I, 2) - I).max() == 0.0
+    assert abs(block_diag_inverse(np.eye(2)[None], 4) - I).max() == 0.0
+    assert abs(linalg._sparse_block_inverse(I, 2) - I).max() == 0.0
 
 
 def test_block_diag_inverse_rejects_offblock_entries():
+    # Only a general sparse input, the bubble block S_ii, is checked.
     C = sp.lil_matrix((4, 4))
     C[0, 0] = C[1, 1] = C[2, 2] = C[3, 3] = 1.0
     C[0, 3] = 0.5  # couples block 0 with block 1
-    with pytest.raises(ValueError):
-        block_diag_inverse(C.tocsr(), 2)
+    with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
+        linalg._sparse_block_inverse(C.tocsr(), 2)
 
 
 def test_block_diag_inverse_rejects_bad_block_size():
     C = sp.identity(6, format="csr")
     with pytest.raises(ValueError):
-        block_diag_inverse(C, 4)
+        linalg._sparse_block_inverse(C, 4)
 
 
 def test_block_diag_inverse_singular_block():
-    C = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SingularBlockError):
-        block_diag_inverse(C, 2)
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(SingularBlockError, match="singular diagonal block"):
+        block_diag_inverse(singular[None], 3)
+    with pytest.raises(SingularBlockError, match="singular diagonal block"):
+        linalg._sparse_block_inverse(sp.csr_matrix(singular), 2)
     # A block with no stored entry is singular too, though nothing inverts it.
     C = sp.csr_matrix(np.diag([1.0, 1.0, 0.0, 0.0, 1.0, 1.0]))
     with pytest.raises(SingularBlockError, match="block 1 is zero"):
-        block_diag_inverse(C, 2)
+        linalg._sparse_block_inverse(C, 2)
 
 
 def test_uniform_blocks_inverted_once_match_the_per_block_inverse(monkeypatch):
-    # Every block of the velocity mass is the same on the uniform mesh; the
-    # tiled single inverse must be bit for bit the batched one.
+    # Every block of the velocity mass is its element matrix on the uniform
+    # mesh; the tiled inverse of that one block must be bit for bit the
+    # batched inverse of every block of the assembled C.
     invert = np.linalg.inv
     for family, n_local in ((HMZ, 4), (NEDELEC, 2)):
-        C = make_system(4, family).C
+        system = make_system(4, family)
+        C = assemble_mass_velocity(system.velocity_space, system.material)
         bsr = sp.bsr_matrix(C, blocksize=(n_local, n_local))
         assert np.all(bsr.data == bsr.data[0])
         want = sp.bsr_matrix((np.linalg.inv(bsr.data), bsr.indices, bsr.indptr)).tocsr()
@@ -130,7 +134,7 @@ def test_uniform_blocks_inverted_once_match_the_per_block_inverse(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "inv", inv)
-            got = block_diag_inverse(C, n_local)
+            got = velocity_inverse(system)
         assert inverted == [1]
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
@@ -141,13 +145,15 @@ def test_uniform_blocks_inverted_once_match_the_per_block_inverse(monkeypatch):
 def test_tiled_inverse_is_the_bsr_route_array_for_array(family):
     # The inverse is written straight into CSR arrays; they are those that
     # BSR, a conversion to CSR, dropping the zeros and a copy gave, dtypes
-    # included, for the uniform velocity mass and for one whose blocks differ.
+    # included: for the velocity mass, tiled from its element matrix, and,
+    # through the route of the bubble block S_ii, for one whose blocks differ.
     system = make_system(4, family)
-    C, k = system.C, system.velocity_space.n_local
+    C = assemble_mass_velocity(system.velocity_space, system.material)
+    k = system.velocity_space.n_local
     uneven = C.copy()
     uneven.data *= 1.0 + np.random.default_rng(3).random(C.nnz)
-    for M in (C, uneven):
-        got, want = block_diag_inverse(M, k), bsr_block_diag_inverse(M, k)
+    for got, M in ((velocity_inverse(system), C), (linalg._sparse_block_inverse(uneven, k), uneven)):
+        want = bsr_block_diag_inverse(M, k)
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -157,15 +163,16 @@ def test_tiled_inverse_is_the_bsr_route_array_for_array(family):
 def test_repeated_singular_block_raises():
     C = sp.block_diag([np.array([[1.0, 2.0], [2.0, 4.0]])] * 5, format="csr")
     with pytest.raises(SingularBlockError, match="singular diagonal block"):
-        block_diag_inverse(C, 2)
+        linalg._sparse_block_inverse(C, 2)
 
 
 def test_block_diag_inverse_stores_no_zeros():
     # The hmz velocity mass has zero entries in every block, and so has its inverse.
     system = hmz_system(4)
-    Cinv = block_diag_inverse(system.C, 4)
+    Cinv = velocity_inverse(system)
+    C = assemble_mass_velocity(system.velocity_space, system.material)
     assert Cinv.nnz == np.count_nonzero(Cinv.toarray()) < 16 * 16
-    np.testing.assert_allclose((Cinv @ system.C).toarray(), np.eye(64), atol=1e-14)
+    np.testing.assert_allclose((Cinv @ C).toarray(), np.eye(64), atol=1e-14)
 
 
 def hmz_system(n=2):
@@ -178,7 +185,7 @@ def hmz_system(n=2):
 def test_build_schur_formula():
     system = hmz_system()
     dt = 0.1
-    Cinv = block_diag_inverse(system.C, 4)
+    Cinv = velocity_inverse(system)
     solver = build_schur(system, Cinv, dt, TOL)
     B = full_B(system)
     S = (1.0 / dt + 0.5) * system.A + 0.25 * dt * (B.T @ Cinv @ B)
@@ -193,7 +200,7 @@ def test_folded_schur_is_the_fold_of_the_full_schur(family, n, dt):
     # included, are those of the full S folded, for every example's group.
     for group in (TRIVIAL, EXAMPLE_1, EXAMPLE_2, EXAMPLE_3):
         system = make_system(n, family, group)
-        Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
+        Cinv = velocity_inverse(system)
         S, want = build_schur(system, Cinv, dt, TOL).S, folded_schur(system, Cinv, dt)
         for name in ("indptr", "indices", "data"):
             got, ref = getattr(S, name), getattr(want, name)
@@ -215,7 +222,7 @@ def test_forming_s_is_logged(group, caplog):
 
 def test_build_schur_validation():
     system = hmz_system()
-    Cinv = block_diag_inverse(system.C, 4)
+    Cinv = velocity_inverse(system)
     with pytest.raises(ValueError, match="time step"):
         build_schur(system, Cinv, 0.0, TOL)
     with pytest.raises(ValueError, match="does not match"):
@@ -224,7 +231,7 @@ def test_build_schur_validation():
 
 def test_solve_matches_dense():
     system = hmz_system()
-    Cinv = block_diag_inverse(system.C, 4)
+    Cinv = velocity_inverse(system)
     solver = build_schur(system, Cinv, 0.05, TOL)
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(system.A.shape[0])
@@ -237,7 +244,7 @@ def test_solve_matches_dense():
 
 def test_zero_rhs_shortcut():
     system = hmz_system()
-    Cinv = block_diag_inverse(system.C, 4)
+    Cinv = velocity_inverse(system)
     solver = build_schur(system, Cinv, 0.1, TOL)
     x = solver.solve(np.zeros(system.A.shape[0]))
     assert np.all(x == 0.0)
@@ -248,7 +255,7 @@ def test_unreachable_tolerance_raises():
     # probe of each block demands only sqrt(eps), so the factors are built,
     # and the per-step check says so.
     system = hmz_system()
-    solver = build_schur(system, block_diag_inverse(system.C, 4), 0.1, 1e-30)
+    solver = build_schur(system, velocity_inverse(system), 0.1, 1e-30)
     with pytest.raises(ConvergenceError) as err:
         solver.solve(np.random.default_rng(2).standard_normal(solver.S.shape[0]))
     assert err.value.residual > 1e-30
@@ -260,7 +267,7 @@ def test_solve_is_exact_under_scaling_by_a_power_of_two(k):
     # far above 1e154 or far below 1e-154, whose squared norm overflows or
     # underflows, solves to the scaled solution bit for bit.
     system = hmz_system()
-    solver = build_schur(system, block_diag_inverse(system.C, 4), 0.1, TOL)
+    solver = build_schur(system, velocity_inverse(system), 0.1, TOL)
     b = np.random.default_rng(9).standard_normal(solver.S.shape[0])
     x = solver.solve(b)
     assert np.array_equal(solver.solve(2.0**k * b), 2.0**k * x)
@@ -269,7 +276,7 @@ def test_solve_is_exact_under_scaling_by_a_power_of_two(k):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_rhs_that_is_not_finite_is_refused_before_any_factor(bad):
     system = hmz_system()
-    solver = build_schur(system, block_diag_inverse(system.C, 4), 0.1, TOL)
+    solver = build_schur(system, velocity_inverse(system), 0.1, TOL)
     b = np.random.default_rng(9).standard_normal(solver.S.shape[0])
     b[3] = bad
     with pytest.raises(ValueError, match="right-hand side of the stress solve is not finite"):
@@ -302,7 +309,7 @@ def test_setup_solve_rejects_matrix_singular_to_working_precision():
     ss, vs = StressSpace(mesh, HMZ), VelocitySpace(mesh, HMZ)
     material = SimpleNamespace(compliance_matrix=lambda: compliance, rho=1.0)
     system = assemble_system(ss, vs, material)
-    solver = build_schur(system, block_diag_inverse(system.C, vs.n_local), 0.5, TOL)
+    solver = build_schur(system, velocity_inverse(system), 0.5, TOL)
     rhs = np.random.default_rng(0).standard_normal(solver.S.shape[0])
     with pytest.raises(SingularBlockError, match="cannot be factored") as err:
         solver.solve(rhs)
@@ -349,7 +356,7 @@ def test_schur_spd_for_nedelec_lumped():
     ss = StressSpace(mesh, NEDELEC)
     vs = VelocitySpace(mesh, NEDELEC)
     system = assemble_system(ss, vs, IsotropicMaterial())
-    Cinv = block_diag_inverse(system.C, 2)
+    Cinv = velocity_inverse(system)
     solver = build_schur(system, Cinv, 0.005, TOL)
     dense = solver.S.toarray()
     np.testing.assert_allclose(dense, dense.T, atol=1e-13)
@@ -368,7 +375,7 @@ def test_direct_fill_below_colamd(family, dt):
     ss = StressSpace(mesh, family)
     vs = VelocitySpace(mesh, family)
     system = assemble_system(ss, vs, IsotropicMaterial())
-    Cinv = block_diag_inverse(system.C, vs.n_local)
+    Cinv = velocity_inverse(system)
     solver = build_schur(system, Cinv, dt, TOL)
     colamd = spla.splu(solver.S.tocsc(), permc_spec="COLAMD")
     reach_every_block(solver._lu)
@@ -386,7 +393,7 @@ def make_system(n, family, group=TRIVIAL):
 
 
 def make_direct(system, dt):
-    Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
+    Cinv = velocity_inverse(system)
     return build_schur(system, Cinv, dt, TOL)
 
 
@@ -418,7 +425,7 @@ def test_kept_matrices_own_buffers_sized_to_their_entries(family):
     # Q^T are views of W's and Q's arrays, not copies (nedelec-q1q0's W has
     # no entries, and an empty array shares no memory).
     system = make_system(8, family)
-    Cinv = block_diag_inverse(system.C, system.velocity_space.n_local)
+    Cinv = velocity_inverse(system)
     solver = build_schur(system, Cinv, 0.25, TOL)
     kept = {
         name: M
@@ -1007,7 +1014,7 @@ def test_broken_symmetry_is_named_before_factoring(family, monkeypatch):
     mesh = StructuredMesh(8)
     ss, vs = StressSpace(mesh, family), VelocitySpace(mesh, family)
     broken = assemble_system(ss, vs, anisotropic())
-    Cinv = block_diag_inverse(broken.C, vs.n_local)
+    Cinv = velocity_inverse(broken)
     B = full_B(broken)
     S = sp.csr_matrix(4.5 * broken.A + 0.0625 * (B.T @ Cinv @ B))
     two = dict(zip(["x -> 1 - x", "y -> 1 - y"], mirrors(ss)))
@@ -1081,7 +1088,7 @@ def test_a_velocity_inverse_that_breaks_symmetry_is_named_before_factoring(famil
     # scales one element's block, which its images under X do not share.
     system = make_system(8, family)
     k = system.velocity_space.n_local
-    Cinv = block_diag_inverse(system.C, k)
+    Cinv = velocity_inverse(system)
     Cinv = sp.csr_matrix(sp.diags(np.r_[np.full(k, 1.0 + 1e-6), np.ones(Cinv.shape[0] - k)]) @ Cinv)
     refuse_factoring(monkeypatch)
     with pytest.raises(ValueError, match=r"^Cinv does not commute with the reflection x -> 1 - x"):

@@ -2,6 +2,7 @@
 
 import logging
 import weakref
+from pathlib import Path
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,7 @@ from viscowave.assembly import assemble_load, assemble_system
 from viscowave.cli import RunConfig
 from viscowave.fespace import FAMILIES, HMZ, NEDELEC, QuadKernel, StressSpace, VelocitySpace
 from viscowave.linalg import (
-    CondensedLU, ConvergenceError, SingularBlockError, block_diag_inverse, build_schur,
+    CondensedLU, ConvergenceError, SingularBlockError, build_schur,
 )
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
@@ -28,7 +29,10 @@ from viscowave.timestepper import (
     run,
 )
 
-from fehelpers import energy_residuals, full_B, oversized, vertex_coords
+from fehelpers import (
+    assemble_mass_velocity, bsr_block_diag_inverse, energy_residuals, full_B, oversized,
+    velocity_inverse, vertex_coords,
+)
 
 UNIT = IsotropicMaterial()
 
@@ -39,9 +43,7 @@ def make_system(n, family):
 
 
 def make_solver(system, dt):
-    return build_schur(
-        system, block_diag_inverse(system.C, system.velocity_space.n_local), dt, 1e-12
-    )
+    return build_schur(system, velocity_inverse(system), dt, 1e-12)
 
 
 def make_stepper(system, dt):
@@ -94,7 +96,7 @@ def forced_states(family, steps):
     system = make_system(4, family)
     stepper = make_stepper(system, 0.25)
     rng = np.random.default_rng(11)
-    load = rng.standard_normal(system.C.shape[0])
+    load = rng.standard_normal(system.velocity_space.dim)
     states = [SimState(rng.standard_normal(system.A.shape[0]), rng.standard_normal(load.size))]
     for _ in range(steps):
         states.append(stepper.advance(states[-1], load, 0.25))
@@ -181,7 +183,7 @@ def test_step_satisfies_midpoint_equations(family):
     rng = np.random.default_rng(42)
     state = SimState(
         alpha=rng.standard_normal(system.A.shape[0]),
-        beta=rng.standard_normal(system.C.shape[0]),
+        beta=rng.standard_normal(system.velocity_space.dim),
     )
 
     def f(x, y, t):
@@ -197,7 +199,8 @@ def test_step_satisfies_midpoint_equations(family):
     bm = 0.5 * (state.beta + new.beta)
     B = full_B(system)
     r1 = system.A @ ((new.alpha - state.alpha) / dt) + system.A @ am + B.T @ bm
-    r2 = system.C @ ((new.beta - state.beta) / dt) - B @ am - F
+    C = assemble_mass_velocity(system.velocity_space, UNIT)
+    r2 = C @ ((new.beta - state.beta) / dt) - B @ am - F
     scale = max(1.0, np.abs(system.A @ state.alpha).max())
     assert np.abs(r1).max() <= 1e-11 * scale
     assert np.abs(r2).max() <= 1e-11 * scale
@@ -211,13 +214,13 @@ def test_step_matches_dense_block_solve():
     rng = np.random.default_rng(3)
     state = SimState(
         alpha=rng.standard_normal(system.A.shape[0]),
-        beta=rng.standard_normal(system.C.shape[0]),
+        beta=rng.standard_normal(system.velocity_space.dim),
     )
     new = unforced_step(stepper, state, dt)
 
     A = system.A.toarray()
     B = full_B(system).toarray()
-    C = system.C.toarray()
+    C = assemble_mass_velocity(system.velocity_space, UNIT).toarray()
     r, s = A.shape[0], C.shape[0]
     K = np.zeros((r + s, r + s))
     K[:r, :r] = A / dt + A / 2
@@ -238,7 +241,7 @@ def test_step_matches_dense_block_solve():
 def test_zero_state_stays_zero():
     system = make_system(2, NEDELEC)
     stepper = make_stepper(system, 0.1)
-    state = SimState(np.zeros(system.A.shape[0]), np.zeros(system.C.shape[0]))
+    state = SimState(np.zeros(system.A.shape[0]), np.zeros(system.velocity_space.dim))
     new = unforced_step(stepper, state, 0.1)
     assert np.all(new.alpha == 0.0) and np.all(new.beta == 0.0)
 
@@ -278,7 +281,7 @@ def test_stepper_refuses_a_step_its_solver_was_not_built_for():
     # dt = 0.1 takes a step far from the true one and can gain energy.
     system = make_system(4, HMZ)
     stepper = make_stepper(system, 0.25)
-    state = SimState(np.ones(system.A.shape[0]), np.ones(system.C.shape[0]))
+    state = SimState(np.ones(system.A.shape[0]), np.ones(system.velocity_space.dim))
     for dt in (0.1, 0.25 * (1 + 1e-15), -0.25, float("nan")):
         with pytest.raises(ValueError, match=f"time step {dt} is not the step 0.25"):
             unforced_step(stepper, state, dt)
@@ -297,7 +300,7 @@ def test_energy_identity_unforced(family):
     rng = np.random.default_rng(7)
     state = SimState(
         alpha=rng.standard_normal(system.A.shape[0]),
-        beta=rng.standard_normal(system.C.shape[0]),
+        beta=rng.standard_normal(system.velocity_space.dim),
     )
     states = [state]
     for n in range(12):
@@ -314,7 +317,7 @@ def test_energy_monotone_decay_unforced(family):
     rng = np.random.default_rng(19)
     state = SimState(
         alpha=rng.standard_normal(system.A.shape[0]),
-        beta=rng.standard_normal(system.C.shape[0]),
+        beta=rng.standard_normal(system.velocity_space.dim),
     )
     es = [energy(system, state)]
     for _ in range(10):
@@ -524,33 +527,49 @@ def test_a_run_ranks_the_grid_and_folds_each_space_once(
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("example", [1, 2])
-def test_a_run_assembles_c_once_and_drops_it_before_node_0(family, example, monkeypatch):
-    # C is read only to invert it, for S and for the stepper; no node's
-    # energy or check reads it, so it is dead before the first factor, and
-    # a read after it was dropped would assemble it a second time.
-    made, cached, dead = [], [], []
-    assemble, record, factor = assembly.assemble_mass_velocity, analysis.energy, CondensedLU._factor
+def test_a_run_never_assembles_c(family, example, monkeypatch):
+    # C is block diagonal by element, so a run inverts its element matrix
+    # alone, once for S and once for the stepper; no full-size C exists in
+    # the package to be assembled.
+    inverted = []
+    invert = timestepper.block_diag_inverse
+
+    def spy(blocks, count):
+        inverted.append((blocks.shape, count))
+        return invert(blocks, count)
+
+    monkeypatch.setattr(timestepper, "block_diag_inverse", spy)
+    result = run(RunConfig(element=family, example=example, nx=4, n_steps=2))
+    k = result.velocity_space.n_local
+    assert inverted == [((1, k, k), 16)] * 2
+    assert not hasattr(assembly.AssembledSystem, "C")
+    sources = Path(assembly.__file__).parent.glob("*.py")
+    assert not [p.name for p in sources if "assemble_mass_velocity" in p.read_text()]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_a_runs_velocity_inverses_are_the_bsr_route_array_for_array(family, n, example, monkeypatch):
+    # Both inverses a run builds, tiled from C's element matrix, are the
+    # arrays, dtypes included, of the assembled C inverted through BSR.
+    inverses = []
+    invert = timestepper.block_diag_inverse
 
     def spy(*args):
-        C = assemble(*args)
-        made.append(weakref.ref(C))
-        return C
+        inverses.append(invert(*args))
+        return inverses[-1]
 
-    def recording(system, state):
-        cached.append("C" in vars(system))
-        return record(system, state)
-
-    def first_factor(self, k):
-        dead.append(made[0]() is None)
-        return factor(self, k)
-
-    monkeypatch.setattr(assembly, "assemble_mass_velocity", spy)
-    monkeypatch.setattr(analysis, "energy", recording)
-    monkeypatch.setattr(CondensedLU, "_factor", first_factor)
-    run(RunConfig(element=family, example=example, nx=4, n_steps=2))
-    assert len(made) == 1 and made[0]() is None
-    assert cached == [False] * 3
-    assert dead and all(dead)
+    monkeypatch.setattr(timestepper, "block_diag_inverse", spy)
+    material = IsotropicMaterial(rho=2.5)
+    config = RunConfig(element=family, example=example, nx=n, n_steps=1, rho=2.5, force=True)
+    vs = run(config).velocity_space
+    want = bsr_block_diag_inverse(assemble_mass_velocity(vs, material), vs.n_local)
+    assert len(inverses) == 2
+    for got in inverses:
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("family", FAMILIES)
