@@ -348,7 +348,7 @@ SETTINGS = {
         Setting("rho", float, "density"),
         Setting("mu", float, "shear modulus"),
         Setting("lam", float, "first Lame parameter", flag="--lambda"),
-        Setting("solver_tol", float, "relative residual bound"),
+        Setting("solver_tol", float, "backward error bound, max-norm |r|/(|S||x|+|b|)"),
         Setting("preset", str, "published study configuration", tuple(sorted(PRESETS))),
         Setting("snapshot_every", int, "write field snapshots every k steps (solve mode)"),
         Setting("out", str, "output CSV path (default: stdout)"),

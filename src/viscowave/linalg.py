@@ -7,10 +7,10 @@ leaves a symmetric positive definite system
 
 for the new stress coefficients.  The velocity mass matrix is block
 diagonal by element, so Cinv is exact.  ``S`` is solved by sparse LU
-factors, each built once, and every solve must end with relative
-residual at most ``tol``.  Both terms are checked before S is formed:
-each must be finite, and the stress-mass term must not be lost in
-rounding against the coupling.
+factors, each built once, and every solve must end with normwise
+backward error at most ``tol`` (``SchurSolver``).  Both terms are checked
+before S is formed: each must be finite, and the stress-mass term must not
+be lost in rounding against the coupling.
 
 The LU first condenses the element-interior stress dofs (the two ``hmz``
 bubbles of each element; ``nedelec-q1q0`` has none).  They couple only
@@ -127,10 +127,10 @@ SYMMETRY_ULPS = 4
 
 
 class ConvergenceError(RuntimeError):
-    """A solve finished above its residual tolerance."""
+    """A solve finished above its tolerance, by the ``measure`` it names."""
 
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (relative residual {residual:.3e})")
+    def __init__(self, message, residual, measure):
+        super().__init__(f"{message} ({measure} {residual:.3e})")
         self.residual = residual
 
 
@@ -453,7 +453,7 @@ def _probe(lu, block):
         r = z - block @ x
     res = np.linalg.norm(r) / np.linalg.norm(z)
     if not res <= PROBE_TOL:  # a NaN residual fails too
-        err = ConvergenceError("solve finished above tolerance", res)
+        err = ConvergenceError("solve finished above tolerance", res, "relative residual")
         raise SingularBlockError(f"reduced matrix cannot be factored: {err}") from err
 
 
@@ -461,26 +461,35 @@ class SchurSolver:
     """Prepared solver for the reduced stress system around its built factor
     ``lu``, a ``CondensedLU``, whose S it reads.
 
-    Each solve is refined once and its relative residual checked against
-    S: the residual of the lifted vectors, as |P r|^2 = r^T Lambda^-1 r for
-    the folded residual r = P^T (b - S P a), P the factor's ``fold``.  A
-    factor that fails its probe raises ``SingularBlockError`` from the first
-    solve.  ``dt`` records the time step S was formed for.
+    Each solve is refined once and accepted if its normwise backward error
+
+        eta = |r| / (|S| |x| + |b|),  r = b - S x,
+
+    in the infinity norm, is at most ``tol`` (Rigal & Gaches, J. ACM 14,
+    1967): x then solves a system within relative distance eta of S x = b.
+    The vectors are the lifted ones, P the factor's ``fold``: for the folded
+    residual r = P^T (b - S P x), |P r| = max|r / Lambda|, |P x| = max|x| and
+    |P b| = max|rhs / Lambda|.  ``norm`` is |S|, the largest absolute row
+    sum of S at the representatives, read before its columns are folded
+    (``build_schur``).  ``worst`` is the largest eta of the solves so far.
+    A factor that fails its probe raises ``SingularBlockError`` from the
+    first solve.  ``dt`` records the time step S was formed for.
     """
 
-    def __init__(self, lu: CondensedLU, tol: float, dt: float):
+    def __init__(self, lu: CondensedLU, tol: float, dt: float, norm: float):
         if not 0.0 < tol < 1.0:
             raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
-        self.S, self.tol, self.dt, self._lu = lu.S, tol, dt, lu
+        self.S, self.tol, self.dt, self.norm, self._lu = lu.S, tol, dt, norm, lu
         self._weight = 1.0 / lu.fold.sizes
+        self.worst = 0.0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve S x = rhs to relative residual at most ``tol``.
+        """Solve S x = rhs to backward error at most ``tol``.
 
         A right-hand side with an entry that is not finite is refused with
         ``ValueError`` before any block is factored.  Any other is solved
         scaled by the power of two that brings its largest entry into
-        [1/2, 1), so that no squared norm overflows or underflows.  The
+        [1/2, 1), so that neither x nor |S| |x| overflows or underflows.  The
         scaling is exact: 2^k rhs gives 2^k times the x of rhs, bit for bit,
         as long as neither holds subnormal numbers.
         """
@@ -496,9 +505,11 @@ class SchurSolver:
         # One step of iterative refinement keeps the residual at rounding level.
         x += self._lu.solve(rhs - self.S @ x)
         r = rhs - self.S @ x
-        res = np.sqrt(r @ (self._weight * r) / (rhs @ (self._weight * rhs)))
-        if not res <= self.tol:  # a NaN residual fails too
-            raise ConvergenceError("solve finished above tolerance", res)
+        w = self._weight
+        eta = np.abs(w * r).max() / (self.norm * np.abs(x).max() + np.abs(w * rhs).max())
+        if not eta <= self.tol:  # a NaN fails too
+            raise ConvergenceError("solve finished above tolerance", eta, "backward error")
+        self.worst = max(self.worst, eta)
         return np.ldexp(x, exponent)
 
 
@@ -562,12 +573,13 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
         )
     S = mass + coupling
     del mass, coupling
+    norm = np.add.reduceat(np.abs(S.data), S.indptr[:-1]).max()  # no row at a rep is empty
     # Trimmed once both terms are freed: a copy made while they are alive
     # leaves more freed memory with the process, and the run's peak rises.
     S = sp.csr_matrix(S, copy=True) if fold.trivial else S @ fold.P()
     S.data *= np.repeat(fold.sizes, np.diff(S.indptr))
     log.debug("formed S at %d of %d rows: %d entries", len(fold.reps), len(fold.index), S.nnz)
-    return SchurSolver(CondensedLU(S, space.interior, space.grid, blocks, fold), tol, dt)
+    return SchurSolver(CondensedLU(S, space.interior, space.grid, blocks, fold), tol, dt, norm)
 
 
 def _check_symmetries(system, Cinv) -> None:

@@ -318,6 +318,7 @@ def run(config) -> RunResult:
                 err.args = (f"the step to node {n + 1} (t = {nodes[n + 1]:.6g}): {err}",)
                 raise
             record(n + 1, state)
+    log.debug("worst backward error of the run's stress solves: %.3g", solver.worst)
     final = SimState(state.alpha, state.beta)  # without the carried products
     return RunResult(
         config, nodes, energy, final, err_sigma, err_v, snapshots, stress_space, velocity_space

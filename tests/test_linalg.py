@@ -261,6 +261,60 @@ def test_unreachable_tolerance_raises():
     assert err.value.residual > 1e-30
 
 
+def relative_residual(solver, rhs, x):
+    """The measure a solve was accepted by before its backward error: the
+    2-norm relative residual of the lifted vectors, |P r| / |P b|."""
+    w, r = 1.0 / solver._lu.fold.sizes, rhs - solver.S @ x
+    return np.sqrt(r @ (w * r) / (rhs @ (w * rhs)))
+
+
+def folded_solve():
+    """A solver of hmz example 2's folded S at N = 8, dt = 0.25, a random
+    right-hand side, its x and that solve's backward error."""
+    solver = make_direct(make_system(8, HMZ, EXAMPLE_2), 0.25)
+    rhs = np.random.default_rng(2).standard_normal(solver.S.shape[0])
+    x = solver.solve(rhs)
+    return solver, rhs, x, solver.worst
+
+
+def test_a_solve_whose_residual_misses_tol_is_accepted_by_its_backward_error():
+    # The relative residual of a sound solve grows with N, its backward
+    # error does not: here the residual is 43 times eta, and a tol between
+    # the two, which the residual misses, is met, with the same x.
+    solver, rhs, x, eta = folded_solve()
+    res = relative_residual(solver, rhs, x)
+    tol = math.sqrt(eta * res)
+    assert eta < tol / 5 and res > 5 * tol
+    accepting = SchurSolver(solver._lu, tol, 0.25, solver.norm)
+    assert np.array_equal(accepting.solve(rhs), x) and accepting.worst == eta
+
+
+def test_a_solve_above_tol_by_both_measures_is_refused():
+    solver, rhs, x, eta = folded_solve()
+    tol = eta / 2
+    assert relative_residual(solver, rhs, x) > tol
+    with pytest.raises(ConvergenceError, match=r"above tolerance \(backward error ") as err:
+        SchurSolver(solver._lu, tol, 0.25, solver.norm).solve(rhs)
+    assert err.value.residual == eta
+
+
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+def test_the_backward_error_is_that_of_the_lifted_vectors(family):
+    # |S| is the infinity norm of the full S, read at the representatives
+    # before the fold merges their columns, and eta = |r| / (|S| |x| + |b|)
+    # of the lifted right-hand side, solution and residual.
+    full = make_direct(make_system(8, family), 0.25).S
+    for group in (TRIVIAL, EXAMPLE_1, EXAMPLE_2, EXAMPLE_3):
+        system = make_system(8, family, group)
+        solver, fold = make_direct(system, 0.25), system.stress_space.fold
+        assert solver.norm == pytest.approx(abs(full).sum(axis=1).max(), rel=1e-14, abs=0.0)
+        rhs = np.random.default_rng(1).standard_normal(solver.S.shape[0])
+        x = solver.solve(rhs)
+        b, r = (fold.lift(v / fold.sizes) for v in (rhs, rhs - solver.S @ x))
+        eta = np.abs(r).max() / (solver.norm * np.abs(fold.lift(x)).max() + np.abs(b).max())
+        assert solver.worst == pytest.approx(eta, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("k", [600, -600])
 def test_solve_is_exact_under_scaling_by_a_power_of_two(k):
     # A right-hand side is solved at the scale of its largest entry, so one
@@ -286,12 +340,12 @@ def test_rhs_that_is_not_finite_is_refused_before_any_factor(bad):
 
 def test_solver_constructor_validation():
     lu = CondensedLU(sp.identity(4, format="csr"), *no_interior(4))
-    for tol in (0.0, 1.0, np.inf):  # a relative residual bound of 1 or more certifies nothing
+    for tol in (0.0, 1.0, np.inf):  # a backward error bound of 1 or more certifies nothing
         with pytest.raises(ValueError, match="must lie in"):
-            SchurSolver(lu, tol, 0.1)
+            SchurSolver(lu, tol, 0.1, 1.0)
     # Nothing is factored before a right-hand side reaches the block.
     singular = CondensedLU(sp.diags([1.0, 0.0, 1.0]).tocsr(), *no_interior(3))
-    solver = SchurSolver(singular, 1e-12, 0.1)
+    solver = SchurSolver(singular, 1e-12, 0.1, 1.0)
     with pytest.raises(SingularBlockError, match="cannot be factored"):
         solver.solve(np.ones(3))
 

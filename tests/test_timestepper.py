@@ -1,9 +1,10 @@
 """Implicit midpoint update: step algebra, energy bookkeeping, full runs."""
 
+import dataclasses
 import logging
 import weakref
-from pathlib import Path
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,7 +393,7 @@ def test_a_step_whose_solve_fails_keeps_its_error_and_names_its_node(monkeypatch
     # fails is planted; each keeps its type, a ConvergenceError its residual.
     with pytest.raises(ConvergenceError) as err:
         run(RunConfig(example=1, nx=8, n_steps=4, solver_tol=1e-30))
-    head = "the step to node 1 (t = 0.25): solve finished above tolerance (relative residual "
+    head = "the step to node 1 (t = 0.25): solve finished above tolerance (backward error "
     assert str(err.value).startswith(head) and 0.0 < err.value.residual < 1e-12
 
     def singular(self, k):
@@ -402,6 +403,14 @@ def test_a_step_whose_solve_fails_keeps_its_error_and_names_its_node(monkeypatch
     message = r"^the step to node 1 \(t = 0\.25\): reduced matrix cannot be factored: planted$"
     with pytest.raises(SingularBlockError, match=message):
         run(RunConfig(example=1, nx=8, n_steps=4))
+
+
+def test_a_run_logs_its_worst_backward_error(caplog):
+    with caplog.at_level(logging.DEBUG, logger="viscowave.timestepper"):
+        run(RunConfig(example=2, nx=8, n_steps=4))
+    head = "worst backward error of the run's stress solves: "
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith(head)]
+    assert 0.0 < float(line.removeprefix(head)) <= 1e-12
 
 
 @pytest.mark.parametrize("example", [1, 2])
@@ -709,6 +718,33 @@ def test_repeated_runs_are_bit_identical(example):
     assert (second.E_a_sigma, second.E_c_v) == (first.E_a_sigma, first.E_c_v)
     np.testing.assert_array_equal(second.err_sigma, first.err_sigma)
     np.testing.assert_array_equal(second.err_v, first.err_v)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_a_run_with_its_fields_wrapped_in_plain_functions_keeps_every_bit(
+    family, n, example, monkeypatch
+):
+    # The benchmark's traced run wraps the solution's f, sigma and v in plain
+    # functions and demands the untraced run's fingerprint bit for bit; a
+    # shortcut that only the time-separable fields take must keep the bits.
+    def plain(field):
+        return lambda *args: field(*args)
+
+    config = RunConfig(element=family, example=example, nx=n, n_steps=4)
+    want = run(config)
+    fields = timestepper.exact_fields
+
+    def wrapped(*args, **kwargs):
+        s = fields(*args, **kwargs)
+        return dataclasses.replace(s, f=plain(s.f), sigma=plain(s.sigma), v=plain(s.v))
+
+    monkeypatch.setattr(timestepper, "exact_fields", wrapped)
+    got = run(config)
+    assert (got.E_a_sigma, got.E_c_v) == (want.E_a_sigma, want.E_c_v)
+    assert np.array_equal(got.energy, want.energy)
+    assert np.array_equal(got.err_sigma, want.err_sigma)
 
 
 @pytest.mark.parametrize(
