@@ -210,19 +210,15 @@ class AssembledSystem:
 
         A's rows are the stress fold's representatives.  B's are every
         velocity dof of an element that holds one of them, all that B^T's
-        rows there and B^T Cinv B reach, and the velocity fold's
-        representatives.  With the trivial group every row is kept.  Each is
+        rows there and B^T Cinv B reach; the velocity fold's representatives
+        are among them, as both folds name an orbit after its first member in
+        (gx, gy) order.  With the trivial group every row is kept.  Each is
         scattered from ``elements``.  A run drops them once the stepper has
         folded them.
         """
         ss, vs = self.stress_space, self.velocity_space
-        is_rep = np.zeros(ss.dim, dtype=bool)
-        is_rep[ss.fold.reps] = True
-        holders = is_rep[ss.eldof].any(axis=1)
-        wanted = np.zeros(vs.dim, dtype=bool)
-        wanted[vs.eldof[holders]] = True
-        wanted[vs.fold.reps] = True
-        rows = np.flatnonzero(wanted)
+        holders = np.isin(ss.eldof, ss.fold.reps).any(axis=1)
+        rows = vs.eldof[holders].ravel()
         local_A, local_B, _ = self.elements
         A = _scatter(local_A, ss.eldof, ss.eldof, (ss.dim, ss.dim), ss.fold.reps)
         B = _scatter(local_B, vs.eldof, ss.eldof, (vs.dim, ss.dim), rows)
@@ -231,7 +227,7 @@ class AssembledSystem:
                 "assembled A at %d of %d rows and B at %d of %d rows, from %d and %d of %d "
                 "elements",
                 len(ss.fold.reps), ss.dim, len(rows), vs.dim, np.count_nonzero(holders),
-                np.count_nonzero(wanted[vs.eldof].any(axis=1)), ss.mesh.n_elements,
+                len(np.unique(rows // vs.n_local)), ss.mesh.n_elements,
             )
         return A, B
 
@@ -242,7 +238,7 @@ class AssembledSystem:
 
     def velocity_energy(self, beta) -> float:
         """beta^T C beta, summed element by element with C's element matrix."""
-        b = beta[self.velocity_space.eldof]
+        b = beta.reshape(-1, self.velocity_space.n_local)
         return float(np.vdot(b @ self.elements[2], b))
 
 

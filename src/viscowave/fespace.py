@@ -189,11 +189,6 @@ class _Space:
         return generators, rank, self.fold
 
     @property
-    def rank(self) -> np.ndarray:
-        """Dof order: a velocity orbit's representative lies on its element's."""
-        return np.arange(self.dim)
-
-    @property
     def generators(self) -> dict:
         """X, Y and D (``symmetry``), which generate D4, as signed permutations
         ``(p, s)`` of every dof, by name: the image of the field with
@@ -376,8 +371,9 @@ class VelocitySpace(_Space):
 
     ``group`` is the symmetry of every field integrated through ``quad``
     (the load, ``project`` and the error norm); trivial unless given.  Its
-    dofs are element-local, so ``spread`` lifts them all through ``fold``
-    from the kernel's element vectors.
+    dofs are element-local, n_local e + l for dof l of element e, and their
+    orbits are named on the kernel's elements (``rank``), so ``spread`` lifts
+    them all through ``fold`` from the kernel's element vectors.
     """
 
     def __init__(self, mesh: StructuredMesh, family: str, group: SymmetryGroup = TRIVIAL):
@@ -409,6 +405,11 @@ class VelocitySpace(_Space):
         swap = np.array([self.table.index((1 - c, k)) for c, k in self.table])
         sx, sy = (np.where(comp == axis, (-1.0) ** (1 + power), 1.0) for axis in (0, 1))
         return {X: (same, sx), Y: (same, sy), D: (swap, np.ones(self.n_local))}
+
+    @property
+    def rank(self) -> np.ndarray:
+        """Dof l of element e ranks n_local mesh.rank[e] + l: elements in (gx, gy) order."""
+        return (self.n_local * self.mesh.rank[:, None] + np.arange(self.n_local)).ravel()
 
     @property
     def generators(self) -> dict:

@@ -1,11 +1,12 @@
 """Uniform N-by-N meshes of the unit square.
 
-Element ``(i, j)`` is numbered ``j * n + i``, x running fastest; the
-spaces (``fespace``) number their own degrees of freedom.  A symmetry
-group of the square (``symmetry``) splits the elements into orbits; the
-composite-rule points are built on one element per orbit
-(``StructuredMesh.orbits``).  ``check_count`` is the one rule for a count,
-which the time stepping's counts share.
+Element ``(i, j)`` is numbered ``j * n + i``, x running fastest, and ranked
+``i * n + j``, in (gx, gy) order (``StructuredMesh.rank``); the spaces
+(``fespace``) number their own degrees of freedom.  A symmetry group of the
+square (``symmetry``) splits the elements into orbits, each named after its
+first element in that order; the composite-rule points are built on one
+element per orbit (``StructuredMesh.orbits``).  ``check_count`` is the one
+rule for a count, which the time stepping's counts share.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ def check_count(x, what: str) -> int:
 class Orbits:
     """One element per orbit of a symmetry group.
 
-    ``elements`` are the representatives, each the least element of its
-    orbit, grouped by orbit size, largest first, and in element order within
-    a size; ``sizes`` holds the runs of them as (orbit size, slice) pairs.
-    ``x`` and ``y`` are the composite-rule points of the representatives,
-    each (len(elements), nq), read-only and owning their data: the kernels
-    of a mesh's two spaces share them and keep values computed on them
-    (``fespace.QuadKernel``).
+    ``elements`` are the representatives, each its orbit's first element in
+    (gx, gy) order (``StructuredMesh.rank``), grouped by orbit size, largest
+    first, and in element order within a size; ``sizes`` holds the runs of
+    them as (orbit size, slice) pairs.  ``x`` and ``y`` are the
+    composite-rule points of the representatives, each (len(elements), nq),
+    read-only and owning their data: the kernels of a mesh's two spaces
+    share them and keep values computed on them (``fespace.QuadKernel``).
     """
 
     elements: np.ndarray
@@ -85,7 +86,8 @@ class StructuredMesh:
         return np.column_stack([(ie + 0.5) * self.h, (je + 0.5) * self.h])
 
     def orbits(self, group: SymmetryGroup) -> Orbits:
-        """The orbits of the elements under ``group``, built on first use and kept.
+        """The orbits of the elements under ``group``, each named after its first
+        element in ``rank``, built on first use and kept.
 
         The pair of points is shared by the kernels of every space of the
         mesh with the group, which keep values computed on it
@@ -95,6 +97,11 @@ class StructuredMesh:
         if group not in self._orbits:
             self._orbits[group] = self._orbits_of(group)
         return self._orbits[group]
+
+    @property
+    def rank(self) -> np.ndarray:
+        """Element (i, j) ranks i n + j: ``symmetry.grid_rank`` of its centre (2i + 1, 2j + 1)."""
+        return np.arange(self.n_elements).reshape(self.n, -1).T.ravel()
 
     @property
     def generators(self) -> dict:
@@ -108,9 +115,9 @@ class StructuredMesh:
 
     def _orbits_of(self, group):
         # The group's fold with every character +1 keeps every orbit, each
-        # represented by its least element.
+        # represented by its first element in (gx, gy) order.
         even = SymmetryGroup(tuple((name, 1) for name, _ in group.characters))
-        orbits = fold(self.generators, even, np.arange(self.n_elements))
+        orbits = fold(self.generators, even, self.rank)
         elements = orbits.reps[np.argsort(-orbits.sizes, kind="stable")]
         size, count = (a[::-1].tolist() for a in np.unique(orbits.sizes, return_counts=True))
         stops = np.cumsum(count).tolist()

@@ -20,8 +20,9 @@ D4 is declared here alone: its members (``MEMBERS``), a group's
 reflections (``reflections``) and members (``images``) as signed
 permutations, composed only here, into the folds (``fold``, one per group)
 of the elements (the mesh's orbits), the dofs and the stress solve's
-blocks.  A stress space names an orbit after its first dof in (gx, gy)
-order (``grid_rank``), in its fold and in the blocks of its solve alike.
+blocks.  Every fold names an orbit after its first member in (gx, gy)
+order: stress dofs by ``grid_rank``, elements and velocity dofs by the
+mesh's ``rank``, so velocity representatives sit on stress ones' elements.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import pytest
 
 from viscowave.mesh import StructuredMesh
 from viscowave.quadrature import CORNERS
+from viscowave.symmetry import grid_rank
 
 from fehelpers import (
     boundary_edge,
@@ -132,6 +133,17 @@ def test_element_centers():
     cs = mesh.element_centers()
     np.testing.assert_allclose(cs[0], [0.25, 0.25])
     np.testing.assert_allclose(cs[-1], [0.75, 0.75])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_element_rank_is_the_grid_rank_of_the_centres(n):
+    # Element (i, j) ranks i n + j, its centre (2i + 1, 2j + 1)'s place in
+    # (gx, gy) order, which names the stress space's orbits too.
+    mesh = StructuredMesh(n)
+    e = np.arange(mesh.n_elements)
+    centres = np.column_stack([2 * (e % n) + 1, 2 * (e // n) + 1])
+    assert np.array_equal(mesh.rank, grid_rank(centres))
+    assert np.array_equal(mesh.rank, (e % n) * n + e // n)
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.5, "four"])

@@ -1,8 +1,9 @@
 """The package's source keeps every line within 100 characters, only the
 command line prints, since library code logs, one place calls SuperLU, one
-place ranks the half-step grid, one place scatters element matrices, no
-public assembly function takes rows, and every module's ``__all__`` names
-only what the module defines."""
+place ranks the half-step grid, every fold names its orbits by the mesh's
+or a space's rank, one place scatters element matrices, no public assembly
+function takes rows, and every module's ``__all__`` names only what the
+module defines."""
 
 import ast
 import importlib
@@ -68,6 +69,56 @@ def test_one_place_ranks_the_grid():
     symmetry = importlib.import_module("viscowave.symmetry")
     assert "np.lexsort(" in inspect.getsource(symmetry.grid_rank)
     assert "searchsorted" not in (SOURCE / "linalg.py").read_text()
+
+
+def _calls(tree, name):
+    """The calls in ``tree`` of a function or method called ``name``."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def _bindings(function):
+    """(target, value) of each plain or tuple-to-tuple assignment in ``function``."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            target, value = node.targets[0], node.value
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                yield from zip(target.elts, value.elts)
+            else:
+                yield target, value
+
+
+def test_every_fold_names_its_orbits_by_a_rank():
+    # A fold names each orbit after its member first in ``rank``.  The mesh's
+    # and each space's ``rank`` give (gx, gy) order, so that B is kept only
+    # at the stress representatives' elements; every ``fold`` call passes
+    # one of them: the attribute, a name bound to it in the calling
+    # function, or a parameter that every caller fills from ``symmetries()``.
+    # No orbit is named by dof or element number.
+    is_rank = lambda node: isinstance(node, ast.Attribute) and node.attr == "rank"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    named, unnamed = set(), []
+    for name, tree in trees.items():
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for function in functions:
+            calls = _calls(function, "fold")
+            bound = {t.id for t, v in _bindings(function) if is_rank(v) and hasattr(t, "id")}
+            if calls and "rank" in [a.arg for a in function.args.args]:
+                callers = [c for t in trees.values() for c in _calls(t, function.name)]
+                assert callers and all(
+                    isinstance(c.args[0], ast.Starred) and _calls(c.args[0], "symmetries")
+                    for c in callers
+                ), function.name
+                bound.add("rank")
+            for call in calls:
+                (rank,) = call.args[2:] or [k.value for k in call.keywords if k.arg == "rank"]
+                ok = is_rank(rank) or getattr(rank, "id", None) in bound
+                (named.add if ok else unnamed.append)((name, call.lineno))
+    assert {name for name, _ in named} == {"mesh.py", "fespace.py", "linalg.py"}
+    assert not set(unnamed) - named
 
 
 def test_one_place_scatters_element_matrices():

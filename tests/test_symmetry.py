@@ -307,10 +307,13 @@ D4 = SymmetryGroup((("X", 1), ("Y", 1), ("D", 1)))
 )
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
 def test_orbits_hold_one_representative_per_orbit(group, n):
+    # Each orbit is named after its first element in (gx, gy) order, that
+    # is, by the least i n + j of its members (i, j).
     mesh = StructuredMesh(n)
     orbits = mesh.orbits(group)
     images = np.array(element_images(n, group))
-    orbit_of = images.min(axis=0)
+    first = np.argmin((images % n) * n + images // n, axis=0)
+    orbit_of = images[first, np.arange(n * n)]
     assert sorted(orbits.elements) == sorted(set(orbit_of))
     for size, rows in orbits.sizes:
         for e in orbits.elements[rows]:
@@ -338,6 +341,33 @@ def test_orbits_hold_one_representative_per_orbit(group, n):
     x, y = orbits.x, orbits.y
     assert x.base is None and not x.flags.writeable and y.base is None
     assert mesh.orbits(group) is orbits
+
+
+ACCEPTED = []
+for k in range(4):
+    for names in itertools.product(REFLECTIONS, repeat=k):
+        for chis in itertools.product((1, -1), repeat=k):
+            try:
+                ACCEPTED.append(SymmetryGroup(tuple(zip(names, chis))))
+            except ValueError:
+                pass
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_velocity_representatives_lie_on_the_stress_representatives_elements(family, n):
+    # Every fold names an orbit after its first member in (gx, gy) order, so
+    # for each group that ``SymmetryGroup`` accepts the velocity fold's
+    # representatives lie on the element orbits' representatives and on
+    # elements that hold a stress representative: B's rows there
+    # (``AssembledSystem.at_rows``) hold them.
+    assert len(ACCEPTED) == 105  # the trivial group and 104 others
+    mesh = StructuredMesh(n)
+    for group in ACCEPTED:
+        ss, vs = StressSpace(mesh, family, group), VelocitySpace(mesh, family, group)
+        on = vs.fold.reps // vs.n_local
+        assert np.isin(on, mesh.orbits(group).elements).all(), group
+        assert np.isin(ss.eldof[on], ss.fold.reps).any(axis=1).all(), group
 
 
 def symmetric_spaces(family, n, group):
