@@ -28,11 +28,12 @@ Meth. Eng., 1991; Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986;
 Fässler & Stiefel, Group Theoretical Methods and Their Applications,
 Birkhäuser, 1992), one block per irreducible representation, each built
 as the ``symmetry.fold`` of a subgroup of D4 with a one-dimensional
-character (``_blocks``).  In the four of dimension one both mirrors act as
-m = +-1 and the diagonal as d = +-1: four blocks of an eighth of S_c.  The
-fifth, E, is the sector even under x -> 1 - x and odd under y -> 1 - y and
-its image under the diagonal: one matrix, a quarter of S_c, factored once
-and solved with two columns.
+character (``_blocks``), each factored once and solved with one column.
+In the four of dimension one both mirrors act as m = +-1 and the diagonal
+as d = +-1: four blocks of an eighth of S_c.  The fifth, E, is odd under
+the rotation XY.  Without D in the run's group its halves are the mirror
+sectors, even under x -> 1 - x and odd under y -> 1 - y and the reverse, a
+quarter of S_c each; with D, the half a run reaches is where D acts as chi(D).
 ``build_schur`` first checks that A, B and Cinv, so S, commute with each
 reflection, and names any matrix and reflection that do not: A and B where
 their symmetry comes from, the one element matrix commuting with each
@@ -41,37 +42,36 @@ element by element, and Cinv by one product per reflection.  Each block
 is ordered by geometric nested dissection at mesh lines and factored in
 that order with diagonal pivots, which an SPD matrix allows; letting
 SuperLU pivot off the diagonal instead can multiply the fill when dt is
-large.  Smaller fronts leave less fill: at N = 256 the five blocks of
-``hmz`` at dt = 0.25 fill 14.3 M entries, a split by the mirrors alone
-20.1 M and S_c in one piece 24.1 M.  SuperLU factors a panel of columns
-at a time (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal.
-Appl. 20, 1999), and its panel work arrays, about 15 bytes per row and
-column, are held while a block factors.  The first factor sets a run's
-peak memory, so the panel is 4 columns (``PANEL_SIZE``), not scipy's 20:
-the fill is the same and the factor no slower, where one column factors
-slower at N = 512.
+large.  Smaller fronts leave less fill: at N = 256 the six blocks of the
+whole ``hmz`` S at dt = 0.25 fill 19.3 M entries, E's mirror sectors 10.1 M
+of them, a split by the mirrors alone 20.1 M and S_c in one piece 24.1 M.
+SuperLU factors a panel of columns at a time (Demmel, Eisenstat, Gilbert,
+Li & Liu, SIAM J. Matrix Anal. Appl. 20, 1999), and its panel work arrays,
+about 15 bytes per row and column, are held while a block factors.  The
+first factor sets a run's peak memory, so the panel is 4 columns
+(``PANEL_SIZE``), not scipy's 20: the fill is the same and the factor no
+slower, where one column factors slower at N = 512.
 
 A run's data has a symmetry group G of its own (``symmetry.find_group``),
 so S is folded to one dof per orbit of G (``symmetry.Fold``), P^T S P =
 Lambda S[reps] P, formed from its rows at the representatives alone.  It
 holds only the blocks of G's span: blocks 1 and 3 for example 1 of
-``mms``, E's half even under the diagonal (one block, solved with one
-column) for example 2, and all three for example 3.  The blocks fold the
-stress space's own dofs, their orbits named in the (gx, gy) order that
-names G's (``symmetry.grid_rank``), so their representatives are G's and
-those of the interior orbits are dropped.  S_c is never formed, and the
-first solve forms, factors and probes each block (``CondensedLU``, which
-``build_schur`` builds and a ``SchurSolver`` wraps).  A solve uses
-SuperLU's transposed path, which works by dot products (gathers) instead
-of scattered updates and is the faster of the two; it is refined once and
-checked against S, so a split that did not hold would be refused, not
-returned.
+``mms``, E's half even under the diagonal for example 2, and all three for
+example 3.  The blocks fold the stress space's own dofs, their orbits named
+in the (gx, gy) order that names G's (``symmetry.grid_rank``), so their
+representatives are G's and those of the interior orbits are dropped.
+S_c is never formed, and the first solve forms, factors and probes each
+block (``CondensedLU``, which ``build_schur`` builds and a ``SchurSolver``
+wraps).  A solve uses SuperLU's transposed path, which works by dot
+products (gathers) instead of scattered updates and is the faster of the
+two; it is refined once and checked against S, so a split that did not
+hold would be refused, not returned.
 
 The velocity mass C is not assembled: on the uniform mesh each of its
 blocks is its element matrix, so ``block_diag_inverse`` inverts that one
 block and tiles it (``block_diag_csr``).  The ``hmz`` bubble block S_ii is
-read through BSR, which checks its block structure and inverts one block
-when all are equal (``_sparse_block_inverse``).
+read through COO into its dense blocks, its structure checked, and one
+block is inverted when all are equal (``_diagonal_block_inverse``).
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import symmetry
-from .symmetry import D, Fold, SymmetryGroup
+from .symmetry import Fold, SymmetryGroup
 
 __all__ = [
     "ConvergenceError",
@@ -168,23 +168,25 @@ def block_diag_inverse(blocks: np.ndarray, count: int) -> sp.csr_matrix:
     return block_diag_csr(inv, count)
 
 
-def _sparse_block_inverse(M: sp.spmatrix, k: int) -> sp.csr_matrix:
+def _diagonal_block_inverse(M: sp.spmatrix, k: int) -> sp.csr_matrix:
     """``block_diag_inverse`` of a sparse matrix with contiguous k x k diagonal
-    blocks, read through BSR: of one block when every block is the same.
+    blocks, read through COO into a dense (n / k, k, k) array: of one block
+    when every block is the same.
 
     Raises ``ValueError`` if k does not divide the matrix or it has entries
     outside the diagonal blocks, and ``SingularBlockError`` if a block has
     no entry.
     """
-    nb = M.shape[0] // k
-    bsr = sp.bsr_matrix(M, blocksize=(k, k))
-    if np.any(bsr.indices != np.repeat(np.arange(nb), np.diff(bsr.indptr))):
-        raise ValueError("matrix has entries outside the contiguous diagonal blocks")
-    if len(bsr.indices) < nb:  # a block with no entry is absent
-        zero = np.flatnonzero(np.diff(bsr.indptr) == 0)[0]
-        raise SingularBlockError(f"singular diagonal block: block {zero} is zero")
-    uniform = bool(np.all(bsr.data == bsr.data[0]))
-    return block_diag_inverse(bsr.data[:1] if uniform else bsr.data, nb)
+    coo, (nb, rest) = M.tocoo(), divmod(M.shape[0], k)
+    block = coo.row // k
+    if rest or np.any(block != coo.col // k):
+        raise ValueError(f"matrix has entries outside the contiguous diagonal blocks of {k}")
+    zero = np.flatnonzero(np.bincount(block, minlength=nb) == 0)
+    if zero.size:
+        raise SingularBlockError(f"singular diagonal block: block {zero[0]} is zero")
+    blocks = np.zeros((nb, k, k))
+    blocks.reshape(-1)[k * coo.row + coo.col % k] = coo.data  # at (row // k, row % k, col % k)
+    return block_diag_inverse(blocks[:1] if np.all(blocks == blocks[0]) else blocks, nb)
 
 
 def nested_dissection(grid: np.ndarray) -> np.ndarray:
@@ -240,24 +242,23 @@ def nested_dissection(grid: np.ndarray) -> np.ndarray:
 
 
 def _blocks(generators: dict, rank, fold: Fold) -> list:
-    """The D4 blocks that the span of ``fold``'s symmetric vectors holds, each
-    ``(reps, bases)``: the fold of X, Y and D (``generators``, by name) under
-    a subgroup with a one-dimensional character (``fold`` for its group),
-    orbits named by ``rank``, and its sectors' signed gathers.  A block is held
-    if its character is the group's on the group; on a tiny mesh it may be empty.
-    With D in the group E is one sector, not a pair: its half, where D acts as chi(D)."""
+    """The ``Fold`` of each D4 block that the span of ``fold``'s symmetric
+    vectors holds: of X, Y and D (``generators``, by name) under a subgroup
+    with a one-dimensional character, orbits named by ``rank``, and ``fold``
+    itself for its own group.  The candidates are D4's four one-dimensional
+    characters and E's halves: with D in the group the half where XY acts
+    as -1 and D as chi(D), without it the two mirror sectors, odd under Y
+    or under X.  A block is held if its character is the group's on the
+    group; on a tiny mesh it may be empty."""
     chi = dict(fold.group.members())  # by index in MEMBERS: D is 4
-    fold_of = lambda g: fold if dict(g.members()) == chi else symmetry.fold(generators, g, rank)
-    one_dim = [SymmetryGroup((("X", m), ("Y", m), ("D", d))) for m in (1, -1) for d in (1, -1)]
-    held = [g for g in one_dim if chi.items() <= dict(g.members()).items()]
-    blocks = [(f.reps, [(f.index, f.sign)]) for f in map(fold_of, held)]
-    e = SymmetryGroup((("XY", -1), ("D", chi[4])) if 4 in chi else (("X", 1), ("Y", -1)))
-    if chi.items() <= dict(e.members()).items():
-        f = fold_of(e)
-        pd, sd = generators[D]
-        image = [] if 4 in chi else [(f.index[pd], f.sign[pd] * sd)]
-        blocks.append((f.reps, [(f.index, f.sign)] + image))
-    return blocks
+    one_dim = [(("X", m), ("Y", m), ("D", d)) for m in (1, -1) for d in (1, -1)]
+    e = [(("XY", -1), ("D", chi[4]))] if 4 in chi else [(("X", m), ("Y", -m)) for m in (1, -1)]
+    out = []
+    for g in map(SymmetryGroup, one_dim + e):
+        members = dict(g.members())
+        if chi.items() <= members.items():
+            out.append(fold if members == chi else symmetry.fold(generators, g, rank))
+    return out
 
 
 class CondensedLU:
@@ -267,38 +268,37 @@ class CondensedLU:
     S is folded by ``fold`` (``symmetry.Fold``), trivial if S is whole: P^T
     S P on the values at the representatives, solved for the right-hand side
     P^T b.  ``interior`` (n_elements, k) lists each element's interior dofs,
-    which must couple in S with no other element's (``_sparse_block_inverse``
+    which must couple in S with no other element's (``_diagonal_block_inverse``
     raises ``ValueError`` if they do); an element's interior representatives,
     1 to k of them, are one block of S_ii.  ``grid`` (n, 2) is the half-step
     grid point of every dof (see ``nested_dissection``).  ``blocks`` is
     ``_blocks`` of a space's ``generators`` (X, Y and D), rank and ``fold``
-    (``build_schur``); the generators must commute with S, keep the interior
-    dofs interior and satisfy D4's relations.  Identity maps split nothing.
-    ``interior``, ``grid`` and ``blocks`` number every dof, folded or not.
+    (``build_schur``), one ``symmetry.Fold`` each; the generators must
+    commute with S, keep the interior dofs interior and satisfy D4's
+    relations.  Identity maps split nothing.  ``interior``, ``grid`` and
+    ``blocks`` number every dof, folded or not.
 
     Each block is a fold of every dof under a subgroup of D4 whose character
     holds ``fold``'s, its orbits named after their dof first in (gx, gy)
     order (``symmetry.grid_rank``), as ``fold`` names its representatives:
     so a one-dimensional block is named in the triangle gx <= gy, not across
-    the quarter, and its representatives are ``fold``'s.
-    Those of its outer orbits are kept, in ascending dof order, and a block
-    with none, as on a tiny mesh, is dropped.  A sector's basis Q is its fold's signed gather,
-    read at the run's representatives.
-    S_c Q lies in the span of Q, and the block M = S_c[named] Q satisfies
-    Q^T S_c Q = diag(n / Lambda_named) M, n the sum of Lambda over the
-    vector's representatives.  A paired sector's basis is P Q for a
-    generator P, so one factor of M serves both.  Each block's named dofs
-    are ordered by nested dissection of their points.
+    the quarter, and its representatives are ``fold``'s.  Those of its outer
+    orbits are kept, in ascending dof order, and a block with none, as on a
+    tiny mesh, is dropped.  A block's basis Q is its fold's signed gather,
+    read at the run's representatives.  S_c Q lies in the span of Q, and the
+    block M = S_c[named] Q satisfies Q^T S_c Q = diag(n / Lambda_named) M, n
+    the sum of Lambda over the vector's representatives.  Each block's named
+    dofs are ordered by nested dissection of their points.
 
     Set-up keeps ``S``, S_ii^-1, W = S_ii^-1 S_io and the stacked Q, with W^T
     and Q^T as CSC views.  ``solve`` condenses b to b_o - W^T b_i (S_ii is
-    symmetric), gathers every sector's right-hand side by one product with
-    Q^T scaled by Lambda_named / n, solves each block, a pair as two
-    columns, scatters with Q and back-substitutes the interior dofs.  The
-    first solve forms each block, its rows S[named][:, outer] -
-    S[named][:, inner] W of S_c times the columns of Q of its first sector,
-    and factors and probes it (``_probe``).  ``L`` and ``U`` are the factors
-    built so far, block-diagonal, built anew on each access; 0 x 0 if none.
+    symmetric), gathers every block's right-hand side by one product with
+    Q^T scaled by Lambda_named / n, solves each block with one column,
+    scatters with Q and back-substitutes the interior dofs.  The first solve
+    forms each block, its rows S[named][:, outer] - S[named][:, inner] W of
+    S_c times its columns of Q, and factors and probes it (``_probe``).
+    ``L`` and ``U`` are the factors built so far, block-diagonal, built anew
+    on each access; 0 x 0 if none.
     """
 
     def __init__(
@@ -316,7 +316,7 @@ class CondensedLU:
         self.inner = np.concatenate([pos[:0].ravel()] + [dofs for _, dofs in kinds])
         self.outer = np.delete(np.arange(S.shape[0]), self.inner)
         rows_i = S[self.inner]
-        inverses = [_sparse_block_inverse(S[d][:, d], k) for k, d in kinds]
+        inverses = [_diagonal_block_inverse(S[d][:, d], k) for k, d in kinds]
         inverses = inverses or [rows_i[:, self.inner]]
         self._Sii_inv = inverses[0] if len(inverses) == 1 else sp.block_diag(inverses, "csr")
         self._W = self._Sii_inv @ rows_i[:, self.outer]
@@ -328,47 +328,43 @@ class CondensedLU:
         row = np.full(len(grid), -1)
         row[fold.reps[self.outer]] = np.arange(m)
         sizes = fold.sizes[self.outer]
-        self._reps, self._parts, held, vec, coef, named = [], [], [], [], [], []
-        for rep, bases in blocks:
-            kept = np.flatnonzero(row[rep] >= 0)
+        self._reps, self._parts, held, vec, coef = [], [], [], [], []
+        for f in blocks:
+            kept = np.flatnonzero(row[f.reps] >= 0)
             if not kept.size:
                 continue
-            order = kept[nested_dissection(grid[rep[kept]])]
-            pos = np.empty(len(rep), dtype=np.int32)
+            order = kept[nested_dissection(grid[f.reps[kept]])]
+            pos = np.empty(len(f.reps), dtype=np.int32)
             pos[order] = np.arange(len(order), dtype=np.int32)
             start = self._parts[-1].stop if self._parts else 0
-            for j, (index, sign) in enumerate(bases):
-                h = np.flatnonzero((sign != 0) & (row >= 0))
-                held.append(row[h])
-                vec.append(start + j * len(order) + pos[index[h]])
-                coef.append(sign[h])
-            self._reps.append(row[rep[order]])
-            self._parts.append(slice(start, start + len(bases) * len(order)))
-            named.append(np.tile(sizes[self._reps[-1]], len(bases)))
-        held, vec, coef, named = map(np.concatenate, (held, vec, coef, named))
+            h = np.flatnonzero((f.sign != 0) & (row >= 0))
+            held.append(row[h])
+            vec.append(start + pos[f.index[h]])
+            coef.append(f.sign[h])
+            self._reps.append(row[f.reps[order]])
+            self._parts.append(slice(start, start + len(order)))
+        held, vec, coef, named = map(np.concatenate, (held, vec, coef, self._reps))
         # Float, whatever the signs' dtype: a product with int8 data would
         # convert it on every solve.
         self._Q = sp.csr_matrix((coef.astype(float), (held, vec)), shape=(m, m))
         self._Qt = self._Q.T
-        self._inv_size = named / np.bincount(vec, weights=sizes[held], minlength=m)
+        self._inv_size = sizes[named] / np.bincount(vec, weights=sizes[held], minlength=m)
         self._lus = [None] * len(self._reps)
-        blocks = [len(r) for r in self._reps]
-        log.debug("split S (%d rows) into blocks of %s rows", S.shape[0], blocks)
+        log.debug("split S (%d rows) into blocks of %s rows", S.shape[0], [*map(len, self._reps)])
 
     def _factor(self, k):
         """Form block k, S_c[named] Q, factor it and probe the factor.
 
-        The block is S_c's rows at the named dofs times the columns of Q of
-        its first sector, one sparse product with its indices sorted, so
-        ``splu`` finds nothing to sum and leaves its arrays as they are.
-        Its CSR arrays, read as CSC, are its transpose, so ``solve`` solves
-        transposed.
+        The block is S_c's rows at the named dofs times its columns of Q,
+        one sparse product with its indices sorted, so ``splu`` finds nothing
+        to sum and leaves its arrays as they are.  Its CSR arrays, read as
+        CSC, are its transpose, so ``solve`` solves transposed.
         """
         start = time.perf_counter()
         rep, part = self._reps[k], self._parts[k]
         m = len(rep)
         try:
-            block = self._rows(rep) @ self._Q[:, part.start : part.start + m]
+            block = self._rows(rep) @ self._Q[:, part]
             block.sort_indices()
             try:
                 lu = _superlu(block.T)
@@ -412,9 +408,7 @@ class CondensedLU:
         for k, part in enumerate(self._parts):
             if self._lus[k] is None:
                 self._factor(k)
-            lu = self._lus[k]
-            # The sectors of a pair are the columns of one right-hand side.
-            g[part] = lu.solve(g[part].reshape(-1, lu.shape[0]).T, trans="T").T.ravel()
+            g[part] = self._lus[k].solve(g[part], trans="T")
         x_o = self._Q @ g
         y -= self._W @ x_o
         x = np.empty_like(b)  # made last: held through a block's factor, it raises the peak

@@ -31,7 +31,9 @@ from .mesh import StructuredMesh, check_count
 from .mms import exact_fields
 from .symmetry import PROBE_RTOL, find_group, folded
 
-__all__ = ["SimState", "resolve_time", "RunResult", "init_state", "CNStepper", "run"]
+__all__ = [
+    "SimState", "resolve_time", "RunResult", "init_state", "velocity_inverse", "CNStepper", "run",
+]
 
 log = logging.getLogger(__name__)
 
@@ -101,6 +103,16 @@ def init_state(
     return SimState(stress_space.interpolate(sigma0), velocity_space.project(v0))
 
 
+def velocity_inverse(system: AssembledSystem):
+    """C^-1 from C's element matrix; a singular one raises ``SingularBlockError`` naming rho."""
+    try:
+        return block_diag_inverse(system.elements[2][None], system.velocity_space.mesh.n_elements)
+    except SingularBlockError as err:
+        raise SingularBlockError(
+            f"the velocity mass (rho = {system.material.rho:.3g}) cannot be inverted: {err}"
+        ) from err
+
+
 class CNStepper:
     """Prepared single-step update for a fixed system and solver.
 
@@ -122,7 +134,7 @@ class CNStepper:
         P, (A, B) = fs.P(), system.at_rows
         self.A, self.B = folded(A, fs, P), folded(B, fv, P)
         # Inverted after the folds: before them, example 2 at N = 256 peaked 2-28 MB higher.
-        Cinv = block_diag_inverse(system.elements[2][None], system.velocity_space.mesh.n_elements)
+        Cinv = velocity_inverse(system)
         self.Bt, self.Cinv = self.B.T, folded(Cinv, fv, fv.P())
         sizes = (len(fs.reps), len(fs.index), len(fv.reps), len(fv.index))
         log.debug("stepping %d of %d stress and %d of %d velocity dofs", *sizes)
@@ -259,19 +271,12 @@ def run(config) -> RunResult:
         stress_space = StressSpace(mesh, config.element, group)
         velocity_space = VelocitySpace(mesh, config.element, group)
         system = assemble_system(stress_space, velocity_space, material)
-        try:
-            Cinv = block_diag_inverse(system.elements[2][None], mesh.n_elements)
-        except SingularBlockError as err:
-            raise SingularBlockError(
-                f"the velocity mass (rho = {config.rho:.3g}) cannot be inverted: {err}"
-            ) from err
-        solver = build_schur(system, Cinv, dt, config.solver_tol)
+        solver = build_schur(system, velocity_inverse(system), dt, config.solver_tol)
     except MemoryError as err:
         raise MemoryError(
             f"out of memory setting up {config.element} on the {config.nx} x {config.nx} "
             f"mesh: {err}"
         ) from err
-    del Cinv  # the stepper keeps its own; one kept to the end raises the peak
     stepper = CNStepper(system, solver)
     del system.at_rows  # folded by the stepper; kept, they raise the first factor's peak
     state = init_state(

@@ -37,8 +37,10 @@ sparse matrices whose arrays sit in buffers larger than their entries.
 ``assemble_mass_velocity`` tiles the velocity mass C, which no run
 assembles, and ``bsr_block_diag_inverse`` inverts a block-diagonal matrix
 through BSR, repeating one inverse when every block is the same, and drops
-its zeros: the reference the inverse a run tiles from C's element matrix
-is checked against; ``velocity_inverse`` is that inverse.  ``full_B`` assembles a system's full-size B, which no run forms.
+its zeros: the reference the inverse a run tiles from C's element matrix,
+and the one it reads of the bubble block S_ii, are checked against;
+``velocity_inverse``, imported from ``timestepper``, is the first.
+``full_B`` assembles a system's full-size B, which no run forms.
 ``folded_schur`` forms the full S and folds it: the reference the folded S
 that ``build_schur`` forms at the representatives alone is checked against.
 ``sectors`` builds the stress solve's D4 blocks from a table of characters
@@ -58,12 +60,13 @@ from scipy.stats import qmc
 from viscowave.analysis import energy
 from viscowave.assembly import _local_velocity_gram, assemble_coupling
 from viscowave.fespace import StressSpace, VelocitySpace
-from viscowave.linalg import block_diag_csr, block_diag_inverse, nested_dissection
+from viscowave.linalg import block_diag_csr, nested_dissection
 from viscowave.material import VOIGT_DOT, IsotropicMaterial
 from viscowave.mesh import StructuredMesh
 from viscowave.mms import ExactSolution
 from viscowave.quadrature import COMPOSITE
 from viscowave.symmetry import TRIVIAL, D, X, Y, folded, images
+from viscowave.timestepper import velocity_inverse
 
 DIAGONAL = "(x, y) -> (y, x)"
 
@@ -358,11 +361,6 @@ def assemble_mass_velocity(space: VelocitySpace, material) -> sp.csr_matrix:
     """Density-weighted velocity mass matrix C, its element matrix tiled."""
     local = material.rho * _local_velocity_gram(space)
     return block_diag_csr(local[None], space.mesh.n_elements)
-
-
-def velocity_inverse(system) -> sp.csr_matrix:
-    """C^-1 as a run builds it, from C's element matrix."""
-    return block_diag_inverse(system.elements[2][None], system.velocity_space.mesh.n_elements)
 
 
 def bsr_block_diag_inverse(C, k: int) -> sp.csr_matrix:
@@ -747,22 +745,25 @@ def sector(n, p, s, chi, named):
 
 def sectors(generators, rank, group=TRIVIAL):
     """The D4 blocks that the span of ``group``'s symmetric vectors holds, each
-    ``(rep, bases)``: the names of its first sector and the ``(col, coef)``
-    of each of its sectors (see ``sector``).
+    ``(rep, (col, coef))``, one sector (see ``sector``).
 
     ``generators`` are X, Y and D.  A vector is named after the member of its
     orbit of lowest ``rank``, found by gathers of the minima over X, then Y,
     then D.  A one-dimensional block is held if its character is the group's
-    on the group, and E, where XY acts as -1, unless the group has XY with
-    +1.  Without D in the group E's first sector, even under X and odd under
-    Y, has a vector per orbit of the mirrors; its second is its image under
-    D, so a matrix that commutes with D has the same block on both.  With D
-    it is one sector, E's half where D acts as chi(D), named on the orbits
-    of e, XY, D and XYD.  A block with no vector, which a tiny mesh can
+    on the group.  E, where XY acts as -1, has two sectors.  Without D in
+    the group they are the mirror sectors, even under X and odd under Y and
+    the reverse, each named on the orbits of the mirrors and held if its
+    character is the group's there.  With D it is one sector, E's half where
+    D acts as chi(D), named on the orbits of e, XY, D and XYD, held unless
+    the group has XY with +1.  A block with no vector, which a tiny mesh can
     have, is left out.
     """
     (px, sx), (py, sy), (pd, sd) = generators
     chi = dict(group.members())  # by index in MEMBERS: XY is 3 and D is 4
+
+    def held(signs):
+        return all(signs[k] == c for k, c in chi.items())
+
     low = np.minimum(rank, rank[px])
     low = np.minimum(low, low[py])
     named = np.flatnonzero(low == rank)  # the minima over the mirrors
@@ -771,20 +772,18 @@ def sectors(generators, rank, group=TRIVIAL):
     blocks = []
     for m, d in ONE_DIM:
         signs = character((m, m, d))
-        if all(signs[k] == c for k, c in chi.items()):
-            rep, basis = sector(len(rank), p[:, d4_min], s[:, d4_min], signs, named[d4_min])
-            blocks.append((rep, [basis]))
-    held = chi.get(3, -1) == -1  # XY acts as -1 on E
-    if held and 4 not in chi:  # E on the members of the mirrors, e, X, Y and XY
-        rep, (col, coef) = sector(len(rank), p[:4], s[:4], character((1, -1)), named)
-        blocks.append((rep, [(col, coef), (col[pd], coef[pd] * sd)]))
-    elif held:  # E's half on the members e, XY, D and XYD
+        if held(signs):
+            blocks.append(sector(len(rank), p[:, d4_min], s[:, d4_min], signs, named[d4_min]))
+    if 4 not in chi:  # E's mirror sectors on the members of the mirrors, e, X, Y and XY
+        for m in (1, -1):
+            if held(character((m, -m))):
+                blocks.append(sector(len(rank), p[:4], s[:4], character((m, -m)), named))
+    elif chi.get(3, -1) == -1:  # E's half on the members e, XY, D and XYD
         xy = (py[px], sx * sy[px])
         low = np.minimum(rank, rank[xy[0]])
         named = np.flatnonzero(np.minimum(low, low[pd]) == rank)
         p, s = images((xy, (pd, sd)), named)
-        rep, basis = sector(len(rank), p, s, character((-1, chi[4])), named)
-        blocks.append((rep, [basis]))
+        blocks.append(sector(len(rank), p, s, character((-1, chi[4])), named))
     return [block for block in blocks if len(block[0])]
 
 
@@ -806,21 +805,19 @@ def outer_split(lu, interior, grid, generators):
     row = np.full(len(fold.index), -1)
     row[fold.reps[lu.outer]] = np.arange(m)
     row, sizes = row[outer], fold.sizes[lu.outer]
-    reps, parts, held, vec, coef, named = [], [], [], [], [], []
-    for rep, bases in sectors(perms, rank, fold.group):
+    reps, parts, held, vec, coef = [], [], [], [], []
+    for rep, (col, sign) in sectors(perms, rank, fold.group):
         order = nested_dissection(grid[rep])
         pos = np.empty(len(order), dtype=np.int32)
         pos[order] = np.arange(len(order), dtype=np.int32)
         start = parts[-1].stop if parts else 0
-        for j, (col, sign) in enumerate(bases):
-            h = np.flatnonzero((sign != 0) & (row >= 0))
-            held.append(row[h])
-            vec.append(start + j * len(rep) + pos[col[h]])
-            coef.append(sign[h])
+        h = np.flatnonzero((sign != 0) & (row >= 0))
+        held.append(row[h])
+        vec.append(start + pos[col[h]])
+        coef.append(sign[h])
         reps.append(row[rep[order]])
-        parts.append(slice(start, start + len(bases) * len(rep)))
-        named.append(np.tile(sizes[reps[-1]], len(bases)))
-    held, vec, coef, named = map(np.concatenate, (held, vec, coef, named))
+        parts.append(slice(start, start + len(rep)))
+    held, vec, coef = map(np.concatenate, (held, vec, coef))
     Q = sp.csr_matrix((coef.astype(float), (held, vec)), shape=(m, m))
-    inv_size = named / np.bincount(vec, weights=sizes[held], minlength=m)
+    inv_size = sizes[np.concatenate(reps)] / np.bincount(vec, weights=sizes[held], minlength=m)
     return Q, reps, parts, inv_size

@@ -27,12 +27,13 @@ from viscowave.linalg import (
 from viscowave.cli import RunConfig
 from viscowave.material import IsotropicMaterial
 from viscowave.mesh import StructuredMesh
-from viscowave.symmetry import TRIVIAL, D, SymmetryGroup, X, Y, fold, grid_rank
+from viscowave.symmetry import TRIVIAL, D, Fold, SymmetryGroup, X, Y, fold, grid_rank
 
 from fehelpers import (
     ONE_DIM, DIAGONAL, assemble_mass_velocity, bsr_block_diag_inverse, folded_schur, full_B,
     mirrors, outer_split, oversized, sectors, velocity_inverse,
 )
+from test_symmetry import ACCEPTED
 
 TOL = 1e-12
 # The groups that ``find_group`` gives examples 1, 2 and 3.
@@ -84,7 +85,7 @@ def test_block_diag_inverse_matches_dense():
 def test_block_diag_inverse_identity():
     I = sp.identity(8, format="csr")
     assert abs(block_diag_inverse(np.eye(2)[None], 4) - I).max() == 0.0
-    assert abs(linalg._sparse_block_inverse(I, 2) - I).max() == 0.0
+    assert abs(linalg._diagonal_block_inverse(I, 2) - I).max() == 0.0
 
 
 def test_block_diag_inverse_rejects_offblock_entries():
@@ -93,13 +94,13 @@ def test_block_diag_inverse_rejects_offblock_entries():
     C[0, 0] = C[1, 1] = C[2, 2] = C[3, 3] = 1.0
     C[0, 3] = 0.5  # couples block 0 with block 1
     with pytest.raises(ValueError, match="outside the contiguous diagonal blocks"):
-        linalg._sparse_block_inverse(C.tocsr(), 2)
+        linalg._diagonal_block_inverse(C.tocsr(), 2)
 
 
 def test_block_diag_inverse_rejects_bad_block_size():
     C = sp.identity(6, format="csr")
     with pytest.raises(ValueError):
-        linalg._sparse_block_inverse(C, 4)
+        linalg._diagonal_block_inverse(C, 4)
 
 
 def test_block_diag_inverse_singular_block():
@@ -107,17 +108,19 @@ def test_block_diag_inverse_singular_block():
     with pytest.raises(SingularBlockError, match="singular diagonal block"):
         block_diag_inverse(singular[None], 3)
     with pytest.raises(SingularBlockError, match="singular diagonal block"):
-        linalg._sparse_block_inverse(sp.csr_matrix(singular), 2)
+        linalg._diagonal_block_inverse(sp.csr_matrix(singular), 2)
     # A block with no stored entry is singular too, though nothing inverts it.
     C = sp.csr_matrix(np.diag([1.0, 1.0, 0.0, 0.0, 1.0, 1.0]))
     with pytest.raises(SingularBlockError, match="block 1 is zero"):
-        linalg._sparse_block_inverse(C, 2)
+        linalg._diagonal_block_inverse(C, 2)
 
 
 def test_uniform_blocks_inverted_once_match_the_per_block_inverse(monkeypatch):
     # Every block of the velocity mass is its element matrix on the uniform
     # mesh; the tiled inverse of that one block must be bit for bit the
-    # batched inverse of every block of the assembled C.
+    # batched inverse of every block of the assembled C.  The route of the
+    # bubble block S_ii, given the assembled C, finds its blocks equal and
+    # inverts one too.
     invert = np.linalg.inv
     for family, n_local in ((HMZ, 4), (NEDELEC, 2)):
         system = make_system(4, family)
@@ -134,11 +137,12 @@ def test_uniform_blocks_inverted_once_match_the_per_block_inverse(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "inv", inv)
-            got = velocity_inverse(system)
-        assert inverted == [1]
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
+            got = [velocity_inverse(system), linalg._diagonal_block_inverse(C, n_local)]
+        assert inverted == [1, 1]
+        for M in got:
+            assert np.array_equal(M.indptr, want.indptr)
+            assert np.array_equal(M.indices, want.indices)
+            assert np.array_equal(M.data, want.data)
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
@@ -152,7 +156,8 @@ def test_tiled_inverse_is_the_bsr_route_array_for_array(family):
     k = system.velocity_space.n_local
     uneven = C.copy()
     uneven.data *= 1.0 + np.random.default_rng(3).random(C.nnz)
-    for got, M in ((velocity_inverse(system), C), (linalg._sparse_block_inverse(uneven, k), uneven)):
+    sparse = linalg._diagonal_block_inverse(uneven, k)
+    for got, M in ((velocity_inverse(system), C), (sparse, uneven)):
         want = bsr_block_diag_inverse(M, k)
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
@@ -163,7 +168,7 @@ def test_tiled_inverse_is_the_bsr_route_array_for_array(family):
 def test_repeated_singular_block_raises():
     C = sp.block_diag([np.array([[1.0, 2.0], [2.0, 4.0]])] * 5, format="csr")
     with pytest.raises(SingularBlockError, match="singular diagonal block"):
-        linalg._sparse_block_inverse(C, 2)
+        linalg._diagonal_block_inverse(C, 2)
 
 
 def test_block_diag_inverse_stores_no_zeros():
@@ -335,7 +340,7 @@ def test_rhs_that_is_not_finite_is_refused_before_any_factor(bad):
     b[3] = bad
     with pytest.raises(ValueError, match="right-hand side of the stress solve is not finite"):
         solver.solve(b)
-    assert solver._lu._lus == [None] * 5
+    assert solver._lu._lus == [None] * 6
 
 
 def test_solver_constructor_validation():
@@ -400,9 +405,9 @@ def test_setup_probe_refines_only_when_needed(monkeypatch):
     rhs = np.random.default_rng(0).standard_normal(solver.S.shape[0])
     solver.solve(rhs)
     # The probe, then the solve and its refinement.
-    assert [f.solves for f in factors] == [3] * 5
+    assert [f.solves for f in factors] == [3] * 6
     solver.solve(rhs)
-    assert [f.solves for f in factors] == [5] * 5  # a later solve, twice per block
+    assert [f.solves for f in factors] == [5] * 6  # a later solve, twice per block
 
 
 def test_schur_spd_for_nedelec_lumped():
@@ -659,7 +664,7 @@ def test_a_run_factors_only_the_blocks_its_data_reaches(family, example, blocks,
 def test_a_long_run_at_a_large_step_factors_one_block(family, monkeypatch):
     # Rounding that leaked into the blocks that example 2 does not reach
     # once crossed a floor after about 20 steps at N = 64 and dt = 0.25, and
-    # then all five blocks were factored.  Folded, those blocks are not
+    # then every block was factored.  Folded, those blocks are not
     # represented, so the leak has nowhere to go.
     config = dict(element=family, example=2, nx=64, n_steps=40, t_final=10.0)
     solver = run_solver(monkeypatch, **config)
@@ -668,7 +673,7 @@ def test_a_long_run_at_a_large_step_factors_one_block(family, monkeypatch):
 
 def test_a_tolerance_below_rounding_factors_one_block(monkeypatch):
     # A floor of tol / 10 at tol = 1e-14 lay below the rounding in the
-    # blocks that example 2 does not reach, and all five were factored.
+    # blocks that example 2 does not reach, and every block was factored.
     config = dict(element=HMZ, example=2, nx=32, dt=0.25, solver_tol=1e-14)
     solver = run_solver(monkeypatch, **config)
     assert factored(solver._lu) == [1]
@@ -711,26 +716,27 @@ def test_a_block_is_factored_by_the_first_solve_that_reaches_it(family):
     for k in (4, 1):
         rhs = confined(lu, k, rng)
         x = solver.solve(rhs)
-        assert factored(lu) == [1, 2, 3, 4, 5]
+        assert factored(lu) == [1, 2, 3, 4, 5, 6]
         assert np.linalg.norm(rhs - solver.S @ x) <= TOL * np.linalg.norm(rhs)
 
 
-GROUPS = [TRIVIAL] + [
-    SymmetryGroup(tuple(zip(names, chis)))
-    for names in (("XY",), ("D",), ("XY", "D"))
-    for chis in itertools.product((1, -1), repeat=len(names))
-]
+# Every distinct group that ``SymmetryGroup`` accepts, the trivial one first.
+GROUPS = list({frozenset(g.members()): g for g in reversed(ACCEPTED)}.values())[::-1]
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_a_folded_solve_is_the_full_solve_of_the_lifted_vectors(family, n):
-    # For every group and both characters of each reflection: the blocks
-    # held give a square basis of the fold's outer dofs, and the folded
-    # solve of P^T S x, lifted, is x.
+    # For every group that ``SymmetryGroup`` accepts: the blocks held give a
+    # square basis of the fold's outer dofs, and the folded solve of P^T S
+    # x, lifted, is x.  A fold with no dof, as D4's all-odd character has at
+    # N = 1, is skipped.
     S = make_direct(make_system(n, family), 0.25).S
     for group in GROUPS:
-        solver = make_direct(make_system(n, family, group), 0.25)
+        system = make_system(n, family, group)
+        if not len(system.stress_space.fold.reps):
+            continue
+        solver = make_direct(system, 0.25)
         lu, fold = solver._lu, solver._lu.fold
         assert lu._Q.shape == (lu.outer.size,) * 2 == (lu._parts[-1].stop,) * 2
         assert np.linalg.matrix_rank(lu._Q.toarray()) == lu.outer.size
@@ -823,13 +829,12 @@ def test_each_block_is_its_rows_of_the_condensed_matrix_times_its_basis(family, 
     monkeypatch.setattr(linalg.spla, "splu", spy_splu)
     monkeypatch.setattr(linalg, "_probe", spy_probe)
     reach_every_block(lu)
-    assert len(seen) == len(lu._lus) == 5
+    assert len(seen) == len(lu._lus) == 6
     for (A, kept), rep, part in zip(seen, lu._reps, lu._parts):
         for name, before in zip(("data", "indices", "indptr"), kept):
             assert np.array_equal(getattr(A, name), before)
         assert A.has_sorted_indices and np.all(A.data != 0.0)
-        m = len(rep)
-        want = S_c[rep] @ lu._Q[:, part.start : part.start + m].toarray()
+        want = S_c[rep] @ lu._Q[:, part].toarray()
         # A holds the block's CSR arrays read as CSC: its transpose.
         np.testing.assert_allclose(A.T.toarray(), want, rtol=0, atol=1e-14 * abs(S_c).max())
 
@@ -839,9 +844,9 @@ def test_each_block_factored_is_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="viscowave.linalg"):
         reach_every_block(lu)
         reach_every_block(lu)  # factors nothing more
-    assert len(caplog.records) == 5
+    assert len(caplog.records) == 6
     for k, (record, f) in enumerate(zip(caplog.records, lu._lus)):
-        head = f"factored block {k + 1} of 5: {f.shape[0]} rows, SuperLU stores {f.nnz} entries, "
+        head = f"factored block {k + 1} of 6: {f.shape[0]} rows, SuperLU stores {f.nnz} entries, "
         assert record.levelno == logging.DEBUG
         assert record.getMessage().startswith(head) and record.getMessage().endswith(" s")
 
@@ -870,7 +875,7 @@ def test_mirrors_commute_with_condensed_matrix(family, n, dt):
 def test_sector_solve_matches_splu_of_condensed_matrix(family, n, dt):
     # With no interior dofs the condensed LU of S_c is the sector solve alone:
     # gather with Q^T, a solve per block, scatter with Q.  D4 leaves four
-    # eighths and one quarter that serves two sectors.
+    # eighths and E's two mirror sectors, a quarter each.
     system = make_system(n, family)
     solver = make_direct(system, dt)
     S_c = condensed_matrix(solver)
@@ -882,11 +887,11 @@ def test_sector_solve_matches_splu_of_condensed_matrix(family, n, dt):
     lu = CondensedLU(S_c, np.zeros((0, 0), dtype=int), grid, blocks, whole)
     reach_every_block(lu)
     sizes = [f.shape[0] for f in lu._lus]
-    assert len(sizes) == 5
+    assert len(sizes) == 6
     for b in rhs:
         want = ref.solve(b)
         assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
-    assert sum(sizes[:4]) + 2 * sizes[4] == S_c.shape[0]
+    assert sum(sizes) == S_c.shape[0] and sizes[4] == sizes[5]
 
 
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
@@ -914,7 +919,7 @@ def test_no_mirrors_is_one_sector_in_the_unsplit_order(family, dt):
 @pytest.mark.parametrize("family", [HMZ, NEDELEC])
 @pytest.mark.parametrize("n", [8, 16])
 def test_mirror_split_lowers_the_fill(family, n):
-    # The five blocks of D4 fill less than S_c in one piece, D4 acting trivially.
+    # The six blocks of D4 fill less than S_c in one piece, D4 acting trivially.
     system = make_system(n, family)
     ss = system.stress_space
     solver = make_direct(system, 0.25)
@@ -922,7 +927,7 @@ def test_mirror_split_lowers_the_fill(family, n):
     one = unfolded(n_dofs)
     whole = CondensedLU(solver.S, ss.interior, ss.grid, split(trivial(n_dofs), ss.grid, one), one)
     reach_every_block(solver._lu)
-    assert len(solver._lu._lus) == 5
+    assert len(solver._lu._lus) == 6
     assert fill(solver._lu) < fill(reach_every_block(whole))
 
 
@@ -933,9 +938,9 @@ def test_diagonal_halves_are_named_in_the_triangle(family):
     n = 8
     space = StressSpace(StructuredMesh(n), family)
     blocks = linalg._blocks(space.generators, space.rank, space.fold)
-    assert [len(bases) for _, bases in blocks] == [1, 1, 1, 1, 2]
-    for rep, _ in blocks[:4]:
-        gx, gy = space.grid[rep].T
+    assert all(isinstance(f, Fold) for f in blocks) and len(blocks) == 6
+    for f in blocks[:4]:
+        gx, gy = space.grid[f.reps].T
         assert np.all(gx <= gy) and np.all(gy <= n)
 
 
@@ -952,12 +957,10 @@ def test_each_block_is_the_fold_of_the_reference_sectors(family, n):
     for group in GROUPS:
         want = sectors(tuple(generators.values()), rank, group)
         run_fold = fold(generators, group, rank)
-        got = [block for block in linalg._blocks(generators, rank, run_fold) if len(block[0])]
-        assert [len(bases) for _, bases in got] == [len(bases) for _, bases in want]
-        for (rep, bases), (reps, folded) in zip(want, got):
-            pairs = [(rep, reps)]
-            for (col, coef), (index, sign) in zip(bases, folded):
-                pairs += [(col, np.where(sign != 0, index, -1)), (coef, sign)]
+        got = [f for f in linalg._blocks(generators, rank, run_fold) if len(f.reps)]
+        assert len(got) == len(want), group
+        for (rep, (col, coef)), f in zip(want, got, strict=True):
+            pairs = [(rep, f.reps), (col, np.where(f.sign != 0, f.index, -1)), (coef, f.sign)]
             for a, b in pairs:
                 assert a.dtype == b.dtype and np.array_equal(a, b), group
 
@@ -997,7 +1000,7 @@ def test_split_holds_whatever_the_signs_of_the_dofs(family):
         S_c, np.zeros((0, 0), dtype=int), ss.grid[outer],
         split(generators, ss.grid[outer], whole), whole,
     )
-    assert len(lu._lus) == 5
+    assert len(lu._lus) == 6
     b = np.random.default_rng(8).standard_normal(S_c.shape[0])
     want = spla.splu(S_c.tocsc()).solve(b)
     assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
@@ -1008,8 +1011,9 @@ def test_split_holds_whatever_the_signs_of_the_dofs(family):
 def test_each_block_spans_its_representation_of_d4(family, n):
     # Each one-dimensional block's columns of Q satisfy X Q = m Q, Y Q = m Q
     # and D Q = d Q for one row (m, d) of the character table, the blocks in
-    # the table's order; a tiny mesh may lack a block.  E's first columns are
-    # even under X and odd under Y, and D maps them onto its second columns.
+    # the table's order; a tiny mesh may lack a block.  E's first sector is
+    # even under X and odd under Y, its second the reverse, and D maps the
+    # span of the first onto that of the second.
     system = make_system(n, family)
     lu = make_direct(system, 0.25)._lu
     X, Y, D = (
@@ -1020,7 +1024,7 @@ def test_each_block_spans_its_representation_of_d4(family, n):
     def same(M, N):
         return abs(M - N).max() == 0
 
-    *one_dim, e = [lu._Q[:, part] for part in lu._parts]
+    *one_dim, first, second = [lu._Q[:, part] for part in lu._parts]
     rows = []
     for Q in one_dim:
         rows += [
@@ -1028,9 +1032,11 @@ def test_each_block_spans_its_representation_of_d4(family, n):
             if same(X @ Q, m * Q) and same(Y @ Q, m * Q) and same(D @ Q, d * Q)
         ]
     assert len(rows) == len(one_dim) and rows == sorted(set(rows))
-    half = e.shape[1] // 2
-    first, second = e[:, :half], e[:, half:]
-    assert same(X @ first, first) and same(Y @ first, -first) and same(D @ first, second)
+    assert same(X @ first, first) and same(Y @ first, -first)
+    assert same(X @ second, -second) and same(Y @ second, second)
+    rank = np.linalg.matrix_rank
+    image, second = (D @ first).toarray(), second.toarray()
+    assert rank(image) == rank(second) == rank(np.hstack([image, second])) == first.shape[1]
 
 
 def anisotropic(scale=1.0 + 1e-6):

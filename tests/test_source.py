@@ -1,9 +1,10 @@
 """The package's source keeps every line within 100 characters, only the
 command line prints, since library code logs, one place calls SuperLU, one
-place ranks the half-step grid, every fold names its orbits by the mesh's
-or a space's rank, one place scatters element matrices, no public assembly
-function takes rows, and every module's ``__all__`` names only what the
-module defines."""
+place inverts dense blocks and none reads BSR, one place ranks the
+half-step grid, every fold names its orbits by the mesh's or a space's
+rank, one place scatters element matrices, no public assembly function
+takes rows, and every module's ``__all__`` names only what the module
+defines."""
 
 import ast
 import importlib
@@ -52,6 +53,14 @@ def test_one_place_calls_superlu():
     ]
     assert [name for name, _ in calls] == ["linalg.py"]
     assert "panel_size" in [keyword.arg for keyword in calls[0][1].keywords]
+
+
+def test_one_place_inverts_dense_blocks():
+    # ``linalg.block_diag_inverse`` inverts C's element block and the bubble
+    # block S_ii alike; S_ii's blocks are read through COO, not BSR.
+    texts = [path.read_text() for path in sorted(SOURCE.glob("*.py"))]
+    assert sum(text.count("np.linalg.inv(") for text in texts) == 1
+    assert not [text for text in texts if "bsr_matrix" in text]
 
 
 def test_one_place_ranks_the_grid():

@@ -139,8 +139,10 @@ def test_group_members_index_the_member_table():
 
 
 def test_a_group_may_name_the_mirrors():
-    # E's sectors are folds of the mirrors' subgroup, even under X and odd under Y.
+    # Without D, E's sectors are folds of the mirrors' subgroup, even under X
+    # and odd under Y, or the reverse.
     assert SymmetryGroup((("X", 1), ("Y", -1))).members() == [(0, 1), (1, 1), (2, -1), (3, -1)]
+    assert SymmetryGroup((("X", -1), ("Y", 1))).members() == [(0, 1), (1, -1), (2, 1), (3, -1)]
     assert SymmetryGroup((("Y", -1),)).members() == [(0, 1), (2, -1)]
 
 
