@@ -297,6 +297,9 @@ class CondensedLU:
     scatters with Q and back-substitutes the interior dofs.  The first solve
     forms each block, its rows S[named][:, outer] - S[named][:, inner] W of
     S_c times its columns of Q, and factors and probes it (``_probe``).
+    Each block keeps its own SuperLU factor: one factor of the block-diagonal
+    of all blocks gives the same bits, but forms and factors them all at
+    once, which raised ``hmz`` N = 512 peaks by 100 to 146 MB.
     ``L`` and ``U`` are the factors built so far, block-diagonal, built anew
     on each access; 0 x 0 if none.
     """
@@ -519,6 +522,8 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
     checked against the reflections: A and B are, on their element matrices
     with each space's ``local_generators``, from which its ``generators``
     are built, and Cinv with the velocity ``generators`` (``check_symmetry``).
+    Every group takes one path, the trivial one with P the identity; a stress
+    fold with no dof is refused by name, before anything is reduced.
     """
     if not dt > 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
@@ -527,22 +532,23 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
         raise ValueError(f"Cinv{Cinv.shape} does not match B{(vspace.dim, space.dim)}")
     # Split first, so the generators and the rank die before S's terms are formed.
     blocks, fold = _blocks(*space.symmetries()), space.fold
+    if not len(fold.reps):
+        raise ValueError(f"the stress fold of {fold.group} at N = {space.mesh.n} has no dof")
     _check_symmetries(system, Cinv)
     A, B = system.at_rows
-    reps = (lambda M: M) if fold.trivial else (lambda M: M[fold.reps])
     # A tiny dt or a huge dt / rho overflows a term, and a stiff material
     # loses the stress-mass term in rounding; both are named here, before S
     # is factored, from the diagonals at the representatives, which are
     # equal on each orbit.  With A SPD, S is SPD in exact arithmetic.  The
     # terms die before the factorization, which sets the peak memory.
     with np.errstate(over="ignore"):
-        mass = (1.0 / dt + 0.5) * reps(A)
+        mass = (1.0 / dt + 0.5) * A[fold.reps]
         # In CSR, with the rows of B^T Cinv sorted, each entry is summed in
         # the order the CSC product of B.T sums it, so the bits are the same,
         # and B and Cinv need no conversion to CSC.  Sorted rows of the
         # coupling keep the order of S's entries, which the factor's bits
         # depend on.
-        BtCinv = reps(B.T).tocsr() @ Cinv
+        BtCinv = B.T[fold.reps].tocsr() @ Cinv
         BtCinv.sort_indices()
         coupling = (0.25 * dt) * (BtCinv @ B)
         coupling.sort_indices()
@@ -568,9 +574,7 @@ def build_schur(system, Cinv: sp.spmatrix, dt: float, tol: float) -> SchurSolver
     S = mass + coupling
     del mass, coupling
     norm = np.add.reduceat(np.abs(S.data), S.indptr[:-1]).max()  # no row at a rep is empty
-    # Trimmed once both terms are freed: a copy made while they are alive
-    # leaves more freed memory with the process, and the run's peak rises.
-    S = sp.csr_matrix(S, copy=True) if fold.trivial else S @ fold.P()
+    S = S @ fold.P()
     S.data *= np.repeat(fold.sizes, np.diff(S.indptr))
     log.debug("formed S at %d of %d rows: %d entries", len(fold.reps), len(fold.index), S.nnz)
     return SchurSolver(CondensedLU(S, space.interior, space.grid, blocks, fold), tol, dt, norm)

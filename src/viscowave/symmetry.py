@@ -147,10 +147,6 @@ class Fold:
     sign: np.ndarray
     sizes: np.ndarray
 
-    @property
-    def trivial(self) -> bool:
-        return len(self.reps) == len(self.index)
-
     def lift(self, a) -> np.ndarray:
         return self.sign * a[self.index] if len(a) else np.zeros(len(self.index))
 
@@ -192,10 +188,7 @@ def grid_rank(grid) -> np.ndarray:
 
 def folded(M, rows: Fold, P) -> sp.csr_matrix:
     """M[rows.reps] P, M's rows at ``rows``' representatives with its columns
-    summed over the orbits of the fold whose ``Fold.P`` is P; M itself if
-    both folds are trivial."""
-    if rows.trivial and P.shape[0] == P.shape[1]:
-        return M
+    summed over the orbits of the fold whose ``Fold.P`` is P."""
     return sp.csr_matrix(M[rows.reps] @ P)
 
 

@@ -382,19 +382,23 @@ def full_B(system) -> sp.csr_matrix:
     return assemble_coupling(system.stress_space, system.velocity_space)
 
 
-def folded_schur(system, Cinv, dt: float) -> sp.csr_matrix:
-    """Lambda S[reps] P from the full S = (1/dt + 1/2) A + (dt/4) B^T Cinv B,
-    folded by the stress space's ``fold``: the coupling's rows formed from the
-    rows of B^T Cinv, both sorted, and a trivial fold's S trimmed by a copy."""
-    fold = system.stress_space.fold
+def unfolded_schur(system, Cinv, dt: float) -> sp.csr_matrix:
+    """The full S = (1/dt + 1/2) A + (dt/4) B^T Cinv B, unfolded: the
+    coupling's rows formed from the rows of B^T Cinv, both sorted."""
     mass = (1.0 / dt + 0.5) * system.A
     B = full_B(system)
     BtCinv = B.T.tocsr() @ Cinv
     BtCinv.sort_indices()
     coupling = (0.25 * dt) * (BtCinv @ B)
     coupling.sort_indices()
-    S = mass + coupling
-    S = sp.csr_matrix(S, copy=True) if fold.trivial else folded(S, fold, fold.P())
+    return mass + coupling
+
+
+def folded_schur(system, Cinv, dt: float) -> sp.csr_matrix:
+    """Lambda S[reps] P from ``unfolded_schur``, folded by the stress space's
+    ``fold`` through its ``Fold.P``, whatever its group."""
+    fold = system.stress_space.fold
+    S = folded(unfolded_schur(system, Cinv, dt), fold, fold.P())
     S.data *= np.repeat(fold.sizes, np.diff(S.indptr))
     return S
 

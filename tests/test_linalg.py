@@ -3,6 +3,7 @@
 import itertools
 import logging
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -31,7 +32,7 @@ from viscowave.symmetry import TRIVIAL, D, Fold, SymmetryGroup, X, Y, fold, grid
 
 from fehelpers import (
     ONE_DIM, DIAGONAL, assemble_mass_velocity, bsr_block_diag_inverse, folded_schur, full_B,
-    mirrors, outer_split, oversized, sectors, velocity_inverse,
+    mirrors, outer_split, oversized, sectors, unfolded_schur, velocity_inverse,
 )
 from test_symmetry import ACCEPTED
 
@@ -212,6 +213,20 @@ def test_folded_schur_is_the_fold_of_the_full_schur(family, n, dt):
             assert got.dtype == ref.dtype and np.array_equal(got, ref), (group, name)
 
 
+@pytest.mark.parametrize("family", [HMZ, NEDELEC])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_the_trivial_groups_s_is_the_unfolded_s(family, n):
+    # The trivial group takes every group's path, with P the identity: its S
+    # holds the unfolded mass + coupling entry for entry, though the product
+    # with P may list a row's columns in another order.
+    system = make_system(n, family)
+    Cinv = velocity_inverse(system)
+    S, want = build_schur(system, Cinv, 0.25, TOL).S, unfolded_schur(system, Cinv, 0.25)
+    S, want = S.sorted_indices(), want.sorted_indices()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(S, name), getattr(want, name)), name
+
+
 @pytest.mark.parametrize("group", [TRIVIAL, EXAMPLE_2])
 def test_forming_s_is_logged(group, caplog):
     # One DEBUG line: the rows S was formed at, out of how many, and its entries.
@@ -232,6 +247,21 @@ def test_build_schur_validation():
         build_schur(system, Cinv, 0.0, TOL)
     with pytest.raises(ValueError, match="does not match"):
         build_schur(system, Cinv[:-4, :-4], 0.1, TOL)
+
+
+@pytest.mark.parametrize("family, reps", [(HMZ, 0), (NEDELEC, 1)])
+def test_a_stress_fold_with_no_dof_is_refused_by_name(family, reps):
+    # At N = 1, D4's all-odd character fixes every hmz stress dof with the
+    # sign -1, and build_schur names the group and N before it reduces
+    # anything; nedelec-q1q0 keeps one stress representative and builds.
+    group = SymmetryGroup((("X", -1), ("Y", -1), ("D", -1)))
+    system = make_system(1, family, group)
+    assert len(system.stress_space.fold.reps) == reps
+    if reps:
+        assert make_direct(system, 0.25).S.shape == (1, 1)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"fold of {group} at N = 1 has no dof")):
+            make_direct(system, 0.25)
 
 
 def test_solve_matches_dense():
@@ -730,7 +760,7 @@ def test_a_folded_solve_is_the_full_solve_of_the_lifted_vectors(family, n):
     # For every group that ``SymmetryGroup`` accepts: the blocks held give a
     # square basis of the fold's outer dofs, and the folded solve of P^T S
     # x, lifted, is x.  A fold with no dof, as D4's all-odd character has at
-    # N = 1, is skipped.
+    # N = 1, is refused by build_schur, and skipped.
     S = make_direct(make_system(n, family), 0.25).S
     for group in GROUPS:
         system = make_system(n, family, group)
