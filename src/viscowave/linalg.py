@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import logging
 import time
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -284,11 +285,12 @@ class CondensedLU:
     so a one-dimensional block is named in the triangle gx <= gy, not across
     the quarter, and its representatives are ``fold``'s.  Those of its outer
     orbits are kept, in ascending dof order, and a block with none, as on a
-    tiny mesh, is dropped.  A block's basis Q is its fold's signed gather,
-    read at the run's representatives.  S_c Q lies in the span of Q, and the
-    block M = S_c[named] Q satisfies Q^T S_c Q = diag(n / Lambda_named) M, n
-    the sum of Lambda over the vector's representatives.  Each block's named
-    dofs are ordered by nested dissection of their points.
+    tiny mesh, is dropped.  Each block's named dofs are ordered by nested
+    dissection of their points, and its columns of the basis Q are its
+    fold's ``Fold.P()``, read at the outer representatives alone, in that
+    order.  S_c Q lies in the span of Q, and the block M = S_c[named] Q
+    satisfies Q^T S_c Q = diag(n / Lambda_named) M, n the sum of Lambda over
+    the vector's representatives, read from Q as |Q|^T Lambda.
 
     Set-up keeps ``S``, S_ii^-1, W = S_ii^-1 S_io and the stacked Q, with W^T
     and Q^T as CSC views.  ``solve`` condenses b to b_o - W^T b_i (S_ii is
@@ -327,31 +329,23 @@ class CondensedLU:
         del rows_i, inverses  # held while Q is built, they raise the run's peak
         # The split is found on every dof and kept at the outer representatives:
         # a block's are the run's, so row[rep] < 0 drops its interior orbits.
-        m = len(self.outer)
+        dofs = fold.reps[self.outer]
         row = np.full(len(grid), -1)
-        row[fold.reps[self.outer]] = np.arange(m)
-        sizes = fold.sizes[self.outer]
-        self._reps, self._parts, held, vec, coef = [], [], [], [], []
+        row[dofs] = np.arange(len(dofs))
+        self._reps, self._parts, columns = [], [], []
         for f in blocks:
             kept = np.flatnonzero(row[f.reps] >= 0)
             if not kept.size:
                 continue
             order = kept[nested_dissection(grid[f.reps[kept]])]
-            pos = np.empty(len(f.reps), dtype=np.int32)
-            pos[order] = np.arange(len(order), dtype=np.int32)
             start = self._parts[-1].stop if self._parts else 0
-            h = np.flatnonzero((f.sign != 0) & (row >= 0))
-            held.append(row[h])
-            vec.append(start + pos[f.index[h]])
-            coef.append(f.sign[h])
+            columns.append(replace(f, index=f.index[dofs], sign=f.sign[dofs]).P()[:, order])
             self._reps.append(row[f.reps[order]])
             self._parts.append(slice(start, start + len(order)))
-        held, vec, coef, named = map(np.concatenate, (held, vec, coef, self._reps))
-        # Float, whatever the signs' dtype: a product with int8 data would
-        # convert it on every solve.
-        self._Q = sp.csr_matrix((coef.astype(float), (held, vec)), shape=(m, m))
+        self._Q = sp.hstack(columns, format="csr")
         self._Qt = self._Q.T
-        self._inv_size = sizes[named] / np.bincount(vec, weights=sizes[held], minlength=m)
+        sizes = fold.sizes[self.outer]
+        self._inv_size = sizes[np.concatenate(self._reps)] / (abs(self._Q).T @ sizes)
         self._lus = [None] * len(self._reps)
         log.debug("split S (%d rows) into blocks of %s rows", S.shape[0], [*map(len, self._reps)])
 

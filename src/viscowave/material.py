@@ -51,6 +51,10 @@ class IsotropicMaterial:
                 f"shear modulus mu={self.mu} is lost against lam={self.lam} "
                 "(2 mu + 2 lam rounds to 2 lam), so the compliance is singular"
             )
+        if math.isinf(1.0 / (2.0 * self.mu)):
+            raise ValueError(
+                f"shear modulus mu={self.mu} is so small that the compliance 1/(2 mu) overflows"
+            )
 
     def compliance_matrix(self) -> np.ndarray:
         """Matrix of the inverse stiffness map acting on (t11, t22, t12)."""

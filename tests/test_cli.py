@@ -606,6 +606,10 @@ _FORCED = _UNIT + ["--force"]
         (_FORCED + ["--lambda", "inf"], "lam must be finite"),
         (["--mu", "2", "--example", "1", "--nx", "2", "--nt", "2"], "--force"),
         (_FORCED + ["--mu", "1e-300"], "mu=1e-300 is lost against lam=1.0"),
+        (
+            _FORCED + ["--lambda", "0", "--mu", "1e-309"],
+            "error: shear modulus mu=1e-309 is so small that the compliance 1/(2 mu) overflows",
+        ),
         (_UNIT + ["--solver-tol", "inf"], "tolerance"),
         (_FORCED + ["--mu", "1e200"], "stress-mass term is lost in rounding"),
         (_FORCED + ["--element", "hmz", "--rho", "1e-300"], "stress-mass term is lost in rounding"),
@@ -634,6 +638,7 @@ _FORCED = _UNIT + ["--force"]
         "lambda-inf",
         "nonunit-unforced",
         "mu-tiny-singular-compliance",
+        "mu-subnormal-compliance-overflows",
         "solver-tol-inf",
         "mu-huge-stress-mass-lost",
         "rho-tiny-stress-mass-lost",

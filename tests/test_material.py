@@ -112,6 +112,7 @@ def test_voigt_tensor_passthrough():
         dict(mu=np.nan),
         dict(lam=np.inf),
         dict(mu=1e-300),  # 2 mu + 2 lam rounds to 2 lam: singular compliance
+        dict(mu=1e-309, lam=0.0),  # 1/(2 mu) overflows: inf and NaN in the compliance
     ],
 )
 def test_invalid_parameters_rejected(kwargs):

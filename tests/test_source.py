@@ -2,9 +2,9 @@
 command line prints, since library code logs, one place calls SuperLU, one
 place inverts dense blocks and none reads BSR, one place ranks the
 half-step grid, every fold names its orbits by the mesh's or a space's
-rank, one place scatters element matrices, no public assembly function
-takes rows, and every module's ``__all__`` names only what the module
-defines."""
+rank, one place scatters element matrices or builds any sparse matrix
+from triplets, no public assembly function takes rows, and every module's
+``__all__`` names only what the module defines."""
 
 import ast
 import importlib
@@ -143,6 +143,34 @@ def test_one_place_scatters_element_matrices():
     assert [name for name, _ in calls] == ["assembly.py"]
     assembly = importlib.import_module("viscowave.assembly")
     assert "sp.coo_matrix(" in inspect.getsource(assembly._scatter)
+    # No other sparse matrix is built from (data, (row, col)) triplets: a
+    # fold's gather is its ``Fold.P``, written straight into CSR.
+    triplets = [
+        (path.name, where)
+        for path in sorted(SOURCE.glob("*.py"))
+        for where in _triplet_builds(ast.parse(path.read_text()), None)
+    ]
+    assert triplets == [("assembly.py", "_scatter")]
+
+
+SPARSE = {f"{kind}_{box}" for kind in ("coo", "csr", "csc") for box in ("matrix", "array")}
+
+
+def _triplet_builds(node, where):
+    """The enclosing function of each sparse matrix built from triplets."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield from _triplet_builds(child, child.name)
+            continue
+        name = getattr(getattr(child, "func", None), "attr", None)
+        first = child.args[0] if isinstance(child, ast.Call) and child.args else None
+        if (
+            name in SPARSE
+            and isinstance(first, ast.Tuple) and len(first.elts) == 2
+            and isinstance(first.elts[1], ast.Tuple) and len(first.elts[1].elts) == 2
+        ):
+            yield where
+        yield from _triplet_builds(child, where)
 
 
 def test_no_public_assembly_function_takes_rows():

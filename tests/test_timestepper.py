@@ -500,10 +500,11 @@ def test_a_run_ranks_the_grid_and_folds_each_space_once(
     # space is folded once, and the split folds only the blocks whose
     # subgroup is not the run's group (none for example 2, whose one block,
     # E's half, is the stress fold).  S and the stepper each build the stress
-    # fold's lift matrix where they use it, the stepper the velocity fold's.
-    # The rank is dead once S is formed, and the lift matrices when the first
-    # block factors.
-    ranks, folds, lifts, dead, split = [], [], [], [], []
+    # fold's lift matrix where they use it, the stepper the velocity fold's,
+    # and the split one of each held block, read at the outer representatives
+    # alone.  The rank is dead once S is formed, and the lift matrices when
+    # the first block factors.
+    ranks, folds, lifts, dead, split, held = [], [], [], [], [], []
     grid_rank, fold, lift = symmetry.grid_rank, symmetry.fold, symmetry.Fold.P
     factor, init = CondensedLU._factor, CondensedLU.__init__
 
@@ -525,9 +526,10 @@ def test_a_run_ranks_the_grid_and_folds_each_space_once(
         dead.append([ref() is None for ref in ranks + [ref for _, ref in lifts]])
         return factor(self, k)
 
-    def splitting(self, *args):
+    def splitting(self, S, interior, grid, blocks, fold):
         split.append([ref() is None for ref in ranks])
-        init(self, *args)
+        init(self, S, interior, grid, blocks, fold)
+        held.append((blocks, fold.reps[self.outer], len(self._reps)))
 
     for module in (symmetry, fespace):
         monkeypatch.setattr(module, "grid_rank", ranking)
@@ -540,7 +542,14 @@ def test_a_run_ranks_the_grid_and_folds_each_space_once(
     assert len(ranks) == 1 and split == [[True]]
     assert folds[0] == ss.group and folds[-1] == vs.group and len(folds) == 2 + block_folds
     assert ss.group not in folds[1:-1]
-    assert [fold for fold, _ in lifts] == [ss.fold, ss.fold, vs.fold]
+    ((blocks, outer, count),) = held
+    assert lifts[0][0] is ss.fold and [fold for fold, _ in lifts[-2:]] == [ss.fold, vs.fold]
+    assert len(lifts) == 3 + count and count >= 1
+    for f, _ in lifts[1:-2]:
+        (block,) = [b for b in blocks if b.group == f.group]
+        assert f.reps is block.reps and f.sizes is block.sizes
+        assert np.array_equal(f.index, block.index[outer])
+        assert np.array_equal(f.sign, block.sign[outer])
     assert dead and all(all(d) for d in dead)
 
 
